@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-concurrency lint lint-fix-list race bench bench-all bench-save bench-compare bench-ratio fuzz-short loadgen-smoke httpd-smoke snapshot-compat delta-equivalence verify ci
+.PHONY: build test vet vet-concurrency lint lint-fix-list race bench bench-all bench-save bench-compare bench-ratio fuzz-short loadgen-smoke httpd-smoke bench-smoke snapshot-compat delta-equivalence verify ci
 
 build:
 	$(GO) build ./...
@@ -126,6 +126,14 @@ loadgen-smoke:
 httpd-smoke:
 	$(GO) test -run TestLoadgenHTTPSmoke -count=1 ./cmd/p2o-loadgen
 
+# bench-smoke runs every workload of the repository benchmark (bench/,
+# BENCHMARK.json) once in its smoke mode — a 300-org world, sub-second
+# windows, the real daemon binaries: the numbers mean nothing, but a
+# change that breaks what the benchmark drives (a daemon flag, /healthz,
+# /reload, a metric it scrapes) fails here instead of at review.
+bench-smoke:
+	$(GO) run ./bench -quick
+
 # snapshot-compat proves the v2 codec is self-stable: save, load, and
 # re-save must be byte-identical through both the eager loader and the
 # in-place view opener (TestSnapshotCompatRoundTrip).
@@ -144,6 +152,6 @@ delta-equivalence:
 verify: vet vet-concurrency lint build delta-equivalence race
 
 # ci is the full gate: everything verify runs plus a short fuzz pass,
-# the loadgen smoke runs (WHOIS and HTTP), and the benchmark-regression
-# comparison.
-ci: vet vet-concurrency lint build delta-equivalence race fuzz-short snapshot-compat loadgen-smoke httpd-smoke bench-compare bench-ratio
+# the loadgen smoke runs (WHOIS and HTTP), the benchmark smoke run, and
+# the benchmark-regression comparison.
+ci: vet vet-concurrency lint build delta-equivalence race fuzz-short snapshot-compat loadgen-smoke httpd-smoke bench-smoke bench-compare bench-ratio

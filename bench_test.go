@@ -487,7 +487,7 @@ func BenchmarkSnapshotSaveLoad(b *testing.B) {
 }
 
 // BenchmarkLoadBinaryV2 measures the eager decode of a v2 snapshot —
-// the path FileBuilder and non-view tools take. Contrast with
+// the path LoadFile and non-view tools take. Contrast with
 // BenchmarkOpenMmap, the in-place open of the same bytes.
 func BenchmarkLoadBinaryV2(b *testing.B) {
 	e := env(b)

@@ -13,219 +13,45 @@
 //	curl http://127.0.0.1:8080/v1/prefix/63.80.52.0/24
 //	printf '1.2.3.4\n5.6.7.8\n' | curl --data-binary @- http://127.0.0.1:8080/v1/bulk
 //
-// -snapshot accepts either snapshot format `prefix2org
-// export-snapshot` writes — the binary serve format (which carries the
-// pre-built LPM index and loads several times faster) or JSON lines —
-// detected from the file contents, not the name.
-//
-// -snapshot-mmap serves a v2 binary snapshot in place: the file is
-// mapped read-only and queried directly (records materialize lazily on
-// first touch), so startup is near-instant and replicas pointed at the
-// same file share page cache. The mapping of a swapped-out snapshot is
-// released only after its last in-flight request — including a
-// long-running bulk stream — drops its pin. Other formats fall back to
-// the normal eager load.
-//
-// The daemon serves immutable dataset snapshots from a hot-swappable
-// store and picks up new data without restarting: SIGHUP rebuilds from
-// the data source and swaps the new snapshot in (in-flight requests —
-// including a streaming bulk request — keep their pinned snapshot),
-// -reload-interval does the same on a timer, and the admin listener's
-// /reload endpoint reloads synchronously. A failed rebuild leaves the
-// current snapshot serving. Every swap invalidates the response cache.
-//
-// -reload-delta makes those reloads incremental: each one re-parses
-// only the input files whose content hash changed and re-resolves only
-// the prefixes those files can affect, splicing everything else from
-// the served snapshot. An unchanged directory becomes a no-op reload
-// (no swap, the cache survives untouched), a delta swap invalidates
-// only the cached responses its changeset reaches, and any delta
-// failure falls back to a full rebuild.
-//
-// With -metrics-listen, an admin HTTP listener exposes /metrics (text
-// or ?format=json), /healthz, /reload, /debug/queries, and
-// /debug/pprof/.
+// The flags, the snapshot modes, hot reload (SIGHUP, -reload-interval,
+// /reload, -reload-delta) and the admin listener are the ones every
+// daemon shares; package internal/daemon documents them. What is this
+// daemon's own: a request — including a long-running bulk stream —
+// keeps the snapshot it pinned across swaps (and, under -snapshot-mmap,
+// keeps its mapping alive); every swap invalidates the response cache,
+// except that a -reload-delta swap invalidates only the cached
+// responses its changeset reaches and a no-op reload leaves the cache
+// untouched; and the listener is up before the first build finishes,
+// answering 503 not_ready until then.
 package main
 
 import (
 	"context"
 	"flag"
-	"fmt"
-	"log/slog"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
-	prefix2org "github.com/prefix2org/prefix2org"
+	"github.com/prefix2org/prefix2org/internal/daemon"
 	"github.com/prefix2org/prefix2org/internal/httpd"
-	"github.com/prefix2org/prefix2org/internal/obs"
 	"github.com/prefix2org/prefix2org/internal/store"
 )
 
-type config struct {
-	dataDir        string
-	snapshot       string
-	snapshotMmap   bool
-	listen         string
-	metricsListen  string
-	reloadInterval time.Duration
-	reloadDelta    bool
-	sloTarget      time.Duration
-	slowThreshold  time.Duration
-	querySample    int
-	bulkMaxLines   int
-	bulkFlushEvery int
-	cacheSize      int
-	logLevel       string
-	logJSON        bool
+// protocolFlags registers the flags only this daemon has.
+func protocolFlags() *httpd.Config {
+	cfg := httpd.DefaultConfig()
+	flag.IntVar(&cfg.BulkMaxLines, "bulk-max-lines", cfg.BulkMaxLines, "maximum input lines per /v1/bulk request; the stream ends with a too_many_lines error line when exceeded")
+	flag.IntVar(&cfg.BulkFlushEvery, "bulk-flush-every", cfg.BulkFlushEvery, "flush the bulk response stream every N result lines")
+	flag.IntVar(&cfg.CacheSize, "cache-size", cfg.CacheSize, "hot-response cache entries (invalidated on every snapshot swap); 0 disables caching")
+	return &cfg
 }
 
-func main() {
-	var cfg config
-	def := httpd.DefaultConfig()
-	flag.StringVar(&cfg.dataDir, "data", "", "data directory to build the dataset from")
-	flag.StringVar(&cfg.snapshot, "snapshot", "", "pre-built dataset snapshot (alternative to -data)")
-	flag.BoolVar(&cfg.snapshotMmap, "snapshot-mmap", false, "serve a v2 binary -snapshot in place via mmap (lazy materialization, shared page cache)")
-	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:8080", "address to serve HTTP/JSON queries on")
-	flag.StringVar(&cfg.metricsListen, "metrics-listen", "", "address for the admin HTTP listener (/metrics, /healthz, /reload, /debug/queries, pprof); empty disables it")
-	flag.DurationVar(&cfg.reloadInterval, "reload-interval", 0, "rebuild and swap the dataset periodically (e.g. 1h); 0 reloads only on SIGHUP or /reload")
-	flag.BoolVar(&cfg.reloadDelta, "reload-delta", false, "rebuild incrementally on reload: re-resolve only prefixes affected by changed input files, invalidate only the cached responses they reach (requires -data)")
-	flag.DurationVar(&cfg.sloTarget, "slo-target", 0, "latency SLO per query (e.g. 5ms); queries over it count in httpd_slo_violations_total; 0 disables")
-	flag.DurationVar(&cfg.slowThreshold, "slow-query-threshold", 250*time.Millisecond, "capture and log queries slower than this; 0 disables")
-	flag.IntVar(&cfg.querySample, "query-sample", 16, "record a detailed span for 1 in N queries on /debug/queries; 0 disables sampling")
-	flag.IntVar(&cfg.bulkMaxLines, "bulk-max-lines", def.BulkMaxLines, "maximum input lines per /v1/bulk request; the stream ends with a too_many_lines error line when exceeded")
-	flag.IntVar(&cfg.bulkFlushEvery, "bulk-flush-every", def.BulkFlushEvery, "flush the bulk response stream every N result lines")
-	flag.IntVar(&cfg.cacheSize, "cache-size", def.CacheSize, "hot-response cache entries (invalidated on every snapshot swap); 0 disables caching")
-	flag.StringVar(&cfg.logLevel, "log-level", "info", "log level: debug|info|warn|error")
-	flag.BoolVar(&cfg.logJSON, "log-json", false, "emit logs as JSON instead of text")
-	flag.Parse()
-	if (cfg.dataDir == "") == (cfg.snapshot == "") {
-		fmt.Fprintln(os.Stderr, "p2o-httpd: exactly one of -data or -snapshot is required")
-		os.Exit(2)
-	}
-	if cfg.reloadDelta && cfg.dataDir == "" {
-		fmt.Fprintln(os.Stderr, "p2o-httpd: -reload-delta requires -data (snapshots are rebuilt externally)")
-		os.Exit(2)
-	}
-	if err := run(cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "p2o-httpd:", err)
-		os.Exit(1)
+// spec describes p2o-httpd to the shared daemon skeleton; cfg is read
+// when the server is constructed, after flag parsing.
+func spec(cfg *httpd.Config) daemon.Spec {
+	return daemon.Spec{
+		Name:      "p2o-httpd",
+		Listen:    "127.0.0.1:8080",
+		Telemetry: httpd.Telemetry(),
+		Dataset:   func(st *store.Store) daemon.FrontEnd { return httpd.New(st, *cfg) },
 	}
 }
 
-// app is one running daemon instance; tests drive start/Close directly.
-type app struct {
-	srv       *httpd.Server
-	admin     *obs.Admin
-	store     *store.Store
-	reloader  *store.Reloader
-	stop      context.CancelFunc
-	logger    *slog.Logger
-	HTTPAddr  string
-	AdminAddr string
-}
-
-func start(cfg config) (*app, error) {
-	level, err := obs.ParseLevel(cfg.logLevel)
-	if err != nil {
-		return nil, err
-	}
-	obs.Configure(level, cfg.logJSON, os.Stderr)
-	logger := obs.Logger("p2o-httpd")
-
-	var build store.BuildFunc
-	var delta store.DeltaBuildFunc
-	source := cfg.dataDir
-	if cfg.snapshot != "" {
-		build = store.ViewFileBuilder(cfg.snapshot, cfg.snapshotMmap)
-		source = cfg.snapshot
-	} else {
-		opts := prefix2org.Options{Incremental: cfg.reloadDelta}
-		build = store.DirBuilder(cfg.dataDir, opts)
-		if cfg.reloadDelta {
-			delta = store.DeltaDirBuilder(cfg.dataDir, opts)
-		}
-	}
-	// The store starts pending (version 0, not ready) so the admin
-	// listener — and its /healthz readiness probe — is up before the
-	// first build: probes see 503 while the dataset builds, not
-	// connection refused. The query listener answers 503 not_ready for
-	// the same window.
-	st := store.NewPending(source)
-	rel := store.NewReloader(st, build, store.ReloaderConfig{Interval: cfg.reloadInterval, Delta: delta})
-
-	tel := httpd.Telemetry()
-	tel.SetSLOTarget(cfg.sloTarget)
-	tel.SetSlowThreshold(cfg.slowThreshold)
-	tel.SetSampleEvery(uint64(max(cfg.querySample, 0)))
-
-	ctx, cancel := context.WithCancel(context.Background())
-	srv := httpd.New(st, httpd.Config{
-		BulkMaxLines:   cfg.bulkMaxLines,
-		BulkFlushEvery: cfg.bulkFlushEvery,
-		CacheSize:      cfg.cacheSize,
-	})
-	a := &app{srv: srv, store: st, reloader: rel, stop: cancel, logger: logger}
-	if cfg.metricsListen != "" {
-		admin, err := obs.ServeAdmin(cfg.metricsListen, obs.Default(),
-			obs.Route{Pattern: "/reload", Handler: rel.Handler()},
-			obs.Route{Pattern: "/healthz", Handler: obs.ReadyHandler(st.Ready)},
-			obs.Route{Pattern: "/debug/queries", Handler: tel.DebugHandler()})
-		if err != nil {
-			a.Close()
-			return nil, err
-		}
-		a.admin, a.AdminAddr = admin, admin.Addr()
-		logger.Info("admin listener up", "addr", admin.Addr())
-	}
-	// Query listener first, then the blocking initial build: early
-	// requests get JSON 503 not_ready rather than connection refused,
-	// the same contract the readiness probe follows.
-	addr, err := srv.Start(ctx, cfg.listen)
-	if err != nil {
-		a.Close()
-		return nil, err
-	}
-	a.HTTPAddr = addr
-	snap, err := build(ctx)
-	if err != nil {
-		a.Close()
-		return nil, err
-	}
-	st.Swap(snap)
-	go rel.Run(ctx)
-
-	ds := snap.Dataset
-	logger.Info("serving http",
-		"addr", addr, "snapshot", snap.Version, "records", ds.NumRecords(), "clusters", ds.NumClusters())
-	return a, nil
-}
-
-func (a *app) Close() {
-	a.stop()
-	if a.admin != nil {
-		_ = a.admin.Close()
-	}
-	_ = a.srv.Close()
-}
-
-func run(cfg config) error {
-	a, err := start(cfg)
-	if err != nil {
-		return err
-	}
-	defer a.Close()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
-	for s := range sig {
-		if s == syscall.SIGHUP {
-			a.logger.Info("SIGHUP received, reloading snapshot")
-			a.reloader.Trigger()
-			continue
-		}
-		a.logger.Info("shutting down", "signal", s.String())
-		return nil
-	}
-	return nil
-}
+func main() { daemon.Main(context.Background(), spec(protocolFlags())) }

@@ -3,68 +3,64 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
-	"path/filepath"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
 
 	prefix2org "github.com/prefix2org/prefix2org"
-	"github.com/prefix2org/prefix2org/internal/synth"
+	"github.com/prefix2org/prefix2org/internal/daemon"
+	"github.com/prefix2org/prefix2org/internal/daemon/daemontest"
+	"github.com/prefix2org/prefix2org/internal/httpd"
 )
 
-func dataDir(t *testing.T) string {
-	t.Helper()
-	w, err := synth.Generate(synth.SmallConfig())
+// TestBootAndAnswer boots the daemon exactly as main would (ephemeral
+// ports) and checks the query listener answers every query form from
+// snapshot 1, the admin /reload swaps the snapshot and the response
+// cache follows (answers carry version 2), and the set of metric names
+// on /metrics is the one captured before the daemons shared a skeleton.
+// What the skeleton does for every daemon alike — flag validation, log
+// levels, snapshot mode, readiness — is tested once, in internal/daemon.
+func TestBootAndAnswer(t *testing.T) {
+	_, dir := daemontest.World(t)
+	ds, err := prefix2org.BuildFromDir(context.Background(), dir, prefix2org.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := w.WriteDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	return dir
-}
+	rec := &ds.Records[0]
+	cfg := httpd.DefaultConfig()
+	a := daemontest.Boot(context.Background(), t, spec(&cfg), daemon.Flags{DataDir: dir})
 
-// TestStartServesQueriesAndMetrics boots the daemon exactly as main
-// would (ephemeral ports) and checks the query listener answers JSON
-// and the admin listener serves /metrics, /healthz, and /debug/queries.
-func TestStartServesQueriesAndMetrics(t *testing.T) {
-	a, err := start(config{
-		dataDir:       dataDir(t),
-		listen:        "127.0.0.1:0",
-		metricsListen: "127.0.0.1:0",
-		logLevel:      "warn",
-	})
-	if err != nil {
-		t.Fatal(err)
+	c := http.Client{Timeout: 10 * time.Second}
+	version := func(path string, wantStatus int) any {
+		t.Helper()
+		resp, err := c.Get("http://" + a.Addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatalf("GET %s: body is not JSON: %v", path, err)
+		}
+		if resp.StatusCode != wantStatus {
+			t.Fatalf("GET %s = %d, want %d: %v", path, resp.StatusCode, wantStatus, body)
+		}
+		return body["snapshot_version"]
 	}
-	defer a.Close()
-	if a.AdminAddr == "" {
-		t.Fatal("admin listener not started")
+	addrPath := "/v1/addr/" + rec.Prefix.Addr().String()
+	for _, path := range []string{addrPath, "/v1/prefix/" + rec.Prefix.String(), "/v1/org/" + url.PathEscape(rec.DirectOwner)} {
+		if got := version(path, http.StatusOK); got != float64(1) {
+			t.Errorf("GET %s: snapshot_version = %v, want 1", path, got)
+		}
 	}
-
-	c := http.Client{Timeout: 5 * time.Second}
-	resp, err := c.Get("http://" + a.HTTPAddr + "/v1/prefix/1.0.0.0/16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body map[string]any
-	err = json.NewDecoder(resp.Body).Decode(&body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The synthetic world may or may not route 1.0.0.0/16; either way
-	// the answer is a well-formed envelope from snapshot 1.
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("query status = %d: %v", resp.StatusCode, body)
-	}
+	version("/v1/addr/not-an-ip", http.StatusBadRequest)
 
 	// Bulk round-trip through the running daemon.
-	resp, err = c.Post("http://"+a.HTTPAddr+"/v1/bulk", "application/x-ndjson",
-		strings.NewReader("1.2.3.4\nnot-an-ip\n"))
+	resp, err := c.Post("http://"+a.Addr+"/v1/bulk", "application/x-ndjson", strings.NewReader("1.2.3.4\nnot-an-ip\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,97 +73,23 @@ func TestStartServesQueriesAndMetrics(t *testing.T) {
 		t.Fatalf("X-P2O-Snapshot = %q", resp.Header.Get("X-P2O-Snapshot"))
 	}
 
-	for _, path := range []string{"/healthz", "/metrics", "/debug/queries"} {
-		resp, err := c.Get("http://" + a.AdminAddr + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s = %d", path, resp.StatusCode)
-		}
-		if path == "/metrics" && !strings.Contains(string(body), "httpd_queries_total") {
-			t.Fatalf("/metrics missing httpd counters:\n%s", body)
-		}
+	daemontest.Golden(t, "testdata/metrics.golden", daemontest.MetricNames(t, a))
+
+	if status, body := daemontest.Get(t, a, "/reload"); status != 200 {
+		t.Fatalf("/reload = %d: %s", status, body)
+	}
+	if got := version(addrPath, http.StatusOK); got != float64(2) {
+		t.Fatalf("post-reload snapshot_version = %v, want 2 (cache not invalidated?)", got)
 	}
 }
 
-func TestStartRejectsBadLevel(t *testing.T) {
-	if _, err := start(config{dataDir: dataDir(t), listen: "127.0.0.1:0", logLevel: "loud"}); err == nil {
-		t.Fatal("bad log level accepted")
-	}
-}
-
-func TestStartSnapshotMode(t *testing.T) {
-	ds, err := prefix2org.BuildFromDir(context.Background(), dataDir(t), prefix2org.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := filepath.Join(t.TempDir(), "snap.jsonl")
-	if err := ds.SaveFile(snap); err != nil {
-		t.Fatal(err)
-	}
-	a, err := start(config{snapshot: snap, listen: "127.0.0.1:0", logLevel: "warn"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if a.HTTPAddr == "" {
-		t.Fatal("query listener not started")
-	}
-}
-
-// TestReloadEndpointSwapsSnapshot exercises the admin /reload wiring
-// and the cache-invalidation subscription: after /reload, answers carry
-// the new snapshot version.
-func TestReloadEndpointSwapsSnapshot(t *testing.T) {
-	dir := dataDir(t)
-	ds, err := prefix2org.BuildFromDir(context.Background(), dir, prefix2org.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ds.Records[0].Prefix.Addr().String()
-	a, err := start(config{
-		dataDir:       dir,
-		listen:        "127.0.0.1:0",
-		metricsListen: "127.0.0.1:0",
-		logLevel:      "warn",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	c := http.Client{Timeout: 10 * time.Second}
-
-	version := func() float64 {
-		resp, err := c.Get("http://" + a.HTTPAddr + "/v1/addr/" + addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var body map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		if v, ok := body["snapshot_version"].(float64); ok {
-			return v
-		}
-		return -1
-	}
-	if got := version(); got != 1 {
-		t.Fatalf("initial snapshot_version = %v, want 1", got)
-	}
-	resp, err := c.Post("http://"+a.AdminAddr+"/reload", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("/reload = %d", resp.StatusCode)
-	}
-	if got := version(); got != 2 {
-		t.Fatalf("post-reload snapshot_version = %v, want 2", got)
-	}
+// TestFlagSet pins the daemon's flags — names and defaults — to the
+// list captured before the shared flags moved into internal/daemon.
+func TestFlagSet(t *testing.T) {
+	// protocolFlags registers on flag.CommandLine, as main has it.
+	saved := flag.CommandLine
+	defer func() { flag.CommandLine = saved }()
+	flag.CommandLine = flag.NewFlagSet("p2o-httpd", flag.ContinueOnError)
+	daemon.RegisterFlags(flag.CommandLine, spec(protocolFlags()))
+	daemontest.Golden(t, "testdata/flags.golden", daemontest.FlagSet(flag.CommandLine))
 }

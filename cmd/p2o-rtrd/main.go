@@ -7,12 +7,11 @@
 //
 //	p2o-rtrd -data DIR [-listen ADDR] [-metrics-listen ADDR] [-reload-interval D] [-reload-delta] [-log-level LEVEL] [-log-json]
 //
-// The daemon serves immutable repository snapshots from a hot-swappable
-// store: SIGHUP reloads the repository and bumps the RTR serial (routers
-// polling with Serial Queries resynchronize), -reload-interval does the
-// same on a timer, and the admin listener's /reload endpoint reloads
-// synchronously. A failed reload leaves the current VRP set serving.
-//
+// The flags, hot reload (SIGHUP, -reload-interval, /reload) and the
+// admin listener are the ones every daemon shares; package
+// internal/daemon documents them. What is this daemon's own: a reload
+// bumps the RTR serial, so routers polling with Serial Queries
+// resynchronize, and a failed reload leaves the current VRP set serving.
 // -reload-delta hashes the rpki/ inputs on each reload and skips the
 // reload outright when they are unchanged — the serial stays put and
 // polling routers are not forced through a resync for nothing
@@ -22,168 +21,30 @@
 // Unlike p2o-whoisd and p2o-httpd there is no -snapshot/-snapshot-mmap
 // mode: serialized dataset snapshots carry the prefix-to-organization
 // records but not the raw RPKI repository this daemon replays, so it
-// always builds from -data.
-//
-// With -metrics-listen, an admin HTTP listener exposes /metrics (text or
-// ?format=json), /healthz, /reload, and /debug/pprof/.
+// always builds from -data. And there is no not-ready answer in RTR:
+// the listener comes up only once the first repository is loaded.
 package main
 
 import (
 	"context"
-	"flag"
-	"fmt"
-	"log/slog"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
-	"github.com/prefix2org/prefix2org/internal/obs"
+	"github.com/prefix2org/prefix2org/internal/daemon"
 	"github.com/prefix2org/prefix2org/internal/rtr"
 	"github.com/prefix2org/prefix2org/internal/store"
 )
 
-type config struct {
-	dataDir        string
-	listen         string
-	metricsListen  string
-	reloadInterval time.Duration
-	reloadDelta    bool
-	sloTarget      time.Duration
-	slowThreshold  time.Duration
-	querySample    int
-	logLevel       string
-	logJSON        bool
-}
-
-func main() {
-	var cfg config
-	flag.StringVar(&cfg.dataDir, "data", "", "data directory containing rpki/snapshot.jsonl (required)")
-	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:8282", "address to serve RTR on")
-	flag.StringVar(&cfg.metricsListen, "metrics-listen", "", "address for the admin HTTP listener (/metrics, /healthz, /reload, pprof); empty disables it")
-	flag.DurationVar(&cfg.reloadInterval, "reload-interval", 0, "reload the RPKI repository periodically (e.g. 10m); 0 reloads only on SIGHUP or /reload")
-	flag.BoolVar(&cfg.reloadDelta, "reload-delta", false, "skip reloads when the rpki/ inputs are unchanged (content-hash manifest check); the RTR serial stays put")
-	flag.DurationVar(&cfg.sloTarget, "slo-target", 0, "latency SLO per PDU exchange (e.g. 50ms); exchanges over it count in rtr_slo_violations_total; 0 disables")
-	flag.DurationVar(&cfg.slowThreshold, "slow-query-threshold", 250*time.Millisecond, "capture and log PDU exchanges slower than this; 0 disables")
-	flag.IntVar(&cfg.querySample, "query-sample", 16, "record a detailed span for 1 in N PDU exchanges on /debug/queries; 0 disables sampling")
-	flag.StringVar(&cfg.logLevel, "log-level", "info", "log level: debug|info|warn|error")
-	flag.BoolVar(&cfg.logJSON, "log-json", false, "emit logs as JSON instead of text")
-	flag.Parse()
-	if cfg.dataDir == "" {
-		fmt.Fprintln(os.Stderr, "p2o-rtrd: -data is required")
-		os.Exit(2)
-	}
-	if err := run(cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "p2o-rtrd:", err)
-		os.Exit(1)
+// spec describes p2o-rtrd to the shared daemon skeleton.
+func spec() daemon.Spec {
+	return daemon.Spec{
+		Name:      "p2o-rtrd",
+		Listen:    "127.0.0.1:8282",
+		Telemetry: rtr.Telemetry(),
+		Repo: func(st *store.Store, first *store.Snapshot) daemon.FrontEnd {
+			srv := rtr.NewServer(first.Repo)
+			srv.Track(st)
+			return srv
+		},
 	}
 }
 
-// app is one running daemon instance; tests drive start/Close directly.
-type app struct {
-	srv       *rtr.Server
-	admin     *obs.Admin
-	store     *store.Store
-	reloader  *store.Reloader
-	detach    func()
-	stop      context.CancelFunc
-	logger    *slog.Logger
-	RTRAddr   string
-	AdminAddr string
-}
-
-func start(cfg config) (*app, error) {
-	level, err := obs.ParseLevel(cfg.logLevel)
-	if err != nil {
-		return nil, err
-	}
-	obs.Configure(level, cfg.logJSON, os.Stderr)
-	logger := obs.Logger("p2o-rtrd")
-
-	build := store.RepoBuilder(cfg.dataDir)
-	var delta store.DeltaBuildFunc
-	if cfg.reloadDelta {
-		delta = store.DeltaRepoBuilder(cfg.dataDir)
-	}
-	// The store starts pending (version 0, not ready) so the admin
-	// listener — and its /healthz readiness probe — is up before the
-	// first build: probes see 503 while the repository loads, not
-	// connection refused.
-	st := store.NewPending(cfg.dataDir)
-	rel := store.NewReloader(st, build, store.ReloaderConfig{Interval: cfg.reloadInterval, Delta: delta})
-
-	tel := rtr.Telemetry()
-	tel.SetSLOTarget(cfg.sloTarget)
-	tel.SetSlowThreshold(cfg.slowThreshold)
-	tel.SetSampleEvery(uint64(max(cfg.querySample, 0)))
-
-	ctx, cancel := context.WithCancel(context.Background())
-	a := &app{store: st, reloader: rel, stop: cancel, logger: logger}
-	if cfg.metricsListen != "" {
-		admin, err := obs.ServeAdmin(cfg.metricsListen, obs.Default(),
-			obs.Route{Pattern: "/reload", Handler: rel.Handler()},
-			obs.Route{Pattern: "/healthz", Handler: obs.ReadyHandler(st.Ready)},
-			obs.Route{Pattern: "/debug/queries", Handler: tel.DebugHandler()})
-		if err != nil {
-			a.Close()
-			return nil, err
-		}
-		a.admin, a.AdminAddr = admin, admin.Addr()
-		logger.Info("admin listener up", "addr", admin.Addr())
-	}
-	snap, err := build(ctx)
-	if err != nil {
-		a.Close()
-		return nil, err
-	}
-	st.Swap(snap)
-
-	srv := rtr.NewServer(snap.Repo)
-	a.srv = srv
-	a.detach = srv.Track(st)
-	go rel.Run(ctx)
-
-	addr, err := srv.Start(ctx, cfg.listen)
-	if err != nil {
-		a.Close()
-		return nil, err
-	}
-	a.RTRAddr = addr
-	logger.Info("serving rtr",
-		"addr", addr, "snapshot", snap.Version,
-		"vrps", len(rtr.VRPsFromRepository(snap.Repo)), "serial", srv.Serial())
-	return a, nil
-}
-
-func (a *app) Close() {
-	a.stop()
-	if a.detach != nil {
-		a.detach()
-	}
-	if a.admin != nil {
-		_ = a.admin.Close()
-	}
-	if a.srv != nil {
-		_ = a.srv.Close()
-	}
-}
-
-func run(cfg config) error {
-	a, err := start(cfg)
-	if err != nil {
-		return err
-	}
-	defer a.Close()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
-	for s := range sig {
-		if s == syscall.SIGHUP {
-			a.logger.Info("SIGHUP received, reloading snapshot")
-			a.reloader.Trigger()
-			continue
-		}
-		a.logger.Info("shutting down", "signal", s.String())
-		return nil
-	}
-	return nil
-}
+func main() { daemon.Main(context.Background(), spec()) }

@@ -1,47 +1,29 @@
 package main
 
 import (
-	"net/http"
+	"context"
+	"flag"
 	"testing"
 	"time"
 
+	"github.com/prefix2org/prefix2org/internal/daemon"
+	"github.com/prefix2org/prefix2org/internal/daemon/daemontest"
 	"github.com/prefix2org/prefix2org/internal/rtr"
 	"github.com/prefix2org/prefix2org/internal/synth"
 )
 
-func dataDir(t *testing.T) (*synth.World, string) {
-	t.Helper()
-	w, err := synth.Generate(synth.SmallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := w.WriteDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	return w, dir
-}
+// TestBootAndAnswer boots the daemon as main would and checks a router
+// can sync (at serial 1: publishing the snapshot the server was built
+// from bumps nothing), then reloads via the admin endpoint and checks
+// the serial bumps so routers resynchronize, and that the set of metric
+// names on /metrics is the one captured before the daemons shared a
+// skeleton. What the skeleton does for every daemon alike is tested
+// once, in internal/daemon.
+func TestBootAndAnswer(t *testing.T) {
+	w, dir := daemontest.World(t)
+	a := daemontest.Boot(context.Background(), t, spec(), daemon.Flags{DataDir: dir})
 
-// TestStartServesRTRAndReloads boots the daemon as main would and checks
-// a router can sync, then reloads via the admin endpoint and checks the
-// serial bumps so routers resynchronize.
-func TestStartServesRTRAndReloads(t *testing.T) {
-	w, dir := dataDir(t)
-	a, err := start(config{
-		dataDir:       dir,
-		listen:        "127.0.0.1:0",
-		metricsListen: "127.0.0.1:0",
-		logLevel:      "warn",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if a.AdminAddr == "" {
-		t.Fatal("admin listener not started")
-	}
-
-	rc := &rtr.Client{Addr: a.RTRAddr, Timeout: 5 * time.Second}
+	rc := &rtr.Client{Addr: a.Addr, Timeout: 5 * time.Second}
 	vrps, serial1, err := rc.Sync()
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +31,13 @@ func TestStartServesRTRAndReloads(t *testing.T) {
 	if len(vrps) == 0 {
 		t.Fatal("synced zero VRPs from a world with RPKI adopters")
 	}
+	if serial1 != 1 {
+		t.Errorf("serial after boot = %d, want 1", serial1)
+	}
+	if ok, err := rc.CheckSerial(serial1); err != nil || !ok {
+		t.Fatalf("CheckSerial(current) = %v, %v", ok, err)
+	}
+	daemontest.Golden(t, "testdata/metrics.golden", daemontest.MetricNames(t, a))
 
 	// New adopters change the ROA set; /reload must publish it and bump
 	// the serial.
@@ -59,14 +48,8 @@ func TestStartServesRTRAndReloads(t *testing.T) {
 	if err := w2.WriteDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	c := http.Client{Timeout: 30 * time.Second}
-	resp, err := c.Get("http://" + a.AdminAddr + "/reload")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("GET /reload = %d", resp.StatusCode)
+	if status, body := daemontest.Get(t, a, "/reload"); status != 200 {
+		t.Fatalf("GET /reload = %d: %s", status, body)
 	}
 	if ok, err := rc.CheckSerial(serial1); err != nil {
 		t.Fatal(err)
@@ -82,9 +65,10 @@ func TestStartServesRTRAndReloads(t *testing.T) {
 	}
 }
 
-func TestStartRejectsBadLevel(t *testing.T) {
-	_, dir := dataDir(t)
-	if _, err := start(config{dataDir: dir, listen: "127.0.0.1:0", logLevel: "loud"}); err == nil {
-		t.Fatal("bad log level accepted")
-	}
+// TestFlagSet pins the daemon's flags — names and defaults — to the
+// list captured before the shared flags moved into internal/daemon.
+func TestFlagSet(t *testing.T) {
+	fs := flag.NewFlagSet("p2o-rtrd", flag.ContinueOnError)
+	daemon.RegisterFlags(fs, spec())
+	daemontest.Golden(t, "testdata/flags.golden", daemontest.FlagSet(fs))
 }

@@ -2,148 +2,61 @@ package main
 
 import (
 	"context"
+	"flag"
 	"io"
 	"net"
-	"net/http"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	prefix2org "github.com/prefix2org/prefix2org"
-	"github.com/prefix2org/prefix2org/internal/synth"
+	"github.com/prefix2org/prefix2org/internal/daemon"
+	"github.com/prefix2org/prefix2org/internal/daemon/daemontest"
 )
 
-func dataDir(t *testing.T) string {
-	t.Helper()
-	w, err := synth.Generate(synth.SmallConfig())
+// TestBootAndAnswer boots the daemon exactly as main would (ephemeral
+// ports), checks the WHOIS listener answers every query form over TCP,
+// and checks the set of metric names on /metrics is the one captured
+// before the daemons shared a skeleton. What the skeleton does for
+// every daemon alike — flag validation, log levels, snapshot mode,
+// /reload, readiness — is tested once, in internal/daemon.
+func TestBootAndAnswer(t *testing.T) {
+	_, dir := daemontest.World(t)
+	ds, err := prefix2org.BuildFromDir(context.Background(), dir, prefix2org.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := w.WriteDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	return dir
-}
+	rec := &ds.Records[0]
+	a := daemontest.Boot(context.Background(), t, spec(), daemon.Flags{DataDir: dir})
 
-// TestStartServesWhoisAndMetrics boots the daemon exactly as main would
-// (ephemeral ports) and checks the WHOIS listener answers a query and the
-// admin listener serves /metrics and /healthz.
-func TestStartServesWhoisAndMetrics(t *testing.T) {
-	a, err := start(config{
-		dataDir:       dataDir(t),
-		listen:        "127.0.0.1:0",
-		metricsListen: "127.0.0.1:0",
-		logLevel:      "warn",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if a.AdminAddr == "" {
-		t.Fatal("admin listener not started")
-	}
-
-	conn, err := net.Dial("tcp", a.WhoisAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write([]byte("1.0.0.0/16\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	out, err := io.ReadAll(conn)
-	conn.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(out), "Prefix2Org whois") {
-		t.Fatalf("unexpected whois answer: %q", out)
-	}
-
-	c := http.Client{Timeout: 5 * time.Second}
-	for _, path := range []string{"/healthz", "/metrics"} {
-		resp, err := c.Get("http://" + a.AdminAddr + path)
+	for q, want := range map[string]string{
+		rec.Prefix.Addr().String(): "direct-owner:  " + rec.DirectOwner,
+		rec.Prefix.String():        "final-cluster: " + rec.FinalCluster,
+		rec.DirectOwner:            "cluster:      " + rec.FinalCluster,
+		"300.1.2.3/8":              "% error: bad prefix",
+	} {
+		conn, err := net.Dial("tcp", a.Addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s = %d", path, resp.StatusCode)
+		if _, err := conn.Write([]byte(q + "\r\n")); err != nil {
+			t.Fatal(err)
 		}
-		if path == "/metrics" && !strings.Contains(string(body), "whoisd_queries_total") {
-			t.Fatalf("/metrics missing whoisd counters:\n%s", body)
+		out, err := io.ReadAll(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(out), "% Prefix2Org whois") || !strings.Contains(string(out), want) {
+			t.Errorf("query %q: answer lacks %q:\n%s", q, want, out)
 		}
 	}
+	daemontest.Golden(t, "testdata/metrics.golden", daemontest.MetricNames(t, a))
 }
 
-func TestStartRejectsBadLevel(t *testing.T) {
-	if _, err := start(config{dataDir: dataDir(t), listen: "127.0.0.1:0", logLevel: "loud"}); err == nil {
-		t.Fatal("bad log level accepted")
-	}
-}
-
-func TestStartSnapshotMode(t *testing.T) {
-	ds, err := prefix2org.BuildFromDir(context.Background(), dataDir(t), prefix2org.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := filepath.Join(t.TempDir(), "snap.jsonl")
-	if err := ds.SaveFile(snap); err != nil {
-		t.Fatal(err)
-	}
-	a, err := start(config{snapshot: snap, listen: "127.0.0.1:0", logLevel: "warn"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if a.WhoisAddr == "" {
-		t.Fatal("whois listener not started")
-	}
-}
-
-// TestReloadEndpointSwapsSnapshot exercises the admin /reload wiring:
-// rewrite the data directory with an evolved world, hit /reload, and
-// check the daemon serves the new snapshot.
-func TestReloadEndpointSwapsSnapshot(t *testing.T) {
-	w, err := synth.Generate(synth.SmallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := w.WriteDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	a, err := start(config{
-		dataDir:       dir,
-		listen:        "127.0.0.1:0",
-		metricsListen: "127.0.0.1:0",
-		logLevel:      "warn",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	v1 := a.store.Current().Version
-
-	w2, err := w.Evolve(synth.EvolveOptions{Seed: 3, Transfers: 4, MonthsLater: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.WriteDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	c := http.Client{Timeout: 30 * time.Second}
-	resp, err := c.Get("http://" + a.AdminAddr + "/reload")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("GET /reload = %d", resp.StatusCode)
-	}
-	if got := a.store.Current().Version; got != v1+1 {
-		t.Errorf("version after /reload = %d, want %d", got, v1+1)
-	}
+// TestFlagSet pins the daemon's flags — names and defaults — to the
+// list captured before the shared flags moved into internal/daemon.
+func TestFlagSet(t *testing.T) {
+	fs := flag.NewFlagSet("p2o-whoisd", flag.ContinueOnError)
+	daemon.RegisterFlags(fs, spec())
+	daemontest.Golden(t, "testdata/flags.golden", daemontest.FlagSet(fs))
 }

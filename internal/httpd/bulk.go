@@ -10,6 +10,7 @@ import (
 	"time"
 
 	prefix2org "github.com/prefix2org/prefix2org"
+	"github.com/prefix2org/prefix2org/internal/daemon"
 	"github.com/prefix2org/prefix2org/internal/netx"
 	"github.com/prefix2org/prefix2org/internal/obs"
 )
@@ -49,11 +50,11 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	// this one snapshot.
 	snap, release := s.store.Acquire()
 	defer release()
-	s.countSnapshotQuery(snap.Version)
+	mBySnapshot.Inc(snap.Version)
 	info := obs.QueryInfo{Start: start, Text: "bulk", Type: "bulk", SnapshotVersion: snap.Version}
 	if snap.Dataset == nil {
 		writeErrorEnvelope(w, http.StatusServiceUnavailable, "not_ready", "no dataset loaded yet")
-		info.Outcome = outcomeError
+		info.Outcome = daemon.OutcomeError
 		telemetry.Finish(sp, info)
 		return
 	}
@@ -122,7 +123,7 @@ scan:
 		mServeErrors.Inc()
 		logger.Warn("bulk body read failed", "err", err, "lines", lines)
 		_, _ = bw.Write(marshalError(http.StatusBadRequest, "read_error", err.Error()))
-		info.Outcome = outcomeError
+		info.Outcome = daemon.OutcomeError
 	}
 	if err := bw.Flush(); err != nil && info.Outcome == outcomeOK {
 		info.Outcome = outcomeWriteError

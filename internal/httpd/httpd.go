@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/netip"
 	"strconv"
 	"sync/atomic"
 	"time"
 
 	prefix2org "github.com/prefix2org/prefix2org"
+	"github.com/prefix2org/prefix2org/internal/daemon"
 	"github.com/prefix2org/prefix2org/internal/obs"
 	"github.com/prefix2org/prefix2org/internal/store"
 )
@@ -19,11 +19,17 @@ import (
 // Server metrics, registered on the process-wide registry so the admin
 // listener's /metrics page exposes them.
 var (
-	mQueriesAddr   = obs.Default().Counter(obs.Label("httpd_queries_total", "type", "addr"))
-	mQueriesPrefix = obs.Default().Counter(obs.Label("httpd_queries_total", "type", "prefix"))
-	mQueriesOrg    = obs.Default().Counter(obs.Label("httpd_queries_total", "type", "org"))
+	// mQueries counts single queries by their resolved form.
+	mQueries = [...]*obs.Counter{
+		daemon.KindAddr:   obs.Default().Counter(obs.Label("httpd_queries_total", "type", "addr")),
+		daemon.KindPrefix: obs.Default().Counter(obs.Label("httpd_queries_total", "type", "prefix")),
+		daemon.KindOrg:    obs.Default().Counter(obs.Label("httpd_queries_total", "type", "org")),
+		daemon.KindBad:    obs.Default().Counter(obs.Label("httpd_queries_total", "type", "bad")),
+	}
+	mBySnapshot = &daemon.VersionCounter{Counter: func(version string) *obs.Counter {
+		return obs.Default().Counter(obs.Label("httpd_queries_by_snapshot_total", "version", version))
+	}}
 	mQueriesBulk   = obs.Default().Counter(obs.Label("httpd_queries_total", "type", "bulk"))
-	mQueriesBad    = obs.Default().Counter(obs.Label("httpd_queries_total", "type", "bad"))
 	mNoMatch       = obs.Default().Counter("httpd_no_match_total")
 	mServeErrors   = obs.Default().Counter("httpd_serve_errors_total")
 	mSLOViolations = obs.Default().Counter("httpd_slo_violations_total")
@@ -76,12 +82,9 @@ func init() {
 // its DebugHandler at /debug/queries.
 func Telemetry() *obs.QueryTelemetry { return telemetry }
 
-// Request outcome classes recorded on spans and /debug/queries records.
+// Request outcome classes recorded on spans and /debug/queries records,
+// beside the resolver's (daemon.OutcomeMatch and friends).
 const (
-	outcomeMatch      = "match"
-	outcomeCovering   = "covering"
-	outcomeNoMatch    = "no_match"
-	outcomeError      = "error"
 	outcomeWriteError = "write_error"
 	outcomeOK         = "ok"        // a bulk stream that completed
 	outcomeTruncated  = "truncated" // a bulk stream cut at BulkMaxLines
@@ -109,15 +112,6 @@ func DefaultConfig() Config {
 	return Config{BulkMaxLines: 100000, BulkFlushEvery: 512, CacheSize: 4096}
 }
 
-// snapshotCounter caches the labeled per-snapshot-version counter so
-// the steady-state path is one pointer load and an atomic increment;
-// the registry lookup and label rendering run only when a reload swaps
-// the version.
-type snapshotCounter struct {
-	version uint64
-	c       *obs.Counter
-}
-
 // Server answers HTTP/JSON queries from a snapshot store. Safe for
 // concurrent requests and concurrent snapshot swaps; see the package
 // documentation for the full contract.
@@ -126,7 +120,6 @@ type Server struct {
 	cfg   Config
 	cache *responseCache
 
-	snapCount atomic.Pointer[snapshotCounter]
 	// lastSwap is the snapshot version the cache's contents were last
 	// validated against; the swap subscription compares it to decide
 	// between partial, full, and no-op invalidation.
@@ -234,18 +227,11 @@ func (s *Server) Close() error {
 
 // --- single-query endpoints --------------------------------------------------
 
-// answerFunc resolves one parsed query against the pinned dataset and
-// returns the ready-to-cache response: HTTP status, rendered JSON body,
-// the resolved query type (it may degrade to "bad"), the outcome class
-// for telemetry, and the cache tag recording what dataset state the
-// answer depends on (the handle partial invalidation drops by).
-type answerFunc func(ds *prefix2org.Dataset, version uint64, sp *obs.QuerySpan) (status int, body []byte, qtype, outcome string, tag cacheTag)
-
 // serve is the shared single-query skeleton: method check, snapshot
-// pin, cache lookup, answer, cache fill, write, telemetry. The snapshot
+// pin, cache lookup or answer and cache fill, write, telemetry. The snapshot
 // is loaded exactly once per request and every byte of the response is
 // derived from it.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, qtype, q string, answer answerFunc) {
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, kind daemon.Kind, q string) {
 	start := time.Now()
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", http.MethodGet)
@@ -258,37 +244,32 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, qtype, q string, 
 	// pin is fine.
 	snap, release := s.store.Acquire()
 	defer release()
-	s.countSnapshotQuery(snap.Version)
+	mBySnapshot.Inc(snap.Version)
+	qtype := kind.String()
 	info := obs.QueryInfo{Start: start, Text: q, Type: qtype, SnapshotVersion: snap.Version}
 	if snap.Dataset == nil {
 		writeErrorEnvelope(w, http.StatusServiceUnavailable, "not_ready", "no dataset loaded yet")
-		info.Outcome = outcomeError
+		info.Outcome = daemon.OutcomeError
 		telemetry.Finish(sp, info)
 		return
 	}
 	key := qtype + "/" + q
-	if s.cache != nil {
-		if e, ok := s.cache.get(key, snap.Version); ok {
-			mCacheHits.Inc()
-			sp.Mark(obs.PhaseLookup)
-			info.Type, info.Outcome = e.qtype, e.outcome
-			if !writeBody(w, e.status, e.body) {
-				info.Outcome = outcomeWriteError
-				mServeErrors.Inc()
-			}
-			sp.Mark(obs.PhaseWrite)
-			telemetry.Finish(sp, info)
-			return
+	e, hit := s.cache.get(key, snap.Version)
+	if hit {
+		mCacheHits.Inc()
+		sp.Mark(obs.PhaseLookup)
+	} else {
+		if s.cache != nil {
+			mCacheMisses.Inc()
 		}
-		mCacheMisses.Inc()
+		e = answer(snap, kind, q, sp)
+		sp.Mark(obs.PhaseEncode)
+		// Negative answers (bad input, no match) are cached too: a hot
+		// mistyped query is still hot. Only not_ready is transient.
+		s.cache.put(key, e)
 	}
-	status, body, rtype, outcome, tag := answer(snap.Dataset, snap.Version, sp)
-	sp.Mark(obs.PhaseEncode)
-	info.Type, info.Outcome = rtype, outcome
-	// Negative answers (bad input, no match) are cached too: a hot
-	// mistyped query is still hot. Only not_ready is transient.
-	s.cache.put(key, &cacheEntry{version: snap.Version, status: status, body: body, qtype: rtype, outcome: outcome, tag: tag})
-	if !writeBody(w, status, body) {
+	info.Type, info.Outcome = e.qtype, e.outcome
+	if !writeBody(w, e.status, e.body) {
 		info.Outcome = outcomeWriteError
 		mServeErrors.Inc()
 	}
@@ -297,89 +278,63 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, qtype, q string, 
 }
 
 func (s *Server) handleAddr(w http.ResponseWriter, r *http.Request) {
-	q := r.PathValue("ip")
-	s.serve(w, r, "addr", q, func(ds *prefix2org.Dataset, version uint64, sp *obs.QuerySpan) (int, []byte, string, string, cacheTag) {
-		a, err := netip.ParseAddr(q)
-		sp.Mark(obs.PhaseParse)
-		if err != nil {
-			mQueriesBad.Inc()
-			return http.StatusBadRequest, marshalError(http.StatusBadRequest, "bad_request", "bad address "+strconv.Quote(q)), "bad", outcomeError, cacheTag{}
-		}
-		mQueriesAddr.Inc()
-		rec, ok := ds.LookupAddr(a)
-		sp.Mark(obs.PhaseLookup)
-		if !ok {
-			mNoMatch.Inc()
-			return http.StatusNotFound, marshalError(http.StatusNotFound, "no_match", "no record covers "+q), "addr", outcomeNoMatch, cacheTag{addr: a}
-		}
-		return http.StatusOK, marshalQuery(q, "addr", outcomeMatch, version, rec, nil), "addr", outcomeMatch, cacheTag{addr: a, apfx: rec.Prefix}
-	})
+	s.serve(w, r, daemon.KindAddr, r.PathValue("ip"))
 }
 
 func (s *Server) handlePrefix(w http.ResponseWriter, r *http.Request) {
-	q := r.PathValue("cidr")
-	s.serve(w, r, "prefix", q, func(ds *prefix2org.Dataset, version uint64, sp *obs.QuerySpan) (int, []byte, string, string, cacheTag) {
-		p, err := netip.ParsePrefix(q)
-		sp.Mark(obs.PhaseParse)
-		if err != nil {
-			mQueriesBad.Inc()
-			return http.StatusBadRequest, marshalError(http.StatusBadRequest, "bad_request", "bad prefix "+strconv.Quote(q)), "bad", outcomeError, cacheTag{}
-		}
-		mQueriesPrefix.Inc()
-		if rec, ok := ds.Lookup(p); ok {
-			sp.Mark(obs.PhaseLookup)
-			return http.StatusOK, marshalQuery(q, "prefix", outcomeMatch, version, rec, nil), "prefix", outcomeMatch, cacheTag{qpfx: p.Masked(), apfx: rec.Prefix}
-		}
-		// Fall back to the most specific covering routed prefix, the
-		// same degradation the whois surface answers with a note.
-		if rec, ok := ds.LookupCovering(p); ok {
-			sp.Mark(obs.PhaseLookup)
-			return http.StatusOK, marshalQuery(q, "prefix", outcomeCovering, version, rec, nil), "prefix", outcomeCovering, cacheTag{qpfx: p.Masked(), apfx: rec.Prefix}
-		}
-		sp.Mark(obs.PhaseLookup)
-		mNoMatch.Inc()
-		return http.StatusNotFound, marshalError(http.StatusNotFound, "no_match", "no record covers "+q), "prefix", outcomeNoMatch, cacheTag{qpfx: p.Masked()}
-	})
+	s.serve(w, r, daemon.KindPrefix, r.PathValue("cidr"))
 }
 
 func (s *Server) handleOrg(w http.ResponseWriter, r *http.Request) {
-	q := r.PathValue("id")
-	s.serve(w, r, "org", q, func(ds *prefix2org.Dataset, version uint64, sp *obs.QuerySpan) (int, []byte, string, string, cacheTag) {
-		sp.Mark(obs.PhaseParse)
-		if q == "" {
-			mQueriesBad.Inc()
-			return http.StatusBadRequest, marshalError(http.StatusBadRequest, "bad_request", "empty organization query"), "bad", outcomeError, cacheTag{}
-		}
-		mQueriesOrg.Inc()
-		// Final-cluster ID first, then any exact WHOIS owner name.
-		c, ok := ds.ClusterByID(q)
-		if !ok {
-			c, ok = ds.ClusterOfOwner(q)
-		}
-		sp.Mark(obs.PhaseLookup)
-		if !ok {
-			mNoMatch.Inc()
-			return http.StatusNotFound, marshalError(http.StatusNotFound, "no_match", "no cluster with ID or owner name "+strconv.Quote(q)), "org", outcomeNoMatch, cacheTag{org: true}
-		}
-		return http.StatusOK, marshalQuery(q, "org", outcomeMatch, version, nil, c), "org", outcomeMatch, cacheTag{org: true, cluster: c.ID}
-	})
+	s.serve(w, r, daemon.KindOrg, r.PathValue("id"))
 }
 
-// countSnapshotQuery ties request traffic to the snapshot version that
-// answered it — httpd_queries_by_snapshot_total{version="N"} — so a
-// reload's effect on traffic is directly observable on /metrics. The
-// labeled counter is re-resolved only when the version changes.
-//
-//p2o:hotpath
-func (s *Server) countSnapshotQuery(version uint64) {
-	if sc := s.snapCount.Load(); sc != nil && sc.version == version {
-		sc.c.Inc()
-		return
+// answer resolves one query of the route's kind against the pinned
+// snapshot and renders the ready-to-cache response: the success
+// envelope for a match (a covering answer is the same degradation the
+// whois surface answers with a note), an error envelope otherwise.
+func answer(snap *store.Snapshot, kind daemon.Kind, q string, sp *obs.QuerySpan) *cacheEntry {
+	ans := daemon.Resolve(snap.Dataset, kind, q, sp)
+	mQueries[ans.Kind].Inc()
+	e := &cacheEntry{version: snap.Version, status: http.StatusOK, qtype: ans.Kind.String(), outcome: ans.Outcome, tag: tagOf(ans)}
+	switch {
+	case ans.Kind == daemon.KindBad:
+		msg := "empty organization query" // the one way an org query is bad
+		switch kind {
+		case daemon.KindAddr:
+			msg = "bad address " + strconv.Quote(q)
+		case daemon.KindPrefix:
+			msg = "bad prefix " + strconv.Quote(q)
+		}
+		e.status, e.body = http.StatusBadRequest, marshalError(http.StatusBadRequest, "bad_request", msg)
+	case ans.Outcome == daemon.OutcomeNoMatch:
+		mNoMatch.Inc()
+		msg := "no record covers " + q
+		if kind == daemon.KindOrg {
+			msg = "no cluster with ID or owner name " + strconv.Quote(q)
+		}
+		e.status, e.body = http.StatusNotFound, marshalError(http.StatusNotFound, "no_match", msg)
+	default:
+		e.body = marshalQuery(q, e.qtype, ans.Outcome, snap.Version, ans.Record, ans.Cluster)
 	}
-	c := obs.Default().Counter(obs.Label(
-		"httpd_queries_by_snapshot_total", "version", strconv.FormatUint(version, 10)))
-	s.snapCount.Store(&snapshotCounter{version: version, c: c})
-	c.Inc()
+	return e
+}
+
+// tagOf records what dataset state a resolved answer depends on — the
+// handle partial cache invalidation drops by. A bad query depends on
+// none and gets the zero tag.
+func tagOf(ans daemon.Answer) cacheTag {
+	tag := cacheTag{addr: ans.Addr, org: ans.Kind == daemon.KindOrg}
+	if ans.Kind == daemon.KindPrefix {
+		tag.qpfx = ans.Prefix.Masked()
+	}
+	if ans.Record != nil {
+		tag.apfx = ans.Record.Prefix
+	}
+	if ans.Cluster != nil {
+		tag.cluster = ans.Cluster.ID
+	}
+	return tag
 }
 
 // --- wire shapes -------------------------------------------------------------

@@ -45,6 +45,8 @@ func DefaultConfig(modPath string) *Config {
 	// the build path may reach up into.
 	servingAndAbove := []string{
 		"internal/store",
+		"internal/daemon",
+		"internal/daemon/daemontest",
 		"internal/whoisd",
 		"internal/httpd",
 		"internal/rtr",
@@ -58,7 +60,8 @@ func DefaultConfig(modPath string) *Config {
 	leafDeny := []string{""} // the root package...
 	for _, p := range []string{
 		"internal/alloc", "internal/as2org", "internal/bgp", "internal/casestudy",
-		"internal/cluster", "internal/delegated", "internal/diff", "internal/dsu",
+		"internal/cluster", "internal/daemon", "internal/daemon/daemontest",
+		"internal/delegated", "internal/diff", "internal/dsu",
 		"internal/experiments", "internal/httpd", "internal/intern", "internal/leasing",
 		"internal/lint", "internal/lpm", "internal/names", "internal/netx", "internal/obs",
 		"internal/radix", "internal/report", "internal/retry", "internal/rpki",
@@ -93,8 +96,13 @@ func DefaultConfig(modPath string) *Config {
 		"internal/obs":    leafDeny,
 		"internal/lpm":    leafDeny,
 		"internal/intern": leafDeny,
-		// The store is below the daemons and the harnesses.
-		"internal/store": {"internal/whoisd", "internal/httpd", "internal/rtr", "internal/experiments", "internal/casestudy"},
+		// The store is below the daemon skeleton, the front ends and
+		// the harnesses.
+		"internal/store": {"internal/daemon", "internal/daemon/daemontest", "internal/whoisd", "internal/httpd", "internal/rtr", "internal/experiments", "internal/casestudy"},
+		// The daemon skeleton sits between the store and the mains: it
+		// wires store, obs and the root package together, and the front
+		// ends use its accept loop and resolver — never the reverse.
+		"internal/daemon": {"internal/whoisd", "internal/httpd", "internal/rtr", "internal/experiments", "internal/casestudy", "internal/validate", "internal/lint"},
 		// The linter analyzes everything and depends on nothing.
 		"internal/lint": leafDeny,
 	}
@@ -132,15 +140,14 @@ func DefaultConfig(modPath string) *Config {
 				"snapview.go",
 				"internal/lpm/view.go",
 			},
-			// syscall is confined to the mmap platform glue and the
-			// daemon mains, which need the SIGHUP/SIGTERM constants for
-			// reload/shutdown wiring (os/signal carries no such names).
+			// syscall is confined to the mmap platform glue, the daemon
+			// skeleton's signal loop and p2o-synth, which need the
+			// SIGHUP/SIGTERM constants for reload/shutdown wiring
+			// (os/signal carries no such names).
 			AllowSyscall: []string{
 				"mmap_unix.go",
-				"cmd/p2o-httpd/main.go",
-				"cmd/p2o-rtrd/main.go",
+				"internal/daemon/daemon.go",
 				"cmd/p2o-synth/main.go",
-				"cmd/p2o-whoisd/main.go",
 			},
 			// On a view-backed Dataset these accessors return records
 			// whose strings alias the snapshot's buffer.

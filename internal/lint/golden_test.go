@@ -211,6 +211,7 @@ func TestRepoIsClean(t *testing.T) {
 		"internal/lpm.Index.Lookup",
 		"internal/httpd.appendBulkLine",
 		"internal/whoisd.Server.answer",
+		"internal/daemon.Resolve",
 		"internal/obs.QueryTelemetry.Finish",
 		"(root).Dataset.LookupAddr",
 	} {

@@ -36,7 +36,6 @@ func TestSyncMovesPDUCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 
 	resetBefore := mResetQueries.Value()
 	snapBefore := mSnapshots.Value()
@@ -44,6 +43,10 @@ func TestSyncMovesPDUCounters(t *testing.T) {
 
 	c := &Client{Addr: addr}
 	vrps, serial, err := c.Sync()
+	// The server counts a snapshot after writing End of Data, which is
+	// when the client returns: Close waits for the session goroutine, so
+	// the counters are final once it has.
+	srv.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +104,14 @@ func TestSessionMetrics(t *testing.T) {
 	if lag := mSerialLag.Value(); lag != 1 {
 		t.Errorf("serial lag after stale poll = %v, want 1", lag)
 	}
-	if d := mPDUTime.Count() - pdusBefore; d < 2 {
-		t.Errorf("pdu latency count moved by %d, want >= 2", d)
+	// An exchange is accounted after its answer is written, which is
+	// when the client returns — give the session goroutine its moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for mPDUTime.Count()-pdusBefore < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("pdu latency count moved by %d, want >= 2", mPDUTime.Count()-pdusBefore)
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	// An unsupported PDU drops the session with a reason.
@@ -115,7 +124,6 @@ func TestSessionMetrics(t *testing.T) {
 	if err := writePDU(conn, pduSerialNotify, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
 	for mDropUnsupPDU.Value() == dropBefore {
 		if time.Now().After(deadline) {
 			t.Fatal("unsupported-pdu drop counter never moved")
@@ -135,8 +143,10 @@ func TestSessionMetrics(t *testing.T) {
 // TestTrackSerialSkip pins the delta-aware serial policy: a tracked
 // swap whose changeset proves the VRP set untouched keeps the current
 // serial (so polling routers are not forced through a resync), a
-// VRPsChanged changeset bumps it, and a changeset-less swap (full
-// rebuild, nothing proven) bumps it conservatively.
+// VRPsChanged changeset bumps it, a changeset-less swap (full rebuild,
+// nothing proven) bumps it conservatively, and a swap publishing the
+// very repository already served (the daemon's first Swap, after the
+// server was built from that snapshot) changes nothing.
 func TestTrackSerialSkip(t *testing.T) {
 	repo := metricsRepo(t)
 	srv := NewServer(repo)
@@ -155,12 +165,17 @@ func TestTrackSerialSkip(t *testing.T) {
 		t.Errorf("serial skip counter moved by %d, want 1", d)
 	}
 
-	st.Swap(&store.Snapshot{Repo: repo, Changes: &diff.Changeset{VRPsChanged: true}})
+	st.Swap(&store.Snapshot{Repo: repo})
+	if got := srv.Serial(); got != base {
+		t.Errorf("serial after re-publishing the served repository = %d, want %d (kept)", got, base)
+	}
+
+	st.Swap(&store.Snapshot{Repo: metricsRepo(t), Changes: &diff.Changeset{VRPsChanged: true}})
 	if got := srv.Serial(); got != base+1 {
 		t.Errorf("serial after vrps-changed delta swap = %d, want %d", got, base+1)
 	}
 
-	st.Swap(&store.Snapshot{Repo: repo})
+	st.Swap(&store.Snapshot{Repo: metricsRepo(t)})
 	if got := srv.Serial(); got != base+2 {
 		t.Errorf("serial after changeset-less swap = %d, want %d", got, base+2)
 	}

@@ -21,8 +21,8 @@ import (
 	"sync"
 	"time"
 
+	"github.com/prefix2org/prefix2org/internal/daemon"
 	"github.com/prefix2org/prefix2org/internal/obs"
-	"github.com/prefix2org/prefix2org/internal/retry"
 	"github.com/prefix2org/prefix2org/internal/rpki"
 	"github.com/prefix2org/prefix2org/internal/store"
 )
@@ -212,22 +212,22 @@ func parsePrefixPDU(pduType byte, body []byte) (VRP, bool, error) {
 // Server serves one VRP snapshot over RTR.
 type Server struct {
 	mu      sync.RWMutex
+	repo    *rpki.Repository // what vrps was derived from
 	vrps    []VRP
 	serial  uint32
 	session uint16
 
 	baseCtx context.Context
 
-	lis  net.Listener
-	done chan struct{}
-	wg   sync.WaitGroup
+	lis     daemon.Listener
+	untrack func() // detaches from the store Track subscribed to
 }
 
 // NewServer builds a server over the repository's current ROA set.
 func NewServer(repo *rpki.Repository) *Server {
 	vrps := VRPsFromRepository(repo)
 	mVRPs.Set(float64(len(vrps)))
-	return &Server{vrps: vrps, serial: 1, session: 0x2bad}
+	return &Server{repo: repo, vrps: vrps, serial: 1, session: 0x2bad}
 }
 
 // Update replaces the served VRP set (a new validation run), bumping the
@@ -235,6 +235,7 @@ func NewServer(repo *rpki.Repository) *Server {
 func (s *Server) Update(repo *rpki.Repository) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.repo = repo
 	s.vrps = VRPsFromRepository(repo)
 	s.serial++
 	mVRPs.Set(float64(len(s.vrps)))
@@ -254,10 +255,12 @@ func (s *Server) Serial() uint32 {
 // hot-reload path replacing manual Update calls. A delta-built swap
 // whose changeset proves the VRP set untouched keeps the current serial
 // (rtr_serial_skips_total), so routers are not forced through a full
-// resync for a WHOIS-only change. The returned cancel detaches the
-// server from the store.
+// resync for a WHOIS-only change, and so does a swap publishing the
+// very repository already served — the daemon's first Swap, which comes
+// after the server was built from that snapshot and bound. The returned
+// cancel detaches the server from the store; Close does the same.
 func (s *Server) Track(st *store.Store) (cancel func()) {
-	return st.Subscribe(func(snap *store.Snapshot) {
+	s.untrack = st.Subscribe(func(snap *store.Snapshot) {
 		if snap.Repo == nil {
 			return
 		}
@@ -266,67 +269,31 @@ func (s *Server) Track(st *store.Store) (cancel func()) {
 			logger.Debug("vrp set unchanged by delta swap; serial kept", "serial", s.Serial())
 			return
 		}
-		s.Update(snap.Repo)
+		s.mu.RLock()
+		served := s.repo
+		s.mu.RUnlock()
+		if snap.Repo != served {
+			s.Update(snap.Repo)
+		}
 	})
+	return s.untrack
 }
 
 // Start listens on addr and returns the bound address. ctx is the base
 // context sampled PDU spans ride on; it does not stop the server (Close
 // does).
 func (s *Server) Start(ctx context.Context, addr string) (string, error) {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("rtr: listen %s: %w", addr, err)
-	}
 	s.baseCtx = ctx
-	s.lis = lis
-	s.done = make(chan struct{})
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return lis.Addr().String(), nil
+	return s.lis.Listen(addr, mAcceptErrors, logger, s.handle)
 }
 
-// Close stops the listener and waits for connections to finish.
+// Close detaches the server from a tracked store, stops the listener and
+// waits for connections to finish.
 func (s *Server) Close() error {
-	close(s.done)
-	var err error
-	if s.lis != nil {
-		err = s.lis.Close()
+	if s.untrack != nil {
+		s.untrack()
 	}
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	// Persistent Accept failures must not spin the loop hot; back off
-	// exponentially, recovering as soon as one accept succeeds.
-	bo := retry.Backoff{Min: 5 * time.Millisecond, Max: time.Second}
-	for {
-		conn, err := s.lis.Accept()
-		if err != nil {
-			select {
-			case <-s.done:
-				return
-			default:
-			}
-			mAcceptErrors.Inc()
-			logger.Warn("accept failed", "err", err)
-			select {
-			case <-s.done:
-				return
-			case <-time.After(bo.Next()):
-			}
-			continue
-		}
-		bo.Reset()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			s.handle(conn)
-		}()
-	}
+	return s.lis.Close()
 }
 
 // handle serves one router session: a loop of PDUs until the peer hangs

@@ -69,15 +69,15 @@ func TestHotReloadEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	build := store.DirBuilder(dir, prefix2org.Options{})
-	snap1, err := build(context.Background())
+	src := store.DirSource(dir, prefix2org.Options{})
+	snap1, err := src.Build(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := store.New(snap1)
 	// Long MinBackoff keeps the automatic retry timer out of the way; the
 	// test drives every reload explicitly.
-	rel := store.NewReloader(st, build, store.ReloaderConfig{MinBackoff: time.Minute})
+	rel := store.NewReloader(st, src, store.ReloaderConfig{MinBackoff: time.Minute})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go rel.Run(ctx)

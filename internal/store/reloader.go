@@ -43,11 +43,6 @@ type ReloaderConfig struct {
 	MinBackoff time.Duration
 	// MaxBackoff caps the retry delay growth (default 2m).
 	MaxBackoff time.Duration
-	// Delta, when set, is tried before the full build on every reload:
-	// (nil, nil) means no input changed and the current snapshot keeps
-	// serving (no swap, no subscriber churn); an error falls back to the
-	// full build — the previous snapshot is never disturbed either way.
-	Delta DeltaBuildFunc
 }
 
 // Reloader rebuilds snapshots and swaps them into a Store. All builds
@@ -58,14 +53,14 @@ type ReloaderConfig struct {
 // resets on the next success.
 type Reloader struct {
 	store *Store
-	build BuildFunc
+	src   Source
 	cfg   ReloaderConfig
 	reqs  chan chan error
 }
 
-// NewReloader wires a reloader for st. Run must be started for
-// Trigger/Reload/the handler to make progress.
-func NewReloader(st *Store, build BuildFunc, cfg ReloaderConfig) *Reloader {
+// NewReloader wires a reloader swapping src's snapshots into st. Run
+// must be started for Trigger/Reload/the handler to make progress.
+func NewReloader(st *Store, src Source, cfg ReloaderConfig) *Reloader {
 	if cfg.MinBackoff <= 0 {
 		cfg.MinBackoff = time.Second
 	}
@@ -74,7 +69,7 @@ func NewReloader(st *Store, build BuildFunc, cfg ReloaderConfig) *Reloader {
 	}
 	return &Reloader{
 		store: st,
-		build: build,
+		src:   src,
 		cfg:   cfg,
 		// A small buffer lets Trigger coalesce: if a reload is already
 		// queued, further triggers are satisfied by that pending run.
@@ -159,7 +154,7 @@ func (r *Reloader) Handler() http.Handler {
 		}
 		cur := r.store.Current()
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "reloaded: serving snapshot %s from %s\n", describe(cur), cur.Source)
+		fmt.Fprintf(w, "reloaded: serving snapshot %s from %s\n", cur.Describe(), cur.Source)
 	})
 }
 
@@ -167,11 +162,12 @@ func (r *Reloader) Handler() http.Handler {
 // metrics and — when both the outgoing and incoming snapshots carry
 // datasets — the internal/diff change summary of what the swap changed.
 //
-// With cfg.Delta set, the incremental builder runs first against the
-// currently served snapshot: an unchanged manifest turns the reload
-// into a no-op (the subscribers never fire, so the RTR serial and the
-// response cache are untouched), and any delta error downgrades to the
-// full build. Serve-stale applies only when the full build fails too.
+// When the source has a Delta, it runs first against the currently
+// served snapshot: an unchanged manifest turns the reload into a no-op
+// (the subscribers never fire, so the RTR serial and the response cache
+// are untouched), and any delta error downgrades to the full build.
+// Serve-stale applies only when the full build fails too — the previous
+// snapshot is never disturbed either way.
 func (r *Reloader) reloadOnce(ctx context.Context) error {
 	start := time.Now()
 	next, err := r.tryDelta(ctx)
@@ -194,7 +190,7 @@ func (r *Reloader) reloadOnce(ctx context.Context) error {
 			mDeltaFallbacks.Inc()
 			logger.Warn("delta rebuild unavailable; running full rebuild", "err", err)
 		}
-		next, err = r.build(ctx)
+		next, err = r.src.Build(ctx)
 		if err != nil {
 			mReloadFailures.Inc()
 			logger.Error("rebuild failed; serving stale snapshot",
@@ -216,7 +212,7 @@ func (r *Reloader) reloadOnce(ctx context.Context) error {
 	// that instead of recomputing a diff.
 	if next.Changes != nil {
 		logger.Info("snapshot swapped",
-			"snapshot", describe(next), "duration", dur, "changes", next.Changes.Summary())
+			"snapshot", next.Describe(), "duration", dur, "changes", next.Changes.Summary())
 		return nil
 	}
 	// Diffing walks both datasets in full, which would force a lazy
@@ -226,24 +222,24 @@ func (r *Reloader) reloadOnce(ctx context.Context) error {
 	if old.Dataset != nil && next.Dataset != nil && !old.Dataset.Lazy() && !next.Dataset.Lazy() {
 		if rep, derr := diff.Compare(old.Dataset, next.Dataset); derr == nil {
 			logger.Info("snapshot swapped",
-				"snapshot", describe(next), "duration", dur, "changes", rep.Summary())
+				"snapshot", next.Describe(), "duration", dur, "changes", rep.Summary())
 			return nil
 		}
 	}
-	logger.Info("snapshot swapped", "snapshot", describe(next), "duration", dur)
+	logger.Info("snapshot swapped", "snapshot", next.Describe(), "duration", dur)
 	return nil
 }
 
-// errNoDelta signals the delta path was not attempted at all — not
-// configured, or no real previous snapshot to splice against. The full
-// build then runs without counting a delta fallback.
+// errNoDelta signals the delta path was not attempted at all — the
+// source offers none, or there is no real previous snapshot to splice
+// against. The full build then runs without counting a delta fallback.
 var errNoDelta = errors.New("store: delta not attempted")
 
-// tryDelta runs the configured incremental builder against the
+// tryDelta runs the source's incremental builder against the
 // currently served snapshot, holding a pin on it for the duration so a
 // view-backed previous snapshot cannot be unmapped mid-splice.
 func (r *Reloader) tryDelta(ctx context.Context) (*Snapshot, error) {
-	if r.cfg.Delta == nil {
+	if r.src.Delta == nil {
 		return nil, errNoDelta
 	}
 	prev, release := r.store.Acquire()
@@ -251,5 +247,5 @@ func (r *Reloader) tryDelta(ctx context.Context) (*Snapshot, error) {
 	if prev.Dataset == nil && prev.Repo == nil {
 		return nil, errNoDelta // pending placeholder: nothing to delta against
 	}
-	return r.cfg.Delta(ctx, prev)
+	return r.src.Delta(ctx, prev)
 }

@@ -1,13 +1,16 @@
 // Package store separates the serving read path from the build
 // pipeline. A Snapshot is one immutable, versioned view of the world:
-// the built Prefix2Org Dataset (whose read indexes — the exact-match
-// map, the longest-prefix-match radix, and the cluster maps — travel
-// with it) plus the RPKI repository the RTR daemon derives its VRP set
-// from. A Store holds the current Snapshot behind an atomic pointer, so
-// concurrent readers grab a consistent view with one load and never
-// block on — or observe a torn state from — a swap. A Reloader rebuilds
-// snapshots from the data directory on demand (signal, admin endpoint,
-// timer) and swaps them in with serve-stale-on-failure semantics.
+// the built Prefix2Org Dataset (whose read indexes — the frozen LPM
+// index, the exact-match and cluster lookups, eager or view-backed —
+// travel with it) plus the RPKI repository the RTR daemon derives its
+// VRP set from. A Store holds the current Snapshot behind an atomic
+// pointer, so concurrent readers grab a consistent view with one load
+// and never block on — or observe a torn state from — a swap. A Source
+// is where snapshots come from (a data directory, a snapshot file, or a
+// directory's RPKI repository alone): a full build and, where the
+// source supports it, the matching incremental build. A Reloader
+// rebuilds from a Source on demand (signal, admin endpoint, timer) and
+// swaps the result in with serve-stale-on-failure semantics.
 //
 // The contract that makes the lock-free read path sound: a Snapshot and
 // everything reachable from it is frozen once published. Writers build
@@ -68,9 +71,9 @@ type Snapshot struct {
 	// snapshots) — subscribers must then assume everything changed.
 	Changes *diff.Changeset
 	// Manifest is the per-source input manifest of the data directory
-	// the snapshot was built from, when the builder captured one. The
-	// repo-only delta builder compares manifests across reloads to skip
-	// RPKI reloads whose inputs are untouched.
+	// the snapshot was built from, when the builder captured one.
+	// RepoSource's delta compares manifests across reloads to skip RPKI
+	// reloads whose inputs are untouched.
 	Manifest *prefix2org.Manifest
 	// Closer releases resources the snapshot's data aliases — the mmap
 	// of a view-backed dataset. It runs exactly once, when the last
@@ -276,20 +279,40 @@ func (s *Store) Subscribe(fn func(*Snapshot)) (cancel func()) {
 	}
 }
 
-// --- snapshot builders -------------------------------------------------------
+// --- snapshot sources --------------------------------------------------------
 
-// BuildFunc produces one fresh Snapshot (version left zero — the Store
-// assigns it at publication). Builders are invoked by the Reloader and
-// by daemons for their startup snapshot.
-type BuildFunc func(ctx context.Context) (*Snapshot, error)
+// Source is one place snapshots come from: the full build and, when the
+// source can rebuild incrementally, the delta build that goes with it.
+// The two are constructed together so they cannot disagree about the
+// directory or the options — a delta splices against the state the full
+// build retained.
+type Source struct {
+	// Build produces one fresh Snapshot (version left zero — the Store
+	// assigns it at publication). It runs for a daemon's startup
+	// snapshot and for every full reload.
+	Build func(ctx context.Context) (*Snapshot, error)
+	// Delta, when non-nil, is tried before Build on every reload: it
+	// produces the next Snapshot incrementally from the one currently
+	// served. Returning (nil, nil) means the inputs are unchanged and
+	// the current snapshot stays; any error makes the Reloader fall back
+	// to Build (serve-stale semantics apply only if the full rebuild
+	// then fails too).
+	Delta func(ctx context.Context, prev *Snapshot) (*Snapshot, error)
+}
 
-// DirBuilder runs the full pipeline over a data directory and also
-// loads the directory's RPKI repository, so one snapshot can back both
-// the WHOIS and RTR serving paths. (The repository is re-read rather
-// than threaded out of the pipeline: it is a single JSONL file, noise
-// next to the build itself.)
-func DirBuilder(dir string, opts prefix2org.Options) BuildFunc {
-	return func(ctx context.Context) (*Snapshot, error) {
+// DirSource runs the pipeline over a data directory and also loads the
+// directory's RPKI repository, so one snapshot can back both the WHOIS
+// and RTR serving paths. (On a full build the repository is re-read
+// rather than threaded out of the pipeline: it is a single JSONL file,
+// noise next to the build itself.)
+//
+// With opts.Incremental the source carries a Delta that re-parses only
+// the source files whose manifest hash changed, re-resolves only the
+// affected prefixes, and publishes the exact changeset on the resulting
+// snapshot; the full build retains the state that delta splices
+// against, so the fallback also yields delta-capable snapshots.
+func DirSource(dir string, opts prefix2org.Options) Source {
+	src := Source{Build: func(ctx context.Context) (*Snapshot, error) {
 		ds, err := prefix2org.BuildFromDir(ctx, dir, opts)
 		if err != nil {
 			return nil, err
@@ -299,75 +322,11 @@ func DirBuilder(dir string, opts prefix2org.Options) BuildFunc {
 			return nil, err
 		}
 		return &Snapshot{BuiltAt: time.Now(), Source: "dir:" + dir, Dataset: ds, Repo: repo}, nil
+	}}
+	if !opts.Incremental {
+		return src
 	}
-}
-
-// FileBuilder loads a serialized dataset snapshot (prefix2org.Save
-// output). Such snapshots carry no RPKI repository, so Repo stays nil.
-func FileBuilder(path string) BuildFunc {
-	return func(ctx context.Context) (*Snapshot, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ds, err := prefix2org.LoadFile(ctx, path)
-		if err != nil {
-			return nil, err
-		}
-		return &Snapshot{BuiltAt: time.Now(), Source: "file:" + path, Dataset: ds}, nil
-	}
-}
-
-// ViewFileBuilder opens a serialized dataset snapshot for serving in
-// place: a v2 binary snapshot is view-backed (optionally mmap'd) with
-// its release threaded through the snapshot's Closer, any other format
-// transparently falls back to the eager load. This is the builder
-// behind the daemons' -snapshot-mmap mode.
-func ViewFileBuilder(path string, mmap bool) BuildFunc {
-	return func(ctx context.Context) (*Snapshot, error) {
-		ds, err := prefix2org.OpenSnapshotFile(ctx, path, prefix2org.OpenOptions{Mmap: mmap})
-		if err != nil {
-			return nil, err
-		}
-		return &Snapshot{BuiltAt: time.Now(), Source: "file:" + path, Dataset: ds, Closer: ds.Close}, nil
-	}
-}
-
-// RepoBuilder loads only the RPKI repository from a data directory —
-// what an RTR-only daemon needs, skipping the full pipeline.
-func RepoBuilder(dir string) BuildFunc {
-	return func(ctx context.Context) (*Snapshot, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		repo, err := rpki.LoadDir(ctx, dir)
-		if err != nil {
-			return nil, err
-		}
-		return &Snapshot{BuiltAt: time.Now(), Source: "dir:" + dir, Repo: repo}, nil
-	}
-}
-
-// DeltaBuildFunc produces the next Snapshot incrementally from the one
-// currently served. Returning (nil, nil) means the inputs are unchanged
-// and the current snapshot stays; any error makes the Reloader fall
-// back to its full BuildFunc (serve-stale semantics apply only if the
-// full rebuild then fails too).
-type DeltaBuildFunc func(ctx context.Context, prev *Snapshot) (*Snapshot, error)
-
-// DeltaDirBuilder incrementally rebuilds a data-directory snapshot: it
-// re-parses only the source files whose manifest hash changed,
-// re-resolves only the affected prefixes, and publishes the exact
-// changeset on the resulting snapshot. Incremental is forced on opts so
-// the produced datasets retain the state the next delta splices
-// against; pair it with a DirBuilder carrying the same (Incremental)
-// options so the full-rebuild fallback also yields delta-capable
-// snapshots.
-func DeltaDirBuilder(dir string, opts prefix2org.Options) DeltaBuildFunc {
-	opts.Incremental = true
-	return func(ctx context.Context, prev *Snapshot) (*Snapshot, error) {
-		if prev == nil || prev.Dataset == nil {
-			return nil, prefix2org.ErrNoDeltaState
-		}
+	src.Delta = func(ctx context.Context, prev *Snapshot) (*Snapshot, error) {
 		res, err := prefix2org.BuildDelta(ctx, prev.Dataset, dir, opts)
 		if errors.Is(err, prefix2org.ErrNoChange) {
 			return nil, nil
@@ -389,20 +348,48 @@ func DeltaDirBuilder(dir string, opts prefix2org.Options) DeltaBuildFunc {
 			Manifest: res.Dataset.InputManifest(),
 		}, nil
 	}
+	return src
 }
 
-// DeltaRepoBuilder incrementally reloads a repository-only snapshot
-// (the p2o-rtrd shape): when no rpki/ input changed since the previous
-// snapshot's manifest, the reload is a no-op and the RTR serial keeps
-// still; otherwise the repository is re-read and the snapshot carries a
-// VRPsChanged changeset. The first delta after a manifest-less snapshot
-// (daemon startup through RepoBuilder) self-primes: it reloads fully,
-// captures the manifest, and conservatively flags VRPs as changed.
-func DeltaRepoBuilder(dir string) DeltaBuildFunc {
-	return func(ctx context.Context, prev *Snapshot) (*Snapshot, error) {
-		if prev == nil || prev.Repo == nil {
-			return nil, fmt.Errorf("store: no previous repository snapshot")
+// FileSource opens a serialized dataset snapshot for serving in place:
+// a v2 binary snapshot is view-backed (mmap'd when mmap is set) with
+// its release threaded through the snapshot's Closer, any other format
+// transparently falls back to the eager load. Such files carry no RPKI
+// repository, so Repo stays nil, and they are rebuilt externally, so
+// there is no Delta.
+func FileSource(path string, mmap bool) Source {
+	return Source{Build: func(ctx context.Context) (*Snapshot, error) {
+		ds, err := prefix2org.OpenSnapshotFile(ctx, path, prefix2org.OpenOptions{Mmap: mmap})
+		if err != nil {
+			return nil, err
 		}
+		return &Snapshot{BuiltAt: time.Now(), Source: "file:" + path, Dataset: ds, Closer: ds.Close}, nil
+	}}
+}
+
+// RepoSource loads only the RPKI repository from a data directory —
+// what an RTR-only daemon needs, skipping the full pipeline.
+//
+// With incremental set the source carries a Delta: when no rpki/ input
+// changed since the previous snapshot's manifest, the reload is a no-op
+// and the RTR serial keeps still; otherwise the repository is re-read
+// and the snapshot carries a VRPsChanged changeset. The first delta
+// after a manifest-less snapshot (daemon startup through Build)
+// self-primes: it reloads fully, captures the manifest, and
+// conservatively flags VRPs as changed.
+func RepoSource(dir string, incremental bool) Source {
+	load := func(ctx context.Context, m *prefix2org.Manifest, cs *diff.Changeset) (*Snapshot, error) {
+		repo, err := rpki.LoadDir(ctx, dir)
+		if err != nil {
+			return nil, err
+		}
+		return &Snapshot{BuiltAt: time.Now(), Source: "dir:" + dir, Repo: repo, Changes: cs, Manifest: m}, nil
+	}
+	src := Source{Build: func(ctx context.Context) (*Snapshot, error) { return load(ctx, nil, nil) }}
+	if !incremental {
+		return src
+	}
+	src.Delta = func(ctx context.Context, prev *Snapshot) (*Snapshot, error) {
 		m, err := prefix2org.BuildManifest(ctx, dir)
 		if err != nil {
 			return nil, err
@@ -410,22 +397,13 @@ func DeltaRepoBuilder(dir string) DeltaBuildFunc {
 		if prev.Manifest != nil && prev.Manifest.Filter("rpki/").Equal(m.Filter("rpki/")) {
 			return nil, nil
 		}
-		repo, err := rpki.LoadDir(ctx, dir)
-		if err != nil {
-			return nil, err
-		}
-		return &Snapshot{
-			BuiltAt:  time.Now(),
-			Source:   "dir:" + dir,
-			Repo:     repo,
-			Changes:  &diff.Changeset{VRPsChanged: true},
-			Manifest: m,
-		}, nil
+		return load(ctx, m, &diff.Changeset{VRPsChanged: true})
 	}
+	return src
 }
 
-// describe renders a snapshot for logs.
-func describe(s *Snapshot) string {
+// Describe renders a snapshot for logs and the /reload endpoint.
+func (s *Snapshot) Describe() string {
 	if s.Dataset != nil {
 		return fmt.Sprintf("v%d (%d records, %d clusters)", s.Version, s.Dataset.NumRecords(), s.Dataset.NumClusters())
 	}

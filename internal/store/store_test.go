@@ -198,10 +198,10 @@ func TestConcurrentReadersDuringSwaps(t *testing.T) {
 func TestReloaderSwapsOnReload(t *testing.T) {
 	st := New(&Snapshot{})
 	var builds atomic.Int64
-	rel := NewReloader(st, func(ctx context.Context) (*Snapshot, error) {
+	rel := NewReloader(st, Source{Build: func(ctx context.Context) (*Snapshot, error) {
 		builds.Add(1)
 		return &Snapshot{}, nil
-	}, ReloaderConfig{})
+	}}, ReloaderConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go rel.Run(ctx)
@@ -220,14 +220,14 @@ func TestReloaderServeStaleOnFailureThenBackoffRetry(t *testing.T) {
 	st := New(&Snapshot{Source: "initial"})
 	failuresBefore := obs.Default().Counter("store_reload_failures_total").Value()
 	var builds atomic.Int64
-	rel := NewReloader(st, func(ctx context.Context) (*Snapshot, error) {
+	rel := NewReloader(st, Source{Build: func(ctx context.Context) (*Snapshot, error) {
 		// Fail the first two builds; the backoff retry must eventually
 		// push the third through without further triggers.
 		if builds.Add(1) <= 2 {
 			return nil, errors.New("corpus unavailable")
 		}
 		return &Snapshot{Source: "fresh"}, nil
-	}, ReloaderConfig{MinBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond})
+	}}, ReloaderConfig{MinBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go rel.Run(ctx)
@@ -256,10 +256,10 @@ func TestReloaderServeStaleOnFailureThenBackoffRetry(t *testing.T) {
 func TestReloaderPeriodicInterval(t *testing.T) {
 	st := New(&Snapshot{})
 	var builds atomic.Int64
-	rel := NewReloader(st, func(ctx context.Context) (*Snapshot, error) {
+	rel := NewReloader(st, Source{Build: func(ctx context.Context) (*Snapshot, error) {
 		builds.Add(1)
 		return &Snapshot{}, nil
-	}, ReloaderConfig{Interval: 5 * time.Millisecond})
+	}}, ReloaderConfig{Interval: 5 * time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go rel.Run(ctx)
@@ -275,12 +275,12 @@ func TestReloaderPeriodicInterval(t *testing.T) {
 func TestReloadHandler(t *testing.T) {
 	st := New(&Snapshot{})
 	var fail atomic.Bool
-	rel := NewReloader(st, func(ctx context.Context) (*Snapshot, error) {
+	rel := NewReloader(st, Source{Build: func(ctx context.Context) (*Snapshot, error) {
 		if fail.Load() {
 			return nil, errors.New("broken dir")
 		}
 		return &Snapshot{Source: "dir:x"}, nil
-	}, ReloaderConfig{})
+	}}, ReloaderConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go rel.Run(ctx)
@@ -321,10 +321,10 @@ func TestReloaderDeltaPaths(t *testing.T) {
 	var fullBuilds atomic.Int64
 	var mode atomic.Value // "noop" | "delta" | "error"
 	mode.Store("noop")
-	rel := NewReloader(st, func(ctx context.Context) (*Snapshot, error) {
+	rel := NewReloader(st, Source{Build: func(ctx context.Context) (*Snapshot, error) {
 		fullBuilds.Add(1)
 		return &Snapshot{Source: "full", Repo: rpki.NewRepository()}, nil
-	}, ReloaderConfig{Delta: func(ctx context.Context, prev *Snapshot) (*Snapshot, error) {
+	}, Delta: func(ctx context.Context, prev *Snapshot) (*Snapshot, error) {
 		switch mode.Load() {
 		case "noop":
 			return nil, nil
@@ -333,7 +333,7 @@ func TestReloaderDeltaPaths(t *testing.T) {
 		default:
 			return nil, errors.New("splice failed")
 		}
-	}})
+	}}, ReloaderConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go rel.Run(ctx)
@@ -393,12 +393,12 @@ func TestReloaderDeltaPaths(t *testing.T) {
 func TestReloaderDeltaSkipsPlaceholder(t *testing.T) {
 	st := NewPending("dir:data")
 	var deltaCalls atomic.Int64
-	rel := NewReloader(st, func(ctx context.Context) (*Snapshot, error) {
+	rel := NewReloader(st, Source{Build: func(ctx context.Context) (*Snapshot, error) {
 		return &Snapshot{Source: "full", Repo: rpki.NewRepository()}, nil
-	}, ReloaderConfig{Delta: func(ctx context.Context, prev *Snapshot) (*Snapshot, error) {
+	}, Delta: func(ctx context.Context, prev *Snapshot) (*Snapshot, error) {
 		deltaCalls.Add(1)
 		return nil, nil
-	}})
+	}}, ReloaderConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go rel.Run(ctx)

@@ -53,11 +53,11 @@ func snapshotFiles(t *testing.T) (ds *prefix2org.Dataset, v2, v1, jsonl string) 
 	return ds, v2, v1, jsonl
 }
 
-// TestViewFileBuilderFormatMatrix runs the -snapshot-mmap builder over
+// TestFileSourceFormatMatrix runs the -snapshot-mmap source over
 // every snapshot format in both open modes: v2 must come back
 // view-backed with a Closer, v1 and JSON fall back to the eager load,
 // and all of them answer lookups identically.
-func TestViewFileBuilderFormatMatrix(t *testing.T) {
+func TestFileSourceFormatMatrix(t *testing.T) {
 	ds, v2, v1, jsonl := snapshotFiles(t)
 	probe := ds.Records[0].Prefix.Addr()
 	want, _ := ds.LookupAddr(probe)
@@ -73,7 +73,7 @@ func TestViewFileBuilderFormatMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, mmap := range []bool{true, false} {
-			snap, err := store.ViewFileBuilder(tc.path, mmap)(context.Background())
+			snap, err := store.FileSource(tc.path, mmap).Build(context.Background())
 			if err != nil {
 				t.Fatalf("%s mmap=%v: %v", tc.name, mmap, err)
 			}
@@ -105,13 +105,13 @@ func TestViewReloadServeStaleOnCorruptSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := store.ViewFileBuilder(v2, false)
-	snap1, err := build(context.Background())
+	src := store.FileSource(v2, false)
+	snap1, err := src.Build(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := store.New(snap1)
-	rel := store.NewReloader(st, build, store.ReloaderConfig{MinBackoff: time.Minute})
+	rel := store.NewReloader(st, src, store.ReloaderConfig{MinBackoff: time.Minute})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go rel.Run(ctx)
@@ -165,7 +165,7 @@ func instrumentCloser(snap *store.Snapshot, n *atomic.Int64) {
 // the Closer runs once.
 func TestSwapReleasesMappingAfterLastPin(t *testing.T) {
 	ds, v2, _, _ := snapshotFiles(t)
-	build := store.ViewFileBuilder(v2, true)
+	build := store.FileSource(v2, true).Build
 	probe := ds.Records[0].Prefix.Addr()
 
 	snap1, err := build(context.Background())
@@ -217,7 +217,7 @@ func TestSwapReleasesMappingAfterLastPin(t *testing.T) {
 // swapped-out snapshot's Closer has run exactly once.
 func TestSwapUnderConcurrentViewQueries(t *testing.T) {
 	ds, v2, _, _ := snapshotFiles(t)
-	build := store.ViewFileBuilder(v2, true)
+	build := store.FileSource(v2, true).Build
 
 	// The expected answers come from the eager dataset: a record's base
 	// address may legitimately resolve to a more-specific record.

@@ -168,7 +168,7 @@ func TestQueryAccountingZeroAlloc(t *testing.T) {
 		ctx, sp := telemetry.StartSpan(context.Background())
 		sp2 := obs.SpanFromContext(ctx)
 		sp2.Mark(obs.PhaseLookup)
-		srv.countSnapshotQuery(srv.store.Current().Version)
+		mBySnapshot.Inc(srv.store.Current().Version)
 		telemetry.Finish(sp, obs.QueryInfo{Start: start, Type: "addr", Outcome: "match"})
 	}); n != 0 {
 		t.Errorf("unsampled query accounting allocates %.1f times per query, want 0", n)

@@ -23,26 +23,28 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/netip"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	prefix2org "github.com/prefix2org/prefix2org"
+	"github.com/prefix2org/prefix2org/internal/daemon"
 	"github.com/prefix2org/prefix2org/internal/obs"
-	"github.com/prefix2org/prefix2org/internal/retry"
 	"github.com/prefix2org/prefix2org/internal/store"
 )
 
 // Server metrics, registered on the process-wide registry so the admin
 // listener's /metrics page exposes them.
 var (
-	mQueriesPrefix = obs.Default().Counter(obs.Label("whoisd_queries_total", "type", "prefix"))
-	mQueriesAddr   = obs.Default().Counter(obs.Label("whoisd_queries_total", "type", "addr"))
-	mQueriesOrg    = obs.Default().Counter(obs.Label("whoisd_queries_total", "type", "org"))
-	mQueriesBad    = obs.Default().Counter(obs.Label("whoisd_queries_total", "type", "bad"))
+	// mQueries counts answered queries by their resolved form.
+	mQueries = [...]*obs.Counter{
+		daemon.KindPrefix: obs.Default().Counter(obs.Label("whoisd_queries_total", "type", "prefix")),
+		daemon.KindAddr:   obs.Default().Counter(obs.Label("whoisd_queries_total", "type", "addr")),
+		daemon.KindOrg:    obs.Default().Counter(obs.Label("whoisd_queries_total", "type", "org")),
+		daemon.KindBad:    obs.Default().Counter(obs.Label("whoisd_queries_total", "type", "bad")),
+	}
+	mBySnapshot = &daemon.VersionCounter{Counter: func(version string) *obs.Counter {
+		return obs.Default().Counter(obs.Label("whoisd_queries_by_snapshot_total", "version", version))
+	}}
 	mNoMatch       = obs.Default().Counter("whoisd_no_match_total")
 	mAcceptErrors  = obs.Default().Counter("whoisd_accept_errors_total")
 	mServeErrors   = obs.Default().Counter("whoisd_serve_errors_total")
@@ -77,40 +79,22 @@ func init() {
 // its DebugHandler at /debug/queries.
 func Telemetry() *obs.QueryTelemetry { return telemetry }
 
-// Query outcome classes recorded on spans and /debug/queries records.
-const (
-	outcomeMatch      = "match"
-	outcomeCovering   = "covering"
-	outcomeNoMatch    = "no_match"
-	outcomeError      = "error"
-	outcomeWriteError = "write_error"
-)
-
-// snapshotCounter caches the labeled per-snapshot-version query counter
-// so the steady-state path is one pointer load and an atomic increment;
-// the registry lookup and label rendering run only when a reload swaps
-// the version.
-type snapshotCounter struct {
-	version uint64
-	c       *obs.Counter
-}
+// outcomeWriteError is the outcome class, beside the resolver's, of a
+// query whose answer could not be flushed to the peer.
+const outcomeWriteError = "write_error"
 
 // Server answers WHOIS queries from a snapshot store. Safe for
 // concurrent queries and concurrent snapshot swaps.
 type Server struct {
 	store *store.Store
 
-	baseCtx   context.Context
-	snapCount atomic.Pointer[snapshotCounter]
-
-	lis  net.Listener
-	done chan struct{}
-	wg   sync.WaitGroup
+	baseCtx context.Context
+	lis     daemon.Listener
 }
 
 // New builds a server reading each query from st's current snapshot.
 func New(st *store.Store) *Server {
-	return &Server{store: st, done: make(chan struct{})}
+	return &Server{store: st}
 }
 
 // NewStatic builds a server over one fixed dataset — a single-snapshot
@@ -124,62 +108,16 @@ func NewStatic(ds *prefix2org.Dataset) *Server {
 // until Close. ctx is the base context sampled query spans ride on; it
 // does not stop the server (Close does). It returns the bound address.
 func (s *Server) Start(ctx context.Context, addr string) (string, error) {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("whoisd: listen %s: %w", addr, err)
-	}
 	s.baseCtx = ctx
-	s.lis = lis
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return lis.Addr().String(), nil
+	return s.lis.Listen(addr, mAcceptErrors, logger, s.handle)
 }
 
 // Close stops the listener and waits for in-flight queries.
-func (s *Server) Close() error {
-	close(s.done)
-	var err error
-	if s.lis != nil {
-		err = s.lis.Close()
-	}
-	s.wg.Wait()
-	return err
-}
+func (s *Server) Close() error { return s.lis.Close() }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	// Persistent Accept failures (fd exhaustion, a dying interface)
-	// would otherwise spin this loop hot; back off exponentially and
-	// recover as soon as one accept succeeds.
-	bo := retry.Backoff{Min: 5 * time.Millisecond, Max: time.Second}
-	for {
-		conn, err := s.lis.Accept()
-		if err != nil {
-			select {
-			case <-s.done:
-				return
-			default:
-			}
-			mAcceptErrors.Inc()
-			logger.Warn("accept failed", "err", err)
-			select {
-			case <-s.done:
-				return
-			case <-time.After(bo.Next()):
-			}
-			continue
-		}
-		bo.Reset()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
-	}
-}
-
+// handle answers the one query a connection carries; the listener
+// closes the connection when it returns.
 func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
 	start := time.Now()
 	_ = conn.SetDeadline(start.Add(30 * time.Second))
 	line, err := bufio.NewReader(conn).ReadString('\n')
@@ -195,21 +133,16 @@ func (s *Server) handle(conn net.Conn) {
 	// Answer straight onto the buffered socket writer: the response
 	// body never materializes as one large string on the wire path.
 	bw := bufio.NewWriter(conn)
-	res := s.answer(ctx, bw, q)
+	info := s.answer(ctx, bw, q)
+	info.Start = start
 	if err := bw.Flush(); err != nil {
 		mServeErrors.Inc()
 		logger.Warn("response write failed", "remote", conn.RemoteAddr().String(), "err", err)
-		telemetry.Finish(sp, obs.QueryInfo{
-			Start: start, Text: q, Type: res.qtype,
-			Outcome: outcomeWriteError, SnapshotVersion: res.version,
-		})
-		return
+		info.Outcome = outcomeWriteError
+	} else {
+		sp.Mark(obs.PhaseWrite)
 	}
-	sp.Mark(obs.PhaseWrite)
-	telemetry.Finish(sp, obs.QueryInfo{
-		Start: start, Text: q, Type: res.qtype,
-		Outcome: res.outcome, SnapshotVersion: res.version,
-	})
+	telemetry.Finish(sp, info)
 }
 
 // Answer resolves one query line to the response body, entirely against
@@ -222,22 +155,16 @@ func (s *Server) Answer(q string) string {
 	return b.String()
 }
 
-// answerResult classifies one answered query for telemetry. Plain
-// values and constant strings: building one allocates nothing.
-type answerResult struct {
-	qtype   string
-	outcome string
-	version uint64
-}
-
 // answer writes the response for one query line to w, marking the
 // span phases (parse / lookup; write closes at flush time) on the
-// sampled span riding ctx, if any. Writes to a strings.Builder or
-// bufio.Writer cannot fail; transport errors surface at Flush time in
-// the caller.
+// sampled span riding ctx, if any, and returns how the query is to be
+// accounted (all but the start time — plain values and constant
+// strings, so building it allocates nothing). Writes to a
+// strings.Builder or bufio.Writer cannot fail; transport errors surface
+// at Flush time in the caller.
 //
 //p2o:hotpath
-func (s *Server) answer(ctx context.Context, w io.Writer, q string) answerResult {
+func (s *Server) answer(ctx context.Context, w io.Writer, q string) obs.QueryInfo {
 	sp := obs.SpanFromContext(ctx)
 	// Acquire pins the snapshot's backing buffer (a view-backed
 	// dataset's mmap) for the duration of the answer; a swap happening
@@ -245,108 +172,49 @@ func (s *Server) answer(ctx context.Context, w io.Writer, q string) answerResult
 	snap, release := s.store.Acquire()
 	defer release()
 	ds := snap.Dataset
-	s.countSnapshotQuery(snap.Version)
-	res := answerResult{qtype: "bad", outcome: outcomeError, version: snap.Version}
+	mBySnapshot.Inc(snap.Version)
+	info := obs.QueryInfo{Text: q, Type: "bad", Outcome: daemon.OutcomeError, SnapshotVersion: snap.Version}
 	io.WriteString(w, "% Prefix2Org whois (synthetic dataset)\r\n")
-	switch {
-	case ds == nil:
+	if ds == nil {
 		mServeErrors.Inc()
 		io.WriteString(w, "% error: no dataset loaded\r\n")
+		return info
+	}
+	ans := daemon.Resolve(ds, daemon.KindAny, q, sp)
+	info.Type, info.Outcome = ans.Kind.String(), ans.Outcome
+	mQueries[ans.Kind].Inc()
+	switch {
 	case q == "":
-		mQueriesBad.Inc()
 		io.WriteString(w, "% error: empty query\r\n")
-	case strings.Contains(q, "/"):
-		res.qtype = "prefix"
-		p, err := netip.ParsePrefix(q)
-		sp.Mark(obs.PhaseParse)
-		if err != nil {
-			mQueriesBad.Inc()
-			res.qtype = "bad"
-			//p2olint:ignore hotpath-alloc error path for malformed queries; not the per-query fast path
-			fmt.Fprintf(w, "%% error: bad prefix %q\r\n", q)
-			break
-		}
-		mQueriesPrefix.Inc()
-		if rec, ok := ds.Lookup(p); ok {
-			sp.Mark(obs.PhaseLookup)
-			res.outcome = outcomeMatch
-			writeRecord(w, rec)
-			break
-		}
-		// Fall back to the most specific covering routed prefix.
-		if rec, ok := ds.LookupCovering(p); ok {
-			sp.Mark(obs.PhaseLookup)
-			res.outcome = outcomeCovering
-			//p2olint:ignore hotpath-alloc covering-fallback note is a rare informational line
-			fmt.Fprintf(w, "%% note: %s not announced; answering for covering %s\r\n", q, rec.Prefix)
-			writeRecord(w, rec)
-			break
-		}
-		sp.Mark(obs.PhaseLookup)
-		res.outcome = outcomeNoMatch
+	case ans.Kind == daemon.KindBad: // only a "/" form can fail to parse
+		//p2olint:ignore hotpath-alloc error path for malformed queries; not the per-query fast path
+		fmt.Fprintf(w, "%% error: bad prefix %q\r\n", q)
+	case ans.Outcome == daemon.OutcomeNoMatch:
 		mNoMatch.Inc()
 		io.WriteString(w, "% no match\r\n")
+	case ans.Cluster != nil:
+		writeCluster(w, ans.Cluster)
 	default:
-		if a, err := netip.ParseAddr(q); err == nil {
-			sp.Mark(obs.PhaseParse)
-			res.qtype = "addr"
-			mQueriesAddr.Inc()
-			if rec, ok := ds.LookupAddr(a); ok {
-				sp.Mark(obs.PhaseLookup)
-				res.outcome = outcomeMatch
-				writeRecord(w, rec)
-				break
-			}
-			sp.Mark(obs.PhaseLookup)
-			res.outcome = outcomeNoMatch
-			mNoMatch.Inc()
-			io.WriteString(w, "% no match\r\n")
-			break
+		if ans.Outcome == daemon.OutcomeCovering {
+			//p2olint:ignore hotpath-alloc covering-fallback note is a rare informational line
+			fmt.Fprintf(w, "%% note: %s not announced; answering for covering %s\r\n", q, ans.Record.Prefix)
 		}
-		// Organization-name query.
-		sp.Mark(obs.PhaseParse)
-		res.qtype = "org"
-		mQueriesOrg.Inc()
-		c, ok := ds.ClusterOfOwner(q)
-		sp.Mark(obs.PhaseLookup)
-		if !ok {
-			res.outcome = outcomeNoMatch
-			mNoMatch.Inc()
-			io.WriteString(w, "% no match\r\n")
-			break
-		}
-		res.outcome = outcomeMatch
-		//p2olint:ignore hotpath-alloc org responses are bounded by cluster size, not query rate
-		fmt.Fprintf(w, "cluster:      %s\r\n", c.ID)
-		//p2olint:ignore hotpath-alloc org responses are bounded by cluster size, not query rate
-		fmt.Fprintf(w, "base-name:    %s\r\n", c.BaseName)
-		for _, n := range c.OwnerNames {
-			//p2olint:ignore hotpath-alloc org responses are bounded by cluster size, not query rate
-			fmt.Fprintf(w, "org-name:     %s\r\n", n)
-		}
-		for _, p := range c.Prefixes {
-			//p2olint:ignore hotpath-alloc org responses are bounded by cluster size, not query rate
-			fmt.Fprintf(w, "prefix:       %s\r\n", p)
-		}
+		writeRecord(w, ans.Record)
 	}
-	return res
+	return info
 }
 
-// countSnapshotQuery ties query traffic to the snapshot version that
-// answered it — whoisd_queries_by_snapshot_total{version="N"} — so a
-// reload's effect on traffic is directly observable on /metrics. The
-// labeled counter is re-resolved only when the version changes.
-//
-//p2o:hotpath
-func (s *Server) countSnapshotQuery(version uint64) {
-	if sc := s.snapCount.Load(); sc != nil && sc.version == version {
-		sc.c.Inc()
-		return
+// writeCluster renders an organization answer; its size is bounded by
+// the cluster, not the query rate, so it formats freely.
+func writeCluster(w io.Writer, c *prefix2org.Cluster) {
+	fmt.Fprintf(w, "cluster:      %s\r\n", c.ID)
+	fmt.Fprintf(w, "base-name:    %s\r\n", c.BaseName)
+	for _, n := range c.OwnerNames {
+		fmt.Fprintf(w, "org-name:     %s\r\n", n)
 	}
-	c := obs.Default().Counter(obs.Label(
-		"whoisd_queries_by_snapshot_total", "version", strconv.FormatUint(version, 10)))
-	s.snapCount.Store(&snapshotCounter{version: version, c: c})
-	c.Inc()
+	for _, p := range c.Prefixes {
+		fmt.Fprintf(w, "prefix:       %s\r\n", p)
+	}
 }
 
 func writeRecord(w io.Writer, rec *prefix2org.Record) {

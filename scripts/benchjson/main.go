@@ -44,8 +44,11 @@ import (
 	"strings"
 )
 
-// Result is one benchmark line.
+// Result is one benchmark line. Pkg is the package whose run printed it
+// (the "pkg:" line above it): one saved run spans several packages, and
+// a benchmark name is only unique within its own.
 type Result struct {
+	Pkg         string             `json:"pkg,omitempty"`
 	Name        string             `json:"name"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
@@ -58,7 +61,6 @@ type Result struct {
 type File struct {
 	Goos    string   `json:"goos,omitempty"`
 	Goarch  string   `json:"goarch,omitempty"`
-	Pkg     string   `json:"pkg,omitempty"`
 	CPU     string   `json:"cpu,omitempty"`
 	Results []Result `json:"results"`
 }
@@ -132,6 +134,7 @@ func main() {
 //	BenchmarkName-8   123  456.7 ns/op  89 B/op  1 allocs/op  3.2 extra_metric
 func parse(r io.Reader) (*File, error) {
 	f := &File{}
+	pkg := "" // of the package block being read
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	for sc.Scan() {
@@ -142,7 +145,7 @@ func parse(r io.Reader) (*File, error) {
 		case strings.HasPrefix(line, "goarch: "):
 			f.Goarch = strings.TrimPrefix(line, "goarch: ")
 		case strings.HasPrefix(line, "pkg: "):
-			f.Pkg = strings.TrimPrefix(line, "pkg: ")
+			pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "cpu: "):
 			f.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "Benchmark"):
@@ -150,6 +153,7 @@ func parse(r io.Reader) (*File, error) {
 			if err != nil {
 				return nil, err
 			}
+			res.Pkg = pkg
 			f.Results = append(f.Results, res)
 		}
 	}
@@ -252,7 +256,7 @@ func checkRatio(w io.Writer, cur *File, spec string) (bool, error) {
 }
 
 func save(path string, f *File) error {
-	sort.Slice(f.Results, func(i, j int) bool { return f.Results[i].Name < f.Results[j].Name })
+	sort.Slice(f.Results, func(i, j int) bool { return f.Results[i].key() < f.Results[j].key() })
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return err
@@ -272,24 +276,33 @@ func load(path string) (*File, error) {
 	return f, nil
 }
 
+// key identifies a result across runs: package and name. A result
+// without a package (a baseline saved before results carried one) keys
+// on its name alone.
+func (r Result) key() string { return r.Name + " " + r.Pkg }
+
 func compare(w io.Writer, base, cur *File, threshold float64, strictRe *regexp.Regexp, strictThreshold float64) bool {
 	baseBy := map[string]Result{}
 	for _, r := range base.Results {
-		baseBy[r.Name] = r
+		baseBy[r.key()] = r
 	}
-	names := make([]string, 0, len(cur.Results))
-	for _, r := range cur.Results {
-		names = append(names, r.Name)
-	}
-	sort.Strings(names)
 	curBy := map[string]Result{}
 	for _, r := range cur.Results {
-		curBy[r.Name] = r
+		curBy[r.key()] = r
 	}
+	keys := make([]string, 0, len(curBy))
+	for k := range curBy {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
 	ok, compared := true, 0
-	for _, name := range names {
-		c := curBy[name]
-		b, found := baseBy[name]
+	for _, k := range keys {
+		c := curBy[k]
+		name := c.Name
+		b, found := baseBy[k]
+		if !found {
+			b, found = baseBy[Result{Name: name}.key()]
+		}
 		if !found || b.NsPerOp == 0 {
 			fmt.Fprintf(w, "  new      %-50s %12.1f ns/op\n", name, c.NsPerOp)
 			continue
