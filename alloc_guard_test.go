@@ -1,8 +1,11 @@
 package prefix2org
 
 import (
+	"context"
 	"net/netip"
 	"testing"
+
+	"github.com/prefix2org/prefix2org/internal/synth"
 )
 
 // Allocation-regression guards for the serve path. These run under
@@ -54,5 +57,36 @@ func TestCoveringChainIntoZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("CoveringChainInto allocates %.1f times per call with a warm buffer, want 0", n)
+	}
+}
+
+// TestResolveChainWalkZeroAlloc guards the build path's hottest walk:
+// resolveOne's covering WHOIS chain, written into the worker's reused
+// buffer, for every routed prefix of the world.
+func TestResolveChainWalkZeroAlloc(t *testing.T) {
+	w, err := synth.Generate(synth.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := w.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := BuildFromDir(context.Background(), dir, Options{Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, routed := ds.state.env.whois.Index(), ds.state.routed
+	buf := make([]int32, 0, 64)
+	i, links := 0, 0
+	if n := testing.AllocsPerRun(len(routed), func() {
+		buf = ix.CoveringInto(routed[i%len(routed)], buf[:0])
+		links += len(buf)
+		i++
+	}); n != 0 {
+		t.Errorf("covering-chain walk allocates %.1f times per prefix with a warm buffer, want 0", n)
+	}
+	if links < len(routed) {
+		t.Fatalf("walked %d chain links over %d routed prefixes: the guard measured nothing", links, len(routed))
 	}
 }

@@ -25,7 +25,7 @@ import (
 
 	prefix2org "github.com/prefix2org/prefix2org"
 	"github.com/prefix2org/prefix2org/internal/experiments"
-	"github.com/prefix2org/prefix2org/internal/radix"
+	"github.com/prefix2org/prefix2org/internal/lpm"
 	"github.com/prefix2org/prefix2org/internal/store"
 	"github.com/prefix2org/prefix2org/internal/synth"
 )
@@ -296,37 +296,15 @@ func benchAddrs(b *testing.B) ([]netip.Addr, *experiments.Env) {
 
 // BenchmarkLookupAddr measures longest-prefix-match address queries —
 // the whoisd hot path (one LPM per IP query) — on the frozen index.
-// The acceptance bar is 0 allocs/op and at least 2x the radix
-// baseline below.
+// The acceptance bar is 0 allocs/op; internal/lpm's
+// BenchmarkFrozenLookup / BenchmarkRadixLookup pair is where the index
+// is timed against the reference radix tree.
 func BenchmarkLookupAddr(b *testing.B) {
 	addrs, e := benchAddrs(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := e.DS.LookupAddr(addrs[i%len(addrs)]); !ok {
-			b.Fatal("lookup miss")
-		}
-	}
-}
-
-// BenchmarkLookupAddrRadix is the pointer-chasing baseline
-// BenchmarkLookupAddr replaced: the same queries answered by the
-// generic radix tree the build pipeline still uses internally.
-func BenchmarkLookupAddrRadix(b *testing.B) {
-	addrs, e := benchAddrs(b)
-	tr := radix.New[int]()
-	for i := range e.DS.Records {
-		tr.Insert(e.DS.Records[i].Prefix, i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := addrs[i%len(addrs)]
-		bits := 128
-		if a.Is4() {
-			bits = 32
-		}
-		if _, ok := tr.LongestMatch(netip.PrefixFrom(a, bits)); !ok {
 			b.Fatal("lookup miss")
 		}
 	}
@@ -374,26 +352,28 @@ func BenchmarkStoreSwapUnderLoad(b *testing.B) {
 	b.ReportMetric(float64(reads)/float64(b.N), "reads_per_swap")
 }
 
-// BenchmarkRadixCoveringChain measures the delegation-tree primitive.
-func BenchmarkRadixCoveringChain(b *testing.B) {
-	tr := radix.New[int]()
+// BenchmarkCoveringChain measures the delegation-tree primitive — the
+// covering chain resolveOne walks per routed prefix — on the frozen
+// index, into a reused buffer.
+func BenchmarkCoveringChain(b *testing.B) {
 	base := netip.MustParsePrefix("10.0.0.0/8")
-	tr.Insert(base, 0)
-	p := base
+	items := []lpm.Item{{Prefix: base}}
 	// A 16-level nested chain plus fan-out siblings.
 	for bits := 9; bits <= 24; bits++ {
-		p = netip.PrefixFrom(p.Addr(), bits)
-		tr.Insert(p, bits)
+		items = append(items, lpm.Item{Prefix: netip.PrefixFrom(base.Addr(), bits), Val: int32(bits)})
 	}
 	for i := 0; i < 4096; i++ {
 		a := netip.AddrFrom4([4]byte{10, byte(i >> 4), byte(i << 4), 0})
-		tr.Insert(netip.PrefixFrom(a, 24), i)
+		items = append(items, lpm.Item{Prefix: netip.PrefixFrom(a, 24), Val: int32(i)})
 	}
+	ix := lpm.Freeze(items)
 	q := netip.MustParsePrefix("10.0.0.0/26")
+	buf := make([]int32, 0, 32)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(tr.CoveringChain(q)) == 0 {
-			b.Fatal("no chain")
+		if buf = ix.CoveringInto(q, buf[:0]); len(buf) != 17 {
+			b.Fatalf("chain of %d, want 17", len(buf))
 		}
 	}
 }

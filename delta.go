@@ -114,10 +114,9 @@ func BuildDelta(ctx context.Context, prev *Dataset, dir string, opts Options) (*
 	// whose answers changed — a routed prefix inside any region must be
 	// re-resolved.
 	var dirty []netip.Prefix
-	entries := state.entries
 	src := state.src
 	arinLegacy := state.arinLegacy
-	tree := state.env.tree
+	groups := state.env.whois
 	if whoisChanged {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -137,10 +136,10 @@ func BuildDelta(ctx context.Context, prev *Dataset, dir string, opts Options) (*
 				return nil, err
 			}
 		}
-		entries, _ = db.FlattenWithStats()
+		entries, _ := db.FlattenWithStats()
 		markARINLegacy(entries, arinLegacy)
-		tree = entryTree(entries)
-		regions := entryGroupDiff(state.entries, entries)
+		groups = groupEntries(entries)
+		regions := entryGroupDiff(state.env.whois, groups)
 		dirty = append(dirty, regions...)
 		span.Add("entries", int64(len(entries)))
 		span.Add("dirty-regions", int64(len(regions)))
@@ -149,7 +148,6 @@ func BuildDelta(ctx context.Context, prev *Dataset, dir string, opts Options) (*
 
 	table := state.env.table
 	routed := state.routed
-	routedIdx := state.routedIdx
 	if bgpChanged {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -161,7 +159,6 @@ func BuildDelta(ctx context.Context, prev *Dataset, dir string, opts Options) (*
 			return nil, fmt.Errorf("prefix2org: load bgp: %w", err)
 		}
 		routed = table.Prefixes()
-		routedIdx = makeRoutedIdx(routed)
 		span.Add("prefixes", int64(len(routed)))
 		span.End()
 	}
@@ -217,7 +214,7 @@ func BuildDelta(ctx context.Context, prev *Dataset, dir string, opts Options) (*
 	// existed before and whose inputs are untouched; everything else —
 	// newly routed, origin changed, origin-ASN cluster reassigned, or
 	// inside a dirty WHOIS/RPKI region — is re-resolved.
-	env := &resolveEnv{tree: tree, table: table, repo: repo, asClusters: asClusters}
+	env := &resolveEnv{whois: groups, table: table, repo: repo, asClusters: asClusters}
 	workers := opts.workerCount()
 	span = tr.Start("resolve").SetWorkers(workers)
 	var regionIdx *lpm.Index
@@ -232,8 +229,14 @@ func BuildDelta(ctx context.Context, prev *Dataset, dir string, opts Options) (*
 	slots := make([]resolvedRec, len(routed))
 	idxs := make([]int, 0)
 	reused, common := 0, 0
+	// Both routed lists are in canonical order (bgp.Table.Prefixes), so
+	// one cursor into the previous list finds each prefix's old slot.
+	oldIdx := 0
 	for i, p := range routed {
-		oldIdx, hasOld := state.routedIdx[p]
+		for oldIdx < len(state.routed) && netx.Compare(state.routed[oldIdx], p) < 0 {
+			oldIdx++
+		}
+		hasOld := oldIdx < len(state.routed) && state.routed[oldIdx] == p
 		if hasOld {
 			common++
 		}
@@ -285,13 +288,11 @@ func BuildDelta(ctx context.Context, prev *Dataset, dir string, opts Options) (*
 		opts:       opts,
 		manifest:   manifest,
 		src:        src,
-		entries:    entries,
 		arinLegacy: arinLegacy,
 		env:        env,
 		asData:     asData,
 		routed:     routed,
 		slots:      slots,
-		routedIdx:  routedIdx,
 		clean:      clean,
 	}
 	obs.Logger("pipeline").Info("delta rebuild complete",
@@ -310,38 +311,27 @@ func BuildDelta(ctx context.Context, prev *Dataset, dir string, opts Options) (*
 }
 
 // entryGroupDiff returns the prefixes whose WHOIS entry groups differ
-// between two flattened (post legacy-marking) entry lists: groups
-// added, removed, or with any field change. A routed prefix's
-// resolution reads exactly the groups at prefixes covering it, so these
-// prefixes delimit the WHOIS-affected region of the address space.
-// Flatten output order is deterministic, so per-group slices compare
-// element-wise.
-func entryGroupDiff(oldEntries, newEntries []whois.Entry) []netip.Prefix {
-	og := groupEntries(oldEntries)
-	ng := groupEntries(newEntries)
+// between two delegation indexes: groups added, removed, or with any
+// field change. A routed prefix's resolution reads exactly the groups
+// at prefixes covering it, so these prefixes delimit the WHOIS-affected
+// region of the address space. Flatten output order is deterministic,
+// so per-group slices compare element-wise.
+func entryGroupDiff(og, ng *lpm.Groups[whois.Entry]) []netip.Prefix {
 	var dirty []netip.Prefix
-	for p, oes := range og {
-		nes, ok := ng[p]
-		if !ok || !entrySlicesEqual(oes, nes) {
+	og.Index().Walk(func(p netip.Prefix, id int32) bool {
+		if !entrySlicesEqual(og.At(id), ng.Get(p)) { // Get is nil for a removed group
 			dirty = append(dirty, p)
 		}
-	}
-	for p := range ng {
-		if _, ok := og[p]; !ok {
+		return true
+	})
+	ng.Index().Walk(func(p netip.Prefix, _ int32) bool {
+		if og.Get(p) == nil {
 			dirty = append(dirty, p)
 		}
-	}
-	// The append order above follows map iteration; sorting erases it.
+		return true
+	})
 	netx.Sort(dirty)
-	return netx.Dedup(dirty)
-}
-
-func groupEntries(es []whois.Entry) map[netip.Prefix][]whois.Entry {
-	g := make(map[netip.Prefix][]whois.Entry)
-	for _, e := range es {
-		g[e.Prefix] = append(g[e.Prefix], e)
-	}
-	return g
+	return dirty
 }
 
 func entrySlicesEqual(a, b []whois.Entry) bool {

@@ -12,7 +12,7 @@ import (
 	"github.com/prefix2org/prefix2org/internal/delegated"
 	"github.com/prefix2org/prefix2org/internal/diff"
 	"github.com/prefix2org/prefix2org/internal/leasing"
-	"github.com/prefix2org/prefix2org/internal/radix"
+	"github.com/prefix2org/prefix2org/internal/lpm"
 	"github.com/prefix2org/prefix2org/internal/report"
 	"github.com/prefix2org/prefix2org/internal/synth"
 	"github.com/prefix2org/prefix2org/internal/whois"
@@ -106,11 +106,7 @@ func (e *Env) R2Verification(ctx context.Context) (*report.Table, []R2Row, error
 		return nil, nil, err
 	}
 	entries := db.Flatten()
-	tree := radix.New[[]whois.Entry]()
-	for _, en := range entries {
-		cur, _ := tree.Get(en.Prefix)
-		tree.Insert(en.Prefix, append(cur, en))
-	}
+	groups := lpm.Group(entries, func(en *whois.Entry) netip.Prefix { return en.Prefix })
 	rows := map[string]*R2Row{}
 	for _, en := range entries {
 		ty, err := alloc.Lookup(en.Registry, en.Status, famOf(en.Prefix))
@@ -125,9 +121,9 @@ func (e *Env) R2Verification(ctx context.Context) (*report.Table, []R2Row, error
 		}
 		row.Records++
 		subs := 0
-		tree.WalkCovered(en.Prefix, func(sub radix.Entry[[]whois.Entry]) bool {
-			if sub.Prefix != en.Prefix {
-				subs += len(sub.Value)
+		groups.Index().WalkCovered(en.Prefix, func(sub netip.Prefix, id int32) bool {
+			if sub != en.Prefix {
+				subs += len(groups.At(id))
 			}
 			return true
 		})
@@ -243,7 +239,7 @@ func (e *Env) CrossCheck(ctx context.Context) (certResources, roas, routed int, 
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	delegatedTree := radix.New[bool]()
+	var blocks []lpm.Item
 	for _, f := range files {
 		for i := range f.Records {
 			ps, err := f.Records[i].Prefixes()
@@ -251,17 +247,18 @@ func (e *Env) CrossCheck(ctx context.Context) (certResources, roas, routed int, 
 				return 0, 0, 0, err
 			}
 			for _, p := range ps {
-				delegatedTree.Insert(p, true)
+				blocks = append(blocks, lpm.Item{Prefix: p})
 			}
 		}
 	}
+	delegatedSpace := lpm.Freeze(blocks)
 	coveredByDelegated := func(p netip.Prefix) bool {
-		_, ok := delegatedTree.LongestMatch(p)
+		_, ok := delegatedSpace.LookupPrefix(p)
 		return ok
 	}
 	coversDelegated := func(p netip.Prefix) bool {
 		found := false
-		delegatedTree.WalkCovered(p, func(radix.Entry[bool]) bool {
+		delegatedSpace.WalkCovered(p, func(netip.Prefix, int32) bool {
 			found = true
 			return false
 		})
@@ -285,14 +282,15 @@ func (e *Env) CrossCheck(ctx context.Context) (certResources, roas, routed int, 
 			certResources++
 		}
 	}
-	roaTree := radix.New[bool]()
+	var resources []lpm.Item
 	for _, c := range e.Repo.Certs {
 		for _, res := range c.Resources {
-			roaTree.Insert(res, true)
+			resources = append(resources, lpm.Item{Prefix: res})
 		}
 	}
+	certified := lpm.Freeze(resources)
 	for _, roa := range e.Repo.ROAs {
-		if _, ok := roaTree.LongestMatch(roa.Prefix); !ok {
+		if _, ok := certified.LookupPrefix(roa.Prefix); !ok {
 			return 0, 0, 0, fmt.Errorf("experiments: ROA %s outside all certificates", roa.Prefix)
 		}
 		roas++

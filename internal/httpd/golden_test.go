@@ -47,6 +47,11 @@ func goldenPaths(t *testing.T, ds *prefix2org.Dataset) [][2]string {
 		{"prefix exact", "/v1/prefix/" + rec.Prefix.String()},
 		{"prefix covering", "/v1/prefix/" + covering},
 		{"prefix no-match", "/v1/prefix/192.0.2.0/24"},
+		// The IPv4-mapped IPv6 spellings (what a dual-stack socket
+		// logs) of the addr match / no-match and covering rows above.
+		{"addr 4-in-6 match", "/v1/addr/::ffff:" + rec.Prefix.Addr().String()},
+		{"addr 4-in-6 no-match", "/v1/addr/::ffff:192.0.2.1"},
+		{"prefix 4-in-6 covering", "/v1/prefix/::ffff:" + strings.Replace(covering, "/30", "/126", 1)},
 		{"org by owner", "/v1/org/" + url.PathEscape(rec.DirectOwner)},
 		{"org by id", "/v1/org/" + rec.FinalCluster},
 		{"org no-match", "/v1/org/Totally%20Unknown%20Org"},

@@ -417,6 +417,12 @@ func TestBulkLineForms(t *testing.T) {
 			t.Errorf("line %d: %v, want bad_input", i, out[i])
 		}
 	}
+	// The IPv4-mapped spelling of a routed address matches like the
+	// plain one, and echoes as sent.
+	_, out = bulkPost(t, h, "::ffff:"+addr+"\n"+addr+"\n")
+	if len(out) != 2 || out[0]["outcome"] != "match" || out[0]["q"] != "::ffff:"+addr || out[0]["prefix"] != out[1]["prefix"] {
+		t.Errorf("4-in-6 line: %v, want the match of %v", out[0], out[1])
+	}
 }
 
 func TestBulkTooManyLines(t *testing.T) {

@@ -55,8 +55,8 @@ func DefaultConfig(modPath string) *Config {
 		"internal/validate",
 		"internal/lint",
 	}
-	// Leaf utilities: no module-internal imports at all (radix is one
-	// level up — it may use netx).
+	// Leaf utilities: no module-internal imports at all (radix, the
+	// test oracle, is one level up — it may use netx).
 	leafDeny := []string{""} // the root package...
 	for _, p := range []string{
 		"internal/alloc", "internal/as2org", "internal/bgp", "internal/casestudy",
@@ -105,6 +105,11 @@ func DefaultConfig(modPath string) *Config {
 		"internal/daemon": {"internal/whoisd", "internal/httpd", "internal/rtr", "internal/experiments", "internal/casestudy", "internal/validate", "internal/lint"},
 		// The linter analyzes everything and depends on nothing.
 		"internal/lint": leafDeny,
+		// One LPM: internal/radix is the reference implementation the
+		// lpm, rpki and root tests compare against, and nothing else.
+		// No package — commands, examples and bench included — may
+		// build on it.
+		"*": {"internal/radix"},
 	}
 
 	return &Config{

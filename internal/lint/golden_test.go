@@ -23,6 +23,7 @@ func fixtureConfig(fixture, modPath string) *Config {
 		return &Config{Layering: map[string][]string{
 			"parser": {"store"},
 			"util":   {"parser", "store"},
+			"*":      {"oracle"},
 		}}
 	case "immutability":
 		return &Config{Immutable: map[string][]string{
@@ -209,10 +210,14 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, want := range []string{
 		"internal/lpm.Index.Lookup",
+		"internal/lpm.Index.Match",
+		"internal/lpm.Index.CoveringInto",
+		"internal/lpm.Index.WalkCovered",
 		"internal/httpd.appendBulkLine",
 		"internal/whoisd.Server.answer",
 		"internal/daemon.Resolve",
 		"internal/obs.QueryTelemetry.Finish",
+		"(root).Dataset.Lookup",
 		"(root).Dataset.LookupAddr",
 	} {
 		if !marked[want] {

@@ -134,7 +134,8 @@ type Config struct {
 	// a returned closer, not a context.
 	IOCtx []string
 	// Layering maps a package to import prefixes it must not depend
-	// on. An entry denies the exact package and everything under it.
+	// on. An entry denies the exact package and everything under it;
+	// the key "*" denies its imports to every package.
 	Layering map[string][]string
 	// Immutable maps fully qualified type names ("pkgpath.Type") to
 	// the packages (relative paths) allowed to assign to their fields,

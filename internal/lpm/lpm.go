@@ -1,6 +1,7 @@
-// Package lpm implements a frozen longest-prefix-match index: an
-// immutable, flat-array alternative to the pointer-chasing generic
-// radix tree for the serve path.
+// Package lpm implements a frozen longest-prefix-match index: the one
+// prefix-keyed lookup structure of the build path (WHOIS delegation
+// chains, RPKI cover and ROA indexes, via Group) and of the serve path
+// (the Dataset's routed-prefix index).
 //
 // The index is compiled once (Freeze) from a set of (prefix, value)
 // items and never mutated afterwards. Per address family it holds the
@@ -62,7 +63,10 @@ type Index struct {
 
 // Freeze compiles items into an immutable index. Duplicate prefixes
 // keep the item with the largest Val (deterministic regardless of
-// input order); invalid prefixes are ignored.
+// input order); invalid prefixes are ignored. Prefixes are indexed in
+// the family they are given in: an IPv4-mapped IPv6 prefix lands in the
+// IPv6 table, where queries — which read the mapped form as IPv4 —
+// never look.
 func Freeze(items []Item) *Index {
 	ix := &Index{v4: family{off: 96}, v6: family{off: 0}}
 	var v4, v6 []Item
@@ -106,49 +110,63 @@ func mask128(hi, lo uint64, bits int) (uint64, uint64) {
 	}
 }
 
+// key is one prefix on its way into a family's columns.
+type key struct {
+	hi, lo uint64
+	bits   uint8
+	val    int32
+}
+
+func (k key) samePrefix(o key) bool { return k.hi == o.hi && k.lo == o.lo && k.bits == o.bits }
+
+func compareKeys(a, b key) int {
+	if a.hi != b.hi {
+		return cmp.Compare(a.hi, b.hi)
+	}
+	if a.lo != b.lo {
+		return cmp.Compare(a.lo, b.lo)
+	}
+	if a.bits != b.bits {
+		return cmp.Compare(a.bits, b.bits)
+	}
+	return cmp.Compare(a.val, b.val)
+}
+
+func keyOf(p netip.Prefix, val int32) key {
+	p = p.Masked()
+	hi, lo := split(p.Addr())
+	return key{hi, lo, uint8(p.Bits()), val}
+}
+
 func (f *family) freeze(items []Item) {
 	if len(items) == 0 {
 		return
 	}
-	type key struct {
-		hi, lo uint64
-		bits   uint8
-		val    int32
-	}
 	keys := make([]key, len(items))
 	for i, it := range items {
-		p := it.Prefix.Masked()
-		hi, lo := split(p.Addr())
-		keys[i] = key{hi, lo, uint8(p.Bits()), it.Val}
+		keys[i] = keyOf(it.Prefix, it.Val)
 	}
 	// slices.SortFunc rather than sort.Slice: the callers' item lists
 	// are usually already in canonical order (Records are sorted by
 	// prefix), which pdqsort detects and finishes in linear time.
-	slices.SortFunc(keys, func(a, b key) int {
-		if a.hi != b.hi {
-			return cmp.Compare(a.hi, b.hi)
-		}
-		if a.lo != b.lo {
-			return cmp.Compare(a.lo, b.lo)
-		}
-		if a.bits != b.bits {
-			return cmp.Compare(a.bits, b.bits)
-		}
-		return cmp.Compare(a.val, b.val)
-	})
+	slices.SortFunc(keys, compareKeys)
 	// Collapse duplicate prefixes: the largest Val (last after the
 	// sort) wins.
 	w := 0
-	for i := range keys {
-		if w > 0 && keys[i].hi == keys[w-1].hi && keys[i].lo == keys[w-1].lo && keys[i].bits == keys[w-1].bits {
-			keys[w-1] = keys[i]
+	for _, k := range keys {
+		if w > 0 && k.samePrefix(keys[w-1]) {
+			keys[w-1] = k
 			continue
 		}
-		keys[w] = keys[i]
+		keys[w] = k
 		w++
 	}
-	keys = keys[:w]
+	f.fill(keys[:w])
+}
 
+// fill builds the columns from sorted, duplicate-free keys.
+func (f *family) fill(keys []key) {
+	w := len(keys)
 	f.hi = make([]uint64, w)
 	f.lo = make([]uint64, w)
 	f.bits = make([]uint8, w)
@@ -213,11 +231,21 @@ func (f *family) lookup(qhi, qlo uint64, qbits128 int) int32 {
 	return -1
 }
 
-func (ix *Index) family(is4 bool) *family {
-	if is4 {
-		return &ix.v4
+// query picks the family a query belongs to and returns its canonical
+// key: the address halves and the 128-bit-counted length. An
+// IPv4-mapped IPv6 query (::ffff:a.b.c.d, the form dual-stack sockets
+// report; as a prefix, /96 or longer) is an IPv4 query. As16 renders
+// both forms alike, so the family test on the halves is the whole
+// canonicalisation and costs plain queries nothing.
+func (ix *Index) query(a netip.Addr, bits int) (f *family, hi, lo uint64, bits128 int) {
+	hi, lo = split(a)
+	if a.Is4() {
+		bits += 96
 	}
-	return &ix.v6
+	if hi == 0 && lo>>32 == 0xffff && bits >= 96 {
+		return &ix.v4, hi, lo, bits
+	}
+	return &ix.v6, hi, lo, bits
 }
 
 // Lookup returns the value of the most specific indexed prefix
@@ -229,8 +257,7 @@ func (ix *Index) Lookup(a netip.Addr) (int32, bool) {
 	if !a.IsValid() {
 		return 0, false
 	}
-	f := ix.family(a.Is4())
-	hi, lo := split(a)
+	f, hi, lo, _ := ix.query(a, a.BitLen())
 	if e := f.lookup(hi, lo, 128); e >= 0 {
 		return f.val[e], true
 	}
@@ -266,10 +293,8 @@ func (ix *Index) Match(p netip.Prefix) (Match, bool) {
 	if !p.IsValid() {
 		return Match{}, false
 	}
-	p = p.Masked()
-	f := ix.family(p.Addr().Is4())
-	hi, lo := split(p.Addr())
-	e := f.lookup(hi, lo, p.Bits()+int(f.off))
+	f, hi, lo, bits128 := ix.query(p.Masked().Addr(), p.Bits())
+	e := f.lookup(hi, lo, bits128)
 	return Match{f: f, e: e}, e >= 0
 }
 
@@ -326,6 +351,39 @@ func (ix *Index) Walk(fn func(p netip.Prefix, val int32) bool) {
 			if !fn(m.Prefix(), f.val[e]) {
 				return
 			}
+		}
+	}
+}
+
+// WalkCovered visits, in canonical order, every indexed prefix
+// contained in p (p itself included when indexed) — the inverse of the
+// covering chain. In the sorted columns those entries are contiguous:
+// they start at the first entry at or after p and end where an
+// address leaves p's range. Returning false stops the walk.
+//
+//p2o:hotpath
+func (ix *Index) WalkCovered(p netip.Prefix, fn func(p netip.Prefix, val int32) bool) {
+	if !p.IsValid() {
+		return
+	}
+	f, hi, lo, bits128 := ix.query(p.Masked().Addr(), p.Bits())
+	n := len(f.bits)
+	qb := uint8(bits128 - int(f.off))
+	e := sort.Search(n, func(i int) bool {
+		if f.hi[i] != hi {
+			return f.hi[i] > hi
+		}
+		if f.lo[i] != lo {
+			return f.lo[i] > lo
+		}
+		return f.bits[i] >= qb
+	})
+	for ; e < n; e++ {
+		if mhi, mlo := mask128(f.hi[e], f.lo[e], bits128); mhi != hi || mlo != lo {
+			return
+		}
+		if !fn(Match{f: f, e: int32(e)}.Prefix(), f.val[e]) {
+			return
 		}
 	}
 }

@@ -31,8 +31,8 @@ import (
 	"strings"
 
 	"github.com/prefix2org/prefix2org/internal/alloc"
+	"github.com/prefix2org/prefix2org/internal/lpm"
 	"github.com/prefix2org/prefix2org/internal/netx"
-	"github.com/prefix2org/prefix2org/internal/radix"
 )
 
 // Certificate is one RPKI Resource Certificate.
@@ -100,11 +100,19 @@ type Repository struct {
 	bydSKI map[string]*Certificate
 	// coverIndex maps resource prefixes to the certificates listing them,
 	// for child-most-RC queries.
-	coverIndex *radix.Tree[[]*Certificate]
+	coverIndex *lpm.Groups[certResource]
 	// roaIndex maps ROA prefixes to the ROAs at that prefix, for origin
 	// validation and coverage queries.
-	roaIndex *radix.Tree[[]ROA]
+	roaIndex *lpm.Groups[ROA]
 	depth    map[string]int
+}
+
+// certResource is one coverIndex item: a certificate listed at one of
+// its resources, with its tree depth at hand for ChildMostRC.
+type certResource struct {
+	resource netip.Prefix
+	cert     *Certificate
+	depth    int
 }
 
 // NewRepository returns an empty repository.
@@ -191,23 +199,19 @@ func (r *Repository) Build() error {
 	}
 	// Cover index for child-most queries (trust anchors excluded: they
 	// cover whole registry pools, not a management account).
-	r.coverIndex = radix.New[[]*Certificate]()
+	var listed []certResource
 	for i := range r.Certs {
 		c := &r.Certs[i]
 		if c.TrustAnchor {
 			continue
 		}
 		for _, p := range c.Resources {
-			cur, _ := r.coverIndex.Get(p)
-			r.coverIndex.Insert(p, append(cur, c))
+			listed = append(listed, certResource{p, c, r.depth[c.SKI]})
 		}
 	}
+	r.coverIndex = lpm.Group(listed, func(cr *certResource) netip.Prefix { return cr.resource })
 	// ROA index for origin validation and coverage queries.
-	r.roaIndex = radix.New[[]ROA]()
-	for _, roa := range r.ROAs {
-		cur, _ := r.roaIndex.Get(roa.Prefix)
-		r.roaIndex.Insert(roa.Prefix, append(cur, roa))
-	}
+	r.roaIndex = lpm.Group(r.ROAs, func(roa *ROA) netip.Prefix { return roa.Prefix })
 	return nil
 }
 
@@ -236,19 +240,20 @@ func (r *Repository) ChildMostRC(p netip.Prefix) (*Certificate, bool) {
 	if r.coverIndex == nil {
 		return nil, false
 	}
-	chain := r.coverIndex.CoveringChain(p)
 	var (
-		best     *Certificate
-		bestBits = -1
+		best      *Certificate
+		bestDepth int
+		bestBits  int
 	)
-	for _, e := range chain {
-		for _, c := range e.Value {
+	for m, ok := r.coverIndex.Index().Match(p); ok; m, ok = m.Parent() {
+		bits := m.Bits()
+		for _, cr := range r.coverIndex.At(m.Val()) {
 			switch {
 			case best == nil,
-				r.depth[c.SKI] > r.depth[best.SKI],
-				r.depth[c.SKI] == r.depth[best.SKI] && e.Prefix.Bits() > bestBits,
-				r.depth[c.SKI] == r.depth[best.SKI] && e.Prefix.Bits() == bestBits && c.SKI < best.SKI:
-				best, bestBits = c, e.Prefix.Bits()
+				cr.depth > bestDepth,
+				cr.depth == bestDepth && bits > bestBits,
+				cr.depth == bestDepth && bits == bestBits && cr.cert.SKI < best.SKI:
+				best, bestDepth, bestBits = cr.cert, cr.depth, bits
 			}
 		}
 	}
@@ -292,19 +297,16 @@ func (r *Repository) Validate(p netip.Prefix, origin uint32) ValidationState {
 	if r.roaIndex == nil {
 		return StateNotFound
 	}
-	covered := false
-	for _, e := range r.roaIndex.CoveringChain(p) {
-		for _, roa := range e.Value {
-			covered = true
+	state := StateNotFound
+	for m, ok := r.roaIndex.Index().Match(p); ok; m, ok = m.Parent() {
+		for _, roa := range r.roaIndex.At(m.Val()) {
 			if roa.ASN == origin && p.Bits() <= roa.MaxLength {
 				return StateValid
 			}
 		}
+		state = StateInvalid // covered, by groups that are never empty
 	}
-	if covered {
-		return StateInvalid
-	}
-	return StateNotFound
+	return state
 }
 
 // HasROA reports whether any ROA covers p (regardless of origin) — the
@@ -313,11 +315,13 @@ func (r *Repository) HasROA(p netip.Prefix) bool {
 	if r.roaIndex == nil {
 		return false
 	}
-	return len(r.roaIndex.CoveringChain(p)) > 0
+	_, ok := r.roaIndex.Index().Match(p)
+	return ok
 }
 
 // SortObjects puts certificates and ROAs in a deterministic order
-// (registry, subject, SKI; then prefix, ASN).
+// (registry, subject, SKI; then prefix, ASN). Call it before Build: the
+// indexes point into Certs.
 func (r *Repository) SortObjects() {
 	sort.Slice(r.Certs, func(i, j int) bool {
 		a, b := r.Certs[i], r.Certs[j]

@@ -9,6 +9,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/prefix2org/prefix2org/internal/alloc"
 	"github.com/prefix2org/prefix2org/internal/obs"
@@ -38,12 +39,14 @@ type roaJSON struct {
 }
 
 // Write serializes the repository. Objects are emitted in deterministic
-// order.
+// order — of copies: sorting r.Certs in place would re-point every
+// *Certificate the indexes of a built repository hold.
 func (r *Repository) Write(w io.Writer) error {
-	r.SortObjects()
+	sorted := Repository{Certs: slices.Clone(r.Certs), ROAs: slices.Clone(r.ROAs)}
+	sorted.SortObjects()
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, c := range r.Certs {
+	for _, c := range sorted.Certs {
 		res := make([]string, len(c.Resources))
 		for i, p := range c.Resources {
 			res[i] = p.String()
@@ -53,7 +56,7 @@ func (r *Repository) Write(w io.Writer) error {
 			return fmt.Errorf("rpki: encode cert %s: %w", c.SKI, err)
 		}
 	}
-	for _, roa := range r.ROAs {
+	for _, roa := range sorted.ROAs {
 		if err := enc.Encode(roaJSON{Kind: "roa", Prefix: roa.Prefix.String(),
 			MaxLength: roa.MaxLength, ASN: roa.ASN, CertSKI: roa.CertSKI}); err != nil {
 			return fmt.Errorf("rpki: encode roa %s: %w", roa.Prefix, err)

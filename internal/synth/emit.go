@@ -12,8 +12,8 @@ import (
 	"github.com/prefix2org/prefix2org/internal/alloc"
 	"github.com/prefix2org/prefix2org/internal/bgp"
 	"github.com/prefix2org/prefix2org/internal/delegated"
+	"github.com/prefix2org/prefix2org/internal/lpm"
 	"github.com/prefix2org/prefix2org/internal/netx"
-	"github.com/prefix2org/prefix2org/internal/radix"
 	"github.com/prefix2org/prefix2org/internal/rpki"
 	"github.com/prefix2org/prefix2org/internal/whois"
 )
@@ -230,8 +230,17 @@ func (g *generator) buildRPKI() error {
 	// inetnum records carry different legal-entity names (the paper's
 	// Table 3: three Verizon entities in one certificate). Group such
 	// accounts (usually) before issuing certificates. blockCert records,
-	// per direct block, the SKI of the certificate listing it.
-	blockCert := radix.New[string]()
+	// per direct block, the SKI of the certificate listing it; a block
+	// listed twice keeps the later certificate (Freeze keeps the largest
+	// Val, and Val is the position in certSKIs).
+	var (
+		blockCert []lpm.Item
+		certSKIs  []string
+	)
+	listBlock := func(p netip.Prefix, ski string) {
+		blockCert = append(blockCert, lpm.Item{Prefix: p, Val: int32(len(certSKIs))})
+		certSKIs = append(certSKIs, ski)
+	}
 	var ripeLegacyShared []netip.Prefix
 	type groupKey struct {
 		orgID int
@@ -300,7 +309,7 @@ func (g *generator) buildRPKI() error {
 					// IRINN/VNNIC members have no certificate of their
 					// own; prefixes resolve to the NIR certificate.
 					for _, p := range res {
-						blockCert.Insert(p, nirSKI[k.reg])
+						listBlock(p, nirSKI[k.reg])
 					}
 					continue
 				}
@@ -314,7 +323,7 @@ func (g *generator) buildRPKI() error {
 				acc.certSKIs = append(acc.certSKIs, ski)
 			}
 			for _, p := range res {
-				blockCert.Insert(p, ski)
+				listBlock(p, ski)
 			}
 		}
 	}
@@ -328,15 +337,16 @@ func (g *generator) buildRPKI() error {
 		})
 		g.ripeLegacySharedSKI = ski
 		for _, p := range ripeLegacyShared {
-			blockCert.Insert(p, ski)
+			listBlock(p, ski)
 		}
 	}
 	// ROAs: Direct Owners who adopted RPKI sign their announced space.
+	certOf := lpm.Freeze(blockCert)
 	for _, ann := range g.anns {
 		if !ann.do.RPKIAdopter {
 			continue
 		}
-		e, ok := blockCert.LongestMatch(ann.prefix)
+		i, ok := certOf.LookupPrefix(ann.prefix)
 		if !ok {
 			continue // space not under any certificate (e.g. ARIN legacy)
 		}
@@ -344,7 +354,7 @@ func (g *generator) buildRPKI() error {
 			Prefix:    ann.prefix,
 			MaxLength: ann.prefix.Bits(),
 			ASN:       ann.origin,
-			CertSKI:   e.Value,
+			CertSKI:   certSKIs[i],
 		})
 	}
 	return nil

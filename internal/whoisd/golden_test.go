@@ -43,6 +43,11 @@ func goldenQueries(t *testing.T, ds *prefix2org.Dataset) [][2]string {
 		{"prefix exact", rec.Prefix.String()},
 		{"prefix covering", covering},
 		{"prefix no-match", "192.0.2.0/24"},
+		// The IPv4-mapped IPv6 spellings (what a dual-stack socket
+		// logs) of the addr match / no-match and covering rows above.
+		{"addr 4-in-6 match", "::ffff:" + rec.Prefix.Addr().String()},
+		{"addr 4-in-6 no-match", "::ffff:192.0.2.1"},
+		{"prefix 4-in-6 covering", "::ffff:" + strings.Replace(covering, "/30", "/126", 1)},
 		{"org by owner", rec.DirectOwner},
 		{"org by id", rec.FinalCluster},
 		{"org no-match", "Totally Unknown Org"},

@@ -52,7 +52,6 @@ import (
 	"github.com/prefix2org/prefix2org/internal/lpm"
 	"github.com/prefix2org/prefix2org/internal/names"
 	"github.com/prefix2org/prefix2org/internal/obs"
-	"github.com/prefix2org/prefix2org/internal/radix"
 	"github.com/prefix2org/prefix2org/internal/rpki"
 	"github.com/prefix2org/prefix2org/internal/whois"
 )
@@ -214,12 +213,12 @@ type Dataset struct {
 	// Build/BuildFromDir and not persisted by Save/Load.
 	Trace *BuildTrace
 
-	byPrefix  map[netip.Prefix]*Record
 	byCluster map[string]*Cluster
 	byOwner   map[string]*Cluster
 	// idx is the frozen longest-prefix-match index over the routed
-	// prefixes (LookupAddr, LookupCovering, CoveringChainInto): flat
-	// sorted arrays mapping each prefix to its position in Records,
+	// prefixes — the only prefix-keyed structure, behind Lookup,
+	// LookupAddr, LookupCovering and CoveringChainInto: flat sorted
+	// arrays mapping each prefix to its position in Records,
 	// immutable once built, shared by any number of concurrent readers.
 	// On a view-backed Dataset it points into the snapshot's lpm.View,
 	// whose columns alias the file bytes.
@@ -240,21 +239,15 @@ type Dataset struct {
 //
 //p2o:hotpath
 func (d *Dataset) Lookup(p netip.Prefix) (*Record, bool) {
-	if d.lazy != nil {
-		// View-backed: an exact-match probe of the lpm index replaces
-		// the byPrefix map, which a lazy Dataset never builds.
-		if !p.IsValid() {
-			return nil, false
-		}
-		q := p.Masked()
-		m, ok := d.idx.Match(q)
-		if !ok || m.Prefix() != q {
-			return nil, false
-		}
-		return d.recordAt(int(m.Val())), true
+	if d.idx == nil {
+		return nil, false
 	}
-	r, ok := d.byPrefix[p.Masked()]
-	return r, ok
+	// The longest match of p is p itself exactly when p is routed.
+	m, ok := d.idx.Match(p)
+	if !ok || m.Prefix() != p.Masked() {
+		return nil, false
+	}
+	return d.recordAt(int(m.Val())), true
 }
 
 // LookupAddr returns the record of the most specific routed prefix
@@ -311,16 +304,13 @@ func (d *Dataset) CoveringChainInto(p netip.Prefix, buf []*Record) []*Record {
 	return buf
 }
 
-// buildPrefixIndexes (re)derives the per-prefix read indexes — the exact
-// map behind Lookup and the frozen LPM index behind LookupAddr and
-// LookupCovering — from d.Records. Build and the JSON-snapshot Load
-// finish through here so every Dataset answers the full query surface;
-// the binary-snapshot load installs its deserialized index instead.
-func (d *Dataset) buildPrefixIndexes() {
-	d.byPrefix = make(map[netip.Prefix]*Record, len(d.Records))
+// freezeIndex (re)derives the frozen LPM index behind every per-prefix
+// query from d.Records. Build and the JSON-snapshot Load finish through
+// here so every Dataset answers the full query surface; the
+// binary-snapshot loads install their deserialized index instead.
+func (d *Dataset) freezeIndex() {
 	items := make([]lpm.Item, len(d.Records))
 	for i := range d.Records {
-		d.byPrefix[d.Records[i].Prefix] = &d.Records[i]
 		items[i] = lpm.Item{Prefix: d.Records[i].Prefix, Val: int32(i)}
 	}
 	d.idx = lpm.Freeze(items)
@@ -444,7 +434,7 @@ func build(ctx context.Context, tr *obs.Trace, db *whois.Database, table *bgp.Ta
 	span := tr.Start("flatten-whois")
 	entries, fstats := db.FlattenWithStats()
 	markARINLegacy(entries, arinLegacyNonSigned)
-	tree := entryTree(entries)
+	groups := groupEntries(entries)
 	span.Add("records", int64(fstats.Records))
 	span.Add("entries", int64(fstats.Entries))
 	span.Add("deduped", int64(fstats.Deduped()))
@@ -455,9 +445,9 @@ func build(ctx context.Context, tr *obs.Trace, db *whois.Database, table *bgp.Ta
 	}
 	// Pass 1: ownership resolution per routed prefix. The pass fans the
 	// routed prefixes out over Options.Workers goroutines; every shared
-	// structure it touches — the delegation radix tree, the RPKI
+	// structure it touches — the frozen delegation index, the RPKI
 	// repository indexes, the BGP table, and the frozen ASN clusters —
-	// is read-only from here on (see ARCHITECTURE.md for the audited
+	// is read-only from here on (see ARCHITECTURE.md for the
 	// contracts). Each worker writes only its own slots of the
 	// pre-sized result slice, so output order (and therefore every
 	// downstream stage) is identical to the serial path.
@@ -465,7 +455,7 @@ func build(ctx context.Context, tr *obs.Trace, db *whois.Database, table *bgp.Ta
 	span = tr.Start("resolve").SetWorkers(workers)
 	obs.Default().Gauge("pipeline_workers").Set(float64(workers))
 	routed := table.Prefixes()
-	env := &resolveEnv{tree: tree, table: table, repo: repo, asClusters: asData.BuildClusters()}
+	env := &resolveEnv{whois: groups, table: table, repo: repo, asClusters: asData.BuildClusters()}
 	slots := make([]resolvedRec, len(routed))
 	if err := resolveIndices(ctx, env, routed, nil, slots, workers); err != nil {
 		return nil, err
@@ -486,13 +476,11 @@ func build(ctx context.Context, tr *obs.Trace, db *whois.Database, table *bgp.Ta
 	if opts.Incremental {
 		ds.state = &buildState{
 			opts:       opts,
-			entries:    entries,
 			arinLegacy: arinLegacyNonSigned,
 			env:        env,
 			asData:     asData,
 			routed:     routed,
 			slots:      slots,
-			routedIdx:  makeRoutedIdx(routed),
 			clean:      clean,
 		}
 	}
@@ -537,10 +525,11 @@ func famOf(p netip.Prefix) alloc.Family {
 }
 
 // resolveOwnership implements §5.2: given the covering WHOIS chain for
-// p (least specific first, as produced by CoveringChainInto), resolve
-// the Delegated Customer chain and walk up to the Direct Owner. The
-// chain slice is only read — callers may reuse its backing buffer.
-func resolveOwnership(chain []radix.Entry[[]whois.Entry], repo *rpki.Repository, p netip.Prefix) (Record, bool) {
+// p (group ids of groups, least specific first, as produced by
+// CoveringInto), resolve the Delegated Customer chain and walk up to
+// the Direct Owner. The chain slice is only read — callers may reuse
+// its backing buffer.
+func resolveOwnership(groups *lpm.Groups[whois.Entry], chain []int32, repo *rpki.Repository, p netip.Prefix) (Record, bool) {
 	if len(chain) == 0 {
 		return Record{}, false
 	}
@@ -569,7 +558,7 @@ func resolveOwnership(chain []radix.Entry[[]whois.Entry], repo *rpki.Repository,
 
 	// Walk from most specific upwards.
 	level := len(chain) - 1
-	most := resolve(chain[level].Value)
+	most := resolve(groups.At(chain[level]))
 	if len(most) == 0 {
 		return Record{}, false
 	}
@@ -605,7 +594,7 @@ func resolveOwnership(chain []radix.Entry[[]whois.Entry], repo *rpki.Repository,
 	// Otherwise move up the tree through intermediate Delegated
 	// Customers until a Direct Owner delegation appears.
 	for level--; level >= 0; level-- {
-		ts := resolve(chain[level].Value)
+		ts := resolve(groups.At(chain[level]))
 		for _, t := range ts {
 			if t.t.DirectOwner() {
 				setDO(t)

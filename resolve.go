@@ -10,9 +10,9 @@ import (
 	"github.com/prefix2org/prefix2org/internal/as2org"
 	"github.com/prefix2org/prefix2org/internal/bgp"
 	"github.com/prefix2org/prefix2org/internal/cluster"
+	"github.com/prefix2org/prefix2org/internal/lpm"
 	"github.com/prefix2org/prefix2org/internal/names"
 	"github.com/prefix2org/prefix2org/internal/obs"
-	"github.com/prefix2org/prefix2org/internal/radix"
 	"github.com/prefix2org/prefix2org/internal/rpki"
 	"github.com/prefix2org/prefix2org/internal/whois"
 )
@@ -28,21 +28,17 @@ type resolvedRec struct {
 // pass; a delta rebuild swaps out only the members whose source files
 // changed.
 type resolveEnv struct {
-	tree       *radix.Tree[[]whois.Entry]
+	// whois is the delegation index (§5.2): per block, all flattened
+	// WHOIS entries registered there, post legacy marking and in
+	// Flatten order.
+	whois      *lpm.Groups[whois.Entry]
 	table      *bgp.Table
 	repo       *rpki.Repository
 	asClusters *as2org.Clusters
 }
 
-// entryTree builds the delegation radix tree (per prefix, all WHOIS
-// entries — §5.2) from the flattened entry list.
-func entryTree(entries []whois.Entry) *radix.Tree[[]whois.Entry] {
-	tree := radix.New[[]whois.Entry]()
-	for _, e := range entries {
-		cur, _ := tree.Get(e.Prefix)
-		tree.Insert(e.Prefix, append(cur, e))
-	}
-	return tree
+func groupEntries(entries []whois.Entry) *lpm.Groups[whois.Entry] {
+	return lpm.Group(entries, func(e *whois.Entry) netip.Prefix { return e.Prefix })
 }
 
 // resolveIndices runs the per-prefix ownership-resolution pass over the
@@ -62,14 +58,15 @@ func resolveIndices(ctx context.Context, env *resolveEnv, routed []netip.Prefix,
 		}
 		return idxs[k]
 	}
-	// Each worker owns one covering-chain buffer, re-sliced per prefix,
-	// so the hottest tree walk of the pass allocates only when a chain
-	// outgrows every chain seen before it.
-	type chainBuf = []radix.Entry[[]whois.Entry]
+	// Each worker owns one covering-chain buffer (group ids, least
+	// specific first), re-sliced per prefix, so the hottest walk of the
+	// pass allocates only when a chain outgrows every chain seen before
+	// it.
+	type chainBuf = []int32
 	resolveOne := func(i int, buf chainBuf) chainBuf {
 		p := routed[i]
-		buf = env.tree.CoveringChainInto(p, buf[:0])
-		rec, ok := resolveOwnership(buf, env.repo, p)
+		buf = env.whois.Index().CoveringInto(p, buf[:0])
+		rec, ok := resolveOwnership(env.whois, buf, env.repo, p)
 		if !ok {
 			slots[i] = resolvedRec{}
 			return buf
@@ -284,7 +281,7 @@ func finish(ctx context.Context, tr *obs.Trace, slots []resolvedRec, unmapped in
 	// Compile the serve-path read indexes, including the frozen LPM
 	// index whoisd answers from.
 	span = tr.Start("freeze-index")
-	ds.buildPrefixIndexes()
+	ds.freezeIndex()
 	span.Add("prefixes", int64(len(ds.Records)))
 	span.End()
 
@@ -297,15 +294,6 @@ func finish(ctx context.Context, tr *obs.Trace, slots []resolvedRec, unmapped in
 	return ds, clean, nil
 }
 
-// makeRoutedIdx maps each routed prefix to its slot index.
-func makeRoutedIdx(routed []netip.Prefix) map[netip.Prefix]int32 {
-	idx := make(map[netip.Prefix]int32, len(routed))
-	for i, p := range routed {
-		idx[p] = int32(i)
-	}
-	return idx
-}
-
 // buildState is the retained input and intermediate state a delta
 // rebuild splices against. It is attached to the Dataset only when
 // Options.Incremental is set, and dropped (along with everything it
@@ -314,13 +302,11 @@ type buildState struct {
 	opts       Options
 	manifest   *Manifest
 	src        *whois.Sources
-	entries    []whois.Entry // flattened WHOIS entries, post legacy marking
 	arinLegacy []netip.Prefix
 	env        *resolveEnv
 	asData     *as2org.Dataset
-	routed     []netip.Prefix
-	slots      []resolvedRec // pass-1 outputs in routed order
-	routedIdx  map[netip.Prefix]int32
+	routed     []netip.Prefix // in canonical order, as bgp.Table.Prefixes lists them
+	slots      []resolvedRec  // pass-1 outputs in routed order
 	clean      *cleanState
 }
 

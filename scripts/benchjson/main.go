@@ -15,7 +15,9 @@
 // guard is meant to catch order-of-magnitude regressions — an
 // accidental O(n^2), a lost fast path — not noise. Allocation counts
 // are compared exactly (they are deterministic): any benchmark that
-// reported 0 allocs/op in the saved run must still report 0.
+// reported 0 allocs/op in the saved run must still report 0. A
+// benchmark only one side has is listed as "new" or "removed" and never
+// fails the comparison.
 //
 // Benchmarks whose name matches -strict-match are held to the tighter
 // -strict-threshold (default 1.2x) instead: the hot lookup path is
@@ -296,12 +298,18 @@ func compare(w io.Writer, base, cur *File, threshold float64, strictRe *regexp.R
 	}
 	sort.Strings(keys)
 	ok, compared := true, 0
+	matched := map[string]bool{} // baseline keys some current result compared against
 	for _, k := range keys {
 		c := curBy[k]
 		name := c.Name
-		b, found := baseBy[k]
+		bk := k
+		b, found := baseBy[bk]
 		if !found {
-			b, found = baseBy[Result{Name: name}.key()]
+			bk = Result{Name: name}.key()
+			b, found = baseBy[bk]
+		}
+		if found {
+			matched[bk] = true
 		}
 		if !found || b.NsPerOp == 0 {
 			fmt.Fprintf(w, "  new      %-50s %12.1f ns/op\n", name, c.NsPerOp)
@@ -324,6 +332,13 @@ func compare(w io.Writer, base, cur *File, threshold float64, strictRe *regexp.R
 			ok = false
 		}
 		fmt.Fprintf(w, "  %-8s %-50s %12.1f ns/op  (%.2fx of saved %.1f)\n", verdict, name, c.NsPerOp, factor, b.NsPerOp)
+	}
+	// A benchmark only the baseline has was deleted or dropped from the
+	// tracked set: worth a line, never a failure.
+	for _, r := range base.Results {
+		if !matched[r.key()] {
+			fmt.Fprintf(w, "  removed  %-50s %12.1f ns/op saved\n", r.Name, r.NsPerOp)
+		}
 	}
 	if compared == 0 {
 		fmt.Fprintln(w, "benchjson: no overlapping benchmarks to compare")

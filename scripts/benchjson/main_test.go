@@ -58,3 +58,35 @@ func TestResultsCarryTheirPackage(t *testing.T) {
 		t.Errorf("5x slowdown against a package-less baseline not reported:\n%s", out.String())
 	}
 }
+
+// TestBaselineOnlyResultsAreReportedRemoved: a benchmark deleted since
+// the baseline was saved gets a "removed" line and does not fail the
+// comparison — only regressions among the survivors do.
+func TestBaselineOnlyResultsAreReportedRemoved(t *testing.T) {
+	cur, err := parse(strings.NewReader(twoPackages))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := &File{Results: append([]Result{
+		{Pkg: "example.com/m", Name: "BenchmarkLookupAddrRadix", Iterations: 1, NsPerOp: 323},
+		{Name: "BenchmarkRadixLookup", Iterations: 1, NsPerOp: 682},
+	}, cur.Results...)}
+	var out bytes.Buffer
+	if !compare(&out, base, cur, 2.5, nil, 1.2) {
+		t.Fatalf("baseline-only results failed the comparison:\n%s", out.String())
+	}
+	for _, name := range []string{"BenchmarkLookupAddrRadix", "BenchmarkRadixLookup"} {
+		if !strings.Contains(out.String(), "removed  "+name) {
+			t.Errorf("%s not reported as removed:\n%s", name, out.String())
+		}
+	}
+	if n := strings.Count(out.String(), "removed"); n != 2 {
+		t.Errorf("%d removed lines, want 2 (surviving benchmarks must not be listed):\n%s", n, out.String())
+	}
+	// Still a failure when a survivor regressed.
+	slow := &File{Results: []Result{{Pkg: "example.com/m/internal/httpd", Name: "BenchmarkBulk", Iterations: 1, NsPerOp: 500}}}
+	out.Reset()
+	if compare(&out, base, slow, 2.5, nil, 1.2) || !strings.Contains(out.String(), "removed") {
+		t.Errorf("10x slowdown beside removed benchmarks not reported as a failure:\n%s", out.String())
+	}
+}

@@ -206,7 +206,7 @@ func loadJSON(r io.Reader) (*Dataset, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("prefix2org: snapshot scan: %w", err)
 	}
-	d.buildPrefixIndexes()
+	d.freezeIndex()
 	return d, nil
 }
 

@@ -307,7 +307,7 @@ func parseSectionsV1(data []byte) (map[byte][]byte, error) {
 
 // loadBinary decodes a full v1 binary snapshot (magic included) into a
 // ready-to-serve Dataset: the persisted LPM index is installed
-// directly, skipping the radix build and freeze.
+// directly, skipping the freeze.
 func loadBinary(data []byte) (*Dataset, error) {
 	defer obs.Time(mCodecSeconds.loadBin)()
 	secs, err := parseSectionsV1(data[len(binaryMagic):])
@@ -492,10 +492,6 @@ func loadBinary(data []byte) (*Dataset, error) {
 		return nil, fmt.Errorf("prefix2org: binary snapshot: index does not match records")
 	}
 	d.idx = ix
-	d.byPrefix = make(map[netip.Prefix]*Record, len(d.Records))
-	for i := range d.Records {
-		d.byPrefix[d.Records[i].Prefix] = &d.Records[i]
-	}
 	return d, nil
 }
 

@@ -200,44 +200,61 @@ func TestSnapshotCompatRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2RejectsCorruption drives truncated and bit-flipped v2 images
-// through the view opener: truncation must error, and no corruption may
-// panic — not at open time and not later when a lazy accessor touches
-// the mapped bytes.
-func TestV2RejectsCorruption(t *testing.T) {
-	_, ds := buildWorldDataset(t)
-	data := saveV2(t, ds)
-
-	for _, n := range []int{0, 7, 8, 15, 16, 40, len(data) / 4, len(data) / 2, len(data) - 1} {
-		if _, err := openViewBytes(data[:n:n], nil); err == nil {
-			t.Errorf("truncation to %d bytes accepted", n)
+// TestLookupEagerViewEquivalent: exact-prefix Lookup takes one path —
+// the index — on built, eagerly loaded and view-backed Datasets alike,
+// so all three must answer every query shape identically.
+func TestLookupEagerViewEquivalent(t *testing.T) {
+	_, built := buildWorldDataset(t)
+	data := saveV2(t, built)
+	loaded, err := Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := openViewBytes(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Lazy() || !view.Lazy() {
+		t.Fatalf("Lazy: loaded=%v view=%v, want false/true", loaded.Lazy(), view.Lazy())
+	}
+	var queries []netip.Prefix
+	mustHit := 0
+	for i := range built.Records {
+		p := built.Records[i].Prefix
+		queries = append(queries, p) // exact hit
+		mustHit++
+		if p.Bits() < p.Addr().BitLen() {
+			mustHit++
+			// Covered by a routed prefix, (mostly) not routed itself:
+			// exact Lookup misses where LookupCovering hits.
+			queries = append(queries, netip.PrefixFrom(p.Addr(), p.Bits()+1))
+			// The routed prefix with host bits set.
+			queries = append(queries, netip.PrefixFrom(p.Addr().Next(), p.Bits()))
 		}
 	}
-	for i := 0; i < len(data); i += 7 {
-		mut := append([]byte(nil), data...)
-		mut[i] ^= 0x40
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("panic on corrupt byte %d: %v", i, r)
-				}
-			}()
-			v, err := openViewBytes(mut, nil)
-			if err != nil {
-				return
+	queries = append(queries, netip.Prefix{}, mp("192.0.2.0/24"), mp("::/0"))
+	hits := 0
+	for _, q := range queries {
+		want, wantOK := built.Lookup(q)
+		if wantOK {
+			hits++
+			if want.Prefix != q.Masked() {
+				t.Fatalf("Lookup(%s) returned the record of %s", q, want.Prefix)
 			}
-			// The opener accepted the flip (it landed in string bytes or
-			// stats): every lazy accessor must still be safe to run.
-			for j := 0; j < v.NumRecords(); j++ {
-				_ = *v.RecordAt(j)
+		}
+		for name, d := range map[string]*Dataset{"loaded": loaded, "view": view} {
+			got, ok := d.Lookup(q)
+			if ok != wantOK || (ok && !reflect.DeepEqual(*got, *want)) {
+				t.Fatalf("%s.Lookup(%s) = %v,%v; built dataset says %v,%v", name, q, got, ok, want, wantOK)
 			}
-			for j := 0; j < v.NumClusters(); j++ {
-				_ = v.ClusterAt(j)
-			}
-			if v.NumRecords() > 0 {
-				_, _ = v.LookupAddr(v.RecordAt(0).Prefix.Addr())
-			}
-		}()
+		}
+	}
+	if hits < mustHit || hits == len(queries) {
+		t.Fatalf("%d of %d queries hit: want the %d exact and unmasked forms to hit and some of the rest to miss", hits, len(queries), mustHit)
+	}
+	var zero Dataset
+	if _, ok := zero.Lookup(mp("192.0.2.0/24")); ok {
+		t.Error("zero Dataset answered a Lookup")
 	}
 }
 
@@ -303,7 +320,7 @@ func replaceSectionV2(t *testing.T, data []byte, tag uint32, payload []byte) []b
 func TestV2RejectsForeignIndex(t *testing.T) {
 	_, ds := buildWorldDataset(t)
 	other := &Dataset{Records: []Record{{Prefix: netip.MustParsePrefix("203.0.113.0/24")}}}
-	other.buildPrefixIndexes()
+	other.freezeIndex()
 
 	data := saveV2(t, ds)
 	spliced := replaceSectionV2(t, data, v2SecIndex, other.idx.AppendColumns(nil))
@@ -395,7 +412,7 @@ func FuzzLoadBinary(f *testing.F) {
 			Prefixes:   []netip.Prefix{mp("192.0.2.0/24"), mp("2001:db8::/32")},
 		}},
 	}
-	ds.buildPrefixIndexes()
+	ds.freezeIndex()
 	var v2, v1, jsonl bytes.Buffer
 	if err := ds.SaveBinary(&v2); err != nil {
 		f.Fatal(err)

@@ -406,13 +406,8 @@ func (v *snapView) materializeInto(d *Dataset) {
 			byOwner[o] = c
 		}
 	}
-	byPrefix := make(map[netip.Prefix]*Record, n)
-	for i := range recs {
-		byPrefix[recs[i].Prefix] = &recs[i]
-	}
 	d.Records = recs
 	d.Clusters = clus
-	d.byPrefix = byPrefix
 	d.byCluster = byCluster
 	d.byOwner = byOwner
 }
