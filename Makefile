@@ -78,8 +78,9 @@ BENCH_FILE ?= BENCH_$(shell date +%F).json
 # -cpu 1, like the one-core host the baselines were recorded on: the
 # invariant is about work avoided, and the full build's loaders and
 # resolve pool spread over cores while the delta's reload of one source
-# cannot — at 2 cores the same code reads 0.21-0.23 where one core
-# reads 0.17, which would gate on the runner's core count.
+# cannot — at 2 cores the same code reads 0.26 where one core reads
+# 0.17-0.19 (14.7 ms / 85 ms; 20.8 / 124 before PR 15 sped the full
+# build), which would gate on the runner's core count.
 bench-ratio:
 	$(GO) test -bench='^BenchmarkDeltaRebuild$$' -run='^$$' -count=3 -cpu 1 . | $(GO) run ./scripts/benchjson -ratio '$(BENCH_RATIO)'
 

@@ -70,145 +70,129 @@ func BuildDelta(ctx context.Context, prev *Dataset, dir string, opts Options) (*
 		return nil, fmt.Errorf("prefix2org: delta options incompatible with previous build (pipeline-shaping options differ, or JPNIC live enrichment requested)")
 	}
 	tr := obs.NewTrace("delta")
-	span := tr.Start("delta-manifest")
-	manifest, err := BuildManifest(ctx, dir)
-	if err != nil {
-		span.End()
+	var manifest *Manifest
+	var changed []string
+	// One job: the runner is here for its span and error contract.
+	if err := runLoaders(ctx, tr, 1, []loadJob{{"delta-manifest", func(ctx context.Context, span *obs.Span) error {
+		var err error
+		if manifest, err = BuildManifest(ctx, dir); err != nil {
+			return err
+		}
+		changed = manifest.Diff(state.manifest)
+		span.Add("files", int64(len(manifest.Entries)))
+		span.Add("changed", int64(len(changed)))
+		return nil
+	}}}); err != nil {
 		return nil, err
 	}
-	changed := manifest.Diff(state.manifest)
-	span.Add("files", int64(len(manifest.Entries)))
-	span.Add("changed", int64(len(changed)))
-	span.End()
 	if len(changed) == 0 {
 		return nil, ErrNoChange
 	}
 
-	var whoisChanged, bgpChanged, rpkiChanged, as2orgChanged, delegatedChanged bool
+	// Reload only the changed sources, concurrently, through the runner
+	// BuildFromDir loads every source with; everything else is carried
+	// over from the previous build's retained state. Each job below is
+	// the single writer of the variables named beside it and reads only
+	// prev's (immutable) state besides.
+	var (
+		// delta-whois
+		src        = state.src
+		arinLegacy = state.arinLegacy
+		groups     = state.env.whois
+		whoisDirty []netip.Prefix
+		// delta-bgp
+		table  = state.env.table
+		routed = state.routed
+		// delta-rpki
+		repo      = state.env.repo
+		rpkiDirty []netip.Prefix
+		// delta-as2org
+		asData     = state.asData
+		asClusters = state.env.asClusters
+	)
 	changedSet := make(map[string]bool, len(changed))
+	loaders := map[string]loadJob{
+		"whois": {"delta-whois", func(ctx context.Context, span *obs.Span) error {
+			var db *whois.Database
+			var err error
+			db, src, err = whois.LoadDirSources(ctx, dir, whois.LoadOptions{Workers: opts.Workers}, state.src,
+				func(rel string) bool { return changedSet[rel] })
+			if err != nil {
+				return fmt.Errorf("prefix2org: load whois: %w", err)
+			}
+			if changedSet["whois/"+whois.ARINLegacyFile] {
+				if arinLegacy, err = loadARINLegacy(dir); err != nil {
+					return err
+				}
+			}
+			entries, _ := db.FlattenWithStats()
+			markARINLegacy(entries, arinLegacy)
+			groups = groupEntries(entries)
+			whoisDirty = entryGroupDiff(state.env.whois, groups)
+			span.Add("entries", int64(len(entries)))
+			span.Add("dirty-regions", int64(len(whoisDirty)))
+			return nil
+		}},
+		"bgp": {"delta-bgp", func(ctx context.Context, span *obs.Span) error {
+			var err error
+			if table, err = bgp.LoadDir(ctx, dir); err != nil {
+				return fmt.Errorf("prefix2org: load bgp: %w", err)
+			}
+			if !sameRouted(table, state.routed) {
+				routed = table.Prefixes()
+			}
+			span.Add("prefixes", int64(len(routed)))
+			return nil
+		}},
+		"rpki": {"delta-rpki", func(ctx context.Context, span *obs.Span) error {
+			var err error
+			if repo, err = rpki.LoadDir(ctx, dir); err != nil {
+				return fmt.Errorf("prefix2org: load rpki: %w", err)
+			}
+			rpkiDirty = certDiff(state.env.repo, repo)
+			span.Add("certs", int64(len(repo.Certs)))
+			span.Add("dirty-regions", int64(len(rpkiDirty)))
+			return nil
+		}},
+		"as2org": {"delta-as2org", func(ctx context.Context, span *obs.Span) error {
+			var err error
+			if asData, err = as2org.LoadDir(ctx, dir); err != nil {
+				return fmt.Errorf("prefix2org: load as2org: %w", err)
+			}
+			asClusters = asData.BuildClusters()
+			span.Add("ases", int64(len(asData.ASes)))
+			return nil
+		}},
+		"delegated": {"delta-delegated", func(ctx context.Context, span *obs.Span) error {
+			return verifyDelegated(ctx, dir, span)
+		}},
+	}
+	changedSource := make(map[string]bool, len(loaders))
 	for _, p := range changed {
 		changedSet[p] = true
-		top, _, _ := strings.Cut(p, "/")
-		switch top {
-		case "whois":
-			whoisChanged = true
-		case "bgp":
-			bgpChanged = true
-		case "rpki":
-			rpkiChanged = true
-		case "as2org":
-			as2orgChanged = true
-		case "delegated":
-			delegatedChanged = true
-		default:
+		source, _, _ := strings.Cut(p, "/")
+		if _, ok := loaders[source]; !ok {
 			// Defensive: the manifest only walks the known source
 			// subdirectories, so this cannot fire unless the two drift
 			// apart. Erroring makes the caller run a full rebuild.
 			return nil, fmt.Errorf("prefix2org: delta: changed file %q outside known sources", p)
 		}
+		changedSource[source] = true
 	}
-
-	// Reload only the changed sources; everything else is carried over
-	// from the previous build's retained state. dirty accumulates the
-	// covering-space regions (WHOIS entry groups, RPKI cert resources)
-	// whose answers changed — a routed prefix inside any region must be
-	// re-resolved.
-	var dirty []netip.Prefix
-	src := state.src
-	arinLegacy := state.arinLegacy
-	groups := state.env.whois
-	if whoisChanged {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		span = tr.Start("delta-whois")
-		lopts := whois.LoadOptions{Workers: opts.Workers}
-		var db *whois.Database
-		db, src, err = whois.LoadDirSources(ctx, dir, lopts, state.src, func(rel string) bool { return changedSet[rel] })
-		if err != nil {
-			span.End()
-			return nil, fmt.Errorf("prefix2org: load whois: %w", err)
-		}
-		if changedSet["whois/"+whois.ARINLegacyFile] {
-			arinLegacy, err = loadARINLegacy(dir)
-			if err != nil {
-				span.End()
-				return nil, err
-			}
-		}
-		entries, _ := db.FlattenWithStats()
-		markARINLegacy(entries, arinLegacy)
-		groups = groupEntries(entries)
-		regions := entryGroupDiff(state.env.whois, groups)
-		dirty = append(dirty, regions...)
-		span.Add("entries", int64(len(entries)))
-		span.Add("dirty-regions", int64(len(regions)))
-		span.End()
-	}
-
-	table := state.env.table
-	routed := state.routed
-	if bgpChanged {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		span = tr.Start("delta-bgp")
-		table, err = bgp.LoadDir(ctx, dir)
-		if err != nil {
-			span.End()
-			return nil, fmt.Errorf("prefix2org: load bgp: %w", err)
-		}
-		routed = table.Prefixes()
-		span.Add("prefixes", int64(len(routed)))
-		span.End()
-	}
-
-	repo := state.env.repo
-	if rpkiChanged {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		span = tr.Start("delta-rpki")
-		repo, err = rpki.LoadDir(ctx, dir)
-		if err != nil {
-			span.End()
-			return nil, fmt.Errorf("prefix2org: load rpki: %w", err)
-		}
-		regions := certDiff(state.env.repo, repo)
-		dirty = append(dirty, regions...)
-		span.Add("certs", int64(len(repo.Certs)))
-		span.Add("dirty-regions", int64(len(regions)))
-		span.End()
-	}
-
-	asData := state.asData
-	asClusters := state.env.asClusters
-	if as2orgChanged {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		span = tr.Start("delta-as2org")
-		asData, err = as2org.LoadDir(ctx, dir)
-		if err != nil {
-			span.End()
-			return nil, fmt.Errorf("prefix2org: load as2org: %w", err)
-		}
-		asClusters = asData.BuildClusters()
-		span.Add("ases", int64(len(asData.ASes)))
-		span.End()
-	}
-
-	if delegatedChanged {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		span = tr.Start("delta-delegated")
-		err = verifyDelegated(ctx, dir, span)
-		span.End()
-		if err != nil {
-			return nil, err
+	var jobs []loadJob
+	for _, source := range manifestDirs {
+		if changedSource[source] {
+			jobs = append(jobs, loaders[source])
 		}
 	}
+	if err := runLoaders(ctx, tr, opts.workerCount(), jobs); err != nil {
+		return nil, err
+	}
+	bgpChanged, as2orgChanged, rpkiChanged := changedSource["bgp"], changedSource["as2org"], changedSource["rpki"]
+	// dirty is the covering-space regions (WHOIS entry groups, RPKI cert
+	// resources) whose answers changed, merged here, after the join, in
+	// fixed order — a routed prefix inside any region must be re-resolved.
+	dirty := append(whoisDirty, rpkiDirty...)
 
 	// Splice: keep the previous pass-1 slot for every routed prefix that
 	// existed before and whose inputs are untouched; everything else —
@@ -216,7 +200,7 @@ func BuildDelta(ctx context.Context, prev *Dataset, dir string, opts Options) (*
 	// inside a dirty WHOIS/RPKI region — is re-resolved.
 	env := &resolveEnv{whois: groups, table: table, repo: repo, asClusters: asClusters}
 	workers := opts.workerCount()
-	span = tr.Start("resolve").SetWorkers(workers)
+	span := tr.Start("resolve").SetWorkers(workers)
 	var regionIdx *lpm.Index
 	if len(dirty) > 0 {
 		dirty = netx.Dedup(dirty)
@@ -280,7 +264,7 @@ func BuildDelta(ctx context.Context, prev *Dataset, dir string, opts Options) (*
 	span.Add("unmapped", int64(unmapped))
 	span.End()
 
-	ds, clean, err := finish(ctx, tr, slots, unmapped, repo, opts, state.clean)
+	ds, clean, err := finish(ctx, tr, slots, unmapped, opts, state.clean, prev.idx)
 	if err != nil {
 		return nil, err
 	}
@@ -308,6 +292,22 @@ func BuildDelta(ctx context.Context, prev *Dataset, dir string, opts Options) (*
 		Removed:      removed,
 		RPKIChanged:  rpkiChanged,
 	}, nil
+}
+
+// sameRouted reports whether table routes exactly the prefixes of routed,
+// a previous table's Prefixes list. Origin churn leaves the routed set
+// alone, and then the list — canonical order included — carries over
+// without being rebuilt and re-sorted from the table's map.
+func sameRouted(table *bgp.Table, routed []netip.Prefix) bool {
+	if table.Len()-table.FilteredCount() != len(routed) {
+		return false
+	}
+	for _, p := range routed {
+		if _, ok := table.Origin(p); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // entryGroupDiff returns the prefixes whose WHOIS entry groups differ

@@ -4,8 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
+	"github.com/prefix2org/prefix2org/internal/obs"
 	"github.com/prefix2org/prefix2org/internal/synth"
 )
 
@@ -185,5 +191,168 @@ func TestDeltaOptsMismatch(t *testing.T) {
 	_, err = BuildDelta(ctx, ds, dir, Options{Incremental: true, DisableNameCleaning: true})
 	if err == nil || errors.Is(err, ErrNoChange) || errors.Is(err, ErrNoDeltaState) {
 		t.Fatalf("BuildDelta with mismatched options: err = %v, want option-compatibility error", err)
+	}
+}
+
+// deltaFixture builds a small Incremental dataset over dir, then evolves
+// the world so whois/, rpki/ and bgp/ files all change and rewrites dir.
+func deltaFixture(t *testing.T) (dir string, prev *Dataset) {
+	t.Helper()
+	w, err := synth.Generate(synth.SmallConfig())
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	dir = t.TempDir()
+	if err := w.WriteDir(dir); err != nil {
+		t.Fatalf("WriteDir: %v", err)
+	}
+	prev, err = BuildFromDir(context.Background(), dir, Options{Incremental: true})
+	if err != nil {
+		t.Fatalf("BuildFromDir: %v", err)
+	}
+	if w, err = w.Evolve(synth.EvolveOptions{Seed: 9, Transfers: 3, NewAdopters: 2, OriginShifts: 4}); err != nil {
+		t.Fatalf("Evolve: %v", err)
+	}
+	if err := w.WriteDir(dir); err != nil {
+		t.Fatalf("WriteDir: %v", err)
+	}
+	return dir, prev
+}
+
+// TestDeltaWorkersDeterminism is TestParallelBuildDeterminism for the
+// delta path: with the changed sources reloaded concurrently, a delta
+// spanning whois, rpki and bgp is byte-identical and traces the same
+// spans in the same order at every worker count. make verify runs it
+// under -race, which is the check that each job writes only its own
+// results.
+func TestDeltaWorkersDeterminism(t *testing.T) {
+	dir, prev := deltaFixture(t)
+	var want []byte
+	var wantSpans []string
+	for _, workers := range []int{1, 2, 8} {
+		res, err := BuildDelta(context.Background(), prev, dir, Options{Incremental: true, Workers: workers})
+		if err != nil {
+			t.Fatalf("Workers=%d: BuildDelta: %v", workers, err)
+		}
+		sources := map[string]bool{}
+		for _, p := range res.ChangedFiles {
+			source, _, _ := strings.Cut(p, "/")
+			sources[source] = true
+		}
+		if !sources["whois"] || !sources["rpki"] || !sources["bgp"] {
+			t.Fatalf("changed files %v do not span whois, rpki and bgp", res.ChangedFiles)
+		}
+		var spans []string
+		for _, s := range res.Dataset.Trace.Spans() {
+			spans = append(spans, s.Name)
+		}
+		got := snapshotBytes(t, res.Dataset)
+		if want == nil {
+			want, wantSpans = got, spans
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("Workers=%d: snapshot differs from Workers=1", workers)
+		}
+		if !slices.Equal(spans, wantSpans) {
+			t.Errorf("Workers=%d: trace spans %v, want %v", workers, spans, wantSpans)
+		}
+	}
+	full, err := BuildFromDir(context.Background(), dir, Options{})
+	if err != nil {
+		t.Fatalf("BuildFromDir: %v", err)
+	}
+	if !bytes.Equal(want, snapshotBytes(t, full)) {
+		t.Error("delta snapshot differs from a full rebuild")
+	}
+}
+
+// TestLoaderRunner covers the contract of the one runner under
+// BuildFromDir and BuildDelta, serial and concurrent: which error wins,
+// what a cancelled context surfaces as, and that a failed delta leaves
+// prev as it was.
+func TestLoaderRunner(t *testing.T) {
+	dir, prev := deltaFixture(t)
+	rpkiFile := filepath.Join(dir, "rpki", "snapshot.jsonl")
+	goodRPKI, err := os.ReadFile(rpkiFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	errA, errB := errors.New("job a failed"), errors.New("job b failed")
+
+	for _, workers := range []int{1, 2, 8} {
+		opts := Options{Incremental: true, Workers: workers}
+		for _, tc := range []struct {
+			name string
+			run  func() error
+			ok   func(error) bool
+		}{
+			{"two jobs fail: the first in job order wins", func() error {
+				aRunning := make(chan struct{})
+				return runLoaders(context.Background(), obs.NewTrace("test"), workers, []loadJob{
+					{"a", func(ctx context.Context, _ *obs.Span) error {
+						if workers > 1 {
+							// Fail second in time: b's failure cancels ctx.
+							close(aRunning)
+							<-ctx.Done()
+						}
+						return errA
+					}},
+					{"b", func(context.Context, *obs.Span) error {
+						if workers > 1 {
+							<-aRunning
+						}
+						return errB
+					}},
+				})
+			}, func(err error) bool { return err == errA }},
+			{"a job aborted by the caller's cancellation", func() error {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				return runLoaders(ctx, obs.NewTrace("test"), workers, []loadJob{
+					{"a", func(ctx context.Context, _ *obs.Span) error {
+						cancel()
+						<-ctx.Done()
+						return fmt.Errorf("load a: %w", ctx.Err())
+					}},
+				})
+			}, func(err error) bool { return err == context.Canceled }},
+			{"BuildFromDir, cancelled context", func() error {
+				_, err := BuildFromDir(cancelled, dir, opts)
+				return err
+			}, func(err error) bool { return err == context.Canceled }},
+			{"BuildDelta, cancelled context", func() error {
+				_, err := BuildDelta(cancelled, prev, dir, opts)
+				return err
+			}, func(err error) bool { return err == context.Canceled }},
+			{"BuildDelta, corrupt rpki beside a valid whois change", func() error {
+				if err := os.WriteFile(rpkiFile, []byte("{broken\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				defer os.WriteFile(rpkiFile, goodRPKI, 0o644)
+				_, err := BuildDelta(context.Background(), prev, dir, opts)
+				return err
+			}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "load rpki") }},
+		} {
+			if err := tc.run(); !tc.ok(err) {
+				t.Errorf("Workers=%d: %s: err = %v", workers, tc.name, err)
+			}
+		}
+
+		// prev survived the failures above: the next delta against it
+		// succeeds and equals a full rebuild.
+		res, err := BuildDelta(context.Background(), prev, dir, opts)
+		if err != nil {
+			t.Fatalf("Workers=%d: BuildDelta after failed deltas: %v", workers, err)
+		}
+		full, err := BuildFromDir(context.Background(), dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snapshotBytes(t, res.Dataset), snapshotBytes(t, full)) {
+			t.Errorf("Workers=%d: delta after failed deltas differs from a full rebuild", workers)
+		}
 	}
 }

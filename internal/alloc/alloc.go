@@ -19,7 +19,8 @@ package alloc
 
 import (
 	"fmt"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Registry identifies a Regional or National Internet Registry.
@@ -206,11 +207,30 @@ var types = []Type{
 // init from types plus per-RIR keyword aliases seen in WHOIS data.
 var index = map[Registry]map[string]Type{}
 
-func normalize(s string) string {
-	s = strings.ToLower(strings.TrimSpace(s))
-	repl := strings.NewReplacer("_", " ", "-", " ")
-	s = repl.Replace(s)
-	return strings.Join(strings.Fields(s), " ")
+// Normalize folds a raw WHOIS status keyword to the form types are
+// indexed under: lower case, '_' and '-' read as spaces, whitespace
+// trimmed and collapsed. Two keywords name the same status exactly when
+// their normalized forms are equal.
+func Normalize(s string) string {
+	return string(appendNormalized(nil, s))
+}
+
+// appendNormalized appends the normalized form of s to b[:0]-style
+// scratch, so Lookup can probe the index without allocating.
+func appendNormalized(b []byte, s string) []byte {
+	gap := false // a separator run is pending between two words
+	for _, r := range s {
+		if r == '_' || r == '-' || unicode.IsSpace(r) {
+			gap = len(b) > 0
+			continue
+		}
+		if gap {
+			b = append(b, ' ')
+			gap = false
+		}
+		b = utf8.AppendRune(b, unicode.ToLower(r))
+	}
+	return b
 }
 
 func register(r Registry, keyword string, t Type) {
@@ -219,7 +239,7 @@ func register(r Registry, keyword string, t Type) {
 		m = map[string]Type{}
 		index[r] = m
 	}
-	k := normalize(keyword)
+	k := Normalize(keyword)
 	if prev, dup := m[k]; dup && prev.Name != t.Name {
 		panic(fmt.Sprintf("alloc: keyword %q registered for both %s and %s", k, prev.Name, t.Name))
 	}
@@ -283,7 +303,7 @@ func init() {
 }
 
 func lookupCanonical(r Registry, name string) (Type, error) {
-	if t, ok := index[r][normalize(name)]; ok {
+	if t, ok := index[r][Normalize(name)]; ok {
 		return t, nil
 	}
 	return Type{}, fmt.Errorf("alloc: unknown canonical type %s/%s", r, name)
@@ -295,7 +315,8 @@ func lookupCanonical(r Registry, name string) (Type, error) {
 // its Registry, since rights follow the parent's policy (§5.1).
 func Lookup(r Registry, keyword string, f Family) (Type, error) {
 	parent := Parent(r)
-	t, ok := index[parent][normalize(keyword)]
+	var scratch [32]byte // longer keywords spill to the heap
+	t, ok := index[parent][string(appendNormalized(scratch[:0], keyword))]
 	if !ok {
 		return Type{}, fmt.Errorf("alloc: registry %s: unknown allocation type %q", r, keyword)
 	}

@@ -147,6 +147,31 @@ func TestLookupNormalization(t *testing.T) {
 	}
 }
 
+// TestNormalize pins the one normaliser against the strings-package
+// formula both alloc and whois used to spell out per call, on ASCII and
+// non-ASCII input alike, and pins Lookup's probe at zero allocations.
+func TestNormalize(t *testing.T) {
+	ref := func(s string) string {
+		s = strings.NewReplacer("_", " ", "-", " ").Replace(strings.ToLower(strings.TrimSpace(s)))
+		return strings.Join(strings.Fields(s), " ")
+	}
+	for _, s := range []string{
+		"", " ", "-", "_-_", "Allocation", "ALLOCATED-BY-RIR", " sub_allocated\t PA\n", "Re-Allocation",
+		"a--b", "-lead", "trail-", "ÀLLOCATED\u00a0PÄ", "İstanbul", "bad\xffbyte", "allocated\u2003pa",
+	} {
+		if got, want := Normalize(s), ref(s); got != want {
+			t.Errorf("Normalize(%q) = %q, want %q", s, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Lookup(RIPE, "SUB-ALLOCATED PA", IPv4); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Lookup allocates %v times per call, want 0", n)
+	}
+}
+
 func TestLookupFamilyRestrictions(t *testing.T) {
 	if _, err := Lookup(RIPE, "LEGACY", IPv6); err == nil {
 		t.Error("RIPE LEGACY accepted for IPv6 (IPv4-only type)")

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"crypto/sha256"
-	"fmt"
+	"encoding/hex"
+	"hash"
+	"io"
 	"net/netip"
 	"slices"
 	"strings"
@@ -49,6 +51,9 @@ func (c *Cluster) MultiName() bool { return len(c.OwnerNames) > 1 }
 type Result struct {
 	// Final are the merged clusters, sorted by ID.
 	Final []*Cluster
+	// Of parallels the infos passed to Build: the final cluster of each
+	// (nil for an info with no owner name).
+	Of []*Cluster
 	// WCount is the number of Default (exact-name) clusters.
 	WCount int
 	// RGroups / AGroups count the distinct non-trivial R and A groups.
@@ -57,20 +62,13 @@ type Result struct {
 	// one exact owner name (the groups that caused aggregation).
 	RMultiName, AMultiName int
 
-	byOwner  map[string]*Cluster
-	byPrefix map[netip.Prefix]*Cluster
+	byOwner map[string]*Cluster
 }
 
 // ClusterOfOwner returns the final cluster containing the exact owner
 // name.
 func (r *Result) ClusterOfOwner(owner string) (*Cluster, bool) {
 	c, ok := r.byOwner[owner]
-	return c, ok
-}
-
-// ClusterOfPrefix returns the final cluster containing the prefix.
-func (r *Result) ClusterOfPrefix(p netip.Prefix) (*Cluster, bool) {
-	c, ok := r.byPrefix[p.Masked()]
 	return c, ok
 }
 
@@ -108,83 +106,72 @@ func Build(infos []PrefixInfo) *Result {
 	u := newIntDSU(len(ownerNames))
 
 	// R and A groups: base name × shared certificate / ASN cluster. Each
-	// group unions the W clusters of its members. Groups are gathered in
-	// a slice indexed through a key map, so the concatenated key string
-	// is materialized only on a group's first appearance: a lookup on
-	// string(keyBuf) never copies the bytes, and assignments (which do)
-	// happen once per distinct group instead of once per prefix.
-	type grouper struct {
-		idx     map[string]int32
-		members [][]int32 // member owner IDs per group
-	}
-	newGrouper := func() *grouper {
-		return &grouper{idx: make(map[string]int32, len(infos)/4)}
+	// group unions the W clusters of its members, as they arrive: a group
+	// is just the owner that opened it and whether a different owner has
+	// joined since. The concatenated key string is materialized only when
+	// a group is stored: a lookup on string(keyBuf) never copies the
+	// bytes, and a group is stored at most twice.
+	type group struct {
+		first int32 // the owner ID that opened the group
+		multi bool  // a second, different owner has joined
 	}
 	var keyBuf []byte
-	add := func(g *grouper, base, disc string, id int32) {
+	join := func(groups map[string]group, base, disc string, id int32) {
 		keyBuf = append(append(append(keyBuf[:0], base...), 0), disc...)
-		gi, ok := g.idx[string(keyBuf)]
-		if !ok {
-			gi = int32(len(g.members))
-			g.idx[string(keyBuf)] = gi
-			g.members = append(g.members, nil)
+		g, ok := groups[string(keyBuf)]
+		switch {
+		case !ok:
+			groups[string(keyBuf)] = group{first: id}
+		case g.first != id:
+			u.union(g.first, id)
+			if !g.multi {
+				g.multi = true
+				groups[string(keyBuf)] = g
+			}
 		}
-		g.members[gi] = append(g.members[gi], id)
 	}
-	rGroups, aGroups := newGrouper(), newGrouper()
+	rGroups := make(map[string]group, len(infos)/4)
+	aGroups := make(map[string]group, len(infos)/4)
 	for i := range infos {
 		in := &infos[i]
 		if ids[i] < 0 || in.BaseName == "" {
 			continue
 		}
 		if in.CertSKI != "" {
-			add(rGroups, in.BaseName, in.CertSKI, ids[i])
+			join(rGroups, in.BaseName, in.CertSKI, ids[i])
 		}
 		if in.ASNCluster != "" {
-			add(aGroups, in.BaseName, in.ASNCluster, ids[i])
+			join(aGroups, in.BaseName, in.ASNCluster, ids[i])
 		}
 	}
-	countMulti := func(g *grouper) int {
+	countMulti := func(groups map[string]group) int {
 		n := 0
-		for _, members := range g.members {
-			first := members[0]
-			for _, o := range members[1:] {
-				if o != first {
-					n++
-					break
-				}
+		for _, g := range groups {
+			if g.multi {
+				n++
 			}
 		}
 		return n
 	}
 	res := &Result{
 		WCount:     len(ownerNames),
-		RGroups:    len(rGroups.members),
-		AGroups:    len(aGroups.members),
+		RGroups:    len(rGroups),
+		AGroups:    len(aGroups),
 		RMultiName: countMulti(rGroups),
 		AMultiName: countMulti(aGroups),
 		byOwner:    make(map[string]*Cluster, len(ownerNames)),
-		byPrefix:   make(map[netip.Prefix]*Cluster, len(infos)),
-	}
-	for _, members := range rGroups.members {
-		for i := 1; i < len(members); i++ {
-			u.union(members[0], members[i])
-		}
-	}
-	for _, members := range aGroups.members {
-		for i := 1; i < len(members); i++ {
-			u.union(members[0], members[i])
-		}
 	}
 
-	// Materialize final clusters from the DSU components.
-	compOwners := make(map[int32][]string, len(ownerNames))
+	// Materialize final clusters from the DSU components, gathered in
+	// slices indexed by the component's representative owner ID.
+	n := len(ownerNames)
+	compOwners := make([][]string, n)
 	for id, name := range ownerNames {
 		rep := u.find(int32(id))
 		compOwners[rep] = append(compOwners[rep], name)
 	}
-	baseOf := make(map[int32]string, len(compOwners))
-	prefixesOf := make(map[int32][]netip.Prefix, len(compOwners))
+	baseOf := make([]string, n)
+	prefixesOf := make([][]netip.Prefix, n)
 	for i := range infos {
 		if ids[i] < 0 {
 			continue
@@ -195,23 +182,33 @@ func Build(infos []PrefixInfo) *Result {
 			baseOf[rep] = infos[i].BaseName
 		}
 	}
+	ofRep := make([]*Cluster, n)
+	h := sha256.New()
 	for rep, members := range compOwners {
+		if members == nil {
+			continue // not a representative
+		}
 		slices.Sort(members)
 		c := &Cluster{
 			BaseName:   baseOf[rep],
 			OwnerNames: members,
 			Prefixes:   netx.Dedup(prefixesOf[rep]),
 		}
-		c.ID = clusterID(c.BaseName, members)
+		h.Reset()
+		c.ID = clusterID(h, c.BaseName, members)
 		res.Final = append(res.Final, c)
+		ofRep[rep] = c
 		for _, o := range members {
 			res.byOwner[o] = c
 		}
-		for _, p := range c.Prefixes {
-			res.byPrefix[p] = c
-		}
 	}
 	slices.SortFunc(res.Final, func(a, b *Cluster) int { return strings.Compare(a.ID, b.ID) })
+	res.Of = make([]*Cluster, len(infos))
+	for i, id := range ids {
+		if id >= 0 {
+			res.Of[i] = ofRep[u.find(id)]
+		}
+	}
 	return res
 }
 
@@ -255,15 +252,17 @@ func (d *intDSU) union(a, b int32) {
 }
 
 // clusterID derives the stable "<basename>-<hash>" identifier from the
-// sorted member names.
-func clusterID(base string, owners []string) string {
-	h := sha256.New()
+// sorted member names: the first three bytes, in hex, of the SHA-256 of
+// every name followed by '|'. h is a reset SHA-256 the caller reuses
+// across clusters.
+func clusterID(h hash.Hash, base string, owners []string) string {
 	for _, o := range owners {
-		fmt.Fprintf(h, "%s|", o)
+		io.WriteString(h, o)
+		h.Write([]byte{'|'})
 	}
-	sum := h.Sum(nil)
+	var sum [sha256.Size]byte
 	if base == "" {
 		base = "unnamed"
 	}
-	return fmt.Sprintf("%s-%02x%02x%02x", base, sum[0], sum[1], sum[2])
+	return base + "-" + hex.EncodeToString(h.Sum(sum[:0])[:3])
 }

@@ -63,14 +63,22 @@ func TestTable3Scenario(t *testing.T) {
 	}
 }
 
-func TestClusterByPrefixLookup(t *testing.T) {
-	res := Build(table3Infos())
-	c, ok := res.ClusterOfPrefix(mp("65.196.14.0/24"))
-	if !ok || c.BaseName != "verizon" {
-		t.Errorf("ClusterOfPrefix = %v,%v", c, ok)
+// Result.Of parallels the input: each info's own final cluster, by
+// position rather than by prefix.
+func TestClusterOfInfo(t *testing.T) {
+	infos := table3Infos()
+	res := Build(infos)
+	if len(res.Of) != len(infos) {
+		t.Fatalf("len(Of) = %d, want %d", len(res.Of), len(infos))
 	}
-	if _, ok := res.ClusterOfPrefix(mp("8.8.8.0/24")); ok {
-		t.Error("unknown prefix found a cluster")
+	for i, in := range infos {
+		want, _ := res.ClusterOfOwner(in.OwnerName)
+		if res.Of[i] == nil || res.Of[i] != want {
+			t.Errorf("Of[%d] (%s) = %v, want the cluster of %q", i, in.Prefix, res.Of[i], in.OwnerName)
+		}
+	}
+	if c := res.Of[3]; c.BaseName != "verizon" {
+		t.Errorf("Of[3] = %+v, want the verizon cluster", c)
 	}
 }
 
@@ -122,7 +130,7 @@ func TestMissingSignalsHandled(t *testing.T) {
 	if len(res.Final) != 2 {
 		t.Errorf("signal-less rows should stay separate: %+v", res.Final)
 	}
-	if _, ok := res.ClusterOfPrefix(mp("12.0.0.0/16")); ok {
+	if res.Of[2] != nil {
 		t.Error("nameless prefix got a cluster")
 	}
 }

@@ -28,10 +28,20 @@
 //
 // # Goroutine safety
 //
-// A Cleaner is immutable once NewCleaner returns: the corpus frequency
-// table, suffix set and geographic phrase list are built eagerly and
-// never written again, so BaseName, Trace and CountSteps may be called
-// concurrently. In the pipeline the clean-names pass runs single-threaded
-// today — the per-name work is cheap relative to resolve — but the
-// contract leaves it free to parallelize.
+// A Cleaner is immutable once its constructor returns: the corpus
+// frequency table is counted eagerly — once per distinct corpus name,
+// weighted by how many corpus entries carry it — and never written
+// again, and the suffix set and geographic phrase list are package data
+// compiled at init. BaseName and Trace may therefore be called
+// concurrently. In the pipeline the clean-names pass runs
+// single-threaded today — the per-name work is cheap relative to
+// resolve — but the contract leaves it free to parallelize.
+//
+// TraceCorpus is the pipeline's entry point: one pass over the distinct
+// names of a corpus yields every name's Steps, from which both the base
+// names and the Table 2 counts (CountSteps) are read. The front half of
+// the pipeline (Basic through Corporate) does not depend on the corpus,
+// so a caller that cleans a slightly different corpus later hands the
+// earlier result back and only the frequency/geographic back half is
+// redone.
 package names

@@ -14,39 +14,95 @@ const DefaultThreshold = 100
 type Cleaner struct {
 	threshold int
 	freq      map[string]int
+}
 
-	suffixSet  map[string]bool
-	geoPhrases [][]string // sorted longest-first for greedy matching
+// The corpus-independent vocabularies, compiled once from the embedded
+// lists and never written again.
+var (
+	suffixSet  = compileSuffixSet()
+	geoPhrases = compileGeoPhrases() // sorted longest-first for greedy matching
+)
+
+func compileSuffixSet() map[string]bool {
+	set := map[string]bool{}
+	for _, s := range legalEntitySuffixes {
+		toks := tokens(normPunct(s))
+		for _, tok := range toks {
+			set[tok] = true
+		}
+		// Multi-word suffixes also register as a joined token ("sdnbhd")
+		// since punctuation removal can fuse them.
+		if joined := strings.Join(toks, ""); joined != "" {
+			set[joined] = true
+		}
+	}
+	return set
+}
+
+func compileGeoPhrases() [][]string {
+	var phrases [][]string
+	for _, g := range append(append([]string{}, countryNames...), cityNames...) {
+		phrases = append(phrases, tokens(normPunct(g)))
+	}
+	sort.Slice(phrases, func(i, j int) bool { return len(phrases[i]) > len(phrases[j]) })
+	return phrases
+}
+
+func newCleaner(threshold int) *Cleaner {
+	if threshold <= 0 {
+		threshold = DefaultThreshold
+	}
+	return &Cleaner{threshold: threshold, freq: map[string]int{}}
+}
+
+// count adds n corpus entries of one name, given its front half, to the
+// token frequencies. Construction only: a Cleaner that has been handed
+// out is never counted into again.
+func (c *Cleaner) count(s Steps, n int) {
+	for _, tok := range tokens(s.Spelling) {
+		c.freq[tok] += n
+	}
 }
 
 // NewCleaner builds a Cleaner whose frequent-word list is computed from
 // corpus (the full multiset of Direct Owner names in the WHOIS snapshot).
-// threshold <= 0 selects DefaultThreshold.
+// Each distinct name is processed once and counted with its
+// multiplicity. threshold <= 0 selects DefaultThreshold.
 func NewCleaner(corpus []string, threshold int) *Cleaner {
-	if threshold <= 0 {
-		threshold = DefaultThreshold
-	}
-	c := &Cleaner{threshold: threshold, freq: map[string]int{}, suffixSet: map[string]bool{}}
+	mult := make(map[string]int, len(corpus))
 	for _, name := range corpus {
-		for _, tok := range tokens(standardize(regexDrop(basic(name)))) {
-			c.freq[tok]++
-		}
+		mult[name]++
 	}
-	for _, s := range legalEntitySuffixes {
-		for _, tok := range tokens(normPunct(s)) {
-			c.suffixSet[tok] = true
-		}
-		// Multi-word suffixes also register as a joined token ("sdnbhd")
-		// since punctuation removal can fuse them.
-		if joined := strings.Join(tokens(normPunct(s)), ""); joined != "" {
-			c.suffixSet[joined] = true
-		}
+	c := newCleaner(threshold)
+	for name, n := range mult {
+		c.count(front(name), n)
 	}
-	for _, g := range append(append([]string{}, countryNames...), cityNames...) {
-		c.geoPhrases = append(c.geoPhrases, tokens(normPunct(g)))
-	}
-	sort.Slice(c.geoPhrases, func(i, j int) bool { return len(c.geoPhrases[i]) > len(c.geoPhrases[j]) })
 	return c
+}
+
+// TraceCorpus runs the pipeline once per distinct name of a corpus given
+// as name -> multiplicity (how many corpus entries carry the name), and
+// returns each name's Steps: the one pass behind both the base names and
+// CountSteps. The frequent-word list is the same one NewCleaner computes
+// from the expanded multiset. prev may hold the result for an earlier
+// corpus: the front half of the pipeline (Basic through Corporate) is a
+// pure function of the name, so it is taken from there for every name
+// prev has, and only the corpus-dependent back half is redone.
+func TraceCorpus(mult map[string]int, threshold int, prev map[string]Steps) map[string]Steps {
+	c := newCleaner(threshold)
+	traced := make(map[string]Steps, len(mult))
+	for name, n := range mult {
+		s, ok := prev[name]
+		if !ok {
+			s = front(name)
+		}
+		c.count(s, n)
+		traced[name] = s
+	}
+	for name, s := range traced {
+		traced[name] = c.finish(s)
+	}
+	return traced
 }
 
 // BaseName runs the full pipeline on one organization name.
@@ -72,13 +128,26 @@ func (s Steps) Result() string { return s.Refilled }
 
 // Trace runs the pipeline, keeping each intermediate form.
 func (c *Cleaner) Trace(name string) Steps {
+	return c.finish(front(name))
+}
+
+// front runs the corpus-independent front half of the pipeline — Basic
+// through Corporate — which depends on the name and the embedded
+// vocabularies only.
+func front(name string) Steps {
 	s := Steps{Original: name}
 	s.Basic = basic(name)
 	s.Regex = regexDrop(s.Basic)
 	s.Spelling = standardize(s.Regex)
-	s.Corporate = c.dropTokens(s.Spelling, func(tok string) bool { return c.suffixSet[tok] })
-	s.Frequent = c.dropTokens(s.Corporate, func(tok string) bool { return c.freq[tok] > c.threshold })
-	s.Geographic = c.dropGeo(s.Frequent)
+	s.Corporate = dropTokens(s.Spelling, func(tok string) bool { return suffixSet[tok] })
+	return s
+}
+
+// finish runs the corpus-dependent back half over a front half: the
+// frequent-word drop, the geographic drop and the short-name refill.
+func (c *Cleaner) finish(s Steps) Steps {
+	s.Frequent = dropTokens(s.Corporate, func(tok string) bool { return c.freq[tok] > c.threshold })
+	s.Geographic = dropGeo(s.Frequent)
 	// Short names provide insufficient information: fall back to the
 	// post-corporate-drop form (§5.3.1 final rule).
 	if len([]rune(s.Geographic)) < 3 {
@@ -173,7 +242,7 @@ func standardize(s string) string {
 
 // dropTokens removes every token matching pred except the first token of
 // the name — the paper's "when they do not appear as the first word".
-func (c *Cleaner) dropTokens(s string, pred func(string) bool) string {
+func dropTokens(s string, pred func(string) bool) string {
 	toks := tokens(s)
 	if len(toks) == 0 {
 		return s
@@ -190,7 +259,7 @@ func (c *Cleaner) dropTokens(s string, pred func(string) bool) string {
 
 // dropGeo removes geographic phrases (longest-first) that do not start
 // the name.
-func (c *Cleaner) dropGeo(s string) string {
+func dropGeo(s string) string {
 	toks := tokens(s)
 	if len(toks) == 0 {
 		return s
@@ -199,7 +268,7 @@ func (c *Cleaner) dropGeo(s string) string {
 	i := 1
 outer:
 	for i < len(toks) {
-		for _, phrase := range c.geoPhrases {
+		for _, phrase := range geoPhrases {
 			if matchAt(toks, i, phrase) {
 				i += len(phrase)
 				continue outer
@@ -237,17 +306,10 @@ type StepCounts struct {
 	Refilled   int
 }
 
-// CountSteps computes Table 2 over a corpus of Direct Owner names. The
-// pipeline runs once per distinct name: a step count is the number of
-// distinct values after that step, so duplicate corpus entries cannot
-// change it.
-func (c *Cleaner) CountSteps(corpus []string) StepCounts {
-	traced := make(map[string]Steps, len(corpus))
-	for _, n := range corpus {
-		if _, ok := traced[n]; !ok {
-			traced[n] = c.Trace(n)
-		}
-	}
+// CountSteps computes Table 2 from the traced pipeline of a corpus's
+// distinct names (TraceCorpus): a step count is the number of distinct
+// values after that step, so duplicate corpus entries cannot change it.
+func CountSteps(traced map[string]Steps) StepCounts {
 	uniq := func(get func(Steps) string) int {
 		seen := map[string]bool{}
 		for _, s := range traced {

@@ -162,6 +162,73 @@ func TestOutputNormalizedProperty(t *testing.T) {
 	}
 }
 
+func multiset(corpus []string) map[string]int {
+	mult := map[string]int{}
+	for _, n := range corpus {
+		mult[n]++
+	}
+	return mult
+}
+
+// TestWeightedCountMatchesPerEntry guards the once-per-distinct-name
+// pass: "network(s)" is in three distinct names but forty corpus entries, so
+// it crosses the threshold only through multiplicity. Base names and
+// step counts must equal a reference that walks every corpus entry, the
+// way the frequency table used to be built.
+func TestWeightedCountMatchesPerEntry(t *testing.T) {
+	var corpus []string
+	for i := 0; i < 30; i++ {
+		corpus = append(corpus, "Acme Networks Germany GmbH")
+	}
+	for i := 0; i < 10; i++ {
+		corpus = append(corpus, "Zenith Networks Ltd")
+	}
+	corpus = append(corpus, "Acme Holdings", "Solo Systems Inc", "Zenith  NETWORKS ltd.")
+	const threshold = 35
+
+	ref := newCleaner(threshold)
+	for _, name := range corpus {
+		for _, tok := range tokens(standardize(regexDrop(basic(name)))) {
+			ref.freq[tok]++
+		}
+	}
+	if n := ref.freq["network"]; n != 41 {
+		t.Fatalf("reference freq[network] = %d, want 41 (above the threshold only by multiplicity)", n)
+	}
+	refTraced := map[string]Steps{}
+	for _, name := range corpus {
+		refTraced[name] = ref.Trace(name)
+	}
+
+	traced := TraceCorpus(multiset(corpus), threshold, nil)
+	c := NewCleaner(corpus, threshold)
+	if len(traced) != len(refTraced) {
+		t.Fatalf("traced %d distinct names, want %d", len(traced), len(refTraced))
+	}
+	for name, want := range refTraced {
+		if got := traced[name]; got != want {
+			t.Errorf("TraceCorpus[%q] = %+v, want %+v", name, got, want)
+		}
+		if got := c.BaseName(name); got != want.Result() {
+			t.Errorf("NewCleaner(...).BaseName(%q) = %q, want %q", name, got, want.Result())
+		}
+	}
+	if got := traced["Acme Networks Germany GmbH"].Result(); got != "acme" {
+		t.Errorf("base name = %q, want %q (network frequent, germany geographic, gmbh corporate)", got, "acme")
+	}
+	if got, want := CountSteps(traced), CountSteps(refTraced); got != want {
+		t.Errorf("CountSteps = %+v, want %+v", got, want)
+	}
+
+	// A later corpus reuses the front halves it is handed and still
+	// recomputes the corpus-dependent back half: with the duplicates
+	// gone, "network" is no longer frequent.
+	again := TraceCorpus(map[string]int{"Acme Networks Germany GmbH": 1, "Zenith Networks Ltd": 1}, threshold, traced)
+	if got := again["Acme Networks Germany GmbH"].Result(); got != "acme network" {
+		t.Errorf("base name over the smaller corpus = %q, want %q", got, "acme network")
+	}
+}
+
 func TestCountStepsMonotonic(t *testing.T) {
 	var corpus []string
 	for i := 0; i < 40; i++ {
@@ -169,8 +236,7 @@ func TestCountStepsMonotonic(t *testing.T) {
 		corpus = append(corpus, fmt.Sprintf("Org %03d Data Services Inc", i))
 		corpus = append(corpus, fmt.Sprintf("Org %03d Germany GmbH", i))
 	}
-	c := NewCleaner(corpus, 30)
-	sc := c.CountSteps(corpus)
+	sc := CountSteps(TraceCorpus(multiset(corpus), 30, nil))
 	if sc.Original != len(corpus) {
 		t.Errorf("Original = %d, want %d", sc.Original, len(corpus))
 	}

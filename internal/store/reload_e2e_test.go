@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -226,6 +227,59 @@ func TestHotReloadEndToEnd(t *testing.T) {
 	}
 	if got := st.Current().Version; got != snap2.Version+1 {
 		t.Errorf("version after recovery = %d, want %d", got, snap2.Version+1)
+	}
+}
+
+// TestDirSourceDeltaLeavesOneWorker pins that a delta reload, which
+// always runs beside live queries, builds with one worker fewer than
+// GOMAXPROCS unless the caller chose a worker count, while the full
+// build (the startup build, nothing served yet) keeps the default.
+func TestDirSourceDeltaLeavesOneWorker(t *testing.T) {
+	w, err := synth.Generate(synth.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2, err := w.Evolve(synth.EvolveOptions{Seed: 7, Transfers: 6, NewDelegations: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolveWorkers := func(ds *prefix2org.Dataset) int {
+		t.Helper()
+		span, ok := ds.Trace.Span("resolve")
+		if !ok {
+			t.Fatal("trace has no resolve span")
+		}
+		return span.Workers
+	}
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		workers, wantFull, wantDelta int
+	}{
+		{0, procs, max(1, procs-1)},
+		{3, 3, 3},
+	} {
+		dir := t.TempDir()
+		if err := w.WriteDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		src := store.DirSource(dir, prefix2org.Options{Incremental: true, Workers: tc.workers})
+		full, err := src.Build(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resolveWorkers(full.Dataset); got != tc.wantFull {
+			t.Errorf("Workers %d: full build resolved with %d workers, want %d", tc.workers, got, tc.wantFull)
+		}
+		if err := w2.WriteDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		delta, err := src.Delta(context.Background(), full)
+		if err != nil || delta == nil {
+			t.Fatalf("Workers %d: delta = %v, %v; want a snapshot", tc.workers, delta, err)
+		}
+		if got := resolveWorkers(delta.Dataset); got != tc.wantDelta {
+			t.Errorf("Workers %d: delta reload resolved with %d workers, want %d", tc.workers, got, tc.wantDelta)
+		}
 	}
 }
 

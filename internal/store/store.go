@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -311,6 +312,14 @@ type Source struct {
 // affected prefixes, and publishes the exact changeset on the resulting
 // snapshot; the full build retains the state that delta splices
 // against, so the fallback also yields delta-capable snapshots.
+//
+// A delta reload always runs beside live queries, so unless the caller
+// set opts.Workers it builds with one worker fewer than GOMAXPROCS: a
+// build that keeps every P busy parks each arriving query behind a
+// CPU-bound goroutine for up to a scheduler time slice (measured on two
+// cores: median query latency under reload 0.9 ms → 12 ms, p99 17 ms →
+// 120 ms), and its own duration then depends on how the queries
+// interleave. The output does not depend on the worker count.
 func DirSource(dir string, opts prefix2org.Options) Source {
 	src := Source{Build: func(ctx context.Context) (*Snapshot, error) {
 		ds, err := prefix2org.BuildFromDir(ctx, dir, opts)
@@ -326,8 +335,12 @@ func DirSource(dir string, opts prefix2org.Options) Source {
 	if !opts.Incremental {
 		return src
 	}
+	dopts := opts
+	if dopts.Workers < 1 {
+		dopts.Workers = max(1, runtime.GOMAXPROCS(0)-1)
+	}
 	src.Delta = func(ctx context.Context, prev *Snapshot) (*Snapshot, error) {
-		res, err := prefix2org.BuildDelta(ctx, prev.Dataset, dir, opts)
+		res, err := prefix2org.BuildDelta(ctx, prev.Dataset, dir, dopts)
 		if errors.Is(err, prefix2org.ErrNoChange) {
 			return nil, nil
 		}

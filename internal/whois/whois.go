@@ -158,12 +158,12 @@ func (db *Database) FlattenWithStats() ([]Entry, FlattenStats) {
 		p      netip.Prefix
 		status string
 	}
-	best := map[key]Entry{}
+	best := make(map[key]Entry, len(db.Records))
 	stats := FlattenStats{Records: len(db.Records)}
 	for _, r := range db.Records {
 		for _, p := range r.Prefixes {
 			stats.Expanded++
-			k := key{p, normStatus(r.Status)}
+			k := key{p, alloc.Normalize(r.Status)}
 			e := Entry{Prefix: p, Registry: r.Registry, Status: r.Status, OrgName: r.OrgName, Updated: r.Updated}
 			if prev, ok := best[k]; !ok || e.Updated.After(prev.Updated) {
 				best[k] = e
@@ -178,14 +178,10 @@ func (db *Database) FlattenWithStats() ([]Entry, FlattenStats) {
 		if c := netx.Compare(out[i].Prefix, out[j].Prefix); c != 0 {
 			return c < 0
 		}
-		return normStatus(out[i].Status) < normStatus(out[j].Status)
+		return alloc.Normalize(out[i].Status) < alloc.Normalize(out[j].Status)
 	})
 	stats.Entries = len(out)
 	return out, stats
-}
-
-func normStatus(s string) string {
-	return strings.Join(strings.Fields(strings.ToLower(strings.NewReplacer("_", " ", "-", " ").Replace(s))), " ")
 }
 
 // parseTime accepts the timestamp layouts seen across registry dumps.

@@ -368,21 +368,6 @@ func basicCleaned(s string) bool {
 	return !prevSpace || s == ""
 }
 
-// basicCleaner memoizes basicClean for the per-record build loops,
-// where the same owner names repeat across thousands of records. The
-// memo is a pure-function cache, so sharing one across passes (or
-// builds) can never change an output.
-type basicCleaner map[string]string
-
-func (c basicCleaner) clean(s string) string {
-	if v, ok := c[s]; ok {
-		return v
-	}
-	v := basicClean(s)
-	c[s] = v
-	return v
-}
-
 // Build runs the full pipeline over in-memory inputs. Most callers use
 // BuildFromDir. The context cancels the build between passes and
 // periodically inside the per-prefix resolution pass; a cancelled build
@@ -469,7 +454,7 @@ func build(ctx context.Context, tr *obs.Trace, db *whois.Database, table *bgp.Ta
 	span.Add("unmapped", int64(unmapped))
 	span.End()
 
-	ds, clean, err := finish(ctx, tr, slots, unmapped, repo, opts, nil)
+	ds, clean, err := finish(ctx, tr, slots, unmapped, opts, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -487,10 +472,12 @@ func build(ctx context.Context, tr *obs.Trace, db *whois.Database, table *bgp.Ta
 	return ds, nil
 }
 
-func adaptiveThreshold(corpus []string) int {
+// adaptiveThreshold is the frequent-word cutoff for a corpus of n names
+// (the full multiset, duplicates included).
+func adaptiveThreshold(n int) int {
 	// The paper's 100-occurrence cutoff over 81k names scales roughly as
 	// corpus/800; keep a floor so tiny corpora are not over-pruned.
-	t := len(corpus) / 800
+	t := n / 800
 	if t < 10 {
 		t = 10
 	}
@@ -699,6 +686,80 @@ func loadARINLegacy(dir string) ([]netip.Prefix, error) {
 	return legacy, nil
 }
 
+// loadJob is one source load of a build or a delta rebuild: the name of
+// its trace span and the function that fills the caller's variables for
+// that source. Jobs run concurrently, so each writes only its own
+// results and reads nothing another job of the same run writes.
+type loadJob struct {
+	name string
+	run  func(ctx context.Context, span *obs.Span) error
+}
+
+// runLoaders runs jobs, each under its own trace span, and waits for all
+// of them: BuildFromDir hands it every source, BuildDelta the sources
+// whose files changed. Jobs start in slice order, at most workers of
+// them at a time (so one after another when workers is 1), and spans
+// appear in the trace in slice order. When several jobs fail, the error
+// of the first in slice order wins; a failing job cancels its ctx-aware
+// siblings and keeps the jobs behind it from running. A run cut short by
+// the caller's context returns ctx.Err() unwrapped.
+func runLoaders(ctx context.Context, tr *obs.Trace, workers int, jobs []loadJob) error {
+	// errgroup-style fan-out on the standard library: first-error capture
+	// in fixed job order, and a derived context so a failing job cancels
+	// ctx-aware siblings.
+	lctx, stop := context.WithCancel(ctx)
+	defer stop()
+	errs := make([]error, len(jobs))
+	// A job holds a slot while it runs, so at most workers of them — and
+	// of their parse buffers — are in flight at once.
+	slots := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		slots <- struct{}{}
+		// Spans are created here, in fixed order, so the trace renders
+		// deterministically; each job goroutine is the single writer of
+		// its own span.
+		span := tr.Start(j.name)
+		wg.Add(1)
+		go func(i int, run func(context.Context, *obs.Span) error, span *obs.Span) {
+			defer wg.Done()
+			defer func() { <-slots }()
+			defer span.End()
+			if err := lctx.Err(); err != nil {
+				errs[i] = err
+				return
+			}
+			if err := run(lctx, span); err != nil {
+				errs[i] = err
+				stop()
+			}
+		}(i, j.run, span)
+	}
+	wg.Wait()
+	// Prefer a real failure over the cancellations it induced in its
+	// siblings; when every failure is a cancellation, surface the parent
+	// context's error unwrapped.
+	var firstCancel error
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			return err
+		}
+		if firstCancel == nil {
+			firstCancel = err
+		}
+	}
+	if firstCancel != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return firstCancel
+	}
+	return nil
+}
+
 // BuildFromDir loads a data directory and runs the pipeline. The
 // returned Dataset carries a BuildTrace covering both the load stages
 // and the build passes.
@@ -721,10 +782,7 @@ func BuildFromDir(ctx context.Context, dir string, opts Options) (*Dataset, erro
 		arinLegacy []netip.Prefix
 		manifest   *Manifest
 	)
-	loaders := []struct {
-		name string
-		run  func(ctx context.Context, span *obs.Span) error
-	}{
+	loaders := []loadJob{
 		{"load-whois", func(ctx context.Context, span *obs.Span) error {
 			lopts := whois.LoadOptions{Workers: opts.Workers}
 			if opts.JPNICWhoisAddr != "" {
@@ -783,10 +841,7 @@ func BuildFromDir(ctx context.Context, dir string, opts Options) (*Dataset, erro
 		}},
 	}
 	if opts.Incremental {
-		loaders = append(loaders, struct {
-			name string
-			run  func(ctx context.Context, span *obs.Span) error
-		}{"manifest", func(ctx context.Context, span *obs.Span) error {
+		loaders = append(loaders, loadJob{"manifest", func(ctx context.Context, span *obs.Span) error {
 			var err error
 			manifest, err = BuildManifest(ctx, dir)
 			if err != nil {
@@ -796,72 +851,8 @@ func BuildFromDir(ctx context.Context, dir string, opts Options) (*Dataset, erro
 			return nil
 		}})
 	}
-	if opts.workerCount() == 1 {
-		for _, l := range loaders {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			span := tr.Start(l.name)
-			err := l.run(ctx, span)
-			span.End()
-			if err != nil {
-				// A load aborted by cancellation surfaces as the bare
-				// context error, matching the historical contract.
-				if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
-					return nil, ctxErr
-				}
-				return nil, err
-			}
-		}
-	} else {
-		// errgroup-style fan-out on the standard library: one goroutine
-		// per corpus, first-error capture in fixed loader order, and a
-		// derived context so a failing loader cancels ctx-aware siblings.
-		lctx, stop := context.WithCancel(ctx)
-		defer stop()
-		errs := make([]error, len(loaders))
-		var wg sync.WaitGroup
-		for i, l := range loaders {
-			// Spans are pre-created here, in fixed order, so the trace
-			// renders deterministically; each loader goroutine is the
-			// single writer of its own span.
-			span := tr.Start(l.name)
-			wg.Add(1)
-			go func(i int, run func(context.Context, *obs.Span) error, span *obs.Span) {
-				defer wg.Done()
-				defer span.End()
-				if err := lctx.Err(); err != nil {
-					errs[i] = err
-					return
-				}
-				if err := run(lctx, span); err != nil {
-					errs[i] = err
-					stop()
-				}
-			}(i, l.run, span)
-		}
-		wg.Wait()
-		// Prefer a real loader failure over the cancellations it induced
-		// in its siblings; when every failure is a cancellation, surface
-		// the parent context's error unwrapped.
-		var firstCancel error
-		for _, err := range errs {
-			if err == nil {
-				continue
-			}
-			if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-				return nil, err
-			}
-			if firstCancel == nil {
-				firstCancel = err
-			}
-		}
-		if firstCancel != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, firstCancel
-		}
+	if err := runLoaders(ctx, tr, opts.workerCount(), loaders); err != nil {
+		return nil, err
 	}
 	ds, err := build(ctx, tr, db, table, repo, asData, arinLegacy, opts)
 	if err != nil {

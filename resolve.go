@@ -2,6 +2,7 @@ package prefix2org
 
 import (
 	"context"
+	"maps"
 	"net/netip"
 	"slices"
 	"sync"
@@ -133,29 +134,75 @@ func countUnmapped(slots []resolvedRec) int {
 	return unmapped
 }
 
-// cleanState caches the outcome of the clean-names pass. A delta
-// rebuild whose Direct Owner corpus is unchanged (the common case:
-// BGP-only or RPKI-only churn) reuses the cleaner, the per-name base
-// names, and the Table 2 step counts wholesale; any corpus change —
-// different names, different multiset, different order — rebuilds from
-// scratch, preserving byte-identity with a full build.
+// cleanState caches the outcome of the clean-names pass, which is a
+// function of the Direct Owner corpus as a multiset and nothing else. A
+// delta rebuild whose corpus is unchanged (the common case: BGP-only or
+// RPKI-only churn) reuses it wholesale; any corpus change reruns the
+// corpus-dependent back half of the names pipeline once per distinct
+// name, taking the front half of every name already traced from here.
+// The front halves are a pure-function memo keyed by name, so sharing
+// them across chained deltas cannot change an output. A cleanState is
+// never written after cleanNames returns: chained deltas and the
+// Dataset they were built from share it freely.
 type cleanState struct {
-	cleaner *names.Cleaner
-	corpus  []string          // Direct Owner names in results order
-	base    map[string]string // Direct Owner name -> final base name
-	steps   names.StepCounts
+	mult      map[string]int         // distinct Direct Owner name -> routed prefixes it owns
+	traced    map[string]names.Steps // the names pipeline, run once per distinct name
+	base      map[string]string      // Direct Owner name -> final base name
+	owners    map[string]bool        // the distinct basic-cleaned Direct Owner names
+	baseNames int                    // distinct base names
+	steps     names.StepCounts
 }
 
-func sameCorpus(a, b []string) bool {
-	if len(a) != len(b) {
+// cleanNames runs pass 2 over the Direct Owner corpus mult (name ->
+// multiplicity, n entries in all). prev, when non-nil, supplies the
+// front half of the pipeline for the names it already traced.
+func cleanNames(mult map[string]int, n int, opts Options, prev *cleanState) *cleanState {
+	threshold := opts.NameFreqThreshold
+	if threshold == 0 {
+		threshold = adaptiveThreshold(n)
+	}
+	var prevTraced map[string]names.Steps
+	if prev != nil {
+		prevTraced = prev.traced
+	}
+	traced := names.TraceCorpus(mult, threshold, prevTraced)
+	c := &cleanState{
+		mult:   mult,
+		traced: traced,
+		base:   make(map[string]string, len(traced)),
+		owners: make(map[string]bool, len(traced)),
+		steps:  names.CountSteps(traced),
+	}
+	baseNames := make(map[string]bool, len(traced))
+	for name, s := range traced {
+		base := s.Result()
+		if opts.DisableNameCleaning {
+			// Ablation: the base name degenerates to the exact
+			// (basic-cleaned) WHOIS name, so only identical names can
+			// ever share an R or A group.
+			base = s.Basic
+		}
+		c.base[name] = base
+		c.owners[s.Basic] = true
+		baseNames[base] = true
+	}
+	c.baseNames = len(baseNames)
+	return c
+}
+
+// isIndexOf reports whether idx, frozen over an earlier record list, is
+// also the index of recs: as many entries as records, each mapping its
+// prefix to the position that prefix has in recs.
+func isIndexOf(idx *lpm.Index, recs []Record) bool {
+	if idx.Len() != len(recs) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	same := true
+	idx.Walk(func(p netip.Prefix, i int32) bool {
+		same = recs[i].Prefix == p
+		return same
+	})
+	return same
 }
 
 // finish runs passes 2–4 (clean-names, cluster, freeze-index) and the
@@ -166,53 +213,42 @@ func sameCorpus(a, b []string) bool {
 // what makes delta ≡ full mechanically checkable: everything after
 // pass 1 flows through this one function. It writes each mapped slot's
 // BaseName; every other slot field is read-only here.
-func finish(ctx context.Context, tr *obs.Trace, slots []resolvedRec, unmapped int, repo *rpki.Repository, opts Options, prev *cleanState) (*Dataset, *cleanState, error) {
+//
+// prev and prevIdx are the clean-names state and the frozen index of the
+// Dataset a delta rebuild splices against (nil for a full build) — not
+// the Dataset itself, so that nothing here keeps its records and
+// retained inputs reachable once the splice is done. Both are immutable
+// and reused only when this build provably derives the same value: prev
+// when the Direct Owner corpus is the same multiset, prevIdx when the
+// records sit on the same prefixes.
+func finish(ctx context.Context, tr *obs.Trace, slots []resolvedRec, unmapped int, opts Options, prev *cleanState, prevIdx *lpm.Index) (*Dataset, *cleanState, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	mapped := len(slots) - unmapped
 	// Pass 2: base names over the Direct Owner corpus.
 	span := tr.Start("clean-names")
-	corpus := make([]string, 0, mapped)
+	clean := prev
+	distinct := 0
+	if clean != nil {
+		distinct = len(clean.mult)
+	}
+	mult := make(map[string]int, distinct)
 	for i := range slots {
 		if slots[i].haveDO {
-			corpus = append(corpus, slots[i].rec.DirectOwner)
+			mult[slots[i].rec.DirectOwner]++
 		}
 	}
-	clean := prev
-	if clean == nil || !sameCorpus(clean.corpus, corpus) {
-		threshold := opts.NameFreqThreshold
-		if threshold == 0 {
-			threshold = adaptiveThreshold(corpus)
-		}
-		cleaner := names.NewCleaner(corpus, threshold)
-		base := make(map[string]string, len(corpus))
-		for _, n := range corpus {
-			if _, ok := base[n]; ok {
-				continue
-			}
-			if opts.DisableNameCleaning {
-				// Ablation: the base name degenerates to the exact
-				// (basic-cleaned) WHOIS name, so only identical names can
-				// ever share an R or A group.
-				base[n] = basicClean(n)
-			} else {
-				base[n] = cleaner.BaseName(n)
-			}
-		}
-		clean = &cleanState{cleaner: cleaner, corpus: corpus, base: base, steps: cleaner.CountSteps(corpus)}
+	if clean == nil || !maps.Equal(clean.mult, mult) {
+		clean = cleanNames(mult, mapped, opts, clean)
 	}
-	baseNames := map[string]bool{}
 	for i := range slots {
-		if !slots[i].haveDO {
-			continue
+		if slots[i].haveDO {
+			slots[i].rec.BaseName = clean.base[slots[i].rec.DirectOwner]
 		}
-		bn := clean.base[slots[i].rec.DirectOwner]
-		slots[i].rec.BaseName = bn
-		baseNames[bn] = true
 	}
-	span.Add("names", int64(len(corpus)))
-	span.Add("base-names", int64(len(baseNames)))
+	span.Add("names", int64(mapped))
+	span.Add("base-names", int64(clean.baseNames))
 	span.End()
 
 	if err := ctx.Err(); err != nil {
@@ -220,7 +256,6 @@ func finish(ctx context.Context, tr *obs.Trace, slots []resolvedRec, unmapped in
 	}
 	// Pass 3: clustering (§5.3).
 	span = tr.Start("cluster")
-	bc := basicCleaner{}
 	infos := make([]cluster.PrefixInfo, 0, mapped)
 	for i := range slots {
 		if !slots[i].haveDO {
@@ -229,7 +264,7 @@ func finish(ctx context.Context, tr *obs.Trace, slots []resolvedRec, unmapped in
 		r := &slots[i].rec
 		info := cluster.PrefixInfo{
 			Prefix:     r.Prefix,
-			OwnerName:  bc.clean(r.DirectOwner),
+			OwnerName:  clean.traced[r.DirectOwner].Basic,
 			BaseName:   r.BaseName,
 			CertSKI:    r.RPKICert,
 			ASNCluster: r.ASNCluster,
@@ -262,8 +297,10 @@ func finish(ctx context.Context, tr *obs.Trace, slots []resolvedRec, unmapped in
 		if !slots[i].haveDO {
 			continue
 		}
+		// infos skipped the same unmapped slots, so the next cluster in
+		// cres.Of is this record's.
 		r := slots[i].rec
-		if c, ok := cres.ClusterOfPrefix(r.Prefix); ok {
+		if c := cres.Of[len(ds.Records)]; c != nil {
 			r.FinalCluster = c.ID
 		}
 		ds.Records = append(ds.Records, r)
@@ -281,7 +318,14 @@ func finish(ctx context.Context, tr *obs.Trace, slots []resolvedRec, unmapped in
 	// Compile the serve-path read indexes, including the frozen LPM
 	// index whoisd answers from.
 	span = tr.Start("freeze-index")
-	ds.freezeIndex()
+	if prevIdx != nil && isIndexOf(prevIdx, ds.Records) {
+		// The index maps each routed prefix to its position in Records
+		// and is never written after Freeze: same prefixes at the same
+		// positions, same index.
+		ds.idx = prevIdx
+	} else {
+		ds.freezeIndex()
+	}
 	span.Add("prefixes", int64(len(ds.Records)))
 	span.End()
 
@@ -289,7 +333,7 @@ func finish(ctx context.Context, tr *obs.Trace, slots []resolvedRec, unmapped in
 		return nil, nil, err
 	}
 	span = tr.Start("stats")
-	ds.computeStats(cres, clean.steps, repo, unmapped, bc)
+	ds.computeStats(cres, clean, unmapped)
 	span.End()
 	return ds, clean, nil
 }

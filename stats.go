@@ -5,27 +5,24 @@ import (
 	"sort"
 
 	"github.com/prefix2org/prefix2org/internal/cluster"
-	"github.com/prefix2org/prefix2org/internal/names"
 	"github.com/prefix2org/prefix2org/internal/netx"
-	"github.com/prefix2org/prefix2org/internal/rpki"
 )
 
-func (d *Dataset) computeStats(cres *cluster.Result, nameSteps names.StepCounts, repo *rpki.Repository, unmapped int, bc basicCleaner) {
+func (d *Dataset) computeStats(cres *cluster.Result, clean *cleanState, unmapped int) {
 	s := &d.Stats
 	s.Unmapped = unmapped
 
-	doNames := make(map[string]bool, len(d.Records)/4)
-	dcNames := make(map[string]bool, len(d.Records)/4)
-	baseNames := make(map[string]bool, len(d.Records)/4)
+	// The records' Direct Owner names are exactly the clean-names corpus,
+	// which already holds their distinct basic-cleaned and base forms.
+	doNames := clean.owners
+	rawDC := make(map[string]bool, len(d.Records)/4)
 	origins := make(map[uint32]bool, len(d.Records)/4)
 	var v4, v6, v4DC, v6DC, v4RPKI, v6RPKI int
 	for i := range d.Records {
 		r := &d.Records[i]
-		doNames[bc.clean(r.DirectOwner)] = true
 		for _, dc := range r.DelegatedCustomers {
-			dcNames[bc.clean(dc)] = true
+			rawDC[dc] = true
 		}
-		baseNames[r.BaseName] = true
 		if r.OriginASN != 0 {
 			origins[r.OriginASN] = true
 		}
@@ -47,6 +44,16 @@ func (d *Dataset) computeStats(cres *cluster.Result, nameSteps names.StepCounts,
 			}
 		}
 	}
+	dcNames := make(map[string]bool, len(rawDC))
+	for dc := range rawDC {
+		// Most customers are Direct Owners elsewhere (or of the same
+		// block): their basic-cleaned form is already traced.
+		if s, ok := clean.traced[dc]; ok {
+			dcNames[s.Basic] = true
+		} else {
+			dcNames[basicClean(dc)] = true
+		}
+	}
 	s.IPv4Prefixes, s.IPv6Prefixes = v4, v6
 	s.DirectOwners = len(doNames)
 	s.DelegatedCustomers = len(dcNames)
@@ -55,7 +62,7 @@ func (d *Dataset) computeStats(cres *cluster.Result, nameSteps names.StepCounts,
 			s.OnlyCustomers++
 		}
 	}
-	s.BaseNames = len(baseNames)
+	s.BaseNames = clean.baseNames
 	s.OriginASNs = len(origins)
 	s.PrefixRPKIGroups = cres.RGroups
 	s.PrefixASNGroups = cres.AGroups
@@ -95,7 +102,7 @@ func (d *Dataset) computeStats(cres *cluster.Result, nameSteps names.StepCounts,
 	s.PctV6DistinctDC = pct(v6DC, v6)
 	s.PctV4InRPKI = pct(v4RPKI, v4)
 	s.PctV6InRPKI = pct(v6RPKI, v6)
-	s.NameCleaning = nameSteps
+	s.NameCleaning = clean.steps
 }
 
 func pct(n, total int) float64 {
