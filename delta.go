@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 
-	"github.com/prefix2org/prefix2org/internal/as2org"
 	"github.com/prefix2org/prefix2org/internal/bgp"
 	"github.com/prefix2org/prefix2org/internal/lpm"
 	"github.com/prefix2org/prefix2org/internal/netx"
@@ -26,17 +26,22 @@ var ErrNoChange = errors.New("prefix2org: inputs unchanged since previous build"
 // loaded from a snapshot file. Callers fall back to a full rebuild.
 var ErrNoDeltaState = errors.New("prefix2org: previous dataset has no delta state (build with Options.Incremental)")
 
-// DeltaResult is the outcome of an incremental rebuild.
+// DeltaResult is the outcome of a build from a data directory: an
+// incremental one (BuildDelta) or a full one (BuildFull), which is the
+// delta from no previous build.
 type DeltaResult struct {
 	// Dataset is the new snapshot, byte-identical to what a full
 	// BuildFromDir over the same directory would produce. It carries
 	// fresh delta state, so deltas chain.
 	Dataset *Dataset
-	// Repo is the RPKI repository backing the Dataset — freshly parsed
-	// when an rpki/ file changed, otherwise the previous build's
-	// repository, so snapshot plumbing can reuse it without reloading.
+	// Repo is the RPKI repository the Dataset was resolved against —
+	// freshly parsed when an rpki/ file changed, otherwise the previous
+	// build's repository, so snapshot plumbing can serve it without
+	// reading rpki/ a second time.
 	Repo *rpki.Repository
-	// ChangedFiles lists the manifest-relative paths that differed.
+	// ChangedFiles lists the manifest-relative paths that differed from
+	// the previous build's manifest — every hashed file for a full build,
+	// nil when a full build hashed none (Options.Incremental unset).
 	ChangedFiles []string
 	// Affected is the number of routed prefixes re-resolved; Reused the
 	// number spliced unchanged from the previous pass-1 output; Removed
@@ -54,8 +59,8 @@ type DeltaResult struct {
 // prefix set (prefixes whose covering WHOIS chain, origin, origin-ASN
 // cluster, or covering RPKI certificates changed), re-runs the
 // per-prefix resolution pass over that set only, and splices the reused
-// pass-1 slots into a new snapshot. Passes 2–4 then flow through the
-// same finish path as a full build, so the result is byte-identical to
+// pass-1 slots into a new snapshot. A full build is the same code run
+// against no previous build, so the result is byte-identical to
 // BuildFromDir over the same directory — the invariant the synth
 // evolution tests assert on every step.
 //
@@ -65,142 +70,107 @@ func BuildDelta(ctx context.Context, prev *Dataset, dir string, opts Options) (*
 	if prev == nil || prev.state == nil {
 		return nil, ErrNoDeltaState
 	}
-	state := prev.state
-	if !state.opts.deltaCompatible(opts) {
+	if !prev.state.opts.deltaCompatible(opts) {
 		return nil, fmt.Errorf("prefix2org: delta options incompatible with previous build (pipeline-shaping options differ, or JPNIC live enrichment requested)")
 	}
-	tr := obs.NewTrace("delta")
-	var manifest *Manifest
+	return rebuildDir(ctx, obs.NewTrace("delta"), prev, dir, opts)
+}
+
+// rebuildDir builds from a data directory against prev, or from nothing
+// when prev is nil. It decides which sources to read — those with a file
+// whose hash differs from the manifest prev was built from; all of them
+// without a prev — and hands their load jobs to rebuild.
+func rebuildDir(ctx context.Context, tr *obs.Trace, prev *Dataset, dir string, opts Options) (*DeltaResult, error) {
+	var old *buildState
+	if prev != nil {
+		old = prev.state
+	}
+	next := newBuildState(old, opts)
 	var changed []string
-	// One job: the runner is here for its span and error contract.
-	if err := runLoaders(ctx, tr, 1, []loadJob{{"delta-manifest", func(ctx context.Context, span *obs.Span) error {
-		var err error
-		if manifest, err = BuildManifest(ctx, dir); err != nil {
-			return err
+	if old != nil || opts.Incremental {
+		// The manifest is hashed before the files it describes are read. A
+		// file replaced while the build runs is then recorded under the hash
+		// of what it was and shows up as changed in the next delta; hashed
+		// after the loads, it would be recorded as current with its old
+		// content parsed, and stay stale until it changed again.
+		span := tr.Start("manifest")
+		manifest, err := BuildManifest(ctx, dir)
+		span.End()
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
 		}
-		changed = manifest.Diff(state.manifest)
+		if err != nil {
+			return nil, fmt.Errorf("prefix2org: %w", err)
+		}
+		changed = manifest.Diff(next.manifest)
+		next.manifest = manifest
 		span.Add("files", int64(len(manifest.Entries)))
 		span.Add("changed", int64(len(changed)))
-		return nil
-	}}}); err != nil {
-		return nil, err
-	}
-	if len(changed) == 0 {
-		return nil, ErrNoChange
-	}
-
-	// Reload only the changed sources, concurrently, through the runner
-	// BuildFromDir loads every source with; everything else is carried
-	// over from the previous build's retained state. Each job below is
-	// the single writer of the variables named beside it and reads only
-	// prev's (immutable) state besides.
-	var (
-		// delta-whois
-		src        = state.src
-		arinLegacy = state.arinLegacy
-		groups     = state.env.whois
-		whoisDirty []netip.Prefix
-		// delta-bgp
-		table  = state.env.table
-		routed = state.routed
-		// delta-rpki
-		repo      = state.env.repo
-		rpkiDirty []netip.Prefix
-		// delta-as2org
-		asData     = state.asData
-		asClusters = state.env.asClusters
-	)
-	changedSet := make(map[string]bool, len(changed))
-	loaders := map[string]loadJob{
-		"whois": {"delta-whois", func(ctx context.Context, span *obs.Span) error {
-			var db *whois.Database
-			var err error
-			db, src, err = whois.LoadDirSources(ctx, dir, whois.LoadOptions{Workers: opts.Workers}, state.src,
-				func(rel string) bool { return changedSet[rel] })
-			if err != nil {
-				return fmt.Errorf("prefix2org: load whois: %w", err)
-			}
-			if changedSet["whois/"+whois.ARINLegacyFile] {
-				if arinLegacy, err = loadARINLegacy(dir); err != nil {
-					return err
-				}
-			}
-			entries, _ := db.FlattenWithStats()
-			markARINLegacy(entries, arinLegacy)
-			groups = groupEntries(entries)
-			whoisDirty = entryGroupDiff(state.env.whois, groups)
-			span.Add("entries", int64(len(entries)))
-			span.Add("dirty-regions", int64(len(whoisDirty)))
-			return nil
-		}},
-		"bgp": {"delta-bgp", func(ctx context.Context, span *obs.Span) error {
-			var err error
-			if table, err = bgp.LoadDir(ctx, dir); err != nil {
-				return fmt.Errorf("prefix2org: load bgp: %w", err)
-			}
-			if !sameRouted(table, state.routed) {
-				routed = table.Prefixes()
-			}
-			span.Add("prefixes", int64(len(routed)))
-			return nil
-		}},
-		"rpki": {"delta-rpki", func(ctx context.Context, span *obs.Span) error {
-			var err error
-			if repo, err = rpki.LoadDir(ctx, dir); err != nil {
-				return fmt.Errorf("prefix2org: load rpki: %w", err)
-			}
-			rpkiDirty = certDiff(state.env.repo, repo)
-			span.Add("certs", int64(len(repo.Certs)))
-			span.Add("dirty-regions", int64(len(rpkiDirty)))
-			return nil
-		}},
-		"as2org": {"delta-as2org", func(ctx context.Context, span *obs.Span) error {
-			var err error
-			if asData, err = as2org.LoadDir(ctx, dir); err != nil {
-				return fmt.Errorf("prefix2org: load as2org: %w", err)
-			}
-			asClusters = asData.BuildClusters()
-			span.Add("ases", int64(len(asData.ASes)))
-			return nil
-		}},
-		"delegated": {"delta-delegated", func(ctx context.Context, span *obs.Span) error {
-			return verifyDelegated(ctx, dir, span)
-		}},
-	}
-	changedSource := make(map[string]bool, len(loaders))
-	for _, p := range changed {
-		changedSet[p] = true
-		source, _, _ := strings.Cut(p, "/")
-		if _, ok := loaders[source]; !ok {
-			// Defensive: the manifest only walks the known source
-			// subdirectories, so this cannot fire unless the two drift
-			// apart. Erroring makes the caller run a full rebuild.
-			return nil, fmt.Errorf("prefix2org: delta: changed file %q outside known sources", p)
+		if old != nil && len(changed) == 0 {
+			return nil, ErrNoChange
 		}
-		changedSource[source] = true
 	}
+	loaders := dirLoaders(dir, tr, next, func(relPath string) bool {
+		return old == nil || slices.Contains(changed, relPath)
+	})
 	var jobs []loadJob
 	for _, source := range manifestDirs {
-		if changedSource[source] {
+		inSource := func(relPath string) bool { return strings.HasPrefix(relPath, source+"/") }
+		if old == nil || slices.ContainsFunc(changed, inSource) {
 			jobs = append(jobs, loaders[source])
 		}
 	}
-	if err := runLoaders(ctx, tr, opts.workerCount(), jobs); err != nil {
+	res, err := rebuild(ctx, tr, prev, next, jobs)
+	if err != nil {
 		return nil, err
 	}
-	bgpChanged, as2orgChanged, rpkiChanged := changedSource["bgp"], changedSource["as2org"], changedSource["rpki"]
-	// dirty is the covering-space regions (WHOIS entry groups, RPKI cert
-	// resources) whose answers changed, merged here, after the join, in
-	// fixed order — a routed prefix inside any region must be re-resolved.
-	dirty := append(whoisDirty, rpkiDirty...)
+	res.ChangedFiles = changed
+	return res, nil
+}
 
-	// Splice: keep the previous pass-1 slot for every routed prefix that
-	// existed before and whose inputs are untouched; everything else —
-	// newly routed, origin changed, origin-ASN cluster reassigned, or
-	// inside a dirty WHOIS/RPKI region — is re-resolved.
-	env := &resolveEnv{whois: groups, table: table, repo: repo, asClusters: asClusters}
+// rebuild is the one build: Build, BuildFromDir and BuildDelta all end
+// here. next holds the inputs of the previous build (none, when prev is
+// nil); jobs replace the ones whose source changed. rebuild then keeps
+// the previous pass-1 slot of every routed prefix whose inputs are
+// untouched, resolves the rest, and runs passes 2–4. A full build is the
+// case where nothing was built before: every source is loaded, no prefix
+// has a slot to keep, and finish has no previous state to reuse — so
+// delta ≡ full holds by construction, not only by test.
+func rebuild(ctx context.Context, tr *obs.Trace, prev *Dataset, next *buildState, jobs []loadJob) (*DeltaResult, error) {
+	opts := next.opts
 	workers := opts.workerCount()
+	if err := runLoaders(ctx, tr, workers, jobs); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	// Pass 1: ownership resolution per routed prefix. Every shared
+	// structure it touches — the frozen delegation index, the RPKI
+	// repository indexes, the BGP table, and the frozen ASN clusters — is
+	// read-only from here on (see ARCHITECTURE.md for the contracts).
 	span := tr.Start("resolve").SetWorkers(workers)
+	obs.Default().Gauge("pipeline_workers").Set(float64(workers))
+	env, routed := next.env, next.routed
+	// With nothing built yet the build splices against the empty state: no
+	// routed prefix has a slot to keep, so no input needs diffing either.
+	old := &buildState{env: env}
+	var prevIdx *lpm.Index
+	if prev != nil {
+		old, prevIdx = prev.state, prev.idx
+	}
+	bgpChanged, as2orgChanged := env.table != old.env.table, env.asClusters != old.env.asClusters
+	// dirty is the covering-space regions (WHOIS entry groups, RPKI cert
+	// resources) whose answers changed — a routed prefix inside any region
+	// must be re-resolved.
+	var dirty []netip.Prefix
+	if env.whois != old.env.whois {
+		dirty = entryGroupDiff(old.env.whois, env.whois)
+	}
+	if env.repo != old.env.repo {
+		dirty = append(dirty, certDiff(old.env.repo, env.repo)...)
+	}
 	var regionIdx *lpm.Index
 	if len(dirty) > 0 {
 		dirty = netx.Dedup(dirty)
@@ -210,29 +180,36 @@ func BuildDelta(ctx context.Context, prev *Dataset, dir string, opts Options) (*
 		}
 		regionIdx = lpm.Freeze(items)
 	}
+
+	// Splice: keep the previous pass-1 slot for every routed prefix that
+	// existed before and whose inputs are untouched; everything else —
+	// newly routed, origin changed, origin-ASN cluster reassigned, or
+	// inside a dirty WHOIS/RPKI region — is re-resolved. Each worker then
+	// writes only its own slots, so output order (and therefore every
+	// downstream stage) does not depend on the worker count.
 	slots := make([]resolvedRec, len(routed))
-	idxs := make([]int, 0)
-	reused, common := 0, 0
+	var idxs []int
+	common := 0
 	// Both routed lists are in canonical order (bgp.Table.Prefixes), so
 	// one cursor into the previous list finds each prefix's old slot.
 	oldIdx := 0
 	for i, p := range routed {
-		for oldIdx < len(state.routed) && netx.Compare(state.routed[oldIdx], p) < 0 {
+		for oldIdx < len(old.routed) && netx.Compare(old.routed[oldIdx], p) < 0 {
 			oldIdx++
 		}
-		hasOld := oldIdx < len(state.routed) && state.routed[oldIdx] == p
+		hasOld := oldIdx < len(old.routed) && old.routed[oldIdx] == p
 		if hasOld {
 			common++
 		}
 		aff := !hasOld
 		if !aff && bgpChanged {
-			oldO, oldHas := state.env.table.Origin(p)
-			newO, newHas := table.Origin(p)
+			oldO, oldHas := old.env.table.Origin(p)
+			newO, newHas := env.table.Origin(p)
 			aff = oldHas != newHas || oldO != newO
 		}
 		if !aff && as2orgChanged {
-			if origin, has := table.Origin(p); has &&
-				state.env.asClusters.ClusterID(origin) != asClusters.ClusterID(origin) {
+			if origin, has := env.table.Origin(p); has &&
+				old.env.asClusters.ClusterID(origin) != env.asClusters.ClusterID(origin) {
 				aff = true
 			}
 		}
@@ -248,15 +225,16 @@ func BuildDelta(ctx context.Context, prev *Dataset, dir string, opts Options) (*
 			idxs = append(idxs, i)
 			continue
 		}
-		slots[i] = state.slots[oldIdx]
-		reused++
+		slots[i] = old.slots[oldIdx]
 	}
-	removed := len(state.routed) - common
+	reused, removed := len(routed)-len(idxs), len(old.routed)-common
 	if err := resolveIndices(ctx, env, routed, idxs, slots, workers); err != nil {
 		return nil, err
 	}
 	unmapped := countUnmapped(slots)
 	span.Add("routed", int64(len(routed)))
+	span.Add("specificity-filtered", int64(env.table.FilteredCount()))
+	span.Add("dirty-regions", int64(len(dirty)))
 	span.Add("affected", int64(len(idxs)))
 	span.Add("reused", int64(reused))
 	span.Add("removed", int64(removed))
@@ -264,33 +242,24 @@ func BuildDelta(ctx context.Context, prev *Dataset, dir string, opts Options) (*
 	span.Add("unmapped", int64(unmapped))
 	span.End()
 
-	ds, clean, err := finish(ctx, tr, slots, unmapped, opts, state.clean, prev.idx)
+	ds, clean, err := finish(ctx, tr, slots, unmapped, opts, old.clean, prevIdx)
 	if err != nil {
 		return nil, err
 	}
-	ds.state = &buildState{
-		opts:       opts,
-		manifest:   manifest,
-		src:        src,
-		arinLegacy: arinLegacy,
-		env:        env,
-		asData:     asData,
-		routed:     routed,
-		slots:      slots,
-		clean:      clean,
+	next.slots, next.clean = slots, clean
+	if prev != nil || opts.Incremental {
+		ds.state = next
 	}
-	obs.Logger("pipeline").Info("delta rebuild complete",
+	obs.Logger("pipeline").Info(tr.Name+" complete",
 		"records", len(ds.Records), "clusters", len(ds.Clusters),
-		"changed_files", len(changed), "affected", len(idxs), "reused", reused,
-		"trace", tr)
+		"affected", len(idxs), "reused", reused, "trace", tr)
 	return &DeltaResult{
-		Dataset:      ds,
-		Repo:         repo,
-		ChangedFiles: changed,
-		Affected:     len(idxs),
-		Reused:       reused,
-		Removed:      removed,
-		RPKIChanged:  rpkiChanged,
+		Dataset:     ds,
+		Repo:        env.repo,
+		Affected:    len(idxs),
+		Reused:      reused,
+		Removed:     removed,
+		RPKIChanged: env.repo != old.env.repo || prev == nil,
 	}, nil
 }
 

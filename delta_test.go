@@ -356,3 +356,68 @@ func TestLoaderRunner(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaManySmallSteps chains single-object edits — one origin shift,
+// one transfer, one new delegation, one revocation, one new adopter, in
+// turn — through BuildDelta, each step splicing against the state the
+// previous delta assembled. State carried across that many rebuilds must
+// not drift: every tenth step, and the last, is byte-identical to a
+// fresh full build of the same directory.
+func TestDeltaManySmallSteps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("60+ chained pipeline runs")
+	}
+	ctx := context.Background()
+	w, err := synth.Generate(synth.SmallConfig())
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	dir := t.TempDir()
+	if err := w.WriteDir(dir); err != nil {
+		t.Fatalf("WriteDir: %v", err)
+	}
+	opts := Options{Incremental: true}
+	prev, err := BuildFromDir(ctx, dir, opts)
+	if err != nil {
+		t.Fatalf("BuildFromDir: %v", err)
+	}
+	edits := []synth.EvolveOptions{
+		{OriginShifts: 1}, {Transfers: 1}, {NewDelegations: 1}, {Revocations: 1}, {NewAdopters: 1},
+	}
+	const steps = 65
+	deltas := 0
+	for i := 1; i <= steps; i++ {
+		edit := edits[i%len(edits)]
+		edit.Seed = int64(1000 + i)
+		if w, err = w.Evolve(edit); err != nil {
+			t.Fatalf("step %d (%+v): Evolve: %v", i, edit, err)
+		}
+		if err := w.WriteDir(dir); err != nil {
+			t.Fatalf("step %d: WriteDir: %v", i, err)
+		}
+		res, err := BuildDelta(ctx, prev, dir, opts)
+		switch {
+		case errors.Is(err, ErrNoChange):
+			// The edit found no eligible object (e.g. no adopter left to
+			// revoke): the directory is as it was, and prev stands.
+		case err != nil:
+			t.Fatalf("step %d (%+v): BuildDelta: %v", i, edit, err)
+		default:
+			prev = res.Dataset
+			deltas++
+		}
+		if i%10 != 0 && i != steps {
+			continue
+		}
+		full, err := BuildFromDir(ctx, dir, Options{})
+		if err != nil {
+			t.Fatalf("step %d: BuildFromDir: %v", i, err)
+		}
+		if !bytes.Equal(snapshotBytes(t, prev), snapshotBytes(t, full)) {
+			t.Fatalf("step %d: the delta chain differs from a full rebuild", i)
+		}
+	}
+	if deltas < 60 {
+		t.Fatalf("only %d of %d steps changed the directory; the chain is shorter than the test claims", deltas, steps)
+	}
+}

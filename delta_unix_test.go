@@ -1,0 +1,118 @@
+//go:build unix
+
+package prefix2org
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"os"
+	"path/filepath"
+	"slices"
+	"syscall"
+	"testing"
+
+	"github.com/prefix2org/prefix2org/internal/synth"
+	"github.com/prefix2org/prefix2org/internal/whois"
+)
+
+// TestManifestHashedBeforeLoads pins the order of a build's manifest
+// pass and its loads: a file replaced after the manifest pass and before
+// its loader runs is recorded under the hash of what it was, so the next
+// BuildDelta lists it as changed and the chain ends byte-identical to a
+// fresh full build. Hashed after the loads, the replacement would go
+// unnoticed in one order of events or the other (new hash beside old
+// content), and every later delta would answer ErrNoChange.
+func TestManifestHashedBeforeLoads(t *testing.T) {
+	ctx := context.Background()
+	w, err := synth.Generate(synth.SmallConfig())
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	dir, evolved := t.TempDir(), t.TempDir()
+	if err := w.WriteDir(dir); err != nil {
+		t.Fatalf("WriteDir: %v", err)
+	}
+	if w, err = w.Evolve(synth.EvolveOptions{Seed: 3, OriginShifts: 5}); err != nil {
+		t.Fatalf("Evolve: %v", err)
+	}
+	if err := w.WriteDir(evolved); err != nil {
+		t.Fatalf("WriteDir: %v", err)
+	}
+	const rib = "bgp/rib.mrt"
+	newRIB, err := os.ReadFile(filepath.Join(evolved, rib))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// With one worker the whois job runs first and reads the ARIN legacy
+	// list last. As a named pipe — which the manifest walk, hashing regular
+	// files only, skips — the list holds the job there: the manifest pass is
+	// over and the bgp job has not started.
+	legacyPath := filepath.Join(dir, "whois", whois.ARINLegacyFile)
+	legacy, err := os.ReadFile(legacyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(legacyPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Mkfifo(legacyPath, 0o644); err != nil {
+		t.Skipf("mkfifo: %v", err)
+	}
+	opts := Options{Incremental: true, Workers: 1}
+	type built struct {
+		ds  *Dataset
+		err error
+	}
+	done := make(chan built, 1)
+	go func() {
+		ds, err := BuildFromDir(ctx, dir, opts)
+		done <- built{ds, err}
+	}()
+	// Opening a pipe for writing returns when the reader has opened it.
+	pipe, err := os.OpenFile(legacyPath, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, rib), newRIB, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pipe.Write(legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first := <-done
+	if first.err != nil {
+		t.Fatalf("BuildFromDir: %v", first.err)
+	}
+	if err := os.Remove(legacyPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacyPath, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The build parsed the new RIB under a manifest that holds the old one.
+	for _, e := range first.ds.InputManifest().Entries {
+		if e.Path == rib && e.SHA256 == sha256.Sum256(newRIB) {
+			t.Fatal("the manifest holds the replacement's hash: it was not hashed before the loads")
+		}
+	}
+	res, err := BuildDelta(ctx, first.ds, dir, opts)
+	if err != nil {
+		t.Fatalf("BuildDelta after a mid-build replacement: %v", err)
+	}
+	if !slices.Contains(res.ChangedFiles, rib) {
+		t.Errorf("ChangedFiles = %v, want %s among them", res.ChangedFiles, rib)
+	}
+	full, err := BuildFromDir(ctx, dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snapshotBytes(t, res.Dataset), snapshotBytes(t, full)) {
+		t.Error("the chain differs from a fresh full build")
+	}
+}

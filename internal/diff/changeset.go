@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	prefix2org "github.com/prefix2org/prefix2org"
-	"github.com/prefix2org/prefix2org/internal/netx"
 )
 
 // PrefixChange is one routed prefix whose record differs between two
@@ -97,54 +96,40 @@ func recordsEqual(a, b *prefix2org.Record) bool {
 	return true
 }
 
-// Changes computes the exact changeset old → new. Both record slices
-// are sorted by prefix, so a single merge walk finds every added,
-// removed, and changed record; org changes come from comparing the
-// final clusters by ID (an ID derives from the member names, so a
-// cluster whose prefix list shifted keeps its ID but reports
-// "changed"). View-backed datasets are materialized first; callers
-// diffing a mmap-backed dataset must keep it pinned for the duration.
+// Changes computes the exact changeset old → new: every added, removed
+// and changed record from the merge walk Compare also runs on, and org
+// changes from comparing the final clusters by ID (an ID derives from
+// the member names, so a cluster whose prefix list shifted keeps its ID
+// but reports "changed").
 func Changes(oldDS, newDS *prefix2org.Dataset) (*Changeset, error) {
-	if oldDS == nil || newDS == nil {
-		return nil, fmt.Errorf("diff: nil dataset")
-	}
-	oldDS.MaterializeAll()
-	newDS.MaterializeAll()
 	cs := &Changeset{}
-	or, nr := oldDS.Records, newDS.Records
-	i, j := 0, 0
-	for i < len(or) || j < len(nr) {
-		switch {
-		case j >= len(nr) || (i < len(or) && netx.Compare(or[i].Prefix, nr[j].Prefix) < 0):
-			cs.Prefixes = append(cs.Prefixes, PrefixChange{
-				Kind: "prefix", Change: "removed", Prefix: or[i].Prefix,
-				OldOwner: or[i].DirectOwner, OldOrigin: or[i].OriginASN, OldCluster: or[i].FinalCluster,
-			})
-			i++
-		case i >= len(or) || netx.Compare(nr[j].Prefix, or[i].Prefix) < 0:
-			cs.Prefixes = append(cs.Prefixes, PrefixChange{
-				Kind: "prefix", Change: "added", Prefix: nr[j].Prefix,
-				NewOwner: nr[j].DirectOwner, NewOrigin: nr[j].OriginASN, NewCluster: nr[j].FinalCluster,
-			})
-			j++
-		default:
-			if !recordsEqual(&or[i], &nr[j]) {
-				cs.Prefixes = append(cs.Prefixes, PrefixChange{
-					Kind: "prefix", Change: "changed", Prefix: nr[j].Prefix,
-					OldOwner: or[i].DirectOwner, NewOwner: nr[j].DirectOwner,
-					OldOrigin: or[i].OriginASN, NewOrigin: nr[j].OriginASN,
-					OldCluster: or[i].FinalCluster, NewCluster: nr[j].FinalCluster,
-				})
-			}
-			i++
-			j++
+	err := walk(oldDS, newDS, func(or, nr *prefix2org.Record) {
+		if or != nil && nr != nil && recordsEqual(or, nr) {
+			return
 		}
+		ch := PrefixChange{Kind: "prefix", Change: "changed"}
+		if or != nil {
+			ch.Prefix, ch.OldOwner, ch.OldOrigin, ch.OldCluster = or.Prefix, or.DirectOwner, or.OriginASN, or.FinalCluster
+		} else {
+			ch.Change = "added"
+		}
+		if nr != nil {
+			ch.Prefix, ch.NewOwner, ch.NewOrigin, ch.NewCluster = nr.Prefix, nr.DirectOwner, nr.OriginASN, nr.FinalCluster
+		} else {
+			ch.Change = "removed"
+		}
+		cs.Prefixes = append(cs.Prefixes, ch)
+	})
+	if err != nil {
+		return nil, err
 	}
-	oldC := map[string]*prefix2org.Cluster{}
-	for _, c := range oldDS.Clusters {
+	oldC := make(map[string]*prefix2org.Cluster, oldDS.NumClusters())
+	for i := 0; i < oldDS.NumClusters(); i++ {
+		c := oldDS.ClusterAt(i)
 		oldC[c.ID] = c
 	}
-	for _, c := range newDS.Clusters {
+	for i := 0; i < newDS.NumClusters(); i++ {
+		c := newDS.ClusterAt(i)
 		o, existed := oldC[c.ID]
 		if !existed {
 			cs.Orgs = append(cs.Orgs, OrgChange{Kind: "org", Change: "added", ID: c.ID})

@@ -8,7 +8,6 @@ package diff
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 
 	prefix2org "github.com/prefix2org/prefix2org"
 	"github.com/prefix2org/prefix2org/internal/netx"
@@ -68,30 +67,54 @@ func (r *Report) Summary() string {
 		len(r.OriginChanges), len(r.TypeChanges), r.RPKINewlyCovered, r.Stable)
 }
 
-// Compare diffs two snapshots (old → new). View-backed (lazy)
-// datasets are materialized first: the diff walks every record of
-// both sides anyway, and the flat slices are what the loops below
-// index. Callers diffing a mmap-backed dataset must keep it pinned
-// (unclosed) for the duration.
-func Compare(oldDS, newDS *prefix2org.Dataset) (*Report, error) {
+// walk visits every routed prefix of either snapshot once, in prefix
+// order, with its record on each side (nil where the prefix is absent).
+// Both record lists are sorted by prefix, so one merge pass pairs them;
+// records are fetched through RecordAt, so a view-backed dataset is read
+// in place, chunk by chunk. Callers diffing a mmap-backed dataset must
+// keep it pinned (unclosed) for the duration.
+func walk(oldDS, newDS *prefix2org.Dataset, visit func(or, nr *prefix2org.Record)) error {
 	if oldDS == nil || newDS == nil {
-		return nil, fmt.Errorf("diff: nil dataset")
+		return fmt.Errorf("diff: nil dataset")
 	}
-	oldDS.MaterializeAll()
-	newDS.MaterializeAll()
-	rep := &Report{}
-	oldSet := map[netip.Prefix]*prefix2org.Record{}
-	for i := range oldDS.Records {
-		oldSet[oldDS.Records[i].Prefix] = &oldDS.Records[i]
-	}
-	for i := range newDS.Records {
-		nr := &newDS.Records[i]
-		or, existed := oldSet[nr.Prefix]
-		if !existed {
-			rep.Added = append(rep.Added, nr.Prefix)
-			continue
+	n, m := oldDS.NumRecords(), newDS.NumRecords()
+	for i, j := 0, 0; i < n || j < m; {
+		var c int // < 0: the next prefix is on the old side only; > 0: new only; 0: both
+		switch {
+		case j >= m:
+			c = -1
+		case i >= n:
+			c = 1
+		default:
+			c = netx.Compare(oldDS.RecordAt(i).Prefix, newDS.RecordAt(j).Prefix)
 		}
-		delete(oldSet, nr.Prefix)
+		var or, nr *prefix2org.Record
+		if c <= 0 {
+			or = oldDS.RecordAt(i)
+			i++
+		}
+		if c >= 0 {
+			nr = newDS.RecordAt(j)
+			j++
+		}
+		visit(or, nr)
+	}
+	return nil
+}
+
+// Compare diffs two snapshots (old → new). Every list of the Report
+// comes out in prefix order, the order of the walk.
+func Compare(oldDS, newDS *prefix2org.Dataset) (*Report, error) {
+	rep := &Report{}
+	err := walk(oldDS, newDS, func(or, nr *prefix2org.Record) {
+		switch {
+		case or == nil:
+			rep.Added = append(rep.Added, nr.Prefix)
+			return
+		case nr == nil:
+			rep.Removed = append(rep.Removed, or.Prefix)
+			return
+		}
 		changed := false
 		if or.DirectOwner != nr.DirectOwner {
 			changed = true
@@ -130,23 +153,9 @@ func Compare(oldDS, newDS *prefix2org.Dataset) (*Report, error) {
 		if !changed {
 			rep.Stable++
 		}
-	}
-	for p := range oldSet {
-		rep.Removed = append(rep.Removed, p)
-	}
-	netx.Sort(rep.Added)
-	netx.Sort(rep.Removed)
-	sortOwnerChanges(rep.Transfers)
-	sortOwnerChanges(rep.Renames)
-	sort.Slice(rep.OriginChanges, func(i, j int) bool {
-		return netx.Compare(rep.OriginChanges[i].Prefix, rep.OriginChanges[j].Prefix) < 0
 	})
-	sort.Slice(rep.TypeChanges, func(i, j int) bool {
-		return netx.Compare(rep.TypeChanges[i].Prefix, rep.TypeChanges[j].Prefix) < 0
-	})
+	if err != nil {
+		return nil, err
+	}
 	return rep, nil
-}
-
-func sortOwnerChanges(cs []OwnerChange) {
-	sort.Slice(cs, func(i, j int) bool { return netx.Compare(cs[i].Prefix, cs[j].Prefix) < 0 })
 }

@@ -3,6 +3,7 @@ package diff
 import (
 	"context"
 	"net/netip"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -188,6 +189,62 @@ func TestCompareDeterministicOrder(t *testing.T) {
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("run %d produced a different report:\nfirst: %s\nagain: %s", i, first.Summary(), again.Summary())
 		}
+	}
+}
+
+// TestViewBackedMatchesEager pins that the merge walk reads a
+// view-backed dataset in place: two snapshots opened with
+// OpenSnapshotFile give the same Report and Changeset as the eager
+// datasets they were saved from, and stay unmaterialized.
+func TestViewBackedMatchesEager(t *testing.T) {
+	old, cur := buildSnapshots(t, synth.EvolveOptions{
+		Seed: 48, Transfers: 8, NewDelegations: 8, Acquisitions: 3, MonthsLater: 2,
+	})
+	open := func(ds *prefix2org.Dataset) *prefix2org.Dataset {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "snap.p2o")
+		if err := ds.SaveBinaryFile(path); err != nil {
+			t.Fatal(err)
+		}
+		view, err := prefix2org.OpenSnapshotFile(context.Background(), path, prefix2org.OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { view.Close() })
+		if !view.Lazy() {
+			t.Fatal("OpenSnapshotFile returned an eager dataset")
+		}
+		return view
+	}
+	oldView, curView := open(old), open(cur)
+
+	wantRep, err := Compare(old, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantRep.Added) == 0 || len(wantRep.Transfers) == 0 {
+		t.Fatalf("fixture produced no churn: %s", wantRep.Summary())
+	}
+	gotRep, err := Compare(oldView, curView)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotRep, wantRep) {
+		t.Errorf("view-backed Report = %s, eager = %s", gotRep.Summary(), wantRep.Summary())
+	}
+	wantCS, err := Changes(old, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotCS, err := Changes(oldView, curView)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotCS, wantCS) {
+		t.Errorf("view-backed Changeset = %s, eager = %s", gotCS.Summary(), wantCS.Summary())
+	}
+	if len(oldView.Records) != 0 || len(curView.Records) != 0 {
+		t.Error("diffing materialized the view-backed datasets")
 	}
 }
 

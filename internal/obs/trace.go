@@ -61,6 +61,11 @@ func (t *Trace) Start(name string) *Span {
 	return s
 }
 
+// Restart resets the span's clock to now. A runner that opens all its
+// spans before any stage runs — so their order in the trace is fixed —
+// restarts each one when its stage actually begins.
+func (s *Span) Restart() { s.start = time.Now() }
+
 // End closes the span, fixing its duration. It returns the span for
 // chaining and is idempotent (the first call wins).
 func (s *Span) End() *Span {

@@ -3,14 +3,16 @@
 // the built Prefix2Org Dataset (whose read indexes — the frozen LPM
 // index, the exact-match and cluster lookups, eager or view-backed —
 // travel with it) plus the RPKI repository the RTR daemon derives its
-// VRP set from. A Store holds the current Snapshot behind an atomic
-// pointer, so concurrent readers grab a consistent view with one load
-// and never block on — or observe a torn state from — a swap. A Source
-// is where snapshots come from (a data directory, a snapshot file, or a
-// directory's RPKI repository alone): a full build and, where the
-// source supports it, the matching incremental build. A Reloader
-// rebuilds from a Source on demand (signal, admin endpoint, timer) and
-// swaps the result in with serve-stale-on-failure semantics.
+// VRP set from — for a snapshot built from a data directory, the very
+// repository the Dataset was resolved against. A Store holds the
+// current Snapshot behind an atomic pointer, so concurrent readers grab
+// a consistent view with one load and never block on — or observe a
+// torn state from — a swap. A Source is where snapshots come from (a
+// data directory, a snapshot file, or a directory's RPKI repository
+// alone): a full build and, where the source supports it, the matching
+// incremental build. A Reloader rebuilds from a Source on demand
+// (signal, admin endpoint, timer) and swaps the result in with
+// serve-stale-on-failure semantics.
 //
 // The contract that makes the lock-free read path sound: a Snapshot and
 // everything reachable from it is frozen once published. Writers build
@@ -301,11 +303,10 @@ type Source struct {
 	Delta func(ctx context.Context, prev *Snapshot) (*Snapshot, error)
 }
 
-// DirSource runs the pipeline over a data directory and also loads the
-// directory's RPKI repository, so one snapshot can back both the WHOIS
-// and RTR serving paths. (On a full build the repository is re-read
-// rather than threaded out of the pipeline: it is a single JSONL file,
-// noise next to the build itself.)
+// DirSource runs the pipeline over a data directory. The snapshot's Repo
+// is the RPKI repository its Dataset was resolved against — one parse of
+// rpki/, full build or delta — so one snapshot backs both the WHOIS and
+// RTR serving paths and the two cannot come from different files.
 //
 // With opts.Incremental the source carries a Delta that re-parses only
 // the source files whose manifest hash changed, re-resolves only the
@@ -321,16 +322,22 @@ type Source struct {
 // 120 ms), and its own duration then depends on how the queries
 // interleave. The output does not depend on the worker count.
 func DirSource(dir string, opts prefix2org.Options) Source {
+	snapshot := func(res *prefix2org.DeltaResult, cs *diff.Changeset) *Snapshot {
+		return &Snapshot{
+			BuiltAt:  time.Now(),
+			Source:   "dir:" + dir,
+			Dataset:  res.Dataset,
+			Repo:     res.Repo,
+			Changes:  cs,
+			Manifest: res.Dataset.InputManifest(),
+		}
+	}
 	src := Source{Build: func(ctx context.Context) (*Snapshot, error) {
-		ds, err := prefix2org.BuildFromDir(ctx, dir, opts)
+		res, err := prefix2org.BuildFull(ctx, dir, opts)
 		if err != nil {
 			return nil, err
 		}
-		repo, err := rpki.LoadDir(ctx, dir)
-		if err != nil {
-			return nil, err
-		}
-		return &Snapshot{BuiltAt: time.Now(), Source: "dir:" + dir, Dataset: ds, Repo: repo}, nil
+		return snapshot(res, nil), nil
 	}}
 	if !opts.Incremental {
 		return src
@@ -352,14 +359,7 @@ func DirSource(dir string, opts prefix2org.Options) Source {
 			return nil, err
 		}
 		cs.VRPsChanged = res.RPKIChanged
-		return &Snapshot{
-			BuiltAt:  time.Now(),
-			Source:   "dir:" + dir,
-			Dataset:  res.Dataset,
-			Repo:     res.Repo,
-			Changes:  cs,
-			Manifest: res.Dataset.InputManifest(),
-		}, nil
+		return snapshot(res, cs), nil
 	}
 	return src
 }

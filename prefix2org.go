@@ -373,25 +373,29 @@ func basicCleaned(s string) bool {
 // periodically inside the per-prefix resolution pass; a cancelled build
 // returns ctx.Err().
 func Build(ctx context.Context, db *whois.Database, table *bgp.Table, repo *rpki.Repository, asData *as2org.Dataset, arinLegacyNonSigned []netip.Prefix, opts Options) (*Dataset, error) {
-	ds, err := build(ctx, obs.NewTrace("build"), db, table, repo, asData, arinLegacyNonSigned, opts)
+	if db == nil || table == nil || repo == nil || asData == nil {
+		return nil, fmt.Errorf("prefix2org: nil input")
+	}
+	// The sources are parsed already, so the load step has one job left:
+	// flattening the WHOIS database into the delegation index.
+	next := newBuildState(nil, opts)
+	next.arinLegacy, next.routed = arinLegacyNonSigned, table.Prefixes()
+	*next.env = resolveEnv{table: table, repo: repo, asClusters: asData.BuildClusters()}
+	res, err := rebuild(ctx, obs.NewTrace("build"), nil, next, []loadJob{{"flatten-whois", func(_ context.Context, span *obs.Span) error {
+		next.env.whois = flattenWhois(span, db, arinLegacyNonSigned)
+		return nil
+	}}})
 	if err != nil {
 		return nil, err
 	}
-	logTrace(ds)
-	return ds, nil
+	return res.Dataset, nil
 }
-
-// cancelCheckEvery is how many prefixes pass 1 resolves between context
-// checks: frequent enough to cancel promptly, rare enough to stay off
-// the profile.
-const cancelCheckEvery = 1024
 
 // resolveChunk is the number of prefixes a resolve worker claims at a
 // time. Chunked claiming keeps the pool balanced when covering-chain
 // depth varies across the address space, while staying coarse enough
 // that the shared claim counter is off the profile; workers check the
-// context once per chunk, so cancellation latency stays below the
-// serial path's cancelCheckEvery.
+// context once per chunk.
 const resolveChunk = 256
 
 // workerCount normalizes Options.Workers: zero and negative values
@@ -402,74 +406,6 @@ func (o Options) workerCount() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return o.Workers
-}
-
-func logTrace(ds *Dataset) {
-	obs.Logger("pipeline").Info("build complete",
-		"records", len(ds.Records), "clusters", len(ds.Clusters), "trace", ds.Trace)
-}
-
-func build(ctx context.Context, tr *obs.Trace, db *whois.Database, table *bgp.Table, repo *rpki.Repository, asData *as2org.Dataset, arinLegacyNonSigned []netip.Prefix, opts Options) (*Dataset, error) {
-	if db == nil || table == nil || repo == nil || asData == nil {
-		return nil, fmt.Errorf("prefix2org: nil input")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	span := tr.Start("flatten-whois")
-	entries, fstats := db.FlattenWithStats()
-	markARINLegacy(entries, arinLegacyNonSigned)
-	groups := groupEntries(entries)
-	span.Add("records", int64(fstats.Records))
-	span.Add("entries", int64(fstats.Entries))
-	span.Add("deduped", int64(fstats.Deduped()))
-	span.End()
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Pass 1: ownership resolution per routed prefix. The pass fans the
-	// routed prefixes out over Options.Workers goroutines; every shared
-	// structure it touches — the frozen delegation index, the RPKI
-	// repository indexes, the BGP table, and the frozen ASN clusters —
-	// is read-only from here on (see ARCHITECTURE.md for the
-	// contracts). Each worker writes only its own slots of the
-	// pre-sized result slice, so output order (and therefore every
-	// downstream stage) is identical to the serial path.
-	workers := opts.workerCount()
-	span = tr.Start("resolve").SetWorkers(workers)
-	obs.Default().Gauge("pipeline_workers").Set(float64(workers))
-	routed := table.Prefixes()
-	env := &resolveEnv{whois: groups, table: table, repo: repo, asClusters: asData.BuildClusters()}
-	slots := make([]resolvedRec, len(routed))
-	if err := resolveIndices(ctx, env, routed, nil, slots, workers); err != nil {
-		return nil, err
-	}
-	// Counts are tallied by this single goroutine after the pool has
-	// drained; finish consumes the slots in routed order.
-	unmapped := countUnmapped(slots)
-	span.Add("routed", int64(len(routed)))
-	span.Add("specificity-filtered", int64(table.FilteredCount()))
-	span.Add("mapped", int64(len(slots)-unmapped))
-	span.Add("unmapped", int64(unmapped))
-	span.End()
-
-	ds, clean, err := finish(ctx, tr, slots, unmapped, opts, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Incremental {
-		ds.state = &buildState{
-			opts:       opts,
-			arinLegacy: arinLegacyNonSigned,
-			env:        env,
-			asData:     asData,
-			routed:     routed,
-			slots:      slots,
-			clean:      clean,
-		}
-	}
-	return ds, nil
 }
 
 // adaptiveThreshold is the frequent-word cutoff for a corpus of n names
@@ -646,9 +582,8 @@ func comparePrefix(a, b netip.Prefix) int {
 // verifyDelegated runs the footnote-2 verification: when
 // delegated-extended statistics files are present, confirm that no RIR
 // delegation is coarser than /8 (IPv4) or /16 (IPv6) — the
-// justification for the BGP specificity filter. Shared by BuildFromDir
-// and the delta rebuild (which re-runs it only when a delegated/ file
-// changed).
+// justification for the BGP specificity filter. A delta rebuild re-runs
+// it only when a delegated/ file changed.
 func verifyDelegated(ctx context.Context, dir string, span *obs.Span) error {
 	delFiles, err := delegated.LoadDir(ctx, dir)
 	if err != nil {
@@ -686,23 +621,24 @@ func loadARINLegacy(dir string) ([]netip.Prefix, error) {
 	return legacy, nil
 }
 
-// loadJob is one source load of a build or a delta rebuild: the name of
-// its trace span and the function that fills the caller's variables for
-// that source. Jobs run concurrently, so each writes only its own
-// results and reads nothing another job of the same run writes.
+// loadJob is one job of a build's load step: the name of its trace span
+// and the function that fills the build's state for its source. Jobs run
+// concurrently, so each writes only its own results and reads nothing
+// another job of the same run writes.
 type loadJob struct {
 	name string
 	run  func(ctx context.Context, span *obs.Span) error
 }
 
 // runLoaders runs jobs, each under its own trace span, and waits for all
-// of them: BuildFromDir hands it every source, BuildDelta the sources
-// whose files changed. Jobs start in slice order, at most workers of
-// them at a time (so one after another when workers is 1), and spans
-// appear in the trace in slice order. When several jobs fail, the error
-// of the first in slice order wins; a failing job cancels its ctx-aware
-// siblings and keeps the jobs behind it from running. A run cut short by
-// the caller's context returns ctx.Err() unwrapped.
+// of them. Jobs start in slice order, at most workers of them at a time
+// (so one after another when workers is 1). The spans are opened up
+// front, in slice order, so the trace lists them — and, behind them, any
+// span a job opens for a stage of its own — in the same order at every
+// worker count. When several jobs fail, the error of the first in slice
+// order wins; a failing job cancels its ctx-aware siblings and keeps the
+// jobs behind it from running. A run cut short by the caller's context
+// returns ctx.Err() unwrapped.
 func runLoaders(ctx context.Context, tr *obs.Trace, workers int, jobs []loadJob) error {
 	// errgroup-style fan-out on the standard library: first-error capture
 	// in fixed job order, and a derived context so a failing job cancels
@@ -710,20 +646,22 @@ func runLoaders(ctx context.Context, tr *obs.Trace, workers int, jobs []loadJob)
 	lctx, stop := context.WithCancel(ctx)
 	defer stop()
 	errs := make([]error, len(jobs))
+	spans := make([]*obs.Span, len(jobs))
+	for i, j := range jobs {
+		spans[i] = tr.Start(j.name)
+	}
 	// A job holds a slot while it runs, so at most workers of them — and
 	// of their parse buffers — are in flight at once.
 	slots := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i, j := range jobs {
 		slots <- struct{}{}
-		// Spans are created here, in fixed order, so the trace renders
-		// deterministically; each job goroutine is the single writer of
-		// its own span.
-		span := tr.Start(j.name)
 		wg.Add(1)
+		// Each job goroutine is the single writer of its own span.
 		go func(i int, run func(context.Context, *obs.Span) error, span *obs.Span) {
 			defer wg.Done()
 			defer func() { <-slots }()
+			span.Restart()
 			defer span.End()
 			if err := lctx.Err(); err != nil {
 				errs[i] = err
@@ -733,7 +671,7 @@ func runLoaders(ctx context.Context, tr *obs.Trace, workers int, jobs []loadJob)
 				errs[i] = err
 				stop()
 			}
-		}(i, j.run, span)
+		}(i, j.run, spans[i])
 	}
 	wg.Wait()
 	// Prefer a real failure over the cancellations it induced in its
@@ -760,108 +698,119 @@ func runLoaders(ctx context.Context, tr *obs.Trace, workers int, jobs []loadJob)
 	return nil
 }
 
-// BuildFromDir loads a data directory and runs the pipeline. The
-// returned Dataset carries a BuildTrace covering both the load stages
-// and the build passes.
-//
-// The loaders — WHOIS directory, BGP RIBs, the RPKI repository, AS2Org,
-// the delegated-statistics footnote-2 verification, and the ARIN legacy
-// non-signer list — run concurrently when Options.Workers permits, each
-// under its own trace span; Workers=1 runs them sequentially in the
-// historical order. The first loader error wins (reported in fixed
-// loader order when several fail), and a context cancellation surfaces
-// as ctx.Err() unwrapped.
-func BuildFromDir(ctx context.Context, dir string, opts Options) (*Dataset, error) {
-	tr := obs.NewTrace("build")
-	var (
-		db         *whois.Database
-		src        *whois.Sources
-		table      *bgp.Table
-		repo       *rpki.Repository
-		asData     *as2org.Dataset
-		arinLegacy []netip.Prefix
-		manifest   *Manifest
-	)
-	loaders := []loadJob{
-		{"load-whois", func(ctx context.Context, span *obs.Span) error {
-			lopts := whois.LoadOptions{Workers: opts.Workers}
-			if opts.JPNICWhoisAddr != "" {
-				lopts.JPNICClient = &whois.Client{Addr: opts.JPNICWhoisAddr}
+// flattenWhois flattens db into the delegation index (§5.2) under span:
+// one group of entries per registered block, ARIN allocations on the
+// legacy non-signer list retyped first.
+func flattenWhois(span *obs.Span, db *whois.Database, arinLegacy []netip.Prefix) *lpm.Groups[whois.Entry] {
+	defer span.End()
+	entries, fstats := db.FlattenWithStats()
+	markARINLegacy(entries, arinLegacy)
+	span.Add("records", int64(fstats.Records))
+	span.Add("entries", int64(fstats.Entries))
+	span.Add("deduped", int64(fstats.Deduped()))
+	return lpm.Group(entries, func(e *whois.Entry) netip.Prefix { return e.Prefix })
+}
+
+// dirLoaders is the load job of every source of a data directory, keyed
+// by its manifestDirs name: each parses its source from dir and replaces
+// that source's share of next, which starts out holding what the
+// previous build loaded (nothing, for a full build). changed reports
+// whether a manifest path differs from what the previous build read, so
+// the whois job re-parses only those registry files.
+func dirLoaders(dir string, tr *obs.Trace, next *buildState, changed func(relPath string) bool) map[string]loadJob {
+	return map[string]loadJob{
+		"whois": {"load-whois", func(ctx context.Context, span *obs.Span) error {
+			lopts := whois.LoadOptions{Workers: next.opts.Workers}
+			if next.opts.JPNICWhoisAddr != "" {
+				lopts.JPNICClient = &whois.Client{Addr: next.opts.JPNICWhoisAddr}
 			}
-			var err error
-			db, src, err = whois.LoadDirSources(ctx, dir, lopts, nil, nil)
+			db, src, err := whois.LoadDirSources(ctx, dir, lopts, next.src, changed)
 			if err != nil {
 				return fmt.Errorf("prefix2org: load whois: %w", err)
 			}
+			next.src = src
 			span.Add("records", int64(len(db.Records)))
 			span.Add("orgs", int64(len(db.Orgs)))
+			// load-whois times the parse alone. The job's two further stages
+			// run here rather than after the join, beside the other sources'
+			// parses, each under a span of its own.
+			span.End()
+			if changed("whois/" + whois.ARINLegacyFile) {
+				legacySpan := tr.Start("load-arin-legacy")
+				next.arinLegacy, err = loadARINLegacy(dir)
+				legacySpan.Add("prefixes", int64(len(next.arinLegacy)))
+				legacySpan.End()
+				if err != nil {
+					return err
+				}
+			}
+			next.env.whois = flattenWhois(tr.Start("flatten-whois"), db, next.arinLegacy)
 			return nil
 		}},
-		{"load-bgp", func(ctx context.Context, span *obs.Span) error {
-			var err error
-			table, err = bgp.LoadDir(ctx, dir)
+		"bgp": {"load-bgp", func(ctx context.Context, span *obs.Span) error {
+			table, err := bgp.LoadDir(ctx, dir)
 			if err != nil {
 				return fmt.Errorf("prefix2org: load bgp: %w", err)
+			}
+			next.env.table = table
+			if !sameRouted(table, next.routed) {
+				next.routed = table.Prefixes()
 			}
 			span.Add("mrt-entries", int64(table.EntryCount()))
 			span.Add("prefixes", int64(table.Len()))
 			span.Add("specificity-filtered", int64(table.FilteredCount()))
 			return nil
 		}},
-		{"load-rpki", func(ctx context.Context, span *obs.Span) error {
-			var err error
-			repo, err = rpki.LoadDir(ctx, dir)
+		"rpki": {"load-rpki", func(ctx context.Context, span *obs.Span) error {
+			repo, err := rpki.LoadDir(ctx, dir)
 			if err != nil {
 				return fmt.Errorf("prefix2org: load rpki: %w", err)
 			}
+			next.env.repo = repo
 			span.Add("certs", int64(len(repo.Certs)))
 			span.Add("roas", int64(len(repo.ROAs)))
 			return nil
 		}},
-		{"load-as2org", func(ctx context.Context, span *obs.Span) error {
-			var err error
-			asData, err = as2org.LoadDir(ctx, dir)
+		"as2org": {"load-as2org", func(ctx context.Context, span *obs.Span) error {
+			asData, err := as2org.LoadDir(ctx, dir)
 			if err != nil {
 				return fmt.Errorf("prefix2org: load as2org: %w", err)
 			}
+			next.env.asClusters = asData.BuildClusters()
 			span.Add("ases", int64(len(asData.ASes)))
 			return nil
 		}},
-		{"verify-delegated", func(ctx context.Context, span *obs.Span) error {
+		"delegated": {"verify-delegated", func(ctx context.Context, span *obs.Span) error {
 			return verifyDelegated(ctx, dir, span)
 		}},
-		{"load-arin-legacy", func(ctx context.Context, span *obs.Span) error {
-			var err error
-			arinLegacy, err = loadARINLegacy(dir)
-			if err != nil {
-				return err
-			}
-			span.Add("prefixes", int64(len(arinLegacy)))
-			return nil
-		}},
 	}
-	if opts.Incremental {
-		loaders = append(loaders, loadJob{"manifest", func(ctx context.Context, span *obs.Span) error {
-			var err error
-			manifest, err = BuildManifest(ctx, dir)
-			if err != nil {
-				return fmt.Errorf("prefix2org: manifest: %w", err)
-			}
-			span.Add("files", int64(len(manifest.Entries)))
-			return nil
-		}})
-	}
-	if err := runLoaders(ctx, tr, opts.workerCount(), loaders); err != nil {
-		return nil, err
-	}
-	ds, err := build(ctx, tr, db, table, repo, asData, arinLegacy, opts)
+}
+
+// BuildFromDir loads a data directory and runs the pipeline. The
+// returned Dataset carries a BuildTrace covering both the load stages
+// and the build passes.
+//
+// The loaders — WHOIS directory (with the ARIN legacy non-signer list
+// and the flatten into the delegation index), BGP RIBs, the RPKI
+// repository, AS2Org, and the delegated-statistics footnote-2
+// verification — run concurrently when Options.Workers permits, each
+// under its own trace span; Workers=1 runs them one after another. The
+// first loader error wins (reported in fixed loader order when several
+// fail), and a context cancellation surfaces as ctx.Err() unwrapped.
+func BuildFromDir(ctx context.Context, dir string, opts Options) (*Dataset, error) {
+	res, err := BuildFull(ctx, dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	if ds.state != nil {
-		ds.state.manifest = manifest
-		ds.state.src = src
-	}
-	logTrace(ds)
-	return ds, nil
+	return res.Dataset, nil
+}
+
+// BuildFull is BuildFromDir for callers that also serve the RPKI
+// repository: the result carries the rpki.Repository the Dataset was
+// resolved against, as BuildDelta's does, so it need not be read again
+// (and cannot then come from a different file than the Dataset did).
+// Every source counts as changed and every routed prefix as affected;
+// ChangedFiles lists the manifest when Options.Incremental captured one.
+func BuildFull(ctx context.Context, dir string, opts Options) (*DeltaResult, error) {
+	return rebuildDir(ctx, obs.NewTrace("build"), nil, dir, opts)
 }

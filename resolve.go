@@ -38,27 +38,13 @@ type resolveEnv struct {
 	asClusters *as2org.Clusters
 }
 
-func groupEntries(entries []whois.Entry) *lpm.Groups[whois.Entry] {
-	return lpm.Group(entries, func(e *whois.Entry) netip.Prefix { return e.Prefix })
-}
-
 // resolveIndices runs the per-prefix ownership-resolution pass over the
-// routed prefixes whose indices are listed in idxs (nil = all of them),
-// writing each outcome — including the unmapped zero value — into its
-// slot. Every shared structure it reads is immutable for the duration
-// of the call; each worker writes only its own slots, so output is
-// identical for every worker count.
+// routed prefixes whose indices are listed in idxs, writing each outcome
+// — including the unmapped zero value — into its slot. Every shared
+// structure it reads is immutable for the duration of the call; each
+// worker writes only its own slots, so output is identical for every
+// worker count.
 func resolveIndices(ctx context.Context, env *resolveEnv, routed []netip.Prefix, idxs []int, slots []resolvedRec, workers int) error {
-	n := len(routed)
-	if idxs != nil {
-		n = len(idxs)
-	}
-	pick := func(k int) int {
-		if idxs == nil {
-			return k
-		}
-		return idxs[k]
-	}
 	// Each worker owns one covering-chain buffer (group ids, least
 	// specific first), re-sliced per prefix, so the hottest walk of the
 	// pass allocates only when a chain outgrows every chain seen before
@@ -82,25 +68,11 @@ func resolveIndices(ctx context.Context, env *resolveEnv, routed []netip.Prefix,
 		slots[i] = resolvedRec{rec: rec, haveDO: true}
 		return buf
 	}
-	if workers == 1 {
-		var buf chainBuf
-		for k := 0; k < n; k++ {
-			if k%cancelCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			buf = resolveOne(pick(k), buf)
-		}
-		return nil
-	}
+	n := len(idxs)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	spawn := workers
-	if chunks := (n + resolveChunk - 1) / resolveChunk; spawn > chunks {
-		spawn = chunks // never spawn workers with nothing to claim
-	}
-	for w := 0; w < spawn; w++ {
+	// Never more workers than chunks to claim; Workers=1 is a pool of one.
+	for w := min(workers, (n+resolveChunk-1)/resolveChunk); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -110,9 +82,8 @@ func resolveIndices(ctx context.Context, env *resolveEnv, routed []netip.Prefix,
 				if start >= n || ctx.Err() != nil {
 					return
 				}
-				end := min(start+resolveChunk, n)
-				for k := start; k < end; k++ {
-					buf = resolveOne(pick(k), buf)
+				for _, i := range idxs[start:min(start+resolveChunk, n)] {
+					buf = resolveOne(i, buf)
 				}
 			}
 		}()
@@ -208,14 +179,11 @@ func isIndexOf(idx *lpm.Index, recs []Record) bool {
 // finish runs passes 2–4 (clean-names, cluster, freeze-index) and the
 // stats pass over the pass-1 slots, producing the Dataset. Unmapped
 // slots (no covering WHOIS record) are skipped in place rather than
-// compacted away, so no pass copies the full record set. finish is
-// shared verbatim by the full build and the delta rebuild, which is
-// what makes delta ≡ full mechanically checkable: everything after
-// pass 1 flows through this one function. It writes each mapped slot's
-// BaseName; every other slot field is read-only here.
+// compacted away, so no pass copies the full record set. It writes each
+// mapped slot's BaseName; every other slot field is read-only here.
 //
 // prev and prevIdx are the clean-names state and the frozen index of the
-// Dataset a delta rebuild splices against (nil for a full build) — not
+// Dataset the build splices against (nil for a full build) — not
 // the Dataset itself, so that nothing here keeps its records and
 // retained inputs reachable once the splice is done. Both are immutable
 // and reused only when this build provably derives the same value: prev
@@ -338,20 +306,32 @@ func finish(ctx context.Context, tr *obs.Trace, slots []resolvedRec, unmapped in
 	return ds, clean, nil
 }
 
-// buildState is the retained input and intermediate state a delta
-// rebuild splices against. It is attached to the Dataset only when
-// Options.Incremental is set, and dropped (along with everything it
-// pins) as soon as the Dataset itself is released.
+// buildState is the input and intermediate state of one build, which the
+// next build splices against. It stays attached to the Dataset only when
+// Options.Incremental is set (or the build was itself a delta), and is
+// dropped, along with everything it pins, as soon as the Dataset itself
+// is released.
 type buildState struct {
 	opts       Options
 	manifest   *Manifest
 	src        *whois.Sources
 	arinLegacy []netip.Prefix
 	env        *resolveEnv
-	asData     *as2org.Dataset
 	routed     []netip.Prefix // in canonical order, as bgp.Table.Prefixes lists them
 	slots      []resolvedRec  // pass-1 outputs in routed order
 	clean      *cleanState
+}
+
+// newBuildState starts the state of the build that follows old, or of a
+// first build when old is nil: the inputs old loaded, for the load jobs
+// to replace source by source; rebuild adds what it derives from them.
+func newBuildState(old *buildState, opts Options) *buildState {
+	next := &buildState{opts: opts, env: &resolveEnv{}}
+	if old != nil {
+		next.manifest, next.src, next.arinLegacy, next.routed = old.manifest, old.src, old.arinLegacy, old.routed
+		*next.env = *old.env
+	}
+	return next
 }
 
 // InputManifest returns the per-source input manifest captured at build
