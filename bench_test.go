@@ -229,7 +229,7 @@ func benchWorkerCounts() []int {
 // and reports each stage's wall time from the build trace so regressions
 // can be localized without a profiler. One sub-benchmark per worker
 // count (serial baseline, 4, GOMAXPROCS) exposes how the load and
-// resolve stages scale; `make bench` renders the comparison table.
+// resolve stages scale.
 func BenchmarkPipelineBuild(b *testing.B) {
 	e := env(b)
 	for _, workers := range benchWorkerCounts() {
@@ -535,8 +535,7 @@ func BenchmarkOpenMmap(b *testing.B) {
 // BenchmarkLookupAddrView measures steady-state lookups against a
 // view-backed (mmap'd) dataset with every record chunk warm — the
 // serve path of a daemon running -snapshot-mmap. The acceptance bar is
-// parity with BenchmarkLookupAddr (the eagerly decoded index) within
-// the bench-compare strict threshold.
+// parity with BenchmarkLookupAddr (the eagerly decoded index).
 func BenchmarkLookupAddrView(b *testing.B) {
 	e := env(b)
 	path := filepath.Join(benchDir, "bench-lookup-view.p2o")
@@ -614,9 +613,9 @@ func deltaBenchEnv(b *testing.B) (string, *prefix2org.Dataset) {
 // BenchmarkDeltaRebuild contrasts the two ways to pick up a small input
 // change: a full pipeline run over the churned directory versus an
 // incremental BuildDelta splicing against the previous dataset. Both
-// produce byte-identical snapshots (TestDeltaEquivalence); the
-// acceptance bar is delta at least 5x faster than full, enforced by the
-// bench-compare ratio check.
+// produce byte-identical snapshots (TestDeltaEquivalence). That the
+// delta does work proportional to the change is gated on work counts,
+// not on this quotient (TestDeltaManySmallSteps).
 func BenchmarkDeltaRebuild(b *testing.B) {
 	dir, prev := deltaBenchEnv(b)
 	opts := prefix2org.Options{Incremental: true}

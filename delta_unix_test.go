@@ -11,6 +11,7 @@ import (
 	"slices"
 	"syscall"
 	"testing"
+	"time"
 
 	"github.com/prefix2org/prefix2org/internal/synth"
 	"github.com/prefix2org/prefix2org/internal/whois"
@@ -70,21 +71,40 @@ func TestManifestHashedBeforeLoads(t *testing.T) {
 		ds, err := BuildFromDir(ctx, dir, opts)
 		done <- built{ds, err}
 	}()
-	// Opening a pipe for writing returns when the reader has opened it.
-	pipe, err := os.OpenFile(legacyPath, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, rib), newRIB, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pipe.Write(legacy); err != nil {
-		t.Fatal(err)
-	}
-	if err := pipe.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// If the loaders stop meeting the test at the pipe — the list read
+	// twice, or not at all — an open on one side of it blocks for good.
+	// The watchdog then releases both sides, and the test fails with the
+	// order the build's stages ran in.
+	watchdog := time.AfterFunc(30*time.Second, func() { releaseFIFO(legacyPath, legacy) })
+	feedErr := func() error {
+		// Opening a pipe for writing returns when the reader has opened it.
+		pipe, err := os.OpenFile(legacyPath, os.O_WRONLY, 0)
+		if err != nil {
+			return err
+		}
+		defer pipe.Close()
+		if err := os.WriteFile(filepath.Join(dir, rib), newRIB, 0o644); err != nil {
+			return err
+		}
+		if _, err := pipe.Write(legacy); err != nil {
+			return err
+		}
+		return pipe.Close()
+	}()
 	first := <-done
+	if !watchdog.Stop() {
+		var stages []string
+		if first.ds != nil {
+			for _, s := range first.ds.Trace.Spans() {
+				stages = append(stages, s.Name)
+			}
+		}
+		t.Fatalf("the build and the test did not meet at %s within 30s (feeding it: %v; build: %v); stages ran in the order %v",
+			whois.ARINLegacyFile, feedErr, first.err, stages)
+	}
+	if feedErr != nil {
+		t.Fatal(feedErr)
+	}
 	if first.err != nil {
 		t.Fatalf("BuildFromDir: %v", first.err)
 	}
@@ -114,5 +134,23 @@ func TestManifestHashedBeforeLoads(t *testing.T) {
 	}
 	if !bytes.Equal(snapshotBytes(t, res.Dataset), snapshotBytes(t, full)) {
 		t.Error("the chain differs from a fresh full build")
+	}
+}
+
+// releaseFIFO wakes every open still blocked on the named pipe at path
+// and puts content there as a regular file for any open yet to come. A
+// reader and a writer opened without blocking are each other's partner
+// and that of whatever waits; a woken reader then sees EOF, a woken
+// writer EPIPE.
+func releaseFIFO(path string, content []byte) {
+	r, rerr := os.OpenFile(path, os.O_RDONLY|syscall.O_NONBLOCK, 0)
+	w, werr := os.OpenFile(path, os.O_WRONLY|syscall.O_NONBLOCK, 0)
+	_ = os.Remove(path)                    // best effort: the test is already failing
+	_ = os.WriteFile(path, content, 0o644) // likewise
+	if rerr == nil {
+		r.Close()
+	}
+	if werr == nil {
+		w.Close()
 	}
 }

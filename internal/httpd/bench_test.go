@@ -7,7 +7,7 @@ import (
 // BenchmarkBulkLookup measures the per-line bulk path end to end —
 // classify, parse, lookup, encode into a reused buffer — the loop a
 // 10k-address bulk request runs 10k times against one pinned snapshot.
-// Tracked in benchjson (make bench-compare); allocs/op must stay 0.
+// allocs/op must stay 0: TestBulkLineZeroAlloc is the guard.
 func BenchmarkBulkLookup(b *testing.B) {
 	ds := dataset(b)
 	lines := make([][]byte, 0, 64)

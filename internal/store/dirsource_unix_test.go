@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"syscall"
 	"testing"
+	"time"
 
 	prefix2org "github.com/prefix2org/prefix2org"
 	"github.com/prefix2org/prefix2org/internal/as2org"
@@ -71,21 +72,40 @@ func TestDirSourceRepoIsTheBuildsRepo(t *testing.T) {
 		snap, err := store.DirSource(dir, prefix2org.Options{Workers: 1}).Build(context.Background())
 		done <- built{snap, err}
 	}()
-	// Opening a pipe for writing returns when the reader has opened it.
-	pipe, err := os.OpenFile(asPath, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, rpki.SnapshotFile), otherRPKI, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pipe.Write(asData); err != nil {
-		t.Fatal(err)
-	}
-	if err := pipe.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// If the loaders stop meeting the test at the pipe — the file read
+	// twice, or not at all — an open on one side of it blocks for good.
+	// The watchdog then releases both sides, and the test fails with the
+	// order the build's stages ran in.
+	watchdog := time.AfterFunc(30*time.Second, func() { releaseFIFO(asPath, asData) })
+	feedErr := func() error {
+		// Opening a pipe for writing returns when the reader has opened it.
+		pipe, err := os.OpenFile(asPath, os.O_WRONLY, 0)
+		if err != nil {
+			return err
+		}
+		defer pipe.Close()
+		if err := os.WriteFile(filepath.Join(dir, rpki.SnapshotFile), otherRPKI, 0o644); err != nil {
+			return err
+		}
+		if _, err := pipe.Write(asData); err != nil {
+			return err
+		}
+		return pipe.Close()
+	}()
 	b := <-done
+	if !watchdog.Stop() {
+		var stages []string
+		if b.snap != nil {
+			for _, s := range b.snap.Dataset.Trace.Spans() {
+				stages = append(stages, s.Name)
+			}
+		}
+		t.Fatalf("the build and the test did not meet at %s within 30s (feeding it: %v; build: %v); stages ran in the order %v",
+			as2org.DatasetFile, feedErr, b.err, stages)
+	}
+	if feedErr != nil {
+		t.Fatal(feedErr)
+	}
 	if b.err != nil {
 		t.Fatal(b.err)
 	}
@@ -113,5 +133,23 @@ func TestDirSourceRepoIsTheBuildsRepo(t *testing.T) {
 	}
 	if covered == 0 {
 		t.Fatal("no record is RPKI-covered: the check compared nothing")
+	}
+}
+
+// releaseFIFO wakes every open still blocked on the named pipe at path
+// and puts content there as a regular file for any open yet to come. A
+// reader and a writer opened without blocking are each other's partner
+// and that of whatever waits; a woken reader then sees EOF, a woken
+// writer EPIPE.
+func releaseFIFO(path string, content []byte) {
+	r, rerr := os.OpenFile(path, os.O_RDONLY|syscall.O_NONBLOCK, 0)
+	w, werr := os.OpenFile(path, os.O_WRONLY|syscall.O_NONBLOCK, 0)
+	_ = os.Remove(path)                    // best effort: the test is already failing
+	_ = os.WriteFile(path, content, 0o644) // likewise
+	if rerr == nil {
+		r.Close()
+	}
+	if werr == nil {
+		w.Close()
 	}
 }

@@ -177,7 +177,7 @@ func TestQueryAccountingZeroAlloc(t *testing.T) {
 
 // BenchmarkAnswerAddr measures the full serve path for an address query
 // — snapshot load, LPM lookup, record rendering, telemetry accounting —
-// minus the socket. Tracked by make bench-compare.
+// minus the socket.
 func BenchmarkAnswerAddr(b *testing.B) {
 	telemetry.SetSampleEvery(16)
 	if err := dsWorld(); err != nil {
@@ -196,8 +196,8 @@ func BenchmarkAnswerAddr(b *testing.B) {
 }
 
 // BenchmarkAnswerOverTCP measures queries end to end over loopback TCP
-// with default telemetry sampling: the number p2o-loadgen reproduces
-// from outside the process.
+// with default telemetry sampling: the number the whois-dial workload
+// of the end-to-end benchmark reproduces from outside the process.
 func BenchmarkAnswerOverTCP(b *testing.B) {
 	telemetry.SetSampleEvery(16)
 	if err := dsWorld(); err != nil {

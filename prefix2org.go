@@ -316,6 +316,20 @@ func (d *Dataset) freezeIndex() {
 	d.idx = lpm.Freeze(items)
 }
 
+// indexClusters (re)derives the ID and owner-name lookup maps of an
+// eager Dataset from d.Clusters. Later clusters overwrite earlier ones
+// on a duplicate key, in slice order.
+func (d *Dataset) indexClusters() {
+	d.byCluster = make(map[string]*Cluster, len(d.Clusters))
+	d.byOwner = make(map[string]*Cluster, len(d.Clusters))
+	for _, c := range d.Clusters {
+		d.byCluster[c.ID] = c
+		for _, o := range c.OwnerNames {
+			d.byOwner[o] = c
+		}
+	}
+}
+
 // ClusterByID returns a final cluster by its ID.
 func (d *Dataset) ClusterByID(id string) (*Cluster, bool) {
 	if d.lazy != nil {
@@ -563,20 +577,6 @@ func doTypeName(t typedEntry, repo *rpki.Repository) string {
 		}
 	}
 	return t.t.Name
-}
-
-func comparePrefix(a, b netip.Prefix) int {
-	a4, b4 := a.Addr().Is4(), b.Addr().Is4()
-	if a4 != b4 {
-		if a4 {
-			return -1
-		}
-		return 1
-	}
-	if c := a.Addr().Compare(b.Addr()); c != 0 {
-		return c
-	}
-	return a.Bits() - b.Bits()
 }
 
 // verifyDelegated runs the footnote-2 verification: when

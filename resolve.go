@@ -4,7 +4,6 @@ import (
 	"context"
 	"maps"
 	"net/netip"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -247,35 +246,25 @@ func finish(ctx context.Context, tr *obs.Trace, slots []resolvedRec, unmapped in
 	}
 	cres := cluster.Build(infos)
 
-	ds := &Dataset{
-		Trace:     tr,
-		byCluster: make(map[string]*Cluster, len(cres.Final)),
-		byOwner:   make(map[string]*Cluster, len(cres.Final)),
-	}
+	ds := &Dataset{Trace: tr}
 	for _, c := range cres.Final {
-		pc := &Cluster{ID: c.ID, BaseName: c.BaseName, OwnerNames: c.OwnerNames, Prefixes: c.Prefixes}
-		ds.Clusters = append(ds.Clusters, pc)
-		ds.byCluster[c.ID] = pc
-		for _, o := range c.OwnerNames {
-			ds.byOwner[o] = pc
-		}
+		ds.Clusters = append(ds.Clusters, &Cluster{ID: c.ID, BaseName: c.BaseName, OwnerNames: c.OwnerNames, Prefixes: c.Prefixes})
 	}
+	ds.indexClusters()
 	ds.Records = make([]Record, 0, mapped)
 	for i := range slots {
 		if !slots[i].haveDO {
 			continue
 		}
 		// infos skipped the same unmapped slots, so the next cluster in
-		// cres.Of is this record's.
+		// cres.Of is this record's. Slots are in routed order, which is
+		// already Records' canonical order (see buildState.routed).
 		r := slots[i].rec
 		if c := cres.Of[len(ds.Records)]; c != nil {
 			r.FinalCluster = c.ID
 		}
 		ds.Records = append(ds.Records, r)
 	}
-	slices.SortFunc(ds.Records, func(a, b Record) int {
-		return comparePrefix(a.Prefix, b.Prefix)
-	})
 	span.Add("prefixes", int64(len(infos)))
 	span.Add("clusters", int64(len(cres.Final)))
 	span.End()
@@ -317,9 +306,13 @@ type buildState struct {
 	src        *whois.Sources
 	arinLegacy []netip.Prefix
 	env        *resolveEnv
-	routed     []netip.Prefix // in canonical order, as bgp.Table.Prefixes lists them
-	slots      []resolvedRec  // pass-1 outputs in routed order
-	clean      *cleanState
+	// routed is in canonical order (netx.Compare), as bgp.Table.Prefixes
+	// lists it. finish appends Records in slot order and does not sort:
+	// Records' order — the snapshot bytes, the frozen index's positions
+	// — is routed's.
+	routed []netip.Prefix
+	slots  []resolvedRec // pass-1 outputs in routed order
+	clean  *cleanState
 }
 
 // newBuildState starts the state of the build that follows old, or of a

@@ -125,10 +125,7 @@ func Load(r io.Reader) (*Dataset, error) {
 
 func loadJSON(r io.Reader) (*Dataset, error) {
 	defer obs.Time(mCodecSeconds.loadJSON)()
-	d := &Dataset{
-		byCluster: map[string]*Cluster{},
-		byOwner:   map[string]*Cluster{},
-	}
+	d := &Dataset{}
 	// Most snapshot strings repeat across hundreds of thousands of
 	// lines (registry zones, allocation types, owner and cluster
 	// names); interning collapses each to a single allocation.
@@ -169,10 +166,6 @@ func loadJSON(r io.Reader) (*Dataset, error) {
 				c.Prefixes = append(c.Prefixes, p.Masked())
 			}
 			d.Clusters = append(d.Clusters, c)
-			d.byCluster[c.ID] = c
-			for _, o := range c.OwnerNames {
-				d.byOwner[o] = c
-			}
 		case "record":
 			var sr snapshotRecord
 			if err := json.Unmarshal(line, &sr); err != nil {
@@ -206,6 +199,7 @@ func loadJSON(r io.Reader) (*Dataset, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("prefix2org: snapshot scan: %w", err)
 	}
+	d.indexClusters()
 	d.freezeIndex()
 	return d, nil
 }

@@ -320,10 +320,7 @@ func loadBinary(data []byte) (*Dataset, error) {
 		}
 	}
 
-	d := &Dataset{
-		byCluster: map[string]*Cluster{},
-		byOwner:   map[string]*Cluster{},
-	}
+	d := &Dataset{}
 	if err := json.Unmarshal(secs[secStats], &d.Stats); err != nil {
 		return nil, fmt.Errorf("prefix2org: binary snapshot: stats: %w", err)
 	}
@@ -388,11 +385,8 @@ func loadBinary(data []byte) (*Dataset, error) {
 			c.Prefixes = append(c.Prefixes, p)
 		}
 		d.Clusters = append(d.Clusters, c)
-		d.byCluster[c.ID] = c
-		for _, o := range c.OwnerNames {
-			d.byOwner[o] = c
-		}
 	}
+	d.indexClusters()
 
 	cur = cursor{b: secs[secRecords], sec: "records"}
 	nRecords, err := cur.count(8)

@@ -1,6 +1,7 @@
 package prefix2org
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -857,7 +858,7 @@ func (v *snapView) parseOwners(sec []byte) error {
 		}
 		owner := v.strBytes(ref)
 		if i > 0 {
-			switch c := cmpBytes(prevOwner, owner); {
+			switch c := bytes.Compare(prevOwner, owner); {
 			case c > 0:
 				return fmt.Errorf("prefix2org: binary snapshot: owners: table not sorted at %d", i)
 			case c == 0 && int(idx) <= prevIdx:
@@ -898,7 +899,7 @@ func (v *snapView) parseClusterIDs(sec []byte) error {
 		}
 		id := v.strBytes(u32at(v.clu.id, int(idx)))
 		if i > 0 {
-			switch c := cmpBytes(prevID, id); {
+			switch c := bytes.Compare(prevID, id); {
 			case c > 0:
 				return fmt.Errorf("prefix2org: binary snapshot: clusterids: table not sorted at %d", i)
 			case c == 0 && int(idx) <= prevIdx:

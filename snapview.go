@@ -76,31 +76,9 @@ func (v *snapView) close() error {
 	return v.closeErr
 }
 
-// cmpBytes is bytes.Compare without the import churn; cmpBytesString
-// compares a byte slice against a string with zero allocations (the
-// []byte(s) conversion the stdlib would need is not free in all
-// positions).
-func cmpBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
-}
+// cmpBytesString is bytes.Compare of a byte slice against a string with
+// zero allocations (the []byte(s) conversion the stdlib would need is
+// not free in all positions).
 
 func cmpBytesString(a []byte, s string) int {
 	n := len(a)
@@ -395,21 +373,13 @@ func (v *snapView) materializeInto(d *Dataset) {
 		v.fillRecord(&recs[i], i, custs, dcps, dcts, 0, 0, 0)
 	}
 	m := v.clu.m
-	var clus []*Cluster
-	byCluster := map[string]*Cluster{}
-	byOwner := map[string]*Cluster{}
-	for i := 0; i < m; i++ {
-		c := d.clusterAt(i) // share the lazily-cached pointers
-		clus = append(clus, c)
-		byCluster[c.ID] = c
-		for _, o := range c.OwnerNames {
-			byOwner[o] = c
-		}
+	clus := make([]*Cluster, m)
+	for i := range clus {
+		clus[i] = d.clusterAt(i) // share the lazily-cached pointers
 	}
 	d.Records = recs
 	d.Clusters = clus
-	d.byCluster = byCluster
-	d.byOwner = byOwner
+	d.indexClusters()
 }
 
 // errMmapUnsupported makes OpenSnapshotFile degrade to a full read on
