@@ -58,6 +58,8 @@ fuzz-short:
 	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzParseUpdate -fuzztime=$(FUZZTIME) ./internal/bgp
 	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzReadMRT -fuzztime=$(FUZZTIME) ./internal/bgp
 	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzReadPDU -fuzztime=$(FUZZTIME) ./internal/rtr
+	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzReadRPKI -fuzztime=$(FUZZTIME) ./internal/rpki
+	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzReadAS2Org -fuzztime=$(FUZZTIME) ./internal/as2org
 	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzLoadBinary -fuzztime=$(FUZZTIME) .
 	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) .
 	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzIgnoreDirective -fuzztime=$(FUZZTIME) ./internal/lint

@@ -2,7 +2,9 @@ package prefix2org
 
 import (
 	"context"
+	"math"
 	"net/netip"
+	"runtime"
 	"testing"
 
 	"github.com/prefix2org/prefix2org/internal/synth"
@@ -88,5 +90,54 @@ func TestResolveChainWalkZeroAlloc(t *testing.T) {
 	}
 	if links < len(routed) {
 		t.Fatalf("walked %d chain links over %d routed prefixes: the guard measured nothing", links, len(routed))
+	}
+}
+
+// buildAllocCeiling is the allocation budget of one full build, in heap
+// objects per routed prefix: what BuildFromDir of the synth.SmallConfig()
+// world measures (23.3; 39.7 before the loaders scanned canonical lines
+// in place and the resolve pass got a scratch) plus 15 %. It is a
+// ceiling, not a target: lower it when a change lowers the figure, and
+// treat a change that needs it raised as one that needs a reason. Map
+// and slice growth are the runtime's, so a toolchain bump (measured on
+// go1.24) is such a reason: re-measure, do not pad.
+const buildAllocCeiling = 26.8
+
+// TestBuildAllocCeiling keeps the build's allocation diet: loaders that
+// read canonical lines in place, one scratch per resolve worker. The
+// figure counts every load and every pass, with one worker so that it
+// repeats.
+func TestBuildAllocCeiling(t *testing.T) {
+	w, err := synth.Generate(synth.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := w.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	build := func() *Dataset {
+		ds, err := BuildFromDir(context.Background(), dir, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	ds := build() // warm-up: metrics registered, one-time tables built
+	routed := len(ds.Records) + ds.Stats.Unmapped
+	// MemStats counts the whole process: the least of a few runs is the
+	// build's own, whatever the test binary's other goroutines did.
+	mallocs := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		build()
+		runtime.ReadMemStats(&after)
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+	}
+	perPrefix := float64(mallocs) / float64(routed)
+	t.Logf("%d allocations for %d routed prefixes: %.1f per prefix", mallocs, routed, perPrefix)
+	if perPrefix > buildAllocCeiling {
+		t.Errorf("a full build allocates %.1f objects per routed prefix, ceiling %.1f", perPrefix, buildAllocCeiling)
 	}
 }

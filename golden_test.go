@@ -5,7 +5,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"github.com/prefix2org/prefix2org/internal/synth"
@@ -75,4 +77,38 @@ func TestGoldenDigests(t *testing.T) {
 	if got := hex.EncodeToString(sum[:]); got != goldenSnapshotDigest {
 		t.Errorf("snapshot digest = %s, want %s (%d bytes)", got, goldenSnapshotDigest, buf.Len())
 	}
+
+	// How those bytes are produced: the file is assembled once, at its
+	// final size, and handed over whole. The writer's own working set
+	// (string table, refs awaiting their columns) is well under the
+	// file's size again; 3× leaves room for it, not for a second copy of
+	// every column, which is what the bound is here to catch.
+	// MemStats counts the whole process, so the least of a few saves.
+	alloc := uint64(math.MaxUint64)
+	for range 3 {
+		var cw countingWriter
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = ds.SaveBinary(&cw)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("SaveBinary: %v", err)
+		}
+		if cw.calls != 1 || cw.bytes != buf.Len() {
+			t.Errorf("SaveBinary made %d Write calls for %d bytes, want 1 call of %d bytes", cw.calls, cw.bytes, buf.Len())
+		}
+		alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+	}
+	if limit := 3 * uint64(buf.Len()); alloc > limit {
+		t.Errorf("one SaveBinary allocated %d bytes for a %d-byte snapshot, want at most %d", alloc, buf.Len(), limit)
+	}
+}
+
+// countingWriter counts Write calls and the bytes they carried.
+type countingWriter struct{ calls, bytes int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.calls++
+	w.bytes += len(p)
+	return len(p), nil
 }

@@ -20,12 +20,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 
 	"github.com/prefix2org/prefix2org/internal/dsu"
+	"github.com/prefix2org/prefix2org/internal/intern"
+	"github.com/prefix2org/prefix2org/internal/jsonl"
 )
 
 // ASInfo is one AS registration in the AS2Org dataset.
@@ -227,50 +230,28 @@ func (d *Dataset) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read parses a dataset written by Write.
+// Read parses a dataset written by Write. A line in the exact shape Write
+// emits is read straight from its bytes; any other line is
+// encoding/json's.
 func Read(r io.Reader) (*Dataset, error) {
-	d := NewDataset()
+	rd := reader{d: NewDataset(), strs: intern.New(0)}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
 		line := sc.Bytes()
-		if len(line) == 0 {
+		if len(line) == 0 || rd.scanLine(line) {
 			continue
 		}
-		var kind struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &kind); err != nil {
+		if err := rd.decodeLine(line); err != nil {
 			return nil, fmt.Errorf("as2org: line %d: %w", lineNo, err)
-		}
-		switch kind.Type {
-		case "Organization":
-			var o orgJSON
-			if err := json.Unmarshal(line, &o); err != nil {
-				return nil, fmt.Errorf("as2org: line %d: %w", lineNo, err)
-			}
-			d.Orgs[o.OrgID] = o.Name
-		case "ASN":
-			var a asnJSON
-			if err := json.Unmarshal(line, &a); err != nil {
-				return nil, fmt.Errorf("as2org: line %d: %w", lineNo, err)
-			}
-			d.ASes[a.ASN] = ASInfo{ASN: a.ASN, OrgID: a.OrgID, OrgName: d.Orgs[a.OrgID]}
-		case "SiblingSet":
-			var s siblingJSON
-			if err := json.Unmarshal(line, &s); err != nil {
-				return nil, fmt.Errorf("as2org: line %d: %w", lineNo, err)
-			}
-			d.Siblings = append(d.Siblings, SiblingSet{ASNs: s.ASNs, Source: s.Source})
-		default:
-			return nil, fmt.Errorf("as2org: line %d: unknown record type %q", lineNo, kind.Type)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("as2org: scan: %w", err)
 	}
+	d := rd.d
 	// Backfill org names onto AS records parsed before their org line.
 	for asn, info := range d.ASes {
 		if info.OrgName == "" {
@@ -279,6 +260,89 @@ func Read(r io.Reader) (*Dataset, error) {
 		}
 	}
 	return d, nil
+}
+
+// reader is the state of one Read.
+type reader struct {
+	d *Dataset
+	// strs shares the strings a dataset repeats: every ASN line names
+	// its organization's ID, every sibling set one of a few sources.
+	strs *intern.Table
+}
+
+// scanLine adds the record on line to the dataset when the line has
+// exactly the shape Write emits, reading it in place. false means the
+// line is something else — not that it is wrong — and nothing was added:
+// decodeLine decides.
+func (rd *reader) scanLine(line []byte) bool {
+	l := jsonl.Open(line)
+	switch string(l.String("type")) {
+	case "Organization":
+		id, name := l.String("organizationId"), l.String("name")
+		if l.Next("country") {
+			l.String("country") // Read keeps no country
+		}
+		if !l.Close() {
+			return false
+		}
+		rd.d.Orgs[rd.strs.Bytes(id)] = string(name)
+		return true
+	case "ASN":
+		asn := l.Uint("asn", math.MaxUint32)
+		id := l.String("organizationId")
+		if !l.Close() {
+			return false
+		}
+		rd.addASN(uint32(asn), rd.strs.Bytes(id))
+		return true
+	case "SiblingSet":
+		asns := l.Uint32s("asns")
+		source := l.String("source")
+		if !l.Close() {
+			return false
+		}
+		rd.d.Siblings = append(rd.d.Siblings, SiblingSet{ASNs: asns, Source: rd.strs.Bytes(source)})
+		return true
+	}
+	return false
+}
+
+func (rd *reader) addASN(asn uint32, orgID string) {
+	rd.d.ASes[asn] = ASInfo{ASN: asn, OrgID: orgID, OrgName: rd.d.Orgs[orgID]}
+}
+
+// decodeLine adds the record on line to the dataset through
+// encoding/json: once for the line's type, once for that type's members.
+func (rd *reader) decodeLine(line []byte) error {
+	var kind struct {
+		Type string `json:"type"`
+	}
+	if err := json.Unmarshal(line, &kind); err != nil {
+		return err
+	}
+	switch kind.Type {
+	case "Organization":
+		var o orgJSON
+		if err := json.Unmarshal(line, &o); err != nil {
+			return err
+		}
+		rd.d.Orgs[o.OrgID] = o.Name
+	case "ASN":
+		var a asnJSON
+		if err := json.Unmarshal(line, &a); err != nil {
+			return err
+		}
+		rd.addASN(a.ASN, a.OrgID)
+	case "SiblingSet":
+		var s siblingJSON
+		if err := json.Unmarshal(line, &s); err != nil {
+			return err
+		}
+		rd.d.Siblings = append(rd.d.Siblings, SiblingSet{ASNs: s.ASNs, Source: s.Source})
+	default:
+		return fmt.Errorf("unknown record type %q", kind.Type)
+	}
+	return nil
 }
 
 // DatasetFile is the dataset's location inside a data directory.

@@ -65,6 +65,16 @@ func (v *View) Bytes() []byte { return v.data }
 // colBlockLen is the unpadded byte length of one family's columns.
 func colBlockLen(n int) int { return n * (8 + 8 + 4 + 4 + 1) }
 
+// ColumnsLen returns the number of bytes AppendColumns appends, so a
+// writer can leave exactly that much room.
+func (ix *Index) ColumnsLen() int {
+	n := 0
+	for _, f := range []*family{&ix.v4, &ix.v6} {
+		n += 8 + (colBlockLen(len(f.bits))+7)&^7
+	}
+	return n
+}
+
 // AppendColumns appends the fixed-width column encoding of the index
 // to buf and returns the extended buffer. The output is deterministic
 // for a given index and independent of host byte order.

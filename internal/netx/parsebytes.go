@@ -1,6 +1,9 @@
 package netx
 
-import "net/netip"
+import (
+	"bytes"
+	"net/netip"
+)
 
 // ParseAddrBytes parses a textual IPv4 or IPv6 address directly from a
 // byte slice without allocating. netip.ParseAddr takes a string, so
@@ -166,4 +169,34 @@ func hexVal(c byte) int {
 		return int(c-'A') + 10
 	}
 	return -1
+}
+
+// ParsePrefixBytes parses "addr/bits" from a byte slice without
+// allocating, returning the prefix as written — host bits kept, as
+// netip.ParsePrefix does. The address grammar is ParseAddrBytes's; the
+// length is one to three digits with no sign or leading zero, within
+// the address family. Whatever it rejects may still be a prefix
+// netip.ParsePrefix accepts or has a better error for: callers fall
+// back to it.
+func ParsePrefixBytes(b []byte) (netip.Prefix, bool) {
+	slash := bytes.LastIndexByte(b, '/')
+	if slash < 0 {
+		return netip.Prefix{}, false
+	}
+	addr, ok := ParseAddrBytes(b[:slash])
+	digits := b[slash+1:]
+	if !ok || len(digits) == 0 || len(digits) > 3 || (digits[0] == '0' && len(digits) > 1) {
+		return netip.Prefix{}, false
+	}
+	bits := 0
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return netip.Prefix{}, false
+		}
+		bits = bits*10 + int(c-'0')
+	}
+	if bits > addr.BitLen() {
+		return netip.Prefix{}, false
+	}
+	return netip.PrefixFrom(addr, bits), true
 }

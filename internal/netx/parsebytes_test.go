@@ -124,3 +124,38 @@ func BenchmarkParseAddrBytes(b *testing.B) {
 		}
 	}
 }
+
+// TestParsePrefixBytes holds the accepted grammar to netip.ParsePrefix
+// (host bits kept, as it keeps them) and lists what is turned away.
+func TestParsePrefixBytes(t *testing.T) {
+	for _, s := range []string{
+		"0.0.0.0/0", "10.0.0.0/8", "10.1.2.3/16", "198.51.100.7/32",
+		"::/0", "2001:db8::/32", "2001:DB8:0:0::1/64", "::ffff:10.0.0.0/104", "1:2:3:4:5:6:7:8/128",
+	} {
+		got, ok := ParsePrefixBytes([]byte(s))
+		want, err := netip.ParsePrefix(s)
+		if err != nil {
+			t.Fatalf("netip rejects fixture %q: %v", s, err)
+		}
+		if !ok || got != want {
+			t.Errorf("ParsePrefixBytes(%q) = %v, %v; netip = %v", s, got, ok, want)
+		}
+	}
+	for _, s := range []string{
+		"", "/", "/8", "10.0.0.0", "10.0.0.0/", "10.0.0.0/33", "10.0.0.0/08", "10.0.0.0/00",
+		"10.0.0.0/+8", "10.0.0.0/-1", "10.0.0.0/8 ", " 10.0.0.0/8", "10.0.0.0/8/8", "10.0.0/8",
+		"10.0.0.0/1000", "10.0.0.0/1e1", "::/129", "fe80::1%eth0/64", "banana/8",
+	} {
+		if got, ok := ParsePrefixBytes([]byte(s)); ok {
+			t.Errorf("ParsePrefixBytes(%q) accepted as %v, want reject", s, got)
+		}
+	}
+	in := []byte("2001:db8::/32")
+	if n := testing.AllocsPerRun(200, func() {
+		if _, ok := ParsePrefixBytes(in); !ok {
+			t.Fatal("parse failed")
+		}
+	}); n != 0 {
+		t.Errorf("ParsePrefixBytes allocates %.1f times per call, want 0", n)
+	}
+}

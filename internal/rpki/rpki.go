@@ -139,17 +139,19 @@ func (r *Repository) Build() error {
 		}
 		r.bydSKI[c.SKI] = c
 	}
-	// Depth + cycle check via iterative parent walk with memoization.
+	// Depth + cycle check: a memoized walk up the issuer links. A
+	// certificate is marked before its issuer is visited, so meeting the
+	// mark again is a cycle.
+	const visiting = -1
 	r.depth = make(map[string]int, len(r.Certs))
-	var depthOf func(ski string, seen map[string]bool) (int, error)
-	depthOf = func(ski string, seen map[string]bool) (int, error) {
+	var depthOf func(ski string) (int, error)
+	depthOf = func(ski string) (int, error) {
 		if d, ok := r.depth[ski]; ok {
+			if d == visiting {
+				return 0, fmt.Errorf("rpki: certificate cycle through %s", ski)
+			}
 			return d, nil
 		}
-		if seen[ski] {
-			return 0, fmt.Errorf("rpki: certificate cycle through %s", ski)
-		}
-		seen[ski] = true
 		c := r.bydSKI[ski]
 		if c.AKI == "" {
 			r.depth[ski] = 0
@@ -159,15 +161,16 @@ func (r *Repository) Build() error {
 		if !ok {
 			return 0, fmt.Errorf("rpki: certificate %s references unknown issuer %s", ski, c.AKI)
 		}
-		pd, err := depthOf(parent.SKI, seen)
+		r.depth[ski] = visiting
+		pd, err := depthOf(parent.SKI)
 		if err != nil {
 			return 0, err
 		}
 		r.depth[ski] = pd + 1
 		return pd + 1, nil
 	}
-	for _, c := range r.Certs {
-		if _, err := depthOf(c.SKI, map[string]bool{}); err != nil {
+	for i := range r.Certs {
+		if _, err := depthOf(r.Certs[i].SKI); err != nil {
 			return err
 		}
 	}

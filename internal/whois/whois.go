@@ -184,16 +184,39 @@ func (db *Database) FlattenWithStats() ([]Entry, FlattenStats) {
 	return out, stats
 }
 
+// timeLayouts are the timestamp layouts seen across registry dumps, in
+// the order parseTime tries them.
+var timeLayouts = [...]string{
+	time.RFC3339,          // RIPE last-modified: 2024-06-01T10:00:00Z
+	"2006-01-02",          // ARIN Updated
+	"20060102",            // LACNIC changed, RPSL changed date
+	"2006-01-02 15:04:05", // misc
+}
+
 // parseTime accepts the timestamp layouts seen across registry dumps.
 func parseTime(s string) (time.Time, error) {
 	s = strings.TrimSpace(s)
-	layouts := []string{
-		time.RFC3339,          // RIPE last-modified: 2024-06-01T10:00:00Z
-		"2006-01-02",          // ARIN Updated
-		"20060102",            // LACNIC changed, RPSL changed date
-		"2006-01-02 15:04:05", // misc
+	// No two layouts accept the same string, and length and shape say
+	// which one could: try that one alone first. Every layout a string
+	// fails costs a *time.ParseError quoting it, and a registry dump
+	// has one timestamp per object.
+	likely := -1
+	switch {
+	case len(s) > 10 && s[10] == 'T':
+		likely = 0
+	case len(s) == 10 && s[4] == '-':
+		likely = 1
+	case len(s) == 8:
+		likely = 2
+	case len(s) == 19 && s[10] == ' ':
+		likely = 3
 	}
-	for _, l := range layouts {
+	if likely >= 0 {
+		if t, err := time.Parse(timeLayouts[likely], s); err == nil {
+			return t, nil
+		}
+	}
+	for _, l := range timeLayouts {
 		if t, err := time.Parse(l, s); err == nil {
 			return t, nil
 		}

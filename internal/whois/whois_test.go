@@ -1,6 +1,7 @@
 package whois
 
 import (
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -46,25 +47,48 @@ func TestParseBlockSpec(t *testing.T) {
 	}
 }
 
+// TestParseTime pins every accepted form — whichever layout parseTime
+// tries first — and the error text for what none accepts.
 func TestParseTime(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"2024-06-01T10:00:00Z", "2024-06-01"},
-		{"2024-05-01", "2024-05-01"},
-		{"20240501", "2024-05-01"},
-		{"noc@example.net 20240501", "2024-05-01"},
+	utc := func(y int, mo time.Month, d, h, mi, sec int) time.Time {
+		return time.Date(y, mo, d, h, mi, sec, 0, time.UTC)
 	}
-	for _, c := range cases {
+	for _, c := range []struct {
+		in   string
+		want time.Time
+	}{
+		{"2024-06-01T10:00:00Z", utc(2024, 6, 1, 10, 0, 0)},
+		{"2024-06-01T10:00:00.5Z", utc(2024, 6, 1, 10, 0, 0).Add(500 * time.Millisecond)},
+		{"2024-06-01T10:00:00+02:00", utc(2024, 6, 1, 8, 0, 0)},
+		{"2024-05-01", utc(2024, 5, 1, 0, 0, 0)},
+		{"20240501", utc(2024, 5, 1, 0, 0, 0)},
+		{"2024-05-01 23:59:58", utc(2024, 5, 1, 23, 59, 58)},
+		{"  2024-05-01\t", utc(2024, 5, 1, 0, 0, 0)},
+		{"noc@example.net 20240501", utc(2024, 5, 1, 0, 0, 0)},
+		{"a b c 20240501", utc(2024, 5, 1, 0, 0, 0)},
+		// The shape of one layout, the content of the last-field rule.
+		{"x@y.zz 20240501", utc(2024, 5, 1, 0, 0, 0)},            // 15 bytes
+		{"hostmaster 20240501", utc(2024, 5, 1, 0, 0, 0)},        // 19 bytes, a space at 10
+		{"someone@ripe.net 20240501", utc(2024, 5, 1, 0, 0, 0)},  // longer than 10, no T at 10
+		{"0123456789T@x.net 20240501", utc(2024, 5, 1, 0, 0, 0)}, // a T at 10
+	} {
 		got, err := parseTime(c.in)
 		if err != nil {
 			t.Errorf("parseTime(%q): %v", c.in, err)
 			continue
 		}
-		if got.Format("2006-01-02") != c.want {
+		if !got.Equal(c.want) {
 			t.Errorf("parseTime(%q) = %s, want %s", c.in, got, c.want)
 		}
 	}
-	if _, err := parseTime("not a time"); err == nil {
-		t.Error("parseTime accepted garbage")
+	for _, bad := range []string{
+		"", "not a time", "2024-13-01", "20241301", "2024/05/01", "24-05-01", "2024-05-01T", "2024-5-1",
+		"2024-05-01 25:00:00", "2024-05-0110:00:00Z", "1234567", "123456789", "noc@example.net", "noc@example.net 2024-05-01",
+	} {
+		_, err := parseTime(bad)
+		if want := fmt.Sprintf("whois: unrecognized timestamp %q", strings.TrimSpace(bad)); err == nil || err.Error() != want {
+			t.Errorf("parseTime(%q) error = %v, want %s", bad, err, want)
+		}
 	}
 }
 

@@ -34,6 +34,7 @@
 package prefix2org
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -41,7 +42,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -461,41 +462,70 @@ func famOf(p netip.Prefix) alloc.Family {
 	return alloc.IPv6
 }
 
+// resolveScratch is the working memory of one resolve worker, reused
+// from prefix to prefix so the pass allocates only what a Record keeps.
+type resolveScratch struct {
+	chain []int32      // covering chain: group ids, least specific first
+	typed []typedEntry // one chain level, typed and in hierarchical order
+	// The Delegated Customer chain while it is walked.
+	custs []string
+	prefs []netip.Prefix
+	types []string
+}
+
+// typedEntry pairs a WHOIS entry (in place, in the delegation index)
+// with its resolved allocation type.
+type typedEntry struct {
+	e *whois.Entry
+	t alloc.Type
+}
+
+// typeLevel resolves the allocation types of the entries registered at
+// one block and puts them in hierarchical order: Direct Owner types
+// first, then by sub-delegation depth (§5.2's Allocation→Reallocation→
+// Reassignment ordering), then by name for determinism. Entries with an
+// unresolvable status are skipped. The result is s.typed: valid until
+// the next call.
+func (s *resolveScratch) typeLevel(es []whois.Entry) []typedEntry {
+	s.typed = s.typed[:0]
+	for i := range es {
+		e := &es[i]
+		if t, err := alloc.Lookup(e.Registry, e.Status, famOf(e.Prefix)); err == nil {
+			s.typed = append(s.typed, typedEntry{e, t})
+		}
+	}
+	slices.SortStableFunc(s.typed, func(a, b typedEntry) int {
+		if c := cmp.Compare(a.t.Depth, b.t.Depth); c != 0 {
+			return c
+		}
+		return strings.Compare(a.e.OrgName, b.e.OrgName)
+	})
+	return s.typed
+}
+
+func (s *resolveScratch) addCustomer(name string, p netip.Prefix, typ string) {
+	s.custs, s.prefs, s.types = append(s.custs, name), append(s.prefs, p), append(s.types, typ)
+}
+
+func (s *resolveScratch) reverseCustomers() {
+	slices.Reverse(s.custs)
+	slices.Reverse(s.prefs)
+	slices.Reverse(s.types)
+}
+
 // resolveOwnership implements §5.2: given the covering WHOIS chain for
-// p (group ids of groups, least specific first, as produced by
+// p (s.chain: group ids of groups, least specific first, as produced by
 // CoveringInto), resolve the Delegated Customer chain and walk up to
-// the Direct Owner. The chain slice is only read — callers may reuse
-// its backing buffer.
-func resolveOwnership(groups *lpm.Groups[whois.Entry], chain []int32, repo *rpki.Repository, p netip.Prefix) (Record, bool) {
-	if len(chain) == 0 {
+// the Direct Owner.
+func (s *resolveScratch) resolveOwnership(groups *lpm.Groups[whois.Entry], repo *rpki.Repository, p netip.Prefix) (Record, bool) {
+	if len(s.chain) == 0 {
 		return Record{}, false
 	}
 	rec := Record{Prefix: p}
 
-	resolve := func(es []whois.Entry) []typedEntry {
-		out := make([]typedEntry, 0, len(es))
-		for _, e := range es {
-			t, err := alloc.Lookup(e.Registry, e.Status, famOf(e.Prefix))
-			if err != nil {
-				continue // unresolvable status: skip the record
-			}
-			out = append(out, typedEntry{e, t})
-		}
-		// Hierarchical order: Direct Owner types first, then by
-		// sub-delegation depth (§5.2's Allocation→Reallocation→
-		// Reassignment ordering), then by name for determinism.
-		sort.SliceStable(out, func(i, j int) bool {
-			if out[i].t.Depth != out[j].t.Depth {
-				return out[i].t.Depth < out[j].t.Depth
-			}
-			return out[i].e.OrgName < out[j].e.OrgName
-		})
-		return out
-	}
-
 	// Walk from most specific upwards.
-	level := len(chain) - 1
-	most := resolve(groups.At(chain[level]))
+	level := len(s.chain) - 1
+	most := s.typeLevel(groups.At(s.chain[level]))
 	if len(most) == 0 {
 		return Record{}, false
 	}
@@ -506,12 +536,19 @@ func resolveOwnership(groups *lpm.Groups[whois.Entry], chain []int32, repo *rpki
 		rec.DOPrefix = t.e.Prefix
 		rec.DOType = doTypeName(t, repo)
 	}
+	// done hands rec the customer chain: the only memory a mapped prefix
+	// costs.
+	done := func() (Record, bool) {
+		rec.DelegatedCustomers = slices.Clone(s.custs)
+		rec.DCPrefixes = slices.Clone(s.prefs)
+		rec.DCTypes = slices.Clone(s.types)
+		return rec, true
+	}
 	// Collect DC chain at the most specific level.
+	s.custs, s.prefs, s.types = s.custs[:0], s.prefs[:0], s.types[:0]
 	for _, t := range most {
 		if !t.t.DirectOwner() {
-			rec.DelegatedCustomers = append(rec.DelegatedCustomers, t.e.OrgName)
-			rec.DCPrefixes = append(rec.DCPrefixes, t.e.Prefix)
-			rec.DCTypes = append(rec.DCTypes, t.t.Name)
+			s.addCustomer(t.e.OrgName, t.e.Prefix, t.t.Name)
 		}
 	}
 	// If the most specific record set includes a Direct Owner type, that
@@ -520,49 +557,39 @@ func resolveOwnership(groups *lpm.Groups[whois.Entry], chain []int32, repo *rpki
 	for _, t := range most {
 		if t.t.DirectOwner() {
 			setDO(t)
-			if len(rec.DelegatedCustomers) == 0 {
-				rec.DelegatedCustomers = []string{t.e.OrgName}
-				rec.DCPrefixes = []netip.Prefix{t.e.Prefix}
-				rec.DCTypes = []string{rec.DOType}
+			if len(s.custs) == 0 {
+				s.addCustomer(t.e.OrgName, t.e.Prefix, rec.DOType)
 			}
-			return rec, true
+			return done()
 		}
 	}
 	// Otherwise move up the tree through intermediate Delegated
-	// Customers until a Direct Owner delegation appears.
+	// Customers until a Direct Owner delegation appears. The chain reads
+	// outermost first, each level in hierarchical order; walking inside
+	// out, it is collected backwards and turned round once at the end.
+	s.reverseCustomers()
 	for level--; level >= 0; level-- {
-		ts := resolve(groups.At(chain[level]))
+		ts := s.typeLevel(groups.At(s.chain[level]))
 		for _, t := range ts {
 			if t.t.DirectOwner() {
 				setDO(t)
-				return rec, true
+				s.reverseCustomers()
+				return done()
 			}
 		}
-		// Intermediate Delegated Customers, outermost last: prepend in
-		// hierarchical order.
 		for i := len(ts) - 1; i >= 0; i-- {
-			rec.DelegatedCustomers = append([]string{ts[i].e.OrgName}, rec.DelegatedCustomers...)
-			rec.DCPrefixes = append([]netip.Prefix{ts[i].e.Prefix}, rec.DCPrefixes...)
-			rec.DCTypes = append([]string{ts[i].t.Name}, rec.DCTypes...)
+			s.addCustomer(ts[i].e.OrgName, ts[i].e.Prefix, ts[i].t.Name)
 		}
 	}
 	// No Direct Owner delegation found anywhere in the chain: attribute
 	// to the outermost holder but flag by leaving DOType empty is NOT
 	// done — the paper counts these prefixes as mapped to Delegated
 	// Customers only; we keep the outermost customer as owner-of-record.
-	if len(rec.DelegatedCustomers) > 0 {
-		rec.DirectOwner = rec.DelegatedCustomers[0]
-		rec.DOPrefix = rec.DCPrefixes[0]
-		rec.DOType = rec.DCTypes[0]
-		return rec, true
-	}
-	return Record{}, false
-}
-
-// typedEntry pairs a WHOIS entry with its resolved allocation type.
-type typedEntry struct {
-	e whois.Entry
-	t alloc.Type
+	// (The most specific level held only customers, so the chain is not
+	// empty.)
+	s.reverseCustomers()
+	rec.DirectOwner, rec.DOPrefix, rec.DOType = s.custs[0], s.prefs[0], s.types[0]
+	return done()
 }
 
 // doTypeName maps a Direct Owner record to its reported type name,

@@ -44,18 +44,17 @@ type resolveEnv struct {
 // worker writes only its own slots, so output is identical for every
 // worker count.
 func resolveIndices(ctx context.Context, env *resolveEnv, routed []netip.Prefix, idxs []int, slots []resolvedRec, workers int) error {
-	// Each worker owns one covering-chain buffer (group ids, least
-	// specific first), re-sliced per prefix, so the hottest walk of the
-	// pass allocates only when a chain outgrows every chain seen before
-	// it.
-	type chainBuf = []int32
-	resolveOne := func(i int, buf chainBuf) chainBuf {
+	// Each worker owns one scratch, reused per prefix, so the hottest
+	// walks of the pass — the covering chain, typing and ordering each
+	// of its levels — allocate only when a prefix outgrows every prefix
+	// the worker saw before it.
+	resolveOne := func(i int, s *resolveScratch) {
 		p := routed[i]
-		buf = env.whois.Index().CoveringInto(p, buf[:0])
-		rec, ok := resolveOwnership(env.whois, buf, env.repo, p)
+		s.chain = env.whois.Index().CoveringInto(p, s.chain[:0])
+		rec, ok := s.resolveOwnership(env.whois, env.repo, p)
 		if !ok {
 			slots[i] = resolvedRec{}
-			return buf
+			return
 		}
 		if origin, has := env.table.Origin(p); has {
 			rec.OriginASN = origin
@@ -65,7 +64,6 @@ func resolveIndices(ctx context.Context, env *resolveEnv, routed []netip.Prefix,
 			rec.RPKICert = c.SKI
 		}
 		slots[i] = resolvedRec{rec: rec, haveDO: true}
-		return buf
 	}
 	n := len(idxs)
 	var next atomic.Int64
@@ -75,14 +73,14 @@ func resolveIndices(ctx context.Context, env *resolveEnv, routed []netip.Prefix,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf chainBuf
+			var scratch resolveScratch
 			for {
 				start := int(next.Add(resolveChunk)) - resolveChunk
 				if start >= n || ctx.Err() != nil {
 					return
 				}
 				for _, i := range idxs[start:min(start+resolveChunk, n)] {
-					buf = resolveOne(i, buf)
+					resolveOne(i, &scratch)
 				}
 			}
 		}()

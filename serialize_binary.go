@@ -70,8 +70,12 @@ type stringTable struct {
 	tab []string
 }
 
-func newStringTable() *stringTable {
-	return &stringTable{ids: map[string]uint64{"": 0}, tab: []string{""}}
+// newStringTable returns a table holding "" as entry 0, with room for
+// about sizeHint more strings.
+func newStringTable(sizeHint int) *stringTable {
+	t := &stringTable{ids: make(map[string]uint64, sizeHint+1), tab: make([]string, 1, sizeHint+1)}
+	t.ids[""] = 0
+	return t
 }
 
 func (t *stringTable) ref(buf []byte, s string) []byte {
@@ -115,7 +119,7 @@ func (d *Dataset) SaveBinaryV1(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("prefix2org: encode stats: %w", err)
 	}
-	strs := newStringTable()
+	strs := newStringTable(0)
 
 	var clusters []byte
 	clusters = binary.AppendUvarint(clusters, uint64(len(d.Clusters)))

@@ -2,12 +2,14 @@ package prefix2org
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/prefix2org/prefix2org/internal/lpm"
 	"github.com/prefix2org/prefix2org/internal/obs"
@@ -174,22 +176,18 @@ func maskHiLo(bits uint8) (hi, lo uint64) {
 	return hi, lo
 }
 
-func appendU32s(buf []byte, vs []uint32) []byte {
-	for _, v := range vs {
-		buf = binary.LittleEndian.AppendUint32(buf, v)
-	}
-	return buf
-}
-
-func appendU64s(buf []byte, vs []uint64) []byte {
-	for _, v := range vs {
-		buf = binary.LittleEndian.AppendUint64(buf, v)
-	}
-	return buf
-}
-
 func u32at(col []byte, i int) uint32 { return binary.LittleEndian.Uint32(col[4*i:]) }
 func u64at(col []byte, i int) uint64 { return binary.LittleEndian.Uint64(col[8*i:]) }
+
+func putU32at(col []byte, i int, v uint32) { binary.LittleEndian.PutUint32(col[4*i:], v) }
+
+// putPrefixAt writes p as entry i of four parallel prefix columns.
+func putPrefixAt(hi, lo, bits, fam []byte, i int, p netip.Prefix) {
+	h, l, b, f := splitPrefix(p)
+	binary.LittleEndian.PutUint64(hi[8*i:], h)
+	binary.LittleEndian.PutUint64(lo[8*i:], l)
+	bits[i], fam[i] = b, f
+}
 
 // id interns s and returns its dense table index (v2 columns store
 // fixed-width u32 refs, unlike v1's uvarint ref()).
@@ -207,6 +205,13 @@ func (t *stringTable) id(s string) uint32 {
 // current format, openable in place by OpenSnapshotFile with no
 // per-record decode. The output is deterministic for a given Dataset;
 // Load and SaveFile round-trip it byte for byte.
+//
+// Every section but the strings has a length the record, cluster and
+// ragged-list counts fix, and the strings section has one once every
+// string is interned. So the writer counts, interns, allocates the file
+// once at its final size, fills each column at its offset — through the
+// same carve the reader slices the sections with — and hands w the
+// whole file in one Write.
 func (d *Dataset) SaveBinary(w io.Writer) error {
 	defer obs.Time(mCodecSeconds.saveBin)()
 	d.MaterializeAll()
@@ -215,220 +220,266 @@ func (d *Dataset) SaveBinary(w io.Writer) error {
 		return fmt.Errorf("prefix2org: encode stats: %w", err)
 	}
 
-	strs := newStringTable()
-
-	// Clusters: interned before records, matching the v1 writer's
-	// first-reference order.
-	m := len(d.Clusters)
-	var (
-		cluID         = make([]uint32, m)
-		cluBase       = make([]uint32, m)
-		cluOwnerStart = make([]uint32, m+1)
-		cluPrefStart  = make([]uint32, m+1)
-		cluOwnerRefs  []uint32
-		cluPH, cluPL  []uint64
-		cluPB, cluPF  []uint8
-		ownerPairs    [][2]uint32 // {owner ref, cluster index}
-	)
-	for i, c := range d.Clusters {
-		cluID[i] = strs.id(c.ID)
-		cluBase[i] = strs.id(c.BaseName)
-		for _, o := range c.OwnerNames {
-			ref := strs.id(o)
-			cluOwnerRefs = append(cluOwnerRefs, ref)
-			ownerPairs = append(ownerPairs, [2]uint32{ref, uint32(i)})
-		}
-		for _, p := range c.Prefixes {
-			hi, lo, bits, fam := splitPrefix(p)
-			cluPH = append(cluPH, hi)
-			cluPL = append(cluPL, lo)
-			cluPB = append(cluPB, bits)
-			cluPF = append(cluPF, fam)
-		}
-		cluOwnerStart[i+1] = uint32(len(cluOwnerRefs))
-		cluPrefStart[i+1] = uint32(len(cluPH))
+	rc, cc := recCols{n: len(d.Records)}, cluCols{m: len(d.Clusters)}
+	for _, c := range d.Clusters {
+		cc.nOwn += len(c.OwnerNames)
+		cc.nPref += len(c.Prefixes)
 	}
-
-	n := len(d.Records)
-	var (
-		recPH, recPL = make([]uint64, n), make([]uint64, n)
-		doH, doL     = make([]uint64, n), make([]uint64, n)
-		recPB, recPF = make([]uint8, n), make([]uint8, n)
-		doB, doF     = make([]uint8, n), make([]uint8, n)
-
-		rir    = make([]uint32, n)
-		downer = make([]uint32, n)
-		dotype = make([]uint32, n)
-		base   = make([]uint32, n)
-		cert   = make([]uint32, n)
-		asncl  = make([]uint32, n)
-		fincl  = make([]uint32, n)
-		origin = make([]uint32, n)
-
-		custStart = make([]uint32, n+1)
-		dcpStart  = make([]uint32, n+1)
-		dctStart  = make([]uint32, n+1)
-
-		custRefs, dctRefs []uint32
-		dcpH, dcpL        []uint64
-		dcpB, dcpF        []uint8
-	)
 	for i := range d.Records {
 		r := &d.Records[i]
-		recPH[i], recPL[i], recPB[i], recPF[i] = splitPrefix(r.Prefix)
-		rir[i] = strs.id(r.RIR)
-		downer[i] = strs.id(r.DirectOwner)
-		doH[i], doL[i], doB[i], doF[i] = splitPrefix(r.DOPrefix)
-		dotype[i] = strs.id(r.DOType)
-		for _, s := range r.DelegatedCustomers {
-			custRefs = append(custRefs, strs.id(s))
-		}
-		for _, p := range r.DCPrefixes {
-			hi, lo, bits, fam := splitPrefix(p)
-			dcpH = append(dcpH, hi)
-			dcpL = append(dcpL, lo)
-			dcpB = append(dcpB, bits)
-			dcpF = append(dcpF, fam)
-		}
-		for _, s := range r.DCTypes {
-			dctRefs = append(dctRefs, strs.id(s))
-		}
-		base[i] = strs.id(r.BaseName)
-		cert[i] = strs.id(r.RPKICert)
-		origin[i] = r.OriginASN
-		asncl[i] = strs.id(r.ASNCluster)
-		fincl[i] = strs.id(r.FinalCluster)
-		custStart[i+1] = uint32(len(custRefs))
-		dcpStart[i+1] = uint32(len(dcpH))
-		dctStart[i+1] = uint32(len(dctRefs))
+		rc.nCust += len(r.DelegatedCustomers)
+		rc.nDCP += len(r.DCPrefixes)
+		rc.nDCT += len(r.DCTypes)
 	}
-
-	// Strings section: exact back-to-back packing.
+	strs, refs := d.internStrings(2*cc.m + cc.nOwn + 7*rc.n + rc.nCust + rc.nDCT)
+	nStr := len(strs.tab)
 	var blobLen uint64
 	for _, s := range strs.tab {
 		blobLen += uint64(len(s))
 	}
-	if blobLen > 1<<32-1 || len(strs.tab) > 1<<32-1 {
+	if blobLen > 1<<32-1 || nStr > 1<<32-1 {
 		return fmt.Errorf("prefix2org: string table too large for v2 snapshot")
 	}
-	strPayload := make([]byte, 0, 8+8*len(strs.tab)+int(blobLen))
-	strPayload = binary.LittleEndian.AppendUint32(strPayload, uint32(len(strs.tab)))
-	strPayload = binary.LittleEndian.AppendUint32(strPayload, uint32(blobLen))
-	off := uint32(0)
-	for _, s := range strs.tab {
-		strPayload = binary.LittleEndian.AppendUint32(strPayload, off)
-		strPayload = binary.LittleEndian.AppendUint32(strPayload, uint32(len(s)))
-		off += uint32(len(s))
-	}
-	for _, s := range strs.tab {
-		strPayload = append(strPayload, s...)
-	}
-
-	var recPayload []byte
-	recPayload = appendU32s(recPayload, []uint32{uint32(n), uint32(len(custRefs)), uint32(len(dcpH)), uint32(len(dctRefs))})
-	recPayload = appendU64s(recPayload, recPH)
-	recPayload = appendU64s(recPayload, recPL)
-	recPayload = appendU64s(recPayload, doH)
-	recPayload = appendU64s(recPayload, doL)
-	recPayload = appendU64s(recPayload, dcpH)
-	recPayload = appendU64s(recPayload, dcpL)
-	for _, col := range [][]uint32{rir, downer, dotype, base, cert, asncl, fincl, origin, custStart, dcpStart, dctStart, custRefs, dctRefs} {
-		recPayload = appendU32s(recPayload, col)
-	}
-	for _, col := range [][]uint8{recPB, recPF, doB, doF, dcpB, dcpF} {
-		recPayload = append(recPayload, col...)
-	}
-
-	var cluPayload []byte
-	cluPayload = appendU32s(cluPayload, []uint32{uint32(m), uint32(len(cluOwnerRefs)), uint32(len(cluPH)), 0})
-	cluPayload = appendU64s(cluPayload, cluPH)
-	cluPayload = appendU64s(cluPayload, cluPL)
-	for _, col := range [][]uint32{cluID, cluBase, cluOwnerStart, cluPrefStart, cluOwnerRefs} {
-		cluPayload = appendU32s(cluPayload, col)
-	}
-	cluPayload = append(cluPayload, cluPB...)
-	cluPayload = append(cluPayload, cluPF...)
-
-	// Owners table, sorted by (owner bytes, cluster index): the total
-	// order is unique, so sort.Slice is deterministic here.
-	sort.Slice(ownerPairs, func(a, b int) bool {
-		sa, sb := strs.tab[ownerPairs[a][0]], strs.tab[ownerPairs[b][0]]
-		if sa != sb {
-			return sa < sb
-		}
-		return ownerPairs[a][1] < ownerPairs[b][1]
-	})
-	var ownPayload []byte
-	ownPayload = appendU32s(ownPayload, []uint32{uint32(len(ownerPairs)), 0})
-	for _, p := range ownerPairs {
-		ownPayload = appendU32s(ownPayload, p[:])
-	}
-
-	idOrder := make([]uint32, m)
-	for i := range idOrder {
-		idOrder[i] = uint32(i)
-	}
-	sort.Slice(idOrder, func(a, b int) bool {
-		ia, ib := d.Clusters[idOrder[a]].ID, d.Clusters[idOrder[b]].ID
-		if ia != ib {
-			return ia < ib
-		}
-		return idOrder[a] < idOrder[b]
-	})
-	var idPayload []byte
-	idPayload = appendU32s(idPayload, []uint32{uint32(m), 0})
-	idPayload = appendU32s(idPayload, idOrder)
-
 	ix := d.idx
 	if ix == nil {
-		items := make([]lpm.Item, n)
+		items := make([]lpm.Item, rc.n)
 		for i := range d.Records {
 			items[i] = lpm.Item{Prefix: d.Records[i].Prefix, Val: int32(i)}
 		}
 		ix = lpm.Freeze(items)
 	}
-	ixPayload := ix.AppendColumns(nil)
 
-	secs := []struct {
-		tag     uint32
-		payload []byte
-	}{
-		{v2SecStats, stats},
-		{v2SecStrings, strPayload},
-		{v2SecRecords, recPayload},
-		{v2SecClusters, cluPayload},
-		{v2SecOwners, ownPayload},
-		{v2SecClusterIDs, idPayload},
-		{v2SecIndex, ixPayload},
+	// The directory: one section per tag, tags ascending, each at the next
+	// 8-aligned offset. make zeroes the padding between them. sec holds
+	// one slicer per section, by tag (0 is no section's): what is left in
+	// them at the end says whether each came out at the length the
+	// directory states.
+	const nSecs = v2SecIndex // the highest tag: sections are 1..nSecs
+	var sec [nSecs + 1]slicer
+	size := [nSecs + 1]int{
+		v2SecStats:      len(stats),
+		v2SecStrings:    8 + 8*nStr + int(blobLen),
+		v2SecRecords:    rc.sectionLen(),
+		v2SecClusters:   cc.sectionLen(),
+		v2SecOwners:     8 + 8*cc.nOwn,
+		v2SecClusterIDs: 8 + 4*cc.m,
+		v2SecIndex:      ix.ColumnsLen(),
 	}
-	hdrLen := 16 + 24*len(secs) // divisible by 8, so section 0 is aligned
-	total := hdrLen
-	offs := make([]int, len(secs))
-	for i, s := range secs {
-		total = (total + 7) &^ 7
-		offs[i] = total
-		total += len(s.payload)
+	var secOff [nSecs + 1]int
+	total := 16 + 24*nSecs // divisible by 8, so the first section is aligned
+	for tag := 1; tag <= nSecs; tag++ {
+		secOff[tag] = (total + 7) &^ 7
+		total = secOff[tag] + size[tag]
 	}
-	out := make([]byte, 0, total)
-	out = append(out, binaryMagicV2[:]...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(secs)))
-	out = binary.LittleEndian.AppendUint32(out, 0)
-	for i, s := range secs {
-		out = binary.LittleEndian.AppendUint32(out, s.tag)
-		out = binary.LittleEndian.AppendUint32(out, 0)
-		out = binary.LittleEndian.AppendUint64(out, uint64(offs[i]))
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(s.payload)))
+	out := make([]byte, total)
+	copy(out, binaryMagicV2[:])
+	putU32at(out[8:], 0, nSecs)
+	for tag := 1; tag <= nSecs; tag++ {
+		dir := out[16+24*(tag-1):]
+		putU32at(dir, 0, uint32(tag))
+		binary.LittleEndian.PutUint64(dir[8:], uint64(secOff[tag]))
+		binary.LittleEndian.PutUint64(dir[16:], uint64(size[tag]))
+		end := secOff[tag] + size[tag]
+		sec[tag] = slicer{b: out[secOff[tag]:end:end], sec: "section layout"}
 	}
-	for i, s := range secs {
-		for len(out) < offs[i] {
-			out = append(out, 0)
+
+	copy(sec[v2SecStats].take(len(stats)), stats)
+
+	// Strings: exact back-to-back packing.
+	s := &sec[v2SecStrings]
+	hdr, pairs, blob := s.take(8), s.take(8*nStr), s.take(int(blobLen))
+	putU32at(hdr, 0, uint32(nStr))
+	putU32at(hdr, 1, uint32(blobLen))
+	off := 0
+	for i, str := range strs.tab {
+		putU32at(pairs, 2*i, uint32(off))
+		putU32at(pairs, 2*i+1, uint32(len(str)))
+		off += copy(blob[off:], str)
+	}
+
+	// Clusters, then records: the interning walk again, each ref to its
+	// column.
+	s = &sec[v2SecClusters]
+	hdr = s.take(16)
+	putU32at(hdr, 0, uint32(cc.m))
+	putU32at(hdr, 1, uint32(cc.nOwn))
+	putU32at(hdr, 2, uint32(cc.nPref))
+	cc.carve(s)
+	if s.err != nil {
+		return fmt.Errorf("prefix2org: write binary snapshot: clusters: %w", s.err)
+	}
+	refs, ownerPairs := cc.fill(d.Clusters, refs)
+
+	s = &sec[v2SecRecords]
+	hdr = s.take(16)
+	putU32at(hdr, 0, uint32(rc.n))
+	putU32at(hdr, 1, uint32(rc.nCust))
+	putU32at(hdr, 2, uint32(rc.nDCP))
+	putU32at(hdr, 3, uint32(rc.nDCT))
+	rc.carve(s)
+	if s.err != nil {
+		return fmt.Errorf("prefix2org: write binary snapshot: records: %w", s.err)
+	}
+	refs = rc.fill(d.Records, refs)
+
+	// Owners table, sorted by (owner bytes, cluster index). Equal refs
+	// are equal strings, and the total order is unique, so an unstable
+	// sort is deterministic here.
+	slices.SortFunc(ownerPairs, func(a, b [2]uint32) int {
+		if a[0] != b[0] {
+			return strings.Compare(strs.tab[a[0]], strs.tab[b[0]])
 		}
-		out = append(out, s.payload...)
+		return cmp.Compare(a[1], b[1])
+	})
+	s = &sec[v2SecOwners]
+	putU32at(s.take(8), 0, uint32(len(ownerPairs)))
+	table := s.take(8 * len(ownerPairs))
+	for i, p := range ownerPairs {
+		putU32at(table, 2*i, p[0])
+		putU32at(table, 2*i+1, p[1])
+	}
+
+	// Cluster indices sorted by (cluster ID bytes, index).
+	idOrder := make([]uint32, cc.m)
+	for i := range idOrder {
+		idOrder[i] = uint32(i)
+	}
+	slices.SortFunc(idOrder, func(a, b uint32) int {
+		if c := strings.Compare(d.Clusters[a].ID, d.Clusters[b].ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	s = &sec[v2SecClusterIDs]
+	putU32at(s.take(8), 0, uint32(cc.m))
+	table = s.take(4 * cc.m)
+	for i, idx := range idOrder {
+		putU32at(table, i, idx)
+	}
+
+	// The index appends itself, into the room left for it and no further.
+	s = &sec[v2SecIndex]
+	indexOff := secOff[v2SecIndex]
+	s.take(len(ix.AppendColumns(out[:indexOff:indexOff+len(s.b)])) - indexOff)
+
+	// A section that did not come out at its length in the directory,
+	// or a ref left without a column, is a bug in the arithmetic above:
+	// fail, write nothing.
+	for i := range sec {
+		if err := sec[i].done(); err != nil {
+			return fmt.Errorf("prefix2org: write binary snapshot: section %d: %w", i, err)
+		}
+	}
+	if len(refs) != 0 {
+		return fmt.Errorf("prefix2org: write binary snapshot: %d string refs left without a column", len(refs))
 	}
 	if _, err := w.Write(out); err != nil {
 		return fmt.Errorf("prefix2org: write binary snapshot: %w", err)
 	}
 	return nil
+}
+
+// internStrings interns every string of the dataset, clusters before
+// records and member by member in the order below: table ids are handed
+// out on first reference, so this walk IS the string table's order — and
+// with it every byte of the file. It returns the table and the nRefs
+// refs in walk order, which is the order cluCols.fill and recCols.fill
+// place them in.
+func (d *Dataset) internStrings(nRefs int) (*stringTable, []uint32) {
+	// One distinct string to eight refs is what the synthetic worlds
+	// have; it is a hint, the map grows past it.
+	strs := newStringTable(nRefs / 8)
+	refs := make([]uint32, 0, nRefs)
+	for _, c := range d.Clusters {
+		refs = append(refs, strs.id(c.ID), strs.id(c.BaseName))
+		for _, o := range c.OwnerNames {
+			refs = append(refs, strs.id(o))
+		}
+	}
+	for i := range d.Records {
+		r := &d.Records[i]
+		refs = append(refs, strs.id(r.RIR), strs.id(r.DirectOwner), strs.id(r.DOType))
+		for _, s := range r.DelegatedCustomers {
+			refs = append(refs, strs.id(s))
+		}
+		for _, s := range r.DCTypes {
+			refs = append(refs, strs.id(s))
+		}
+		refs = append(refs, strs.id(r.BaseName), strs.id(r.RPKICert), strs.id(r.ASNCluster), strs.id(r.FinalCluster))
+	}
+	return strs, refs
+}
+
+// fill writes the clusters into the carved columns, taking their string
+// refs off the front of refs in internStrings order. It returns the
+// refs that remain and the {owner ref, cluster index} pairs of the
+// owners table.
+func (cc *cluCols) fill(clusters []*Cluster, refs []uint32) (rest []uint32, ownerPairs [][2]uint32) {
+	ownerPairs = make([][2]uint32, 0, cc.nOwn)
+	nOwn, nPref := 0, 0
+	for i, c := range clusters {
+		putU32at(cc.id, i, refs[0])
+		putU32at(cc.base, i, refs[1])
+		refs = refs[2:]
+		putU32at(cc.ownerStart, i, uint32(nOwn))
+		for range c.OwnerNames {
+			putU32at(cc.ownerRefs, nOwn, refs[0])
+			ownerPairs = append(ownerPairs, [2]uint32{refs[0], uint32(i)})
+			refs = refs[1:]
+			nOwn++
+		}
+		putU32at(cc.prefStart, i, uint32(nPref))
+		for _, p := range c.Prefixes {
+			putPrefixAt(cc.prefHi, cc.prefLo, cc.prefBits, cc.prefFam, nPref, p)
+			nPref++
+		}
+	}
+	putU32at(cc.ownerStart, cc.m, uint32(nOwn))
+	putU32at(cc.prefStart, cc.m, uint32(nPref))
+	return refs, ownerPairs
+}
+
+// fill writes the records into the carved columns, taking their string
+// refs off the front of refs in internStrings order, and returns the
+// refs that remain.
+func (rc *recCols) fill(records []Record, refs []uint32) []uint32 {
+	nCust, nDCP, nDCT := 0, 0, 0
+	for i := range records {
+		r := &records[i]
+		putPrefixAt(rc.prefHi, rc.prefLo, rc.prefBits, rc.prefFam, i, r.Prefix)
+		putPrefixAt(rc.doHi, rc.doLo, rc.doBits, rc.doFam, i, r.DOPrefix)
+		putU32at(rc.rir, i, refs[0])
+		putU32at(rc.downer, i, refs[1])
+		putU32at(rc.dotype, i, refs[2])
+		refs = refs[3:]
+		putU32at(rc.custStart, i, uint32(nCust))
+		for range r.DelegatedCustomers {
+			putU32at(rc.custRefs, nCust, refs[0])
+			refs = refs[1:]
+			nCust++
+		}
+		putU32at(rc.dcpStart, i, uint32(nDCP))
+		for _, p := range r.DCPrefixes {
+			putPrefixAt(rc.dcpHi, rc.dcpLo, rc.dcpBits, rc.dcpFam, nDCP, p)
+			nDCP++
+		}
+		putU32at(rc.dctStart, i, uint32(nDCT))
+		for range r.DCTypes {
+			putU32at(rc.dctRefs, nDCT, refs[0])
+			refs = refs[1:]
+			nDCT++
+		}
+		putU32at(rc.base, i, refs[0])
+		putU32at(rc.cert, i, refs[1])
+		putU32at(rc.asncl, i, refs[2])
+		putU32at(rc.fincl, i, refs[3])
+		refs = refs[4:]
+		putU32at(rc.origin, i, r.OriginASN)
+	}
+	putU32at(rc.custStart, rc.n, uint32(nCust))
+	putU32at(rc.dcpStart, rc.n, uint32(nDCP))
+	putU32at(rc.dctStart, rc.n, uint32(nDCT))
+	return refs
 }
 
 // slicer takes fixed-width sub-slices off a section payload with one
@@ -523,6 +574,32 @@ type recCols struct {
 	dcpBits, dcpFam                  []byte // nDCP each
 }
 
+// carve slices the section's columns, after its 16-byte header, off s:
+// the one place the records layout is written down. parseRecCols
+// validates what it is handed; SaveBinary fills it.
+func (rc *recCols) carve(s *slicer) {
+	n, P := rc.n, rc.nDCP
+	rc.prefHi, rc.prefLo = s.take(8*n), s.take(8*n)
+	rc.doHi, rc.doLo = s.take(8*n), s.take(8*n)
+	rc.dcpHi, rc.dcpLo = s.take(8*P), s.take(8*P)
+	rc.rir, rc.downer, rc.dotype = s.take(4*n), s.take(4*n), s.take(4*n)
+	rc.base, rc.cert, rc.asncl, rc.fincl = s.take(4*n), s.take(4*n), s.take(4*n), s.take(4*n)
+	rc.origin = s.take(4 * n)
+	rc.custStart, rc.dcpStart, rc.dctStart = s.take(4*(n+1)), s.take(4*(n+1)), s.take(4*(n+1))
+	rc.custRefs = s.take(4 * rc.nCust)
+	rc.dctRefs = s.take(4 * rc.nDCT)
+	rc.prefBits, rc.prefFam = s.take(n), s.take(n)
+	rc.doBits, rc.doFam = s.take(n), s.take(n)
+	rc.dcpBits, rc.dcpFam = s.take(P), s.take(P)
+}
+
+// sectionLen is the byte length of the section carve slices: header,
+// 4 u64 + 8 u32 + 4 byte columns of n, 3 start columns of n+1, 2 u64 +
+// 2 byte columns of nDCP, and the two ragged ref columns.
+func (rc *recCols) sectionLen() int {
+	return 16 + (4*8+8*4+4)*rc.n + 3*4*(rc.n+1) + (2*8+2)*rc.nDCP + 4*rc.nCust + 4*rc.nDCT
+}
+
 func parseRecCols(sec []byte, nStr int) (recCols, error) {
 	var rc recCols
 	s := &slicer{b: sec, sec: "records"}
@@ -541,18 +618,7 @@ func parseRecCols(sec []byte, nStr int) (recCols, error) {
 		return rc, fmt.Errorf("prefix2org: binary snapshot: records: counts [%d %d %d %d] exceed section size", n, C, P, T)
 	}
 	rc.n, rc.nCust, rc.nDCP, rc.nDCT = n, C, P, T
-	rc.prefHi, rc.prefLo = s.take(8*n), s.take(8*n)
-	rc.doHi, rc.doLo = s.take(8*n), s.take(8*n)
-	rc.dcpHi, rc.dcpLo = s.take(8*P), s.take(8*P)
-	rc.rir, rc.downer, rc.dotype = s.take(4*n), s.take(4*n), s.take(4*n)
-	rc.base, rc.cert, rc.asncl, rc.fincl = s.take(4*n), s.take(4*n), s.take(4*n), s.take(4*n)
-	rc.origin = s.take(4 * n)
-	rc.custStart, rc.dcpStart, rc.dctStart = s.take(4*(n+1)), s.take(4*(n+1)), s.take(4*(n+1))
-	rc.custRefs = s.take(4 * C)
-	rc.dctRefs = s.take(4 * T)
-	rc.prefBits, rc.prefFam = s.take(n), s.take(n)
-	rc.doBits, rc.doFam = s.take(n), s.take(n)
-	rc.dcpBits, rc.dcpFam = s.take(P), s.take(P)
+	rc.carve(s)
 	if err := s.done(); err != nil {
 		return rc, err
 	}
@@ -607,6 +673,23 @@ type cluCols struct {
 	prefBits, prefFam     []byte // nPref each
 }
 
+// carve slices the section's columns, after its 16-byte header, off s:
+// the clusters layout, written down once for parseCluCols and
+// SaveBinary alike.
+func (cc *cluCols) carve(s *slicer) {
+	m, P := cc.m, cc.nPref
+	cc.prefHi, cc.prefLo = s.take(8*P), s.take(8*P)
+	cc.id, cc.base = s.take(4*m), s.take(4*m)
+	cc.ownerStart, cc.prefStart = s.take(4*(m+1)), s.take(4*(m+1))
+	cc.ownerRefs = s.take(4 * cc.nOwn)
+	cc.prefBits, cc.prefFam = s.take(P), s.take(P)
+}
+
+// sectionLen is the byte length of the section carve slices.
+func (cc *cluCols) sectionLen() int {
+	return 16 + 2*4*cc.m + 2*4*(cc.m+1) + (2*8+2)*cc.nPref + 4*cc.nOwn
+}
+
 func parseCluCols(sec []byte, nStr int) (cluCols, error) {
 	var cc cluCols
 	s := &slicer{b: sec, sec: "clusters"}
@@ -624,11 +707,7 @@ func parseCluCols(sec []byte, nStr int) (cluCols, error) {
 		return cc, fmt.Errorf("prefix2org: binary snapshot: clusters: counts [%d %d %d] exceed section size", m, O, P)
 	}
 	cc.m, cc.nOwn, cc.nPref = m, O, P
-	cc.prefHi, cc.prefLo = s.take(8*P), s.take(8*P)
-	cc.id, cc.base = s.take(4*m), s.take(4*m)
-	cc.ownerStart, cc.prefStart = s.take(4*(m+1)), s.take(4*(m+1))
-	cc.ownerRefs = s.take(4 * O)
-	cc.prefBits, cc.prefFam = s.take(P), s.take(P)
+	cc.carve(s)
 	if err := s.done(); err != nil {
 		return cc, err
 	}
