@@ -4,13 +4,18 @@ GO ?= go
 # (TestMakefileGateShape holds the recipes to this).
 GOTESTFLAGS ?= -timeout 10m
 
-.PHONY: build test vet vet-concurrency lint lint-fix-list race fuzz-short bench-smoke snapshot-compat delta-equivalence loc verify ci
+.PHONY: build test fmt-check vet vet-concurrency lint lint-fix-list race fuzz-short bench-smoke snapshot-compat delta-equivalence loc verify ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test $(GOTESTFLAGS) ./...
+
+# fmt-check fails when gofmt would rewrite any Go file of the module,
+# and names the files.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "fmt-check: gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -95,11 +100,12 @@ loc:
 	@printf 'non-test Go lines reachable from ./cmd/...: '; $(GO) list -deps -f $(LOC_FILES) ./cmd/... | xargs cat | wc -l
 	@printf 'non-test Go lines in ./...: '; $(GO) list -f $(LOC_FILES) ./... | xargs cat | wc -l
 
-# verify is the tier-1 gate, each check once: go vet (whose default set
-# holds the concurrency analyzers), the repository's own linter, build,
-# and the race-enabled tests — which include the delta≡full replays, so
-# the standalone vet and delta-equivalence targets are not repeated here.
-verify: vet-concurrency lint build race
+# verify is the tier-1 gate, each check once: gofmt, go vet (whose
+# default set holds the concurrency analyzers), the repository's own
+# linter, build, and the race-enabled tests — which include the
+# delta≡full replays, so the standalone vet and delta-equivalence targets
+# are not repeated here.
+verify: fmt-check vet-concurrency lint build race
 
 # ci is the full gate: everything verify runs plus what it does not — a
 # short fuzz pass and the benchmark smoke run. Every step runs offline

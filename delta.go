@@ -191,8 +191,16 @@ func rebuild(ctx context.Context, tr *obs.Trace, prev *Dataset, next *buildState
 	var idxs []int
 	common := 0
 	// Both routed lists are in canonical order (bgp.Table.Prefixes), so
-	// one cursor into the previous list finds each prefix's old slot.
-	oldIdx := 0
+	// one cursor into the previous list finds each prefix. So are the
+	// previous Records, which are the previous slots: finish appended the
+	// mapped ones in routed order and added only the final cluster. A
+	// second cursor reads a kept slot back from there, and no build
+	// retains a copy of its slots beside its Records.
+	oldIdx, oldRec := 0, 0
+	var oldRecs []Record
+	if prev != nil {
+		oldRecs = prev.Records
+	}
 	for i, p := range routed {
 		for oldIdx < len(old.routed) && netx.Compare(old.routed[oldIdx], p) < 0 {
 			oldIdx++
@@ -225,7 +233,15 @@ func rebuild(ctx context.Context, tr *obs.Trace, prev *Dataset, next *buildState
 			idxs = append(idxs, i)
 			continue
 		}
-		slots[i] = old.slots[oldIdx]
+		for oldRec < len(oldRecs) && netx.Compare(oldRecs[oldRec].Prefix, p) < 0 {
+			oldRec++
+		}
+		// A prefix that was routed but has no Record was unmapped: the
+		// zero slot.
+		if oldRec < len(oldRecs) && oldRecs[oldRec].Prefix == p {
+			slots[i] = resolvedRec{rec: oldRecs[oldRec], haveDO: true}
+			slots[i].rec.FinalCluster = ""
+		}
 	}
 	reused, removed := len(routed)-len(idxs), len(old.routed)-common
 	if err := resolveIndices(ctx, env, routed, idxs, slots, workers); err != nil {
@@ -242,25 +258,35 @@ func rebuild(ctx context.Context, tr *obs.Trace, prev *Dataset, next *buildState
 	span.Add("unmapped", int64(unmapped))
 	span.End()
 
-	ds, clean, err := finish(ctx, tr, slots, unmapped, opts, old.clean, prevIdx)
-	if err != nil {
-		return nil, err
-	}
-	next.slots, next.clean = slots, clean
-	if prev != nil || opts.Incremental {
-		ds.state = next
-	}
-	obs.Logger("pipeline").Info(tr.Name+" complete",
-		"records", len(ds.Records), "clusters", len(ds.Clusters),
-		"affected", len(idxs), "reused", reused, "trace", tr)
-	return &DeltaResult{
-		Dataset:     ds,
+	res := &DeltaResult{
 		Repo:        env.repo,
 		Affected:    len(idxs),
 		Reused:      reused,
 		Removed:     removed,
 		RPKIChanged: env.repo != old.env.repo || prev == nil,
-	}, nil
+	}
+	retain := prev != nil || opts.Incremental
+	if !retain {
+		// No later build will splice against this one, and finish reads
+		// only the slots: what the loaders produced — the WHOIS runs and
+		// delegation index, the BGP table, the AS clusters, the routed
+		// list — is released here, so that passes 2–4 run over a heap
+		// without it.
+		*env, *next = resolveEnv{}, buildState{}
+	}
+	ds, clean, err := finish(ctx, tr, slots, unmapped, opts, old.clean, prevIdx)
+	if err != nil {
+		return nil, err
+	}
+	if retain {
+		next.clean = clean
+		ds.state = next
+	}
+	obs.Logger("pipeline").Info(tr.Name+" complete",
+		"records", len(ds.Records), "clusters", len(ds.Clusters),
+		"affected", res.Affected, "reused", reused, "trace", tr)
+	res.Dataset = ds
+	return res, nil
 }
 
 // sameRouted reports whether table routes exactly the prefixes of routed,

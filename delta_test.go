@@ -437,3 +437,127 @@ func TestDeltaManySmallSteps(t *testing.T) {
 	}
 	t.Logf("%d deltas re-resolved %d of %d record-visits (%.2f%%)", deltas, affected, visited, 100*float64(affected)/float64(visited))
 }
+
+// TestDeltaReflattensChangedRegistry checks the granularity of a
+// WHOIS-touching reload: each registry file flattens into a run of its
+// own, so a delta re-parses and re-flattens only the registries whose
+// file changed — JPNIC also when only its allocation-type cache did,
+// since the types are part of its keys — and merges the rest from the
+// previous build, to the bytes a full build writes.
+func TestDeltaReflattensChangedRegistry(t *testing.T) {
+	ctx := context.Background()
+	w, err := synth.Generate(synth.DefaultConfig())
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	dir := t.TempDir()
+	if err := w.WriteDir(dir); err != nil {
+		t.Fatalf("WriteDir: %v", err)
+	}
+	opts := Options{Incremental: true}
+	prev, err := BuildFromDir(ctx, dir, opts)
+	if err != nil {
+		t.Fatalf("BuildFromDir: %v", err)
+	}
+	reflattened := func(ds *Dataset) int64 {
+		span, ok := ds.Trace.Span("flatten-whois")
+		if !ok {
+			t.Fatal("no flatten-whois span")
+		}
+		return span.Count("reflattened")
+	}
+	if n := reflattened(prev); n < 8 {
+		t.Fatalf("the full build flattened %d registry files; the world should have most of the ten", n)
+	}
+	edits := []struct{ file, old, new string }{
+		// One TWNIC holder renamed.
+		{"whois/twnic.db", "\ndescr: ", "\ndescr: Renamed "},
+		// One JPNIC block retyped, in the cache alone.
+		{"whois/jpnic-alloctypes.db", "|ALLOCATED PORTABLE\n", "|ASSIGNED PORTABLE\n"},
+	}
+	for _, e := range edits {
+		path := filepath.Join(dir, filepath.FromSlash(e.file))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited := bytes.Replace(data, []byte(e.old), []byte(e.new), 1)
+		if bytes.Equal(edited, data) {
+			t.Fatalf("%s: nothing to edit", e.file)
+		}
+		if err := os.WriteFile(path, edited, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := BuildDelta(ctx, prev, dir, opts)
+		if err != nil {
+			t.Fatalf("%s: BuildDelta: %v", e.file, err)
+		}
+		if !slices.Equal(res.ChangedFiles, []string{e.file}) {
+			t.Errorf("%s: ChangedFiles = %v", e.file, res.ChangedFiles)
+		}
+		if n := reflattened(res.Dataset); n != 1 {
+			t.Errorf("%s: the delta re-flattened %d registries, want 1", e.file, n)
+		}
+		if res.Affected == 0 {
+			t.Errorf("%s: the delta re-resolved nothing", e.file)
+		}
+		full, err := BuildFromDir(ctx, dir, opts)
+		if err != nil {
+			t.Fatalf("%s: BuildFromDir: %v", e.file, err)
+		}
+		if !bytes.Equal(snapshotBytes(t, res.Dataset), snapshotBytes(t, full)) {
+			t.Errorf("%s: delta snapshot differs from full rebuild", e.file)
+		}
+		prev = res.Dataset
+	}
+}
+
+// TestDeltaKeepsUnmappedSlots covers the slot a splice keeps for a routed
+// prefix with no Record: kept slots are read back from the previous
+// Records, and a prefix that was routed but is not among them was
+// unmapped — and stays so, in the same bytes a full build writes.
+func TestDeltaKeepsUnmappedSlots(t *testing.T) {
+	ctx := context.Background()
+	w, err := synth.Generate(synth.DefaultConfig())
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	dir := t.TempDir()
+	if err := w.WriteDir(dir); err != nil {
+		t.Fatalf("WriteDir: %v", err)
+	}
+	// Without AFRINIC's registrations its routed space has no holder.
+	if err := os.Remove(filepath.Join(dir, "whois", "afrinic.db")); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Incremental: true}
+	prev, err := BuildFromDir(ctx, dir, opts)
+	if err != nil {
+		t.Fatalf("BuildFromDir: %v", err)
+	}
+	if prev.Stats.Unmapped == 0 {
+		t.Fatal("no unmapped prefix: the test covers nothing")
+	}
+	path := filepath.Join(dir, "whois", "twnic.db")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, bytes.Replace(data, []byte("\ndescr: "), []byte("\ndescr: Renamed "), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := BuildDelta(ctx, prev, dir, opts)
+	if err != nil {
+		t.Fatalf("BuildDelta: %v", err)
+	}
+	if res.Reused < prev.Stats.Unmapped || res.Dataset.Stats.Unmapped != prev.Stats.Unmapped {
+		t.Errorf("reused %d slots, %d unmapped before and %d after", res.Reused, prev.Stats.Unmapped, res.Dataset.Stats.Unmapped)
+	}
+	full, err := BuildFromDir(ctx, dir, opts)
+	if err != nil {
+		t.Fatalf("BuildFromDir: %v", err)
+	}
+	if !bytes.Equal(snapshotBytes(t, res.Dataset), snapshotBytes(t, full)) {
+		t.Error("delta snapshot differs from full rebuild")
+	}
+}

@@ -2,6 +2,7 @@ package delegated
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math/bits"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"github.com/prefix2org/prefix2org/internal/alloc"
+	"github.com/prefix2org/prefix2org/internal/intern"
 	"github.com/prefix2org/prefix2org/internal/netx"
 )
 
@@ -87,70 +89,137 @@ type File struct {
 
 // Parse reads a delegated-extended file.
 func Parse(r io.Reader) (*File, error) {
+	var recs []Record
+	f, err := Scan(r, func(rec *Record) error {
+		recs = append(recs, *rec)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	f.Records = recs
+	return f, nil
+}
+
+// Scan reads a delegated-extended file record by record, keeping none:
+// it calls fn with each one, in file order, and returns the file's header
+// — a File without Records. The Record is reused from call to call.
+func Scan(r io.Reader, fn func(*Record) error) (*File, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	f := &File{}
+	var (
+		f      *File
+		rec    Record
+		fields [8][]byte
+	)
+	// Country codes and statuses are a handful of words repeated on
+	// every line.
+	words := intern.New(256)
 	lineNo := 0
-	sawHeader := false
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		fields := strings.Split(line, "|")
-		if !sawHeader {
-			if len(fields) < 6 || fields[0] != "2" {
+		n := 0 // fields on the line; the first eight are kept
+		for rest, more := line, true; more; n++ {
+			var field []byte
+			field, rest, more = bytes.Cut(rest, []byte("|"))
+			if n < len(fields) {
+				fields[n] = field
+			}
+		}
+		if f == nil {
+			if n < 6 || string(fields[0]) != "2" {
 				return nil, fmt.Errorf("delegated: line %d: bad version header", lineNo)
 			}
-			f.Registry = alloc.Registry(strings.ToUpper(fields[1]))
-			if f.Registry == "RIPENCC" || f.Registry == "Ripencc" {
+			f = &File{Registry: alloc.Registry(strings.ToUpper(string(fields[1]))), Serial: string(fields[2])}
+			if f.Registry == "RIPENCC" {
 				f.Registry = alloc.RIPE
 			}
-			f.Serial = fields[2]
-			sawHeader = true
 			continue
 		}
-		if len(fields) >= 6 && fields[5] == "summary" {
+		if n >= 6 && string(fields[5]) == "summary" {
 			continue // summary lines are recomputed on demand
 		}
-		if len(fields) < 7 {
-			return nil, fmt.Errorf("delegated: line %d: want >= 7 fields, got %d", lineNo, len(fields))
+		if n < 7 {
+			return nil, fmt.Errorf("delegated: line %d: want >= 7 fields, got %d", lineNo, n)
 		}
-		value, err := strconv.Atoi(fields[4])
+		value, err := atoi(fields[4])
 		if err != nil {
 			return nil, fmt.Errorf("delegated: line %d: value %q: %w", lineNo, fields[4], err)
 		}
-		rec := Record{
+		rec = Record{
 			Registry: f.Registry,
-			Country:  fields[1],
-			Type:     Type(fields[2]),
-			Start:    fields[3],
+			Country:  words.Bytes(fields[1]),
+			Start:    string(fields[3]),
 			Value:    value,
-			Status:   fields[6],
+			Status:   words.Bytes(fields[6]),
 		}
-		switch rec.Type {
-		case TypeIPv4, TypeIPv6, TypeASN:
+		switch string(fields[2]) {
+		case string(TypeIPv4):
+			rec.Type = TypeIPv4
+		case string(TypeIPv6):
+			rec.Type = TypeIPv6
+		case string(TypeASN):
+			rec.Type = TypeASN
 		default:
 			return nil, fmt.Errorf("delegated: line %d: unknown type %q", lineNo, fields[2])
 		}
-		if fields[5] != "" {
-			if t, err := time.Parse("20060102", fields[5]); err == nil {
-				rec.Date = t
-			}
+		rec.Date, _ = parseDate(fields[5])
+		if n > 7 {
+			rec.OpaqueID = string(fields[7])
 		}
-		if len(fields) > 7 {
-			rec.OpaqueID = fields[7]
+		if err := fn(&rec); err != nil {
+			return nil, err
 		}
-		f.Records = append(f.Records, rec)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("delegated: scan: %w", err)
 	}
-	if !sawHeader {
+	if f == nil {
 		return nil, fmt.Errorf("delegated: empty file (no header)")
 	}
 	return f, nil
+}
+
+// atoi is strconv.Atoi off the scanner's buffer: plain digits are read
+// in place, anything else is strconv's to read or refuse.
+func atoi(b []byte) (int, error) {
+	if len(b) == 0 || len(b) > 9 {
+		return strconv.Atoi(string(b))
+	}
+	n := 0
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return strconv.Atoi(string(b))
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, nil
+}
+
+// parseDate reads a YYYYMMDD date as time.Parse("20060102") does: UTC
+// midnight, and nothing for a date that does not exist.
+func parseDate(b []byte) (time.Time, bool) {
+	if len(b) != 8 {
+		return time.Time{}, false
+	}
+	var ymd int
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return time.Time{}, false
+		}
+		ymd = ymd*10 + int(c-'0')
+	}
+	y, m, d := ymd/10000, time.Month(ymd/100%100), ymd%100
+	// time.Date carries a day past the month's end into the next month.
+	t := time.Date(y, m, d, 0, 0, 0, 0, time.UTC)
+	if t.Month() != m || t.Day() != d {
+		return time.Time{}, false
+	}
+	return t, true
 }
 
 // Write serializes the file with a version header and summary lines.
@@ -214,35 +283,42 @@ func ASNRecordFor(reg alloc.Registry, country string, asn uint32, date time.Time
 	}
 }
 
-// MinPrefixLens returns the most coarse (smallest) IPv4 and IPv6 prefix
-// lengths delegated in the file — the footnote-2 verification that no
-// delegation is larger than /8 (IPv4) or /16 (IPv6). Records that do not
-// delegate addresses (asn, reserved/available) are skipped.
-func (f *File) MinPrefixLens() (v4, v6 int, err error) {
-	v4, v6 = 33, 129
-	for i := range f.Records {
-		r := &f.Records[i]
-		if r.Status != "allocated" && r.Status != "assigned" {
-			continue
-		}
-		switch r.Type {
-		case TypeIPv4:
-			// The coarsest block in a count of N addresses is
-			// /(32 - floor(log2 N)).
-			if r.Value <= 0 {
-				return 0, 0, fmt.Errorf("delegated: bad ipv4 count %d", r.Value)
-			}
-			bitsLen := 32 - (63 - leadingZeros64(uint64(r.Value)))
-			if bitsLen < v4 {
-				v4 = bitsLen
-			}
-		case TypeIPv6:
-			if r.Value < v6 {
-				v6 = r.Value
-			}
-		}
+// MinLens folds records into the most coarse (smallest) IPv4 and IPv6
+// prefix lengths delegated — the footnote-2 verification that no
+// delegation is larger than /8 (IPv4) or /16 (IPv6). Start from
+// NewMinLens.
+type MinLens struct{ V4, V6 int }
+
+// NewMinLens returns the fold of no records: lengths no prefix has.
+func NewMinLens() *MinLens { return &MinLens{V4: 33, V6: 129} }
+
+// Add folds in one record. Records that do not delegate addresses (asn,
+// reserved/available) are skipped.
+func (m *MinLens) Add(r *Record) error {
+	if r.Status != "allocated" && r.Status != "assigned" {
+		return nil
 	}
-	return v4, v6, nil
+	switch r.Type {
+	case TypeIPv4:
+		// The coarsest block in a count of N addresses is
+		// /(32 - floor(log2 N)).
+		if r.Value <= 0 {
+			return fmt.Errorf("delegated: bad ipv4 count %d", r.Value)
+		}
+		m.V4 = min(m.V4, 32-(63-bits.LeadingZeros64(uint64(r.Value))))
+	case TypeIPv6:
+		m.V6 = min(m.V6, r.Value)
+	}
+	return nil
 }
 
-func leadingZeros64(v uint64) int { return bits.LeadingZeros64(v) }
+// MinPrefixLens returns the MinLens of the file's records.
+func (f *File) MinPrefixLens() (v4, v6 int, err error) {
+	m := NewMinLens()
+	for i := range f.Records {
+		if err := m.Add(&f.Records[i]); err != nil {
+			return 0, 0, err
+		}
+	}
+	return m.V4, m.V6, nil
+}

@@ -3,6 +3,7 @@ package delegated
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,9 +51,35 @@ func WriteDir(dir string, files map[alloc.Registry]*File) error {
 // files so a canceled build stops promptly.
 func LoadDir(ctx context.Context, dir string) (map[alloc.Registry]*File, error) {
 	out := map[alloc.Registry]*File{}
+	err := eachFile(ctx, dir, func(rir alloc.Registry, r io.Reader) (err error) {
+		out[rir], err = Parse(r)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ScanDir is LoadDir without the Files: it calls fn with every record of
+// every RIR's file present under dir — RIRs in alloc.RIRs order, records
+// in file order, the Record reused from call to call — and returns the
+// number of files read.
+func ScanDir(ctx context.Context, dir string, fn func(rir alloc.Registry, rec *Record) error) (files int, err error) {
+	err = eachFile(ctx, dir, func(rir alloc.Registry, r io.Reader) error {
+		files++
+		_, err := Scan(r, func(rec *Record) error { return fn(rir, rec) })
+		return err
+	})
+	return files, err
+}
+
+// eachFile calls read with every RIR's file present under dir, in
+// alloc.RIRs order, checking the context between files.
+func eachFile(ctx context.Context, dir string, read func(rir alloc.Registry, r io.Reader) error) error {
 	for _, rir := range alloc.RIRs {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		path := filepath.Join(dir, Dir, fileName(rir))
 		f, err := os.Open(path)
@@ -60,17 +87,13 @@ func LoadDir(ctx context.Context, dir string) (map[alloc.Registry]*File, error) 
 			continue
 		}
 		if err != nil {
-			return nil, fmt.Errorf("delegated: open %s: %w", path, err)
+			return fmt.Errorf("delegated: open %s: %w", path, err)
 		}
-		df, perr := Parse(f)
-		cerr := f.Close()
-		if perr != nil {
-			return nil, fmt.Errorf("delegated: parse %s: %w", path, perr)
+		err = read(rir, f)
+		f.Close() // read only
+		if err != nil {
+			return fmt.Errorf("delegated: parse %s: %w", path, err)
 		}
-		if cerr != nil {
-			return nil, cerr
-		}
-		out[rir] = df
 	}
-	return out, nil
+	return nil
 }

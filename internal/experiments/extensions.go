@@ -101,11 +101,10 @@ func (r *R2Row) PctWithSubs() float64 {
 // (Assign-flavoured) must re-delegate rarely; Allocation-flavoured types
 // should dominate the re-delegating population.
 func (e *Env) R2Verification(ctx context.Context) (*report.Table, []R2Row, error) {
-	db, err := whois.LoadDir(ctx, e.Dir, whois.LoadOptions{})
+	entries, err := whois.LoadDir(ctx, e.Dir, whois.LoadOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
-	entries := db.Flatten()
 	groups := lpm.Group(entries, func(en *whois.Entry) netip.Prefix { return en.Prefix })
 	rows := map[string]*R2Row{}
 	for _, en := range entries {

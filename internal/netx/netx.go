@@ -1,8 +1,10 @@
 package netx
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"net/netip"
 	"slices"
 )
@@ -37,58 +39,124 @@ func ParsePrefix(s string) (netip.Prefix, error) {
 
 // ParseRange converts an inclusive address range, as found in ARIN NetRange
 // and RIPE inetnum records, into the minimal list of canonical CIDR
-// prefixes covering exactly that range.
+// prefixes covering exactly that range. Zones are dropped: a registry
+// range has none.
 func ParseRange(first, last netip.Addr) ([]netip.Prefix, error) {
+	return AppendRange(nil, first, last)
+}
+
+// AppendRange is ParseRange into a caller's buffer: it appends the
+// range's prefixes to dst.
+func AppendRange(dst []netip.Prefix, first, last netip.Addr) ([]netip.Prefix, error) {
 	if !first.IsValid() || !last.IsValid() {
 		return nil, fmt.Errorf("netx: invalid range endpoint")
 	}
 	if first.Is4() != last.Is4() {
 		return nil, fmt.Errorf("netx: mixed address families in range %s-%s", first, last)
 	}
+	first, last = first.WithZone(""), last.WithZone("")
 	if last.Less(first) {
 		return nil, fmt.Errorf("netx: inverted range %s-%s", first, last)
 	}
-	var out []netip.Prefix
-	cur := first
+	width := first.BitLen()
+	cur, end := toU128(first), toU128(last)
 	for {
-		// Widest prefix starting at cur that does not pass last.
-		bits := cur.BitLen()
-		plen := bits
-		for plen > 0 {
-			cand := netip.PrefixFrom(cur, plen-1).Masked()
-			if cand.Addr() != cur {
-				break // cur is not aligned for a wider prefix
-			}
-			if LastAddr(cand).Compare(last) > 0 {
-				break // wider prefix would overshoot the range
-			}
-			plen--
+		// The widest block starting at cur: as many host bits as cur's
+		// alignment gives, and no more than fit before end — 2^host
+		// addresses out of the end-cur+1 left. That count only overflows
+		// for all of IPv6, which cur's alignment alone describes.
+		host := min(cur.trailingZeros(), width)
+		if left, overflow := end.sub(cur).next(); !overflow {
+			host = min(host, left.bitLen()-1)
 		}
-		p := netip.PrefixFrom(cur, plen)
-		out = append(out, p)
-		la := LastAddr(p)
-		if la.Compare(last) >= 0 {
-			return out, nil
+		dst = append(dst, netip.PrefixFrom(cur.addr(first), width-host))
+		blockLast := cur.or(lowOnes(host))
+		if blockLast == end {
+			return dst, nil
 		}
-		cur = la.Next()
+		cur, _ = blockLast.next()
 	}
 }
 
-// LastAddr returns the highest address contained in p.
+// LastAddr returns the highest address contained in p, which must be
+// valid.
 func LastAddr(p netip.Prefix) netip.Addr {
-	a := p.Addr().As16()
-	bits := p.Bits()
-	if p.Addr().Is4() {
-		bits += 96
+	if !p.IsValid() {
+		return netip.Addr{}
 	}
-	for b := bits; b < 128; b++ {
-		a[b/8] |= 1 << (7 - b%8)
+	a := p.Addr()
+	return toU128(a).or(lowOnes(a.BitLen() - p.Bits())).addr(a)
+}
+
+// u128 is an address as a number: all 128 bits of an IPv6 address, the
+// low 32 of an IPv4 one.
+type u128 struct{ hi, lo uint64 }
+
+func toU128(a netip.Addr) u128 {
+	if a.Is4() {
+		b := a.As4()
+		return u128{0, uint64(binary.BigEndian.Uint32(b[:]))}
 	}
-	addr := netip.AddrFrom16(a)
-	if p.Addr().Is4() {
-		return addr.Unmap()
+	b := a.As16()
+	return u128{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}
+}
+
+// addr converts back, to the family of like.
+func (u u128) addr(like netip.Addr) netip.Addr {
+	if like.Is4() {
+		var b [4]byte
+		binary.BigEndian.PutUint32(b[:], uint32(u.lo))
+		return netip.AddrFrom4(b)
 	}
-	return addr
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[:8], u.hi)
+	binary.BigEndian.PutUint64(b[8:], u.lo)
+	return netip.AddrFrom16(b)
+}
+
+// lowOnes returns 2^n - 1, for n in 0..128.
+func lowOnes(n int) u128 {
+	switch {
+	case n >= 128:
+		return u128{^uint64(0), ^uint64(0)}
+	case n > 64:
+		return u128{1<<(n-64) - 1, ^uint64(0)}
+	case n == 64:
+		return u128{0, ^uint64(0)}
+	default:
+		return u128{0, 1<<n - 1}
+	}
+}
+
+func (u u128) or(v u128) u128 { return u128{u.hi | v.hi, u.lo | v.lo} }
+
+// sub returns u - v, for u >= v.
+func (u u128) sub(v u128) u128 {
+	lo, borrow := bits.Sub64(u.lo, v.lo, 0)
+	hi, _ := bits.Sub64(u.hi, v.hi, borrow)
+	return u128{hi, lo}
+}
+
+// next returns u + 1, and whether that wrapped round to zero.
+func (u u128) next() (u128, bool) {
+	lo, carry := bits.Add64(u.lo, 1, 0)
+	hi, carry := bits.Add64(u.hi, 0, carry)
+	return u128{hi, lo}, carry != 0
+}
+
+// trailingZeros is 128 for zero.
+func (u u128) trailingZeros() int {
+	if u.lo != 0 {
+		return bits.TrailingZeros64(u.lo)
+	}
+	return 64 + bits.TrailingZeros64(u.hi)
+}
+
+func (u u128) bitLen() int {
+	if u.hi != 0 {
+		return 64 + bits.Len64(u.hi)
+	}
+	return bits.Len64(u.lo)
 }
 
 // NumAddresses returns the number of addresses covered by p as a float64.

@@ -1,8 +1,10 @@
 package netx
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -304,5 +306,154 @@ func TestBit(t *testing.T) {
 	v6 := netip.MustParseAddr("8000::")
 	if Bit(v6, 0) != 1 {
 		t.Error("bit 0 of 8000:: should be 1")
+	}
+}
+
+// parseRangeReference and lastAddrReference are ParseRange and LastAddr
+// as they stood before both became mask arithmetic, kept verbatim: one
+// candidate length at a time, one host bit at a time.
+func parseRangeReference(first, last netip.Addr) ([]netip.Prefix, error) {
+	if !first.IsValid() || !last.IsValid() {
+		return nil, fmt.Errorf("netx: invalid range endpoint")
+	}
+	if first.Is4() != last.Is4() {
+		return nil, fmt.Errorf("netx: mixed address families in range %s-%s", first, last)
+	}
+	if last.Less(first) {
+		return nil, fmt.Errorf("netx: inverted range %s-%s", first, last)
+	}
+	var out []netip.Prefix
+	cur := first
+	for {
+		// Widest prefix starting at cur that does not pass last.
+		bits := cur.BitLen()
+		plen := bits
+		for plen > 0 {
+			cand := netip.PrefixFrom(cur, plen-1).Masked()
+			if cand.Addr() != cur {
+				break // cur is not aligned for a wider prefix
+			}
+			if lastAddrReference(cand).Compare(last) > 0 {
+				break // wider prefix would overshoot the range
+			}
+			plen--
+		}
+		p := netip.PrefixFrom(cur, plen)
+		out = append(out, p)
+		la := lastAddrReference(p)
+		if la.Compare(last) >= 0 {
+			return out, nil
+		}
+		cur = la.Next()
+	}
+}
+
+func lastAddrReference(p netip.Prefix) netip.Addr {
+	a := p.Addr().As16()
+	bits := p.Bits()
+	if p.Addr().Is4() {
+		bits += 96
+	}
+	for b := bits; b < 128; b++ {
+		a[b/8] |= 1 << (7 - b%8)
+	}
+	addr := netip.AddrFrom16(a)
+	if p.Addr().Is4() {
+		return addr.Unmap()
+	}
+	return addr
+}
+
+// TestParseRangeMatchesReference holds the closed forms to the loops they
+// replaced, over random ranges of both families: endpoints drawn at every
+// scale, from neighbours to the whole address space, and biased towards
+// aligned starts and all-ones ends, where a block boundary falls.
+func TestParseRangeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	draw := func(width int) (netip.Addr, netip.Addr) {
+		var a, b [16]byte
+		rng.Read(a[:])
+		switch rng.Intn(4) {
+		case 0: // an aligned start
+			for i := 16 - rng.Intn(width/8+1); i < 16; i++ {
+				a[i] = 0
+			}
+		case 1: // the bottom of the address space
+			a = [16]byte{}
+		}
+		b = a
+		// last differs from first below a random bit.
+		for i := 16 - width/8 + rng.Intn(width/8+1); i < 16; i++ {
+			b[i] = byte(rng.Intn(256))
+			if rng.Intn(3) == 0 {
+				b[i] = 0xff
+			}
+		}
+		if width == 32 {
+			return netip.AddrFrom4([4]byte(a[12:])), netip.AddrFrom4([4]byte(b[12:]))
+		}
+		return netip.AddrFrom16(a), netip.AddrFrom16(b)
+	}
+	for i := 0; i < 4000; i++ {
+		first, last := draw([]int{32, 128}[i%2])
+		if last.Less(first) {
+			first, last = last, first
+		}
+		got, err := ParseRange(first, last)
+		if err != nil {
+			t.Fatalf("ParseRange(%s, %s): %v", first, last, err)
+		}
+		want, err := parseRangeReference(first, last)
+		if err != nil {
+			t.Fatalf("reference(%s, %s): %v", first, last, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("ParseRange(%s, %s) = %v, reference %v", first, last, got, want)
+		}
+		for _, p := range got {
+			if la, ref := LastAddr(p), lastAddrReference(p); la != ref {
+				t.Fatalf("LastAddr(%s) = %s, reference %s", p, la, ref)
+			}
+		}
+	}
+	// Both families whole, and a 4in6 range, which stays IPv6.
+	for _, c := range [][2]string{
+		{"0.0.0.0", "255.255.255.255"},
+		{"::", "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"},
+		{"::1", "ffff:ffff:ffff:ffff:ffff:ffff:ffff:fffe"},
+		{"::ffff:10.0.0.0", "::ffff:10.0.2.255"},
+	} {
+		first, last := netip.MustParseAddr(c[0]), netip.MustParseAddr(c[1])
+		got, err := ParseRange(first, last)
+		want, _ := parseRangeReference(first, last)
+		if err != nil || !slices.Equal(got, want) {
+			t.Errorf("ParseRange(%s, %s) = %v, %v; reference %v", first, last, got, err, want)
+		}
+	}
+}
+
+// TestParseRangeUnaligned is iporg's case (ROADMAP item 5): a range that
+// is no single CIDR block comes out as exactly the blocks that tile it.
+func TestParseRangeUnaligned(t *testing.T) {
+	got, err := ParseRange(netip.MustParseAddr("204.110.219.0"), netip.MustParseAddr("204.110.221.255"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []netip.Prefix{MustParse("204.110.219.0/24"), MustParse("204.110.220.0/23")}
+	if !slices.Equal(got, want) {
+		t.Errorf("204.110.219.0 - 204.110.221.255 = %v, want %v", got, want)
+	}
+}
+
+// TestParseRangeDropsZones pins what the one-bit-at-a-time loop got
+// wrong: a zoned endpoint never compared equal to the unzoned addresses
+// the loop produced.
+func TestParseRangeDropsZones(t *testing.T) {
+	got, err := ParseRange(netip.MustParseAddr("fe80::%eth0"), netip.MustParseAddr("fe80::ff%eth0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []netip.Prefix{MustParse("fe80::/120")}; !slices.Equal(got, want) {
+		t.Errorf("zoned range = %v, want %v", got, want)
 	}
 }

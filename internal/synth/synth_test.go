@@ -199,16 +199,20 @@ func TestWriteDirRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// WHOIS round trip.
-	db, err := whois.LoadDir(context.Background(), dir, whois.LoadOptions{})
+	entries, err := whois.LoadDir(context.Background(), dir, whois.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(db.Records) == 0 {
-		t.Fatal("no records after reload")
+	if len(entries) == 0 {
+		t.Fatal("no entries after reload")
 	}
-	for _, rec := range db.Records {
-		if _, err := rec.Type(); err != nil {
-			t.Errorf("reloaded record %v: %v", rec.Prefixes, err)
+	for _, e := range entries {
+		fam := alloc.IPv6
+		if e.Prefix.Addr().Is4() {
+			fam = alloc.IPv4
+		}
+		if _, err := alloc.Lookup(e.Registry, e.Status, fam); err != nil {
+			t.Errorf("reloaded entry %v: %v", e.Prefix, err)
 		}
 	}
 	// BGP round trip.

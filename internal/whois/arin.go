@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"strings"
 
 	"github.com/prefix2org/prefix2org/internal/alloc"
 	"github.com/prefix2org/prefix2org/internal/netx"
@@ -28,50 +27,66 @@ import (
 // canonical.
 func ParseARIN(r io.Reader) (*Database, error) {
 	db := NewDatabase()
+	if err := scanARIN(r, fieldCopier{}, db.collect); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// The kept fields of an ARIN block, as blockFields numbers them.
+const (
+	arinCIDR = iota
+	arinNetRange
+	arinNetType
+	arinOrgName
+	arinOrgID
+	arinNetName
+	arinCountry
+	arinUpdated
+)
+
+// scanARIN is the ARIN flavour's reader: it calls emit with every block
+// as a Record, reused from call to call, Prefixes included — emit copies
+// what it keeps.
+func scanARIN(r io.Reader, fc fieldCopier, emit func(*Record) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	// One block's kept fields. Values are materialized (copied off the
-	// scanner's reused buffer) only for the names the Record needs;
-	// every other attribute line costs no allocation.
-	var blk struct {
-		cidr, netRange, netType, orgName, orgID, netName, country, updated string
-		seen                                                               bool
-	}
+	var (
+		blk blockFields
+		rec Record
+	)
 	lineNo := 0
 	flush := func() error {
 		if !blk.seen {
 			return nil
 		}
-		spec := blk.cidr
-		if spec == "" {
-			spec = blk.netRange
+		spec := blk.get(arinCIDR)
+		if len(spec) == 0 {
+			spec = blk.get(arinNetRange)
 		}
-		if spec == "" {
+		if len(spec) == 0 {
 			return fmt.Errorf("whois: arin block before line %d has no NetRange/CIDR", lineNo)
 		}
-		ps, err := parseARINSpec(spec)
+		ps, err := appendARINSpec(rec.Prefixes[:0], spec)
 		if err != nil {
 			return err
 		}
-		rec := Record{
+		rec = Record{
 			Prefixes: ps,
 			Registry: alloc.ARIN,
-			Status:   blk.netType,
-			OrgName:  blk.orgName,
-			OrgID:    blk.orgID,
-			NetName:  blk.netName,
-			Country:  blk.country,
+			Status:   fc.kept(blk.get(arinNetType)),
+			OrgName:  fc.kept(blk.get(arinOrgName)),
+			OrgID:    fc.kept(blk.get(arinOrgID)),
+			NetName:  fc.extra(blk.get(arinNetName)),
+			Country:  fc.extra(blk.get(arinCountry)),
 		}
-		if blk.updated != "" {
-			if t, err := parseTime(blk.updated); err == nil {
+		if updated := blk.get(arinUpdated); len(updated) > 0 {
+			if t, err := parseTimeBytes(updated); err == nil {
 				rec.Updated = t
 			}
 		}
-		db.Records = append(db.Records, rec)
-		blk.cidr, blk.netRange, blk.netType, blk.orgName = "", "", "", ""
-		blk.orgID, blk.netName, blk.country, blk.updated = "", "", "", ""
-		blk.seen = false
-		return nil
+		blk.reset()
+		return emit(&rec)
 	}
 	for sc.Scan() {
 		lineNo++
@@ -79,64 +94,60 @@ func ParseARIN(r io.Reader) (*Database, error) {
 		switch {
 		case len(bytes.TrimSpace(line)) == 0:
 			if err := flush(); err != nil {
-				return nil, err
+				return err
 			}
 		case line[0] == '#':
 			// comment
 		default:
 			colon := bytes.IndexByte(line, ':')
 			if colon < 0 {
-				return nil, fmt.Errorf("whois: arin line %d: malformed %q", lineNo, line)
+				return fmt.Errorf("whois: arin line %d: malformed %q", lineNo, line)
 			}
 			name := bytes.TrimSpace(line[:colon])
 			value := bytes.TrimSpace(line[colon+1:])
 			blk.seen = true
-			// The string(name) conversions compare in place; only the
-			// matched field's value is copied to the heap.
+			// The string(name) conversions compare in place, and a kept
+			// value goes to the block's buffer, not the heap.
 			switch string(name) {
 			case "CIDR":
-				blk.cidr = string(value)
+				blk.set(arinCIDR, value)
 			case "NetRange":
-				blk.netRange = string(value)
+				blk.set(arinNetRange, value)
 			case "NetType":
-				blk.netType = string(value)
+				blk.set(arinNetType, value)
 			case "OrgName":
-				blk.orgName = string(value)
+				blk.set(arinOrgName, value)
 			case "OrgId":
-				blk.orgID = string(value)
+				blk.set(arinOrgID, value)
 			case "NetName":
-				blk.netName = string(value)
+				blk.set(arinNetName, value)
 			case "Country":
-				blk.country = string(value)
+				blk.set(arinCountry, value)
 			case "Updated":
-				blk.updated = string(value)
+				blk.set(arinUpdated, value)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("whois: arin scan: %w", err)
+		return fmt.Errorf("whois: arin scan: %w", err)
 	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	return db, nil
+	return flush()
 }
 
-// parseARINSpec handles ARIN's CIDR field, which may list several
+// appendARINSpec handles ARIN's CIDR field, which may list several
 // comma-separated CIDRs, or a NetRange.
-func parseARINSpec(spec string) ([]netip.Prefix, error) {
-	if strings.Contains(spec, ",") {
-		var out []netip.Prefix
-		for _, part := range strings.Split(spec, ",") {
-			ps, err := parseBlockSpec(part)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ps...)
+func appendARINSpec(dst []netip.Prefix, spec []byte) ([]netip.Prefix, error) {
+	for {
+		part, rest, more := bytes.Cut(spec, []byte(","))
+		var err error
+		if dst, err = appendBlockSpec(dst, part); err != nil {
+			return nil, err
 		}
-		return out, nil
+		if !more {
+			return dst, nil
+		}
+		spec = rest
 	}
-	return parseBlockSpec(spec)
 }
 
 // WriteARIN serializes db in ARIN's NetRange flavour; ParseARIN

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"github.com/prefix2org/prefix2org/internal/alloc"
+	"github.com/prefix2org/prefix2org/internal/intern"
 	"github.com/prefix2org/prefix2org/internal/obs"
 )
 
@@ -45,11 +46,11 @@ type LoadOptions struct {
 	// JPNIC blocks that are missing from the types cache file.
 	JPNICClient *Client
 
-	// Workers bounds how many registry bulk files parse concurrently.
-	// 0 and negative values normalize to runtime.GOMAXPROCS(0); 1
-	// parses sequentially. The de-duplicating merge always runs
-	// single-threaded in fixed registry order, so the merged database
-	// is identical for every worker count.
+	// Workers bounds how many registry bulk files parse, and flatten
+	// into their runs, concurrently. 0 and negative values normalize to
+	// runtime.GOMAXPROCS(0); 1 parses sequentially. A run depends on its
+	// own file alone and the merge walks the runs in fixed registry
+	// order, so the entries are identical for every worker count.
 	Workers int
 }
 
@@ -60,55 +61,100 @@ func (o LoadOptions) workerCount() int {
 	return o.Workers
 }
 
-// Sources retains the per-registry parse results of one LoadDir run so
-// an incremental reload can re-parse only the files that actually
-// changed and re-merge the rest from memory. The retained databases are
-// never mutated after parsing: Merge copies record values and
-// ResolveOrgs/ApplyJPNICTypes touch only the merged copies, so slots
-// can be shared freely across reloads.
+// Sources is one load of a data directory's whois/ files: per registry
+// file the run it flattened to, which Flatten merges into the entry list
+// the pipeline reads. An incremental reload hands the previous Sources
+// back and re-parses, and re-flattens, only the files that changed. Runs
+// are never written after they are built, so reloads share them freely,
+// and nothing here holds a parsed Record.
 type Sources struct {
-	parsed   []*Database // one slot per registryFiles entry; nil = file absent
-	types    map[netip.Prefix]string
-	hasTypes bool
+	runs []*run // one slot per registryFiles entry; nil = file absent
+	// orgs is the union of the runs' organisation objects, a later
+	// registry's standing where two share an ID.
+	orgs        map[string]string
+	types       map[netip.Prefix]string // the JPNIC type cache; nil without the file
+	reflattened int
+}
+
+// Records returns the number of registrations the registry files hold.
+func (s *Sources) Records() int {
+	n := 0
+	for _, r := range s.runs {
+		if r != nil {
+			n += r.records
+		}
+	}
+	return n
+}
+
+// Orgs returns the number of distinct organisation objects.
+func (s *Sources) Orgs() int { return len(s.orgs) }
+
+// Reflattened returns the number of registry files this load parsed and
+// flattened itself; the other runs came from the previous load.
+func (s *Sources) Reflattened() int { return s.reflattened }
+
+// Flatten merges the per-registry runs into per-prefix entries, as
+// Database.Flatten would over the registry files' records taken together
+// in registry order: where several registries hold the same (prefix,
+// status) the latest record wins and the earlier registry on a tie, and
+// an org: reference resolves to whichever file defines the organisation.
+// The entries are the caller's to modify.
+func (s *Sources) Flatten() ([]Entry, FlattenStats) {
+	return mergeRuns(s.runs, func(id string) (string, bool) {
+		name, ok := s.orgs[id]
+		return name, ok
+	})
 }
 
 // LoadDir reads every registry bulk file present under dir/whois and
-// returns the merged database. Missing files are skipped (a data
+// returns their flattened entries. Missing files are skipped (a data
 // directory need not contain all registries); malformed files are errors.
 // The per-registry files parse concurrently (see LoadOptions.Workers);
 // errors are reported for the first failing registry in file order.
 // JPNIC records are enriched with allocation types from the cache file
 // and, if provided, the live client.
-func LoadDir(ctx context.Context, dir string, opts LoadOptions) (*Database, error) {
-	db, _, err := LoadDirSources(ctx, dir, opts, nil, nil)
-	return db, err
+func LoadDir(ctx context.Context, dir string, opts LoadOptions) ([]Entry, error) {
+	src, err := LoadDirSources(ctx, dir, opts, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	entries, _ := src.Flatten()
+	return entries, nil
 }
 
 // LoadDirSources is LoadDir at re-parse granularity. When prev is
-// non-nil, a registry file whose slash-relative path ("whois/ripe.db")
-// changed reports false for is re-used from prev instead of being read
-// from disk; only changed files re-parse. The de-duplicating merge runs
-// over all slots either way, so the merged database is identical to a
-// cold LoadDir of the same directory. The returned Sources snapshot
-// feeds the next incremental call.
-func LoadDirSources(ctx context.Context, dir string, opts LoadOptions, prev *Sources, changed func(relPath string) bool) (*Database, *Sources, error) {
+// non-nil, the run of a registry file whose slash-relative path
+// ("whois/ripe.db") changed reports false for is taken from prev instead
+// of being read from disk; only changed files re-parse and re-flatten —
+// JPNIC's also when its types cache changed, since the types are part of
+// its keys. Flatten merges all runs either way, so the result is that of
+// a cold load of the same directory. The returned Sources feeds the next
+// incremental call.
+func LoadDirSources(ctx context.Context, dir string, opts LoadOptions, prev *Sources, changed func(relPath string) bool) (*Sources, error) {
 	wdir := filepath.Join(dir, "whois")
 	logger := obs.Logger("whois")
 	reg := obs.Default()
 	reuse := func(relPath string) bool {
 		return prev != nil && changed != nil && !changed(relPath)
 	}
+	src := &Sources{runs: make([]*run, len(registryFiles))}
+	reuseTypes := reuse("whois/" + JPNICTypesFile)
+	if reuseTypes {
+		src.types = prev.types
+	}
 
-	// Fan out: each registry file parses into its own slot; sem bounds
-	// the parallelism. Missing files leave a nil slot.
-	parsed := make([]*Database, len(registryFiles))
+	// Fan out: each registry file parses and flattens into its own slot;
+	// sem bounds the parallelism. Missing files leave a nil slot.
 	fresh := make([]bool, len(registryFiles))
 	errs := make([]error, len(registryFiles))
+	var typesErr error // reported behind every registry file's
 	sem := make(chan struct{}, opts.workerCount())
 	var wg sync.WaitGroup
 	for i, rf := range registryFiles {
-		if reuse("whois/" + rf.File) {
-			parsed[i] = prev.parsed[i]
+		jpnic := rf.Registry == alloc.JPNIC
+		if reuse("whois/"+rf.File) && !(jpnic && (!reuseTypes || opts.JPNICClient != nil)) {
+			src.runs[i] = prev.runs[i]
 			continue
 		}
 		fresh[i] = true
@@ -121,112 +167,141 @@ func LoadDirSources(ctx context.Context, dir string, opts LoadOptions, prev *Sou
 				errs[i] = err
 				return
 			}
-			path := filepath.Join(wdir, file)
-			f, err := os.Open(path)
-			if os.IsNotExist(err) {
-				return
+			// The type cache is the JPNIC goroutine's alone, to load and
+			// to read.
+			var types map[netip.Prefix]string
+			if jpnic {
+				if !reuseTypes {
+					src.types, typesErr = loadJPNICTypes(filepath.Join(wdir, JPNICTypesFile))
+				}
+				types = src.types
 			}
-			if err != nil {
-				errs[i] = fmt.Errorf("whois: open %s: %w", path, err)
-				return
-			}
-			db, perr := parseRegistryFile(f, registry)
-			cerr := f.Close()
-			if perr != nil {
-				errs[i] = fmt.Errorf("whois: parse %s: %w", path, perr)
-				return
-			}
-			if cerr != nil {
-				errs[i] = fmt.Errorf("whois: close %s: %w", path, cerr)
-				return
-			}
-			parsed[i] = db
+			src.runs[i], errs[i] = loadRun(ctx, filepath.Join(wdir, file), registry, types, opts.JPNICClient)
 		}(i, rf.Registry, rf.File)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for _, err := range append(errs, typesErr) {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	// Merge single-threaded, in fixed registry order: the last-updated
-	// de-duplication inside Merge is order-sensitive bookkeeping that
-	// must stay deterministic. Parse counters cover only freshly parsed
-	// files, so reloads account for work actually done.
-	merged := NewDatabase()
-	registries := 0
+	// Counters cover only freshly parsed files, so reloads account for
+	// work actually done; the log line describes the whole directory.
+	registries, withOrgs, totalSkipped := 0, 0, 0
 	for i, rf := range registryFiles {
-		db := parsed[i]
-		if db == nil {
+		r := src.runs[i]
+		if r == nil {
 			continue
 		}
 		registries++
-		if fresh[i] {
-			reg.Counter(obs.Label("whois_records_parsed_total", "registry", string(rf.Registry))).Add(int64(len(db.Records)))
-			logger.Debug("registry file parsed",
-				"registry", string(rf.Registry), "path", filepath.Join(wdir, rf.File),
-				"records", len(db.Records), "orgs", len(db.Orgs))
+		totalSkipped += r.skipped
+		if len(r.orgs) > 0 {
+			withOrgs++
+			src.orgs = r.orgs
 		}
-		merged.Merge(db)
+		if !fresh[i] {
+			continue
+		}
+		src.reflattened++
+		name := string(rf.Registry)
+		reg.Counter(obs.Label("whois_records_parsed_total", "registry", name)).Add(int64(r.records))
+		// Records whose allocation type cannot be resolved are invisible
+		// to ownership resolution downstream.
+		if r.skipped > 0 {
+			reg.Counter(obs.Label("whois_records_skipped_total", "registry", name)).Add(int64(r.skipped))
+		}
+		logger.Debug("registry file parsed",
+			"registry", name, "path", filepath.Join(wdir, rf.File),
+			"records", r.records, "orgs", len(r.orgs))
 	}
-	src := &Sources{parsed: parsed}
-	// Enrich JPNIC allocation types: cache file first, then live queries.
-	if reuse("whois/" + JPNICTypesFile) {
-		src.types, src.hasTypes = prev.types, prev.hasTypes
-	} else {
-		typesPath := filepath.Join(wdir, JPNICTypesFile)
-		if f, err := os.Open(typesPath); err == nil {
-			cache, perr := ParseJPNICTypes(f)
-			f.Close()
-			if perr != nil {
-				return nil, nil, fmt.Errorf("whois: parse %s: %w", typesPath, perr)
+	if withOrgs > 1 {
+		// One registry's objects are shared as they are; several are
+		// poured together in registry order.
+		src.orgs = map[string]string{}
+		for _, r := range src.runs {
+			if r != nil {
+				for id, name := range r.orgs {
+					src.orgs[id] = name
+				}
 			}
-			src.types, src.hasTypes = cache, true
-		} else if !os.IsNotExist(err) {
-			return nil, nil, fmt.Errorf("whois: open %s: %w", typesPath, err)
 		}
-	}
-	if src.hasTypes {
-		ApplyJPNICTypes(merged, src.types)
-	}
-	if opts.JPNICClient != nil {
-		if err := EnrichJPNIC(ctx, merged, opts.JPNICClient); err != nil {
-			return nil, nil, fmt.Errorf("whois: jpnic enrichment: %w", err)
-		}
-	}
-	merged.ResolveOrgs()
-	// Per-registry skip accounting: records whose allocation type cannot
-	// be resolved are invisible to ownership resolution downstream.
-	skipped := map[alloc.Registry]int{}
-	for i := range merged.Records {
-		if _, err := merged.Records[i].Type(); err != nil {
-			skipped[merged.Records[i].Registry]++
-		}
-	}
-	totalSkipped := 0
-	for r, n := range skipped {
-		totalSkipped += n
-		reg.Counter(obs.Label("whois_records_skipped_total", "registry", string(r))).Add(int64(n))
 	}
 	logger.Info("whois databases loaded",
-		"registries", registries, "records", len(merged.Records),
-		"orgs", len(merged.Orgs), "unresolvable_type", totalSkipped)
-	return merged, src, nil
+		"registries", registries, "records", src.Records(),
+		"orgs", src.Orgs(), "unresolvable_type", totalSkipped)
+	return src, nil
 }
 
-func parseRegistryFile(r io.Reader, reg alloc.Registry) (*Database, error) {
+// loadRun reads the registry file at path into its run; a missing file
+// is no run. The flavour's reader feeds the run builder record by record
+// — status and organization strings interned, the fields no entry
+// carries never allocated — and nothing of the file outlives the call
+// but the run. JPNIC is the exception: its allocation types come from
+// the cache and the live client, looked up by each record's first block,
+// and they are part of the keys a run sorts by; so its records are
+// collected, typed, and flattened then.
+func loadRun(ctx context.Context, path string, reg alloc.Registry, types map[netip.Prefix]string, jpnic *Client) (*run, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("whois: open %s: %w", path, err)
+	}
+	defer f.Close() // read only
+	var b runBuilder
+	fc := fieldCopier{intern.New(1 << 7)}
+	emit := func(rec *Record) error {
+		b.add(rec)
+		return nil
+	}
+	var db *Database
 	switch reg {
 	case alloc.ARIN:
-		return ParseARIN(r)
+		err = scanARIN(f, fc, emit)
 	case alloc.RIPE, alloc.APNIC, alloc.AFRINIC, alloc.KRNIC, alloc.TWNIC:
-		return ParseRPSL(r, reg)
+		err = scanRPSLRecords(f, reg, fc, emit, func(o Org) { b.addOrg(o.ID, o.Name) })
 	case alloc.LACNIC, alloc.NICBR, alloc.NICMX:
-		return ParseLACNIC(r, reg)
+		err = scanLACNIC(f, reg, fc, emit)
 	case alloc.JPNIC:
-		return ParseJPNICBulk(r)
+		db = NewDatabase()
+		err = scanJPNICBulk(f, fc, db.collect)
 	default:
-		return nil, fmt.Errorf("whois: no parser for registry %s", reg)
+		err = fmt.Errorf("whois: no parser for registry %s", reg)
 	}
+	if err != nil {
+		return nil, fmt.Errorf("whois: parse %s: %w", path, err)
+	}
+	if db != nil {
+		ApplyJPNICTypes(db, types)
+		if jpnic != nil {
+			if err := EnrichJPNIC(ctx, db, jpnic); err != nil {
+				return nil, fmt.Errorf("whois: jpnic enrichment: %w", err)
+			}
+		}
+		for i := range db.Records {
+			b.add(&db.Records[i])
+		}
+	}
+	return b.finish(), nil
+}
+
+// loadJPNICTypes reads the allocation-type cache at path; a missing file
+// is no cache.
+func loadJPNICTypes(path string) (map[netip.Prefix]string, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("whois: open %s: %w", path, err)
+	}
+	defer f.Close() // read only
+	types, err := ParseJPNICTypes(f)
+	if err != nil {
+		return nil, fmt.Errorf("whois: parse %s: %w", path, err)
+	}
+	return types, nil
 }
 
 // WriteDir serializes per-registry databases into dir/whois in each

@@ -11,6 +11,7 @@ import (
 
 	"github.com/prefix2org/prefix2org/internal/alloc"
 	"github.com/prefix2org/prefix2org/internal/netx"
+	"github.com/prefix2org/prefix2org/internal/obs"
 )
 
 func TestWriteDirLoadDirRoundTrip(t *testing.T) {
@@ -41,16 +42,16 @@ func TestWriteDirLoadDirRoundTrip(t *testing.T) {
 	if err := WriteDir(dir, dbs, jpnicTypes); err != nil {
 		t.Fatal(err)
 	}
-	merged, err := LoadDir(context.Background(), dir, LoadOptions{})
+	entries, err := LoadDir(context.Background(), dir, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(merged.Records) != 9 {
-		t.Fatalf("merged records = %d, want 9", len(merged.Records))
+	if len(entries) != 9 {
+		t.Fatalf("merged entries = %d, want 9", len(entries))
 	}
-	byReg := map[alloc.Registry]Record{}
-	for _, r := range merged.Records {
-		byReg[r.Registry] = r
+	byReg := map[alloc.Registry]Entry{}
+	for _, e := range entries {
+		byReg[e.Registry] = e
 	}
 	for reg, want := range dbs {
 		got, ok := byReg[reg]
@@ -58,8 +59,8 @@ func TestWriteDirLoadDirRoundTrip(t *testing.T) {
 			t.Errorf("registry %s missing after roundtrip", reg)
 			continue
 		}
-		if got.Prefixes[0] != want.Records[0].Prefixes[0] {
-			t.Errorf("%s prefix = %v, want %v", reg, got.Prefixes[0], want.Records[0].Prefixes[0])
+		if got.Prefix != want.Records[0].Prefixes[0] {
+			t.Errorf("%s prefix = %v, want %v", reg, got.Prefix, want.Records[0].Prefixes[0])
 		}
 		if got.OrgName != want.Records[0].OrgName {
 			t.Errorf("%s org = %q, want %q", reg, got.OrgName, want.Records[0].OrgName)
@@ -69,10 +70,10 @@ func TestWriteDirLoadDirRoundTrip(t *testing.T) {
 	if byReg[alloc.JPNIC].Status != "ALLOCATED PORTABLE" {
 		t.Errorf("jpnic status = %q, want enriched from cache", byReg[alloc.JPNIC].Status)
 	}
-	// Every record's type must resolve.
-	for _, r := range merged.Records {
-		if _, err := r.Type(); err != nil {
-			t.Errorf("record %v: type: %v", r.Prefixes, err)
+	// Every entry's type must resolve.
+	for _, e := range entries {
+		if _, err := alloc.Lookup(e.Registry, e.Status, alloc.IPv4); err != nil {
+			t.Errorf("entry %v: type: %v", e.Prefix, err)
 		}
 	}
 }
@@ -82,12 +83,12 @@ func TestLoadDirMissingFilesSkipped(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(dir, "whois"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	db, err := LoadDir(context.Background(), dir, LoadOptions{})
+	entries, err := LoadDir(context.Background(), dir, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(db.Records) != 0 {
-		t.Errorf("records = %d, want 0", len(db.Records))
+	if len(entries) != 0 {
+		t.Errorf("entries = %d, want 0", len(entries))
 	}
 }
 
@@ -125,18 +126,19 @@ func TestLoadDirWithLiveJPNICClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	db, err := LoadDir(context.Background(), dir, LoadOptions{JPNICClient: &Client{Addr: addr, Timeout: 5 * time.Second}})
+	entries, err := LoadDir(context.Background(), dir, LoadOptions{JPNICClient: &Client{Addr: addr, Timeout: 5 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Records[0].Status != "ASSIGNED PORTABLE" {
-		t.Errorf("live enrichment status = %q", db.Records[0].Status)
+	if len(entries) != 1 || entries[0].Status != "ASSIGNED PORTABLE" {
+		t.Errorf("live enrichment: entries = %+v", entries)
 	}
 }
 
 // TestLoadDirParallelMatchesSerial pins the LoadOptions.Workers contract:
-// per-registry files may parse concurrently, but the single-threaded
-// in-order merge makes the resulting database identical to a serial load.
+// per-registry files may parse and flatten concurrently, but the
+// single-threaded in-order merge makes the result identical to a serial
+// load.
 func TestLoadDirParallelMatchesSerial(t *testing.T) {
 	dir := t.TempDir()
 	mk := func(reg alloc.Registry, prefix, status, org string) *Database {
@@ -166,11 +168,8 @@ func TestLoadDirParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Workers=%d: %v", workers, err)
 		}
-		if !reflect.DeepEqual(serial.Records, par.Records) {
-			t.Errorf("Workers=%d: records differ from serial load", workers)
-		}
-		if !reflect.DeepEqual(serial.Orgs, par.Orgs) {
-			t.Errorf("Workers=%d: orgs differ from serial load", workers)
+		if !reflect.DeepEqual(serial, par) {
+			t.Errorf("Workers=%d: entries differ from serial load", workers)
 		}
 	}
 }
@@ -194,5 +193,67 @@ func TestLoadDirCancelled(t *testing.T) {
 	cancel()
 	if _, err := LoadDir(ctx, dir, LoadOptions{Workers: 4}); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestLoadDirCountersOnReload pins what the load counters count: files
+// parsed by this call. A reload that re-parses one registry adds that
+// registry's records, and its records of unresolvable type, once more —
+// and nothing for the registries whose runs it took from the previous
+// load.
+func TestLoadDirCountersOnReload(t *testing.T) {
+	dir := t.TempDir()
+	wdir := filepath.Join(dir, "whois")
+	if err := os.MkdirAll(wdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	write := func(file, content string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(wdir, file), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two records each, one of them of a type the registry does not have.
+	write("krnic.db", "inetnum: 211.0.0.0/16\nstatus: ALLOCATED PORTABLE\ndescr: A\n\ninetnum: 211.1.0.0/16\nstatus: NO SUCH TYPE\ndescr: B\n\n")
+	write("twnic.db", "inetnum: 210.60.0.0/16\nstatus: ALLOCATED PORTABLE\ndescr: C\n\ninetnum: 210.61.0.0/16\nstatus: NO SUCH TYPE\ndescr: D\n\n")
+	counters := func() (v [4]int64) {
+		for i, name := range []string{"whois_records_parsed_total", "whois_records_skipped_total"} {
+			v[2*i] = obs.Default().Counter(obs.Label(name, "registry", "KRNIC")).Value()
+			v[2*i+1] = obs.Default().Counter(obs.Label(name, "registry", "TWNIC")).Value()
+		}
+		return v
+	}
+	ctx := context.Background()
+	base := counters()
+	src, err := LoadDirSources(ctx, dir, LoadOptions{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.Reflattened() != 2 || src.Records() != 4 {
+		t.Errorf("cold load: reflattened %d registries, %d records", src.Reflattened(), src.Records())
+	}
+	cold := counters()
+	for i, want := range [4]int64{2, 2, 1, 1} {
+		if got := cold[i] - base[i]; got != want {
+			t.Errorf("cold load: counter %d moved by %d, want %d", i, got, want)
+		}
+	}
+	// TWNIC gains a record; KRNIC's file is untouched.
+	write("twnic.db", "inetnum: 210.60.0.0/16\nstatus: ALLOCATED PORTABLE\ndescr: C\n\ninetnum: 210.61.0.0/16\nstatus: NO SUCH TYPE\ndescr: D\n\ninetnum: 210.62.0.0/16\nstatus: ASSIGNED PORTABLE\ndescr: E\n\n")
+	next, err := LoadDirSources(ctx, dir, LoadOptions{}, src, func(rel string) bool { return rel == "whois/twnic.db" })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Reflattened() != 1 || next.Records() != 5 {
+		t.Errorf("reload: reflattened %d registries, %d records", next.Reflattened(), next.Records())
+	}
+	warm := counters()
+	for i, want := range [4]int64{0, 3, 0, 1} {
+		if got := warm[i] - cold[i]; got != want {
+			t.Errorf("reload of twnic.db: counter %d moved by %d, want %d", i, got, want)
+		}
+	}
+	if entries, _ := next.Flatten(); len(entries) != 5 {
+		t.Errorf("reload: %d entries, want 5", len(entries))
 	}
 }

@@ -18,8 +18,9 @@ func FuzzParseRPSL(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Whatever parsed must flatten and re-serialize without panicking.
-		_ = db.Flatten()
+		// Whatever parsed must flatten as the reference does and
+		// re-serialize without panicking.
+		checkFlatten(t, db)
 		var sb strings.Builder
 		_ = WriteRPSL(&sb, db, alloc.RIPE)
 	})
@@ -34,7 +35,7 @@ func FuzzParseARIN(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_ = db.Flatten()
+		checkFlatten(t, db)
 		var sb strings.Builder
 		_ = WriteARIN(&sb, db)
 	})
@@ -51,7 +52,7 @@ func FuzzParseLACNIC(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_ = db.Flatten()
+		checkFlatten(t, db)
 		var sb strings.Builder
 		_ = WriteLACNIC(&sb, db)
 	})
@@ -87,6 +88,7 @@ func FuzzParseBlockSpec(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data string) {
+		checkBytesReaders(t, data)
 		ps, err := parseBlockSpec(data)
 		if err != nil {
 			return

@@ -2,6 +2,7 @@ package whois
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -31,41 +32,57 @@ import (
 // individual queries.
 func ParseJPNICBulk(r io.Reader) (*Database, error) {
 	db := NewDatabase()
+	if err := scanJPNICBulk(r, fieldCopier{}, db.collect); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// scanJPNICBulk is the JPNIC flavour's reader: it calls emit with every
+// line as a Record, reused from call to call, Prefixes included — emit
+// copies what it keeps.
+func scanJPNICBulk(r io.Reader, fc fieldCopier, emit func(*Record) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	var rec Record
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		parts := strings.Split(line, "|")
-		if len(parts) < 3 {
-			return nil, fmt.Errorf("whois: jpnic line %d: want at least 3 fields, got %d", lineNo, len(parts))
+		if n := bytes.Count(line, []byte("|")) + 1; n < 3 {
+			return fmt.Errorf("whois: jpnic line %d: want at least 3 fields, got %d", lineNo, n)
 		}
-		ps, err := parseBlockSpec(parts[0])
+		spec, rest, _ := bytes.Cut(line, []byte("|"))
+		netName, rest, _ := bytes.Cut(rest, []byte("|"))
+		orgName, rest, more := bytes.Cut(rest, []byte("|"))
+		ps, err := appendBlockSpec(rec.Prefixes[:0], spec)
 		if err != nil {
-			return nil, fmt.Errorf("whois: jpnic line %d: %w", lineNo, err)
+			return fmt.Errorf("whois: jpnic line %d: %w", lineNo, err)
 		}
-		rec := Record{
+		rec = Record{
 			Prefixes: ps,
 			Registry: alloc.JPNIC,
-			NetName:  strings.TrimSpace(parts[1]),
-			OrgName:  strings.TrimSpace(parts[2]),
+			NetName:  fc.extra(bytes.TrimSpace(netName)),
+			OrgName:  fc.kept(bytes.TrimSpace(orgName)),
 			Country:  "JP",
 		}
-		if len(parts) > 3 {
-			if t, err := parseTime(parts[3]); err == nil {
+		if more {
+			updated, _, _ := bytes.Cut(rest, []byte("|"))
+			if t, err := parseTimeBytes(updated); err == nil {
 				rec.Updated = t
 			}
 		}
-		db.Records = append(db.Records, rec)
+		if err := emit(&rec); err != nil {
+			return err
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("whois: jpnic scan: %w", err)
+		return fmt.Errorf("whois: jpnic scan: %w", err)
 	}
-	return db, nil
+	return nil
 }
 
 // WriteJPNICBulk serializes db in the JPNIC bulk flavour (allocation types

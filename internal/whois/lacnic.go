@@ -22,52 +22,68 @@ import (
 // reg selects which registry the records are attributed to (LACNIC, NIC.br
 // or NIC.mx); the allocation-type vocabulary is LACNIC's either way.
 func ParseLACNIC(r io.Reader, reg alloc.Registry) (*Database, error) {
-	if alloc.Parent(reg) != alloc.LACNIC {
-		return nil, fmt.Errorf("whois: ParseLACNIC: registry %s is not in the LACNIC zone", reg)
-	}
 	db := NewDatabase()
+	if err := scanLACNIC(r, reg, fieldCopier{}, db.collect); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// The kept fields of a LACNIC block, as blockFields numbers them.
+const (
+	lacnicInetnum = iota
+	lacnicInet6num
+	lacnicStatus
+	lacnicOwner
+	lacnicOwnerID
+	lacnicCountry
+	lacnicChanged
+)
+
+// scanLACNIC is the LACNIC flavour's reader: it calls emit with every
+// block as a Record, reused from call to call, Prefixes included — emit
+// copies what it keeps.
+func scanLACNIC(r io.Reader, reg alloc.Registry, fc fieldCopier, emit func(*Record) error) error {
+	if alloc.Parent(reg) != alloc.LACNIC {
+		return fmt.Errorf("whois: ParseLACNIC: registry %s is not in the LACNIC zone", reg)
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	// Kept fields only, copied off the scanner's reused buffer when a
-	// name matches; unknown attribute lines allocate nothing.
-	var blk struct {
-		inetnum, inet6num, status, owner, ownerid, country, changed string
-		seen                                                        bool
-	}
+	var (
+		blk blockFields
+		rec Record
+	)
 	lineNo := 0
 	flush := func() error {
 		if !blk.seen {
 			return nil
 		}
-		spec := blk.inetnum
-		if spec == "" {
-			spec = blk.inet6num
+		spec := blk.get(lacnicInetnum)
+		if len(spec) == 0 {
+			spec = blk.get(lacnicInet6num)
 		}
-		if spec == "" {
+		if len(spec) == 0 {
 			return fmt.Errorf("whois: lacnic block before line %d has no inetnum", lineNo)
 		}
-		ps, err := parseBlockSpec(spec)
+		ps, err := appendBlockSpec(rec.Prefixes[:0], spec)
 		if err != nil {
 			return err
 		}
-		rec := Record{
+		rec = Record{
 			Prefixes: ps,
 			Registry: reg,
-			Status:   blk.status,
-			OrgName:  blk.owner,
-			OrgID:    blk.ownerid,
-			Country:  blk.country,
+			Status:   fc.kept(blk.get(lacnicStatus)),
+			OrgName:  fc.kept(blk.get(lacnicOwner)),
+			OrgID:    fc.kept(blk.get(lacnicOwnerID)),
+			Country:  fc.extra(blk.get(lacnicCountry)),
 		}
-		if blk.changed != "" {
-			if t, err := parseTime(blk.changed); err == nil {
+		if changed := blk.get(lacnicChanged); len(changed) > 0 {
+			if t, err := parseTimeBytes(changed); err == nil {
 				rec.Updated = t
 			}
 		}
-		db.Records = append(db.Records, rec)
-		blk.inetnum, blk.inet6num, blk.status, blk.owner = "", "", "", ""
-		blk.ownerid, blk.country, blk.changed = "", "", ""
-		blk.seen = false
-		return nil
+		blk.reset()
+		return emit(&rec)
 	}
 	for sc.Scan() {
 		lineNo++
@@ -75,43 +91,42 @@ func ParseLACNIC(r io.Reader, reg alloc.Registry) (*Database, error) {
 		switch {
 		case len(bytes.TrimSpace(line)) == 0:
 			if err := flush(); err != nil {
-				return nil, err
+				return err
 			}
 		case line[0] == '%' || line[0] == '#':
 			// comment
 		default:
 			colon := bytes.IndexByte(line, ':')
 			if colon < 0 {
-				return nil, fmt.Errorf("whois: lacnic line %d: malformed %q", lineNo, line)
+				return fmt.Errorf("whois: lacnic line %d: malformed %q", lineNo, line)
 			}
 			name := asciiLowerInPlace(bytes.TrimSpace(line[:colon]))
 			value := bytes.TrimSpace(line[colon+1:])
 			blk.seen = true
+			// Kept values go to the block's buffer; unknown attribute
+			// lines cost nothing.
 			switch string(name) {
 			case "inetnum":
-				blk.inetnum = string(value)
+				blk.set(lacnicInetnum, value)
 			case "inet6num":
-				blk.inet6num = string(value)
+				blk.set(lacnicInet6num, value)
 			case "status":
-				blk.status = string(value)
+				blk.set(lacnicStatus, value)
 			case "owner":
-				blk.owner = string(value)
+				blk.set(lacnicOwner, value)
 			case "ownerid":
-				blk.ownerid = string(value)
+				blk.set(lacnicOwnerID, value)
 			case "country":
-				blk.country = string(value)
+				blk.set(lacnicCountry, value)
 			case "changed":
-				blk.changed = string(value)
+				blk.set(lacnicChanged, value)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("whois: lacnic scan: %w", err)
+		return fmt.Errorf("whois: lacnic scan: %w", err)
 	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	return db, nil
+	return flush()
 }
 
 // WriteLACNIC serializes db in the LACNIC flavour; ParseLACNIC round-trips

@@ -36,23 +36,25 @@ func (o *rpslObject) reset() {
 	o.arena = o.arena[:0]
 }
 
-func (o *rpslObject) first(name string) (string, bool) {
+// first returns the value of the first attribute called name, as a
+// range of the arena.
+func (o *rpslObject) first(name string) ([]byte, bool) {
 	for _, a := range o.attrs {
 		if a.name == name {
-			return string(o.arena[a.start:a.end]), true
+			return o.arena[a.start:a.end], true
 		}
 	}
-	return "", false
+	return nil, false
 }
 
-func (o *rpslObject) all(name string) []string {
-	var out []string
-	for _, a := range o.attrs {
-		if a.name == name {
-			out = append(out, string(o.arena[a.start:a.end]))
+// last returns the value of the last attribute called name.
+func (o *rpslObject) last(name string) ([]byte, bool) {
+	for i := len(o.attrs) - 1; i >= 0; i-- {
+		if a := o.attrs[i]; a.name == name {
+			return o.arena[a.start:a.end], true
 		}
 	}
-	return out
+	return nil, false
 }
 
 // asciiLowerInPlace lowercases ASCII letters in b, scribbling on the
@@ -136,54 +138,63 @@ func scanRPSL(r io.Reader, fn func(*rpslObject) error) error {
 // other registries it is taken from the first descr line.
 func ParseRPSL(r io.Reader, reg alloc.Registry) (*Database, error) {
 	db := NewDatabase()
+	if err := scanRPSLRecords(r, reg, fieldCopier{}, db.collect, func(o Org) { db.Orgs[o.ID] = o }); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// scanRPSLRecords is the RPSL flavour's reader: it calls emit with every
+// inetnum and inet6num object as a Record and org with every organisation
+// object that has an ID. The Record is reused from call to call, its
+// Prefixes included: emit copies what it keeps.
+func scanRPSLRecords(r io.Reader, reg alloc.Registry, fc fieldCopier, emit func(*Record) error, org func(Org)) error {
 	useOrgRef := reg == alloc.RIPE
-	err := scanRPSL(r, func(o *rpslObject) error {
+	var rec Record
+	return scanRPSL(r, func(o *rpslObject) error {
 		switch o.class {
 		case "inetnum", "inet6num":
 			spec, _ := o.first(o.class)
-			prefixes, err := parseBlockSpec(spec)
+			prefixes, err := appendBlockSpec(rec.Prefixes[:0], spec)
 			if err != nil {
 				return fmt.Errorf("%s %q: %w", o.class, spec, err)
 			}
-			rec := Record{Prefixes: prefixes, Registry: reg}
-			rec.Status, _ = o.first("status")
-			rec.NetName, _ = o.first("netname")
-			rec.Country, _ = o.first("country")
+			rec = Record{Prefixes: prefixes, Registry: reg}
+			status, _ := o.first("status")
+			rec.Status = fc.kept(status)
+			netname, _ := o.first("netname")
+			rec.NetName = fc.extra(netname)
+			country, _ := o.first("country")
+			rec.Country = fc.extra(country)
 			if useOrgRef {
-				rec.OrgID, _ = o.first("org")
-				// Legacy RIPE objects may carry the holder only in descr.
-				if rec.OrgID == "" {
-					if d := o.all("descr"); len(d) > 0 {
-						rec.OrgName = d[0]
-					}
-				}
-			} else if d := o.all("descr"); len(d) > 0 {
-				rec.OrgName = d[0]
+				id, _ := o.first("org")
+				rec.OrgID = fc.kept(id)
+			}
+			// Outside RIPE the holder is the first descr line; legacy RIPE
+			// objects without an org: reference carry it there too.
+			if rec.OrgID == "" {
+				descr, _ := o.first("descr")
+				rec.OrgName = fc.kept(descr)
 			}
 			if lm, ok := o.first("last-modified"); ok {
-				if t, err := parseTime(lm); err == nil {
+				if t, err := parseTimeBytes(lm); err == nil {
 					rec.Updated = t
 				}
-			} else if ch := o.all("changed"); len(ch) > 0 {
-				if t, err := parseTime(ch[len(ch)-1]); err == nil {
+			} else if ch, ok := o.last("changed"); ok {
+				if t, err := parseTimeBytes(ch); err == nil {
 					rec.Updated = t
 				}
 			}
-			db.Records = append(db.Records, rec)
+			return emit(&rec)
 		case "organisation":
-			id, _ := o.first("organisation")
-			name, _ := o.first("org-name")
-			country, _ := o.first("country")
-			if id != "" {
-				db.Orgs[id] = Org{ID: id, Name: name, Country: country}
+			if id, _ := o.first("organisation"); len(id) > 0 {
+				name, _ := o.first("org-name")
+				country, _ := o.first("country")
+				org(Org{ID: fc.kept(id), Name: fc.kept(name), Country: fc.extra(country)})
 			}
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return db, nil
 }
 
 // WriteRPSL serializes db into the RPSL flavour used by reg, producing

@@ -25,13 +25,15 @@
 package whois
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"github.com/prefix2org/prefix2org/internal/alloc"
+	"github.com/prefix2org/prefix2org/internal/intern"
 	"github.com/prefix2org/prefix2org/internal/netx"
 )
 
@@ -116,73 +118,58 @@ func (db *Database) ResolveOrgs() {
 	}
 }
 
-// Entry is one (prefix, allocation type) registration after flattening:
-// ranges expanded to CIDRs, organization references resolved, duplicates
-// collapsed to the latest record.
-type Entry struct {
-	Prefix   netip.Prefix
-	Registry alloc.Registry
-	Status   string
-	OrgName  string
-	Updated  time.Time
+// collect is the emit callback of the flavour parsers that fill a
+// Database: it keeps a copy of rec, which the reader reuses.
+func (db *Database) collect(rec *Record) error {
+	r := *rec
+	r.Prefixes = slices.Clone(rec.Prefixes)
+	db.Records = append(db.Records, r)
+	return nil
 }
 
-// FlattenStats accounts for one Flatten pass: Records in, Expanded
-// (prefix, status) pairs after range expansion, Entries surviving the
-// latest-record-wins dedup. Expanded - Entries is the number of
-// de-duplicated WHOIS registrations.
-type FlattenStats struct {
-	Records  int
-	Expanded int
-	Entries  int
-}
+// fieldCopier copies record fields off a reader's reused buffer. With a
+// table — the directory loader's — the fields a flattened entry keeps
+// (status, organization name and ID), which a registry dump repeats from
+// block to block, are interned, and the two it does not keep (NetName,
+// Country) are never allocated. Without one every field is a string of
+// its own: the Records a Parse function returns carry them all.
+type fieldCopier struct{ tab *intern.Table }
 
-// Deduped returns the number of registrations dropped by the
-// latest-record-wins rule.
-func (s FlattenStats) Deduped() int { return s.Expanded - s.Entries }
-
-// Flatten expands db into per-prefix entries. For each (prefix, normalized
-// status) pair only the most recently updated record survives — the
-// paper's rule for handling re-registered blocks. Entries are returned in
-// canonical prefix order, then by status, for determinism.
-func (db *Database) Flatten() []Entry {
-	entries, _ := db.FlattenWithStats()
-	return entries
-}
-
-// FlattenWithStats is Flatten plus the dedup accounting the pipeline
-// trace reports.
-func (db *Database) FlattenWithStats() ([]Entry, FlattenStats) {
-	db.ResolveOrgs()
-	type key struct {
-		p      netip.Prefix
-		status string
+func (c fieldCopier) kept(b []byte) string {
+	if c.tab != nil {
+		return c.tab.Bytes(b)
 	}
-	best := make(map[key]Entry, len(db.Records))
-	stats := FlattenStats{Records: len(db.Records)}
-	for _, r := range db.Records {
-		for _, p := range r.Prefixes {
-			stats.Expanded++
-			k := key{p, alloc.Normalize(r.Status)}
-			e := Entry{Prefix: p, Registry: r.Registry, Status: r.Status, OrgName: r.OrgName, Updated: r.Updated}
-			if prev, ok := best[k]; !ok || e.Updated.After(prev.Updated) {
-				best[k] = e
-			}
-		}
-	}
-	out := make([]Entry, 0, len(best))
-	for _, e := range best {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := netx.Compare(out[i].Prefix, out[j].Prefix); c != 0 {
-			return c < 0
-		}
-		return alloc.Normalize(out[i].Status) < alloc.Normalize(out[j].Status)
-	})
-	stats.Entries = len(out)
-	return out, stats
+	return string(b)
 }
+
+func (c fieldCopier) extra(b []byte) string {
+	if c.tab != nil {
+		return ""
+	}
+	return string(b)
+}
+
+// blockFields holds the kept fields of the paragraph a line-oriented
+// reader (ARIN, LACNIC) is in, as ranges of one buffer reused from block
+// to block, so that no line allocates. Each flavour numbers its fields.
+type blockFields struct {
+	buf  []byte
+	at   [8]struct{ start, end int }
+	seen bool // the block has an attribute line, kept or not
+}
+
+// set records value v for field i; a repeated attribute's last value
+// stands.
+func (f *blockFields) set(i int, v []byte) {
+	f.at[i].start = len(f.buf)
+	f.buf = append(f.buf, v...)
+	f.at[i].end = len(f.buf)
+}
+
+// get returns field i, empty when the block has none.
+func (f *blockFields) get(i int) []byte { return f.buf[f.at[i].start:f.at[i].end] }
+
+func (f *blockFields) reset() { *f = blockFields{buf: f.buf[:0]} }
 
 // timeLayouts are the timestamp layouts seen across registry dumps, in
 // the order parseTime tries them.
@@ -229,6 +216,83 @@ func parseTime(s string) (time.Time, error) {
 		}
 	}
 	return time.Time{}, fmt.Errorf("whois: unrecognized timestamp %q", s)
+}
+
+// parseTimeBytes is parseTime off a reader's buffer. The four layouts in
+// their plain UTC form — all a registry dump writes — are read in place;
+// anything else, a date that does not exist included, is parseTime's to
+// accept or refuse.
+func parseTimeBytes(b []byte) (time.Time, error) {
+	s := bytes.TrimSpace(b)
+	var date, clock []byte // "2006-01-02" or "20060102"; "15:04:05" or none
+	switch {
+	case len(s) == 20 && s[10] == 'T' && s[19] == 'Z':
+		date, clock = s[:10], s[11:19]
+	case len(s) == 19 && s[10] == ' ':
+		date, clock = s[:10], s[11:]
+	case len(s) == 10 || len(s) == 8:
+		date = s
+	}
+	monthAt, dayAt := 4, 6
+	if len(date) == 10 {
+		monthAt, dayAt = 5, 8
+		if date[4] != '-' || date[7] != '-' {
+			date = nil
+		}
+	}
+	y, okY := digits(date, 0, 4)
+	m, okM := digits(date, monthAt, monthAt+2)
+	d, okD := digits(date, dayAt, dayAt+2)
+	hh, mm, ss, okClock := 0, 0, 0, true
+	if clock != nil {
+		var okH, okMin, okS bool
+		hh, okH = digits(clock, 0, 2)
+		mm, okMin = digits(clock, 3, 5)
+		ss, okS = digits(clock, 6, 8)
+		okClock = okH && okMin && okS && clock[2] == ':' && clock[5] == ':' && hh < 24 && mm < 60 && ss < 60
+	}
+	if okY && okM && okD && okClock {
+		// time.Date carries a day past the month's end into the next
+		// month, where time.Parse refuses it.
+		if t := time.Date(y, time.Month(m), d, hh, mm, ss, 0, time.UTC); t.Day() == d && t.Month() == time.Month(m) {
+			return t, nil
+		}
+	}
+	return parseTime(string(b))
+}
+
+// digits reads b[from:to] as a decimal number.
+func digits(b []byte, from, to int) (int, bool) {
+	if len(b) < to {
+		return 0, false
+	}
+	n := 0
+	for _, c := range b[from:to] {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, true
+}
+
+// appendBlockSpec is parseBlockSpec off a reader's buffer, into the
+// caller's: the two forms a registry dump writes, a CIDR prefix and a
+// spaced range of plain addresses, are read in place, and anything else
+// is parseBlockSpec's to accept or refuse.
+func appendBlockSpec(dst []netip.Prefix, spec []byte) ([]netip.Prefix, error) {
+	s := bytes.TrimSpace(spec)
+	if first, last, ok := bytes.Cut(s, []byte(" - ")); ok {
+		fa, ok1 := netx.ParseAddrBytes(bytes.TrimSpace(first))
+		la, ok2 := netx.ParseAddrBytes(bytes.TrimSpace(last))
+		if ok1 && ok2 {
+			return netx.AppendRange(dst, fa, la)
+		}
+	} else if p, ok := netx.ParsePrefixBytes(s); ok {
+		return append(dst, p.Masked()), nil
+	}
+	ps, err := parseBlockSpec(string(spec))
+	return append(dst, ps...), err
 }
 
 // parseBlockSpec parses an address-block specification that is either a

@@ -126,9 +126,9 @@ func TestManifestParseRejects(t *testing.T) {
 	bad := []string{
 		"",
 		"p2o-manifest v2\n",
-		"p2o-manifest v1",              // missing trailing newline
-		"p2o-manifest v1\ngarbage\n",   // malformed line
-		"p2o-manifest v1\nzz 1 a/b\n",  // bad hash
+		"p2o-manifest v1",             // missing trailing newline
+		"p2o-manifest v1\ngarbage\n",  // malformed line
+		"p2o-manifest v1\nzz 1 a/b\n", // bad hash
 		"p2o-manifest v1\n" + validManifestLine("b") + validManifestLine("a"), // unsorted
 		"p2o-manifest v1\n" + validManifestLine("a") + validManifestLine("a"), // duplicate
 	}

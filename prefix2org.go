@@ -231,8 +231,9 @@ type Dataset struct {
 	view *snapView
 	lazy *lazyTables
 	// state is the retained delta-rebuild state (Options.Incremental
-	// builds only): the input manifest, parsed sources, and pass-1
-	// slots BuildDelta splices against. Nil otherwise; never persisted.
+	// builds only): the input manifest and the loaded sources BuildDelta
+	// splices against — the pass-1 slots it keeps are read back from
+	// Records. Nil otherwise; never persisted.
 	state *buildState
 }
 
@@ -397,7 +398,7 @@ func Build(ctx context.Context, db *whois.Database, table *bgp.Table, repo *rpki
 	next.arinLegacy, next.routed = arinLegacyNonSigned, table.Prefixes()
 	*next.env = resolveEnv{table: table, repo: repo, asClusters: asData.BuildClusters()}
 	res, err := rebuild(ctx, obs.NewTrace("build"), nil, next, []loadJob{{"flatten-whois", func(_ context.Context, span *obs.Span) error {
-		next.env.whois = flattenWhois(span, db, arinLegacyNonSigned)
+		next.env.whois = flattenWhois(span, db.FlattenWithStats, arinLegacyNonSigned)
 		return nil
 	}}})
 	if err != nil {
@@ -612,18 +613,23 @@ func doTypeName(t typedEntry, repo *rpki.Repository) string {
 // justification for the BGP specificity filter. A delta rebuild re-runs
 // it only when a delegated/ file changed.
 func verifyDelegated(ctx context.Context, dir string, span *obs.Span) error {
-	delFiles, err := delegated.LoadDir(ctx, dir)
+	// The minimums are folded from the stream: no record is kept.
+	lens := map[alloc.Registry]*delegated.MinLens{}
+	files, err := delegated.ScanDir(ctx, dir, func(rir alloc.Registry, rec *delegated.Record) error {
+		m := lens[rir]
+		if m == nil {
+			m = delegated.NewMinLens()
+			lens[rir] = m
+		}
+		return m.Add(rec)
+	})
 	if err != nil {
 		return fmt.Errorf("prefix2org: load delegated files: %w", err)
 	}
-	span.Add("files", int64(len(delFiles)))
-	for rir, f := range delFiles {
-		v4, v6, err := f.MinPrefixLens()
-		if err != nil {
-			return fmt.Errorf("prefix2org: delegated file for %s: %w", rir, err)
-		}
-		if v4 < 8 || v6 < 16 {
-			return fmt.Errorf("prefix2org: %s delegated a block coarser than /8 (v4 min /%d) or /16 (v6 min /%d); the BGP specificity filter would drop real delegations", rir, v4, v6)
+	span.Add("files", int64(files))
+	for _, rir := range alloc.RIRs {
+		if m := lens[rir]; m != nil && (m.V4 < 8 || m.V6 < 16) {
+			return fmt.Errorf("prefix2org: %s delegated a block coarser than /8 (v4 min /%d) or /16 (v6 min /%d); the BGP specificity filter would drop real delegations", rir, m.V4, m.V6)
 		}
 	}
 	return nil
@@ -725,12 +731,13 @@ func runLoaders(ctx context.Context, tr *obs.Trace, workers int, jobs []loadJob)
 	return nil
 }
 
-// flattenWhois flattens db into the delegation index (§5.2) under span:
-// one group of entries per registered block, ARIN allocations on the
-// legacy non-signer list retyped first.
-func flattenWhois(span *obs.Span, db *whois.Database, arinLegacy []netip.Prefix) *lpm.Groups[whois.Entry] {
+// flattenWhois compiles what flatten returns — a Database's entries, or
+// the merge of a directory's per-registry runs — into the delegation
+// index (§5.2) under span: one group of entries per registered block,
+// ARIN allocations on the legacy non-signer list retyped first.
+func flattenWhois(span *obs.Span, flatten func() ([]whois.Entry, whois.FlattenStats), arinLegacy []netip.Prefix) *lpm.Groups[whois.Entry] {
 	defer span.End()
-	entries, fstats := db.FlattenWithStats()
+	entries, fstats := flatten()
 	markARINLegacy(entries, arinLegacy)
 	span.Add("records", int64(fstats.Records))
 	span.Add("entries", int64(fstats.Entries))
@@ -751,16 +758,17 @@ func dirLoaders(dir string, tr *obs.Trace, next *buildState, changed func(relPat
 			if next.opts.JPNICWhoisAddr != "" {
 				lopts.JPNICClient = &whois.Client{Addr: next.opts.JPNICWhoisAddr}
 			}
-			db, src, err := whois.LoadDirSources(ctx, dir, lopts, next.src, changed)
+			src, err := whois.LoadDirSources(ctx, dir, lopts, next.src, changed)
 			if err != nil {
 				return fmt.Errorf("prefix2org: load whois: %w", err)
 			}
 			next.src = src
-			span.Add("records", int64(len(db.Records)))
-			span.Add("orgs", int64(len(db.Orgs)))
-			// load-whois times the parse alone. The job's two further stages
-			// run here rather than after the join, beside the other sources'
-			// parses, each under a span of its own.
+			span.Add("records", int64(src.Records()))
+			span.Add("orgs", int64(src.Orgs()))
+			// load-whois times the parse and each changed registry file's own
+			// flatten. The job's two further stages run here rather than after
+			// the join, beside the other sources' parses, each under a span of
+			// its own.
 			span.End()
 			if changed("whois/" + whois.ARINLegacyFile) {
 				legacySpan := tr.Start("load-arin-legacy")
@@ -771,7 +779,11 @@ func dirLoaders(dir string, tr *obs.Trace, next *buildState, changed func(relPat
 					return err
 				}
 			}
-			next.env.whois = flattenWhois(tr.Start("flatten-whois"), db, next.arinLegacy)
+			// flatten-whois times the merge of the registries' runs, the
+			// legacy retype and the grouping.
+			flatSpan := tr.Start("flatten-whois")
+			flatSpan.Add("reflattened", int64(src.Reflattened()))
+			next.env.whois = flattenWhois(flatSpan, src.Flatten, next.arinLegacy)
 			return nil
 		}},
 		"bgp": {"load-bgp", func(ctx context.Context, span *obs.Span) error {

@@ -5,13 +5,16 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/prefix2org/prefix2org/internal/alloc"
 	"github.com/prefix2org/prefix2org/internal/as2org"
 	"github.com/prefix2org/prefix2org/internal/bgp"
+	"github.com/prefix2org/prefix2org/internal/delegated"
 	"github.com/prefix2org/prefix2org/internal/netx"
+	"github.com/prefix2org/prefix2org/internal/obs"
 	"github.com/prefix2org/prefix2org/internal/rpki"
 	"github.com/prefix2org/prefix2org/internal/synth"
 	"github.com/prefix2org/prefix2org/internal/whois"
@@ -550,5 +553,44 @@ func TestMultipleDirectOwnerRecordsDeterministic(t *testing.T) {
 	}
 	if a.DirectOwner == "" {
 		t.Error("no Direct Owner resolved")
+	}
+}
+
+// TestVerifyDelegated covers the footnote-2 check both ways: delegated
+// files within /8 and /16 pass and are counted, and one delegation coarser
+// than that — among reserved space and ASNs, which do not count — fails
+// the build naming its registry.
+func TestVerifyDelegated(t *testing.T) {
+	ctx := context.Background()
+	when := time.Date(2024, 5, 1, 0, 0, 0, 0, time.UTC)
+	files := map[alloc.Registry]*delegated.File{
+		alloc.ARIN: {Registry: alloc.ARIN, Serial: "20240901", Records: []delegated.Record{
+			delegated.IPv4RecordFor(alloc.ARIN, "US", netx.MustParse("23.0.0.0/8"), when, "allocated", "a"),
+			delegated.IPv4RecordFor(alloc.ARIN, "US", netx.MustParse("0.0.0.0/3"), when, "reserved", ""),
+			delegated.ASNRecordFor(alloc.ARIN, "US", 701, when, "assigned", "a"),
+		}},
+		alloc.RIPE: {Registry: alloc.RIPE, Serial: "20240901", Records: []delegated.Record{
+			delegated.IPv6RecordFor(alloc.RIPE, "DE", netx.MustParse("2a00::/16"), when, "allocated", "b"),
+		}},
+	}
+	verify := func() (int64, error) {
+		dir := t.TempDir()
+		if err := delegated.WriteDir(dir, files); err != nil {
+			t.Fatal(err)
+		}
+		span := obs.NewTrace("test").Start("verify-delegated")
+		err := verifyDelegated(ctx, dir, span)
+		return span.Count("files"), err
+	}
+	if n, err := verify(); err != nil || n != 2 {
+		t.Errorf("delegations at the limits: %d files, %v", n, err)
+	}
+	ripe := files[alloc.RIPE]
+	ripe.Records = append(ripe.Records, delegated.IPv6RecordFor(alloc.RIPE, "DE", netx.MustParse("2c00::/15"), when, "assigned", "b"))
+	if _, err := verify(); err == nil || !strings.Contains(err.Error(), "RIPE delegated a block coarser") {
+		t.Errorf("a /15 IPv6 delegation: err = %v", err)
+	}
+	if err := verifyDelegated(ctx, t.TempDir(), obs.NewTrace("test").Start("verify-delegated")); err != nil {
+		t.Errorf("no delegated files: %v", err)
 	}
 }

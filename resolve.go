@@ -309,7 +309,6 @@ type buildState struct {
 	// Records' order — the snapshot bytes, the frozen index's positions
 	// — is routed's.
 	routed []netip.Prefix
-	slots  []resolvedRec // pass-1 outputs in routed order
 	clean  *cleanState
 }
 
