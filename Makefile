@@ -60,7 +60,6 @@ fuzz-short:
 	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzParseLACNIC -fuzztime=$(FUZZTIME) ./internal/whois
 	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzParsePrefixList -fuzztime=$(FUZZTIME) ./internal/whois
 	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzParseBlockSpec -fuzztime=$(FUZZTIME) ./internal/whois
-	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzParseUpdate -fuzztime=$(FUZZTIME) ./internal/bgp
 	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzReadMRT -fuzztime=$(FUZZTIME) ./internal/bgp
 	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzReadPDU -fuzztime=$(FUZZTIME) ./internal/rtr
 	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzReadRPKI -fuzztime=$(FUZZTIME) ./internal/rpki

@@ -1,10 +1,8 @@
 package prefix2org
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -87,53 +85,6 @@ func exerciseAccessors(d *Dataset) {
 		_, _ = d.LookupCovering(p)
 	}
 	d.MaterializeAll()
-}
-
-// TestBinarySnapshotRejectsCorruption drives truncated and bit-flipped
-// v1 images through the hardened legacy reader.
-func TestBinarySnapshotRejectsCorruption(t *testing.T) {
-	_, ds := buildWorldDataset(t)
-	var buf bytes.Buffer
-	if err := ds.SaveBinaryV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	// v1 framing: magic, then per section a tag byte, a uvarint length
-	// and the body.
-	framing := []span{{0, len(binaryMagic)}}
-	var boundaries []int
-	for off := len(binaryMagic); off < len(data); {
-		n, w := binaryUvarint(t, data[off+1:])
-		body := off + 1 + w
-		framing = append(framing, span{off, min(body+sectionHeadBytes, body+int(n))})
-		boundaries = append(boundaries, off)
-		off = body + int(n)
-	}
-	boundaries = append(boundaries, len(data)-1)
-	if len(boundaries) != 6 {
-		t.Fatalf("walked %d v1 sections, want 5", len(boundaries)-1)
-	}
-
-	for _, n := range append([]int{9, len(data) / 4, len(data) / 2, len(data) - 1}, boundaries[:5]...) {
-		if _, err := Load(bytes.NewReader(data[:n])); err == nil {
-			t.Errorf("truncation to %d bytes accepted", n)
-		}
-	}
-	forEachCorruption(t, data, framing, boundaries, func(mut []byte) {
-		d, err := Load(bytes.NewReader(mut))
-		if err != nil {
-			return
-		}
-		// The reader accepted the flip (it landed in string bytes or
-		// stats, or the magic now says JSON... which then must parse).
-		exerciseAccessors(d)
-	})
-	// An input that merely starts like the magic is not mistaken for a
-	// binary snapshot.
-	if _, err := Load(strings.NewReader("P2OSNAP")); err == nil {
-		t.Error("short magic accepted as binary or valid JSON")
-	}
 }
 
 // TestV2RejectsCorruption drives truncated and bit-flipped v2 images

@@ -23,6 +23,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -104,51 +105,53 @@ type Clusters struct {
 }
 
 // BuildClusters computes ASN clusters from the dataset: union by shared
-// CAIDA org ID, then union every sibling set.
+// CAIDA org ID, then union every sibling set. The union-find runs over
+// positions in the sorted list of every ASN the dataset names, so a
+// cluster's members come out ascending and its first member is its ID.
 func (d *Dataset) BuildClusters() *Clusters {
-	u := dsu.New()
-	byOrg := map[string]uint32{}
 	asns := make([]uint32, 0, len(d.ASes))
 	for asn := range d.ASes {
 		asns = append(asns, asn)
 	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	for _, asn := range asns {
-		info := d.ASes[asn]
-		u.Add(key(asn))
-		if info.OrgID == "" {
+	for _, s := range d.Siblings {
+		asns = append(asns, s.ASNs...)
+	}
+	slices.Sort(asns)
+	asns = slices.Compact(asns)
+	pos := func(asn uint32) int32 {
+		i, _ := slices.BinarySearch(asns, asn)
+		return int32(i)
+	}
+
+	u := dsu.New(len(asns))
+	byOrg := map[string]int32{}
+	for i, asn := range asns {
+		info, ok := d.ASes[asn]
+		if !ok || info.OrgID == "" {
 			continue
 		}
 		if first, ok := byOrg[info.OrgID]; ok {
-			u.Union(key(first), key(asn))
+			u.Union(first, int32(i))
 		} else {
-			byOrg[info.OrgID] = asn
+			byOrg[info.OrgID] = int32(i)
 		}
 	}
 	for _, s := range d.Siblings {
 		for i := 1; i < len(s.ASNs); i++ {
-			u.Union(key(s.ASNs[0]), key(s.ASNs[i]))
+			u.Union(pos(s.ASNs[0]), pos(s.ASNs[i]))
 		}
 	}
-	c := &Clusters{id: map[uint32]string{}, members: map[string][]uint32{}}
-	for _, set := range u.Sets() {
-		ms := make([]uint32, 0, len(set))
-		for _, k := range set {
-			asn, err := strconv.ParseUint(k, 10, 32)
-			if err != nil {
-				continue // unreachable: keys are produced by key()
-			}
-			ms = append(ms, uint32(asn))
+
+	c := &Clusters{id: make(map[uint32]string, len(asns)), members: map[string][]uint32{}}
+	idOf := make([]string, len(asns)) // by representative position
+	for i, asn := range asns {
+		r := u.Find(int32(i))
+		if idOf[r] == "" {
+			idOf[r] = key(asn) // ascending: the first member seen is the lowest
 		}
-		sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-		if len(ms) == 0 {
-			continue
-		}
-		id := key(ms[0])
-		c.members[id] = ms
-		for _, m := range ms {
-			c.id[m] = id
-		}
+		id := idOf[r]
+		c.id[asn] = id
+		c.members[id] = append(c.members[id], asn)
 	}
 	return c
 }

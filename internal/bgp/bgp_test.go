@@ -7,137 +7,11 @@ import (
 	"net/netip"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"github.com/prefix2org/prefix2org/internal/netx"
 )
 
 func mp(s string) netip.Prefix { return netx.MustParse(s) }
-
-func TestUpdateMarshalParseRoundTrip(t *testing.T) {
-	u := &Update{
-		Withdrawn: []netip.Prefix{mp("198.51.100.0/24")},
-		ASPath:    []uint32{64500, 64501, 4200000001},
-		NLRI:      []netip.Prefix{mp("203.0.113.0/24"), mp("10.0.0.0/8"), mp("2001:db8::/32")},
-	}
-	msg, err := u.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseUpdate(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back.ASPath, u.ASPath) {
-		t.Errorf("ASPath = %v, want %v", back.ASPath, u.ASPath)
-	}
-	if !reflect.DeepEqual(back.Withdrawn, u.Withdrawn) {
-		t.Errorf("Withdrawn = %v, want %v", back.Withdrawn, u.Withdrawn)
-	}
-	if len(back.NLRI) != 3 {
-		t.Fatalf("NLRI = %v", back.NLRI)
-	}
-	want := map[string]bool{"203.0.113.0/24": true, "10.0.0.0/8": true, "2001:db8::/32": true}
-	for _, p := range back.NLRI {
-		if !want[p.String()] {
-			t.Errorf("unexpected NLRI %s", p)
-		}
-	}
-	if origin, ok := back.Origin(); !ok || origin != 4200000001 {
-		t.Errorf("Origin = %d,%v", origin, ok)
-	}
-}
-
-func TestUpdateWithdrawOnly(t *testing.T) {
-	u := &Update{Withdrawn: []netip.Prefix{mp("10.0.0.0/8")}}
-	msg, err := u.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseUpdate(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.NLRI) != 0 || len(back.Withdrawn) != 1 {
-		t.Errorf("roundtrip = %+v", back)
-	}
-	if _, ok := back.Origin(); ok {
-		t.Error("withdraw-only update has an origin")
-	}
-}
-
-func TestMarshalRejectsBadUpdates(t *testing.T) {
-	if _, err := (&Update{NLRI: []netip.Prefix{mp("10.0.0.0/8")}}).Marshal(); err == nil {
-		t.Error("announcement without AS path accepted")
-	}
-	if _, err := (&Update{Withdrawn: []netip.Prefix{mp("2001:db8::/32")}}).Marshal(); err == nil {
-		t.Error("IPv6 withdrawal accepted by v4-only withdrawal codec")
-	}
-}
-
-func TestParseUpdateRejectsGarbage(t *testing.T) {
-	good, _ := (&Update{ASPath: []uint32{1}, NLRI: []netip.Prefix{mp("10.0.0.0/8")}}).Marshal()
-	cases := map[string][]byte{
-		"short":      good[:10],
-		"bad marker": append([]byte{0}, good[1:]...),
-		"bad length": func() []byte { b := append([]byte{}, good...); b[16] = 0xFF; return b }(),
-		"not update": func() []byte { b := append([]byte{}, good...); b[18] = 1; return b }(),
-		"truncated":  func() []byte { b := append([]byte{}, good...); b = b[:len(b)-1]; b[17]--; return b }(),
-	}
-	for name, msg := range cases {
-		if _, err := ParseUpdate(msg); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-}
-
-// Property: random updates survive the wire round trip.
-func TestUpdateRoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		u := &Update{}
-		n := 1 + rng.Intn(5)
-		for i := 0; i < n; i++ {
-			u.ASPath = append(u.ASPath, rng.Uint32())
-		}
-		for i := 0; i < 1+rng.Intn(10); i++ {
-			if rng.Intn(3) == 0 {
-				var a [16]byte
-				a[0], a[1] = 0x20, 0x01
-				rng.Read(a[2:8])
-				u.NLRI = append(u.NLRI, netip.PrefixFrom(netip.AddrFrom16(a), 16+rng.Intn(49)).Masked())
-			} else {
-				var a [4]byte
-				rng.Read(a[:])
-				u.NLRI = append(u.NLRI, netip.PrefixFrom(netip.AddrFrom4(a), 8+rng.Intn(25)).Masked())
-			}
-		}
-		msg, err := u.Marshal()
-		if err != nil {
-			return false
-		}
-		back, err := ParseUpdate(msg)
-		if err != nil {
-			return false
-		}
-		if !reflect.DeepEqual(back.ASPath, u.ASPath) {
-			return false
-		}
-		got := map[netip.Prefix]bool{}
-		for _, p := range back.NLRI {
-			got[p] = true
-		}
-		for _, p := range u.NLRI {
-			if !got[p] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestCollectorApplyAndWithdraw(t *testing.T) {
 	c := NewCollector("rv-test")
@@ -156,16 +30,33 @@ func TestCollectorApplyAndWithdraw(t *testing.T) {
 	if o, _ := dump[0].Origin(); o != 200 {
 		t.Errorf("origin = %d", o)
 	}
-	// Wire path.
-	raw, err := (&Update{ASPath: []uint32{300, 400}, NLRI: []netip.Prefix{mp("12.0.0.0/8")}}).Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ApplyRaw(300, raw); err != nil {
+	// A second peer's RIB is kept apart from the first.
+	if err := c.Apply(300, &Update{ASPath: []uint32{300, 400}, NLRI: []netip.Prefix{mp("12.0.0.0/8")}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Dump()) != 2 {
-		t.Errorf("dump after raw apply = %d entries", len(c.Dump()))
+		t.Errorf("dump after second peer's apply = %d entries", len(c.Dump()))
+	}
+	// An announcement without an AS path is refused.
+	if err := c.Apply(1, &Update{NLRI: []netip.Prefix{mp("13.0.0.0/8")}}); err == nil {
+		t.Error("announcement without AS path accepted")
+	}
+}
+
+func TestUpdateWithdrawOnly(t *testing.T) {
+	u := &Update{Withdrawn: []netip.Prefix{mp("10.0.0.0/8")}}
+	if _, ok := u.Origin(); ok {
+		t.Error("withdraw-only update has an origin")
+	}
+	c := NewCollector("rv")
+	if err := c.Apply(1, &Update{ASPath: []uint32{1, 2}, NLRI: []netip.Prefix{mp("10.0.0.0/8")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Apply(1, u); err != nil {
+		t.Fatal(err)
+	}
+	if dump := c.Dump(); len(dump) != 0 {
+		t.Errorf("dump after withdraw-only update = %+v", dump)
 	}
 }
 
@@ -319,18 +210,14 @@ func TestWriteDirLoadDir(t *testing.T) {
 	}
 }
 
-// Full path integration: synthesize updates, run them through the wire
-// format into collectors, dump via MRT, aggregate.
+// Full path integration: synthesize updates, apply them to collectors,
+// dump via MRT, aggregate.
 func TestEndToEndCollectorPath(t *testing.T) {
 	c1 := NewCollector("route-views2")
 	c2 := NewCollector("rrc00")
 	mustApply := func(c *Collector, peer uint32, u *Update) {
 		t.Helper()
-		raw, err := u.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.ApplyRaw(peer, raw); err != nil {
+		if err := c.Apply(peer, u); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -356,29 +243,6 @@ func TestEndToEndCollectorPath(t *testing.T) {
 	}
 }
 
-// Extended-length path attributes: an AS path longer than 63 hops encodes
-// to more than 255 bytes and must use the extended-length attribute form.
-func TestUpdateExtendedLengthASPath(t *testing.T) {
-	u := &Update{NLRI: []netip.Prefix{mp("10.0.0.0/8")}}
-	for i := 0; i < 80; i++ {
-		u.ASPath = append(u.ASPath, uint32(1000+i))
-	}
-	msg, err := u.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseUpdate(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back.ASPath, u.ASPath) {
-		t.Errorf("extended-length AS path corrupted: %d hops back", len(back.ASPath))
-	}
-}
-
-// An AS_PATH segment can hold at most 255 ASNs; the encoder currently
-// emits a single AS_SEQUENCE, so reject paths beyond that rather than
-// silently truncating.
 func TestCollectorPathIsolation(t *testing.T) {
 	c := NewCollector("rv")
 	path := []uint32{1, 2, 3}
@@ -410,12 +274,5 @@ func TestMRTLongPathRejected(t *testing.T) {
 	err := WriteMRT(&buf, []Entry{{Collector: "c", PeerASN: 1, Prefix: mp("10.0.0.0/8"), ASPath: path}})
 	if err == nil {
 		t.Error("300-hop path accepted by MRT writer")
-	}
-}
-
-func TestMarshalRejectsOverlongPath(t *testing.T) {
-	u := &Update{NLRI: []netip.Prefix{mp("10.0.0.0/8")}, ASPath: make([]uint32, 300)}
-	if _, err := u.Marshal(); err == nil {
-		t.Error("300-hop AS path accepted")
 	}
 }

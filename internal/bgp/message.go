@@ -1,46 +1,20 @@
 // Package bgp provides the BGP substrate Prefix2Org's routed-prefix view
-// is built from: a wire codec for BGP UPDATE messages (RFC 4271 with
-// four-octet AS numbers, RFC 6793, and multiprotocol IPv6 NLRI, RFC 4760),
-// a per-peer RIB that collectors maintain by applying updates, an
-// MRT-style binary snapshot format for RIB dumps, and the aggregated
-// prefix → origin-ASN table with the paper's specificity filters (§4.1:
-// drop IPv4 less specific than /8 and IPv6 less specific than /16).
+// is built from: a per-peer RIB that collectors maintain by applying
+// UPDATEs, an MRT-style binary snapshot format for RIB dumps, and the
+// aggregated prefix → origin-ASN table with the paper's specificity
+// filters (§4.1: drop IPv4 less specific than /8 and IPv6 less specific
+// than /16).
 //
 // The synthetic world plays the role of the RouteViews / RIPE RIS
 // ecosystem: it synthesizes UPDATE streams from peers, collectors apply
-// them, and the pipeline reads the merged dump exactly as it would read a
-// BGPStream-produced snapshot.
+// them in process, and the pipeline reads the merged dump exactly as it
+// would read a BGPStream-produced snapshot.
 package bgp
 
-import (
-	"encoding/binary"
-	"fmt"
-	"net/netip"
-)
+import "net/netip"
 
-// Path attribute type codes used by the codec.
-const (
-	attrOrigin      = 1
-	attrASPath      = 2
-	attrNextHop     = 3
-	attrMPReachNLRI = 14 // RFC 4760
-)
-
-// AS_PATH segment types.
-const (
-	segSet      = 1
-	segSequence = 2
-)
-
-// AFI/SAFI for MP_REACH_NLRI.
-const (
-	afiIPv6     = 2
-	safiUnicast = 1
-)
-
-// Update is a BGP UPDATE message restricted to what collectors need:
-// announced NLRI with an AS path, and withdrawn routes. IPv4 NLRI ride in
-// the base message; IPv6 NLRI use MP_REACH_NLRI.
+// Update is a BGP UPDATE restricted to what collectors need: announced
+// NLRI with an AS path, and withdrawn routes.
 type Update struct {
 	Withdrawn []netip.Prefix
 	ASPath    []uint32
@@ -53,266 +27,4 @@ func (u *Update) Origin() (uint32, bool) {
 		return 0, false
 	}
 	return u.ASPath[len(u.ASPath)-1], true
-}
-
-// Marshal encodes the update as a BGP message (header + UPDATE body).
-// IPv4 prefixes go in the standard NLRI field; IPv6 prefixes are carried
-// in an MP_REACH_NLRI attribute.
-func (u *Update) Marshal() ([]byte, error) {
-	var withdrawn4, nlri4, nlri6 []netip.Prefix
-	for _, p := range u.Withdrawn {
-		if !p.Addr().Is4() {
-			return nil, fmt.Errorf("bgp: IPv6 withdrawals unsupported by this codec: %s", p)
-		}
-		withdrawn4 = append(withdrawn4, p)
-	}
-	for _, p := range u.NLRI {
-		if p.Addr().Is4() {
-			nlri4 = append(nlri4, p)
-		} else {
-			nlri6 = append(nlri6, p)
-		}
-	}
-	if (len(nlri4) > 0 || len(nlri6) > 0) && len(u.ASPath) == 0 {
-		return nil, fmt.Errorf("bgp: announcement without AS path")
-	}
-	if len(u.ASPath) > 255 {
-		// A single AS_SEQUENCE segment holds at most 255 ASNs; real
-		// speakers split segments, but paths this long do not occur and
-		// rejecting beats silently truncating.
-		return nil, fmt.Errorf("bgp: AS path longer than 255 hops (%d)", len(u.ASPath))
-	}
-
-	var body []byte
-	// Withdrawn routes.
-	wr := encodeNLRI(withdrawn4)
-	body = append(body, byte(len(wr)>>8), byte(len(wr)))
-	body = append(body, wr...)
-
-	// Path attributes.
-	var attrs []byte
-	if len(nlri4) > 0 || len(nlri6) > 0 {
-		attrs = append(attrs, encodeAttr(attrOrigin, []byte{0})...) // ORIGIN IGP
-		attrs = append(attrs, encodeAttr(attrASPath, encodeASPath(u.ASPath))...)
-		if len(nlri4) > 0 {
-			// NEXT_HOP is mandatory for IPv4 NLRI; collectors ignore it.
-			attrs = append(attrs, encodeAttr(attrNextHop, []byte{192, 0, 2, 1})...)
-		}
-		if len(nlri6) > 0 {
-			mp := []byte{0, afiIPv6, safiUnicast, 16}
-			mp = append(mp, make([]byte, 16)...) // next hop ::
-			mp = append(mp, 0)                   // reserved
-			mp = append(mp, encodeNLRI(nlri6)...)
-			attrs = append(attrs, encodeAttr(attrMPReachNLRI, mp)...)
-		}
-	}
-	body = append(body, byte(len(attrs)>>8), byte(len(attrs)))
-	body = append(body, attrs...)
-	body = append(body, encodeNLRI(nlri4)...)
-
-	total := 19 + len(body)
-	if total > 4096 {
-		return nil, fmt.Errorf("bgp: update exceeds 4096 bytes (%d)", total)
-	}
-	msg := make([]byte, 19, total)
-	for i := 0; i < 16; i++ {
-		msg[i] = 0xFF // marker
-	}
-	binary.BigEndian.PutUint16(msg[16:18], uint16(total))
-	msg[18] = 2 // UPDATE
-	return append(msg, body...), nil
-}
-
-// ParseUpdate decodes a BGP UPDATE message produced by Marshal (or any
-// conforming speaker within the codec's subset).
-func ParseUpdate(msg []byte) (*Update, error) {
-	if len(msg) < 19 {
-		return nil, fmt.Errorf("bgp: message shorter than header (%d bytes)", len(msg))
-	}
-	for i := 0; i < 16; i++ {
-		if msg[i] != 0xFF {
-			return nil, fmt.Errorf("bgp: bad marker byte at %d", i)
-		}
-	}
-	total := int(binary.BigEndian.Uint16(msg[16:18]))
-	if total != len(msg) {
-		return nil, fmt.Errorf("bgp: length field %d != message size %d", total, len(msg))
-	}
-	if msg[18] != 2 {
-		return nil, fmt.Errorf("bgp: not an UPDATE (type %d)", msg[18])
-	}
-	body := msg[19:]
-	if len(body) < 2 {
-		return nil, fmt.Errorf("bgp: truncated withdrawn length")
-	}
-	wlen := int(binary.BigEndian.Uint16(body[:2]))
-	body = body[2:]
-	if len(body) < wlen {
-		return nil, fmt.Errorf("bgp: truncated withdrawn routes")
-	}
-	u := &Update{}
-	var err error
-	u.Withdrawn, err = decodeNLRI(body[:wlen], false)
-	if err != nil {
-		return nil, err
-	}
-	body = body[wlen:]
-	if len(body) < 2 {
-		return nil, fmt.Errorf("bgp: truncated attributes length")
-	}
-	alen := int(binary.BigEndian.Uint16(body[:2]))
-	body = body[2:]
-	if len(body) < alen {
-		return nil, fmt.Errorf("bgp: truncated path attributes")
-	}
-	attrs := body[:alen]
-	nlri := body[alen:]
-	for len(attrs) > 0 {
-		if len(attrs) < 3 {
-			return nil, fmt.Errorf("bgp: truncated attribute header")
-		}
-		flags, code := attrs[0], attrs[1]
-		var l, off int
-		if flags&0x10 != 0 { // extended length
-			if len(attrs) < 4 {
-				return nil, fmt.Errorf("bgp: truncated extended attribute")
-			}
-			l, off = int(binary.BigEndian.Uint16(attrs[2:4])), 4
-		} else {
-			l, off = int(attrs[2]), 3
-		}
-		if len(attrs) < off+l {
-			return nil, fmt.Errorf("bgp: attribute %d overruns message", code)
-		}
-		val := attrs[off : off+l]
-		switch code {
-		case attrASPath:
-			u.ASPath, err = decodeASPath(val)
-			if err != nil {
-				return nil, err
-			}
-		case attrMPReachNLRI:
-			ps, err := decodeMPReach(val)
-			if err != nil {
-				return nil, err
-			}
-			u.NLRI = append(u.NLRI, ps...)
-		}
-		attrs = attrs[off+l:]
-	}
-	v4, err := decodeNLRI(nlri, false)
-	if err != nil {
-		return nil, err
-	}
-	u.NLRI = append(v4, u.NLRI...)
-	return u, nil
-}
-
-func encodeAttr(code byte, val []byte) []byte {
-	if len(val) > 255 {
-		out := []byte{0x50, code, byte(len(val) >> 8), byte(len(val))} // extended length
-		return append(out, val...)
-	}
-	out := []byte{0x40, code, byte(len(val))}
-	return append(out, val...)
-}
-
-// encodeASPath encodes a single AS_SEQUENCE of four-octet ASNs.
-func encodeASPath(path []uint32) []byte {
-	out := []byte{segSequence, byte(len(path))}
-	for _, asn := range path {
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], asn)
-		out = append(out, b[:]...)
-	}
-	return out
-}
-
-func decodeASPath(b []byte) ([]uint32, error) {
-	var path []uint32
-	for len(b) > 0 {
-		if len(b) < 2 {
-			return nil, fmt.Errorf("bgp: truncated AS_PATH segment header")
-		}
-		segType, n := b[0], int(b[1])
-		if segType != segSequence && segType != segSet {
-			return nil, fmt.Errorf("bgp: unknown AS_PATH segment type %d", segType)
-		}
-		b = b[2:]
-		if len(b) < 4*n {
-			return nil, fmt.Errorf("bgp: truncated AS_PATH segment")
-		}
-		for i := 0; i < n; i++ {
-			path = append(path, binary.BigEndian.Uint32(b[4*i:]))
-		}
-		b = b[4*n:]
-	}
-	return path, nil
-}
-
-func decodeMPReach(b []byte) ([]netip.Prefix, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("bgp: truncated MP_REACH_NLRI")
-	}
-	afi := binary.BigEndian.Uint16(b[:2])
-	safi := b[2]
-	nhLen := int(b[3])
-	if afi != afiIPv6 || safi != safiUnicast {
-		return nil, fmt.Errorf("bgp: unsupported AFI/SAFI %d/%d", afi, safi)
-	}
-	if len(b) < 4+nhLen+1 {
-		return nil, fmt.Errorf("bgp: truncated MP_REACH_NLRI next hop")
-	}
-	return decodeNLRI(b[4+nhLen+1:], true)
-}
-
-// encodeNLRI packs prefixes in RFC 4271 NLRI form: length byte followed by
-// the minimal number of prefix bytes.
-func encodeNLRI(ps []netip.Prefix) []byte {
-	var out []byte
-	for _, p := range ps {
-		bits := p.Bits()
-		out = append(out, byte(bits))
-		nbytes := (bits + 7) / 8
-		if p.Addr().Is4() {
-			a := p.Addr().As4()
-			out = append(out, a[:nbytes]...)
-		} else {
-			a := p.Addr().As16()
-			out = append(out, a[:nbytes]...)
-		}
-	}
-	return out
-}
-
-func decodeNLRI(b []byte, v6 bool) ([]netip.Prefix, error) {
-	var out []netip.Prefix
-	max := 32
-	if v6 {
-		max = 128
-	}
-	for len(b) > 0 {
-		bits := int(b[0])
-		if bits > max {
-			return nil, fmt.Errorf("bgp: NLRI prefix length %d exceeds %d", bits, max)
-		}
-		b = b[1:]
-		nbytes := (bits + 7) / 8
-		if len(b) < nbytes {
-			return nil, fmt.Errorf("bgp: truncated NLRI")
-		}
-		var addr netip.Addr
-		if v6 {
-			var a [16]byte
-			copy(a[:], b[:nbytes])
-			addr = netip.AddrFrom16(a)
-		} else {
-			var a [4]byte
-			copy(a[:], b[:nbytes])
-			addr = netip.AddrFrom4(a)
-		}
-		out = append(out, netip.PrefixFrom(addr, bits).Masked())
-		b = b[nbytes:]
-	}
-	return out, nil
 }

@@ -61,15 +61,6 @@ func (c *Collector) Apply(peer uint32, u *Update) error {
 	return nil
 }
 
-// ApplyRaw decodes a wire-format UPDATE and applies it.
-func (c *Collector) ApplyRaw(peer uint32, msg []byte) error {
-	u, err := ParseUpdate(msg)
-	if err != nil {
-		return err
-	}
-	return c.Apply(peer, u)
-}
-
 // Dump returns the collector's RIB entries in deterministic order.
 func (c *Collector) Dump() []Entry {
 	var out []Entry

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 
+	"github.com/prefix2org/prefix2org/internal/dsu"
 	"github.com/prefix2org/prefix2org/internal/netx"
 )
 
@@ -103,7 +104,7 @@ func Build(infos []PrefixInfo) *Result {
 		}
 		ids[i] = intern(infos[i].OwnerName)
 	}
-	u := newIntDSU(len(ownerNames))
+	u := dsu.New(len(ownerNames))
 
 	// R and A groups: base name × shared certificate / ASN cluster. Each
 	// group unions the W clusters of its members, as they arrive: a group
@@ -123,7 +124,7 @@ func Build(infos []PrefixInfo) *Result {
 		case !ok:
 			groups[string(keyBuf)] = group{first: id}
 		case g.first != id:
-			u.union(g.first, id)
+			u.Union(g.first, id)
 			if !g.multi {
 				g.multi = true
 				groups[string(keyBuf)] = g
@@ -167,7 +168,7 @@ func Build(infos []PrefixInfo) *Result {
 	n := len(ownerNames)
 	compOwners := make([][]string, n)
 	for id, name := range ownerNames {
-		rep := u.find(int32(id))
+		rep := u.Find(int32(id))
 		compOwners[rep] = append(compOwners[rep], name)
 	}
 	baseOf := make([]string, n)
@@ -176,7 +177,7 @@ func Build(infos []PrefixInfo) *Result {
 		if ids[i] < 0 {
 			continue
 		}
-		rep := u.find(ids[i])
+		rep := u.Find(ids[i])
 		prefixesOf[rep] = append(prefixesOf[rep], infos[i].Prefix.Masked())
 		if baseOf[rep] == "" && infos[i].BaseName != "" {
 			baseOf[rep] = infos[i].BaseName
@@ -206,49 +207,10 @@ func Build(infos []PrefixInfo) *Result {
 	res.Of = make([]*Cluster, len(infos))
 	for i, id := range ids {
 		if id >= 0 {
-			res.Of[i] = ofRep[u.find(id)]
+			res.Of[i] = ofRep[u.Find(id)]
 		}
 	}
 	return res
-}
-
-// intDSU is a slice-backed union-find over the interned owner IDs, with
-// path compression and union by size.
-type intDSU struct {
-	parent []int32
-	size   []int32
-}
-
-func newIntDSU(n int) *intDSU {
-	d := &intDSU{parent: make([]int32, n), size: make([]int32, n)}
-	for i := range d.parent {
-		d.parent[i] = int32(i)
-		d.size[i] = 1
-	}
-	return d
-}
-
-func (d *intDSU) find(x int32) int32 {
-	root := x
-	for d.parent[root] != root {
-		root = d.parent[root]
-	}
-	for d.parent[x] != root {
-		d.parent[x], x = root, d.parent[x]
-	}
-	return root
-}
-
-func (d *intDSU) union(a, b int32) {
-	ra, rb := d.find(a), d.find(b)
-	if ra == rb {
-		return
-	}
-	if d.size[ra] < d.size[rb] {
-		ra, rb = rb, ra
-	}
-	d.parent[rb] = ra
-	d.size[ra] += d.size[rb]
 }
 
 // clusterID derives the stable "<basename>-<hash>" identifier from the

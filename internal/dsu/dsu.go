@@ -1,31 +1,25 @@
 package dsu
 
-import "sort"
-
-// DSU is a disjoint-set union over string elements. The zero value is not
-// usable; call New.
+// DSU is a disjoint-set union over the dense integers 0..n-1, with path
+// compression and union by size. Callers intern their keys to positions
+// first.
 type DSU struct {
-	parent map[string]string
-	size   map[string]int
+	parent []int32
+	size   []int32
 }
 
-// New returns an empty DSU.
-func New() *DSU {
-	return &DSU{parent: map[string]string{}, size: map[string]int{}}
-}
-
-// Add ensures x is present as a singleton set (no-op if already present).
-func (d *DSU) Add(x string) {
-	if _, ok := d.parent[x]; !ok {
-		d.parent[x] = x
-		d.size[x] = 1
+// New returns a DSU of n singleton sets.
+func New(n int) *DSU {
+	d := &DSU{parent: make([]int32, n), size: make([]int32, n)}
+	for i := range d.parent {
+		d.parent[i] = int32(i)
+		d.size[i] = 1
 	}
+	return d
 }
 
-// Find returns the canonical representative of x's set, adding x as a
-// singleton if it was not present.
-func (d *DSU) Find(x string) string {
-	d.Add(x)
+// Find returns the representative of x's set.
+func (d *DSU) Find(x int32) int32 {
 	root := x
 	for d.parent[root] != root {
 		root = d.parent[root]
@@ -36,41 +30,16 @@ func (d *DSU) Find(x string) string {
 	return root
 }
 
-// Union merges the sets containing a and b and returns the representative
-// of the merged set.
-func (d *DSU) Union(a, b string) string {
+// Union merges the sets containing a and b. The larger set's
+// representative survives; on a tie, a's does.
+func (d *DSU) Union(a, b int32) {
 	ra, rb := d.Find(a), d.Find(b)
 	if ra == rb {
-		return ra
+		return
 	}
 	if d.size[ra] < d.size[rb] {
 		ra, rb = rb, ra
 	}
 	d.parent[rb] = ra
 	d.size[ra] += d.size[rb]
-	return ra
-}
-
-// Same reports whether a and b are in the same set. Both are added as
-// singletons if absent.
-func (d *DSU) Same(a, b string) bool { return d.Find(a) == d.Find(b) }
-
-// Len returns the number of elements.
-func (d *DSU) Len() int { return len(d.parent) }
-
-// Sets returns the current partition: each set's members sorted, the sets
-// ordered by their smallest member, so output is deterministic.
-func (d *DSU) Sets() [][]string {
-	groups := map[string][]string{}
-	for x := range d.parent {
-		r := d.Find(x)
-		groups[r] = append(groups[r], x)
-	}
-	out := make([][]string, 0, len(groups))
-	for _, members := range groups {
-		sort.Strings(members)
-		out = append(out, members)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
 }

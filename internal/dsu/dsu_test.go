@@ -1,71 +1,62 @@
 package dsu
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
 
+func same(d *DSU, a, b int32) bool { return d.Find(a) == d.Find(b) }
+
 func TestBasicUnionFind(t *testing.T) {
-	d := New()
-	d.Union("a", "b")
-	d.Union("c", "d")
-	if !d.Same("a", "b") || !d.Same("c", "d") {
+	d := New(4)
+	d.Union(0, 1)
+	d.Union(2, 3)
+	if !same(d, 0, 1) || !same(d, 2, 3) {
 		t.Error("unioned elements not in same set")
 	}
-	if d.Same("a", "c") {
+	if same(d, 0, 2) {
 		t.Error("separate sets reported same")
 	}
-	d.Union("b", "c")
-	if !d.Same("a", "d") {
+	d.Union(1, 2)
+	if !same(d, 0, 3) {
 		t.Error("transitive union failed")
-	}
-	if d.Len() != 4 {
-		t.Errorf("Len = %d, want 4", d.Len())
 	}
 }
 
-func TestAddIdempotent(t *testing.T) {
-	d := New()
-	d.Add("x")
-	d.Add("x")
-	if d.Len() != 1 {
-		t.Errorf("Len = %d, want 1", d.Len())
+func TestNewSingletons(t *testing.T) {
+	d := New(3)
+	for x := int32(0); x < 3; x++ {
+		if d.Find(x) != x {
+			t.Errorf("Find(%d) = %d: a fresh element is not its own representative", x, d.Find(x))
+		}
 	}
-	if d.Find("x") != "x" {
-		t.Error("singleton is not its own representative")
+	if len(New(0).parent) != 0 {
+		t.Error("New(0) is not empty")
 	}
 }
 
 func TestUnionSelf(t *testing.T) {
-	d := New()
-	if d.Union("a", "a") != "a" {
-		t.Error("Union(a,a) != a")
-	}
-	if d.Len() != 1 {
-		t.Error("self-union created extra elements")
+	d := New(2)
+	d.Union(0, 0)
+	if d.Find(0) != 0 || same(d, 0, 1) {
+		t.Error("self-union changed the partition")
 	}
 }
 
-func TestSetsDeterministic(t *testing.T) {
-	d := New()
-	d.Union("b", "a")
-	d.Union("z", "y")
-	d.Add("m")
-	sets := d.Sets()
-	if len(sets) != 3 {
-		t.Fatalf("Sets = %v, want 3 groups", sets)
+// TestUnionBySize pins the representative choice: the larger set's root
+// survives a union, the first argument's on a tie.
+func TestUnionBySize(t *testing.T) {
+	d := New(5)
+	d.Union(1, 0) // tie: 1 survives
+	if d.Find(0) != 1 {
+		t.Fatalf("tie: representative %d, want 1", d.Find(0))
 	}
-	want := [][]string{{"a", "b"}, {"m"}, {"y", "z"}}
-	for i := range want {
-		if len(sets[i]) != len(want[i]) {
-			t.Fatalf("Sets[%d] = %v, want %v", i, sets[i], want[i])
-		}
-		for j := range want[i] {
-			if sets[i][j] != want[i][j] {
-				t.Errorf("Sets[%d][%d] = %s, want %s", i, j, sets[i][j], want[i][j])
-			}
-		}
+	d.Union(4, 0) // {1,0} is larger than {4}
+	if d.Find(4) != 1 {
+		t.Errorf("larger set's root lost: representative %d, want 1", d.Find(4))
+	}
+	if d.Find(2) != 2 || d.Find(3) != 3 {
+		t.Error("untouched elements moved")
 	}
 }
 
@@ -74,45 +65,40 @@ func TestSetsDeterministic(t *testing.T) {
 func TestAgainstBruteForceComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
-		n := 50
-		d := New()
-		adj := map[string][]string{}
-		nodes := make([]string, n)
-		for i := range nodes {
-			nodes[i] = fmt.Sprintf("n%02d", i)
-			d.Add(nodes[i])
-		}
+		const n = 50
+		d := New(n)
+		adj := make([][]int32, n)
 		for e := 0; e < 40; e++ {
-			a, b := nodes[rng.Intn(n)], nodes[rng.Intn(n)]
+			a, b := int32(rng.Intn(n)), int32(rng.Intn(n))
 			d.Union(a, b)
 			adj[a] = append(adj[a], b)
 			adj[b] = append(adj[b], a)
 		}
 		// Brute-force BFS components.
-		comp := map[string]int{}
+		comp := make([]int, n)
 		c := 0
-		for _, start := range nodes {
-			if _, ok := comp[start]; ok {
+		for start := range comp {
+			if comp[start] != 0 {
 				continue
 			}
 			c++
-			queue := []string{start}
+			queue := []int32{int32(start)}
 			comp[start] = c
 			for len(queue) > 0 {
 				cur := queue[0]
 				queue = queue[1:]
 				for _, nb := range adj[cur] {
-					if _, ok := comp[nb]; !ok {
+					if comp[nb] == 0 {
 						comp[nb] = c
 						queue = append(queue, nb)
 					}
 				}
 			}
 		}
-		for _, a := range nodes {
-			for _, b := range nodes {
-				if d.Same(a, b) != (comp[a] == comp[b]) {
-					t.Fatalf("trial %d: Same(%s,%s)=%v but components %d,%d", trial, a, b, d.Same(a, b), comp[a], comp[b])
+		for a := int32(0); a < n; a++ {
+			for b := int32(0); b < n; b++ {
+				if same(d, a, b) != (comp[a] == comp[b]) {
+					t.Fatalf("trial %d: Same(%d,%d)=%v but components %d,%d", trial, a, b, same(d, a, b), comp[a], comp[b])
 				}
 			}
 		}

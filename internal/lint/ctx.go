@@ -9,7 +9,7 @@ import (
 // ctxRule enforces context discipline:
 //
 //   - context.Background()/context.TODO() may appear only in package
-//     main (cmd wiring, examples) and packages explicitly allowed by
+//     main (cmd wiring, bench) and packages explicitly allowed by
 //     the table — everywhere else a context must be threaded from the
 //     caller so cancellation propagates through the whole pipeline;
 //   - in the packages listed in Config.IOCtx, an exported function

@@ -109,7 +109,7 @@ func DefaultConfig(modPath string) *Config {
 		"internal/lint": leafDeny,
 		// One LPM: internal/radix is the reference implementation the
 		// lpm, rpki and root tests compare against, and nothing else.
-		// No package — commands, examples and bench included — may
+		// No package — commands and bench included — may
 		// build on it.
 		"*": {"internal/radix"},
 	}

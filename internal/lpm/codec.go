@@ -6,12 +6,13 @@ import (
 )
 
 // Binary layout of a frozen index, embedded as one section of the
-// dataset binary snapshot (see serialize.go at the repo root and
-// ARCHITECTURE.md): for each family, v4 then v6, a uvarint entry count
-// followed by the five columns written whole — hi and lo as little-
-// endian uint64, bits as raw bytes, parent and val as little-endian
-// uint32 (parent -1 stored as 0xFFFFFFFF). Column-wise layout keeps
-// the encoder and decoder to straight copies.
+// write-only v1 dataset snapshot (see serialize_binary.go at the repo
+// root and ARCHITECTURE.md; v2 embeds AppendColumns instead): for each
+// family, v4 then v6, a uvarint entry count followed by the five
+// columns written whole — hi and lo as little-endian uint64, bits as
+// raw bytes, parent and val as little-endian uint32 (parent -1 stored
+// as 0xFFFFFFFF). Column-wise layout keeps the encoder and decoder to
+// straight copies.
 
 // AppendBinary appends the index's binary encoding to buf and returns
 // the extended buffer.
@@ -36,8 +37,9 @@ func (ix *Index) AppendBinary(buf []byte) []byte {
 
 // Decode parses an AppendBinary payload, consuming data entirely, and
 // verifies the structural invariants (sorted unique keys, canonical
-// addresses, well-formed parent links) so a corrupt snapshot fails the
-// load instead of corrupting lookups.
+// addresses, well-formed parent links). No snapshot reader calls it
+// since v1 became write-only; it is the round-trip check on what
+// AppendBinary writes, and goes with it.
 func Decode(data []byte) (*Index, error) {
 	ix := &Index{v4: family{off: 96}, v6: family{off: 0}}
 	for _, fam := range []struct {

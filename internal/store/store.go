@@ -366,7 +366,7 @@ func DirSource(dir string, opts prefix2org.Options) Source {
 
 // FileSource opens a serialized dataset snapshot for serving in place:
 // a v2 binary snapshot is view-backed (mmap'd when mmap is set) with
-// its release threaded through the snapshot's Closer, any other format
+// its release threaded through the snapshot's Closer, a JSON snapshot
 // transparently falls back to the eager load. Such files carry no RPKI
 // repository, so Repo stays nil, and they are rebuilt externally, so
 // there is no Delta.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	prefix2org "github.com/prefix2org/prefix2org"
+	"github.com/prefix2org/prefix2org/internal/obs"
 	"github.com/prefix2org/prefix2org/internal/store"
 	"github.com/prefix2org/prefix2org/internal/synth"
 )
@@ -54,11 +55,11 @@ func snapshotFiles(t *testing.T) (ds *prefix2org.Dataset, v2, v1, jsonl string) 
 }
 
 // TestFileSourceFormatMatrix runs the -snapshot-mmap source over
-// every snapshot format in both open modes: v2 must come back
-// view-backed with a Closer, v1 and JSON fall back to the eager load,
-// and all of them answer lookups identically.
+// every readable snapshot format in both open modes: v2 must come back
+// view-backed with a Closer, JSON falls back to the eager load, and both
+// answer lookups identically.
 func TestFileSourceFormatMatrix(t *testing.T) {
-	ds, v2, v1, jsonl := snapshotFiles(t)
+	ds, v2, _, jsonl := snapshotFiles(t)
 	probe := ds.Records[0].Prefix.Addr()
 	want, _ := ds.LookupAddr(probe)
 
@@ -68,7 +69,6 @@ func TestFileSourceFormatMatrix(t *testing.T) {
 		wantLazy bool
 	}{
 		{"v2", v2, true},
-		{"v1", v1, false},
 		{"jsonl", jsonl, false},
 	}
 	for _, tc := range cases {
@@ -92,6 +92,55 @@ func TestFileSourceFormatMatrix(t *testing.T) {
 			if snap.Closer != nil {
 				_ = snap.Closer()
 			}
+		}
+	}
+}
+
+// TestFileSourceV1ServesStale: a v1 file, which no reader accepts any
+// more, replacing the served snapshot fails the reload — counted, the
+// old snapshot still serving — in both open modes.
+func TestFileSourceV1ServesStale(t *testing.T) {
+	ds, _, v1, _ := snapshotFiles(t)
+	old, err := os.ReadFile(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := ds.Records[0].Prefix.Addr()
+	for _, mmap := range []bool{true, false} {
+		path := filepath.Join(t.TempDir(), "snap.p2o")
+		if err := ds.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		src := store.FileSource(path, mmap)
+		snap1, err := src.Build(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := store.New(snap1)
+		rel := store.NewReloader(st, src, store.ReloaderConfig{MinBackoff: time.Minute})
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		go rel.Run(ctx)
+		// Replace by rename, as an export does: the mapping stays valid.
+		if err := os.WriteFile(path+".new", old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(path+".new", path); err != nil {
+			t.Fatal(err)
+		}
+		failuresBefore := obs.Default().Counter("store_reload_failures_total").Value()
+		if err := rel.Reload(ctx); err == nil || ctx.Err() != nil {
+			t.Fatalf("mmap=%v: reload onto a v1 snapshot: err = %v, want a refusal", mmap, err)
+		}
+		if d := obs.Default().Counter("store_reload_failures_total").Value() - failuresBefore; d != 1 {
+			t.Errorf("mmap=%v: store_reload_failures_total moved by %d, want 1", mmap, d)
+		}
+		cur := st.Current()
+		if cur.Version != snap1.Version {
+			t.Fatalf("mmap=%v: swap happened on a failed reload: v%d", mmap, cur.Version)
+		}
+		if _, ok := cur.Dataset.LookupAddr(probe); !ok {
+			t.Fatalf("mmap=%v: stale snapshot stopped answering", mmap)
 		}
 	}
 }

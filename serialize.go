@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
@@ -20,13 +21,14 @@ import (
 //     lines, then record lines. The public release shape of the mapping
 //     (Listing 1 rows plus the cluster index) — streamable, greppable,
 //     and the compatibility format every version can read.
-//   - Binary (serialize_binary.go): the same data plus the frozen LPM
-//     index behind a magic header — the serve-path format the store
-//     reloader and snapshot export prefer, several times faster to
-//     load because nothing is re-parsed or re-frozen.
+//   - Binary v2 (serialize_binary_v2.go): the same data plus the frozen
+//     LPM index behind a magic header — the serve-path format the store
+//     reloader and snapshot export prefer, opened in place because
+//     nothing is re-parsed or re-frozen.
 //
 // Load sniffs the magic and dispatches, so consumers (p2o-whoisd,
-// p2o-rtrd, p2o-diff) accept either transparently.
+// p2o-rtrd, p2o-diff) accept either transparently. A v1 binary file
+// (serialize_binary.go, write-only) is refused by name.
 
 type snapshotStats struct {
 	Kind  string `json:"kind"` // "stats"
@@ -96,15 +98,15 @@ func (d *Dataset) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a snapshot written by Save, SaveBinary (v2) or
-// SaveBinaryV1 — the format is sniffed from the leading bytes — and
-// rebuilds all indexes, including the frozen longest-prefix-match
-// index behind LookupAddr. Load always returns an eager Dataset;
-// OpenSnapshotFile is the in-place (lazy, view-backed) entry point for
-// v2 snapshots.
+// Load reads a snapshot written by Save or SaveBinary (v2) — the format
+// is sniffed from the leading bytes: v2, then the v1 magic, which is
+// refused by name, then JSON — and rebuilds all indexes, including the
+// frozen longest-prefix-match index behind LookupAddr. Load always
+// returns an eager Dataset; OpenSnapshotFile is the in-place (lazy,
+// view-backed) entry point for v2 snapshots.
 func Load(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReaderSize(r, 64*1024)
-	if head, err := br.Peek(len(binaryMagic)); err == nil {
+	if head, err := br.Peek(len(binaryMagicV2)); err == nil {
 		switch {
 		case bytes.Equal(head, binaryMagicV2[:]):
 			data, err := io.ReadAll(br)
@@ -113,11 +115,7 @@ func Load(r io.Reader) (*Dataset, error) {
 			}
 			return loadBinaryV2(data)
 		case bytes.Equal(head, binaryMagic[:]):
-			data, err := io.ReadAll(br)
-			if err != nil {
-				return nil, fmt.Errorf("prefix2org: read binary snapshot: %w", err)
-			}
-			return loadBinary(data)
+			return nil, errSnapshotV1
 		}
 	}
 	return loadJSON(br)
@@ -222,21 +220,53 @@ func parseSnapshotPrefix(s string) (netip.Prefix, error) {
 // SaveFile writes the snapshot to path, choosing the format by
 // extension: `.json` and `.jsonl` get the JSON-lines compatibility
 // format, anything else the binary serve-path format. Load reads both
-// regardless of name.
+// regardless of name. A regular file at path is replaced atomically.
 func (d *Dataset) SaveFile(path string) error {
 	if !jsonSnapshotPath(path) {
 		return d.SaveBinaryFile(path)
 	}
-	f, err := os.Create(path)
+	return replaceFile(path, d.Save)
+}
+
+// replaceFile writes path with save so that a reader of path — a daemon
+// serving it from a mapping, a reload reading it — sees the old file or
+// the new one, never a truncated or half-written one: save fills a new
+// file beside path, which is then renamed over it. When path exists and
+// is not a regular file (/dev/stdout, a FIFO), save writes path itself.
+// The new file is removed on any error.
+func replaceFile(path string, save func(io.Writer) error) error {
+	if fi, err := os.Lstat(path); err == nil && !fi.Mode().IsRegular() {
+		f, err := os.Create(path)
+		if err != nil {
+			return fmt.Errorf("prefix2org: create %s: %w", path, err)
+		}
+		return errors.Join(save(f), f.Close())
+	}
+	f, err := createBeside(path)
 	if err != nil {
 		return fmt.Errorf("prefix2org: create %s: %w", path, err)
 	}
-	werr := d.Save(f)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
+	err = errors.Join(save(f), f.Close())
+	if err == nil {
+		err = os.Rename(f.Name(), path)
 	}
-	return cerr
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
+}
+
+// createBeside creates a new, uniquely named file in path's directory
+// with os.Create's permissions (0666 before umask; os.CreateTemp would
+// give 0600).
+func createBeside(path string) (*os.File, error) {
+	for i := 0; ; i++ {
+		name := fmt.Sprintf("%s.tmp-%d-%d", path, os.Getpid(), i)
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !os.IsExist(err) {
+			return f, err
+		}
+	}
 }
 
 // LoadFile reads a snapshot from path. The context is honored before

@@ -3,29 +3,26 @@ package prefix2org
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
-	"os"
 	"strings"
 
 	"github.com/prefix2org/prefix2org/internal/lpm"
 	"github.com/prefix2org/prefix2org/internal/obs"
 )
 
-// This file implements format version 1 of the binary snapshot: the
-// same Dataset the JSON-lines snapshot carries, plus the frozen LPM
-// index, decoded into heap objects on load. Version 2 — the current
-// write format, implemented in serialize_binary_v2.go — keeps the same
-// data in fixed-width, offset-based sections that are served in place
-// from the file bytes. Load sniffs the version byte and reads either;
-// SaveBinary writes v2, SaveBinaryV1 remains for downgrade paths and
-// compatibility tests.
+// This file implements the writer of format version 1 of the binary
+// snapshot: the same Dataset the JSON-lines snapshot carries, plus the
+// frozen LPM index. Version 2 — the current format, implemented in
+// serialize_binary_v2.go — keeps the same data in fixed-width,
+// offset-based sections that are served in place from the file bytes.
+// v1 is write-only: Load recognizes its magic only to refuse it by name
+// (errSnapshotV1).
 //
 // The v1 file is the 8-byte magic (the last byte is the format
-// version) followed by tagged, length-prefixed sections; readers skip
-// sections with unknown tags, so later versions can add data without
-// breaking older readers.
+// version) followed by tagged, length-prefixed sections.
 //
 // Section payloads:
 //
@@ -44,6 +41,9 @@ import (
 // prefix is one flag byte (0 invalid, 1 IPv4, 2 IPv6) followed, when
 // valid, by a length byte and the 4- or 16-byte network address.
 var binaryMagic = [8]byte{'P', '2', 'O', 'S', 'N', 'A', 'P', 1}
+
+// errSnapshotV1 is what every reader returns for a v1 file.
+var errSnapshotV1 = errors.New("prefix2org: P2OSNAP v1 snapshots are no longer read; re-export with SaveBinary")
 
 const (
 	secStats    = 1
@@ -109,9 +109,10 @@ func appendSection(buf []byte, tag byte, payload []byte) []byte {
 }
 
 // SaveBinaryV1 writes the dataset in the legacy v1 binary layout,
-// including the frozen LPM index so Load skips the freeze step. New
-// snapshots should use SaveBinary (v2, served in place); v1 remains
-// the downgrade path for older readers.
+// including the frozen LPM index. Nothing in this module reads v1 any
+// more (Load refuses it); the writer is kept only because p2obench
+// times it as prefix2org.save_v1_s, and goes when that metric does.
+// New snapshots use SaveBinary (v2, served in place).
 func (d *Dataset) SaveBinaryV1(w io.Writer) error {
 	defer obs.Time(mCodecSeconds.saveBin)()
 	d.MaterializeAll()
@@ -194,317 +195,10 @@ func (d *Dataset) SaveBinaryV1(w io.Writer) error {
 	return nil
 }
 
-// cursor is a bounds-checked reader over a section payload.
-type cursor struct {
-	b   []byte
-	sec string
-}
-
-func (c *cursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.b)
-	if n <= 0 {
-		return 0, fmt.Errorf("prefix2org: binary snapshot: %s: bad varint", c.sec)
-	}
-	c.b = c.b[n:]
-	return v, nil
-}
-
-// count reads a uvarint element count and sanity-bounds it by the
-// bytes remaining, so a corrupt length cannot drive a huge allocation.
-func (c *cursor) count(minElemBytes int) (int, error) {
-	v, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if minElemBytes < 1 {
-		minElemBytes = 1
-	}
-	if v > uint64(len(c.b)/minElemBytes) {
-		return 0, fmt.Errorf("prefix2org: binary snapshot: %s: count %d exceeds section size", c.sec, v)
-	}
-	return int(v), nil
-}
-
-func (c *cursor) bytes(n int) ([]byte, error) {
-	if n < 0 || n > len(c.b) {
-		return nil, fmt.Errorf("prefix2org: binary snapshot: %s: truncated", c.sec)
-	}
-	b := c.b[:n]
-	c.b = c.b[n:]
-	return b, nil
-}
-
-func (c *cursor) str(tab []string) (string, error) {
-	id, err := c.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if id >= uint64(len(tab)) {
-		return "", fmt.Errorf("prefix2org: binary snapshot: %s: string ref %d out of range", c.sec, id)
-	}
-	return tab[id], nil
-}
-
-func (c *cursor) prefix() (netip.Prefix, error) {
-	flag, err := c.bytes(1)
-	if err != nil {
-		return netip.Prefix{}, err
-	}
-	var a netip.Addr
-	var maxBits int
-	switch flag[0] {
-	case 0:
-		return netip.Prefix{}, nil
-	case 1:
-		b, err := c.bytes(1 + 4)
-		if err != nil {
-			return netip.Prefix{}, err
-		}
-		a, maxBits = netip.AddrFrom4([4]byte(b[1:])), 32
-		flag = b
-	case 2:
-		b, err := c.bytes(1 + 16)
-		if err != nil {
-			return netip.Prefix{}, err
-		}
-		a, maxBits = netip.AddrFrom16([16]byte(b[1:])), 128
-		flag = b
-	default:
-		return netip.Prefix{}, fmt.Errorf("prefix2org: binary snapshot: %s: bad prefix flag %d", c.sec, flag[0])
-	}
-	bits := int(flag[0])
-	if bits > maxBits {
-		return netip.Prefix{}, fmt.Errorf("prefix2org: binary snapshot: %s: prefix length %d out of range", c.sec, bits)
-	}
-	p := netip.PrefixFrom(a, bits)
-	if p != p.Masked() {
-		return netip.Prefix{}, fmt.Errorf("prefix2org: binary snapshot: %s: prefix %s has host bits set", c.sec, p)
-	}
-	return p, nil
-}
-
-// parseSectionsV1 walks the tagged, uvarint-length-prefixed section
-// stream that follows the v1 magic. Every claimed length is checked
-// against the bytes actually remaining *after* the tag and varint have
-// been consumed, before any slicing, so a corrupt or hostile length
-// can neither panic nor drive an allocation.
-func parseSectionsV1(data []byte) (map[byte][]byte, error) {
-	secs := map[byte][]byte{}
-	for len(data) > 0 {
-		tag := data[0]
-		n, w := binary.Uvarint(data[1:])
-		if w <= 0 {
-			return nil, fmt.Errorf("prefix2org: binary snapshot: section %d: bad length varint", tag)
-		}
-		body := data[1+w:]
-		if n > uint64(len(body)) {
-			return nil, fmt.Errorf("prefix2org: binary snapshot: section %d: length %d exceeds %d remaining bytes", tag, n, len(body))
-		}
-		if _, dup := secs[tag]; dup {
-			return nil, fmt.Errorf("prefix2org: binary snapshot: duplicate section %d", tag)
-		}
-		secs[tag] = body[:n:n]
-		data = body[n:]
-	}
-	return secs, nil
-}
-
-// loadBinary decodes a full v1 binary snapshot (magic included) into a
-// ready-to-serve Dataset: the persisted LPM index is installed
-// directly, skipping the freeze.
-func loadBinary(data []byte) (*Dataset, error) {
-	defer obs.Time(mCodecSeconds.loadBin)()
-	secs, err := parseSectionsV1(data[len(binaryMagic):])
-	if err != nil {
-		return nil, err
-	}
-	for _, tag := range []byte{secStats, secStrings, secClusters, secRecords, secIndex} {
-		if _, ok := secs[tag]; !ok {
-			return nil, fmt.Errorf("prefix2org: binary snapshot: missing section %d", tag)
-		}
-	}
-
-	d := &Dataset{}
-	if err := json.Unmarshal(secs[secStats], &d.Stats); err != nil {
-		return nil, fmt.Errorf("prefix2org: binary snapshot: stats: %w", err)
-	}
-
-	cur := cursor{b: secs[secStrings], sec: "strings"}
-	nStr, err := cur.count(1)
-	if err != nil {
-		return nil, err
-	}
-	if nStr == 0 {
-		return nil, fmt.Errorf("prefix2org: binary snapshot: strings: empty table")
-	}
-	tab := make([]string, nStr)
-	for i := range tab {
-		n, err := cur.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := cur.bytes(int(n))
-		if err != nil {
-			return nil, err
-		}
-		tab[i] = string(b)
-	}
-	if tab[0] != "" {
-		return nil, fmt.Errorf("prefix2org: binary snapshot: strings: entry 0 is %q, want empty", tab[0])
-	}
-
-	cur = cursor{b: secs[secClusters], sec: "clusters"}
-	nClusters, err := cur.count(4)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nClusters; i++ {
-		c := &Cluster{}
-		if c.ID, err = cur.str(tab); err != nil {
-			return nil, err
-		}
-		if c.BaseName, err = cur.str(tab); err != nil {
-			return nil, err
-		}
-		nOwners, err := cur.count(1)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < nOwners; j++ {
-			o, err := cur.str(tab)
-			if err != nil {
-				return nil, err
-			}
-			c.OwnerNames = append(c.OwnerNames, o)
-		}
-		nPrefixes, err := cur.count(1)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < nPrefixes; j++ {
-			p, err := cur.prefix()
-			if err != nil {
-				return nil, err
-			}
-			c.Prefixes = append(c.Prefixes, p)
-		}
-		d.Clusters = append(d.Clusters, c)
-	}
-	d.indexClusters()
-
-	cur = cursor{b: secs[secRecords], sec: "records"}
-	nRecords, err := cur.count(8)
-	if err != nil {
-		return nil, err
-	}
-	d.Records = make([]Record, 0, nRecords)
-	for i := 0; i < nRecords; i++ {
-		var r Record
-		if r.Prefix, err = cur.prefix(); err != nil {
-			return nil, err
-		}
-		if r.RIR, err = cur.str(tab); err != nil {
-			return nil, err
-		}
-		if r.DirectOwner, err = cur.str(tab); err != nil {
-			return nil, err
-		}
-		if r.DOPrefix, err = cur.prefix(); err != nil {
-			return nil, err
-		}
-		if r.DOType, err = cur.str(tab); err != nil {
-			return nil, err
-		}
-		nDC, err := cur.count(1)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < nDC; j++ {
-			s, err := cur.str(tab)
-			if err != nil {
-				return nil, err
-			}
-			r.DelegatedCustomers = append(r.DelegatedCustomers, s)
-		}
-		nDCP, err := cur.count(1)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < nDCP; j++ {
-			p, err := cur.prefix()
-			if err != nil {
-				return nil, err
-			}
-			r.DCPrefixes = append(r.DCPrefixes, p)
-		}
-		nDCT, err := cur.count(1)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < nDCT; j++ {
-			s, err := cur.str(tab)
-			if err != nil {
-				return nil, err
-			}
-			r.DCTypes = append(r.DCTypes, s)
-		}
-		if r.BaseName, err = cur.str(tab); err != nil {
-			return nil, err
-		}
-		if r.RPKICert, err = cur.str(tab); err != nil {
-			return nil, err
-		}
-		asn, err := cur.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if asn > 1<<32-1 {
-			return nil, fmt.Errorf("prefix2org: binary snapshot: records: origin ASN %d out of range", asn)
-		}
-		r.OriginASN = uint32(asn)
-		if r.ASNCluster, err = cur.str(tab); err != nil {
-			return nil, err
-		}
-		if r.FinalCluster, err = cur.str(tab); err != nil {
-			return nil, err
-		}
-		d.Records = append(d.Records, r)
-	}
-
-	ix, err := lpm.Decode(secs[secIndex])
-	if err != nil {
-		return nil, fmt.Errorf("prefix2org: binary snapshot: %w", err)
-	}
-	if ix.Len() > len(d.Records) {
-		return nil, fmt.Errorf("prefix2org: binary snapshot: index has %d entries for %d records", ix.Len(), len(d.Records))
-	}
-	bad := false
-	ix.Walk(func(p netip.Prefix, val int32) bool {
-		if val < 0 || int(val) >= len(d.Records) || d.Records[val].Prefix != p {
-			bad = true
-			return false
-		}
-		return true
-	})
-	if bad {
-		return nil, fmt.Errorf("prefix2org: binary snapshot: index does not match records")
-	}
-	d.idx = ix
-	return d, nil
-}
-
-// SaveBinaryFile writes a binary snapshot to path.
+// SaveBinaryFile writes a binary snapshot to path, replacing a regular
+// file there atomically (see replaceFile).
 func (d *Dataset) SaveBinaryFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("prefix2org: create %s: %w", path, err)
-	}
-	werr := d.SaveBinary(f)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
+	return replaceFile(path, d.SaveBinary)
 }
 
 // jsonSnapshotPath reports whether path asks for the JSON-lines format

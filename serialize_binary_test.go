@@ -3,11 +3,11 @@ package prefix2org
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
-	"net/netip"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -141,106 +141,41 @@ func TestSaveFilePicksFormatByExtension(t *testing.T) {
 	}
 }
 
-// TestBinarySnapshotRejectsForeignIndex splices the index of one
-// dataset onto the records of another; Load must notice the mismatch.
-func TestBinarySnapshotRejectsForeignIndex(t *testing.T) {
+// TestV1SnapshotRefused: a v1 file comes back from every reader with
+// the one error that names the format, never half-decoded.
+func TestV1SnapshotRefused(t *testing.T) {
 	_, ds := buildWorldDataset(t)
-	other := &Dataset{Records: []Record{{Prefix: netip.MustParsePrefix("203.0.113.0/24")}}}
-	other.freezeIndex()
-
-	var keep bytes.Buffer
-	if err := ds.SaveBinaryV1(&keep); err != nil {
+	var v1 bytes.Buffer
+	if err := ds.SaveBinaryV1(&v1); err != nil {
 		t.Fatal(err)
 	}
-	spliced := replaceSection(t, keep.Bytes(), secIndex, other.idx.AppendBinary(nil))
-	if _, err := Load(bytes.NewReader(spliced)); err == nil {
-		t.Error("index of a different dataset accepted")
-	}
-}
-
-// TestBinarySnapshotV1RoundTrip keeps the legacy writer honest: v1
-// output still loads into an equivalent dataset.
-func TestBinarySnapshotV1RoundTrip(t *testing.T) {
-	_, ds := buildWorldDataset(t)
-	var buf bytes.Buffer
-	if err := ds.SaveBinaryV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), binaryMagic[:]) {
+	if !bytes.HasPrefix(v1.Bytes(), binaryMagic[:]) {
 		t.Fatal("v1 writer did not emit the v1 magic")
 	}
-	back, err := Load(&buf)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "v1.p2o")
+	if err := os.WriteFile(path, v1.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	datasetsEquivalent(t, ds, back)
-}
-
-// TestParseSectionsV1Hardened pins the section walk's bounds checking:
-// hostile lengths and framings error cleanly, with no panic and no
-// length-driven allocation.
-func TestParseSectionsV1Hardened(t *testing.T) {
-	section := func(tag byte, payload []byte) []byte {
-		return appendSection(nil, tag, payload)
+	readers := map[string]func() (*Dataset, error){
+		"Load":     func() (*Dataset, error) { return Load(bytes.NewReader(v1.Bytes())) },
+		"LoadFile": func() (*Dataset, error) { return LoadFile(context.Background(), path) },
+		"OpenSnapshotFile(mmap)": func() (*Dataset, error) {
+			return OpenSnapshotFile(context.Background(), path, OpenOptions{Mmap: true})
+		},
+		"OpenSnapshotFile(readfile)": func() (*Dataset, error) {
+			return OpenSnapshotFile(context.Background(), path, OpenOptions{Mmap: false})
+		},
 	}
-	cases := []struct {
-		name string
-		body []byte
-	}{
-		{"huge claimed length", append([]byte{secStats}, binary.AppendUvarint(nil, 1<<40)...)},
-		{"length one past end", append(section(secStats, []byte("x")), func() []byte {
-			s := section(secStrings, []byte("abc"))
-			s[1]++ // claims 4 bytes, 3 remain
-			return s
-		}()...)},
-		{"truncated varint", []byte{secStats, 0x80}},
-		{"tag with no length", []byte{secStats}},
-		{"duplicate section", append(section(secStats, nil), section(secStats, nil)...)},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := parseSectionsV1(tc.body); err == nil {
-				t.Errorf("%s accepted", tc.name)
-			}
-		})
-	}
-	// And the happy path still parses.
-	body := append(section(secStats, []byte("a")), section(secStrings, nil)...)
-	secs, err := parseSectionsV1(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(secs[secStats]) != "a" || secs[secStrings] == nil {
-		t.Errorf("sections misparsed: %v", secs)
-	}
-}
-
-// replaceSection rewrites the payload of one section in a binary
-// snapshot, re-framing the file around it.
-func replaceSection(t *testing.T, data []byte, tag byte, payload []byte) []byte {
-	t.Helper()
-	out := append([]byte(nil), data[:len(binaryMagic)]...)
-	rest := data[len(binaryMagic):]
-	for len(rest) > 0 {
-		secTag := rest[0]
-		n, w := binaryUvarint(t, rest[1:])
-		body := rest[1+w : 1+w+int(n)]
-		if secTag == tag {
-			body = payload
+	for name, read := range readers {
+		if d, err := read(); !errors.Is(err, errSnapshotV1) {
+			t.Errorf("%s = %v, %v; want %q", name, d, err, errSnapshotV1)
 		}
-		out = appendSection(out, secTag, body)
-		rest = rest[1+w+int(n):]
 	}
-	return out
-}
-
-func binaryUvarint(t *testing.T, b []byte) (uint64, int) {
-	t.Helper()
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		t.Fatal("bad varint in snapshot under test")
+	// An input that merely starts like the magic is not mistaken for a
+	// binary snapshot of either version (and is not valid JSON).
+	if _, err := Load(strings.NewReader("P2OSNAP")); err == nil || errors.Is(err, errSnapshotV1) {
+		t.Errorf("short magic: err = %v, want a JSON error", err)
 	}
-	return v, n
 }
 
 func readFilePrefix(path string, n int) ([]byte, error) {

@@ -873,9 +873,8 @@ func openViewBytes(data []byte, closeFn func() error) (*Dataset, error) {
 		return nil, fmt.Errorf("prefix2org: binary snapshot: %w", err)
 	}
 	v.lv = lv
-	// Cross-check the index against the record prefix columns — the
-	// same invariant v1 enforces, done numerically here so the check
-	// allocates nothing.
+	// Cross-check the index against the record prefix columns,
+	// numerically, so the check allocates nothing.
 	if lv.Len() > v.rec.n {
 		return nil, fmt.Errorf("prefix2org: binary snapshot: index has %d entries for %d records", lv.Len(), v.rec.n)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net/netip"
 	"os"
@@ -126,35 +127,27 @@ func TestOpenSnapshotFileLazyEquivalence(t *testing.T) {
 	}
 }
 
-// TestOpenSnapshotFileFallback: OpenSnapshotFile on non-v2 inputs (v1
-// binary, JSON) degrades to the eager loader in both modes.
+// TestOpenSnapshotFileFallback: OpenSnapshotFile on a JSON snapshot
+// degrades to the eager loader in both modes.
 func TestOpenSnapshotFileFallback(t *testing.T) {
 	_, ds := buildWorldDataset(t)
-	dir := t.TempDir()
-	var v1 bytes.Buffer
-	if err := ds.SaveBinaryV1(&v1); err != nil {
-		t.Fatal(err)
-	}
 	var jsonl bytes.Buffer
 	if err := ds.Save(&jsonl); err != nil {
 		t.Fatal(err)
 	}
-	files := map[string][]byte{"v1.p2o": v1.Bytes(), "world.jsonl": jsonl.Bytes()}
-	for name, data := range files {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
+	path := filepath.Join(t.TempDir(), "world.jsonl")
+	if err := os.WriteFile(path, jsonl.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{true, false} {
+		back, err := OpenSnapshotFile(context.Background(), path, OpenOptions{Mmap: mmap})
+		if err != nil {
+			t.Fatalf("OpenSnapshotFile(mmap=%v): %v", mmap, err)
 		}
-		for _, mmap := range []bool{true, false} {
-			back, err := OpenSnapshotFile(context.Background(), path, OpenOptions{Mmap: mmap})
-			if err != nil {
-				t.Fatalf("OpenSnapshotFile(%s, mmap=%v): %v", name, mmap, err)
-			}
-			if back.Lazy() {
-				t.Fatalf("%s opened lazily; only v2 has a view form", name)
-			}
-			datasetsEquivalent(t, ds, back)
+		if back.Lazy() {
+			t.Fatal("JSON snapshot opened lazily; only v2 has a view form")
 		}
+		datasetsEquivalent(t, ds, back)
 	}
 }
 
@@ -387,7 +380,7 @@ func TestV2WarmLookupZeroAlloc(t *testing.T) {
 
 // FuzzLoadBinary feeds arbitrary bytes to both snapshot openers. Neither
 // may ever panic; on a successful open, the accessors and a re-save must
-// hold up too.
+// hold up too. Anything behind the v1 magic must be refused by name.
 func FuzzLoadBinary(f *testing.F) {
 	// A small handcrafted dataset keeps worker start-up cheap (each fuzz
 	// worker process rebuilds the seeds); the world-scale corpus is
@@ -433,7 +426,11 @@ func FuzzLoadBinary(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if d, err := Load(bytes.NewReader(data)); err == nil {
+		d, err := Load(bytes.NewReader(data))
+		if hasMagic(data, binaryMagic) && !errors.Is(err, errSnapshotV1) {
+			t.Fatalf("v1-magic input: err = %v, want %q", err, errSnapshotV1)
+		}
+		if err == nil {
 			exerciseDataset(d)
 		}
 		if hasMagic(data, binaryMagicV2) {

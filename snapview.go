@@ -399,8 +399,8 @@ type OpenOptions struct {
 // is opened in place — header validation plus slicing, no per-record
 // decode — and the returned Dataset is view-backed (Lazy() == true):
 // callers own a Close obligation, normally discharged by the store's
-// snapshot refcount. Any other format (v1 binary, JSON) falls back to
-// the eager LoadFile, whose result needs no Close.
+// snapshot refcount. Any other file goes to the eager LoadFile (JSON
+// loads, whose result needs no Close; a v1 binary is refused).
 func OpenSnapshotFile(ctx context.Context, path string, opts OpenOptions) (*Dataset, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
