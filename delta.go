@@ -94,7 +94,7 @@ func rebuildDir(ctx context.Context, tr *obs.Trace, prev *Dataset, dir string, o
 		// after the loads, it would be recorded as current with its old
 		// content parsed, and stay stale until it changed again.
 		span := tr.Start("manifest")
-		manifest, err := BuildManifest(ctx, dir)
+		manifest, err := buildManifest(ctx, dir, opts.workerCount())
 		span.End()
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
@@ -157,104 +157,24 @@ func rebuild(ctx context.Context, tr *obs.Trace, prev *Dataset, next *buildState
 	// routed prefix has a slot to keep, so no input needs diffing either.
 	old := &buildState{env: env}
 	var prevIdx *lpm.Index
-	if prev != nil {
-		old, prevIdx = prev.state, prev.idx
-	}
-	bgpChanged, as2orgChanged := env.table != old.env.table, env.asClusters != old.env.asClusters
-	// dirty is the covering-space regions (WHOIS entry groups, RPKI cert
-	// resources) whose answers changed — a routed prefix inside any region
-	// must be re-resolved.
-	var dirty []netip.Prefix
-	if env.whois != old.env.whois {
-		dirty = entryGroupDiff(old.env.whois, env.whois)
-	}
-	if env.repo != old.env.repo {
-		dirty = append(dirty, certDiff(old.env.repo, env.repo)...)
-	}
-	var regionIdx *lpm.Index
-	if len(dirty) > 0 {
-		dirty = netx.Dedup(dirty)
-		items := make([]lpm.Item, len(dirty))
-		for i, p := range dirty {
-			items[i] = lpm.Item{Prefix: p, Val: int32(i)}
-		}
-		regionIdx = lpm.Freeze(items)
-	}
-
-	// Splice: keep the previous pass-1 slot for every routed prefix that
-	// existed before and whose inputs are untouched; everything else —
-	// newly routed, origin changed, origin-ASN cluster reassigned, or
-	// inside a dirty WHOIS/RPKI region — is re-resolved. Each worker then
-	// writes only its own slots, so output order (and therefore every
-	// downstream stage) does not depend on the worker count.
-	slots := make([]resolvedRec, len(routed))
-	var idxs []int
-	common := 0
-	// Both routed lists are in canonical order (bgp.Table.Prefixes), so
-	// one cursor into the previous list finds each prefix. So are the
-	// previous Records, which are the previous slots: finish appended the
-	// mapped ones in routed order and added only the final cluster. A
-	// second cursor reads a kept slot back from there, and no build
-	// retains a copy of its slots beside its Records.
-	oldIdx, oldRec := 0, 0
 	var oldRecs []Record
 	if prev != nil {
-		oldRecs = prev.Records
+		old, prevIdx, oldRecs = prev.state, prev.idx, prev.Records
 	}
-	for i, p := range routed {
-		for oldIdx < len(old.routed) && netx.Compare(old.routed[oldIdx], p) < 0 {
-			oldIdx++
-		}
-		hasOld := oldIdx < len(old.routed) && old.routed[oldIdx] == p
-		if hasOld {
-			common++
-		}
-		aff := !hasOld
-		if !aff && bgpChanged {
-			oldO, oldHas := old.env.table.Origin(p)
-			newO, newHas := env.table.Origin(p)
-			aff = oldHas != newHas || oldO != newO
-		}
-		if !aff && as2orgChanged {
-			if origin, has := env.table.Origin(p); has &&
-				old.env.asClusters.ClusterID(origin) != env.asClusters.ClusterID(origin) {
-				aff = true
-			}
-		}
-		if !aff && regionIdx != nil {
-			// A dirty region q affects p when q covers p (resolution of
-			// p reads exactly the groups and certificates at prefixes
-			// containing it); LookupPrefix finds any such q.
-			if _, ok := regionIdx.LookupPrefix(p); ok {
-				aff = true
-			}
-		}
-		if aff {
-			idxs = append(idxs, i)
-			continue
-		}
-		for oldRec < len(oldRecs) && netx.Compare(oldRecs[oldRec].Prefix, p) < 0 {
-			oldRec++
-		}
-		// A prefix that was routed but has no Record was unmapped: the
-		// zero slot.
-		if oldRec < len(oldRecs) && oldRecs[oldRec].Prefix == p {
-			slots[i] = resolvedRec{rec: oldRecs[oldRec], haveDO: true}
-			slots[i].rec.FinalCluster = ""
-		}
-	}
-	reused, removed := len(routed)-len(idxs), len(old.routed)-common
-	if err := resolveIndices(ctx, env, routed, idxs, slots, workers); err != nil {
+	dirty, regionIdx := dirtyRegions(old.env, env)
+	recs, mapped, idxs, removed := splice(old, next, oldRecs, regionIdx)
+	reused := len(routed) - len(idxs)
+	if err := resolveIndices(ctx, next, idxs, recs, mapped, workers); err != nil {
 		return nil, err
 	}
-	unmapped := countUnmapped(slots)
+	recs, unmapped := compactMapped(recs, mapped)
 	span.Add("routed", int64(len(routed)))
 	span.Add("specificity-filtered", int64(env.table.FilteredCount()))
 	span.Add("dirty-regions", int64(len(dirty)))
 	span.Add("affected", int64(len(idxs)))
 	span.Add("reused", int64(reused))
 	span.Add("removed", int64(removed))
-	span.Add("mapped", int64(len(slots)-unmapped))
+	span.Add("mapped", int64(len(recs)))
 	span.Add("unmapped", int64(unmapped))
 	span.End()
 
@@ -268,13 +188,13 @@ func rebuild(ctx context.Context, tr *obs.Trace, prev *Dataset, next *buildState
 	retain := prev != nil || opts.Incremental
 	if !retain {
 		// No later build will splice against this one, and finish reads
-		// only the slots: what the loaders produced — the WHOIS runs and
+		// only the Records: what the loaders produced — the WHOIS runs and
 		// delegation index, the BGP table, the AS clusters, the routed
-		// list — is released here, so that passes 2–4 run over a heap
-		// without it.
+		// list and its origins — is released here, so that passes 2–4 run
+		// over a heap without it.
 		*env, *next = resolveEnv{}, buildState{}
 	}
-	ds, clean, err := finish(ctx, tr, slots, unmapped, opts, old.clean, prevIdx)
+	ds, clean, err := finish(ctx, tr, recs, unmapped, opts, old.clean, prevIdx)
 	if err != nil {
 		return nil, err
 	}
@@ -289,20 +209,105 @@ func rebuild(ctx context.Context, tr *obs.Trace, prev *Dataset, next *buildState
 	return res, nil
 }
 
-// sameRouted reports whether table routes exactly the prefixes of routed,
-// a previous table's Prefixes list. Origin churn leaves the routed set
-// alone, and then the list — canonical order included — carries over
-// without being rebuilt and re-sorted from the table's map.
-func sameRouted(table *bgp.Table, routed []netip.Prefix) bool {
-	if table.Len()-table.FilteredCount() != len(routed) {
-		return false
+// dirtyRegions returns the covering-space regions (WHOIS entry groups,
+// RPKI cert resources) whose answers differ between old and env, sorted
+// and deduplicated, and the index frozen over them — nil when there are
+// none. A routed prefix inside any region must be re-resolved.
+func dirtyRegions(old, env *resolveEnv) ([]netip.Prefix, *lpm.Index) {
+	var dirty []netip.Prefix
+	if env.whois != old.whois {
+		dirty = entryGroupDiff(old.whois, env.whois)
 	}
-	for _, p := range routed {
-		if _, ok := table.Origin(p); !ok {
-			return false
+	if env.repo != old.repo {
+		dirty = append(dirty, certDiff(old.repo, env.repo)...)
+	}
+	if len(dirty) == 0 {
+		return nil, nil
+	}
+	dirty = netx.Dedup(dirty)
+	items := make([]lpm.Item, len(dirty))
+	for i, p := range dirty {
+		items[i] = lpm.Item{Prefix: p, Val: int32(i)}
+	}
+	return dirty, lpm.Freeze(items)
+}
+
+// splice lays out the pass-1 slots of next, one per routed prefix, from
+// the build old whose mapped slots are oldRecs. It keeps the previous
+// slot of every routed prefix that existed before and whose inputs are
+// untouched, and lists in idxs the positions of everything else — newly
+// routed, origin changed, origin-ASN cluster reassigned, or inside a
+// region of regionIdx — for pass 1 to resolve. removed counts the
+// prefixes old routed and next does not.
+func splice(old, next *buildState, oldRecs []Record, regionIdx *lpm.Index) (recs []Record, mapped []bool, idxs []int, removed int) {
+	env, routed, origins := next.env, next.routed, next.origins
+	bgpChanged, as2orgChanged := env.table != old.env.table, env.asClusters != old.env.asClusters
+	recs, mapped = make([]Record, len(routed)), make([]bool, len(routed))
+	common := 0
+	// Both routed lists are in canonical order (bgp.Table.Prefixes), so
+	// one cursor into the previous list finds each prefix, and its origin
+	// at the same position. So are the previous Records, which are the
+	// previous slots, compacted in routed order and given since only the
+	// base name and final cluster finish sets again. A second cursor copies
+	// a kept slot from there, and no build retains its slots beside its
+	// Records.
+	oldIdx, oldRec := 0, 0
+	for i, p := range routed {
+		for oldIdx < len(old.routed) && netx.Compare(old.routed[oldIdx], p) < 0 {
+			oldIdx++
+		}
+		hasOld := oldIdx < len(old.routed) && old.routed[oldIdx] == p
+		if hasOld {
+			common++
+		}
+		aff := !hasOld
+		if !aff && bgpChanged {
+			aff = old.origins[oldIdx] != origins[i]
+		}
+		if !aff && as2orgChanged {
+			aff = old.env.asClusters.ClusterID(origins[i]) != env.asClusters.ClusterID(origins[i])
+		}
+		if !aff && regionIdx != nil {
+			// A dirty region q affects p when q covers p (resolution of
+			// p reads exactly the groups and certificates at prefixes
+			// containing it); LookupPrefix finds any such q.
+			_, aff = regionIdx.LookupPrefix(p)
+		}
+		if aff {
+			idxs = append(idxs, i)
+			continue
+		}
+		for oldRec < len(oldRecs) && netx.Compare(oldRecs[oldRec].Prefix, p) < 0 {
+			oldRec++
+		}
+		// A prefix that was routed but has no Record was unmapped: the
+		// zero slot.
+		if oldRec < len(oldRecs) && oldRecs[oldRec].Prefix == p {
+			recs[i], mapped[i] = oldRecs[oldRec], true
+			recs[i].FinalCluster = ""
 		}
 	}
-	return true
+	return recs, mapped, idxs, len(old.routed) - common
+}
+
+// routedOrigins returns the canonical origin of each prefix of routed —
+// the origins column of buildState — when table routes exactly those
+// prefixes, and nil when it does not. Origin churn leaves the routed set
+// alone, and then the list — canonical order included — carries over
+// without being rebuilt and re-sorted from the table's map.
+func routedOrigins(table *bgp.Table, routed []netip.Prefix) []uint32 {
+	if table.Len()-table.FilteredCount() != len(routed) {
+		return nil
+	}
+	origins := make([]uint32, len(routed))
+	for i, p := range routed {
+		o, ok := table.Origin(p)
+		if !ok {
+			return nil
+		}
+		origins[i] = o
+	}
+	return origins
 }
 
 // entryGroupDiff returns the prefixes whose WHOIS entry groups differ

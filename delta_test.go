@@ -7,10 +7,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"github.com/prefix2org/prefix2org/internal/lpm"
+	"github.com/prefix2org/prefix2org/internal/netx"
 	"github.com/prefix2org/prefix2org/internal/obs"
 	"github.com/prefix2org/prefix2org/internal/synth"
 )
@@ -559,5 +564,191 @@ func TestDeltaKeepsUnmappedSlots(t *testing.T) {
 	}
 	if !bytes.Equal(snapshotBytes(t, res.Dataset), snapshotBytes(t, full)) {
 		t.Error("delta snapshot differs from full rebuild")
+	}
+}
+
+// spliceReference is the splice's affected predicate as it was before
+// the origins column: every origin looked up in the BGP tables by
+// prefix. It returns the positions in next.routed to re-resolve and the
+// number of prefixes old routed and next does not.
+func spliceReference(old, next *buildState, regionIdx *lpm.Index) (idxs []int, removed int) {
+	env := next.env
+	bgpChanged, as2orgChanged := env.table != old.env.table, env.asClusters != old.env.asClusters
+	oldIdx, common := 0, 0
+	for i, p := range next.routed {
+		for oldIdx < len(old.routed) && netx.Compare(old.routed[oldIdx], p) < 0 {
+			oldIdx++
+		}
+		hasOld := oldIdx < len(old.routed) && old.routed[oldIdx] == p
+		if hasOld {
+			common++
+		}
+		aff := !hasOld
+		if !aff && bgpChanged {
+			oldO, oldHas := old.env.table.Origin(p)
+			newO, newHas := env.table.Origin(p)
+			aff = oldHas != newHas || oldO != newO
+		}
+		if !aff && as2orgChanged {
+			if origin, has := env.table.Origin(p); has &&
+				old.env.asClusters.ClusterID(origin) != env.asClusters.ClusterID(origin) {
+				aff = true
+			}
+		}
+		if !aff && regionIdx != nil {
+			if _, ok := regionIdx.LookupPrefix(p); ok {
+				aff = true
+			}
+		}
+		if aff {
+			idxs = append(idxs, i)
+		}
+	}
+	return idxs, len(old.routed) - common
+}
+
+// TestSpliceMatchesReference holds the splice that reads origins by
+// position to the one that hashed each prefix into both BGP tables: over
+// a chain of evolution steps — origin shifts (MOAS prefixes among them),
+// AS2Org churn, prefixes announced and, on the way back, withdrawn — both
+// pick the same prefixes to re-resolve, and the delta reports them. The
+// origins column itself is the table's Origin, prefix by prefix.
+func TestSpliceMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	w, err := synth.Generate(synth.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	dirs := []string{filepath.Join(root, "s0")}
+	if err := w.WriteDir(dirs[0]); err != nil {
+		t.Fatal(err)
+	}
+	for i, step := range []synth.EvolveOptions{
+		{OriginShifts: 8},
+		{Acquisitions: 2, OriginShifts: 3},
+		{NewDelegations: 4, Transfers: 2},
+		{NewAdopters: 2, OriginShifts: 5},
+	} {
+		step.Seed = int64(300 + i)
+		if w, err = w.Evolve(step); err != nil {
+			t.Fatal(err)
+		}
+		dirs = append(dirs, filepath.Join(root, fmt.Sprintf("s%d", i+1)))
+		if err := w.WriteDir(dirs[i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := Options{Incremental: true}
+	prev, err := BuildFromDir(ctx, dirs[0], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moas := 0
+	for _, p := range prev.state.routed {
+		if len(prev.state.env.table.Origins(p)) > 1 {
+			moas++
+		}
+	}
+	if moas == 0 {
+		t.Fatal("no MOAS prefix in the world: the chain covers no lowest-origin choice")
+	}
+	var sawOrigin, sawAS2Org, sawAdded, sawRemoved bool
+	// Forward through every step, then straight back to the start.
+	for _, dir := range append(dirs[1:], dirs[0]) {
+		res, err := BuildDelta(ctx, prev, dir, opts)
+		if err != nil {
+			t.Fatalf("%s: BuildDelta: %v", filepath.Base(dir), err)
+		}
+		old, next := prev.state, res.Dataset.state
+		for i, p := range next.routed {
+			if o, _ := next.env.table.Origin(p); next.origins[i] != o {
+				t.Fatalf("%s: origins[%d] = %d, table.Origin(%s) = %d", filepath.Base(dir), i, next.origins[i], p, o)
+			}
+		}
+		_, regionIdx := dirtyRegions(old.env, next.env)
+		_, _, idxs, removed := splice(old, next, prev.Records, regionIdx)
+		refIdxs, refRemoved := spliceReference(old, next, regionIdx)
+		if !slices.Equal(idxs, refIdxs) || removed != refRemoved {
+			t.Errorf("%s: splice re-resolves %d prefixes and counts %d removed; the reference %d and %d",
+				filepath.Base(dir), len(idxs), removed, len(refIdxs), refRemoved)
+		}
+		if res.Affected != len(refIdxs) || res.Reused != len(next.routed)-len(refIdxs) || res.Removed != refRemoved {
+			t.Errorf("%s: Affected/Reused/Removed = %d/%d/%d, the reference %d/%d/%d", filepath.Base(dir),
+				res.Affected, res.Reused, res.Removed, len(refIdxs), len(next.routed)-len(refIdxs), refRemoved)
+		}
+		if next.env.table != old.env.table && !slices.Equal(next.routed, old.routed) {
+			sawAdded = sawAdded || len(next.routed)+refRemoved > len(old.routed)
+		}
+		sawRemoved = sawRemoved || refRemoved > 0
+		sawAS2Org = sawAS2Org || next.env.asClusters != old.env.asClusters
+		for i := range next.routed {
+			j, ok := slices.BinarySearchFunc(old.routed, next.routed[i], netx.Compare)
+			if ok && old.origins[j] != next.origins[i] {
+				sawOrigin = true
+			}
+		}
+		prev = res.Dataset
+	}
+	if !sawOrigin || !sawAS2Org || !sawAdded || !sawRemoved {
+		t.Errorf("the chain missed a kind of churn: origin shift %v, as2org %v, prefix added %v, withdrawn %v",
+			sawOrigin, sawAS2Org, sawAdded, sawRemoved)
+	}
+}
+
+// cancelAfter is a context whose Err turns to context.Canceled on its
+// n+1st call: a cancellation that lands at each check of a pass in turn.
+type cancelAfter struct {
+	context.Context
+	calls atomic.Int32
+	n     int32
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestFinishCancelled cancels finish at each of its checks in turn, at
+// one worker and at several, from scratch and reusing the clean-names
+// state: it returns the context's error, and every pass it started
+// beside the caller has returned by then. One P keeps those passes from
+// running before the caller blocks, so one left behind is still there to
+// count when finish returns.
+func TestFinishCancelled(t *testing.T) {
+	dir := buildWorld(t, synth.SmallConfig())
+	want, err := BuildFromDir(context.Background(), dir, Options{Workers: 1, Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, workers := range []int{1, 2, 8} {
+		for _, prev := range []*cleanState{nil, want.state.clean} {
+			opts := Options{Workers: workers}
+			cancelled := 0
+			for n := int32(0); ; n++ {
+				before := runtime.NumGoroutine()
+				ctx := &cancelAfter{Context: context.Background(), n: n}
+				ds, _, err := finish(ctx, obs.NewTrace("t"), slices.Clone(want.Records), want.Stats.Unmapped, opts, prev, nil)
+				if after := runtime.NumGoroutine(); after > before {
+					t.Errorf("Workers=%d, cancelled at check %d: %d goroutines after finish returned, %d before", workers, n, after, before)
+				}
+				if err == nil {
+					if !reflect.DeepEqual(ds.Records, want.Records) || !reflect.DeepEqual(ds.Stats, want.Stats) {
+						t.Errorf("Workers=%d: finish over the built records differs from the build", workers)
+					}
+					break
+				}
+				if err != context.Canceled {
+					t.Fatalf("Workers=%d, cancelled at check %d: err = %v, want context.Canceled", workers, n, err)
+				}
+				cancelled++
+			}
+			if cancelled < 4 {
+				t.Errorf("Workers=%d: finish checks its context %d times; the test meant to cancel it inside every pass", workers, cancelled)
+			}
+		}
 	}
 }

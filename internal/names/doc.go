@@ -33,9 +33,7 @@
 // weighted by how many corpus entries carry it — and never written
 // again, and the suffix set and geographic phrase list are package data
 // compiled at init. BaseName and Trace may therefore be called
-// concurrently. In the pipeline the clean-names pass runs
-// single-threaded today — the per-name work is cheap relative to
-// resolve — but the contract leaves it free to parallelize.
+// concurrently.
 //
 // TraceCorpus is the pipeline's entry point: one pass over the distinct
 // names of a corpus yields every name's Steps, from which both the base
@@ -43,5 +41,9 @@
 // the pipeline (Basic through Corporate) does not depend on the corpus,
 // so a caller that cleans a slightly different corpus later hands the
 // earlier result back and only the frequency/geographic back half is
-// redone.
+// redone. Both halves are pure per name, so TraceCorpus fans them out
+// over fixed chunks of the sorted distinct names — each chunk counting
+// token frequencies into its own map, summed before the back half runs
+// — and CountSteps counts its six steps side by side; the results do
+// not depend on the worker count.
 package names

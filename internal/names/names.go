@@ -1,8 +1,11 @@
 package names
 
 import (
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // DefaultThreshold is the corpus-frequency cutoff above which a non-leading
@@ -88,21 +91,83 @@ func NewCleaner(corpus []string, threshold int) *Cleaner {
 // corpus: the front half of the pipeline (Basic through Corporate) is a
 // pure function of the name, so it is taken from there for every name
 // prev has, and only the corpus-dependent back half is redone.
-func TraceCorpus(mult map[string]int, threshold int, prev map[string]Steps) map[string]Steps {
-	c := newCleaner(threshold)
-	traced := make(map[string]Steps, len(mult))
-	for name, n := range mult {
-		s, ok := prev[name]
-		if !ok {
-			s = front(name)
-		}
-		c.count(s, n)
-		traced[name] = s
+//
+// Both halves are pure per name, so they fan out over up to workers
+// goroutines: the distinct names, sorted, are cut into one fixed chunk
+// per worker, each chunk counts its token frequencies into a map of its
+// own, and the sums of those maps are the corpus frequencies. The
+// result is the same at every worker count; workers <= 1 runs on the
+// caller's goroutine.
+func TraceCorpus(mult map[string]int, threshold int, prev map[string]Steps, workers int) map[string]Steps {
+	type named struct {
+		name string
+		n    int
 	}
-	for name, s := range traced {
-		traced[name] = c.finish(s)
+	distinct := make([]named, 0, len(mult))
+	for name, n := range mult {
+		distinct = append(distinct, named{name, n})
+	}
+	slices.SortFunc(distinct, func(a, b named) int { return strings.Compare(a.name, b.name) })
+	steps := make([]Steps, len(distinct))
+	chunks := max(1, min(workers, len(distinct)))
+	bounds := make([]int, chunks+1) // chunk k is distinct[bounds[k]:bounds[k+1]]
+	for k := range bounds {
+		bounds[k] = k * len(distinct) / chunks
+	}
+	freqs := make([]map[string]int, chunks)
+	parallel(chunks, workers, func(k int) {
+		freq := map[string]int{}
+		for i := bounds[k]; i < bounds[k+1]; i++ {
+			s, ok := prev[distinct[i].name]
+			if !ok {
+				s = front(distinct[i].name)
+			}
+			for _, tok := range tokens(s.Spelling) {
+				freq[tok] += distinct[i].n
+			}
+			steps[i] = s
+		}
+		freqs[k] = freq
+	})
+	c := newCleaner(threshold)
+	c.freq = freqs[0]
+	for _, freq := range freqs[1:] {
+		for tok, n := range freq {
+			c.freq[tok] += n
+		}
+	}
+	parallel(chunks, workers, func(k int) {
+		for i := bounds[k]; i < bounds[k+1]; i++ {
+			steps[i] = c.finish(steps[i])
+		}
+	})
+	traced := make(map[string]Steps, len(distinct))
+	for i := range distinct {
+		traced[distinct[i].name] = steps[i]
 	}
 	return traced
+}
+
+// parallel runs task(0) … task(n-1) on up to workers goroutines, the
+// caller's among them, that claim them in order, and returns when all
+// are done. With workers <= 1 the caller runs them all.
+func parallel(n, workers int, task func(k int)) {
+	var next atomic.Int64
+	run := func() {
+		for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
+			task(k)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(workers, n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
 }
 
 // BaseName runs the full pipeline on one organization name.
@@ -309,21 +374,31 @@ type StepCounts struct {
 // CountSteps computes Table 2 from the traced pipeline of a corpus's
 // distinct names (TraceCorpus): a step count is the number of distinct
 // values after that step, so duplicate corpus entries cannot change it.
-func CountSteps(traced map[string]Steps) StepCounts {
-	uniq := func(get func(Steps) string) int {
-		seen := map[string]bool{}
-		for _, s := range traced {
-			seen[get(s)] = true
-		}
-		return len(seen)
+// The six counts are independent, and run on up to workers goroutines.
+func CountSteps(traced map[string]Steps, workers int) StepCounts {
+	steps := []func(Steps) string{
+		func(s Steps) string { return s.Basic },
+		func(s Steps) string { return s.Regex },
+		func(s Steps) string { return s.Corporate },
+		func(s Steps) string { return s.Frequent },
+		func(s Steps) string { return s.Geographic },
+		func(s Steps) string { return s.Refilled },
 	}
+	counts := make([]int, len(steps))
+	parallel(len(steps), workers, func(k int) {
+		seen := make(map[string]bool, len(traced))
+		for _, s := range traced {
+			seen[steps[k](s)] = true
+		}
+		counts[k] = len(seen)
+	})
 	return StepCounts{
 		Original:   len(traced),
-		Basic:      uniq(func(s Steps) string { return s.Basic }),
-		Regex:      uniq(func(s Steps) string { return s.Regex }),
-		Corporate:  uniq(func(s Steps) string { return s.Corporate }),
-		Frequent:   uniq(func(s Steps) string { return s.Frequent }),
-		Geographic: uniq(func(s Steps) string { return s.Geographic }),
-		Refilled:   uniq(func(s Steps) string { return s.Refilled }),
+		Basic:      counts[0],
+		Regex:      counts[1],
+		Corporate:  counts[2],
+		Frequent:   counts[3],
+		Geographic: counts[4],
+		Refilled:   counts[5],
 	}
 }

@@ -2,9 +2,13 @@ package names
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/prefix2org/prefix2org/internal/synth"
 )
 
 // corpus with repeated filler words so the frequency step has work to do
@@ -200,7 +204,7 @@ func TestWeightedCountMatchesPerEntry(t *testing.T) {
 		refTraced[name] = ref.Trace(name)
 	}
 
-	traced := TraceCorpus(multiset(corpus), threshold, nil)
+	traced := TraceCorpus(multiset(corpus), threshold, nil, 1)
 	c := NewCleaner(corpus, threshold)
 	if len(traced) != len(refTraced) {
 		t.Fatalf("traced %d distinct names, want %d", len(traced), len(refTraced))
@@ -216,17 +220,95 @@ func TestWeightedCountMatchesPerEntry(t *testing.T) {
 	if got := traced["Acme Networks Germany GmbH"].Result(); got != "acme" {
 		t.Errorf("base name = %q, want %q (network frequent, germany geographic, gmbh corporate)", got, "acme")
 	}
-	if got, want := CountSteps(traced), CountSteps(refTraced); got != want {
+	if got, want := CountSteps(traced, 1), CountSteps(refTraced, 1); got != want {
 		t.Errorf("CountSteps = %+v, want %+v", got, want)
 	}
 
 	// A later corpus reuses the front halves it is handed and still
 	// recomputes the corpus-dependent back half: with the duplicates
 	// gone, "network" is no longer frequent.
-	again := TraceCorpus(map[string]int{"Acme Networks Germany GmbH": 1, "Zenith Networks Ltd": 1}, threshold, traced)
+	again := TraceCorpus(map[string]int{"Acme Networks Germany GmbH": 1, "Zenith Networks Ltd": 1}, threshold, traced, 1)
 	if got := again["Acme Networks Germany GmbH"].Result(); got != "acme network" {
 		t.Errorf("base name over the smaller corpus = %q, want %q", got, "acme network")
 	}
+}
+
+// TestTraceCorpusWorkers holds the fan-out of TraceCorpus and CountSteps
+// to their serial result: at 1, 2 and 8 workers the traced corpus is
+// DeepEqual and the Table 2 counts equal — over the synthetic world's
+// registered names, over random corpora, and with a prev map supplying
+// some front halves. make verify runs it under -race.
+func TestTraceCorpusWorkers(t *testing.T) {
+	w, err := synth.Generate(synth.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	world := map[string]int{}
+	for i, o := range w.Orgs {
+		for j, name := range o.LegalNames {
+			world[name] += 1 + (i+j)%7
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	words := []string{"acme", "data", "networks", "Germany", "GmbH", "LLC", "S.A.", "telecom", "de", "Perú", "1st", "the", "Inc."}
+	random := func() map[string]int {
+		mult := map[string]int{}
+		for range 200 + rng.Intn(300) {
+			var b strings.Builder
+			for k := range 1 + rng.Intn(5) {
+				if k > 0 {
+					b.WriteByte(' ')
+				}
+				b.WriteString(words[rng.Intn(len(words))])
+			}
+			mult[b.String()] += 1 + rng.Intn(40)
+		}
+		return mult
+	}
+	corpora := []map[string]int{world, random(), random(), random(), {}}
+	for ci, mult := range corpora {
+		// prev holds a third of the corpus's names, traced over another
+		// corpus: only their front halves may carry over.
+		prev := map[string]Steps{}
+		for name, s := range TraceCorpus(random(), 20, nil, 1) {
+			prev[name] = s
+		}
+		n := 0
+		for name := range mult {
+			if n%3 == 0 {
+				prev[name] = front(name)
+			}
+			n++
+		}
+		for _, p := range []map[string]Steps{nil, prev} {
+			want := TraceCorpus(mult, 20, p, 1)
+			wantSteps := countStepsReference(want)
+			for _, workers := range []int{1, 2, 8} {
+				got := TraceCorpus(mult, 20, p, workers)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("corpus %d (prev %v): TraceCorpus at %d workers differs from 1", ci, p != nil, workers)
+				}
+				if s := CountSteps(got, workers); s != wantSteps {
+					t.Errorf("corpus %d (prev %v): CountSteps at %d workers = %+v, want %+v", ci, p != nil, workers, s, wantSteps)
+				}
+			}
+		}
+	}
+}
+
+// countStepsReference is CountSteps written out: one distinct-value
+// count per step, in one pass.
+func countStepsReference(traced map[string]Steps) StepCounts {
+	var seen [6]map[string]bool
+	for k := range seen {
+		seen[k] = map[string]bool{}
+	}
+	for _, s := range traced {
+		for k, v := range []string{s.Basic, s.Regex, s.Corporate, s.Frequent, s.Geographic, s.Refilled} {
+			seen[k][v] = true
+		}
+	}
+	return StepCounts{len(traced), len(seen[0]), len(seen[1]), len(seen[2]), len(seen[3]), len(seen[4]), len(seen[5])}
 }
 
 func TestCountStepsMonotonic(t *testing.T) {
@@ -236,7 +318,7 @@ func TestCountStepsMonotonic(t *testing.T) {
 		corpus = append(corpus, fmt.Sprintf("Org %03d Data Services Inc", i))
 		corpus = append(corpus, fmt.Sprintf("Org %03d Germany GmbH", i))
 	}
-	sc := CountSteps(TraceCorpus(multiset(corpus), 30, nil))
+	sc := CountSteps(TraceCorpus(multiset(corpus), 30, nil, 1), 1)
 	if sc.Original != len(corpus) {
 		t.Errorf("Original = %d, want %d", sc.Original, len(corpus))
 	}

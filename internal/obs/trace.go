@@ -41,7 +41,9 @@ type Span struct {
 	Workers int
 
 	start  time.Time
-	keys   []string // count keys in first-Add order
+	paused bool          // Pause stopped the clock; Restart resumes it
+	banked time.Duration // time run before the last Pause
+	keys   []string      // count keys in first-Add order
 	counts map[string]int64
 }
 
@@ -63,14 +65,31 @@ func (t *Trace) Start(name string) *Span {
 
 // Restart resets the span's clock to now. A runner that opens all its
 // spans before any stage runs — so their order in the trace is fixed —
-// restarts each one when its stage actually begins.
-func (s *Span) Restart() { s.start = time.Now() }
+// restarts each one when its stage actually begins. After Pause it
+// resumes the clock, keeping the time already run.
+func (s *Span) Restart() {
+	s.start = time.Now()
+	s.paused = false
+}
+
+// Pause stops the span's clock without closing it, for a stage that runs
+// in two parts with other work between them: Restart resumes it, and End
+// reports the parts' summed time. Pausing a paused span does nothing.
+func (s *Span) Pause() {
+	if !s.paused {
+		s.banked += time.Since(s.start)
+		s.paused = true
+	}
+}
 
 // End closes the span, fixing its duration. It returns the span for
 // chaining and is idempotent (the first call wins).
 func (s *Span) End() *Span {
 	if s.Duration == 0 {
-		s.Duration = time.Since(s.start)
+		s.Duration = s.banked
+		if !s.paused {
+			s.Duration += time.Since(s.start)
+		}
 		if s.Duration <= 0 {
 			// Coarse clocks can report zero for sub-tick stages; clamp so
 			// "the stage ran" is always visible in the trace.

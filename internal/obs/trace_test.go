@@ -53,6 +53,31 @@ func TestTraceEndIdempotent(t *testing.T) {
 	}
 }
 
+// TestSpanPause checks that a span paused between its two parts reports
+// their summed time, not the wall time from its first start to End.
+func TestSpanPause(t *testing.T) {
+	tr := NewTrace("t")
+	s := tr.Start("stats")
+	time.Sleep(5 * time.Millisecond)
+	s.Pause()
+	s.Pause() // no-op
+	time.Sleep(100 * time.Millisecond)
+	s.Restart()
+	time.Sleep(5 * time.Millisecond)
+	d := s.End().Duration
+	if d < 10*time.Millisecond || d >= 100*time.Millisecond {
+		t.Errorf("duration = %v, want the two 5ms parts without the 100ms pause", d)
+	}
+
+	paused := tr.Start("ended-paused")
+	time.Sleep(2 * time.Millisecond)
+	paused.Pause()
+	time.Sleep(100 * time.Millisecond)
+	if d := paused.End().Duration; d < 2*time.Millisecond || d >= 100*time.Millisecond {
+		t.Errorf("End on a paused span: duration = %v, want the 2ms part alone", d)
+	}
+}
+
 func TestTraceString(t *testing.T) {
 	tr := NewTrace("build")
 	tr.Start("load-whois").Add("records", 10)

@@ -11,9 +11,13 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // manifestDirs are the input subdirectories the manifest covers — the
@@ -43,47 +47,143 @@ type Manifest struct {
 
 // BuildManifest hashes every regular file under the covered input
 // subdirectories of dir. Missing subdirectories are fine (an input a
-// deployment does not use simply contributes no entries).
+// deployment does not use simply contributes no entries). Symbolic links
+// are followed, as the loaders that open the files follow them: a linked
+// file, or every file of a linked directory, is listed under its path in
+// dir, and a link whose target is missing or not a regular file or
+// directory is skipped like any other non-regular entry. The files are
+// hashed on up to GOMAXPROCS goroutines.
 func BuildManifest(ctx context.Context, dir string) (*Manifest, error) {
-	m := &Manifest{}
-	// One digest and one copy buffer for the whole walk: io.Copy with a
-	// plain hash.Hash allocates a fresh 32KB buffer per file, which shows
-	// up on every delta rebuild's no-op floor.
-	h := sha256.New()
-	buf := make([]byte, 128*1024)
-	for _, sub := range manifestDirs {
-		root := filepath.Join(dir, sub)
-		if _, err := os.Stat(root); os.IsNotExist(err) {
-			continue
+	return buildManifest(ctx, dir, runtime.GOMAXPROCS(0))
+}
+
+// buildManifest is BuildManifest on up to workers goroutines: the walk
+// lists the files first, then each worker hashes the files it claims,
+// in walk order, with a digest and a copy buffer of its own. When files
+// fail, the error of the first in walk order is the one reported — the
+// error a walk that hashed each file as it reached it would stop at.
+func buildManifest(ctx context.Context, dir string, workers int) (*Manifest, error) {
+	paths, walkErr := manifestFiles(ctx, dir)
+	m := &Manifest{Entries: make([]ManifestEntry, len(paths))}
+	errs := make([]error, len(paths))
+	var next atomic.Int64
+	var failed atomic.Bool
+	hash := func() {
+		// io.Copy with a plain hash.Hash allocates a fresh 32KB buffer per
+		// file, which shows up on every delta rebuild's no-op floor.
+		h := sha256.New()
+		buf := make([]byte, 128*1024)
+		// Files are claimed in walk order and a claimed file is always
+		// hashed, so once one fails every file before it has been, and
+		// none after it needs to be.
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(paths) {
+				return
+			}
+			if errs[i] = ctx.Err(); errs[i] == nil {
+				m.Entries[i], errs[i] = hashFile(paths[i], h, buf)
+			}
+			if errs[i] != nil {
+				failed.Store(true)
+			}
 		}
-		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if !d.Type().IsRegular() {
-				return nil
-			}
-			rel, err := filepath.Rel(dir, p)
-			if err != nil {
-				return err
-			}
-			e, err := hashFile(p, h, buf)
-			if err != nil {
-				return err
-			}
-			e.Path = filepath.ToSlash(rel)
-			m.Entries = append(m.Entries, e)
-			return nil
-		})
+	}
+	// The caller's goroutine is one of the workers: with one, it hashes
+	// every file itself.
+	var wg sync.WaitGroup
+	for range min(workers, len(paths)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hash()
+		}()
+	}
+	hash()
+	wg.Wait()
+	for _, err := range append(errs, walkErr) {
 		if err != nil {
 			return nil, fmt.Errorf("manifest: %w", err)
 		}
 	}
+	for i, p := range paths {
+		rel, err := filepath.Rel(dir, p)
+		if err != nil {
+			return nil, fmt.Errorf("manifest: %w", err)
+		}
+		m.Entries[i].Path = filepath.ToSlash(rel)
+	}
 	sort.Slice(m.Entries, func(i, j int) bool { return m.Entries[i].Path < m.Entries[j].Path })
 	return m, nil
+}
+
+// manifestFiles lists the files BuildManifest hashes, in walk order:
+// manifestDirs in turn, each in lexical order, depth first. A walk
+// error ends the list; the files before it are returned with it.
+func manifestFiles(ctx context.Context, dir string) ([]string, error) {
+	var files []string
+	// ancestors are the directories being walked, the innermost last: a
+	// linked directory that is one of them would walk forever.
+	var ancestors []os.FileInfo
+	// visit lists p, or the files under it, given what p is — a link's
+	// target, for a link.
+	var visit func(p string, fi os.FileInfo) error
+	visit = func(p string, fi os.FileInfo) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if fi.Mode().IsRegular() {
+			files = append(files, p)
+			return nil
+		}
+		if !fi.IsDir() || slices.ContainsFunc(ancestors, func(a os.FileInfo) bool { return os.SameFile(a, fi) }) {
+			return nil
+		}
+		ents, err := os.ReadDir(p)
+		if err != nil {
+			return err
+		}
+		ancestors = append(ancestors, fi)
+		defer func() { ancestors = ancestors[:len(ancestors)-1] }()
+		for _, e := range ents {
+			child := filepath.Join(p, e.Name())
+			if e.Type().IsRegular() {
+				files = append(files, child)
+				continue
+			}
+			link := e.Type()&fs.ModeSymlink != 0
+			if !link && !e.IsDir() {
+				continue
+			}
+			// Stat follows a link to what it names; a dangling link, or
+			// one whose target cannot be examined, is skipped.
+			cfi, err := os.Stat(child)
+			if err != nil {
+				if link {
+					continue
+				}
+				return err
+			}
+			if err := visit(child, cfi); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, sub := range manifestDirs {
+		root := filepath.Join(dir, sub)
+		fi, err := os.Stat(root)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			return files, err
+		}
+		if err := visit(root, fi); err != nil {
+			return files, err
+		}
+	}
+	return files, nil
 }
 
 func hashFile(p string, h hash.Hash, buf []byte) (ManifestEntry, error) {

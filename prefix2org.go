@@ -77,9 +77,11 @@ type Options struct {
 	// types cache file.
 	JPNICWhoisAddr string
 
-	// Workers bounds the parallelism of the build: the per-prefix
-	// ownership-resolution worker pool, the concurrent corpus loads in
-	// BuildFromDir, and the per-registry WHOIS bulk-file parses.
+	// Workers bounds the parallelism of the build: the input-manifest
+	// hashing, the concurrent corpus loads in BuildFromDir, the
+	// per-registry WHOIS bulk-file parses, the per-prefix
+	// ownership-resolution worker pool, the per-name tracing of
+	// clean-names, and the finish passes run beside each other.
 	//
 	// Zero-value semantics: 0 — and, defensively, any negative value —
 	// normalizes to runtime.GOMAXPROCS(0), so the zero Options remains a
@@ -396,6 +398,7 @@ func Build(ctx context.Context, db *whois.Database, table *bgp.Table, repo *rpki
 	// flattening the WHOIS database into the delegation index.
 	next := newBuildState(nil, opts)
 	next.arinLegacy, next.routed = arinLegacyNonSigned, table.Prefixes()
+	next.origins = routedOrigins(table, next.routed)
 	*next.env = resolveEnv{table: table, repo: repo, asClusters: asData.BuildClusters()}
 	res, err := rebuild(ctx, obs.NewTrace("build"), nil, next, []loadJob{{"flatten-whois", func(_ context.Context, span *obs.Span) error {
 		next.env.whois = flattenWhois(span, db.FlattenWithStats, arinLegacyNonSigned)
@@ -792,8 +795,11 @@ func dirLoaders(dir string, tr *obs.Trace, next *buildState, changed func(relPat
 				return fmt.Errorf("prefix2org: load bgp: %w", err)
 			}
 			next.env.table = table
-			if !sameRouted(table, next.routed) {
+			// One pass over the previous routed list both checks that it
+			// carries over and reads the origins column.
+			if next.origins = routedOrigins(table, next.routed); next.origins == nil {
 				next.routed = table.Prefixes()
+				next.origins = routedOrigins(table, next.routed)
 			}
 			span.Add("mrt-entries", int64(table.EntryCount()))
 			span.Add("prefixes", int64(table.Len()))

@@ -17,13 +17,6 @@ import (
 	"github.com/prefix2org/prefix2org/internal/whois"
 )
 
-// resolvedRec is one routed prefix's pass-1 output slot. Zero value =
-// unmapped (no covering WHOIS record).
-type resolvedRec struct {
-	rec    Record
-	haveDO bool
-}
-
 // resolveEnv bundles the read-only inputs of the per-prefix resolution
 // pass; a delta rebuild swaps out only the members whose source files
 // changed.
@@ -38,32 +31,31 @@ type resolveEnv struct {
 }
 
 // resolveIndices runs the per-prefix ownership-resolution pass over the
-// routed prefixes whose indices are listed in idxs, writing each outcome
-// — including the unmapped zero value — into its slot. Every shared
-// structure it reads is immutable for the duration of the call; each
-// worker writes only its own slots, so output is identical for every
-// worker count.
-func resolveIndices(ctx context.Context, env *resolveEnv, routed []netip.Prefix, idxs []int, slots []resolvedRec, workers int) error {
+// routed prefixes of st whose indices are listed in idxs, writing each
+// mapped outcome into its Record slot and flagging it in mapped; an
+// unmapped prefix (no covering WHOIS record) leaves its zero slot and
+// flag alone. Every shared structure it reads is immutable for the
+// duration of the call; each worker writes only its own slots, so
+// output is identical for every worker count.
+func resolveIndices(ctx context.Context, st *buildState, idxs []int, recs []Record, mapped []bool, workers int) error {
+	env := st.env
 	// Each worker owns one scratch, reused per prefix, so the hottest
 	// walks of the pass — the covering chain, typing and ordering each
 	// of its levels — allocate only when a prefix outgrows every prefix
 	// the worker saw before it.
 	resolveOne := func(i int, s *resolveScratch) {
-		p := routed[i]
+		p := st.routed[i]
 		s.chain = env.whois.Index().CoveringInto(p, s.chain[:0])
 		rec, ok := s.resolveOwnership(env.whois, env.repo, p)
 		if !ok {
-			slots[i] = resolvedRec{}
 			return
 		}
-		if origin, has := env.table.Origin(p); has {
-			rec.OriginASN = origin
-			rec.ASNCluster = env.asClusters.ClusterID(origin)
-		}
+		rec.OriginASN = st.origins[i]
+		rec.ASNCluster = env.asClusters.ClusterID(rec.OriginASN)
 		if c, ok := env.repo.ChildMostRC(p); ok {
 			rec.RPKICert = c.SKI
 		}
-		slots[i] = resolvedRec{rec: rec, haveDO: true}
+		recs[i], mapped[i] = rec, true
 	}
 	n := len(idxs)
 	var next atomic.Int64
@@ -89,17 +81,25 @@ func resolveIndices(ctx context.Context, env *resolveEnv, routed []netip.Prefix,
 	return ctx.Err()
 }
 
-// countUnmapped tallies the pass-1 slots with no covering WHOIS record.
-// finish skips them in place — the slot slice is not compacted, which
-// spares a full copy of every record on the rebuild path.
-func countUnmapped(slots []resolvedRec) int {
-	unmapped := 0
-	for i := range slots {
-		if !slots[i].haveDO {
-			unmapped++
+// compactMapped moves the mapped Records of the pass-1 slots to the
+// front, in routed order, and returns them with the number of unmapped
+// slots dropped. It copies nothing when every routed prefix is mapped:
+// the slots are then the Records as they stand.
+func compactMapped(recs []Record, mapped []bool) ([]Record, int) {
+	n := 0
+	for i := range recs {
+		if !mapped[i] {
+			continue
 		}
+		if n != i {
+			recs[n] = recs[i]
+		}
+		n++
 	}
-	return unmapped
+	// The tail holds stale copies of moved records; clear it so the
+	// backing array pins nothing they would not.
+	clear(recs[n:])
+	return recs[:n:n], len(recs) - n
 }
 
 // cleanState caches the outcome of the clean-names pass, which is a
@@ -125,6 +125,7 @@ type cleanState struct {
 // multiplicity, n entries in all). prev, when non-nil, supplies the
 // front half of the pipeline for the names it already traced.
 func cleanNames(mult map[string]int, n int, opts Options, prev *cleanState) *cleanState {
+	workers := opts.workerCount()
 	threshold := opts.NameFreqThreshold
 	if threshold == 0 {
 		threshold = adaptiveThreshold(n)
@@ -133,13 +134,13 @@ func cleanNames(mult map[string]int, n int, opts Options, prev *cleanState) *cle
 	if prev != nil {
 		prevTraced = prev.traced
 	}
-	traced := names.TraceCorpus(mult, threshold, prevTraced)
+	traced := names.TraceCorpus(mult, threshold, prevTraced, workers)
 	c := &cleanState{
 		mult:   mult,
 		traced: traced,
 		base:   make(map[string]string, len(traced)),
 		owners: make(map[string]bool, len(traced)),
-		steps:  names.CountSteps(traced),
+		steps:  names.CountSteps(traced, workers),
 	}
 	baseNames := make(map[string]bool, len(traced))
 	for name, s := range traced {
@@ -173,11 +174,34 @@ func isIndexOf(idx *lpm.Index, recs []Record) bool {
 	return same
 }
 
+// beside runs fn beside the caller when workers > 1 and returns the
+// function that waits for it. With one worker fn runs when that
+// function is called instead, so the caller's stages keep their serial
+// order on its own goroutine. The waiter may be called more than once.
+func beside(workers int, fn func()) (wait func()) {
+	if workers < 2 {
+		return sync.OnceFunc(fn)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	return func() { <-done }
+}
+
 // finish runs passes 2–4 (clean-names, cluster, freeze-index) and the
-// stats pass over the pass-1 slots, producing the Dataset. Unmapped
-// slots (no covering WHOIS record) are skipped in place rather than
-// compacted away, so no pass copies the full record set. It writes each
-// mapped slot's BaseName; every other slot field is read-only here.
+// stats pass over recs — the mapped pass-1 slots, compacted — which
+// become the Dataset's Records: clean-names writes each one's BaseName
+// and cluster its FinalCluster, and no pass copies them.
+//
+// With Options.Workers > 1 the passes that do not read each other's
+// output run beside each other (ARCHITECTURE.md has the contract):
+// freeze-index reads only the records' prefixes and runs beside
+// clean-names and cluster; the half of the stats that reads only the
+// records runs beside cluster. The spans are opened up front in stage
+// order, so the trace lists them the same way at every worker count. A
+// cancelled ctx returns ctx.Err() once every pass it started is done.
 //
 // prev and prevIdx are the clean-names state and the frozen index of the
 // Dataset the build splices against (nil for a full build) — not
@@ -186,48 +210,75 @@ func isIndexOf(idx *lpm.Index, recs []Record) bool {
 // and reused only when this build provably derives the same value: prev
 // when the Direct Owner corpus is the same multiset, prevIdx when the
 // records sit on the same prefixes.
-func finish(ctx context.Context, tr *obs.Trace, slots []resolvedRec, unmapped int, opts Options, prev *cleanState, prevIdx *lpm.Index) (*Dataset, *cleanState, error) {
+func finish(ctx context.Context, tr *obs.Trace, recs []Record, unmapped int, opts Options, prev *cleanState, prevIdx *lpm.Index) (*Dataset, *cleanState, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	mapped := len(slots) - unmapped
+	workers := opts.workerCount()
+	cleanSpan, clusterSpan, freezeSpan, statsSpan := tr.Start("clean-names"), tr.Start("cluster"), tr.Start("freeze-index"), tr.Start("stats")
+	ds := &Dataset{Trace: tr, Records: recs}
+
+	// Compile the serve-path read indexes, including the frozen LPM
+	// index whoisd answers from. ds.idx is written here alone.
+	waitFreeze := beside(workers, func() {
+		if ctx.Err() != nil {
+			return
+		}
+		freezeSpan.Restart()
+		defer freezeSpan.End()
+		if prevIdx != nil && isIndexOf(prevIdx, recs) {
+			// The index maps each routed prefix to its position in Records
+			// and is never written after Freeze: same prefixes at the same
+			// positions, same index.
+			ds.idx = prevIdx
+		} else {
+			ds.freezeIndex()
+		}
+		freezeSpan.Add("prefixes", int64(len(recs)))
+	})
+	defer waitFreeze()
+
 	// Pass 2: base names over the Direct Owner corpus.
-	span := tr.Start("clean-names")
+	cleanSpan.Restart()
 	clean := prev
 	distinct := 0
 	if clean != nil {
 		distinct = len(clean.mult)
 	}
 	mult := make(map[string]int, distinct)
-	for i := range slots {
-		if slots[i].haveDO {
-			mult[slots[i].rec.DirectOwner]++
-		}
+	for i := range recs {
+		mult[recs[i].DirectOwner]++
 	}
 	if clean == nil || !maps.Equal(clean.mult, mult) {
-		clean = cleanNames(mult, mapped, opts, clean)
+		clean = cleanNames(mult, len(recs), opts, clean)
 	}
-	for i := range slots {
-		if slots[i].haveDO {
-			slots[i].rec.BaseName = clean.base[slots[i].rec.DirectOwner]
-		}
+	for i := range recs {
+		recs[i].BaseName = clean.base[recs[i].DirectOwner]
 	}
-	span.Add("names", int64(mapped))
-	span.Add("base-names", int64(clean.baseNames))
-	span.End()
+	cleanSpan.Add("names", int64(len(recs)))
+	cleanSpan.Add("base-names", int64(clean.baseNames))
+	cleanSpan.End()
 
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	// Pass 3: clustering (§5.3).
-	span = tr.Start("cluster")
-	infos := make([]cluster.PrefixInfo, 0, mapped)
-	for i := range slots {
-		if !slots[i].haveDO {
-			continue
+	var rs recordStats
+	waitStats := beside(workers, func() {
+		if ctx.Err() != nil {
+			return
 		}
-		r := &slots[i].rec
-		info := cluster.PrefixInfo{
+		statsSpan.Restart()
+		rs = countRecords(recs, clean)
+		statsSpan.Pause()
+	})
+	defer waitStats()
+
+	// Pass 3: clustering (§5.3).
+	clusterSpan.Restart()
+	infos := make([]cluster.PrefixInfo, len(recs))
+	for i := range recs {
+		r := &recs[i]
+		infos[i] = cluster.PrefixInfo{
 			Prefix:     r.Prefix,
 			OwnerName:  clean.traced[r.DirectOwner].Basic,
 			BaseName:   r.BaseName,
@@ -235,61 +286,35 @@ func finish(ctx context.Context, tr *obs.Trace, slots []resolvedRec, unmapped in
 			ASNCluster: r.ASNCluster,
 		}
 		if opts.DisableRPKIClusters {
-			info.CertSKI = ""
+			infos[i].CertSKI = ""
 		}
 		if opts.DisableASNClusters {
-			info.ASNCluster = ""
+			infos[i].ASNCluster = ""
 		}
-		infos = append(infos, info)
 	}
 	cres := cluster.Build(infos)
-
-	ds := &Dataset{Trace: tr}
 	for _, c := range cres.Final {
 		ds.Clusters = append(ds.Clusters, &Cluster{ID: c.ID, BaseName: c.BaseName, OwnerNames: c.OwnerNames, Prefixes: c.Prefixes})
 	}
 	ds.indexClusters()
-	ds.Records = make([]Record, 0, mapped)
-	for i := range slots {
-		if !slots[i].haveDO {
-			continue
+	// infos parallels recs, so cres.Of[i] is record i's cluster.
+	for i, c := range cres.Of {
+		if c != nil {
+			recs[i].FinalCluster = c.ID
 		}
-		// infos skipped the same unmapped slots, so the next cluster in
-		// cres.Of is this record's. Slots are in routed order, which is
-		// already Records' canonical order (see buildState.routed).
-		r := slots[i].rec
-		if c := cres.Of[len(ds.Records)]; c != nil {
-			r.FinalCluster = c.ID
-		}
-		ds.Records = append(ds.Records, r)
 	}
-	span.Add("prefixes", int64(len(infos)))
-	span.Add("clusters", int64(len(cres.Final)))
-	span.End()
+	clusterSpan.Add("prefixes", int64(len(infos)))
+	clusterSpan.Add("clusters", int64(len(cres.Final)))
+	clusterSpan.End()
 
+	waitFreeze()
+	waitStats()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	// Compile the serve-path read indexes, including the frozen LPM
-	// index whoisd answers from.
-	span = tr.Start("freeze-index")
-	if prevIdx != nil && isIndexOf(prevIdx, ds.Records) {
-		// The index maps each routed prefix to its position in Records
-		// and is never written after Freeze: same prefixes at the same
-		// positions, same index.
-		ds.idx = prevIdx
-	} else {
-		ds.freezeIndex()
-	}
-	span.Add("prefixes", int64(len(ds.Records)))
-	span.End()
-
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	span = tr.Start("stats")
-	ds.computeStats(cres, clean, unmapped)
-	span.End()
+	statsSpan.Restart()
+	ds.computeStats(cres, clean, unmapped, &rs)
+	statsSpan.End()
 	return ds, clean, nil
 }
 
@@ -305,11 +330,15 @@ type buildState struct {
 	arinLegacy []netip.Prefix
 	env        *resolveEnv
 	// routed is in canonical order (netx.Compare), as bgp.Table.Prefixes
-	// lists it. finish appends Records in slot order and does not sort:
-	// Records' order — the snapshot bytes, the frozen index's positions
-	// — is routed's.
+	// lists it. The pass-1 slots are routed's, compacted in place
+	// without sorting: Records' order — the snapshot bytes, the frozen
+	// index's positions — is routed's.
 	routed []netip.Prefix
-	clean  *cleanState
+	// origins parallels routed: each prefix's canonical (lowest) origin
+	// ASN, bgp.Table.Origin read once by the job that loaded the table,
+	// so that the splice and pass 1 read it by position.
+	origins []uint32
+	clean   *cleanState
 }
 
 // newBuildState starts the state of the build that follows old, or of a
@@ -318,7 +347,8 @@ type buildState struct {
 func newBuildState(old *buildState, opts Options) *buildState {
 	next := &buildState{opts: opts, env: &resolveEnv{}}
 	if old != nil {
-		next.manifest, next.src, next.arinLegacy, next.routed = old.manifest, old.src, old.arinLegacy, old.routed
+		next.manifest, next.src, next.arinLegacy = old.manifest, old.src, old.arinLegacy
+		next.routed, next.origins = old.routed, old.origins
 		*next.env = *old.env
 	}
 	return next

@@ -8,18 +8,23 @@ import (
 	"github.com/prefix2org/prefix2org/internal/netx"
 )
 
-func (d *Dataset) computeStats(cres *cluster.Result, clean *cleanState, unmapped int) {
-	s := &d.Stats
-	s.Unmapped = unmapped
+// recordStats is the half of the Stats that reads the records alone,
+// so finish can count it beside the cluster pass.
+type recordStats struct {
+	dcNames                            map[string]bool // distinct basic-cleaned Delegated Customer names
+	origins                            int             // distinct origin ASNs
+	v4, v6, v4DC, v6DC, v4RPKI, v6RPKI int
+}
 
-	// The records' Direct Owner names are exactly the clean-names corpus,
-	// which already holds their distinct basic-cleaned and base forms.
-	doNames := clean.owners
-	rawDC := make(map[string]bool, len(d.Records)/4)
-	origins := make(map[uint32]bool, len(d.Records)/4)
-	var v4, v6, v4DC, v6DC, v4RPKI, v6RPKI int
-	for i := range d.Records {
-		r := &d.Records[i]
+// countRecords computes the record-only half of the Stats. It reads the
+// records' Prefix, DirectOwner, DelegatedCustomers, RPKICert and
+// OriginASN, which no pass of finish writes.
+func countRecords(recs []Record, clean *cleanState) recordStats {
+	var rs recordStats
+	rawDC := make(map[string]bool, len(recs)/4)
+	origins := make(map[uint32]bool, len(recs)/4)
+	for i := range recs {
+		r := &recs[i]
 		for _, dc := range r.DelegatedCustomers {
 			rawDC[dc] = true
 		}
@@ -27,43 +32,57 @@ func (d *Dataset) computeStats(cres *cluster.Result, clean *cleanState, unmapped
 			origins[r.OriginASN] = true
 		}
 		if r.Prefix.Addr().Is4() {
-			v4++
+			rs.v4++
 			if r.HasDistinctCustomer() {
-				v4DC++
+				rs.v4DC++
 			}
 			if r.RPKICert != "" {
-				v4RPKI++
+				rs.v4RPKI++
 			}
 		} else {
-			v6++
+			rs.v6++
 			if r.HasDistinctCustomer() {
-				v6DC++
+				rs.v6DC++
 			}
 			if r.RPKICert != "" {
-				v6RPKI++
+				rs.v6RPKI++
 			}
 		}
 	}
-	dcNames := make(map[string]bool, len(rawDC))
+	rs.origins = len(origins)
+	rs.dcNames = make(map[string]bool, len(rawDC))
 	for dc := range rawDC {
 		// Most customers are Direct Owners elsewhere (or of the same
 		// block): their basic-cleaned form is already traced.
 		if s, ok := clean.traced[dc]; ok {
-			dcNames[s.Basic] = true
+			rs.dcNames[s.Basic] = true
 		} else {
-			dcNames[basicClean(dc)] = true
+			rs.dcNames[basicClean(dc)] = true
 		}
 	}
+	return rs
+}
+
+// computeStats completes the Stats from the record-only half rs and the
+// outcome of the cluster pass.
+func (d *Dataset) computeStats(cres *cluster.Result, clean *cleanState, unmapped int, rs *recordStats) {
+	s := &d.Stats
+	s.Unmapped = unmapped
+
+	// The records' Direct Owner names are exactly the clean-names corpus,
+	// which already holds their distinct basic-cleaned and base forms.
+	doNames := clean.owners
+	v4, v6 := rs.v4, rs.v6
 	s.IPv4Prefixes, s.IPv6Prefixes = v4, v6
 	s.DirectOwners = len(doNames)
-	s.DelegatedCustomers = len(dcNames)
-	for n := range dcNames {
+	s.DelegatedCustomers = len(rs.dcNames)
+	for n := range rs.dcNames {
 		if !doNames[n] {
 			s.OnlyCustomers++
 		}
 	}
 	s.BaseNames = clean.baseNames
-	s.OriginASNs = len(origins)
+	s.OriginASNs = rs.origins
 	s.PrefixRPKIGroups = cres.RGroups
 	s.PrefixASNGroups = cres.AGroups
 	s.RPKIMultiNameGroups = cres.RMultiName
@@ -98,10 +117,10 @@ func (d *Dataset) computeStats(cres *cluster.Result, clean *cleanState, unmapped
 	if totalV4Space > 0 {
 		s.PctV4SpaceInMultiName = 100 * mnV4Space / totalV4Space
 	}
-	s.PctV4DistinctDC = pct(v4DC, v4)
-	s.PctV6DistinctDC = pct(v6DC, v6)
-	s.PctV4InRPKI = pct(v4RPKI, v4)
-	s.PctV6InRPKI = pct(v6RPKI, v6)
+	s.PctV4DistinctDC = pct(rs.v4DC, v4)
+	s.PctV6DistinctDC = pct(rs.v6DC, v6)
+	s.PctV4InRPKI = pct(rs.v4RPKI, v4)
+	s.PctV6InRPKI = pct(rs.v6RPKI, v6)
 	s.NameCleaning = clean.steps
 }
 
