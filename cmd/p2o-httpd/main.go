@@ -1,6 +1,6 @@
 // Command p2o-httpd serves a Prefix2Org dataset over HTTP/JSON — the
-// fleet-facing query front end next to p2o-whoisd (RFC 3912) and
-// p2o-rtrd (RPKI-to-Router). API.md is the complete wire reference.
+// fleet-facing query front end next to p2o-whoisd (RFC 3912). API.md is
+// the complete wire reference.
 //
 // Usage:
 //

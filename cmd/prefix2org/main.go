@@ -12,7 +12,7 @@
 // "lookup" prints the Listing-1-style JSON record for each prefix;
 // "cluster" prints the final cluster containing an organization name;
 // "export" streams the whole dataset as JSON lines; "export-snapshot"
-// writes a reloadable snapshot for p2o-whoisd, p2o-rtrd and p2o-diff —
+// writes a reloadable snapshot for p2o-whoisd, p2o-httpd and p2o-diff —
 // binary (the offset-based P2OSNAP v2 serve format: dataset plus the
 // frozen LPM index, openable in place via -snapshot-mmap) unless OUT
 // ends in .json/.jsonl, which selects the JSON-lines release format; "stats" prints the Table 4 metrics. With

@@ -27,18 +27,13 @@ var ErrNoChange = errors.New("prefix2org: inputs unchanged since previous build"
 var ErrNoDeltaState = errors.New("prefix2org: previous dataset has no delta state (build with Options.Incremental)")
 
 // DeltaResult is the outcome of a build from a data directory: an
-// incremental one (BuildDelta) or a full one (BuildFull), which is the
-// delta from no previous build.
+// incremental one (BuildDelta) or a full one (BuildFromDir), which is
+// the delta from no previous build.
 type DeltaResult struct {
 	// Dataset is the new snapshot, byte-identical to what a full
 	// BuildFromDir over the same directory would produce. It carries
 	// fresh delta state, so deltas chain.
 	Dataset *Dataset
-	// Repo is the RPKI repository the Dataset was resolved against —
-	// freshly parsed when an rpki/ file changed, otherwise the previous
-	// build's repository, so snapshot plumbing can serve it without
-	// reading rpki/ a second time.
-	Repo *rpki.Repository
 	// ChangedFiles lists the manifest-relative paths that differed from
 	// the previous build's manifest — every hashed file for a full build,
 	// nil when a full build hashed none (Options.Incremental unset).
@@ -47,10 +42,6 @@ type DeltaResult struct {
 	// number spliced unchanged from the previous pass-1 output; Removed
 	// the number of previously routed prefixes no longer in the table.
 	Affected, Reused, Removed int
-	// RPKIChanged reports whether any rpki/ input changed — the signal
-	// that VRPs (and hence the RTR serial) may differ even when no
-	// Record does.
-	RPKIChanged bool
 }
 
 // BuildDelta incrementally rebuilds the Dataset for dir against a
@@ -178,13 +169,7 @@ func rebuild(ctx context.Context, tr *obs.Trace, prev *Dataset, next *buildState
 	span.Add("unmapped", int64(unmapped))
 	span.End()
 
-	res := &DeltaResult{
-		Repo:        env.repo,
-		Affected:    len(idxs),
-		Reused:      reused,
-		Removed:     removed,
-		RPKIChanged: env.repo != old.env.repo || prev == nil,
-	}
+	res := &DeltaResult{Affected: len(idxs), Reused: reused, Removed: removed}
 	retain := prev != nil || opts.Incremental
 	if !retain {
 		// No later build will splice against this one, and finish reads
@@ -353,7 +338,7 @@ func entrySlicesEqual(a, b []whois.Entry) bool {
 // for changed certs) — the address regions where ChildMostRC answers,
 // and hence Record.RPKICert and the Legacy-Not-Sponsored inference, may
 // differ. ROA-only changes contribute nothing: ROAs never reach
-// Records; they surface through DeltaResult.RPKIChanged instead.
+// Records.
 func certDiff(oldRepo, newRepo *rpki.Repository) []netip.Prefix {
 	oldBySKI := make(map[string]*rpki.Certificate, len(oldRepo.Certs))
 	for i := range oldRepo.Certs {

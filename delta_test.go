@@ -63,7 +63,7 @@ func TestDeltaEquivalence(t *testing.T) {
 		// wantAffected: the step must force some re-resolution.
 		// Revocations are ROA-only (synth keeps the certificates), so
 		// no Record changes — the delta legitimately re-resolves
-		// nothing and only flags RPKIChanged.
+		// nothing.
 		wantAffected bool
 		// wantReused: most slots splice. A date shift (MonthsLater)
 		// touches every WHOIS record's Updated field, so the whole
@@ -103,8 +103,8 @@ func TestDeltaEquivalence(t *testing.T) {
 		if tc.wantReused && res.Reused == 0 {
 			t.Errorf("step %d (%+v): delta reused nothing; expected most slots to splice", i, step)
 		}
-		t.Logf("step %d: changed=%d affected=%d reused=%d removed=%d rpki=%v",
-			i, len(res.ChangedFiles), res.Affected, res.Reused, res.Removed, res.RPKIChanged)
+		t.Logf("step %d: changed=%d affected=%d reused=%d removed=%d",
+			i, len(res.ChangedFiles), res.Affected, res.Reused, res.Removed)
 		prev = res.Dataset
 	}
 
@@ -115,8 +115,8 @@ func TestDeltaEquivalence(t *testing.T) {
 }
 
 // TestDeltaSourceScoping checks that single-source churn re-parses and
-// re-resolves narrowly: a BGP-only evolution step must not mark RPKI
-// changed, and must touch only the bgp/ file.
+// re-resolves narrowly: a BGP-only evolution step must not re-parse
+// rpki/, and must touch only the bgp/ file.
 func TestDeltaSourceScoping(t *testing.T) {
 	ctx := context.Background()
 	w, err := synth.Generate(synth.DefaultConfig())
@@ -145,11 +145,8 @@ func TestDeltaSourceScoping(t *testing.T) {
 	if len(res.ChangedFiles) != 1 || res.ChangedFiles[0] != "bgp/rib.mrt" {
 		t.Errorf("ChangedFiles = %v, want [bgp/rib.mrt]", res.ChangedFiles)
 	}
-	if res.RPKIChanged {
-		t.Errorf("RPKIChanged = true for BGP-only churn")
-	}
-	if res.Repo != prev.state.env.repo {
-		t.Errorf("Repo was reloaded despite rpki/ being untouched")
+	if res.Dataset.state.env.repo != prev.state.env.repo {
+		t.Errorf("the RPKI repository was reloaded despite rpki/ being untouched")
 	}
 	total := len(res.Dataset.state.routed)
 	if res.Affected >= total/2 {

@@ -116,7 +116,7 @@ func TestManifestHashedBeforeLoads(t *testing.T) {
 	}
 
 	// The build parsed the new RIB under a manifest that holds the old one.
-	for _, e := range first.ds.InputManifest().Entries {
+	for _, e := range first.ds.state.manifest.Entries {
 		if e.Path == rib && e.SHA256 == sha256.Sum256(newRIB) {
 			t.Fatal("the manifest holds the replacement's hash: it was not hashed before the loads")
 		}

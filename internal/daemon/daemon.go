@@ -1,22 +1,22 @@
-// Package daemon is the skeleton the three serving daemons (p2o-whoisd,
-// p2o-httpd, p2o-rtrd) share: the common flags, the one start sequence
-// wiring snapshot source, store, reloader, admin listener and protocol
-// front end, the signal loop, and — for the front ends themselves — the
-// TCP accept loop (Listen) and the query resolver (Resolve). A daemon's
-// main supplies a Spec: its name, and how to construct its server.
+// Package daemon is the skeleton the two serving daemons (p2o-whoisd,
+// p2o-httpd) share: the common flags, the one start sequence wiring
+// snapshot source, store, reloader, admin listener and protocol front
+// end, the signal loop, and — for the front ends themselves — the TCP
+// accept loop (Listen) and the query resolver (Resolve). A daemon's main
+// supplies a Spec: its name, and how to construct its server.
 //
 // What every daemon does the same way, documented here once:
 //
-// -data builds from a data directory. -snapshot (dataset daemons only)
-// instead opens either format `prefix2org export-snapshot` writes — the
-// binary serve format (which carries the pre-built LPM index and loads
-// several times faster) or JSON lines — detected from the file
-// contents, not the name. -snapshot-mmap serves a v2 binary snapshot in
-// place: the file is mapped read-only and queried directly (records
-// materialize lazily on first touch), so startup is near-instant and
-// replicas pointed at the same file share page cache; the mapping of a
-// swapped-out snapshot is released only after its last in-flight query
-// drops its pin. Other formats fall back to the normal eager load.
+// -data builds from a data directory. -snapshot instead opens either
+// format `prefix2org export-snapshot` writes — the binary serve format
+// (which carries the pre-built LPM index and loads several times
+// faster) or JSON lines — detected from the file contents, not the
+// name. -snapshot-mmap serves a v2 binary snapshot in place: the file
+// is mapped read-only and queried directly (records materialize lazily
+// on first touch), so startup is near-instant and replicas pointed at
+// the same file share page cache; the mapping of a swapped-out snapshot
+// is released only after its last in-flight query drops its pin. Other
+// formats fall back to the normal eager load.
 //
 // The daemon serves immutable snapshots from a hot-swappable store and
 // picks up new data without restarting: SIGHUP rebuilds from the source
@@ -32,8 +32,9 @@
 // or ?format=json), /healthz, /reload, /debug/queries and /debug/pprof/.
 // /healthz is a readiness probe, and the start sequence holds one
 // invariant for it: it does not answer 200 until the query listener
-// accepts connections, because the store's first Swap — what flips
-// readiness — happens only after the front end's Start has returned.
+// accepts connections. The listener is bound before the first build, and
+// the store's first Swap — what flips readiness — comes after that
+// build.
 package daemon
 
 import (
@@ -61,9 +62,7 @@ type FrontEnd interface {
 	Close() error
 }
 
-// Spec is what differs between the daemons. Exactly one of Dataset and
-// Repo is set; which one fixes what the daemon builds from and when its
-// listener comes up.
+// Spec is what differs between the daemons.
 type Spec struct {
 	// Name is the command name ("p2o-httpd"): the logger component and
 	// the prefix of fatal errors.
@@ -74,17 +73,12 @@ type Spec struct {
 	// the -slo-target / -slow-query-threshold / -query-sample flags and
 	// mounted at /debug/queries.
 	Telemetry *obs.QueryTelemetry
-	// Dataset constructs the front end of a daemon that serves datasets,
-	// built from -data or opened from -snapshot. Its listener is bound
-	// before the first build: the protocol has a not-ready answer, so
-	// early clients get that rather than connection refused, and a bad
-	// -listen fails before the build is paid for.
+	// Dataset constructs the front end, which answers from the datasets
+	// st serves, built from -data or opened from -snapshot. Its listener
+	// is bound before the first build: the protocol has a not-ready
+	// answer, so early clients get that rather than connection refused,
+	// and a bad -listen fails before the build is paid for.
 	Dataset func(st *store.Store) FrontEnd
-	// Repo constructs the front end of a daemon that serves only -data's
-	// RPKI repository, from the first loaded snapshot. Its listener is
-	// bound after that load (and before it is published): RTR has no
-	// not-ready answer, and a router must never sync an empty VRP set.
-	Repo func(st *store.Store, first *store.Snapshot) FrontEnd
 }
 
 // Flags holds the values of the flags every daemon shares.
@@ -103,23 +97,20 @@ type Flags struct {
 	LogJSON        bool
 }
 
-// RegisterFlags registers spec's shared flags on fs. A repository
-// daemon has no -snapshot mode: serialized dataset snapshots carry the
-// prefix-to-organization records but not the raw RPKI repository.
+// RegisterFlags registers the shared flags on fs, with spec's -listen
+// default.
 func RegisterFlags(fs *flag.FlagSet, spec Spec) *Flags {
 	var f Flags
 	fs.StringVar(&f.DataDir, "data", "", "data directory to build from")
-	if spec.Repo == nil {
-		fs.StringVar(&f.Snapshot, "snapshot", "", "pre-built dataset snapshot (alternative to -data)")
-		fs.BoolVar(&f.SnapshotMmap, "snapshot-mmap", false, "serve a v2 binary -snapshot in place via mmap (lazy materialization, shared page cache)")
-	}
+	fs.StringVar(&f.Snapshot, "snapshot", "", "pre-built dataset snapshot (alternative to -data)")
+	fs.BoolVar(&f.SnapshotMmap, "snapshot-mmap", false, "serve a v2 binary -snapshot in place via mmap (lazy materialization, shared page cache)")
 	fs.StringVar(&f.Listen, "listen", spec.Listen, "address to serve queries on")
 	fs.StringVar(&f.MetricsListen, "metrics-listen", "", "address for the admin HTTP listener (/metrics, /healthz, /reload, /debug/queries, pprof); empty disables it")
 	fs.DurationVar(&f.ReloadInterval, "reload-interval", 0, "rebuild and swap the snapshot periodically (e.g. 1h); 0 reloads only on SIGHUP or /reload")
 	fs.BoolVar(&f.ReloadDelta, "reload-delta", false, "rebuild incrementally on reload: re-read only the input files whose content hash changed, skip the swap when none did (requires -data)")
-	fs.DurationVar(&f.SLOTarget, "slo-target", 0, "latency SLO per query or PDU exchange (e.g. 5ms); those over it count in the daemon's *_slo_violations_total; 0 disables")
-	fs.DurationVar(&f.SlowThreshold, "slow-query-threshold", 250*time.Millisecond, "capture and log queries or PDU exchanges slower than this; 0 disables")
-	fs.IntVar(&f.QuerySample, "query-sample", 16, "record a detailed span for 1 in N queries or PDU exchanges on /debug/queries; 0 disables sampling")
+	fs.DurationVar(&f.SLOTarget, "slo-target", 0, "latency SLO per query (e.g. 5ms); those over it count in the daemon's *_slo_violations_total; 0 disables")
+	fs.DurationVar(&f.SlowThreshold, "slow-query-threshold", 250*time.Millisecond, "capture and log queries slower than this; 0 disables")
+	fs.IntVar(&f.QuerySample, "query-sample", 16, "record a detailed span for 1 in N queries on /debug/queries; 0 disables sampling")
 	fs.StringVar(&f.LogLevel, "log-level", "info", "log level: debug|info|warn|error")
 	fs.BoolVar(&f.LogJSON, "log-json", false, "emit logs as JSON instead of text")
 	return &f
@@ -127,12 +118,8 @@ func RegisterFlags(fs *flag.FlagSet, spec Spec) *Flags {
 
 // source picks the snapshot source the flags name, plus its label for
 // the pending store; an error is a usage error (Main exits 2 on it).
-func (f *Flags) source(spec Spec) (store.Source, string, error) {
+func (f *Flags) source() (store.Source, string, error) {
 	switch {
-	case spec.Repo != nil && f.DataDir == "":
-		return store.Source{}, "", errors.New("-data is required")
-	case spec.Repo != nil:
-		return store.RepoSource(f.DataDir, f.ReloadDelta), f.DataDir, nil
 	case (f.DataDir == "") == (f.Snapshot == ""):
 		return store.Source{}, "", errors.New("exactly one of -data or -snapshot is required")
 	case f.Snapshot == "":
@@ -153,7 +140,7 @@ func (f *Flags) source(spec Spec) (store.Source, string, error) {
 func Main(ctx context.Context, spec Spec) {
 	f := RegisterFlags(flag.CommandLine, spec)
 	flag.Parse()
-	if _, _, err := f.source(spec); err != nil {
+	if _, _, err := f.source(); err != nil {
 		fmt.Fprintln(os.Stderr, spec.Name+":", err)
 		os.Exit(2)
 	}
@@ -192,9 +179,9 @@ type App struct {
 }
 
 // Start runs the one start sequence: logging, snapshot source, pending
-// store, reloader, telemetry flags, admin routes, then the front-end
-// listener and the first build (in the order the Spec's constructor
-// fixes), the Swap that flips /healthz to ready, and the reload loop.
+// store, reloader, telemetry flags, admin routes, the front-end
+// listener, the first build, the Swap that flips /healthz to ready, and
+// the reload loop.
 // On error whatever was started is closed again.
 func Start(ctx context.Context, spec Spec, f Flags) (_ *App, err error) {
 	level, err := obs.ParseLevel(f.LogLevel)
@@ -202,7 +189,7 @@ func Start(ctx context.Context, spec Spec, f Flags) (_ *App, err error) {
 		return nil, err
 	}
 	obs.Configure(level, f.LogJSON, os.Stderr)
-	src, label, err := f.source(spec)
+	src, label, err := f.source()
 	if err != nil {
 		return nil, err
 	}
@@ -235,21 +222,13 @@ func Start(ctx context.Context, spec Spec, f Flags) (_ *App, err error) {
 		a.AdminAddr = a.admin.Addr()
 		a.logger.Info("admin listener up", "addr", a.AdminAddr)
 	}
-	if spec.Dataset != nil {
-		a.front = spec.Dataset(st)
-		if a.Addr, err = a.front.Start(ctx, f.Listen); err != nil {
-			return nil, err
-		}
+	a.front = spec.Dataset(st)
+	if a.Addr, err = a.front.Start(ctx, f.Listen); err != nil {
+		return nil, err
 	}
 	snap, err := src.Build(ctx)
 	if err != nil {
 		return nil, err
-	}
-	if spec.Repo != nil {
-		a.front = spec.Repo(st, snap)
-		if a.Addr, err = a.front.Start(ctx, f.Listen); err != nil {
-			return nil, err
-		}
 	}
 	st.Swap(snap)
 	a.reloaded = make(chan struct{})

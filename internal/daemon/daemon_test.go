@@ -23,9 +23,8 @@ import (
 // fakeFront is a front end that binds nothing: it records the order the
 // skeleton drives it in, and can hold Start open or fail it.
 type fakeFront struct {
-	first    *store.Snapshot // what a Repo constructor was handed
-	entered  chan struct{}   // closed when Start is entered
-	release  chan struct{}   // Start returns once this is closed
+	entered  chan struct{} // closed when Start is entered
+	release  chan struct{} // Start returns once this is closed
 	startErr error
 	closed   chan struct{}
 }
@@ -49,31 +48,21 @@ func (f *fakeFront) Close() error {
 
 var fakeTelemetry = obs.NewQueryTelemetry(obs.QueryTelemetryConfig{Logger: obs.Logger("fake")})
 
-// datasetSpec and repoSpec are the two daemon shapes over one fake.
+// datasetSpec is the daemon shape over one fake.
 func datasetSpec(f *fakeFront) daemon.Spec {
 	return daemon.Spec{Name: "fake-dataset", Listen: "127.0.0.1:0", Telemetry: fakeTelemetry,
 		Dataset: func(*store.Store) daemon.FrontEnd { return f }}
 }
 
-func repoSpec(f *fakeFront) daemon.Spec {
-	return daemon.Spec{Name: "fake-repo", Listen: "127.0.0.1:0", Telemetry: fakeTelemetry,
-		Repo: func(_ *store.Store, first *store.Snapshot) daemon.FrontEnd {
-			f.first = first
-			return f
-		}}
-}
-
 func TestStartRejectsBadLevel(t *testing.T) {
 	_, dir := daemontest.World(t)
-	for _, spec := range []daemon.Spec{datasetSpec(newFake()), repoSpec(newFake())} {
-		if _, err := daemon.Start(context.Background(), spec, daemon.Flags{DataDir: dir, LogLevel: "loud"}); err == nil {
-			t.Errorf("%s: bad log level accepted", spec.Name)
-		}
+	if _, err := daemon.Start(context.Background(), datasetSpec(newFake()), daemon.Flags{DataDir: dir, LogLevel: "loud"}); err == nil {
+		t.Error("bad log level accepted")
 	}
 }
 
-// TestStartRejectsBadSources is the flag validation the three mains used
-// to repeat before calling start.
+// TestStartRejectsBadSources is the flag validation the mains used to
+// repeat before calling start.
 func TestStartRejectsBadSources(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -84,7 +73,6 @@ func TestStartRejectsBadSources(t *testing.T) {
 		{"neither", datasetSpec(newFake()), daemon.Flags{}, "exactly one of -data or -snapshot"},
 		{"both", datasetSpec(newFake()), daemon.Flags{DataDir: "d", Snapshot: "s"}, "exactly one of -data or -snapshot"},
 		{"delta on a snapshot", datasetSpec(newFake()), daemon.Flags{Snapshot: "s", ReloadDelta: true}, "-reload-delta requires -data"},
-		{"repo without data", repoSpec(newFake()), daemon.Flags{}, "-data is required"},
 	} {
 		tc.flags.LogLevel = "warn"
 		_, err := daemon.Start(context.Background(), tc.spec, tc.flags)
@@ -113,8 +101,8 @@ func TestStartSnapshotMode(t *testing.T) {
 		front := newFake()
 		a := daemontest.Boot(context.Background(), t, datasetSpec(front), daemon.Flags{Snapshot: path, SnapshotMmap: tc.mmap})
 		snap := a.Store.Current()
-		if snap.Version != 1 || snap.Dataset.NumRecords() != ds.NumRecords() || snap.Repo != nil {
-			t.Errorf("%s mmap=%v: serving %s, want v1 with %d records and no repository",
+		if snap.Version != 1 || snap.Dataset.NumRecords() != ds.NumRecords() {
+			t.Errorf("%s mmap=%v: serving %s, want v1 with %d records",
 				tc.file, tc.mmap, snap.Describe(), ds.NumRecords())
 		}
 		if lazy := snap.Dataset.Lazy(); lazy != (tc.file == "snap.p2o") {
@@ -154,8 +142,8 @@ func TestAdminSurface(t *testing.T) {
 	}
 }
 
-// TestReloadEndpoint exercises the admin /reload wiring for both daemon
-// shapes, full and incremental: an untouched directory reloads to a new
+// TestReloadEndpoint exercises the admin /reload wiring, full and
+// incremental: an untouched directory reloads to a new
 // version (full) or not at all (-reload-delta), a rewritten one swaps —
 // by delta, without a fallback, when asked to — and a broken one leaves
 // the stale snapshot serving.
@@ -163,17 +151,14 @@ func TestReloadEndpoint(t *testing.T) {
 	counter := func(name string) int64 { return obs.Default().Counter(name).Value() }
 	for _, tc := range []struct {
 		name  string
-		spec  func(*fakeFront) daemon.Spec
 		delta bool
 	}{
-		{"dataset full", datasetSpec, false},
-		{"dataset delta", datasetSpec, true},
-		{"repo full", repoSpec, false},
-		{"repo delta", repoSpec, true},
+		{"dataset full", false},
+		{"dataset delta", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w, dir := daemontest.World(t)
-			a := daemontest.Boot(context.Background(), t, tc.spec(newFake()), daemon.Flags{DataDir: dir, ReloadDelta: tc.delta})
+			a := daemontest.Boot(context.Background(), t, datasetSpec(newFake()), daemon.Flags{DataDir: dir, ReloadDelta: tc.delta})
 			reload := func(wantStatus int) {
 				t.Helper()
 				if status, body := daemontest.Get(t, a, "/reload"); status != wantStatus {
@@ -182,10 +167,6 @@ func TestReloadEndpoint(t *testing.T) {
 			}
 			version := func() uint64 { return a.Store.Current().Version }
 
-			// The repo shape starts without a manifest, so its first
-			// delta self-primes with a real reload; get that out of
-			// the way before checking the no-op.
-			reload(200)
 			v := version()
 			noops := counter("store_reloads_noop_total")
 			reload(200)
@@ -216,8 +197,8 @@ func TestReloadEndpoint(t *testing.T) {
 					t.Errorf("delta reloads +%d, fallbacks +%d; want +1, +0",
 						counter("store_delta_reloads_total")-deltas, counter("store_delta_fallbacks_total")-fallbacks)
 				}
-				if cs := a.Store.Current().Changes; cs == nil || !cs.VRPsChanged {
-					t.Errorf("delta snapshot changeset = %+v, want VRPsChanged", cs)
+				if cs := a.Store.Current().Changes; cs == nil || cs.Empty() {
+					t.Errorf("delta snapshot changeset = %+v, want the changes", cs)
 				}
 			}
 
@@ -234,64 +215,50 @@ func TestReloadEndpoint(t *testing.T) {
 }
 
 // TestReadinessFollowsListener is the readiness invariant: /healthz
-// answers 503 until the front end's Start has returned — for a dataset
-// daemon that is before the first build, for a repository daemon after
-// it (the constructor already holds the loaded snapshot) but before it
-// is published.
+// answers 503 until the front end's Start has returned, which is before
+// the first build.
 func TestReadinessFollowsListener(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		spec func(*fakeFront) daemon.Spec
-		repo bool
-	}{{"dataset", datasetSpec, false}, {"repo", repoSpec, true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			_, dir := daemontest.World(t)
-			front := newFake()
-			front.release = make(chan struct{}) // hold Start open
-			admin := freeAddr(t)
+	t.Run("dataset", func(t *testing.T) {
+		_, dir := daemontest.World(t)
+		front := newFake()
+		front.release = make(chan struct{}) // hold Start open
+		admin := freeAddr(t)
 
-			type started struct {
-				app *daemon.App
-				err error
+		type started struct {
+			app *daemon.App
+			err error
+		}
+		done := make(chan started, 1)
+		go func() {
+			a, err := daemon.Start(context.Background(), datasetSpec(front),
+				daemon.Flags{DataDir: dir, Listen: "127.0.0.1:0", MetricsListen: admin, LogLevel: "warn"})
+			done <- started{a, err}
+		}()
+		select {
+		case <-front.entered:
+		case s := <-done:
+			t.Fatalf("Start returned before the front end was started: %v", s.err)
+		case <-time.After(30 * time.Second):
+			t.Fatal("front end never started")
+		}
+		// The listener is not accepting yet: readiness must say so,
+		// however long the prober keeps asking.
+		for i := 0; i < 20; i++ {
+			if status := healthz(t, admin); status != http.StatusServiceUnavailable {
+				t.Fatalf("/healthz = %d while the query listener is not up, want 503", status)
 			}
-			done := make(chan started, 1)
-			go func() {
-				a, err := daemon.Start(context.Background(), tc.spec(front),
-					daemon.Flags{DataDir: dir, Listen: "127.0.0.1:0", MetricsListen: admin, LogLevel: "warn"})
-				done <- started{a, err}
-			}()
-			select {
-			case <-front.entered:
-			case s := <-done:
-				t.Fatalf("Start returned before the front end was started: %v", s.err)
-			case <-time.After(30 * time.Second):
-				t.Fatal("front end never started")
-			}
-			if got := (front.first != nil); got != tc.repo {
-				t.Errorf("front end constructed from a first snapshot = %v, want %v", got, tc.repo)
-			}
-			if tc.repo && (front.first.Repo == nil || len(front.first.Repo.ROAs) == 0) {
-				t.Error("repository front end was handed an empty repository")
-			}
-			// The listener is not accepting yet: readiness must say so,
-			// however long the prober keeps asking.
-			for i := 0; i < 20; i++ {
-				if status := healthz(t, admin); status != http.StatusServiceUnavailable {
-					t.Fatalf("/healthz = %d while the query listener is not up, want 503", status)
-				}
-				time.Sleep(time.Millisecond)
-			}
-			close(front.release)
-			s := <-done
-			if s.err != nil {
-				t.Fatal(s.err)
-			}
-			defer s.app.Close()
-			if status := healthz(t, admin); status != http.StatusOK {
-				t.Errorf("/healthz = %d after Start returned, want 200", status)
-			}
-		})
-	}
+			time.Sleep(time.Millisecond)
+		}
+		close(front.release)
+		s := <-done
+		if s.err != nil {
+			t.Fatal(s.err)
+		}
+		defer s.app.Close()
+		if status := healthz(t, admin); status != http.StatusOK {
+			t.Errorf("/healthz = %d after Start returned, want 200", status)
+		}
+	})
 }
 
 // TestBadListenFailsBeforeBuild: a dataset daemon whose listener cannot
@@ -332,8 +299,8 @@ func healthz(t *testing.T, admin string) int {
 	return resp.StatusCode
 }
 
-// writeBroken corrupts the directory's RPKI snapshot, which every
-// source shape reads.
+// writeBroken corrupts the directory's RPKI snapshot, which every build
+// reads.
 func writeBroken(dir string) error {
 	return os.WriteFile(filepath.Join(dir, rpki.SnapshotFile), []byte("{broken"), 0o644)
 }

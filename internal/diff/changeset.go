@@ -35,17 +35,12 @@ type OrgChange struct {
 }
 
 // Changeset is the exact delta between two snapshots, published on the
-// store alongside each swap so downstream consumers — the RTR serial
-// bump, the httpd response cache — can react to what actually changed
-// instead of recomputing or flushing wholesale.
+// store alongside each swap so downstream consumers — the httpd response
+// cache — can react to what actually changed instead of recomputing or
+// flushing wholesale.
 type Changeset struct {
 	Prefixes []PrefixChange
 	Orgs     []OrgChange
-	// VRPsChanged reports whether the RPKI repository (and hence the
-	// RTR VRP set) may differ; false lets p2o-rtrd keep its serial.
-	// It is set by the snapshot builder from the input manifest, not
-	// derived from the datasets (ROAs are invisible to Records).
-	VRPsChanged bool
 }
 
 // Empty reports a changeset with no record- or org-level differences.
@@ -66,12 +61,8 @@ func (c *Changeset) Summary() string {
 			changed++
 		}
 	}
-	vrps := "vrps unchanged"
-	if c.VRPsChanged {
-		vrps = "vrps changed"
-	}
-	return fmt.Sprintf("+%d ~%d -%d prefixes, %d org changes, %s",
-		added, changed, removed, len(c.Orgs), vrps)
+	return fmt.Sprintf("+%d ~%d -%d prefixes, %d org changes",
+		added, changed, removed, len(c.Orgs))
 }
 
 // recordsEqual compares every field a snapshot serializes for one

@@ -80,7 +80,7 @@ func (r *Registry) Handler() http.Handler {
 
 // Admin is the opt-in observability listener: /metrics, /healthz, the
 // net/http/pprof endpoints under /debug/pprof/, and any extra Routes
-// the daemon mounts (p2o-whoisd and p2o-rtrd mount /reload here).
+// the daemon mounts (p2o-whoisd and p2o-httpd mount /reload here).
 type Admin struct {
 	lis  net.Listener
 	srv  *http.Server

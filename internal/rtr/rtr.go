@@ -1,13 +1,15 @@
-// Package rtr implements the RPKI-to-Router protocol (RFC 8210, version
-// 1) over TCP: the channel through which the validated ROA payloads
-// (VRPs) the paper analyzes in §8.2 actually reach routers.
+// Package rtr is the RPKI-to-Router protocol (RFC 8210, version 1) over
+// TCP, kept only as the benchmark's VRP probe: bench/ derives the VRP
+// set of a data directory's RPKI repository, serves it from a Server on
+// a loopback port, and times a Client's Reset Query sync of it (the
+// rtr.* layer metrics). No daemon serves it, and the pipeline reads no
+// VRP: it uses the RPKI repository's certificates, and its ROAs only in
+// the §8.2 case study.
 //
-// The server publishes the ROA set of an rpki.Repository; the client
-// performs a Reset Query synchronization and returns the VRP set. The
-// subset implemented is the session-less transport: Reset Query, Serial
-// Query (answered with Cache Reset when the serial is stale, or an empty
-// delta when current), Cache Response, IPvX Prefix PDUs, End of Data, and
-// Error Report.
+// The subset implemented is the session-less transport over one fixed
+// VRP set: Reset Query, Serial Query (answered with Cache Reset when the
+// serial is stale, or an empty delta when current), Cache Response, IPvX
+// Prefix PDUs, End of Data, and Error Report.
 package rtr
 
 import (
@@ -18,61 +20,15 @@ import (
 	"net"
 	"net/netip"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/prefix2org/prefix2org/internal/daemon"
 	"github.com/prefix2org/prefix2org/internal/obs"
 	"github.com/prefix2org/prefix2org/internal/rpki"
-	"github.com/prefix2org/prefix2org/internal/store"
 )
 
-// Server metrics, registered on the process-wide registry.
-var (
-	mResetQueries  = obs.Default().Counter(obs.Label("rtr_pdus_total", "type", "reset_query"))
-	mSerialQueries = obs.Default().Counter(obs.Label("rtr_pdus_total", "type", "serial_query"))
-	mUnsupported   = obs.Default().Counter(obs.Label("rtr_pdus_total", "type", "unsupported"))
-	mSnapshots     = obs.Default().Counter("rtr_snapshots_sent_total")
-	mSerialSkips   = obs.Default().Counter("rtr_serial_skips_total")
-	mAcceptErrors  = obs.Default().Counter("rtr_accept_errors_total")
-	mServeErrors   = obs.Default().Counter("rtr_serve_errors_total")
-	mSnapshotTime  = obs.Default().Histogram("rtr_snapshot_seconds", obs.DefBuckets)
-	mVRPs          = obs.Default().Gauge("rtr_vrps")
-
-	// Session-level health: how many routers are connected right now, how
-	// far behind the cache the last polling router was, how often routers
-	// are forced through a full resync, and why sessions die.
-	mSessionsActive = obs.Default().Gauge("rtr_sessions_active")
-	mSerialLag      = obs.Default().Gauge("rtr_session_serial_lag")
-	mResyncs        = obs.Default().Counter("rtr_resyncs_total")
-	mSLOViolations  = obs.Default().Counter("rtr_slo_violations_total")
-	mPDUTime        = obs.Default().Histogram("rtr_pdu_seconds", obs.DefBuckets)
-
-	mDropReadError  = obs.Default().Counter(obs.Label("rtr_dropped_total", "reason", "read_error"))
-	mDropBadLength  = obs.Default().Counter(obs.Label("rtr_dropped_total", "reason", "bad_length"))
-	mDropWriteError = obs.Default().Counter(obs.Label("rtr_dropped_total", "reason", "write_error"))
-	mDropUnsupPDU   = obs.Default().Counter(obs.Label("rtr_dropped_total", "reason", "unsupported_pdu"))
-
-	logger = obs.Logger("rtr")
-
-	// telemetry accounts each served PDU exchange: the rolling quantile
-	// window behind rtr_pdu_seconds_p* and the /debug/queries rings.
-	telemetry = obs.NewQueryTelemetry(obs.QueryTelemetryConfig{
-		Latency:       mPDUTime,
-		SLOViolations: mSLOViolations,
-		Logger:        logger,
-	})
-)
-
-func init() {
-	obs.Default().GaugeFunc("rtr_pdu_seconds_p50", func() float64 { return telemetry.Quantile(0.50) })
-	obs.Default().GaugeFunc("rtr_pdu_seconds_p99", func() float64 { return telemetry.Quantile(0.99) })
-}
-
-// Telemetry returns the package's PDU telemetry: daemons wire the
-// -slo-target / -slow-query-threshold / -query-sample flags and mount
-// its DebugHandler at /debug/queries.
-func Telemetry() *obs.QueryTelemetry { return telemetry }
+// logger reports the listener's failed accepts.
+var logger = obs.Logger("rtr")
 
 // Protocol constants (RFC 8210).
 const (
@@ -209,231 +165,93 @@ func parsePrefixPDU(pduType byte, body []byte) (VRP, bool, error) {
 
 // --- server ------------------------------------------------------------------
 
-// Server serves one VRP snapshot over RTR.
+// Server serves one fixed VRP snapshot over RTR, under one session and
+// one serial: nothing replaces its set once built.
 type Server struct {
-	mu      sync.RWMutex
-	repo    *rpki.Repository // what vrps was derived from
-	vrps    []VRP
-	serial  uint32
-	session uint16
-
-	baseCtx context.Context
-
-	lis     daemon.Listener
-	untrack func() // detaches from the store Track subscribed to
+	vrps []VRP
+	lis  daemon.Listener
 }
 
-// NewServer builds a server over the repository's current ROA set.
+// The session and serial a Server answers under.
+const (
+	serverSession = 0x2bad
+	serverSerial  = 1
+)
+
+// NewServer builds a server over the repository's ROA set.
 func NewServer(repo *rpki.Repository) *Server {
-	vrps := VRPsFromRepository(repo)
-	mVRPs.Set(float64(len(vrps)))
-	return &Server{repo: repo, vrps: vrps, serial: 1, session: 0x2bad}
+	return &Server{vrps: VRPsFromRepository(repo)}
 }
 
-// Update replaces the served VRP set (a new validation run), bumping the
-// serial.
-func (s *Server) Update(repo *rpki.Repository) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.repo = repo
-	s.vrps = VRPsFromRepository(repo)
-	s.serial++
-	mVRPs.Set(float64(len(s.vrps)))
-	logger.Info("vrp set updated", "vrps", len(s.vrps), "serial", s.serial)
+// Start listens on addr and returns the bound address; Close stops the
+// server. ctx is unused.
+func (s *Server) Start(_ context.Context, addr string) (string, error) {
+	return s.lis.Listen(addr, new(obs.Counter), logger, s.handle)
 }
 
-// Serial returns the current serial number.
-func (s *Server) Serial() uint32 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.serial
-}
-
-// Track subscribes the server to a snapshot store: every swap that
-// carries an RPKI repository re-derives the VRP set and bumps the
-// serial, so routers polling with Serial Queries learn to resync — the
-// hot-reload path replacing manual Update calls. A delta-built swap
-// whose changeset proves the VRP set untouched keeps the current serial
-// (rtr_serial_skips_total), so routers are not forced through a full
-// resync for a WHOIS-only change, and so does a swap publishing the
-// very repository already served — the daemon's first Swap, which comes
-// after the server was built from that snapshot and bound. The returned
-// cancel detaches the server from the store; Close does the same.
-func (s *Server) Track(st *store.Store) (cancel func()) {
-	s.untrack = st.Subscribe(func(snap *store.Snapshot) {
-		if snap.Repo == nil {
-			return
-		}
-		if snap.Changes != nil && !snap.Changes.VRPsChanged {
-			mSerialSkips.Inc()
-			logger.Debug("vrp set unchanged by delta swap; serial kept", "serial", s.Serial())
-			return
-		}
-		s.mu.RLock()
-		served := s.repo
-		s.mu.RUnlock()
-		if snap.Repo != served {
-			s.Update(snap.Repo)
-		}
-	})
-	return s.untrack
-}
-
-// Start listens on addr and returns the bound address. ctx is the base
-// context sampled PDU spans ride on; it does not stop the server (Close
-// does).
-func (s *Server) Start(ctx context.Context, addr string) (string, error) {
-	s.baseCtx = ctx
-	return s.lis.Listen(addr, mAcceptErrors, logger, s.handle)
-}
-
-// Close detaches the server from a tracked store, stops the listener and
-// waits for connections to finish.
-func (s *Server) Close() error {
-	if s.untrack != nil {
-		s.untrack()
-	}
-	return s.lis.Close()
-}
+// Close stops the listener and waits for connections to finish.
+func (s *Server) Close() error { return s.lis.Close() }
 
 // handle serves one router session: a loop of PDUs until the peer hangs
-// up or errors. Every exchange is accounted by the package telemetry
-// (one "query" = one inbound PDU and its full response), and session
-// lifetime shows up in rtr_sessions_active.
+// up, errors, or sends something this cache does not answer.
 func (s *Server) handle(conn net.Conn) {
-	mSessionsActive.Add(1)
-	defer mSessionsActive.Add(-1)
-	sessionStart := time.Now()
-	var pdus int
-	defer func() {
-		logger.Debug("session closed",
-			"remote", conn.RemoteAddr().String(), "pdus", pdus,
-			"duration", time.Since(sessionStart))
-	}()
 	for {
 		_ = conn.SetDeadline(time.Now().Add(60 * time.Second))
 		pduType, _, body, err := readPDU(conn)
 		if err != nil {
-			// EOF is the normal end of a session; anything else is a
-			// protocol or transport failure worth surfacing.
-			if err != io.EOF {
-				mServeErrors.Inc()
-				mDropReadError.Inc()
-				logger.Warn("pdu read failed", "remote", conn.RemoteAddr().String(), "err", err)
-			}
 			return
 		}
-		pdus++
-		start := time.Now()
-		ctx, sp := telemetry.StartSpan(s.baseCtx)
-		sp.Mark(obs.PhaseParse)
-		_ = ctx // spans stay on this frame: PDU handling never fans out
 		switch pduType {
 		case pduResetQuery:
-			mResetQueries.Inc()
-			if err := s.sendSnapshot(conn, sp); err != nil {
-				mServeErrors.Inc()
-				mDropWriteError.Inc()
-				logger.Warn("snapshot send failed", "remote", conn.RemoteAddr().String(), "err", err)
-				telemetry.Finish(sp, obs.QueryInfo{
-					Start: start, Text: "reset_query", Type: "reset_query",
-					Outcome: "write_error", SnapshotVersion: uint64(s.Serial())})
+			if err := s.sendSnapshot(conn); err != nil {
 				return
 			}
-			mSnapshots.Inc()
-			mSnapshotTime.ObserveSince(start)
-			telemetry.Finish(sp, obs.QueryInfo{
-				Start: start, Text: "reset_query", Type: "reset_query",
-				Outcome: "snapshot", SnapshotVersion: uint64(s.Serial())})
 		case pduSerialQuery:
-			mSerialQueries.Inc()
 			if len(body) != 4 {
-				mDropBadLength.Inc()
 				_ = writePDU(conn, pduErrorReport, 3, nil) // invalid request
-				telemetry.Finish(sp, obs.QueryInfo{
-					Start: start, Text: "serial_query", Type: "serial_query",
-					Outcome: "bad_length", SnapshotVersion: uint64(s.Serial())})
 				return
 			}
-			clientSerial := binary.BigEndian.Uint32(body)
-			s.mu.RLock()
-			current := s.serial
-			session := s.session
-			s.mu.RUnlock()
-			sp.Mark(obs.PhaseLookup)
-			// Serial lag is how far the polling router trails the cache —
-			// persistent lag means routers are not resyncing after swaps.
-			mSerialLag.Set(float64(current - clientSerial))
-			if clientSerial == current {
-				// Up to date: empty delta.
-				if err := writePDU(conn, pduCacheResponse, session, nil); err != nil {
-					mDropWriteError.Inc()
-					return
-				}
-				if err := s.sendEndOfData(conn); err != nil {
-					mDropWriteError.Inc()
-					return
-				}
-				sp.Mark(obs.PhaseWrite)
-				telemetry.Finish(sp, obs.QueryInfo{
-					Start: start, Text: "serial_query", Type: "serial_query",
-					Outcome: "current", SnapshotVersion: uint64(current)})
-			} else {
+			if binary.BigEndian.Uint32(body) != serverSerial {
 				// No delta history kept: ask the router to reset.
-				mResyncs.Inc()
 				if err := writePDU(conn, pduCacheReset, 0, nil); err != nil {
-					mDropWriteError.Inc()
 					return
 				}
-				sp.Mark(obs.PhaseWrite)
-				telemetry.Finish(sp, obs.QueryInfo{
-					Start: start, Text: "serial_query", Type: "serial_query",
-					Outcome: "resync", SnapshotVersion: uint64(current)})
+				continue
+			}
+			// Up to date: empty delta.
+			if err := writePDU(conn, pduCacheResponse, serverSession, nil); err != nil {
+				return
+			}
+			if err := sendEndOfData(conn); err != nil {
+				return
 			}
 		default:
-			mUnsupported.Inc()
-			mDropUnsupPDU.Inc()
-			logger.Warn("unsupported pdu", "remote", conn.RemoteAddr().String(), "pdu", pduType)
 			_ = writePDU(conn, pduErrorReport, 5, nil) // unsupported PDU
-			telemetry.Finish(sp, obs.QueryInfo{
-				Start: start, Text: "unsupported", Type: "unsupported",
-				Outcome: "unsupported_pdu", SnapshotVersion: uint64(s.Serial())})
 			return
 		}
 	}
 }
 
-func (s *Server) sendSnapshot(conn net.Conn, sp *obs.QuerySpan) error {
-	s.mu.RLock()
-	vrps := s.vrps
-	session := s.session
-	s.mu.RUnlock()
-	sp.Mark(obs.PhaseLookup)
-	if err := writePDU(conn, pduCacheResponse, session, nil); err != nil {
+func (s *Server) sendSnapshot(conn net.Conn) error {
+	if err := writePDU(conn, pduCacheResponse, serverSession, nil); err != nil {
 		return err
 	}
-	for _, v := range vrps {
+	for _, v := range s.vrps {
 		t, body := prefixPDU(v)
 		if err := writePDU(conn, t, 0, body); err != nil {
 			return err
 		}
 	}
-	if err := s.sendEndOfData(conn); err != nil {
-		return err
-	}
-	sp.Mark(obs.PhaseWrite)
-	return nil
+	return sendEndOfData(conn)
 }
 
-func (s *Server) sendEndOfData(conn net.Conn) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+func sendEndOfData(conn net.Conn) error {
 	body := make([]byte, 16)
-	binary.BigEndian.PutUint32(body[0:4], s.serial)
+	binary.BigEndian.PutUint32(body[0:4], serverSerial)
 	binary.BigEndian.PutUint32(body[4:8], 3600)   // refresh interval
 	binary.BigEndian.PutUint32(body[8:12], 600)   // retry interval
 	binary.BigEndian.PutUint32(body[12:16], 7200) // expire interval
-	return writePDU(conn, pduEndOfData, s.session, body)
+	return writePDU(conn, pduEndOfData, serverSession, body)
 }
 
 // --- client ------------------------------------------------------------------

@@ -2,6 +2,8 @@ package rtr
 
 import (
 	"context"
+	"io"
+	"net"
 	"net/netip"
 	"testing"
 	"time"
@@ -50,8 +52,8 @@ func TestClientSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial != srv.Serial() {
-		t.Errorf("serial = %d, want %d", serial, srv.Serial())
+	if serial != serverSerial {
+		t.Errorf("serial = %d, want %d", serial, serverSerial)
 	}
 	if len(vrps) != 2 {
 		t.Fatalf("synced %d VRPs, want 2", len(vrps))
@@ -71,8 +73,12 @@ func TestSerialQueryFlow(t *testing.T) {
 	}
 	defer srv.Close()
 	c := &Client{Addr: addr, Timeout: 5 * time.Second}
+	_, serial, err := c.Sync()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Current serial: up to date.
-	ok, err := c.CheckSerial(srv.Serial())
+	ok, err := c.CheckSerial(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +86,7 @@ func TestSerialQueryFlow(t *testing.T) {
 		t.Error("current serial reported stale")
 	}
 	// Stale serial: cache reset.
-	ok, err = c.CheckSerial(srv.Serial() + 10)
+	ok, err = c.CheckSerial(serial + 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +95,34 @@ func TestSerialQueryFlow(t *testing.T) {
 	}
 }
 
-func TestUpdateBumpsSerial(t *testing.T) {
-	repo := testRepo(t)
-	srv := NewServer(repo)
-	before := srv.Serial()
-	srv.Update(repo)
-	if srv.Serial() != before+1 {
-		t.Errorf("serial = %d, want %d", srv.Serial(), before+1)
+// TestUnsupportedPDUAnswersErrorReport: a PDU the cache does not serve
+// (here a Serial Notify, which flows cache to router) gets an Error
+// Report with code 5, and the session ends.
+func TestUnsupportedPDUAnswersErrorReport(t *testing.T) {
+	srv := NewServer(testRepo(t))
+	addr, err := srv.Start(context.Background(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writePDU(conn, pduSerialNotify, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	pduType, code, _, err := readPDU(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pduType != pduErrorReport || code != 5 {
+		t.Errorf("answer = PDU %d code %d, want Error Report (%d) code 5", pduType, code, pduErrorReport)
+	}
+	if _, _, _, err := readPDU(conn); err != io.EOF {
+		t.Errorf("after the Error Report: %v, want the session closed (EOF)", err)
 	}
 }
 

@@ -17,13 +17,13 @@ import (
 	"github.com/prefix2org/prefix2org/internal/synth"
 )
 
-// TestDirSourceRepoIsTheBuildsRepo pins that a full-build snapshot's
-// Repo is the repository its Dataset was resolved against: rpki/ is
-// swapped for another world's after the build has parsed it and before
-// the build returns, and the snapshot still serves the first file on
-// both paths. A Repo read again after the build would be the second
-// file, beside a Dataset resolved against the first.
-func TestDirSourceRepoIsTheBuildsRepo(t *testing.T) {
+// TestDirSourceCertsFromTheParsedRPKI pins that a full-build snapshot's
+// Dataset is resolved against the one parse of rpki/ the build made:
+// rpki/ is swapped for another world's after the build has parsed it and
+// before the build returns, and every record's RPKI certificate still
+// comes from the first file. A second read of rpki/ later in the build
+// would resolve some records against the second file.
+func TestDirSourceCertsFromTheParsedRPKI(t *testing.T) {
 	w, err := synth.Generate(synth.SmallConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -114,20 +114,12 @@ func TestDirSourceRepoIsTheBuildsRepo(t *testing.T) {
 	for i := range want.Certs {
 		skis[want.Certs[i].SKI] = true
 	}
-	if len(b.snap.Repo.Certs) != len(want.Certs) {
-		t.Fatalf("Repo has %d certificates, the file the build parsed has %d", len(b.snap.Repo.Certs), len(want.Certs))
-	}
-	for i := range b.snap.Repo.Certs {
-		if !skis[b.snap.Repo.Certs[i].SKI] {
-			t.Fatalf("Repo certificate %s is not in the file the build parsed", b.snap.Repo.Certs[i].SKI)
-		}
-	}
 	covered := 0
 	for i := 0; i < b.snap.Dataset.NumRecords(); i++ {
 		if ski := b.snap.Dataset.RecordAt(i).RPKICert; ski != "" {
 			covered++
 			if !skis[ski] {
-				t.Fatalf("record %s is covered by %s, which is not in the snapshot's Repo", b.snap.Dataset.RecordAt(i).Prefix, ski)
+				t.Fatalf("record %s is covered by %s, which is not in the file the build parsed", b.snap.Dataset.RecordAt(i).Prefix, ski)
 			}
 		}
 	}

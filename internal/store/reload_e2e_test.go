@@ -15,7 +15,6 @@ import (
 	prefix2org "github.com/prefix2org/prefix2org"
 	"github.com/prefix2org/prefix2org/internal/obs"
 	"github.com/prefix2org/prefix2org/internal/rpki"
-	"github.com/prefix2org/prefix2org/internal/rtr"
 	"github.com/prefix2org/prefix2org/internal/store"
 	"github.com/prefix2org/prefix2org/internal/synth"
 	"github.com/prefix2org/prefix2org/internal/whoisd"
@@ -56,10 +55,9 @@ func divergingQuery(t *testing.T, ds1, ds2 *prefix2org.Dataset) string {
 }
 
 // TestHotReloadEndToEnd is the full serving-layer exercise: build a
-// world, serve it over WHOIS and RTR, evolve the world on disk, reload,
-// and check that whois answers change, the RTR serial bumps (clients
-// resync), in-flight queries never drop, and a failed rebuild leaves the
-// old snapshot serving.
+// world, serve it over WHOIS, evolve the world on disk, reload, and
+// check that whois answers change, in-flight queries never drop, and a
+// failed rebuild leaves the old snapshot serving.
 func TestHotReloadEndToEnd(t *testing.T) {
 	w, err := synth.Generate(synth.SmallConfig())
 	if err != nil {
@@ -90,26 +88,9 @@ func TestHotReloadEndToEnd(t *testing.T) {
 	}
 	defer wsrv.Close()
 
-	rsrv := rtr.NewServer(snap1.Repo)
-	defer rsrv.Track(st)()
-	rtrAddr, err := rsrv.Start(context.Background(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rsrv.Close()
-
-	rc := &rtr.Client{Addr: rtrAddr, Timeout: 5 * time.Second}
-	_, serial1, err := rc.Sync()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := rc.CheckSerial(serial1); err != nil || !ok {
-		t.Fatalf("fresh serial %d not current (ok=%v err=%v)", serial1, ok, err)
-	}
-
-	// Evolve the world on disk: transfers + new delegations + RPKI
-	// adopters guarantee both the dataset and the VRP set change. Evolve
-	// returns a fresh World; the original keeps the old artifacts.
+	// Evolve the world on disk: transfers, new delegations and RPKI
+	// adopters change the dataset. Evolve returns a fresh World; the
+	// original keeps the old artifacts.
 	w2, err := w.Evolve(synth.EvolveOptions{
 		Seed:           7,
 		Transfers:      6,
@@ -176,21 +157,6 @@ func TestHotReloadEndToEnd(t *testing.T) {
 	want := whoisd.NewStatic(snap2.Dataset).Answer(q)
 	if got != want {
 		t.Errorf("live answer for %s still pre-reload:\n got: %q\nwant: %q", q, got, want)
-	}
-
-	// The RTR serial must have bumped and the old serial must force a
-	// resync (Cache Reset), after which a fresh Sync sees the new serial.
-	if ok, err := rc.CheckSerial(serial1); err != nil {
-		t.Fatal(err)
-	} else if ok {
-		t.Error("stale serial still current after reload; routers would never resync")
-	}
-	_, serial2, err := rc.Sync()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial2 == serial1 {
-		t.Errorf("rtr serial did not bump across reload (still %d)", serial1)
 	}
 
 	// A failing rebuild must leave the current snapshot serving and count

@@ -27,8 +27,8 @@ var (
 	mDeltaAffected  = obs.Default().Gauge("store_delta_affected_prefixes")
 )
 
-// reloadBuckets span the rebuild durations this repo sees: from a
-// repo-only load (milliseconds) to a full paper-scale pipeline run.
+// reloadBuckets span the rebuild durations this repo sees: from a small
+// delta (milliseconds) to a full paper-scale pipeline run.
 var reloadBuckets = []float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120}
 
 // ReloaderConfig tunes a Reloader. The zero value reloads only on
@@ -164,10 +164,10 @@ func (r *Reloader) Handler() http.Handler {
 //
 // When the source has a Delta, it runs first against the currently
 // served snapshot: an unchanged manifest turns the reload into a no-op
-// (the subscribers never fire, so the RTR serial and the response cache
-// are untouched), and any delta error downgrades to the full build.
-// Serve-stale applies only when the full build fails too — the previous
-// snapshot is never disturbed either way.
+// (the subscribers never fire, so the response cache is untouched), and
+// any delta error downgrades to the full build. Serve-stale applies only
+// when the full build fails too — the previous snapshot is never
+// disturbed either way.
 func (r *Reloader) reloadOnce(ctx context.Context) error {
 	start := time.Now()
 	next, err := r.tryDelta(ctx)
@@ -244,7 +244,7 @@ func (r *Reloader) tryDelta(ctx context.Context) (*Snapshot, error) {
 	}
 	prev, release := r.store.Acquire()
 	defer release()
-	if prev.Dataset == nil && prev.Repo == nil {
+	if prev.Dataset == nil {
 		return nil, errNoDelta // pending placeholder: nothing to delta against
 	}
 	return r.src.Delta(ctx, prev)

@@ -1,15 +1,12 @@
 // Package store separates the serving read path from the build
 // pipeline. A Snapshot is one immutable, versioned view of the world:
-// the built Prefix2Org Dataset (whose read indexes — the frozen LPM
+// the built Prefix2Org Dataset, whose read indexes — the frozen LPM
 // index, the exact-match and cluster lookups, eager or view-backed —
-// travel with it) plus the RPKI repository the RTR daemon derives its
-// VRP set from — for a snapshot built from a data directory, the very
-// repository the Dataset was resolved against. A Store holds the
-// current Snapshot behind an atomic pointer, so concurrent readers grab
-// a consistent view with one load and never block on — or observe a
-// torn state from — a swap. A Source is where snapshots come from (a
-// data directory, a snapshot file, or a directory's RPKI repository
-// alone): a full build and, where the source supports it, the matching
+// travel with it. A Store holds the current Snapshot behind an atomic
+// pointer, so concurrent readers grab a consistent view with one load
+// and never block on — or observe a torn state from — a swap. A Source
+// is where snapshots come from (a data directory or a snapshot file): a
+// full build and, where the source supports it, the matching
 // incremental build. A Reloader rebuilds from a Source on demand
 // (signal, admin endpoint, timer) and swaps the result in with
 // serve-stale-on-failure semantics.
@@ -33,7 +30,6 @@ import (
 	prefix2org "github.com/prefix2org/prefix2org"
 	"github.com/prefix2org/prefix2org/internal/diff"
 	"github.com/prefix2org/prefix2org/internal/obs"
-	"github.com/prefix2org/prefix2org/internal/rpki"
 )
 
 var (
@@ -59,25 +55,15 @@ type Snapshot struct {
 	// Source describes what produced the snapshot ("dir:data/",
 	// "file:snap.jsonl") for logs and the /reload endpoint.
 	Source string
-	// Dataset is the built Prefix2Org mapping; nil for repository-only
-	// snapshots (an RTR-only daemon has no use for the full pipeline).
+	// Dataset is the built Prefix2Org mapping; nil only in a pending
+	// store's placeholder (NewPending).
 	Dataset *prefix2org.Dataset
-	// Repo is the RPKI repository backing RTR serving; nil when the
-	// snapshot was loaded from a serialized dataset file, which carries
-	// no repository.
-	Repo *rpki.Repository
 	// Changes is the exact changeset from the previously served snapshot
-	// to this one, published by the delta builders so subscribers react
-	// to what actually changed: p2o-rtrd keeps its serial when
-	// VRPsChanged is false, and the httpd response cache invalidates
+	// to this one, published by the delta builder so subscribers react
+	// to what actually changed: the httpd response cache invalidates
 	// only affected entries. Nil when unknown (full rebuilds, startup
 	// snapshots) — subscribers must then assume everything changed.
 	Changes *diff.Changeset
-	// Manifest is the per-source input manifest of the data directory
-	// the snapshot was built from, when the builder captured one.
-	// RepoSource's delta compares manifests across reloads to skip RPKI
-	// reloads whose inputs are untouched.
-	Manifest *prefix2org.Manifest
 	// Closer releases resources the snapshot's data aliases — the mmap
 	// of a view-backed dataset. It runs exactly once, when the last
 	// reference is dropped: the Store holds one reference for as long
@@ -150,14 +136,14 @@ func New(initial *Snapshot) *Store {
 	s := &Store{}
 	s.cur.Store(initial)
 	mSnapshotVersion.Set(float64(initial.Version))
-	if initial.Dataset != nil || initial.Repo != nil {
+	if initial.Dataset != nil {
 		mLastSuccess.Set(float64(time.Now().Unix()))
 	}
 	return s
 }
 
 // NewPending builds a store with an empty placeholder snapshot (version
-// 0, no dataset, no repository): the daemon-bootstrap shape where the
+// 0, no dataset): the daemon-bootstrap shape where the
 // admin listener — and its readiness probe — comes up before the first
 // build completes. Readers get a valid snapshot immediately; Ready
 // reports false until a real snapshot is swapped in.
@@ -182,12 +168,9 @@ func publish(s *Snapshot) {
 }
 
 // Ready reports whether the store serves a real snapshot — one carrying
-// a dataset or a repository. A pending store (NewPending) is not ready
-// until its first Swap; /healthz returns 503 until then.
-func (s *Store) Ready() bool {
-	c := s.Current()
-	return c != nil && (c.Dataset != nil || c.Repo != nil)
-}
+// a dataset. A pending store (NewPending) is not ready until its first
+// Swap; /healthz returns 503 until then.
+func (s *Store) Ready() bool { return s.Current().Dataset != nil }
 
 // Current returns the snapshot being served. The result is immutable
 // and remains internally consistent for as long as the caller holds it,
@@ -244,7 +227,7 @@ func (s *Store) Swap(next *Snapshot) (old *Snapshot) {
 	s.cur.Store(next)
 	mSnapshotVersion.Set(float64(next.Version))
 	mSwaps.Inc()
-	if next.Dataset != nil || next.Repo != nil {
+	if next.Dataset != nil {
 		mLastSuccess.Set(float64(time.Now().Unix()))
 	}
 	for _, sub := range s.subs {
@@ -260,10 +243,9 @@ func (s *Store) Swap(next *Snapshot) (old *Snapshot) {
 
 // Subscribe registers fn to run after every future Swap, receiving the
 // newly published snapshot. Callbacks run synchronously on the swapping
-// goroutine, in subscription order — keep them short (the RTR server's
-// serial bump re-derives its VRP set, the httpd response cache clears
-// its shards; that is the intended scale). The returned cancel removes
-// the subscription.
+// goroutine, in subscription order — keep them short (the httpd
+// response cache clearing its shards is the intended scale). The
+// returned cancel removes the subscription.
 func (s *Store) Subscribe(fn func(*Snapshot)) (cancel func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -303,10 +285,7 @@ type Source struct {
 	Delta func(ctx context.Context, prev *Snapshot) (*Snapshot, error)
 }
 
-// DirSource runs the pipeline over a data directory. The snapshot's Repo
-// is the RPKI repository its Dataset was resolved against — one parse of
-// rpki/, full build or delta — so one snapshot backs both the WHOIS and
-// RTR serving paths and the two cannot come from different files.
+// DirSource runs the pipeline over a data directory.
 //
 // With opts.Incremental the source carries a Delta that re-parses only
 // the source files whose manifest hash changed, re-resolves only the
@@ -322,22 +301,15 @@ type Source struct {
 // 120 ms), and its own duration then depends on how the queries
 // interleave. The output does not depend on the worker count.
 func DirSource(dir string, opts prefix2org.Options) Source {
-	snapshot := func(res *prefix2org.DeltaResult, cs *diff.Changeset) *Snapshot {
-		return &Snapshot{
-			BuiltAt:  time.Now(),
-			Source:   "dir:" + dir,
-			Dataset:  res.Dataset,
-			Repo:     res.Repo,
-			Changes:  cs,
-			Manifest: res.Dataset.InputManifest(),
-		}
+	snapshot := func(ds *prefix2org.Dataset, cs *diff.Changeset) *Snapshot {
+		return &Snapshot{BuiltAt: time.Now(), Source: "dir:" + dir, Dataset: ds, Changes: cs}
 	}
 	src := Source{Build: func(ctx context.Context) (*Snapshot, error) {
-		res, err := prefix2org.BuildFull(ctx, dir, opts)
+		ds, err := prefix2org.BuildFromDir(ctx, dir, opts)
 		if err != nil {
 			return nil, err
 		}
-		return snapshot(res, nil), nil
+		return snapshot(ds, nil), nil
 	}}
 	if !opts.Incremental {
 		return src
@@ -358,8 +330,7 @@ func DirSource(dir string, opts prefix2org.Options) Source {
 		if err != nil {
 			return nil, err
 		}
-		cs.VRPsChanged = res.RPKIChanged
-		return snapshot(res, cs), nil
+		return snapshot(res.Dataset, cs), nil
 	}
 	return src
 }
@@ -367,9 +338,8 @@ func DirSource(dir string, opts prefix2org.Options) Source {
 // FileSource opens a serialized dataset snapshot for serving in place:
 // a v2 binary snapshot is view-backed (mmap'd when mmap is set) with
 // its release threaded through the snapshot's Closer, a JSON snapshot
-// transparently falls back to the eager load. Such files carry no RPKI
-// repository, so Repo stays nil, and they are rebuilt externally, so
-// there is no Delta.
+// transparently falls back to the eager load. Such files are rebuilt
+// externally, so there is no Delta.
 func FileSource(path string, mmap bool) Source {
 	return Source{Build: func(ctx context.Context) (*Snapshot, error) {
 		ds, err := prefix2org.OpenSnapshotFile(ctx, path, prefix2org.OpenOptions{Mmap: mmap})
@@ -380,48 +350,10 @@ func FileSource(path string, mmap bool) Source {
 	}}
 }
 
-// RepoSource loads only the RPKI repository from a data directory —
-// what an RTR-only daemon needs, skipping the full pipeline.
-//
-// With incremental set the source carries a Delta: when no rpki/ input
-// changed since the previous snapshot's manifest, the reload is a no-op
-// and the RTR serial keeps still; otherwise the repository is re-read
-// and the snapshot carries a VRPsChanged changeset. The first delta
-// after a manifest-less snapshot (daemon startup through Build)
-// self-primes: it reloads fully, captures the manifest, and
-// conservatively flags VRPs as changed.
-func RepoSource(dir string, incremental bool) Source {
-	load := func(ctx context.Context, m *prefix2org.Manifest, cs *diff.Changeset) (*Snapshot, error) {
-		repo, err := rpki.LoadDir(ctx, dir)
-		if err != nil {
-			return nil, err
-		}
-		return &Snapshot{BuiltAt: time.Now(), Source: "dir:" + dir, Repo: repo, Changes: cs, Manifest: m}, nil
-	}
-	src := Source{Build: func(ctx context.Context) (*Snapshot, error) { return load(ctx, nil, nil) }}
-	if !incremental {
-		return src
-	}
-	src.Delta = func(ctx context.Context, prev *Snapshot) (*Snapshot, error) {
-		m, err := prefix2org.BuildManifest(ctx, dir)
-		if err != nil {
-			return nil, err
-		}
-		if prev.Manifest != nil && prev.Manifest.Filter("rpki/").Equal(m.Filter("rpki/")) {
-			return nil, nil
-		}
-		return load(ctx, m, &diff.Changeset{VRPsChanged: true})
-	}
-	return src
-}
-
 // Describe renders a snapshot for logs and the /reload endpoint.
 func (s *Snapshot) Describe() string {
 	if s.Dataset != nil {
 		return fmt.Sprintf("v%d (%d records, %d clusters)", s.Version, s.Dataset.NumRecords(), s.Dataset.NumClusters())
-	}
-	if s.Repo != nil {
-		return fmt.Sprintf("v%d (%d certs, %d roas)", s.Version, len(s.Repo.Certs), len(s.Repo.ROAs))
 	}
 	return fmt.Sprintf("v%d", s.Version)
 }

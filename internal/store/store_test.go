@@ -11,9 +11,9 @@ import (
 	"testing"
 	"time"
 
+	prefix2org "github.com/prefix2org/prefix2org"
 	"github.com/prefix2org/prefix2org/internal/diff"
 	"github.com/prefix2org/prefix2org/internal/obs"
-	"github.com/prefix2org/prefix2org/internal/rpki"
 )
 
 func TestNewAssignsVersionOne(t *testing.T) {
@@ -96,7 +96,7 @@ func TestPendingStoreReadiness(t *testing.T) {
 	}
 
 	before := obs.Default().Gauge("store_reload_last_success_unix").Value()
-	st.Swap(&Snapshot{Repo: rpki.NewRepository()})
+	st.Swap(&Snapshot{Dataset: &prefix2org.Dataset{}})
 	if !st.Ready() {
 		t.Error("store not ready after installing a real snapshot")
 	}
@@ -315,7 +315,7 @@ func TestReloadHandler(t *testing.T) {
 // no subscriber churn), a successful delta swap (the full builder never
 // runs), and a delta failure falling back to the full build.
 func TestReloaderDeltaPaths(t *testing.T) {
-	st := New(&Snapshot{Source: "initial", Repo: rpki.NewRepository()})
+	st := New(&Snapshot{Source: "initial", Dataset: &prefix2org.Dataset{}})
 	var notifies atomic.Int64
 	st.Subscribe(func(*Snapshot) { notifies.Add(1) })
 	var fullBuilds atomic.Int64
@@ -323,13 +323,13 @@ func TestReloaderDeltaPaths(t *testing.T) {
 	mode.Store("noop")
 	rel := NewReloader(st, Source{Build: func(ctx context.Context) (*Snapshot, error) {
 		fullBuilds.Add(1)
-		return &Snapshot{Source: "full", Repo: rpki.NewRepository()}, nil
+		return &Snapshot{Source: "full", Dataset: &prefix2org.Dataset{}}, nil
 	}, Delta: func(ctx context.Context, prev *Snapshot) (*Snapshot, error) {
 		switch mode.Load() {
 		case "noop":
 			return nil, nil
 		case "delta":
-			return &Snapshot{Source: "delta", Repo: rpki.NewRepository(), Changes: &diff.Changeset{}}, nil
+			return &Snapshot{Source: "delta", Dataset: &prefix2org.Dataset{}, Changes: &diff.Changeset{}}, nil
 		default:
 			return nil, errors.New("splice failed")
 		}
@@ -394,7 +394,7 @@ func TestReloaderDeltaSkipsPlaceholder(t *testing.T) {
 	st := NewPending("dir:data")
 	var deltaCalls atomic.Int64
 	rel := NewReloader(st, Source{Build: func(ctx context.Context) (*Snapshot, error) {
-		return &Snapshot{Source: "full", Repo: rpki.NewRepository()}, nil
+		return &Snapshot{Source: "full", Dataset: &prefix2org.Dataset{}}, nil
 	}, Delta: func(ctx context.Context, prev *Snapshot) (*Snapshot, error) {
 		deltaCalls.Add(1)
 		return nil, nil

@@ -83,6 +83,12 @@ func Telemetry() *obs.QueryTelemetry { return telemetry }
 // query whose answer could not be flushed to the peer.
 const outcomeWriteError = "write_error"
 
+// maxQueryBytes bounds one query line, its CR LF included.
+const maxQueryBytes = 4096
+
+// banner opens every answer.
+const banner = "% Prefix2Org whois (synthetic dataset)\r\n"
+
 // Server answers WHOIS queries from a snapshot store. Safe for
 // concurrent queries and concurrent snapshot swaps.
 type Server struct {
@@ -120,13 +126,21 @@ func (s *Server) Close() error { return s.lis.Close() }
 func (s *Server) handle(conn net.Conn) {
 	start := time.Now()
 	_ = conn.SetDeadline(start.Add(30 * time.Second))
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil && line == "" {
+	// The query line must fit the reader's buffer: a client streaming
+	// bytes with no newline is answered and cut off there, not buffered
+	// for the whole deadline.
+	line, err := bufio.NewReaderSize(conn, maxQueryBytes).ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		mQueries[daemon.KindBad].Inc()
+		io.WriteString(conn, banner+"% error: query too long\r\n")
+		return
+	}
+	if err != nil && len(line) == 0 {
 		mServeErrors.Inc()
 		logger.Warn("query read failed", "remote", conn.RemoteAddr().String(), "err", err)
 		return
 	}
-	q := strings.TrimSpace(line)
+	q := strings.TrimSpace(string(line))
 	// Sampled queries get a pooled span on the context; the rest ride
 	// the base context untouched — that path never allocates.
 	ctx, sp := telemetry.StartSpan(s.baseCtx)
@@ -174,7 +188,7 @@ func (s *Server) answer(ctx context.Context, w io.Writer, q string) obs.QueryInf
 	ds := snap.Dataset
 	mBySnapshot.Inc(snap.Version)
 	info := obs.QueryInfo{Text: q, Type: "bad", Outcome: daemon.OutcomeError, SnapshotVersion: snap.Version}
-	io.WriteString(w, "% Prefix2Org whois (synthetic dataset)\r\n")
+	io.WriteString(w, banner)
 	if ds == nil {
 		mServeErrors.Inc()
 		io.WriteString(w, "% error: no dataset loaded\r\n")

@@ -1,7 +1,9 @@
 package whoisd
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	prefix2org "github.com/prefix2org/prefix2org"
+	"github.com/prefix2org/prefix2org/internal/daemon"
 	"github.com/prefix2org/prefix2org/internal/synth"
 	"github.com/prefix2org/prefix2org/internal/whois"
 )
@@ -110,6 +113,41 @@ func TestAnswerErrors(t *testing.T) {
 	}
 	if out := srv.Answer("192.0.2.0/24"); !strings.Contains(out, "no match") {
 		t.Errorf("unrouted prefix: %q", out)
+	}
+}
+
+// TestOverlongQueryCutOff: a client that streams 1 MiB with no newline
+// is answered "query too long" once the line outgrows the read buffer,
+// counted as a bad query, and disconnected — not buffered until the
+// deadline.
+func TestOverlongQueryCutOff(t *testing.T) {
+	srv := NewStatic(dataset(t))
+	addr, err := srv.Start(context.Background(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	badBefore := mQueries[daemon.KindBad].Value()
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	// The server stops reading after its buffer fills, so the write
+	// blocks and then fails when the server hangs up; only the answer
+	// matters here.
+	go conn.Write(bytes.Repeat([]byte("a"), 1<<20))
+	// The server closes with unread bytes queued, which resets the
+	// connection; the answer arrives before the reset.
+	body, _ := io.ReadAll(conn)
+	want := "% Prefix2Org whois (synthetic dataset)\r\n% error: query too long\r\n"
+	if string(body) != want {
+		t.Errorf("answer = %q, want %q", body, want)
+	}
+	if d := mQueries[daemon.KindBad].Value() - badBefore; d != 1 {
+		t.Errorf("bad queries counted %d, want 1", d)
 	}
 }
 

@@ -210,8 +210,8 @@ const manifestMagic = "p2o-manifest v1"
 
 // Encode renders the manifest in its canonical text form: the magic
 // line, then one "<sha256-hex> <size> <path>" line per entry in path
-// order. The encoding is canonical — Equal manifests encode to
-// identical bytes.
+// order. The encoding is canonical — manifests with equal entries encode
+// to identical bytes.
 func (m *Manifest) Encode() []byte {
 	var b bytes.Buffer
 	b.WriteString(manifestMagic)
@@ -264,23 +264,6 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// Equal reports whether both manifests list the same files with the
-// same sizes and hashes.
-func (m *Manifest) Equal(other *Manifest) bool {
-	if m == nil || other == nil {
-		return m == other
-	}
-	if len(m.Entries) != len(other.Entries) {
-		return false
-	}
-	for i := range m.Entries {
-		if m.Entries[i] != other.Entries[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Diff returns the paths that differ from old — content-changed, added,
 // and removed alike — in sorted order. A nil old means everything
 // changed.
@@ -305,18 +288,6 @@ func (m *Manifest) Diff(old *Manifest) []string {
 			}
 			i++
 			j++
-		}
-	}
-	return out
-}
-
-// Filter returns the sub-manifest of entries whose path starts with
-// prefix (e.g. "rpki/").
-func (m *Manifest) Filter(prefix string) *Manifest {
-	out := &Manifest{}
-	for _, e := range m.Entries {
-		if strings.HasPrefix(e.Path, prefix) {
-			out.Entries = append(out.Entries, e)
 		}
 	}
 	return out

@@ -843,19 +843,9 @@ func dirLoaders(dir string, tr *obs.Trace, next *buildState, changed func(relPat
 // first loader error wins (reported in fixed loader order when several
 // fail), and a context cancellation surfaces as ctx.Err() unwrapped.
 func BuildFromDir(ctx context.Context, dir string, opts Options) (*Dataset, error) {
-	res, err := BuildFull(ctx, dir, opts)
+	res, err := rebuildDir(ctx, obs.NewTrace("build"), nil, dir, opts)
 	if err != nil {
 		return nil, err
 	}
 	return res.Dataset, nil
-}
-
-// BuildFull is BuildFromDir for callers that also serve the RPKI
-// repository: the result carries the rpki.Repository the Dataset was
-// resolved against, as BuildDelta's does, so it need not be read again
-// (and cannot then come from a different file than the Dataset did).
-// Every source counts as changed and every routed prefix as affected;
-// ChangedFiles lists the manifest when Options.Incremental captured one.
-func BuildFull(ctx context.Context, dir string, opts Options) (*DeltaResult, error) {
-	return rebuildDir(ctx, obs.NewTrace("build"), nil, dir, opts)
 }

@@ -353,12 +353,3 @@ func newBuildState(old *buildState, opts Options) *buildState {
 	}
 	return next
 }
-
-// InputManifest returns the per-source input manifest captured at build
-// time, or nil when the Dataset was not built with Options.Incremental.
-func (d *Dataset) InputManifest() *Manifest {
-	if d.state == nil {
-		return nil
-	}
-	return d.state.manifest
-}

@@ -27,7 +27,7 @@ import (
 //     nothing is re-parsed or re-frozen.
 //
 // Load sniffs the magic and dispatches, so consumers (p2o-whoisd,
-// p2o-rtrd, p2o-diff) accept either transparently. A v1 binary file
+// p2o-httpd, p2o-diff) accept either transparently. A v1 binary file
 // (serialize_binary.go, write-only) is refused by name.
 
 type snapshotStats struct {
