@@ -61,14 +61,14 @@ func OrgsWithoutASN(ds *prefix2org.Dataset, asd *as2org.Dataset, topN int) (*NoA
 			asOrgNames[basic(name)] = true
 		}
 	}
-	rep := &NoASNReport{TotalClusters: len(ds.Clusters)}
+	rep := &NoASNReport{TotalClusters: ds.NumClusters()}
 	var candidates []NoASNOrg
 	var noASNv4, noASNv6, totalV4, totalV6 int
 	// Per-cluster origin-ASN sets and customer flags.
 	originsOf := map[string]map[uint32]bool{}
 	hasCustomer := map[string]bool{}
-	for i := range ds.Records {
-		r := &ds.Records[i]
+	for i := range ds.NumRecords() {
+		r := ds.RecordAt(i)
 		if r.Prefix.Addr().Is4() {
 			totalV4++
 		} else {
@@ -86,7 +86,8 @@ func OrgsWithoutASN(ds *prefix2org.Dataset, asd *as2org.Dataset, topN int) (*NoA
 			hasCustomer[r.FinalCluster] = true
 		}
 	}
-	for _, c := range ds.Clusters {
+	for i := range ds.NumClusters() {
+		c := ds.ClusterAt(i)
 		owns := false
 		for _, n := range c.OwnerNames {
 			if asOrgNames[basic(n)] {
@@ -182,8 +183,8 @@ func ROACoverage(ds *prefix2org.Dataset, repo *rpki.Repository, asd *as2org.Data
 		return nil, fmt.Errorf("casestudy: nil input")
 	}
 	rows := map[uint32]*ROARow{}
-	for i := range ds.Records {
-		r := &ds.Records[i]
+	for i := range ds.NumRecords() {
+		r := ds.RecordAt(i)
 		if r.OriginASN == 0 {
 			continue
 		}

@@ -3,6 +3,8 @@ package casestudy
 import (
 	"context"
 	"net/netip"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -143,5 +145,33 @@ func TestOrgsWithoutASN(t *testing.T) {
 	}
 	if _, err := OrgsWithoutASN(nil, nil, 1); err == nil {
 		t.Error("nil inputs accepted")
+	}
+}
+
+// TestCaseStudiesOnAView: both case studies answer the same on a read
+// Dataset — the built one's v2 snapshot, opened — as on the built one.
+func TestCaseStudiesOnAView(t *testing.T) {
+	ds, repo, asd := scenario(t)
+	path := filepath.Join(t.TempDir(), "snap.p2o")
+	if err := ds.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	view, err := prefix2org.OpenSnapshotFile(context.Background(), path, prefix2org.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows, err := ROACoverage(ds, repo, asd, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotRows, err := ROACoverage(view, repo, asd, 1); err != nil || !reflect.DeepEqual(gotRows, wantRows) {
+		t.Errorf("ROACoverage on a view = %+v, %v; built gives %+v", gotRows, err, wantRows)
+	}
+	wantRep, err := OrgsWithoutASN(ds, asd, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotRep, err := OrgsWithoutASN(view, asd, 10); err != nil || !reflect.DeepEqual(gotRep, wantRep) {
+		t.Errorf("OrgsWithoutASN on a view = %+v, %v; built gives %+v", gotRep, err, wantRep)
 	}
 }

@@ -62,15 +62,6 @@ type Result struct {
 	// RMultiName / AMultiName count R and A groups spanning more than
 	// one exact owner name (the groups that caused aggregation).
 	RMultiName, AMultiName int
-
-	byOwner map[string]*Cluster
-}
-
-// ClusterOfOwner returns the final cluster containing the exact owner
-// name.
-func (r *Result) ClusterOfOwner(owner string) (*Cluster, bool) {
-	c, ok := r.byOwner[owner]
-	return c, ok
 }
 
 // Build runs the full W/R/A construction and the Figure 3 merge.
@@ -160,7 +151,6 @@ func Build(infos []PrefixInfo) *Result {
 		AGroups:    len(aGroups),
 		RMultiName: countMulti(rGroups),
 		AMultiName: countMulti(aGroups),
-		byOwner:    make(map[string]*Cluster, len(ownerNames)),
 	}
 
 	// Materialize final clusters from the DSU components, gathered in
@@ -199,9 +189,6 @@ func Build(infos []PrefixInfo) *Result {
 		c.ID = clusterID(h, c.BaseName, members)
 		res.Final = append(res.Final, c)
 		ofRep[rep] = c
-		for _, o := range members {
-			res.byOwner[o] = c
-		}
 	}
 	slices.SortFunc(res.Final, func(a, b *Cluster) int { return strings.Compare(a.ID, b.ID) })
 	res.Of = make([]*Cluster, len(infos))

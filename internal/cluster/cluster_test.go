@@ -4,12 +4,23 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"github.com/prefix2org/prefix2org/internal/netx"
 )
 
 func mp(s string) netip.Prefix { return netx.MustParse(s) }
+
+// clusterOf returns the final cluster that lists owner among its names.
+func clusterOf(res *Result, owner string) (*Cluster, bool) {
+	for _, c := range res.Final {
+		if slices.Contains(c.OwnerNames, owner) {
+			return c, true
+		}
+	}
+	return nil, false
+}
 
 // Table 3 scenario: four Verizon prefixes under three exact names must
 // merge into one cluster; the two Fastlys must stay apart.
@@ -31,12 +42,12 @@ func table3Infos() []PrefixInfo {
 
 func TestTable3Scenario(t *testing.T) {
 	res := Build(table3Infos())
-	vz, ok := res.ClusterOfOwner("verizon business")
+	vz, ok := clusterOf(res, "verizon business")
 	if !ok {
 		t.Fatal("verizon business not clustered")
 	}
 	for _, owner := range []string{"verizon japan ltd", "verizon asia pte ltd", "verizon hong kong ltd"} {
-		c, ok := res.ClusterOfOwner(owner)
+		c, ok := clusterOf(res, owner)
 		if !ok || c != vz {
 			t.Errorf("%s not merged into the Verizon cluster", owner)
 		}
@@ -47,8 +58,8 @@ func TestTable3Scenario(t *testing.T) {
 	if len(vz.Prefixes) != 4 {
 		t.Errorf("verizon cluster prefixes = %v", vz.Prefixes)
 	}
-	f1, _ := res.ClusterOfOwner("fastly, inc.")
-	f2, _ := res.ClusterOfOwner("fastly network solution")
+	f1, _ := clusterOf(res, "fastly, inc.")
+	f2, _ := clusterOf(res, "fastly network solution")
 	if f1 == nil || f2 == nil || f1 == f2 {
 		t.Error("the two Fastlys merged despite disjoint cert and ASN clusters")
 	}
@@ -72,7 +83,7 @@ func TestClusterOfInfo(t *testing.T) {
 		t.Fatalf("len(Of) = %d, want %d", len(res.Of), len(infos))
 	}
 	for i, in := range infos {
-		want, _ := res.ClusterOfOwner(in.OwnerName)
+		want, _ := clusterOf(res, in.OwnerName)
 		if res.Of[i] == nil || res.Of[i] != want {
 			t.Errorf("Of[%d] (%s) = %v, want the cluster of %q", i, in.Prefix, res.Of[i], in.OwnerName)
 		}
@@ -154,8 +165,8 @@ func TestClusterIDStableAndDistinct(t *testing.T) {
 		seen[c.ID] = true
 	}
 	// The two Fastlys share a base name but must get distinct IDs.
-	f1, _ := a.ClusterOfOwner("fastly, inc.")
-	f2, _ := a.ClusterOfOwner("fastly network solution")
+	f1, _ := clusterOf(a, "fastly, inc.")
+	f2, _ := clusterOf(a, "fastly network solution")
 	if f1.ID == f2.ID {
 		t.Error("distinct Fastly clusters share an ID")
 	}
@@ -262,8 +273,8 @@ func TestMergeEqualsBruteForceComponents(t *testing.T) {
 		}
 		for a := range ownerBase {
 			for b := range ownerBase {
-				ca, _ := res.ClusterOfOwner(a)
-				cb, _ := res.ClusterOfOwner(b)
+				ca, _ := clusterOf(res, a)
+				cb, _ := clusterOf(res, b)
 				if (ca == cb) != (comp[a] == comp[b]) {
 					t.Fatalf("trial %d: owners %q,%q: cluster match %v, brute force %v",
 						trial, a, b, ca == cb, comp[a] == comp[b])

@@ -9,14 +9,14 @@
 //
 // -data builds from a data directory. -snapshot instead opens either
 // format `prefix2org export-snapshot` writes — the binary serve format
-// (which carries the pre-built LPM index and loads several times
-// faster) or JSON lines — detected from the file contents, not the
-// name. -snapshot-mmap serves a v2 binary snapshot in place: the file
-// is mapped read-only and queried directly (records materialize lazily
-// on first touch), so startup is near-instant and replicas pointed at
-// the same file share page cache; the mapping of a swapped-out snapshot
-// is released only after its last in-flight query drops its pin. Other
-// formats fall back to the normal eager load.
+// or JSON lines, detected from the file contents, not the name — and
+// serves it as a read snapshot: a view over the binary bytes (a JSON
+// file is encoded to them once), whose records materialize lazily on
+// first touch. -snapshot-mmap, which requires -snapshot, maps a binary
+// file read-only instead of reading it, so startup is near-instant and
+// replicas pointed at the same file share page cache; the mapping of a
+// swapped-out snapshot is released only after its last in-flight query
+// drops its pin.
 //
 // The daemon serves immutable snapshots from a hot-swappable store and
 // picks up new data without restarting: SIGHUP rebuilds from the source
@@ -122,6 +122,8 @@ func (f *Flags) source() (store.Source, string, error) {
 	switch {
 	case (f.DataDir == "") == (f.Snapshot == ""):
 		return store.Source{}, "", errors.New("exactly one of -data or -snapshot is required")
+	case f.Snapshot == "" && f.SnapshotMmap:
+		return store.Source{}, "", errors.New("-snapshot-mmap requires -snapshot")
 	case f.Snapshot == "":
 		return store.DirSource(f.DataDir, prefix2org.Options{Incremental: f.ReloadDelta}), f.DataDir, nil
 	case f.ReloadDelta:

@@ -73,8 +73,8 @@ func Detect(ds *prefix2org.Dataset, opts Options) ([]Candidate, error) {
 	// cluster's announcements across the dataset belong to this final
 	// cluster.
 	originHome := map[string]map[string]int{} // asnCluster -> finalCluster -> count
-	for i := range ds.Records {
-		r := &ds.Records[i]
+	for i := range ds.NumRecords() {
+		r := ds.RecordAt(i)
 		if r.ASNCluster == "" || r.FinalCluster == "" {
 			continue
 		}
@@ -102,8 +102,8 @@ func Detect(ds *prefix2org.Dataset, opts Options) ([]Candidate, error) {
 		}
 		return best
 	}
-	for i := range ds.Records {
-		r := &ds.Records[i]
+	for i := range ds.NumRecords() {
+		r := ds.RecordAt(i)
 		if !r.Prefix.Addr().Is4() || r.FinalCluster == "" {
 			continue
 		}

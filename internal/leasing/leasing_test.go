@@ -2,6 +2,8 @@ package leasing
 
 import (
 	"context"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -78,6 +80,19 @@ func TestDetectFindsSyntheticLeasingOrgs(t *testing.T) {
 		if cands[i-1].Score < cands[i].Score {
 			t.Error("candidates not sorted by score")
 		}
+	}
+	// A read Dataset — the built one's v2 snapshot, opened — gives the
+	// same candidates.
+	path := filepath.Join(t.TempDir(), "snap.p2o")
+	if err := ds.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	view, err := prefix2org.OpenSnapshotFile(context.Background(), path, prefix2org.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Detect(view, DefaultOptions()); err != nil || !reflect.DeepEqual(got, cands) {
+		t.Errorf("Detect on a view: %d candidates, %v; built gives %d", len(got), err, len(cands))
 	}
 }
 

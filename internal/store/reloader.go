@@ -215,10 +215,10 @@ func (r *Reloader) reloadOnce(ctx context.Context) error {
 			"snapshot", next.Describe(), "duration", dur, "changes", next.Changes.Summary())
 		return nil
 	}
-	// Diffing walks both datasets in full, which would force a lazy
-	// (view-backed) snapshot to materialize every record on the reload
-	// path — the opposite of what serving in place is for. Skip the
-	// change summary when either side is lazy.
+	// Diffing walks both datasets in full through RecordAt, which would
+	// fill a read (view-backed) snapshot's chunk cache with every record
+	// on the reload path — the opposite of what serving in place is for.
+	// Skip the change summary when either side is a read snapshot.
 	if old.Dataset != nil && next.Dataset != nil && !old.Dataset.Lazy() && !next.Dataset.Lazy() {
 		if rep, derr := diff.Compare(old.Dataset, next.Dataset); derr == nil {
 			logger.Info("snapshot swapped",

@@ -335,10 +335,10 @@ func DirSource(dir string, opts prefix2org.Options) Source {
 	return src
 }
 
-// FileSource opens a serialized dataset snapshot for serving in place:
-// a v2 binary snapshot is view-backed (mmap'd when mmap is set) with
-// its release threaded through the snapshot's Closer, a JSON snapshot
-// transparently falls back to the eager load. Such files are rebuilt
+// FileSource opens a serialized dataset snapshot for serving as a read
+// Dataset: a view over v2 bytes — the file's own, mmap'd when mmap is
+// set and the file is v2, or a JSON file's encoding — with its release
+// threaded through the snapshot's Closer. Such files are rebuilt
 // externally, so there is no Delta.
 func FileSource(path string, mmap bool) Source {
 	return Source{Build: func(ctx context.Context) (*Snapshot, error) {

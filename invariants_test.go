@@ -122,7 +122,7 @@ func checkInvariants(t *testing.T, ds *Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Records) != len(ds.Records) || len(back.Clusters) != len(ds.Clusters) {
+	if back.NumRecords() != len(ds.Records) || back.NumClusters() != len(ds.Clusters) {
 		t.Fatal("snapshot round trip lost data")
 	}
 }

@@ -43,6 +43,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 
@@ -207,31 +208,38 @@ type Stats struct {
 	NameCleaning names.StepCounts
 }
 
-// Dataset is the full Prefix2Org mapping.
+// Dataset is the full Prefix2Org mapping. It comes in two shapes: a
+// built Dataset (Build, BuildFromDir, BuildDelta) holds its Records and
+// Clusters in memory; a read one (Load, LoadFile, OpenSnapshotFile) is a
+// view over the bytes of a v2 snapshot (Lazy reports which). Every method
+// answers the same on both; code outside the build reads records and
+// clusters through NumRecords/RecordAt and NumClusters/ClusterAt.
 type Dataset struct {
-	Records  []Record
+	// Records are a built Dataset's records, in routed order. They are
+	// nil on a read Dataset.
+	Records []Record
+	// Clusters are a built Dataset's final clusters, sorted by ID. They
+	// are nil on a read Dataset.
 	Clusters []*Cluster
 	Stats    Stats
 	// Trace is the build's per-stage accounting. It is populated by
 	// Build/BuildFromDir and not persisted by Save/Load.
 	Trace *BuildTrace
 
-	byCluster map[string]*Cluster
-	byOwner   map[string]*Cluster
+	// byOwner maps a built Dataset's basic-cleaned owner names to their
+	// clusters; a read one searches the snapshot's owners table instead.
+	byOwner map[string]*Cluster
 	// idx is the frozen longest-prefix-match index over the routed
 	// prefixes — the only prefix-keyed structure, behind Lookup,
 	// LookupAddr, LookupCovering and CoveringChainInto: flat sorted
-	// arrays mapping each prefix to its position in Records,
+	// arrays mapping each prefix to its record's position,
 	// immutable once built, shared by any number of concurrent readers.
-	// On a view-backed Dataset it points into the snapshot's lpm.View,
-	// whose columns alias the file bytes.
+	// On a read Dataset it points into the snapshot's lpm.View, whose
+	// columns alias the file bytes.
 	idx *lpm.Index
-	// view/lazy are set on a Dataset opened in place from a v2 binary
-	// snapshot (OpenSnapshotFile): view holds the sliced file sections,
-	// lazy the chunked Record/Cluster materialization tables. Both are
-	// nil on an eagerly built or loaded Dataset. See snapview.go.
+	// view is the sliced sections and materialization tables of a read
+	// Dataset, nil on a built one. See snapview.go.
 	view *snapView
-	lazy *lazyTables
 	// state is the retained delta-rebuild state (Options.Incremental
 	// builds only): the input manifest and the loaded sources BuildDelta
 	// splices against — the pass-1 slots it keeps are read back from
@@ -251,7 +259,7 @@ func (d *Dataset) Lookup(p netip.Prefix) (*Record, bool) {
 	if !ok || m.Prefix() != p.Masked() {
 		return nil, false
 	}
-	return d.recordAt(int(m.Val())), true
+	return d.RecordAt(int(m.Val())), true
 }
 
 // LookupAddr returns the record of the most specific routed prefix
@@ -268,7 +276,7 @@ func (d *Dataset) LookupAddr(a netip.Addr) (*Record, bool) {
 	if !ok {
 		return nil, false
 	}
-	return d.recordAt(int(i)), true
+	return d.RecordAt(int(i)), true
 }
 
 // LookupCovering returns the record of the most specific routed prefix
@@ -285,7 +293,7 @@ func (d *Dataset) LookupCovering(p netip.Prefix) (*Record, bool) {
 	if !ok {
 		return nil, false
 	}
-	return d.recordAt(int(i)), true
+	return d.RecordAt(int(i)), true
 }
 
 // CoveringChainInto appends the records of every routed prefix
@@ -300,7 +308,7 @@ func (d *Dataset) CoveringChainInto(p netip.Prefix, buf []*Record) []*Record {
 	}
 	start := len(buf)
 	for m, ok := d.idx.Match(p); ok; m, ok = m.Parent() {
-		buf = append(buf, d.recordAt(int(m.Val())))
+		buf = append(buf, d.RecordAt(int(m.Val())))
 	}
 	for i, j := start, len(buf)-1; i < j; i, j = i+1, j-1 {
 		buf[i], buf[j] = buf[j], buf[i]
@@ -308,46 +316,35 @@ func (d *Dataset) CoveringChainInto(p netip.Prefix, buf []*Record) []*Record {
 	return buf
 }
 
-// freezeIndex (re)derives the frozen LPM index behind every per-prefix
-// query from d.Records. Build and the JSON-snapshot Load finish through
-// here so every Dataset answers the full query surface; the
-// binary-snapshot loads install their deserialized index instead.
-func (d *Dataset) freezeIndex() {
-	items := make([]lpm.Item, len(d.Records))
-	for i := range d.Records {
-		items[i] = lpm.Item{Prefix: d.Records[i].Prefix, Val: int32(i)}
+// freezeIndex freezes the LPM index behind every per-prefix query over
+// recs: each record's prefix mapped to its position.
+func freezeIndex(recs []Record) *lpm.Index {
+	items := make([]lpm.Item, len(recs))
+	for i := range recs {
+		items[i] = lpm.Item{Prefix: recs[i].Prefix, Val: int32(i)}
 	}
-	d.idx = lpm.Freeze(items)
+	return lpm.Freeze(items)
 }
 
-// indexClusters (re)derives the ID and owner-name lookup maps of an
-// eager Dataset from d.Clusters. Later clusters overwrite earlier ones
-// on a duplicate key, in slice order.
-func (d *Dataset) indexClusters() {
-	d.byCluster = make(map[string]*Cluster, len(d.Clusters))
-	d.byOwner = make(map[string]*Cluster, len(d.Clusters))
-	for _, c := range d.Clusters {
-		d.byCluster[c.ID] = c
-		for _, o := range c.OwnerNames {
-			d.byOwner[o] = c
-		}
-	}
-}
-
-// ClusterByID returns a final cluster by its ID.
+// ClusterByID returns a final cluster by its ID. Of several clusters
+// sharing an ID (which the build never produces) the last one wins.
 func (d *Dataset) ClusterByID(id string) (*Cluster, bool) {
-	if d.lazy != nil {
-		return d.view.clusterByID(d, id)
+	if d.view != nil {
+		return d.view.clusterByID(id)
 	}
-	c, ok := d.byCluster[id]
-	return c, ok
+	// Clusters are sorted by ID: i is one past the run of id.
+	i := sort.Search(len(d.Clusters), func(i int) bool { return d.Clusters[i].ID > id })
+	if i == 0 || d.Clusters[i-1].ID != id {
+		return nil, false
+	}
+	return d.Clusters[i-1], true
 }
 
 // ClusterOfOwner returns the cluster containing the exact Direct Owner
 // name (matching is case-insensitive on the basic-cleaned form).
 func (d *Dataset) ClusterOfOwner(name string) (*Cluster, bool) {
-	if d.lazy != nil {
-		return d.view.clusterOfOwner(d, basicClean(name))
+	if d.view != nil {
+		return d.view.clusterOfOwner(basicClean(name))
 	}
 	c, ok := d.byOwner[basicClean(name)]
 	return c, ok

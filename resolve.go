@@ -232,7 +232,7 @@ func finish(ctx context.Context, tr *obs.Trace, recs []Record, unmapped int, opt
 			// positions, same index.
 			ds.idx = prevIdx
 		} else {
-			ds.freezeIndex()
+			ds.idx = freezeIndex(recs)
 		}
 		freezeSpan.Add("prefixes", int64(len(recs)))
 	})
@@ -293,10 +293,14 @@ func finish(ctx context.Context, tr *obs.Trace, recs []Record, unmapped int, opt
 		}
 	}
 	cres := cluster.Build(infos)
-	for _, c := range cres.Final {
-		ds.Clusters = append(ds.Clusters, &Cluster{ID: c.ID, BaseName: c.BaseName, OwnerNames: c.OwnerNames, Prefixes: c.Prefixes})
+	ds.Clusters = make([]*Cluster, len(cres.Final))
+	ds.byOwner = make(map[string]*Cluster, cres.WCount)
+	for i, c := range cres.Final {
+		ds.Clusters[i] = &Cluster{ID: c.ID, BaseName: c.BaseName, OwnerNames: c.OwnerNames, Prefixes: c.Prefixes}
+		for _, o := range c.OwnerNames {
+			ds.byOwner[o] = ds.Clusters[i]
+		}
 	}
-	ds.indexClusters()
 	// infos parallels recs, so cres.Of[i] is record i's cluster.
 	for i, c := range cres.Of {
 		if c != nil {

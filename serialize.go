@@ -2,7 +2,6 @@ package prefix2org
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,7 +10,6 @@ import (
 	"net/netip"
 	"os"
 
-	"github.com/prefix2org/prefix2org/internal/intern"
 	"github.com/prefix2org/prefix2org/internal/obs"
 )
 
@@ -27,8 +25,10 @@ import (
 //     nothing is re-parsed or re-frozen.
 //
 // Load sniffs the magic and dispatches, so consumers (p2o-whoisd,
-// p2o-httpd, p2o-diff) accept either transparently. A v1 binary file
-// (serialize_binary.go, write-only) is refused by name.
+// p2o-httpd, p2o-diff) accept either transparently, and every read
+// returns the same shape: a view over v2 bytes. A JSON snapshot is
+// encoded to them once. A v1 binary file (serialize_binary.go,
+// write-only) is refused by name.
 
 type snapshotStats struct {
 	Kind  string `json:"kind"` // "stats"
@@ -64,13 +64,13 @@ type snapshotRecord struct {
 // Save writes the dataset snapshot in the JSON-lines format.
 func (d *Dataset) Save(w io.Writer) error {
 	defer obs.Time(mCodecSeconds.saveJSON)()
-	d.MaterializeAll()
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	if err := enc.Encode(snapshotStats{Kind: "stats", Stats: d.Stats}); err != nil {
 		return fmt.Errorf("prefix2org: encode stats: %w", err)
 	}
-	for _, c := range d.Clusters {
+	for i := range d.NumClusters() {
+		c := d.ClusterAt(i)
 		sc := snapshotCluster{Kind: "cluster", ID: c.ID, BaseName: c.BaseName, OwnerNames: c.OwnerNames}
 		for _, p := range c.Prefixes {
 			sc.Prefixes = append(sc.Prefixes, p.String())
@@ -79,8 +79,8 @@ func (d *Dataset) Save(w io.Writer) error {
 			return fmt.Errorf("prefix2org: encode cluster %s: %w", c.ID, err)
 		}
 	}
-	for i := range d.Records {
-		r := &d.Records[i]
+	for i := range d.NumRecords() {
+		r := d.RecordAt(i)
 		sr := snapshotRecord{
 			Kind: "record", Prefix: r.Prefix.String(), RIR: r.RIR,
 			DirectOwner: r.DirectOwner, DOPrefix: r.DOPrefix.String(), DOType: r.DOType,
@@ -100,34 +100,30 @@ func (d *Dataset) Save(w io.Writer) error {
 
 // Load reads a snapshot written by Save or SaveBinary (v2) — the format
 // is sniffed from the leading bytes: v2, then the v1 magic, which is
-// refused by name, then JSON — and rebuilds all indexes, including the
-// frozen longest-prefix-match index behind LookupAddr. Load always
-// returns an eager Dataset; OpenSnapshotFile is the in-place (lazy,
-// view-backed) entry point for v2 snapshots.
+// refused by name, then JSON — and returns it as a read Dataset
+// (Lazy() == true) over v2 bytes. A JSON snapshot streams through the
+// line scanner, is encoded once with the v2 writer, and then passes the
+// same validation a v2 file does.
 func Load(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReaderSize(r, 64*1024)
-	if head, err := br.Peek(len(binaryMagicV2)); err == nil {
-		switch {
-		case bytes.Equal(head, binaryMagicV2[:]):
-			data, err := io.ReadAll(br)
-			if err != nil {
-				return nil, fmt.Errorf("prefix2org: read binary snapshot: %w", err)
-			}
-			return loadBinaryV2(data)
-		case bytes.Equal(head, binaryMagic[:]):
-			return nil, errSnapshotV1
-		}
+	switch head, _ := br.Peek(len(binaryMagicV2)); {
+	case hasMagic(head, binaryMagic):
+		return nil, errSnapshotV1
+	case !hasMagic(head, binaryMagicV2):
+		return loadJSON(br)
 	}
-	return loadJSON(br)
+	data, err := io.ReadAll(br)
+	if err != nil {
+		return nil, fmt.Errorf("prefix2org: read binary snapshot: %w", err)
+	}
+	return openViewBytes(data, nil)
 }
 
 func loadJSON(r io.Reader) (*Dataset, error) {
 	defer obs.Time(mCodecSeconds.loadJSON)()
+	// d is a built Dataset in all but name, alive only until the v2
+	// writer has encoded it.
 	d := &Dataset{}
-	// Most snapshot strings repeat across hundreds of thousands of
-	// lines (registry zones, allocation types, owner and cluster
-	// names); interning collapses each to a single allocation.
-	strs := intern.New(1 << 12)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
 	lineNo := 0
@@ -155,7 +151,7 @@ func loadJSON(r io.Reader) (*Dataset, error) {
 			if err := json.Unmarshal(line, &scl); err != nil {
 				return nil, fmt.Errorf("prefix2org: snapshot line %d: %w", lineNo, err)
 			}
-			c := &Cluster{ID: strs.Intern(scl.ID), BaseName: strs.Intern(scl.BaseName), OwnerNames: internAll(strs, scl.OwnerNames)}
+			c := &Cluster{ID: scl.ID, BaseName: scl.BaseName, OwnerNames: scl.OwnerNames}
 			for _, s := range scl.Prefixes {
 				p, err := netip.ParsePrefix(s)
 				if err != nil {
@@ -170,10 +166,10 @@ func loadJSON(r io.Reader) (*Dataset, error) {
 				return nil, fmt.Errorf("prefix2org: snapshot line %d: %w", lineNo, err)
 			}
 			rec := Record{
-				RIR: strs.Intern(sr.RIR), DirectOwner: strs.Intern(sr.DirectOwner), DOType: strs.Intern(sr.DOType),
-				DelegatedCustomers: internAll(strs, sr.DelegatedCustomers), DCTypes: internAll(strs, sr.DCTypes),
-				BaseName: strs.Intern(sr.BaseName), RPKICert: strs.Intern(sr.RPKICert),
-				OriginASN: sr.OriginASN, ASNCluster: strs.Intern(sr.ASNCluster), FinalCluster: strs.Intern(sr.FinalCluster),
+				RIR: sr.RIR, DirectOwner: sr.DirectOwner, DOType: sr.DOType,
+				DelegatedCustomers: sr.DelegatedCustomers, DCTypes: sr.DCTypes,
+				BaseName: sr.BaseName, RPKICert: sr.RPKICert,
+				OriginASN: sr.OriginASN, ASNCluster: sr.ASNCluster, FinalCluster: sr.FinalCluster,
 			}
 			var err error
 			if rec.Prefix, err = parseSnapshotPrefix(sr.Prefix); err != nil {
@@ -197,16 +193,11 @@ func loadJSON(r io.Reader) (*Dataset, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("prefix2org: snapshot scan: %w", err)
 	}
-	d.indexClusters()
-	d.freezeIndex()
-	return d, nil
-}
-
-func internAll(t *intern.Table, ss []string) []string {
-	for i, s := range ss {
-		ss[i] = t.Intern(s)
+	data, err := d.encodeV2()
+	if err != nil {
+		return nil, err
 	}
-	return ss
+	return openViewBytes(data, nil)
 }
 
 func parseSnapshotPrefix(s string) (netip.Prefix, error) {
@@ -269,16 +260,9 @@ func createBeside(path string) (*os.File, error) {
 	}
 }
 
-// LoadFile reads a snapshot from path. The context is honored before
-// the read starts.
+// LoadFile reads a snapshot from path into memory and returns it as a
+// read Dataset: OpenSnapshotFile without the mapping. The context is
+// honored before the read starts.
 func LoadFile(ctx context.Context, path string) (*Dataset, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("prefix2org: open %s: %w", path, err)
-	}
-	defer f.Close()
-	return Load(f)
+	return OpenSnapshotFile(ctx, path, OpenOptions{})
 }

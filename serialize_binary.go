@@ -9,7 +9,6 @@ import (
 	"net/netip"
 	"strings"
 
-	"github.com/prefix2org/prefix2org/internal/lpm"
 	"github.com/prefix2org/prefix2org/internal/obs"
 )
 
@@ -54,12 +53,11 @@ const (
 )
 
 var mCodecSeconds = struct {
-	saveJSON, loadJSON, saveBin, loadBin *obs.Histogram
+	saveJSON, loadJSON, saveBin *obs.Histogram
 }{
 	saveJSON: obs.Default().Histogram(obs.Label("snapshot_codec_seconds", "op", "save", "format", "json"), obs.DefBuckets),
 	loadJSON: obs.Default().Histogram(obs.Label("snapshot_codec_seconds", "op", "load", "format", "json"), obs.DefBuckets),
 	saveBin:  obs.Default().Histogram(obs.Label("snapshot_codec_seconds", "op", "save", "format", "binary"), obs.DefBuckets),
-	loadBin:  obs.Default().Histogram(obs.Label("snapshot_codec_seconds", "op", "load", "format", "binary"), obs.DefBuckets),
 }
 
 // stringTable assigns dense IDs to strings in first-reference order,
@@ -115,7 +113,6 @@ func appendSection(buf []byte, tag byte, payload []byte) []byte {
 // New snapshots use SaveBinary (v2, served in place).
 func (d *Dataset) SaveBinaryV1(w io.Writer) error {
 	defer obs.Time(mCodecSeconds.saveBin)()
-	d.MaterializeAll()
 	stats, err := json.Marshal(d.Stats)
 	if err != nil {
 		return fmt.Errorf("prefix2org: encode stats: %w", err)
@@ -123,8 +120,9 @@ func (d *Dataset) SaveBinaryV1(w io.Writer) error {
 	strs := newStringTable(0)
 
 	var clusters []byte
-	clusters = binary.AppendUvarint(clusters, uint64(len(d.Clusters)))
-	for _, c := range d.Clusters {
+	clusters = binary.AppendUvarint(clusters, uint64(d.NumClusters()))
+	for i := range d.NumClusters() {
+		c := d.ClusterAt(i)
 		clusters = strs.ref(clusters, c.ID)
 		clusters = strs.ref(clusters, c.BaseName)
 		clusters = binary.AppendUvarint(clusters, uint64(len(c.OwnerNames)))
@@ -138,9 +136,9 @@ func (d *Dataset) SaveBinaryV1(w io.Writer) error {
 	}
 
 	var records []byte
-	records = binary.AppendUvarint(records, uint64(len(d.Records)))
-	for i := range d.Records {
-		r := &d.Records[i]
+	records = binary.AppendUvarint(records, uint64(d.NumRecords()))
+	for i := range d.NumRecords() {
+		r := d.RecordAt(i)
 		records = appendWirePrefix(records, r.Prefix)
 		records = strs.ref(records, r.RIR)
 		records = strs.ref(records, r.DirectOwner)
@@ -174,11 +172,7 @@ func (d *Dataset) SaveBinaryV1(w io.Writer) error {
 
 	ix := d.idx
 	if ix == nil {
-		items := make([]lpm.Item, len(d.Records))
-		for i := range d.Records {
-			items[i] = lpm.Item{Prefix: d.Records[i].Prefix, Val: int32(i)}
-		}
-		ix = lpm.Freeze(items)
+		ix = freezeIndex(d.Records)
 	}
 	index := ix.AppendBinary(nil)
 

@@ -10,6 +10,7 @@ import (
 	"net/netip"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"github.com/prefix2org/prefix2org/internal/lpm"
 	"github.com/prefix2org/prefix2org/internal/obs"
@@ -204,20 +205,37 @@ func (t *stringTable) id(s string) uint32 {
 // SaveBinary writes the dataset as a version-2 binary snapshot: the
 // current format, openable in place by OpenSnapshotFile with no
 // per-record decode. The output is deterministic for a given Dataset;
-// Load and SaveFile round-trip it byte for byte.
+// Load and SaveFile round-trip it byte for byte. A read Dataset writes
+// the bytes it was opened over, sections this version does not know
+// included.
+func (d *Dataset) SaveBinary(w io.Writer) error {
+	defer obs.Time(mCodecSeconds.saveBin)()
+	var out []byte
+	if d.view != nil {
+		out = d.view.buf
+	} else {
+		var err error
+		if out, err = d.encodeV2(); err != nil {
+			return err
+		}
+	}
+	if _, err := w.Write(out); err != nil {
+		return fmt.Errorf("prefix2org: write binary snapshot: %w", err)
+	}
+	return nil
+}
+
+// encodeV2 encodes a built Dataset as a v2 snapshot.
 //
 // Every section but the strings has a length the record, cluster and
 // ragged-list counts fix, and the strings section has one once every
 // string is interned. So the writer counts, interns, allocates the file
-// once at its final size, fills each column at its offset — through the
-// same carve the reader slices the sections with — and hands w the
-// whole file in one Write.
-func (d *Dataset) SaveBinary(w io.Writer) error {
-	defer obs.Time(mCodecSeconds.saveBin)()
-	d.MaterializeAll()
+// once at its final size, and fills each column at its offset — through
+// the same carve the reader slices the sections with.
+func (d *Dataset) encodeV2() ([]byte, error) {
 	stats, err := json.Marshal(d.Stats)
 	if err != nil {
-		return fmt.Errorf("prefix2org: encode stats: %w", err)
+		return nil, fmt.Errorf("prefix2org: encode stats: %w", err)
 	}
 
 	rc, cc := recCols{n: len(d.Records)}, cluCols{m: len(d.Clusters)}
@@ -238,15 +256,11 @@ func (d *Dataset) SaveBinary(w io.Writer) error {
 		blobLen += uint64(len(s))
 	}
 	if blobLen > 1<<32-1 || nStr > 1<<32-1 {
-		return fmt.Errorf("prefix2org: string table too large for v2 snapshot")
+		return nil, fmt.Errorf("prefix2org: string table too large for v2 snapshot")
 	}
 	ix := d.idx
 	if ix == nil {
-		items := make([]lpm.Item, rc.n)
-		for i := range d.Records {
-			items[i] = lpm.Item{Prefix: d.Records[i].Prefix, Val: int32(i)}
-		}
-		ix = lpm.Freeze(items)
+		ix = freezeIndex(d.Records)
 	}
 
 	// The directory: one section per tag, tags ascending, each at the next
@@ -306,7 +320,7 @@ func (d *Dataset) SaveBinary(w io.Writer) error {
 	putU32at(hdr, 2, uint32(cc.nPref))
 	cc.carve(s)
 	if s.err != nil {
-		return fmt.Errorf("prefix2org: write binary snapshot: clusters: %w", s.err)
+		return nil, fmt.Errorf("prefix2org: write binary snapshot: clusters: %w", s.err)
 	}
 	refs, ownerPairs := cc.fill(d.Clusters, refs)
 
@@ -318,7 +332,7 @@ func (d *Dataset) SaveBinary(w io.Writer) error {
 	putU32at(hdr, 3, uint32(rc.nDCT))
 	rc.carve(s)
 	if s.err != nil {
-		return fmt.Errorf("prefix2org: write binary snapshot: records: %w", s.err)
+		return nil, fmt.Errorf("prefix2org: write binary snapshot: records: %w", s.err)
 	}
 	refs = rc.fill(d.Records, refs)
 
@@ -367,16 +381,13 @@ func (d *Dataset) SaveBinary(w io.Writer) error {
 	// fail, write nothing.
 	for i := range sec {
 		if err := sec[i].done(); err != nil {
-			return fmt.Errorf("prefix2org: write binary snapshot: section %d: %w", i, err)
+			return nil, fmt.Errorf("prefix2org: write binary snapshot: section %d: %w", i, err)
 		}
 	}
 	if len(refs) != 0 {
-		return fmt.Errorf("prefix2org: write binary snapshot: %d string refs left without a column", len(refs))
+		return nil, fmt.Errorf("prefix2org: write binary snapshot: %d string refs left without a column", len(refs))
 	}
-	if _, err := w.Write(out); err != nil {
-		return fmt.Errorf("prefix2org: write binary snapshot: %w", err)
-	}
-	return nil
+	return out, nil
 }
 
 // internStrings interns every string of the dataset, clusters before
@@ -837,8 +848,9 @@ func parseDirectoryV2(data []byte) (secs [8][]byte, seen [8]bool, err error) {
 // openViewBytes opens a v2 snapshot in place over data: it validates
 // the directory and every section's framing and invariants (string
 // packing, ref ranges, prefix-sum columns, canonical prefixes, sorted
-// lookup tables, index↔records agreement), then returns a Dataset that
-// serves straight from data with lazy Record/Cluster materialization.
+// lookup tables, index↔records agreement), then returns a read Dataset
+// that serves straight from data with lazy Record/Cluster
+// materialization.
 // No per-record or per-string decode happens here. closeFn, if
 // non-nil, is invoked by Dataset.Close to release the buffer.
 func openViewBytes(data []byte, closeFn func() error) (*Dataset, error) {
@@ -897,7 +909,9 @@ func openViewBytes(data []byte, closeFn func() error) (*Dataset, error) {
 		return nil, fmt.Errorf("prefix2org: binary snapshot: index does not match records")
 	}
 
-	d := &Dataset{view: v, lazy: newLazyTables(v.rec.n, v.clu.m)}
+	v.chunks = make([]atomic.Pointer[recordChunk], (v.rec.n+recChunkLen-1)>>recChunkShift)
+	v.clus = make([]atomic.Pointer[Cluster], v.clu.m)
+	d := &Dataset{view: v}
 	if err := json.Unmarshal(secs[v2SecStats], &d.Stats); err != nil {
 		return nil, fmt.Errorf("prefix2org: binary snapshot: stats: %w", err)
 	}
@@ -988,21 +1002,4 @@ func (v *snapView) parseClusterIDs(sec []byte) error {
 	}
 	v.ids = ids
 	return nil
-}
-
-// loadBinaryV2 decodes a full v2 snapshot into a classic eager
-// Dataset: Load's compatibility path, used when the caller wants heap
-// records rather than a view over the input buffer. The input buffer
-// stays reachable through the materialized strings and the index
-// columns, which alias it.
-func loadBinaryV2(data []byte) (*Dataset, error) {
-	defer obs.Time(mCodecSeconds.loadBin)()
-	d, err := openViewBytes(data, nil)
-	if err != nil {
-		return nil, err
-	}
-	d.MaterializeAll()
-	d.lazy = nil
-	d.view = nil
-	return d, nil
 }

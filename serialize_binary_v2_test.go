@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -23,8 +24,20 @@ func saveV2(t testing.TB, ds *Dataset) []byte {
 	return buf.Bytes()
 }
 
-// lazyEquivalent checks a view-backed dataset against its eager source:
-// every accessor the serve path uses must answer identically.
+// saveJSON returns the JSON-lines snapshot bytes of ds.
+func saveJSON(t testing.TB, ds *Dataset) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ds.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// lazyEquivalent checks a read dataset against the built one it was
+// saved from (or any two datasets of one mapping): every method — the
+// serve path's accessors, the analysis methods and the writers — must
+// answer identically on both shapes.
 func lazyEquivalent(t *testing.T, eager, lazy *Dataset) {
 	t.Helper()
 	if got, want := lazy.NumRecords(), eager.NumRecords(); got != want {
@@ -36,16 +49,16 @@ func lazyEquivalent(t *testing.T, eager, lazy *Dataset) {
 	if lazy.Stats != eager.Stats {
 		t.Error("stats diverged")
 	}
-	for i := range eager.Records {
-		if !reflect.DeepEqual(*lazy.RecordAt(i), eager.Records[i]) {
-			t.Fatalf("RecordAt(%d) diverged:\n%+v\n%+v", i, *lazy.RecordAt(i), eager.Records[i])
+	for i := range eager.NumRecords() {
+		if !reflect.DeepEqual(*lazy.RecordAt(i), *eager.RecordAt(i)) {
+			t.Fatalf("RecordAt(%d) diverged:\n%+v\n%+v", i, *lazy.RecordAt(i), *eager.RecordAt(i))
 		}
 	}
-	for i := range eager.Clusters {
-		if !reflect.DeepEqual(lazy.ClusterAt(i), eager.Clusters[i]) {
-			t.Fatalf("ClusterAt(%d) diverged:\n%+v\n%+v", i, lazy.ClusterAt(i), eager.Clusters[i])
+	for i := range eager.NumClusters() {
+		c := eager.ClusterAt(i)
+		if !reflect.DeepEqual(lazy.ClusterAt(i), c) {
+			t.Fatalf("ClusterAt(%d) diverged:\n%+v\n%+v", i, lazy.ClusterAt(i), c)
 		}
-		c := eager.Clusters[i]
 		got, ok := lazy.ClusterByID(c.ID)
 		if !ok || got.ID != c.ID {
 			t.Fatalf("ClusterByID(%q) diverged", c.ID)
@@ -60,8 +73,8 @@ func lazyEquivalent(t *testing.T, eager, lazy *Dataset) {
 	}
 	chainA := make([]*Record, 0, 16)
 	chainB := make([]*Record, 0, 16)
-	for i := range eager.Records {
-		p := eager.Records[i].Prefix
+	for i := range eager.NumRecords() {
+		p := eager.RecordAt(i).Prefix
 		ra, aok := eager.Lookup(p)
 		rb, bok := lazy.Lookup(p)
 		if aok != bok || (aok && ra.Prefix != rb.Prefix) {
@@ -88,6 +101,27 @@ func lazyEquivalent(t *testing.T, eager, lazy *Dataset) {
 			}
 		}
 	}
+	// The analysis methods and the writers.
+	for _, n := range []int{5, eager.NumClusters() + 1} {
+		if got, want := lazy.TopClustersBySpace(n), eager.TopClustersBySpace(n); !reflect.DeepEqual(got, want) {
+			t.Errorf("TopClustersBySpace(%d): %d rows diverged from %d", n, len(got), len(want))
+		}
+	}
+	if got, want := lazy.TotalV4Space(), eager.TotalV4Space(); got != want {
+		t.Errorf("TotalV4Space = %v, want %v", got, want)
+	}
+	if got, want := lazy.WhoisNameClusters(), eager.WhoisNameClusters(); !reflect.DeepEqual(got, want) {
+		t.Errorf("WhoisNameClusters: %d rows diverged from %d", len(got), len(want))
+	}
+	if got, want := lazy.AS2OrgClusters(), eager.AS2OrgClusters(); !reflect.DeepEqual(got, want) {
+		t.Errorf("AS2OrgClusters: %d rows diverged from %d", len(got), len(want))
+	}
+	if !bytes.Equal(saveJSON(t, lazy), saveJSON(t, eager)) {
+		t.Error("Save output diverged")
+	}
+	if !bytes.Equal(saveV2(t, lazy), saveV2(t, eager)) {
+		t.Error("SaveBinary output diverged")
+	}
 	// Misses must agree too.
 	if _, ok := lazy.Lookup(netip.MustParsePrefix("203.0.113.0/24")); ok {
 		t.Error("Lookup hit on an absent prefix")
@@ -102,7 +136,7 @@ func lazyEquivalent(t *testing.T, eager, lazy *Dataset) {
 
 // TestOpenSnapshotFileLazyEquivalence serves a v2 snapshot in place —
 // mmap and read-into-memory paths both — and checks every accessor
-// against the eager dataset it was saved from.
+// against the built dataset it was saved from.
 func TestOpenSnapshotFileLazyEquivalence(t *testing.T) {
 	_, ds := buildWorldDataset(t)
 	path := filepath.Join(t.TempDir(), "world.p2o")
@@ -128,15 +162,11 @@ func TestOpenSnapshotFileLazyEquivalence(t *testing.T) {
 }
 
 // TestOpenSnapshotFileFallback: OpenSnapshotFile on a JSON snapshot
-// degrades to the eager loader in both modes.
+// returns the same read shape a v2 file does, in both modes.
 func TestOpenSnapshotFileFallback(t *testing.T) {
 	_, ds := buildWorldDataset(t)
-	var jsonl bytes.Buffer
-	if err := ds.Save(&jsonl); err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "world.jsonl")
-	if err := os.WriteFile(path, jsonl.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, saveJSON(t, ds), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, mmap := range []bool{true, false} {
@@ -144,71 +174,128 @@ func TestOpenSnapshotFileFallback(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenSnapshotFile(mmap=%v): %v", mmap, err)
 		}
-		if back.Lazy() {
-			t.Fatal("JSON snapshot opened lazily; only v2 has a view form")
+		if !back.Lazy() {
+			t.Fatalf("JSON snapshot (mmap=%v) did not open as a view", mmap)
 		}
-		datasetsEquivalent(t, ds, back)
+		lazyEquivalent(t, ds, back)
 	}
 }
 
-// TestV2MaterializeAll promotes a view-backed dataset to the eager
-// representation; the result must be indistinguishable — including the
-// nil-vs-empty slice conventions reflect.DeepEqual sees — from a
-// dataset decoded eagerly.
+// TestV2MaterializeAll: MaterializeAll fills the view's own chunk and
+// cluster tables and nothing else — the Dataset keeps its read shape and
+// still answers like the built one — and is safe beside concurrent
+// readers touching the same chunks first.
 func TestV2MaterializeAll(t *testing.T) {
 	_, ds := buildWorldDataset(t)
-	data := saveV2(t, ds)
-	lazy, err := openViewBytes(append([]byte(nil), data...), nil)
+	lazy, err := openViewBytes(saveV2(t, ds), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy.MaterializeAll()
-	datasetsEquivalent(t, ds, lazy)
-	if !lazy.Lazy() {
-		t.Error("MaterializeAll dropped the view; concurrent lazy readers would break")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 {
+				lazy.MaterializeAll()
+				return
+			}
+			for i := range lazy.NumRecords() {
+				_ = lazy.RecordAt(i).Prefix
+			}
+		}()
 	}
+	wg.Wait()
+	if !lazy.Lazy() || lazy.Records != nil || lazy.Clusters != nil {
+		t.Fatal("MaterializeAll changed the Dataset's shape")
+	}
+	for i := range lazy.view.chunks {
+		if lazy.view.chunks[i].Load() == nil {
+			t.Fatalf("record chunk %d not materialized", i)
+		}
+	}
+	for i := range lazy.view.clus {
+		if lazy.view.clus[i].Load() == nil {
+			t.Fatalf("cluster %d not materialized", i)
+		}
+	}
+	lazyEquivalent(t, ds, lazy)
 }
 
 // TestSnapshotCompatRoundTrip is the `make snapshot-compat` invariant:
-// save → load → re-save must be byte-identical, through both the eager
-// loader and the view opener.
+// every reader — Load, LoadFile, OpenSnapshotFile with and without the
+// mapping — returns a read Dataset for a v2 and a JSON snapshot alike,
+// and each re-saves exactly the v2 bytes of the built Dataset both were
+// exported from. A v2 file carrying a section this version does not
+// know re-saves byte for byte, that section included.
 func TestSnapshotCompatRoundTrip(t *testing.T) {
 	_, ds := buildWorldDataset(t)
 	first := saveV2(t, ds)
+	dir := t.TempDir()
+	files := map[string][]byte{"world.p2o": first, "world.jsonl": saveJSON(t, ds)}
+	for name, data := range files {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		readers := map[string]func() (*Dataset, error){
+			"Load":     func() (*Dataset, error) { return Load(bytes.NewReader(data)) },
+			"LoadFile": func() (*Dataset, error) { return LoadFile(context.Background(), path) },
+			"OpenSnapshotFile(mmap)": func() (*Dataset, error) {
+				return OpenSnapshotFile(context.Background(), path, OpenOptions{Mmap: true})
+			},
+			"OpenSnapshotFile(readfile)": func() (*Dataset, error) {
+				return OpenSnapshotFile(context.Background(), path, OpenOptions{})
+			},
+		}
+		for reader, read := range readers {
+			d, err := read()
+			if err != nil {
+				t.Fatalf("%s(%s): %v", reader, name, err)
+			}
+			if !d.Lazy() {
+				t.Errorf("%s(%s) is not a read Dataset", reader, name)
+			}
+			if again := saveV2(t, d); !bytes.Equal(first, again) {
+				t.Errorf("%s(%s): re-save is not the built Dataset's v2 bytes", reader, name)
+			}
+			d.Close()
+		}
+	}
 
-	eager, err := Load(bytes.NewReader(first))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again := saveV2(t, eager); !bytes.Equal(first, again) {
-		t.Error("re-save after eager load is not byte-identical")
-	}
-
-	lazy, err := openViewBytes(append([]byte(nil), first...), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again := saveV2(t, lazy); !bytes.Equal(first, again) {
-		t.Error("re-save after view open is not byte-identical")
+	// A section under a tag this version skips survives a re-save.
+	const futureTag = v2SecIndex + 9
+	extended := replaceSectionV2(t, first, futureTag, []byte("a section from a later version"))
+	for reader, read := range map[string]func() (*Dataset, error){
+		"Load":          func() (*Dataset, error) { return Load(bytes.NewReader(extended)) },
+		"openViewBytes": func() (*Dataset, error) { return openViewBytes(extended, nil) },
+	} {
+		d, err := read()
+		if err != nil {
+			t.Fatalf("%s: unknown section refused: %v", reader, err)
+		}
+		if again := saveV2(t, d); !bytes.Equal(extended, again) {
+			t.Errorf("%s: re-save dropped or changed the unknown section", reader)
+		}
 	}
 }
 
 // TestLookupEagerViewEquivalent: exact-prefix Lookup takes one path —
-// the index — on built, eagerly loaded and view-backed Datasets alike,
-// so all three must answer every query shape identically.
+// the index — on built Datasets and on read ones, whether read from a
+// JSON or a v2 snapshot, so all three must answer every query shape
+// identically.
 func TestLookupEagerViewEquivalent(t *testing.T) {
 	_, built := buildWorldDataset(t)
-	data := saveV2(t, built)
-	loaded, err := Load(bytes.NewReader(data))
+	loaded, err := Load(bytes.NewReader(saveJSON(t, built)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := openViewBytes(data, nil)
+	view, err := openViewBytes(saveV2(t, built), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Lazy() || !view.Lazy() {
-		t.Fatalf("Lazy: loaded=%v view=%v, want false/true", loaded.Lazy(), view.Lazy())
+	if built.Lazy() || !loaded.Lazy() || !view.Lazy() {
+		t.Fatalf("Lazy: built=%v loaded=%v view=%v, want false/true/true", built.Lazy(), loaded.Lazy(), view.Lazy())
 	}
 	var queries []netip.Prefix
 	mustHit := 0
@@ -251,9 +338,10 @@ func TestLookupEagerViewEquivalent(t *testing.T) {
 	}
 }
 
-// replaceSectionV2 rebuilds a v2 image with one section's payload
-// swapped out, preserving the directory layout rules (ascending tags,
-// 8-aligned section starts).
+// replaceSectionV2 rebuilds a v2 image with one section's payload set —
+// swapped in where the tag is present, added in tag order where it is
+// not — preserving the directory layout rules (ascending tags, 8-aligned
+// section starts).
 func replaceSectionV2(t *testing.T, data []byte, tag uint32, payload []byte) []byte {
 	t.Helper()
 	if !hasMagic(data, binaryMagicV2) {
@@ -272,6 +360,10 @@ func replaceSectionV2(t *testing.T, data []byte, tag uint32, payload []byte) []b
 		off := binary.LittleEndian.Uint64(e[8:])
 		ln := binary.LittleEndian.Uint64(e[16:])
 		body := data[off : off+ln]
+		if etag > tag && !replaced {
+			secs = append(secs, sec{tag, payload})
+			replaced = true
+		}
 		if etag == tag {
 			body = payload
 			replaced = true
@@ -279,7 +371,7 @@ func replaceSectionV2(t *testing.T, data []byte, tag uint32, payload []byte) []b
 		secs = append(secs, sec{etag, body})
 	}
 	if !replaced {
-		t.Fatalf("section %d not present", tag)
+		secs = append(secs, sec{tag, payload})
 	}
 	hdrLen := 16 + 24*len(secs)
 	offs := make([]int, len(secs))
@@ -312,11 +404,10 @@ func replaceSectionV2(t *testing.T, data []byte, tag uint32, payload []byte) []b
 // it.
 func TestV2RejectsForeignIndex(t *testing.T) {
 	_, ds := buildWorldDataset(t)
-	other := &Dataset{Records: []Record{{Prefix: netip.MustParsePrefix("203.0.113.0/24")}}}
-	other.freezeIndex()
+	other := freezeIndex([]Record{{Prefix: netip.MustParsePrefix("203.0.113.0/24")}})
 
 	data := saveV2(t, ds)
-	spliced := replaceSectionV2(t, data, v2SecIndex, other.idx.AppendColumns(nil))
+	spliced := replaceSectionV2(t, data, v2SecIndex, other.AppendColumns(nil))
 	if _, err := openViewBytes(spliced, nil); err == nil {
 		t.Error("index of a different dataset accepted by the view opener")
 	}
@@ -378,9 +469,10 @@ func TestV2WarmLookupZeroAlloc(t *testing.T) {
 	}
 }
 
-// FuzzLoadBinary feeds arbitrary bytes to both snapshot openers. Neither
-// may ever panic; on a successful open, the accessors and a re-save must
-// hold up too. Anything behind the v1 magic must be refused by name.
+// FuzzLoadBinary feeds arbitrary bytes to Load, which opens every
+// format through the view opener. It may never panic; on a successful
+// open, the accessors and a re-save must hold up too. Anything behind
+// the v1 magic must be refused by name.
 func FuzzLoadBinary(f *testing.F) {
 	// A small handcrafted dataset keeps worker start-up cheap (each fuzz
 	// worker process rebuilds the seeds); the world-scale corpus is
@@ -405,7 +497,6 @@ func FuzzLoadBinary(f *testing.F) {
 			Prefixes:   []netip.Prefix{mp("192.0.2.0/24"), mp("2001:db8::/32")},
 		}},
 	}
-	ds.freezeIndex()
 	var v2, v1, jsonl bytes.Buffer
 	if err := ds.SaveBinary(&v2); err != nil {
 		f.Fatal(err)
@@ -432,11 +523,6 @@ func FuzzLoadBinary(f *testing.F) {
 		}
 		if err == nil {
 			exerciseDataset(d)
-		}
-		if hasMagic(data, binaryMagicV2) {
-			if d, err := openViewBytes(data, nil); err == nil {
-				exerciseDataset(d)
-			}
 		}
 	})
 }

@@ -17,17 +17,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Records) != len(ds.Records) {
-		t.Fatalf("records = %d, want %d", len(back.Records), len(ds.Records))
+	if back.NumRecords() != len(ds.Records) {
+		t.Fatalf("records = %d, want %d", back.NumRecords(), len(ds.Records))
 	}
-	if len(back.Clusters) != len(ds.Clusters) {
-		t.Fatalf("clusters = %d, want %d", len(back.Clusters), len(ds.Clusters))
+	if back.NumClusters() != len(ds.Clusters) {
+		t.Fatalf("clusters = %d, want %d", back.NumClusters(), len(ds.Clusters))
 	}
 	if back.Stats != ds.Stats {
 		t.Error("stats did not round-trip")
 	}
 	for i := range ds.Records {
-		a, b := &ds.Records[i], &back.Records[i]
+		a, b := &ds.Records[i], back.RecordAt(i)
 		if a.Prefix != b.Prefix || a.DirectOwner != b.DirectOwner ||
 			a.DOType != b.DOType || a.FinalCluster != b.FinalCluster ||
 			a.RPKICert != b.RPKICert || a.OriginASN != b.OriginASN {
@@ -60,8 +60,8 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Records) != len(ds.Records) {
-		t.Errorf("records = %d", len(back.Records))
+	if back.NumRecords() != len(ds.Records) {
+		t.Errorf("records = %d", back.NumRecords())
 	}
 	if _, err := LoadFile(context.Background(), filepath.Join(t.TempDir(), "missing.jsonl")); err == nil {
 		t.Error("missing file accepted")

@@ -1,6 +1,7 @@
 package prefix2org
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -14,21 +15,21 @@ import (
 	"github.com/prefix2org/prefix2org/internal/lpm"
 )
 
-// A view-backed Dataset serves straight from the bytes of a v2
-// snapshot (see serialize_binary_v2.go): the lpm index aliases the
-// file's columns, strings alias the blob, and Record/Cluster values
-// are materialized lazily, a chunk at a time, on first touch. Opening
-// one is O(sections), not O(records).
+// A read Dataset serves straight from the bytes of a v2 snapshot (see
+// serialize_binary_v2.go): the lpm index aliases the file's columns,
+// strings alias the blob, and Record/Cluster values are materialized
+// lazily, a chunk at a time, on first touch, into the view's own
+// tables. Opening one is O(sections), not O(records), and nothing ever
+// changes its shape: Records and Clusters stay nil.
 //
 // Mapping lifetime contract: every string and *Record obtained from a
-// view-backed Dataset points into the snapshot buffer. The buffer must
-// stay readable until Close — which the store's snapshot refcount
-// guarantees by only closing after the last in-flight reader releases
-// its pin. MaterializeAll does NOT sever that dependency: materialized
-// strings still alias the blob.
+// read Dataset points into the snapshot buffer. The buffer must stay
+// readable until Close — which the store's snapshot refcount guarantees
+// by only closing after the last in-flight reader releases its pin.
 
 // snapView holds the parsed (sliced, never decoded) sections of one
-// open v2 snapshot.
+// open v2 snapshot, and the Records and Clusters materialized from them
+// so far.
 type snapView struct {
 	buf       []byte
 	closeFn   func() error
@@ -47,6 +48,9 @@ type snapView struct {
 	ids     []byte // clu.m × u32 cluster index, sorted by cluster ID
 
 	lv *lpm.View
+
+	chunks []atomic.Pointer[recordChunk]
+	clus   []atomic.Pointer[Cluster]
 }
 
 // blobString aliases b as a string without copying. The result is
@@ -115,31 +119,14 @@ const (
 
 type recordChunk [recChunkLen]Record
 
-type lazyTables struct {
-	chunks  []atomic.Pointer[recordChunk]
-	clus    []atomic.Pointer[Cluster]
-	matOnce sync.Once
-}
-
-func newLazyTables(n, m int) *lazyTables {
-	return &lazyTables{
-		chunks: make([]atomic.Pointer[recordChunk], (n+recChunkLen-1)>>recChunkShift),
-		clus:   make([]atomic.Pointer[Cluster], m),
-	}
-}
-
-// recordAt returns the i'th record, materializing its chunk on first
-// touch. On an eager Dataset it is exactly &d.Records[i].
-func (d *Dataset) recordAt(i int) *Record {
-	if d.lazy == nil {
-		return &d.Records[i]
-	}
+// recordAt returns record i, materializing its chunk on first touch.
+func (v *snapView) recordAt(i int) *Record {
 	ci := i >> recChunkShift
-	c := d.lazy.chunks[ci].Load()
+	c := v.chunks[ci].Load()
 	if c == nil {
-		c = d.view.fillRecordChunk(ci)
-		if !d.lazy.chunks[ci].CompareAndSwap(nil, c) {
-			c = d.lazy.chunks[ci].Load() // lost the race; adopt the winner
+		c = v.fillRecordChunk(ci)
+		if !v.chunks[ci].CompareAndSwap(nil, c) {
+			c = v.chunks[ci].Load() // lost the race; adopt the winner
 		}
 	}
 	return &c[i&(recChunkLen-1)]
@@ -216,16 +203,13 @@ func (v *snapView) fillRecord(r *Record, i int, custs []string, dcps []netip.Pre
 	r.FinalCluster = v.str(u32at(rc.fincl, i))
 }
 
-// clusterAt returns the i'th cluster, materializing it on first touch.
-func (d *Dataset) clusterAt(i int) *Cluster {
-	if d.lazy == nil {
-		return d.Clusters[i]
-	}
-	c := d.lazy.clus[i].Load()
+// clusterAt returns cluster i, materializing it on first touch.
+func (v *snapView) clusterAt(i int) *Cluster {
+	c := v.clus[i].Load()
 	if c == nil {
-		c = d.view.buildCluster(i)
-		if !d.lazy.clus[i].CompareAndSwap(nil, c) {
-			c = d.lazy.clus[i].Load()
+		c = v.buildCluster(i)
+		if !v.clus[i].CompareAndSwap(nil, c) {
+			c = v.clus[i].Load()
 		}
 	}
 	return c
@@ -254,11 +238,10 @@ func (v *snapView) buildCluster(i int) *Cluster {
 	return c
 }
 
-// clusterByID is the lazy ClusterByID: a binary search over the sorted
-// clusterids table. When several clusters share an ID (which the build
-// never produces) the last one wins, matching the byCluster map's
-// insertion-order overwrite.
-func (v *snapView) clusterByID(d *Dataset, id string) (*Cluster, bool) {
+// clusterByID is a read Dataset's ClusterByID: a binary search over the
+// sorted clusterids table. When several clusters share an ID (which the
+// build never produces) the last one wins, as on a built Dataset.
+func (v *snapView) clusterByID(id string) (*Cluster, bool) {
 	m := v.clu.m
 	i := sort.Search(m, func(i int) bool {
 		return cmpBytesString(v.strBytes(u32at(v.clu.id, int(u32at(v.ids, i)))), id) >= 0
@@ -274,12 +257,12 @@ func (v *snapView) clusterByID(d *Dataset, id string) (*Cluster, bool) {
 	if j < 0 {
 		return nil, false
 	}
-	return d.clusterAt(j), true
+	return v.clusterAt(j), true
 }
 
-// clusterOfOwner is the lazy ClusterOfOwner body: clean is the
+// clusterOfOwner is a read Dataset's ClusterOfOwner: clean is the
 // basic-cleaned owner name, the same key the byOwner map uses.
-func (v *snapView) clusterOfOwner(d *Dataset, clean string) (*Cluster, bool) {
+func (v *snapView) clusterOfOwner(clean string) (*Cluster, bool) {
 	k := v.nOwners
 	i := sort.Search(k, func(i int) bool {
 		return cmpBytesString(v.strBytes(u32at(v.owners, 2*i)), clean) >= 0
@@ -294,39 +277,52 @@ func (v *snapView) clusterOfOwner(d *Dataset, clean string) (*Cluster, bool) {
 	if j < 0 {
 		return nil, false
 	}
-	return d.clusterAt(j), true
+	return v.clusterAt(j), true
 }
 
-// NumRecords reports the record count without forcing materialization;
-// on an eager Dataset it is len(d.Records).
+// NumRecords reports the record count without materializing any.
 func (d *Dataset) NumRecords() int {
-	if d.lazy != nil {
+	if d.view != nil {
 		return d.view.rec.n
 	}
 	return len(d.Records)
 }
 
-// NumClusters reports the cluster count without forcing
-// materialization.
+// NumClusters reports the cluster count without materializing any.
 func (d *Dataset) NumClusters() int {
-	if d.lazy != nil {
+	if d.view != nil {
 		return d.view.clu.m
 	}
 	return len(d.Clusters)
 }
 
-// RecordAt returns the i'th record (0 ≤ i < NumRecords); the
-// view-backed replacement for indexing d.Records directly. It panics
-// on an out-of-range i, like the slice index it replaces.
-func (d *Dataset) RecordAt(i int) *Record { return d.recordAt(i) }
+// RecordAt returns the i'th record (0 ≤ i < NumRecords), the one way to
+// reach a record by position on both shapes of Dataset: on a built one it
+// is exactly &d.Records[i], on a read one it materializes the record's
+// chunk on first touch. It panics on an out-of-range i, like a slice
+// index.
+func (d *Dataset) RecordAt(i int) *Record {
+	if d.view == nil {
+		return &d.Records[i]
+	}
+	return d.view.recordAt(i)
+}
 
-// ClusterAt returns the i'th cluster (0 ≤ i < NumClusters).
-func (d *Dataset) ClusterAt(i int) *Cluster { return d.clusterAt(i) }
+// ClusterAt returns the i'th cluster (0 ≤ i < NumClusters),
+// materializing it on first touch on a read Dataset.
+func (d *Dataset) ClusterAt(i int) *Cluster {
+	if d.view == nil {
+		return d.Clusters[i]
+	}
+	return d.view.clusterAt(i)
+}
 
-// Lazy reports whether the Dataset is view-backed: Records, Clusters
-// and the lookup maps are not populated until MaterializeAll, and
-// Close must be called (normally by the store) to release the buffer.
-func (d *Dataset) Lazy() bool { return d.lazy != nil }
+// Lazy reports whether the Dataset is a read one — a view over snapshot
+// bytes, as Load, LoadFile and OpenSnapshotFile return — rather than a
+// built one. A read Dataset materializes records on first touch, keeps
+// Records and Clusters nil, and must be closed (normally by the store)
+// to release its buffer.
+func (d *Dataset) Lazy() bool { return d.view != nil }
 
 // Close releases the snapshot's backing buffer — the munmap for an
 // mmap-opened snapshot, a no-op otherwise. It must only be called
@@ -340,46 +336,20 @@ func (d *Dataset) Close() error {
 	return d.view.close()
 }
 
-// MaterializeAll populates Records, Clusters and the lookup maps of a
-// view-backed Dataset, so code that ranges over the flat slices (the
-// v1 writer, diffing, bulk exports) works unchanged. It runs at most
-// once; concurrent lazy readers are unaffected (they keep going
-// through the chunk tables). The materialized strings still alias the
-// snapshot buffer — MaterializeAll does not extend the mapping
-// lifetime contract.
+// MaterializeAll materializes every record chunk and cluster of a read
+// Dataset into the view's own tables, which concurrent readers share;
+// it leaves Records and Clusters nil and does nothing on a built
+// Dataset. The materialized strings still alias the snapshot buffer.
 func (d *Dataset) MaterializeAll() {
-	if d.lazy == nil || d.view == nil {
+	if d.view == nil {
 		return
 	}
-	d.lazy.matOnce.Do(func() { d.view.materializeInto(d) })
-}
-
-func (v *snapView) materializeInto(d *Dataset) {
-	n := v.rec.n
-	recs := make([]Record, n)
-	var custs []string
-	if v.rec.nCust > 0 {
-		custs = make([]string, v.rec.nCust)
+	for i := 0; i < d.view.rec.n; i += recChunkLen {
+		d.view.recordAt(i)
 	}
-	var dcps []netip.Prefix
-	if v.rec.nDCP > 0 {
-		dcps = make([]netip.Prefix, v.rec.nDCP)
+	for i := range d.view.clu.m {
+		d.view.clusterAt(i)
 	}
-	var dcts []string
-	if v.rec.nDCT > 0 {
-		dcts = make([]string, v.rec.nDCT)
-	}
-	for i := 0; i < n; i++ {
-		v.fillRecord(&recs[i], i, custs, dcps, dcts, 0, 0, 0)
-	}
-	m := v.clu.m
-	clus := make([]*Cluster, m)
-	for i := range clus {
-		clus[i] = d.clusterAt(i) // share the lazily-cached pointers
-	}
-	d.Records = recs
-	d.Clusters = clus
-	d.indexClusters()
 }
 
 // errMmapUnsupported makes OpenSnapshotFile degrade to a full read on
@@ -388,52 +358,55 @@ var errMmapUnsupported = errors.New("prefix2org: mmap not supported on this plat
 
 // OpenOptions configures OpenSnapshotFile.
 type OpenOptions struct {
-	// Mmap maps the file read-only instead of reading it into memory:
+	// Mmap maps a v2 file read-only instead of reading it into memory:
 	// cold open touches no data pages, and replicas opening the same
-	// snapshot share page cache. On platforms without mmap support the
-	// option silently degrades to a full read.
+	// snapshot share page cache. A JSON file is read either way. On
+	// platforms without mmap support the option silently degrades to a
+	// full read.
 	Mmap bool
 }
 
-// OpenSnapshotFile opens a snapshot for serving. A v2 binary snapshot
-// is opened in place — header validation plus slicing, no per-record
-// decode — and the returned Dataset is view-backed (Lazy() == true):
-// callers own a Close obligation, normally discharged by the store's
-// snapshot refcount. Any other file goes to the eager LoadFile (JSON
-// loads, whose result needs no Close; a v1 binary is refused).
+// OpenSnapshotFile opens a snapshot file as a read Dataset (Lazy() ==
+// true), whose Close obligation the caller owns — normally discharged by
+// the store's snapshot refcount. A v2 binary snapshot is opened in place:
+// header validation plus slicing, no per-record decode. A JSON snapshot
+// is parsed, encoded once with the v2 writer, then opened the same way.
+// A v1 binary is refused. With opts.Mmap a v2 file is mapped rather
+// than read.
 func OpenSnapshotFile(ctx context.Context, path string, opts OpenOptions) (*Dataset, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if opts.Mmap {
-		data, closer, err := mmapFile(path)
-		if errors.Is(err, errMmapUnsupported) {
-			opts.Mmap = false
-		} else if err != nil {
-			return nil, fmt.Errorf("prefix2org: open %s: %w", path, err)
-		} else {
-			if !hasMagic(data, binaryMagicV2) {
-				_ = closer() // not v2 — decode eagerly instead
-				return LoadFile(ctx, path)
-			}
-			d, err := openViewBytes(data, closer)
-			if err != nil {
-				_ = closer()
-				return nil, fmt.Errorf("prefix2org: open %s: %w", path, err)
-			}
-			return d, nil
-		}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("prefix2org: open %s: %w", path, err)
-	}
-	if !hasMagic(data, binaryMagicV2) {
-		return LoadFile(ctx, path)
-	}
-	d, err := openViewBytes(data, nil)
+	d, err := openFile(path, opts.Mmap)
 	if err != nil {
 		return nil, fmt.Errorf("prefix2org: open %s: %w", path, err)
 	}
 	return d, nil
+}
+
+func openFile(path string, mmap bool) (*Dataset, error) {
+	if mmap {
+		data, closer, err := mmapFile(path)
+		switch {
+		case errors.Is(err, errMmapUnsupported):
+		case err != nil:
+			return nil, err
+		case hasMagic(data, binaryMagicV2):
+			d, err := openViewBytes(data, closer)
+			if err != nil {
+				_ = closer()
+			}
+			return d, err
+		default:
+			_ = closer() // only a v2 file is served from its mapping
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if hasMagic(data, binaryMagicV2) {
+		return openViewBytes(data, nil)
+	}
+	return Load(bytes.NewReader(data))
 }

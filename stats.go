@@ -92,10 +92,10 @@ func (d *Dataset) computeStats(cres *cluster.Result, clean *cleanState, unmapped
 
 	var mnV4, mnV6 int
 	var mnV4Space, totalV4Space float64
+	// cres.Of parallels the records: cres.Of[i] is record i's cluster.
 	for i := range d.Records {
 		r := &d.Records[i]
-		c, ok := d.byCluster[r.FinalCluster]
-		multi := ok && c.MultiName()
+		multi := cres.Of[i] != nil && cres.Of[i].MultiName()
 		if r.Prefix.Addr().Is4() {
 			addrs := netx.NumAddresses(r.Prefix)
 			totalV4Space += addrs
@@ -140,33 +140,41 @@ type ClusterSpace struct {
 	NameCount int     // distinct exact WHOIS names
 }
 
-// TopClustersBySpace returns the n largest final clusters by IPv4 address
-// space (Figure 4's ranking).
-func (d *Dataset) TopClustersBySpace(n int) []ClusterSpace {
-	out := make([]ClusterSpace, 0, len(d.Clusters))
-	for _, c := range d.Clusters {
-		var v4 []netip.Prefix
-		v6 := 0
-		for _, p := range c.Prefixes {
-			if p.Addr().Is4() {
-				v4 = append(v4, p)
-			} else {
-				v6++
-			}
+// spaceOf accounts the prefixes ps of cluster c, which holds names
+// distinct exact WHOIS names.
+func spaceOf(c *Cluster, ps []netip.Prefix, names int) ClusterSpace {
+	var v4 []netip.Prefix
+	v6 := 0
+	for _, p := range ps {
+		if p.Addr().Is4() {
+			v4 = append(v4, p)
+		} else {
+			v6++
 		}
-		out = append(out, ClusterSpace{
-			Cluster:   c,
-			V4Space:   netx.TotalAddresses(v4),
-			V6Count:   v6,
-			NameCount: len(c.OwnerNames),
-		})
 	}
+	return ClusterSpace{Cluster: c, V4Space: netx.TotalAddresses(v4), V6Count: v6, NameCount: names}
+}
+
+// sortBySpace orders a ranking by IPv4 space, largest first, ties by
+// cluster ID.
+func sortBySpace(out []ClusterSpace) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].V4Space != out[j].V4Space {
 			return out[i].V4Space > out[j].V4Space
 		}
 		return out[i].Cluster.ID < out[j].Cluster.ID
 	})
+}
+
+// TopClustersBySpace returns the n largest final clusters by IPv4 address
+// space (Figure 4's ranking).
+func (d *Dataset) TopClustersBySpace(n int) []ClusterSpace {
+	out := make([]ClusterSpace, 0, d.NumClusters())
+	for i := range d.NumClusters() {
+		c := d.ClusterAt(i)
+		out = append(out, spaceOf(c, c.Prefixes, len(c.OwnerNames)))
+	}
+	sortBySpace(out)
 	if n < len(out) {
 		out = out[:n]
 	}
@@ -177,9 +185,9 @@ func (d *Dataset) TopClustersBySpace(n int) []ClusterSpace {
 // (denominator of Figure 4).
 func (d *Dataset) TotalV4Space() float64 {
 	var ps []netip.Prefix
-	for i := range d.Records {
-		if d.Records[i].Prefix.Addr().Is4() {
-			ps = append(ps, d.Records[i].Prefix)
+	for i := range d.NumRecords() {
+		if p := d.RecordAt(i).Prefix; p.Addr().Is4() {
+			ps = append(ps, p)
 		}
 	}
 	return netx.TotalAddresses(ps)
@@ -190,34 +198,17 @@ func (d *Dataset) TotalV4Space() float64 {
 // 4 and 5).
 func (d *Dataset) WhoisNameClusters() []ClusterSpace {
 	groups := map[string][]netip.Prefix{}
-	for i := range d.Records {
-		r := &d.Records[i]
+	for i := range d.NumRecords() {
+		r := d.RecordAt(i)
 		groups[basicClean(r.DirectOwner)] = append(groups[basicClean(r.DirectOwner)], r.Prefix)
 	}
 	out := make([]ClusterSpace, 0, len(groups))
 	for name, ps := range groups {
-		var v4 []netip.Prefix
-		v6 := 0
-		for _, p := range ps {
-			if p.Addr().Is4() {
-				v4 = append(v4, p)
-			} else {
-				v6++
-			}
-		}
-		out = append(out, ClusterSpace{
-			Cluster:   &Cluster{ID: name, OwnerNames: []string{name}, Prefixes: netx.Dedup(ps)},
-			V4Space:   netx.TotalAddresses(v4),
-			V6Count:   v6,
-			NameCount: 1,
-		})
+		cs := spaceOf(nil, ps, 1)
+		cs.Cluster = &Cluster{ID: name, OwnerNames: []string{name}, Prefixes: netx.Dedup(ps)}
+		out = append(out, cs)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].V4Space != out[j].V4Space {
-			return out[i].V4Space > out[j].V4Space
-		}
-		return out[i].Cluster.ID < out[j].Cluster.ID
-	})
+	sortBySpace(out)
 	return out
 }
 
@@ -231,8 +222,8 @@ func (d *Dataset) AS2OrgClusters() []ClusterSpace {
 		names    map[string]bool
 	}
 	groups := map[string]*group{}
-	for i := range d.Records {
-		r := &d.Records[i]
+	for i := range d.NumRecords() {
+		r := d.RecordAt(i)
 		if r.ASNCluster == "" {
 			continue
 		}
@@ -246,27 +237,10 @@ func (d *Dataset) AS2OrgClusters() []ClusterSpace {
 	}
 	out := make([]ClusterSpace, 0, len(groups))
 	for id, g := range groups {
-		var v4 []netip.Prefix
-		v6 := 0
-		for _, p := range g.prefixes {
-			if p.Addr().Is4() {
-				v4 = append(v4, p)
-			} else {
-				v6++
-			}
-		}
-		out = append(out, ClusterSpace{
-			Cluster:   &Cluster{ID: "as" + id, Prefixes: netx.Dedup(g.prefixes)},
-			V4Space:   netx.TotalAddresses(v4),
-			V6Count:   v6,
-			NameCount: len(g.names),
-		})
+		cs := spaceOf(nil, g.prefixes, len(g.names))
+		cs.Cluster = &Cluster{ID: "as" + id, Prefixes: netx.Dedup(g.prefixes)}
+		out = append(out, cs)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].V4Space != out[j].V4Space {
-			return out[i].V4Space > out[j].V4Space
-		}
-		return out[i].Cluster.ID < out[j].Cluster.ID
-	})
+	sortBySpace(out)
 	return out
 }
