@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 
 	"github.com/prefix2org/prefix2org/internal/experiments"
+	"github.com/prefix2org/prefix2org/internal/fsx"
 	"github.com/prefix2org/prefix2org/internal/report"
 	"github.com/prefix2org/prefix2org/internal/synth"
 )
@@ -246,17 +247,5 @@ func writeCSV(dir, name string, s *report.Series) error {
 	if dir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	werr := s.Render(f)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
+	return fsx.WriteFile(filepath.Join(dir, name), s.Render)
 }

@@ -55,9 +55,6 @@ func run(out string, orgs int, seed int64, collectors, epochs int, serveJPNIC st
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(out, 0o755); err != nil {
-		return err
-	}
 	if epochs > 1 {
 		// Quarterly snapshot series: t0, t1, ... with evolution between.
 		for e := 0; e < epochs; e++ {
@@ -85,11 +82,6 @@ func run(out string, orgs int, seed int64, collectors, epochs int, serveJPNIC st
 	if err := w.WriteDir(out); err != nil {
 		return err
 	}
-	routed := 0
-	for _, e := range w.RIB {
-		_ = e
-		routed++
-	}
 	fmt.Printf("world written to %s: %d orgs, %d RIB entries, %d RPKI certs, %d ROAs, %d JPNIC blocks\n",
 		out, len(w.Orgs), len(w.RIB), len(w.RPKI.Certs), len(w.RPKI.ROAs), len(w.JPNICTypes))
 
@@ -113,11 +105,4 @@ func run(out string, orgs int, seed int64, collectors, epochs int, serveJPNIC st
 	<-sig
 	fmt.Println("shutting down")
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

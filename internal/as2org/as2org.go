@@ -28,6 +28,7 @@ import (
 	"strconv"
 
 	"github.com/prefix2org/prefix2org/internal/dsu"
+	"github.com/prefix2org/prefix2org/internal/fsx"
 	"github.com/prefix2org/prefix2org/internal/intern"
 	"github.com/prefix2org/prefix2org/internal/jsonl"
 )
@@ -353,20 +354,10 @@ const DatasetFile = "as2org/as2org.jsonl"
 
 // WriteDir writes the dataset under dir.
 func (d *Dataset) WriteDir(dir string) error {
-	path := filepath.Join(dir, DatasetFile)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("as2org: mkdir: %w", err)
+	if err := fsx.WriteFile(filepath.Join(dir, DatasetFile), d.Write); err != nil {
+		return fmt.Errorf("as2org: %w", err)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("as2org: create %s: %w", path, err)
-	}
-	werr := d.Write(f)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
+	return nil
 }
 
 // LoadDir reads the dataset under dir. A missing file yields an empty

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"github.com/prefix2org/prefix2org/internal/fsx"
 	"github.com/prefix2org/prefix2org/internal/obs"
 )
 
@@ -279,20 +280,13 @@ const SnapshotFile = "bgp/rib.mrt"
 
 // WriteDir writes the RIB snapshot under dir.
 func WriteDir(dir string, entries []Entry) error {
-	path := filepath.Join(dir, SnapshotFile)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("bgp: mkdir: %w", err)
-	}
-	f, err := os.Create(path)
+	err := fsx.WriteFile(filepath.Join(dir, SnapshotFile), func(w io.Writer) error {
+		return WriteMRT(w, entries)
+	})
 	if err != nil {
-		return fmt.Errorf("bgp: create %s: %w", path, err)
+		return fmt.Errorf("bgp: %w", err)
 	}
-	werr := WriteMRT(f, entries)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
+	return nil
 }
 
 // LoadDir reads the RIB snapshot under dir and aggregates it into a

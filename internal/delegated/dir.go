@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"github.com/prefix2org/prefix2org/internal/alloc"
+	"github.com/prefix2org/prefix2org/internal/fsx"
 )
 
 // Dir is the delegation files' directory inside a data directory.
@@ -20,27 +21,13 @@ func fileName(rir alloc.Registry) string {
 
 // WriteDir writes one delegated-extended file per RIR under dir.
 func WriteDir(dir string, files map[alloc.Registry]*File) error {
-	d := filepath.Join(dir, Dir)
-	if err := os.MkdirAll(d, 0o755); err != nil {
-		return fmt.Errorf("delegated: mkdir %s: %w", d, err)
-	}
 	for _, rir := range alloc.RIRs {
 		f, ok := files[rir]
 		if !ok {
 			continue
 		}
-		path := filepath.Join(d, fileName(rir))
-		out, err := os.Create(path)
-		if err != nil {
-			return fmt.Errorf("delegated: create %s: %w", path, err)
-		}
-		werr := f.Write(out)
-		cerr := out.Close()
-		if werr != nil {
-			return werr
-		}
-		if cerr != nil {
-			return cerr
+		if err := fsx.WriteFile(filepath.Join(dir, Dir, fileName(rir)), f.Write); err != nil {
+			return fmt.Errorf("delegated: %w", err)
 		}
 	}
 	return nil

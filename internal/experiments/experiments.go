@@ -13,7 +13,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"os"
 
 	prefix2org "github.com/prefix2org/prefix2org"
 	"github.com/prefix2org/prefix2org/internal/alloc"
@@ -43,9 +42,6 @@ func Setup(ctx context.Context, cfg synth.Config, dir string) (*Env, error) {
 	w, err := synth.Generate(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("experiments: mkdir %s: %w", dir, err)
 	}
 	if err := w.WriteDir(dir); err != nil {
 		return nil, err

@@ -63,7 +63,7 @@ func DefaultConfig(modPath string) *Config {
 		"internal/alloc", "internal/as2org", "internal/bgp", "internal/casestudy",
 		"internal/cluster", "internal/daemon", "internal/daemon/daemontest",
 		"internal/delegated", "internal/diff", "internal/dsu",
-		"internal/experiments", "internal/httpd", "internal/intern", "internal/jsonl", "internal/leasing",
+		"internal/experiments", "internal/fsx", "internal/httpd", "internal/intern", "internal/jsonl", "internal/leasing",
 		"internal/lint", "internal/lpm", "internal/names", "internal/netx", "internal/obs",
 		"internal/radix", "internal/report", "internal/retry", "internal/rpki",
 		"internal/rtr", "internal/store", "internal/synth", "internal/validate",
@@ -98,6 +98,7 @@ func DefaultConfig(modPath string) *Config {
 		"internal/lpm":    leafDeny,
 		"internal/intern": leafDeny,
 		"internal/jsonl":  leafDeny,
+		"internal/fsx":    leafDeny,
 		// The store is below the daemon skeleton, the front ends and
 		// the harnesses.
 		"internal/store": {"internal/daemon", "internal/daemon/daemontest", "internal/whoisd", "internal/httpd", "internal/rtr", "internal/experiments", "internal/casestudy"},

@@ -13,6 +13,7 @@ import (
 	"slices"
 
 	"github.com/prefix2org/prefix2org/internal/alloc"
+	"github.com/prefix2org/prefix2org/internal/fsx"
 	"github.com/prefix2org/prefix2org/internal/intern"
 	"github.com/prefix2org/prefix2org/internal/jsonl"
 	"github.com/prefix2org/prefix2org/internal/netx"
@@ -200,20 +201,10 @@ const SnapshotFile = "rpki/snapshot.jsonl"
 
 // WriteDir writes the repository snapshot under dir.
 func (r *Repository) WriteDir(dir string) error {
-	path := filepath.Join(dir, SnapshotFile)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("rpki: mkdir: %w", err)
+	if err := fsx.WriteFile(filepath.Join(dir, SnapshotFile), r.Write); err != nil {
+		return fmt.Errorf("rpki: %w", err)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("rpki: create %s: %w", path, err)
-	}
-	werr := r.Write(f)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
+	return nil
 }
 
 // LoadDir reads the snapshot under dir. A missing snapshot yields an

@@ -692,17 +692,3 @@ func (g *generator) subRetainsLegacy(sd *subDelegation) bool {
 	pm := g.blockMeta[coveringDirect(sd)]
 	return pm != nil && pm.legacy
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

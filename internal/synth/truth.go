@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"github.com/prefix2org/prefix2org/internal/alloc"
 	"github.com/prefix2org/prefix2org/internal/bgp"
 	"github.com/prefix2org/prefix2org/internal/delegated"
+	"github.com/prefix2org/prefix2org/internal/fsx"
 	"github.com/prefix2org/prefix2org/internal/netx"
 	"github.com/prefix2org/prefix2org/internal/whois"
 )
@@ -249,10 +251,6 @@ const TruthFile = "truth/groundtruth.json"
 
 // WriteTruth writes the ground truth under dir.
 func WriteTruth(dir string, t *Truth) error {
-	path := filepath.Join(dir, TruthFile)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("synth: mkdir: %w", err)
-	}
 	var rows []orgTruthJSON
 	for _, o := range t.Orgs {
 		rows = append(rows, orgTruthJSON{
@@ -267,7 +265,14 @@ func WriteTruth(dir string, t *Truth) error {
 	if err != nil {
 		return fmt.Errorf("synth: marshal truth: %w", err)
 	}
-	return os.WriteFile(path, data, 0o644)
+	err = fsx.WriteFile(filepath.Join(dir, TruthFile), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("synth: %w", err)
+	}
+	return nil
 }
 
 // LoadTruth reads the ground truth under dir. The context is honored
@@ -311,18 +316,11 @@ func (w *World) WriteDir(dir string) error {
 		return err
 	}
 	if len(w.ARINLegacyNonSigned) > 0 {
-		path := filepath.Join(dir, "whois", whois.ARINLegacyFile)
-		f, err := os.Create(path)
+		err := fsx.WriteFile(filepath.Join(dir, "whois", whois.ARINLegacyFile), func(out io.Writer) error {
+			return whois.WritePrefixList(out, "ARIN legacy blocks without a registry services agreement", w.ARINLegacyNonSigned)
+		})
 		if err != nil {
-			return fmt.Errorf("synth: create %s: %w", path, err)
-		}
-		werr := whois.WritePrefixList(f, "ARIN legacy blocks without a registry services agreement", w.ARINLegacyNonSigned)
-		cerr := f.Close()
-		if werr != nil {
-			return werr
-		}
-		if cerr != nil {
-			return cerr
+			return fmt.Errorf("synth: %w", err)
 		}
 	}
 	if err := bgp.WriteDir(dir, w.RIB); err != nil { // MRT RIB snapshot

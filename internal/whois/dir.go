@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"github.com/prefix2org/prefix2org/internal/alloc"
+	"github.com/prefix2org/prefix2org/internal/fsx"
 	"github.com/prefix2org/prefix2org/internal/intern"
 	"github.com/prefix2org/prefix2org/internal/obs"
 )
@@ -307,42 +308,24 @@ func loadJPNICTypes(path string) (map[netip.Prefix]string, error) {
 // WriteDir serializes per-registry databases into dir/whois in each
 // registry's native flavour. dbs maps registry to its database.
 func WriteDir(dir string, dbs map[alloc.Registry]*Database, jpnicTypes map[netip.Prefix]string) error {
-	wdir := filepath.Join(dir, "whois")
-	if err := os.MkdirAll(wdir, 0o755); err != nil {
-		return fmt.Errorf("whois: mkdir %s: %w", wdir, err)
-	}
 	for _, rf := range registryFiles {
 		db, ok := dbs[rf.Registry]
 		if !ok {
 			continue
 		}
-		path := filepath.Join(wdir, rf.File)
-		f, err := os.Create(path)
+		err := fsx.WriteFile(filepath.Join(dir, "whois", rf.File), func(w io.Writer) error {
+			return writeRegistryFile(w, db, rf.Registry)
+		})
 		if err != nil {
-			return fmt.Errorf("whois: create %s: %w", path, err)
-		}
-		werr := writeRegistryFile(f, db, rf.Registry)
-		cerr := f.Close()
-		if werr != nil {
-			return fmt.Errorf("whois: write %s: %w", path, werr)
-		}
-		if cerr != nil {
-			return fmt.Errorf("whois: close %s: %w", path, cerr)
+			return fmt.Errorf("whois: %w", err)
 		}
 	}
 	if len(jpnicTypes) > 0 {
-		path := filepath.Join(wdir, JPNICTypesFile)
-		f, err := os.Create(path)
+		err := fsx.WriteFile(filepath.Join(dir, "whois", JPNICTypesFile), func(w io.Writer) error {
+			return WriteJPNICTypes(w, jpnicTypes)
+		})
 		if err != nil {
-			return fmt.Errorf("whois: create %s: %w", path, err)
-		}
-		werr := WriteJPNICTypes(f, jpnicTypes)
-		cerr := f.Close()
-		if werr != nil {
-			return werr
-		}
-		if cerr != nil {
-			return cerr
+			return fmt.Errorf("whois: %w", err)
 		}
 	}
 	return nil

@@ -51,8 +51,10 @@ type Manifest struct {
 // are followed, as the loaders that open the files follow them: a linked
 // file, or every file of a linked directory, is listed under its path in
 // dir, and a link whose target is missing or not a regular file or
-// directory is skipped like any other non-regular entry. The files are
-// hashed on up to GOMAXPROCS goroutines.
+// directory is skipped like any other non-regular entry. A listed file
+// that is gone when it is opened — a writer's temporary file, renamed
+// into place since the walk — is left out. The files are hashed on up to
+// GOMAXPROCS goroutines.
 func BuildManifest(ctx context.Context, dir string) (*Manifest, error) {
 	return buildManifest(ctx, dir, runtime.GOMAXPROCS(0))
 }
@@ -84,6 +86,12 @@ func buildManifest(ctx context.Context, dir string, workers int) (*Manifest, err
 			if errs[i] = ctx.Err(); errs[i] == nil {
 				m.Entries[i], errs[i] = hashFile(paths[i], h, buf)
 			}
+			if os.IsNotExist(errs[i]) {
+				// Gone since the walk listed it — a writer's temporary
+				// file, renamed into place: it is no input, and no loader
+				// opens it.
+				paths[i], errs[i] = "", nil
+			}
 			if errs[i] != nil {
 				failed.Store(true)
 			}
@@ -107,12 +115,16 @@ func buildManifest(ctx context.Context, dir string, workers int) (*Manifest, err
 		}
 	}
 	for i, p := range paths {
+		if p == "" {
+			continue
+		}
 		rel, err := filepath.Rel(dir, p)
 		if err != nil {
 			return nil, fmt.Errorf("manifest: %w", err)
 		}
 		m.Entries[i].Path = filepath.ToSlash(rel)
 	}
+	m.Entries = slices.DeleteFunc(m.Entries, func(e ManifestEntry) bool { return e.Path == "" })
 	sort.Slice(m.Entries, func(i, j int) bool { return m.Entries[i].Path < m.Entries[j].Path })
 	return m, nil
 }

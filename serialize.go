@@ -4,12 +4,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/netip"
-	"os"
 
+	"github.com/prefix2org/prefix2org/internal/fsx"
 	"github.com/prefix2org/prefix2org/internal/obs"
 )
 
@@ -211,53 +210,20 @@ func parseSnapshotPrefix(s string) (netip.Prefix, error) {
 // SaveFile writes the snapshot to path, choosing the format by
 // extension: `.json` and `.jsonl` get the JSON-lines compatibility
 // format, anything else the binary serve-path format. Load reads both
-// regardless of name. A regular file at path is replaced atomically.
+// regardless of name. A regular file at path is replaced atomically
+// (fsx.WriteFile).
 func (d *Dataset) SaveFile(path string) error {
 	if !jsonSnapshotPath(path) {
 		return d.SaveBinaryFile(path)
 	}
-	return replaceFile(path, d.Save)
+	return saveFile(path, d.Save)
 }
 
-// replaceFile writes path with save so that a reader of path — a daemon
-// serving it from a mapping, a reload reading it — sees the old file or
-// the new one, never a truncated or half-written one: save fills a new
-// file beside path, which is then renamed over it. When path exists and
-// is not a regular file (/dev/stdout, a FIFO), save writes path itself.
-// The new file is removed on any error.
-func replaceFile(path string, save func(io.Writer) error) error {
-	if fi, err := os.Lstat(path); err == nil && !fi.Mode().IsRegular() {
-		f, err := os.Create(path)
-		if err != nil {
-			return fmt.Errorf("prefix2org: create %s: %w", path, err)
-		}
-		return errors.Join(save(f), f.Close())
+func saveFile(path string, save func(io.Writer) error) error {
+	if err := fsx.WriteFile(path, save); err != nil {
+		return fmt.Errorf("prefix2org: %w", err)
 	}
-	f, err := createBeside(path)
-	if err != nil {
-		return fmt.Errorf("prefix2org: create %s: %w", path, err)
-	}
-	err = errors.Join(save(f), f.Close())
-	if err == nil {
-		err = os.Rename(f.Name(), path)
-	}
-	if err != nil {
-		os.Remove(f.Name())
-	}
-	return err
-}
-
-// createBeside creates a new, uniquely named file in path's directory
-// with os.Create's permissions (0666 before umask; os.CreateTemp would
-// give 0600).
-func createBeside(path string) (*os.File, error) {
-	for i := 0; ; i++ {
-		name := fmt.Sprintf("%s.tmp-%d-%d", path, os.Getpid(), i)
-		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
-		if !os.IsExist(err) {
-			return f, err
-		}
-	}
+	return nil
 }
 
 // LoadFile reads a snapshot from path into memory and returns it as a

@@ -190,9 +190,9 @@ func (d *Dataset) SaveBinaryV1(w io.Writer) error {
 }
 
 // SaveBinaryFile writes a binary snapshot to path, replacing a regular
-// file there atomically (see replaceFile).
+// file there atomically (fsx.WriteFile).
 func (d *Dataset) SaveBinaryFile(path string) error {
-	return replaceFile(path, d.SaveBinary)
+	return saveFile(path, d.SaveBinary)
 }
 
 // jsonSnapshotPath reports whether path asks for the JSON-lines format
