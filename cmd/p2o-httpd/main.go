@@ -18,11 +18,11 @@
 // daemon shares; package internal/daemon documents them. What is this
 // daemon's own: a request — including a long-running bulk stream —
 // keeps the snapshot it pinned across swaps (and, under -snapshot-mmap,
-// keeps its mapping alive); every swap invalidates the response cache,
-// except that a -reload-delta swap invalidates only the cached
-// responses its changeset reaches and a no-op reload leaves the cache
-// untouched; and the listener is up before the first build finishes,
-// answering 503 not_ready until then.
+// keeps its mapping alive); a cached response is served only at the
+// snapshot version it was rendered from, so a swap leaves every older
+// entry to miss (a no-op reload swaps nothing and keeps them); and the
+// listener is up before the first build finishes, answering 503
+// not_ready until then.
 package main
 
 import (

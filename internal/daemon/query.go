@@ -52,10 +52,6 @@ type Answer struct {
 	// queries; both are nil unless Outcome is a match (or covering).
 	Record  *prefix2org.Record
 	Cluster *prefix2org.Cluster
-	// Addr and Prefix are the parsed query (Prefix as written, not
-	// masked); the zero value on every other form.
-	Addr   netip.Addr
-	Prefix netip.Prefix
 }
 
 // Resolve answers one query of the given form against ds — the one
@@ -68,19 +64,23 @@ type Answer struct {
 //p2o:hotpath
 func Resolve(ds *prefix2org.Dataset, kind Kind, text string, sp *obs.QuerySpan) Answer {
 	ans := Answer{Kind: kind, Outcome: OutcomeError}
-	var err error
+	var (
+		addr netip.Addr
+		pfx  netip.Prefix
+		err  error
+	)
 	switch {
 	case text == "":
 		ans.Kind = KindBad
 	case kind == KindPrefix, kind == KindAny && strings.Contains(text, "/"):
 		ans.Kind = KindPrefix
-		ans.Prefix, err = netip.ParsePrefix(text)
+		pfx, err = netip.ParsePrefix(text)
 	case kind == KindAddr:
-		ans.Addr, err = netip.ParseAddr(text)
+		addr, err = netip.ParseAddr(text)
 	case kind == KindAny:
 		ans.Kind = KindOrg
 		if a, aerr := netip.ParseAddr(text); aerr == nil {
-			ans.Kind, ans.Addr = KindAddr, a
+			ans.Kind, addr = KindAddr, a
 		}
 	}
 	sp.Mark(obs.PhaseParse)
@@ -91,11 +91,11 @@ func Resolve(ds *prefix2org.Dataset, kind Kind, text string, sp *obs.QuerySpan) 
 	ans.Outcome = OutcomeMatch
 	switch ans.Kind {
 	case KindAddr:
-		ans.Record, _ = ds.LookupAddr(ans.Addr)
+		ans.Record, _ = ds.LookupAddr(addr)
 	case KindPrefix:
 		var ok bool
-		if ans.Record, ok = ds.Lookup(ans.Prefix); !ok {
-			ans.Record, _ = ds.LookupCovering(ans.Prefix)
+		if ans.Record, ok = ds.Lookup(pfx); !ok {
+			ans.Record, _ = ds.LookupCovering(pfx)
 			ans.Outcome = OutcomeCovering
 		}
 	case KindOrg:

@@ -1,12 +1,6 @@
 package httpd
 
-import (
-	"net/netip"
-	"sync"
-
-	"github.com/prefix2org/prefix2org/internal/diff"
-	"github.com/prefix2org/prefix2org/internal/lpm"
-)
+import "sync"
 
 // The hot-prefix response cache. A handful of prefixes and orgs receive
 // the bulk of a public query service's traffic; caching the fully
@@ -15,35 +9,14 @@ import (
 // parse, no lookup, no encode.
 //
 // Correctness contract: a cached body embeds the snapshot version it
-// was rendered from, so an entry may only be served while that snapshot
-// is current. Two mechanisms enforce it. Every entry carries its
-// version and get compares it against the caller's pinned version,
-// deleting on mismatch — airtight even when a fill races a swap. And
-// the Server subscribes to the store: a swap carrying an exact
-// changeset (a delta rebuild) drops only the entries the changeset can
-// reach and re-validates the rest in place (applyChanges); any other
-// swap clears the whole cache. See API.md for the snapshot_version
-// provenance a re-validated entry reports.
+// was rendered from, so an entry may only be served to a request that
+// pinned that same snapshot. Every entry carries its version and get
+// compares it against the caller's pinned version — airtight even when
+// a fill races a swap. There is no swap hook: after a reload the older
+// entries simply miss, and the refill overwrites each in place (or the
+// shard's FIFO ring evicts it first).
 
 const cacheShardCount = 16
-
-// cacheTag records what parts of the dataset one cached response was
-// derived from, so a changeset-driven invalidation can decide entry by
-// entry. The zero tag marks a dataset-independent response (bad input),
-// which survives every partial invalidation.
-type cacheTag struct {
-	// addr is the queried address (addr queries that parsed).
-	addr netip.Addr
-	// qpfx is the queried prefix, masked (prefix queries that parsed).
-	qpfx netip.Prefix
-	// apfx is the routed prefix whose record answered; invalid on
-	// no-match answers.
-	apfx netip.Prefix
-	// org marks an org query; cluster is the answering final-cluster ID
-	// ("" on no-match).
-	org     bool
-	cluster string
-}
 
 // cacheEntry is one rendered response.
 type cacheEntry struct {
@@ -52,7 +25,6 @@ type cacheEntry struct {
 	qtype   string
 	outcome string
 	body    []byte
-	tag     cacheTag
 }
 
 // cacheShard is one lock domain: a map for lookup plus a FIFO ring of
@@ -98,7 +70,9 @@ func (c *responseCache) shard(key string) *cacheShard {
 }
 
 // get returns the entry for key if present and rendered from the given
-// snapshot version; a version mismatch deletes the stale entry.
+// snapshot version. A version mismatch is a miss that leaves the stale
+// entry in place: the caller's refill replaces it under the same ring
+// slot, so a stale key never occupies two slots.
 func (c *responseCache) get(key string, version uint64) (*cacheEntry, bool) {
 	if c == nil {
 		return nil, false
@@ -107,18 +81,15 @@ func (c *responseCache) get(key string, version uint64) (*cacheEntry, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e := sh.m[key]
-	if e == nil {
-		return nil, false
-	}
-	if e.version != version {
-		delete(sh.m, key)
+	if e == nil || e.version != version {
 		return nil, false
 	}
 	return e, true
 }
 
-// put inserts (or refreshes) one entry, evicting the shard's oldest
-// insertion when its slots are full.
+// put inserts one entry, evicting the shard's oldest insertion when its
+// slots are full; an existing key (a stale entry being refilled) keeps
+// its slot and only has its value replaced.
 func (c *responseCache) put(key string, e *cacheEntry) {
 	if c == nil {
 		return
@@ -127,106 +98,15 @@ func (c *responseCache) put(key string, e *cacheEntry) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, exists := sh.m[key]; !exists {
+		// Nothing but eviction removes a key, so every ring key is live.
 		if old := sh.keys[sh.next]; old != "" {
-			if _, ok := sh.m[old]; ok {
-				delete(sh.m, old)
-				mCacheEvictions.Inc()
-			}
+			delete(sh.m, old)
+			mCacheEvictions.Inc()
 		}
 		sh.keys[sh.next] = key
 		sh.next = (sh.next + 1) % len(sh.keys)
 	}
 	sh.m[key] = e
-}
-
-// invalidate clears every shard — the store-swap subscription callback.
-func (c *responseCache) invalidate() {
-	if c == nil {
-		return
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		clear(sh.m)
-		for j := range sh.keys {
-			sh.keys[j] = ""
-		}
-		sh.next = 0
-		sh.mu.Unlock()
-	}
-}
-
-// applyChanges performs a partial invalidation from an exact changeset:
-// entries the changeset can reach are dropped, and every surviving
-// entry rendered from prevVersion is re-stamped to newVersion — the
-// changeset proves its answer is unchanged, so it keeps serving without
-// a refill (its body still reports the version it was rendered from;
-// API.md documents that provenance). Entries from any other version are
-// dropped too: their content was never validated against the
-// intervening changesets.
-//
-// Reachability is decided per tag:
-//
-//   - addr/prefix answers drop when a changed prefix covering the query
-//     is at least as specific as the prefix that answered — only those
-//     can shadow or alter the longest-prefix match. No-match answers
-//     drop on any covering change (an added route may now match).
-//   - org answers drop when their cluster ID changed; no-match org
-//     answers drop whenever any org changed (a new cluster may match).
-//   - zero-tag (bad input) answers depend on no dataset state and
-//     always survive.
-func (c *responseCache) applyChanges(cs *diff.Changeset, prevVersion, newVersion uint64) (dropped, kept int) {
-	if c == nil {
-		return 0, 0
-	}
-	chPfx := make([]netip.Prefix, len(cs.Prefixes))
-	items := make([]lpm.Item, len(cs.Prefixes))
-	for i := range cs.Prefixes {
-		chPfx[i] = cs.Prefixes[i].Prefix
-		items[i] = lpm.Item{Prefix: chPfx[i], Val: int32(i)}
-	}
-	idx := lpm.Freeze(items)
-	orgs := make(map[string]bool, len(cs.Orgs))
-	for i := range cs.Orgs {
-		orgs[cs.Orgs[i].ID] = true
-	}
-	orgChurn := len(cs.Orgs) > 0
-	reach := func(t *cacheTag) bool {
-		switch {
-		case t.addr.IsValid():
-			if v, ok := idx.Lookup(t.addr); ok {
-				return !t.apfx.IsValid() || chPfx[v].Bits() >= t.apfx.Bits()
-			}
-			return false
-		case t.qpfx.IsValid():
-			if v, ok := idx.LookupPrefix(t.qpfx); ok {
-				return !t.apfx.IsValid() || chPfx[v].Bits() >= t.apfx.Bits()
-			}
-			return false
-		case t.org:
-			if t.cluster == "" {
-				return orgChurn
-			}
-			return orgs[t.cluster]
-		default:
-			return false
-		}
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for key, e := range sh.m {
-			if e.version != prevVersion || reach(&e.tag) {
-				delete(sh.m, key)
-				dropped++
-				continue
-			}
-			e.version = newVersion
-			kept++
-		}
-		sh.mu.Unlock()
-	}
-	return dropped, kept
 }
 
 // len reports the live entry count across shards (tests and debugging).

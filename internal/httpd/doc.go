@@ -26,11 +26,11 @@
 // buffering the whole response.
 //
 // Hot single-query responses are cached: a sharded response cache keyed
-// by endpoint and query stores fully rendered bodies, is bounded by
-// Config.CacheSize, and is invalidated as a store.Subscribe callback
-// the moment a new snapshot is swapped in (entries additionally carry
-// their snapshot version, so a stale entry can never be served even if
-// it races the invalidation).
+// by endpoint and query stores fully rendered bodies and is bounded by
+// Config.CacheSize. Each entry carries the snapshot version it was
+// rendered from and is served only to a request that pinned that
+// version; there is no swap hook — after a reload the older entries
+// miss and are overwritten by the refill or FIFO-evicted.
 //
 // Every request is accounted by the package's obs.QueryTelemetry:
 // rolling p50/p90/p99/p999 latency gauges, httpd_slo_violations_total,

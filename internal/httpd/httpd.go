@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	prefix2org "github.com/prefix2org/prefix2org"
@@ -44,15 +43,6 @@ var (
 	mCacheHits      = obs.Default().Counter("httpd_cache_hits_total")
 	mCacheMisses    = obs.Default().Counter("httpd_cache_misses_total")
 	mCacheEvictions = obs.Default().Counter("httpd_cache_evictions_total")
-	// Invalidation outcomes per snapshot swap: "full" flushes every
-	// shard (no changeset on the snapshot), "partial" drops only the
-	// entries a delta changeset reaches, "noop" skips the cache entirely
-	// (a swap re-announcing the version already seen).
-	mCacheInvFull      = obs.Default().Counter(obs.Label("httpd_cache_invalidations_total", "kind", "full"))
-	mCacheInvPartial   = obs.Default().Counter(obs.Label("httpd_cache_invalidations_total", "kind", "partial"))
-	mCacheInvNoop      = obs.Default().Counter(obs.Label("httpd_cache_invalidations_total", "kind", "noop"))
-	mCachePartialDrops = obs.Default().Counter("httpd_cache_partial_drops_total")
-	mCachePartialKeeps = obs.Default().Counter("httpd_cache_partial_keeps_total")
 
 	logger = obs.Logger("httpd")
 
@@ -120,20 +110,11 @@ type Server struct {
 	cfg   Config
 	cache *responseCache
 
-	// lastSwap is the snapshot version the cache's contents were last
-	// validated against; the swap subscription compares it to decide
-	// between partial, full, and no-op invalidation.
-	lastSwap atomic.Uint64
-
-	lis   net.Listener
-	srv   *http.Server
-	unsub func()
+	lis net.Listener
+	srv *http.Server
 }
 
 // New builds a server reading each request from st's current snapshot.
-// When cfg enables the response cache, the server subscribes to the
-// store so every snapshot swap invalidates the cache; Close cancels the
-// subscription.
 func New(st *store.Store, cfg Config) *Server {
 	if cfg.BulkMaxLines <= 0 {
 		cfg.BulkMaxLines = DefaultConfig().BulkMaxLines
@@ -141,35 +122,7 @@ func New(st *store.Store, cfg Config) *Server {
 	if cfg.BulkFlushEvery <= 0 {
 		cfg.BulkFlushEvery = DefaultConfig().BulkFlushEvery
 	}
-	s := &Server{store: st, cfg: cfg, cache: newResponseCache(cfg.CacheSize)}
-	if s.cache != nil {
-		s.lastSwap.Store(st.Current().Version)
-		s.unsub = st.Subscribe(s.onSwap)
-	}
-	return s
-}
-
-// onSwap is the store-subscription callback deciding how a snapshot
-// swap invalidates the response cache: not at all for a swap that did
-// not advance the version (a snapshot re-announcement proves nothing
-// changed — flushing all shards would throw the cache away for
-// nothing), entry-by-entry when the swap carries the exact changeset
-// from the version the cache was validated against, and wholesale
-// otherwise.
-func (s *Server) onSwap(snap *store.Snapshot) {
-	last := s.lastSwap.Swap(snap.Version)
-	switch {
-	case snap.Version == last:
-		mCacheInvNoop.Inc()
-	case snap.Changes != nil && snap.Version == last+1:
-		dropped, kept := s.cache.applyChanges(snap.Changes, last, snap.Version)
-		mCacheInvPartial.Inc()
-		mCachePartialDrops.Add(int64(dropped))
-		mCachePartialKeeps.Add(int64(kept))
-	default:
-		s.cache.invalidate()
-		mCacheInvFull.Inc()
-	}
+	return &Server{store: st, cfg: cfg, cache: newResponseCache(cfg.CacheSize)}
 }
 
 // NewStatic builds a server over one fixed dataset — a single-snapshot
@@ -213,12 +166,8 @@ func (s *Server) Start(ctx context.Context, addr string) (string, error) {
 	return lis.Addr().String(), nil
 }
 
-// Close stops the listener, closes active connections, and cancels the
-// cache-invalidation subscription.
+// Close stops the listener and closes active connections.
 func (s *Server) Close() error {
-	if s.unsub != nil {
-		s.unsub()
-	}
 	if s.srv != nil {
 		return s.srv.Close()
 	}
@@ -296,7 +245,7 @@ func (s *Server) handleOrg(w http.ResponseWriter, r *http.Request) {
 func answer(snap *store.Snapshot, kind daemon.Kind, q string, sp *obs.QuerySpan) *cacheEntry {
 	ans := daemon.Resolve(snap.Dataset, kind, q, sp)
 	mQueries[ans.Kind].Inc()
-	e := &cacheEntry{version: snap.Version, status: http.StatusOK, qtype: ans.Kind.String(), outcome: ans.Outcome, tag: tagOf(ans)}
+	e := &cacheEntry{version: snap.Version, status: http.StatusOK, qtype: ans.Kind.String(), outcome: ans.Outcome}
 	switch {
 	case ans.Kind == daemon.KindBad:
 		msg := "empty organization query" // the one way an org query is bad
@@ -318,23 +267,6 @@ func answer(snap *store.Snapshot, kind daemon.Kind, q string, sp *obs.QuerySpan)
 		e.body = marshalQuery(q, e.qtype, ans.Outcome, snap.Version, ans.Record, ans.Cluster)
 	}
 	return e
-}
-
-// tagOf records what dataset state a resolved answer depends on — the
-// handle partial cache invalidation drops by. A bad query depends on
-// none and gets the zero tag.
-func tagOf(ans daemon.Answer) cacheTag {
-	tag := cacheTag{addr: ans.Addr, org: ans.Kind == daemon.KindOrg}
-	if ans.Kind == daemon.KindPrefix {
-		tag.qpfx = ans.Prefix.Masked()
-	}
-	if ans.Record != nil {
-		tag.apfx = ans.Record.Prefix
-	}
-	if ans.Cluster != nil {
-		tag.cluster = ans.Cluster.ID
-	}
-	return tag
 }
 
 // --- wire shapes -------------------------------------------------------------

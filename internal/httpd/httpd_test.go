@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"net/netip"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -290,28 +291,58 @@ func TestCacheHitAndInvalidation(t *testing.T) {
 		t.Errorf("cache len after no_match = %d, want 2", s.cache.len())
 	}
 
-	// A swap invalidates synchronously (Subscribe runs on the swapping
-	// goroutine), and the next answer carries the new version.
+	// After a swap the old entries miss on their version, and the
+	// refill replaces each in place: the next answer carries the new
+	// version and the cache does not grow.
 	st.Swap(&store.Snapshot{Dataset: ds})
-	if s.cache.len() != 0 {
-		t.Fatalf("cache len after swap = %d, want 0", s.cache.len())
-	}
 	_, body := get(t, h, "/v1/addr/"+addr)
 	if body["snapshot_version"] != float64(2) {
 		t.Errorf("post-swap snapshot_version = %v, want 2", body["snapshot_version"])
 	}
+	if s.cache.len() != 2 {
+		t.Errorf("cache len after post-swap refill = %d, want 2 (stale entry replaced in place)", s.cache.len())
+	}
 }
 
 func TestCacheVersionGuard(t *testing.T) {
-	// A stale entry that somehow survives invalidation (fill racing a
-	// swap) still cannot be served: get checks the pinned version.
+	// An entry is served only to a request that pinned the snapshot it
+	// was rendered from.
 	c := newResponseCache(16)
 	c.put("addr/1.2.3.4", &cacheEntry{version: 1, status: 200, body: []byte("{}")})
 	if _, ok := c.get("addr/1.2.3.4", 2); ok {
 		t.Fatal("version-mismatched entry served")
 	}
-	if _, ok := c.get("addr/1.2.3.4", 1); ok {
-		t.Fatal("mismatch hit should have deleted the entry")
+	if _, ok := c.get("addr/1.2.3.4", 1); !ok {
+		t.Fatal("entry missed at the version it was rendered from")
+	}
+}
+
+// TestCacheStaleRefillKeepsSlot is the ring-slot witness: a stale miss
+// followed by its refill must occupy the key's one slot, or the ring
+// later evicts the fresh entry through the leftover copy of its key.
+func TestCacheStaleRefillKeepsSlot(t *testing.T) {
+	c := newResponseCache(2 * cacheShardCount) // two slots per shard
+	k := "addr/10.0.0.1"
+	var k2 string
+	for i := 0; k2 == ""; i++ {
+		if cand := "addr/10.0.1." + strconv.Itoa(i); c.shard(cand) == c.shard(k) {
+			k2 = cand
+		}
+	}
+	entry := func(v uint64) *cacheEntry { return &cacheEntry{version: v, status: 200, body: []byte("{}")} }
+
+	evictions := mCacheEvictions.Value()
+	c.put(k, entry(1))
+	if _, ok := c.get(k, 2); ok {
+		t.Fatal("v1 entry served at v2")
+	}
+	c.put(k, entry(2))
+	c.put(k2, entry(2))
+	if _, ok := c.get(k, 2); !ok {
+		t.Errorf("refilled entry evicted by the shard's second key (evictions +%d)", mCacheEvictions.Value()-evictions)
+	}
+	if d := mCacheEvictions.Value() - evictions; d != 0 {
+		t.Errorf("evictions moved by %d with the shard's two slots holding two keys, want 0", d)
 	}
 }
 

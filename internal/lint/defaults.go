@@ -106,6 +106,10 @@ func DefaultConfig(modPath string) *Config {
 		// wires store, obs and the root package together, and the front
 		// ends use its accept loop and resolver — never the reverse.
 		"internal/daemon": {"internal/whoisd", "internal/httpd", "internal/rtr", "internal/experiments", "internal/casestudy", "internal/validate", "internal/lint"},
+		// The front ends answer from the snapshot a request pins; what a
+		// reload changed is not their concern.
+		"internal/httpd":  {"internal/diff"},
+		"internal/whoisd": {"internal/diff"},
 		// The linter analyzes everything and depends on nothing.
 		"internal/lint": leafDeny,
 		// One LPM: internal/radix is the reference implementation the

@@ -18,9 +18,8 @@ var (
 	mReloadSeconds  = obs.Default().Histogram("store_reload_seconds", reloadBuckets)
 	// Delta-path accounting: reloads served by the incremental builder,
 	// reloads where the delta errored and the full build ran instead,
-	// reloads skipped outright because no input changed, and the size of
-	// the last delta's changeset (record-level changes, the number the
-	// httpd cache invalidates by).
+	// reloads skipped outright because no input changed, and the number
+	// of routed prefixes the last delta re-resolved (set by DirSource).
 	mDeltaReloads   = obs.Default().Counter("store_delta_reloads_total")
 	mDeltaFallbacks = obs.Default().Counter("store_delta_fallbacks_total")
 	mReloadsNoop    = obs.Default().Counter("store_reloads_noop_total")
@@ -159,29 +158,27 @@ func (r *Reloader) Handler() http.Handler {
 }
 
 // reloadOnce builds one snapshot and swaps it in, publishing the reload
-// metrics and — when both the outgoing and incoming snapshots carry
-// datasets — the internal/diff change summary of what the swap changed.
+// metrics and — after a full rebuild between two eager datasets — the
+// internal/diff change summary of what the swap changed.
 //
 // When the source has a Delta, it runs first against the currently
 // served snapshot: an unchanged manifest turns the reload into a no-op
-// (the subscribers never fire, so the response cache is untouched), and
-// any delta error downgrades to the full build. Serve-stale applies only
-// when the full build fails too — the previous snapshot is never
+// (no swap, so the version every cached response is keyed on stays),
+// and any delta error downgrades to the full build. Serve-stale applies
+// only when the full build fails too — the previous snapshot is never
 // disturbed either way.
 func (r *Reloader) reloadOnce(ctx context.Context) error {
 	start := time.Now()
 	next, err := r.tryDelta(ctx)
+	delta := err == nil
 	switch {
-	case err == nil && next == nil:
+	case delta && next == nil:
 		mReloadsNoop.Inc()
 		logger.Info("reload no-op: inputs unchanged",
 			"version", r.store.Current().Version, "duration", time.Since(start))
 		return nil
-	case err == nil:
+	case delta:
 		mDeltaReloads.Inc()
-		if next.Changes != nil {
-			mDeltaAffected.Set(float64(len(next.Changes.Prefixes)))
-		}
 	default:
 		if ctx.Err() != nil {
 			return err
@@ -208,18 +205,13 @@ func (r *Reloader) reloadOnce(ctx context.Context) error {
 	dur := time.Since(start)
 	mReloads.Inc()
 	mReloadSeconds.Observe(dur.Seconds())
-	// A delta-built snapshot already carries its exact changeset; log
-	// that instead of recomputing a diff.
-	if next.Changes != nil {
-		logger.Info("snapshot swapped",
-			"snapshot", next.Describe(), "duration", dur, "changes", next.Changes.Summary())
-		return nil
-	}
-	// Diffing walks both datasets in full through RecordAt, which would
-	// fill a read (view-backed) snapshot's chunk cache with every record
-	// on the reload path — the opposite of what serving in place is for.
-	// Skip the change summary when either side is a read snapshot.
-	if old.Dataset != nil && next.Dataset != nil && !old.Dataset.Lazy() && !next.Dataset.Lazy() {
+	// Diffing walks both datasets in full through RecordAt: a delta must
+	// not pay for that walk — its cost is meant to track the change — and
+	// on a read (view-backed) snapshot it would fill the chunk cache with
+	// every record on the reload path, the opposite of what serving in
+	// place is for. Only a full rebuild between two eager datasets logs
+	// the change summary.
+	if !delta && old.Dataset != nil && next.Dataset != nil && !old.Dataset.Lazy() && !next.Dataset.Lazy() {
 		if rep, derr := diff.Compare(old.Dataset, next.Dataset); derr == nil {
 			logger.Info("snapshot swapped",
 				"snapshot", next.Describe(), "duration", dur, "changes", rep.Summary())

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	prefix2org "github.com/prefix2org/prefix2org"
-	"github.com/prefix2org/prefix2org/internal/diff"
 	"github.com/prefix2org/prefix2org/internal/obs"
 )
 
@@ -58,12 +57,6 @@ type Snapshot struct {
 	// Dataset is the built Prefix2Org mapping; nil only in a pending
 	// store's placeholder (NewPending).
 	Dataset *prefix2org.Dataset
-	// Changes is the exact changeset from the previously served snapshot
-	// to this one, published by the delta builder so subscribers react
-	// to what actually changed: the httpd response cache invalidates
-	// only affected entries. Nil when unknown (full rebuilds, startup
-	// snapshots) — subscribers must then assume everything changed.
-	Changes *diff.Changeset
 	// Closer releases resources the snapshot's data aliases — the mmap
 	// of a view-backed dataset. It runs exactly once, when the last
 	// reference is dropped: the Store holds one reference for as long
@@ -111,16 +104,8 @@ func (s *Snapshot) unref() {
 type Store struct {
 	cur atomic.Pointer[Snapshot]
 
-	// mu serializes swaps and subscription changes; the read path never
-	// takes it.
-	mu   sync.Mutex
-	subs []subscription
-	next uint64 // subscription id seed
-}
-
-type subscription struct {
-	id uint64
-	fn func(*Snapshot)
+	// mu serializes swaps; the read path never takes it.
+	mu sync.Mutex
 }
 
 // New builds a store serving initial, which receives version 1 (unless
@@ -212,8 +197,7 @@ func (s *Store) Acquire() (*Snapshot, func()) {
 }
 
 // Swap publishes next as the current snapshot, assigns it the next
-// version, notifies subscribers (in subscription order, on the caller's
-// goroutine), and returns the previous snapshot. In-flight readers
+// version, and returns the previous snapshot. In-flight readers
 // holding the previous snapshot are undisturbed.
 func (s *Store) Swap(next *Snapshot) (old *Snapshot) {
 	if next == nil {
@@ -230,38 +214,11 @@ func (s *Store) Swap(next *Snapshot) (old *Snapshot) {
 	if next.Dataset != nil {
 		mLastSuccess.Set(float64(time.Now().Unix()))
 	}
-	for _, sub := range s.subs {
-		sub.fn(next)
-	}
 	// Drop the publication reference of the snapshot we replaced: its
 	// Closer runs now if no reader holds a pin, or when the last pinned
-	// reader releases. Subscribers were notified first, so a subscriber
-	// still reading old data did so before the release.
+	// reader releases.
 	old.unref()
 	return old
-}
-
-// Subscribe registers fn to run after every future Swap, receiving the
-// newly published snapshot. Callbacks run synchronously on the swapping
-// goroutine, in subscription order — keep them short (the httpd
-// response cache clearing its shards is the intended scale). The
-// returned cancel removes the subscription.
-func (s *Store) Subscribe(fn func(*Snapshot)) (cancel func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.next++
-	id := s.next
-	s.subs = append(s.subs, subscription{id: id, fn: fn})
-	return func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for i := range s.subs {
-			if s.subs[i].id == id {
-				s.subs = append(s.subs[:i], s.subs[i+1:]...)
-				return
-			}
-		}
-	}
 }
 
 // --- snapshot sources --------------------------------------------------------
@@ -288,10 +245,10 @@ type Source struct {
 // DirSource runs the pipeline over a data directory.
 //
 // With opts.Incremental the source carries a Delta that re-parses only
-// the source files whose manifest hash changed, re-resolves only the
-// affected prefixes, and publishes the exact changeset on the resulting
-// snapshot; the full build retains the state that delta splices
-// against, so the fallback also yields delta-capable snapshots.
+// the source files whose manifest hash changed and re-resolves only the
+// affected prefixes (their count is the store_delta_affected_prefixes
+// gauge); the full build retains the state that delta splices against,
+// so the fallback also yields delta-capable snapshots.
 //
 // A delta reload always runs beside live queries, so unless the caller
 // set opts.Workers it builds with one worker fewer than GOMAXPROCS: a
@@ -301,15 +258,15 @@ type Source struct {
 // 120 ms), and its own duration then depends on how the queries
 // interleave. The output does not depend on the worker count.
 func DirSource(dir string, opts prefix2org.Options) Source {
-	snapshot := func(ds *prefix2org.Dataset, cs *diff.Changeset) *Snapshot {
-		return &Snapshot{BuiltAt: time.Now(), Source: "dir:" + dir, Dataset: ds, Changes: cs}
+	snapshot := func(ds *prefix2org.Dataset) *Snapshot {
+		return &Snapshot{BuiltAt: time.Now(), Source: "dir:" + dir, Dataset: ds}
 	}
 	src := Source{Build: func(ctx context.Context) (*Snapshot, error) {
 		ds, err := prefix2org.BuildFromDir(ctx, dir, opts)
 		if err != nil {
 			return nil, err
 		}
-		return snapshot(ds, nil), nil
+		return snapshot(ds), nil
 	}}
 	if !opts.Incremental {
 		return src
@@ -326,11 +283,8 @@ func DirSource(dir string, opts prefix2org.Options) Source {
 		if err != nil {
 			return nil, err
 		}
-		cs, err := diff.Changes(prev.Dataset, res.Dataset)
-		if err != nil {
-			return nil, err
-		}
-		return snapshot(res.Dataset, cs), nil
+		mDeltaAffected.Set(float64(res.Affected))
+		return snapshot(res.Dataset), nil
 	}
 	return src
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	prefix2org "github.com/prefix2org/prefix2org"
-	"github.com/prefix2org/prefix2org/internal/diff"
 	"github.com/prefix2org/prefix2org/internal/obs"
 )
 
@@ -130,30 +129,6 @@ func TestSwapBumpsVersionAndReturnsOld(t *testing.T) {
 	}
 	if got := st.Current().Version; got != 2 {
 		t.Errorf("version after swap = %d, want 2", got)
-	}
-}
-
-func TestSubscribeNotifiesAndCancels(t *testing.T) {
-	st := New(&Snapshot{})
-	var got []uint64
-	cancel := st.Subscribe(func(s *Snapshot) { got = append(got, s.Version) })
-	st.Swap(&Snapshot{})
-	st.Swap(&Snapshot{})
-	cancel()
-	st.Swap(&Snapshot{})
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Errorf("subscriber saw versions %v, want [2 3]", got)
-	}
-}
-
-func TestSubscribersRunInSubscriptionOrder(t *testing.T) {
-	st := New(&Snapshot{})
-	var order []string
-	st.Subscribe(func(*Snapshot) { order = append(order, "a") })
-	st.Subscribe(func(*Snapshot) { order = append(order, "b") })
-	st.Swap(&Snapshot{})
-	if strings.Join(order, "") != "ab" {
-		t.Errorf("notification order = %v, want [a b]", order)
 	}
 }
 
@@ -311,13 +286,11 @@ func TestReloadHandler(t *testing.T) {
 }
 
 // TestReloaderDeltaPaths covers the three delta outcomes of a reload:
-// a no-op (unchanged inputs keep the current snapshot serving, no swap,
-// no subscriber churn), a successful delta swap (the full builder never
-// runs), and a delta failure falling back to the full build.
+// a no-op (unchanged inputs keep the current snapshot serving, no
+// swap), a successful delta swap (the full builder never runs), and a
+// delta failure falling back to the full build.
 func TestReloaderDeltaPaths(t *testing.T) {
 	st := New(&Snapshot{Source: "initial", Dataset: &prefix2org.Dataset{}})
-	var notifies atomic.Int64
-	st.Subscribe(func(*Snapshot) { notifies.Add(1) })
 	var fullBuilds atomic.Int64
 	var mode atomic.Value // "noop" | "delta" | "error"
 	mode.Store("noop")
@@ -329,7 +302,7 @@ func TestReloaderDeltaPaths(t *testing.T) {
 		case "noop":
 			return nil, nil
 		case "delta":
-			return &Snapshot{Source: "delta", Dataset: &prefix2org.Dataset{}, Changes: &diff.Changeset{}}, nil
+			return &Snapshot{Source: "delta", Dataset: &prefix2org.Dataset{}}, nil
 		default:
 			return nil, errors.New("splice failed")
 		}
@@ -345,9 +318,6 @@ func TestReloaderDeltaPaths(t *testing.T) {
 	}
 	if got := st.Current().Version; got != 1 {
 		t.Errorf("version after no-op reload = %d, want 1 (no swap)", got)
-	}
-	if n := notifies.Load(); n != 0 {
-		t.Errorf("no-op reload notified %d subscribers, want 0", n)
 	}
 	if d := mReloadsNoop.Value() - noopBefore; d != 1 {
 		t.Errorf("noop reload counter moved by %d, want 1", d)
