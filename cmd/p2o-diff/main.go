@@ -9,9 +9,8 @@
 //	p2o-diff [-max N] [-json] OLD.jsonl NEW.jsonl
 //
 // -json switches to machine-readable output: the exact changeset as
-// NDJSON, one object per changed prefix or org, in the same format the
-// serving daemons publish alongside each delta snapshot swap
-// (internal/diff.Changeset.WriteJSON is the one serializer for both).
+// NDJSON, one self-describing object per changed prefix or org
+// (internal/diff.Changeset.WriteJSON).
 package main
 
 import (
@@ -26,7 +25,7 @@ import (
 
 func main() {
 	maxRows := flag.Int("max", 20, "maximum rows to print per change category")
-	asJSON := flag.Bool("json", false, "emit the exact changeset as NDJSON (the format daemons publish on delta swaps) instead of the human report")
+	asJSON := flag.Bool("json", false, "emit the exact changeset as NDJSON, one object per changed prefix or org, instead of the human report")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: p2o-diff [-max N] [-json] OLD.jsonl NEW.jsonl")

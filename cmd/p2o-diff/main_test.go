@@ -57,8 +57,7 @@ func TestRunDiff(t *testing.T) {
 	}
 
 	// -json: the exact changeset as NDJSON, one self-describing object
-	// per line (the same serializer the daemons publish delta swaps
-	// with).
+	// per line.
 	out := captureStdout(t, func() {
 		if err := run(old, cur, 5, true); err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"io"
@@ -15,8 +16,9 @@ import (
 
 // TestBootAndAnswer boots the daemon exactly as main would (ephemeral
 // ports), checks the WHOIS listener answers every query form over TCP,
-// and checks the set of metric names on /metrics is the one captured
-// before the daemons shared a skeleton. What the skeleton does for
+// checks the set of metric names on /metrics is the one captured
+// before the daemons shared a skeleton, and checks every query — each
+// sent twice, plus one overlong line — is counted once. What the skeleton does for
 // every daemon alike — flag validation, log levels, snapshot mode,
 // /reload, readiness — is tested once, in internal/daemon.
 func TestBootAndAnswer(t *testing.T) {
@@ -27,6 +29,27 @@ func TestBootAndAnswer(t *testing.T) {
 	}
 	rec := &ds.Records[0]
 	a := daemontest.Boot(context.Background(), t, spec(), daemon.Flags{DataDir: dir})
+	// The counter families every query moves, and their totals before
+	// any query: the registry is process-wide, so -count=N runs see the
+	// earlier runs' queries.
+	families := []string{"whoisd_queries_total", "whoisd_queries_by_snapshot_total", "whoisd_query_seconds_count"}
+	base := map[string]float64{}
+	for _, name := range families {
+		base[name] = daemontest.MetricSum(t, a, name)
+	}
+	sent := 0
+	send := func(q []byte) ([]byte, error) {
+		sent++
+		conn, err := net.Dial("tcp", a.Addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(q); err != nil {
+			t.Fatal(err)
+		}
+		return io.ReadAll(conn)
+	}
 
 	for q, want := range map[string]string{
 		rec.Prefix.Addr().String(): "direct-owner:  " + rec.DirectOwner,
@@ -34,20 +57,26 @@ func TestBootAndAnswer(t *testing.T) {
 		rec.DirectOwner:            "cluster:      " + rec.FinalCluster,
 		"300.1.2.3/8":              "% error: bad prefix",
 	} {
-		conn, err := net.Dial("tcp", a.Addr)
-		if err != nil {
-			t.Fatal(err)
+		for range 2 {
+			out, err := send([]byte(q + "\r\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(string(out), "% Prefix2Org whois") || !strings.Contains(string(out), want) {
+				t.Errorf("query %q: answer lacks %q:\n%s", q, want, out)
+			}
 		}
-		if _, err := conn.Write([]byte(q + "\r\n")); err != nil {
-			t.Fatal(err)
-		}
-		out, err := io.ReadAll(conn)
-		conn.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.HasPrefix(string(out), "% Prefix2Org whois") || !strings.Contains(string(out), want) {
-			t.Errorf("query %q: answer lacks %q:\n%s", q, want, out)
+	}
+	// An overlong line with no newline: the server answers after 4 KiB
+	// and hangs up on the unread rest, which may reset the connection,
+	// so the read error is expected.
+	_, _ = send(bytes.Repeat([]byte("a"), 8<<10))
+
+	// The server counts a query before it closes the connection, so
+	// every count has landed once the client reads EOF.
+	for _, name := range families {
+		if got := daemontest.MetricSum(t, a, name) - base[name]; got != float64(sent) {
+			t.Errorf("%s counted %v queries, want %d (each counted once)", name, got, sent)
 		}
 	}
 	daemontest.Golden(t, "testdata/metrics.golden", daemontest.MetricNames(t, a))

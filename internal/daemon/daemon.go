@@ -54,11 +54,10 @@ import (
 )
 
 // FrontEnd is a protocol server as the skeleton sees it. Start binds
-// the query listener on addr and returns the bound address; ctx is the
-// base context sampled query spans ride on, it does not stop the server
-// (Close does).
+// the query listener on addr and returns the bound address; Close stops
+// it.
 type FrontEnd interface {
-	Start(ctx context.Context, addr string) (string, error)
+	Start(addr string) (string, error)
 	Close() error
 }
 
@@ -137,8 +136,8 @@ func (f *Flags) source() (store.Source, string, error) {
 // the protocol flags main already registered, parse, start, and serve
 // until SIGINT/SIGTERM, reloading on SIGHUP. It exits the process on
 // failure: status 2 for a usage error, 1 for a failed start. ctx is
-// main's context.Background — the root every request context and the
-// reloader descend from.
+// main's context.Background — the root the builds and the reloader
+// descend from.
 func Main(ctx context.Context, spec Spec) {
 	f := RegisterFlags(flag.CommandLine, spec)
 	flag.Parse()
@@ -225,7 +224,7 @@ func Start(ctx context.Context, spec Spec, f Flags) (_ *App, err error) {
 		a.logger.Info("admin listener up", "addr", a.AdminAddr)
 	}
 	a.front = spec.Dataset(st)
-	if a.Addr, err = a.front.Start(ctx, f.Listen); err != nil {
+	if a.Addr, err = a.front.Start(f.Listen); err != nil {
 		return nil, err
 	}
 	snap, err := src.Build(ctx)

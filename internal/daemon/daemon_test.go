@@ -35,7 +35,7 @@ func newFake() *fakeFront {
 	return f
 }
 
-func (f *fakeFront) Start(ctx context.Context, addr string) (string, error) {
+func (f *fakeFront) Start(addr string) (string, error) {
 	close(f.entered)
 	<-f.release
 	return addr, f.startErr

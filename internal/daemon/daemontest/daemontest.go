@@ -1,8 +1,9 @@
 // Package daemontest is the test support the daemon skeleton's own
-// tests and the three cmd/p2o-* smoke tests share: a synthetic world on
-// disk, booting a Spec on ephemeral ports, and the pinned surfaces
-// (flag set, metric names) compared against golden lists captured
-// before the daemons moved onto the skeleton.
+// tests and the two daemon commands' smoke tests share: a synthetic
+// world on disk, booting a Spec on ephemeral ports, metric totals read
+// off /metrics, and the pinned surfaces (flag set, metric names)
+// compared against golden lists captured before the daemons moved onto
+// the skeleton.
 package daemontest
 
 import (
@@ -13,6 +14,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -90,6 +92,27 @@ func MetricNames(t *testing.T, a *daemon.App) string {
 	}
 	sort.Strings(names)
 	return strings.Join(names, "\n") + "\n"
+}
+
+// MetricSum adds up every series of the metric family name on a's
+// /metrics page — the bare name and each name{labels...} line — so a
+// counter split by label reads as one total.
+func MetricSum(t *testing.T, a *daemon.App, name string) float64 {
+	t.Helper()
+	_, page := Get(t, a, "/metrics")
+	var sum float64
+	for _, line := range strings.Split(page, "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || (line[:i] != name && !strings.HasPrefix(line, name+"{")) {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
 }
 
 // Golden compares got against the golden file at path and reports the

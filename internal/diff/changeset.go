@@ -34,10 +34,8 @@ type OrgChange struct {
 	ID     string `json:"id"`
 }
 
-// Changeset is the exact delta between two snapshots, published on the
-// store alongside each swap so downstream consumers — the httpd response
-// cache — can react to what actually changed instead of recomputing or
-// flushing wholesale.
+// Changeset is the exact delta between two snapshots: every prefix and
+// org whose content differs. p2o-diff -json prints it.
 type Changeset struct {
 	Prefixes []PrefixChange
 	Orgs     []OrgChange
@@ -157,8 +155,7 @@ func clustersEqual(a, b *prefix2org.Cluster) bool {
 
 // WriteJSON streams the changeset as NDJSON: one object per changed
 // prefix, then one per changed org, each carrying the "kind"
-// discriminator. This is the one serializer shared by the published
-// store changeset and the p2o-diff -json CLI output.
+// discriminator. p2o-diff -json prints a changeset with it.
 func (c *Changeset) WriteJSON(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)

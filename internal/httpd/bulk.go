@@ -44,13 +44,12 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 		writeErrorEnvelope(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST with an NDJSON body")
 		return
 	}
-	_, sp := telemetry.StartSpan(r.Context())
+	sp := telemetry.StartSpan()
 	// One snapshot pin per bulk request: the stream may run for a long
 	// time across swaps, and every line answers from — and keeps alive —
 	// this one snapshot.
 	snap, release := s.store.Acquire()
 	defer release()
-	mBySnapshot.Inc(snap.Version)
 	info := obs.QueryInfo{Start: start, Text: "bulk", Type: "bulk", SnapshotVersion: snap.Version}
 	if snap.Dataset == nil {
 		writeErrorEnvelope(w, http.StatusServiceUnavailable, "not_ready", "no dataset loaded yet")
@@ -58,9 +57,6 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 		telemetry.Finish(sp, info)
 		return
 	}
-	mQueriesBulk.Inc()
-	mBulkRequests.Inc()
-
 	// Bulk is genuinely full-duplex: the client may still be sending
 	// lines while results stream back. Without this, net/http closes
 	// the request body at the first response flush and a large request

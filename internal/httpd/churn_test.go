@@ -2,7 +2,6 @@ package httpd
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -26,9 +25,7 @@ func TestBulkUnderReloadChurn(t *testing.T) {
 	st := store.New(&store.Snapshot{Dataset: ds})
 	s := New(st, Config{BulkMaxLines: 10000, BulkFlushEvery: 8, CacheSize: 256})
 	defer s.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	addr, err := s.Start(ctx, "127.0.0.1:0")
+	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

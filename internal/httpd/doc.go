@@ -32,20 +32,23 @@
 // version; there is no swap hook — after a reload the older entries
 // miss and are overwritten by the refill or FIFO-evicted.
 //
-// Every request is accounted by the package's obs.QueryTelemetry:
-// rolling p50/p90/p99/p999 latency gauges, httpd_slo_violations_total,
-// per-snapshot-version counters, and — for sampled or slow queries — a
-// QuerySpan carried on the request context through the parse, lookup,
-// encode, and write phases, landing in the /debug/queries ring.
+// Every query request — cache hit or miss, not-ready or bulk — is
+// counted once, when the package's obs.QueryTelemetry finishes it:
+// httpd_queries_total by type (a bulk request is type "bulk"),
+// httpd_no_match_total, per-snapshot-version counters, rolling
+// p50/p90/p99/p999 latency gauges, httpd_slo_violations_total, and —
+// for sampled or slow queries — a QuerySpan the server passes through
+// the parse, lookup, encode, and write phases, landing in the
+// /debug/queries ring. A request with the wrong method or an unknown
+// path is not a query and is not counted.
 //
 // # Goroutine safety
 //
 // A Server is safe for any number of concurrent requests and concurrent
 // snapshot swaps. Handlers share no mutable state beyond the response
-// cache (internally sharded and locked), the telemetry instance
-// (lock-free or internally synchronized throughout), and the cached
-// per-snapshot counter (an atomic pointer). Start may be called once;
-// Close stops the listener and closes active connections. The bulk
-// scratch buffers (scanner, writer, output line) are allocated per
-// request and never shared across goroutines.
+// cache (internally sharded and locked) and the telemetry instance
+// (lock-free or internally synchronized throughout). Start may be
+// called once; Close stops the listener and closes active connections.
+// The bulk scratch buffers (scanner, writer, output line) are
+// allocated per request and never shared across goroutines.
 package httpd

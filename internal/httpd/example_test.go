@@ -45,9 +45,7 @@ func ExampleServer_bulk() {
 	}
 	srv := httpd.NewStatic(ds)
 	defer srv.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	addr, err := srv.Start(ctx, "127.0.0.1:0")
+	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		fmt.Println("start:", err)
 		return

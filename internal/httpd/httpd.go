@@ -1,7 +1,6 @@
 package httpd
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -18,23 +17,10 @@ import (
 // Server metrics, registered on the process-wide registry so the admin
 // listener's /metrics page exposes them.
 var (
-	// mQueries counts single queries by their resolved form.
-	mQueries = [...]*obs.Counter{
-		daemon.KindAddr:   obs.Default().Counter(obs.Label("httpd_queries_total", "type", "addr")),
-		daemon.KindPrefix: obs.Default().Counter(obs.Label("httpd_queries_total", "type", "prefix")),
-		daemon.KindOrg:    obs.Default().Counter(obs.Label("httpd_queries_total", "type", "org")),
-		daemon.KindBad:    obs.Default().Counter(obs.Label("httpd_queries_total", "type", "bad")),
-	}
-	mBySnapshot = &daemon.VersionCounter{Counter: func(version string) *obs.Counter {
-		return obs.Default().Counter(obs.Label("httpd_queries_by_snapshot_total", "version", version))
-	}}
-	mQueriesBulk   = obs.Default().Counter(obs.Label("httpd_queries_total", "type", "bulk"))
-	mNoMatch       = obs.Default().Counter("httpd_no_match_total")
 	mServeErrors   = obs.Default().Counter("httpd_serve_errors_total")
 	mSLOViolations = obs.Default().Counter("httpd_slo_violations_total")
 	mLatency       = obs.Default().Histogram("httpd_query_seconds", obs.DefBuckets)
 
-	mBulkRequests     = obs.Default().Counter("httpd_bulk_requests_total")
 	mBulkLinesMatch   = obs.Default().Counter(obs.Label("httpd_bulk_lines_total", "outcome", "match"))
 	mBulkLinesNoMatch = obs.Default().Counter(obs.Label("httpd_bulk_lines_total", "outcome", "no_match"))
 	mBulkLinesBad     = obs.Default().Counter(obs.Label("httpd_bulk_lines_total", "outcome", "bad_input"))
@@ -46,14 +32,26 @@ var (
 
 	logger = obs.Logger("httpd")
 
-	// telemetry accounts every request: the rolling quantile window
-	// behind the httpd_query_seconds_p* gauges, SLO tracking, and the
-	// sampled QuerySpan rings served at /debug/queries. Daemon flags
-	// tune it via Telemetry().
+	// telemetry accounts every request, cache hit or miss: the
+	// counters by type, outcome and snapshot version, the rolling
+	// quantile window behind the httpd_query_seconds_p* gauges, SLO
+	// tracking, and the sampled QuerySpan rings served at
+	// /debug/queries. Daemon flags tune it via Telemetry().
 	telemetry = obs.NewQueryTelemetry(obs.QueryTelemetryConfig{
 		Latency:       mLatency,
 		SLOViolations: mSLOViolations,
-		Logger:        logger,
+		Types: map[string]*obs.Counter{
+			daemon.KindAddr.String():   obs.Default().Counter(obs.Label("httpd_queries_total", "type", "addr")),
+			daemon.KindPrefix.String(): obs.Default().Counter(obs.Label("httpd_queries_total", "type", "prefix")),
+			daemon.KindOrg.String():    obs.Default().Counter(obs.Label("httpd_queries_total", "type", "org")),
+			daemon.KindBad.String():    obs.Default().Counter(obs.Label("httpd_queries_total", "type", "bad")),
+			"bulk":                     obs.Default().Counter(obs.Label("httpd_queries_total", "type", "bulk")),
+		},
+		Outcomes: map[string]*obs.Counter{daemon.OutcomeNoMatch: obs.Default().Counter("httpd_no_match_total")},
+		BySnapshot: func(version string) *obs.Counter {
+			return obs.Default().Counter(obs.Label("httpd_queries_by_snapshot_total", "version", version))
+		},
+		Logger: logger,
 	})
 )
 
@@ -148,10 +146,8 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Start listens on addr ("127.0.0.1:0" for an ephemeral port) and
-// serves until Close. ctx becomes the base context of every request
-// (sampled query spans ride it); it does not stop the server (Close
-// does). It returns the bound address.
-func (s *Server) Start(ctx context.Context, addr string) (string, error) {
+// serves until Close. It returns the bound address.
+func (s *Server) Start(addr string) (string, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("httpd: listen %s: %w", addr, err)
@@ -160,7 +156,6 @@ func (s *Server) Start(ctx context.Context, addr string) (string, error) {
 	s.srv = &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
-		BaseContext:       func(net.Listener) context.Context { return ctx },
 	}
 	go func() { _ = s.srv.Serve(lis) }()
 	return lis.Addr().String(), nil
@@ -187,13 +182,12 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, kind daemon.Kind,
 		writeErrorEnvelope(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
 		return
 	}
-	_, sp := telemetry.StartSpan(r.Context())
+	sp := telemetry.StartSpan()
 	// Acquire pins the snapshot's backing buffer until the response is
 	// written; cached bodies are copies, so cache entries outliving the
 	// pin is fine.
 	snap, release := s.store.Acquire()
 	defer release()
-	mBySnapshot.Inc(snap.Version)
 	qtype := kind.String()
 	info := obs.QueryInfo{Start: start, Text: q, Type: qtype, SnapshotVersion: snap.Version}
 	if snap.Dataset == nil {
@@ -244,7 +238,6 @@ func (s *Server) handleOrg(w http.ResponseWriter, r *http.Request) {
 // whois surface answers with a note), an error envelope otherwise.
 func answer(snap *store.Snapshot, kind daemon.Kind, q string, sp *obs.QuerySpan) *cacheEntry {
 	ans := daemon.Resolve(snap.Dataset, kind, q, sp)
-	mQueries[ans.Kind].Inc()
 	e := &cacheEntry{version: snap.Version, status: http.StatusOK, qtype: ans.Kind.String(), outcome: ans.Outcome}
 	switch {
 	case ans.Kind == daemon.KindBad:
@@ -257,7 +250,6 @@ func answer(snap *store.Snapshot, kind daemon.Kind, q string, sp *obs.QuerySpan)
 		}
 		e.status, e.body = http.StatusBadRequest, marshalError(http.StatusBadRequest, "bad_request", msg)
 	case ans.Outcome == daemon.OutcomeNoMatch:
-		mNoMatch.Inc()
 		msg := "no record covers " + q
 		if kind == daemon.KindOrg {
 			msg = "no cluster with ID or owner name " + strconv.Quote(q)

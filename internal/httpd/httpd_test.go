@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	prefix2org "github.com/prefix2org/prefix2org"
+	"github.com/prefix2org/prefix2org/internal/obs"
 	"github.com/prefix2org/prefix2org/internal/store"
 	"github.com/prefix2org/prefix2org/internal/synth"
 )
@@ -304,6 +305,29 @@ func TestCacheHitAndInvalidation(t *testing.T) {
 	}
 }
 
+// TestEveryRequestCounted: a query is counted once per request, cache
+// hit or miss. The recorder is synchronous, so the counts have landed
+// when ServeHTTP returns.
+func TestEveryRequestCounted(t *testing.T) {
+	ds := dataset(t)
+	h := New(store.New(&store.Snapshot{Dataset: ds}), Config{CacheSize: 64}).Handler()
+	const addrKey = `httpd_queries_total{type="addr"}`
+	before := obs.Default().Snapshot().Counters
+	path := "/v1/addr/" + ds.Records[0].Prefix.Addr().String()
+	for i := 0; i < 10; i++ {
+		if code, body := get(t, h, path); code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %v", path, code, body)
+		}
+	}
+	after := obs.Default().Snapshot().Counters
+	if d := after[addrKey] - before[addrKey]; d != 10 {
+		t.Errorf("%s moved by %d over 10 requests, want 10", addrKey, d)
+	}
+	if d := after["httpd_cache_hits_total"] - before["httpd_cache_hits_total"]; d != 9 {
+		t.Errorf("httpd_cache_hits_total moved by %d over 10 requests, want 9", d)
+	}
+}
+
 func TestCacheVersionGuard(t *testing.T) {
 	// An entry is served only to a request that pinned the snapshot it
 	// was rendered from.
@@ -500,9 +524,7 @@ func TestBulkPinsOneSnapshot(t *testing.T) {
 func TestStartServesOverTCP(t *testing.T) {
 	ds := dataset(t)
 	s := NewStatic(ds)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	addr, err := s.Start(ctx, "127.0.0.1:0")
+	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,45 +3,8 @@ package lpm
 import (
 	"encoding/binary"
 	"fmt"
-	"net/netip"
 	"unsafe"
 )
-
-// Matcher is the longest-prefix-match read surface shared by the
-// heap-built Index (Freeze/Decode) and the zero-copy View
-// (ViewColumns). Serve-path code that only reads can accept either;
-// the Dataset keeps a concrete *Index on its hot path to avoid
-// interface dispatch per lookup.
-type Matcher interface {
-	Len() int
-	Lookup(a netip.Addr) (int32, bool)
-	LookupPrefix(p netip.Prefix) (int32, bool)
-	Match(p netip.Prefix) (Match, bool)
-	CoveringInto(p netip.Prefix, buf []int32) []int32
-	Walk(fn func(p netip.Prefix, val int32) bool)
-}
-
-var (
-	_ Matcher = (*Index)(nil)
-	_ Matcher = (*View)(nil)
-)
-
-// View is a frozen index whose columns alias a caller-provided buffer
-// instead of owning heap copies: opening a snapshot becomes slicing
-// plus an O(n) numeric validation scan, with zero per-entry work. The
-// embedded Index gives a View the full Matcher surface at native
-// speed.
-//
-// Lifetime contract: the buffer passed to ViewColumns must stay
-// readable (not munmapped, not recycled) for as long as the View — or
-// any Match handle obtained from it — is in use.
-type View struct {
-	Index
-	data []byte
-}
-
-// Bytes returns the buffer the view's columns alias.
-func (v *View) Bytes() []byte { return v.data }
 
 // Column layout of one encoded index (AppendColumns/ViewColumns), the
 // v2-snapshot companion to codec.go's uvarint framing: per family, v4
@@ -131,13 +94,18 @@ func aliasInt32(b []byte, n int) []int32 {
 // ViewColumns opens an AppendColumns payload in place: it validates
 // the framing and the structural invariants (sorted unique keys,
 // canonical addresses, well-formed parent links — the same checks
-// Decode runs) and returns a View whose columns alias data. It never
-// copies column bytes on an aligned little-endian host; elsewhere it
-// transparently decodes into heap columns. data must be entirely
-// consumed; a truncated, oversized, or corrupt payload returns an
-// error, never a panic.
-func ViewColumns(data []byte) (*View, error) {
-	v := &View{Index: Index{v4: family{off: 96}, v6: family{off: 0}}, data: data}
+// Decode runs) and returns an Index whose columns alias data, so
+// opening a snapshot is slicing plus an O(n) numeric validation scan,
+// with zero per-entry work. It never copies column bytes on an aligned
+// little-endian host; elsewhere it transparently decodes into heap
+// columns. data must be entirely consumed; a truncated, oversized, or
+// corrupt payload returns an error, never a panic.
+//
+// Lifetime contract: data must stay readable (not munmapped, not
+// recycled) for as long as the returned Index — or any Match handle
+// obtained from it — is in use.
+func ViewColumns(data []byte) (*Index, error) {
+	v := &Index{v4: family{off: 96}, v6: family{off: 0}}
 	rest := data
 	for _, fam := range []struct {
 		f       *family

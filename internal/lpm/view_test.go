@@ -8,11 +8,11 @@ import (
 	"github.com/prefix2org/prefix2org/internal/lpm"
 )
 
-// viewOf encodes ix and opens the result as a zero-copy view. The
+// viewOf encodes ix and opens the result as a zero-copy index. The
 // payload is placed at the front of a fresh allocation, which Go
 // aligns to at least 8 bytes, so the test exercises the aliasing path
 // on little-endian hosts.
-func viewOf(t *testing.T, ix *lpm.Index) *lpm.View {
+func viewOf(t *testing.T, ix *lpm.Index) *lpm.Index {
 	t.Helper()
 	data := ix.AppendColumns(make([]byte, 0, 1<<16))
 	v, err := lpm.ViewColumns(data)

@@ -1,10 +1,10 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,10 +12,11 @@ import (
 
 // Query telemetry: the serve-path counterpart of the build pipeline's
 // Trace. A QueryTelemetry instance accounts every query of one server
-// (rolling latency quantiles, SLO violations, slow-query capture) and
-// additionally samples 1-in-N queries into a pooled QuerySpan that rides
-// the request context through the server's phases (parse / lookup /
-// write), landing in the /debug/queries ring. The unsampled fast path —
+// (counters by type, outcome and snapshot version, rolling latency
+// quantiles, SLO violations, slow-query capture) and additionally
+// samples 1-in-N queries into a pooled QuerySpan that the server hands
+// to each phase it marks (parse / lookup / write), landing in the
+// /debug/queries ring. The unsampled fast path —
 // the overwhelming majority of queries — performs only atomic work and
 // never allocates; the alloc guards in internal/obs and the daemons pin
 // that property.
@@ -72,26 +73,6 @@ func (s *QuerySpan) Phase(p QueryPhase) time.Duration {
 func (s *QuerySpan) reset() {
 	s.phases = [numQueryPhases]time.Duration{}
 	s.lastMark = time.Now()
-}
-
-type querySpanKey struct{}
-
-// ContextWithSpan attaches a sampled span to ctx.
-func ContextWithSpan(ctx context.Context, s *QuerySpan) context.Context {
-	return context.WithValue(ctx, querySpanKey{}, s)
-}
-
-// SpanFromContext returns the span riding ctx, nil when the query is
-// unsampled (or ctx is nil). Callers use the nil-safe span methods
-// directly, no nil check needed.
-//
-//p2o:hotpath
-func SpanFromContext(ctx context.Context) *QuerySpan {
-	if ctx == nil {
-		return nil
-	}
-	s, _ := ctx.Value(querySpanKey{}).(*QuerySpan)
-	return s
 }
 
 // QueryInfo describes one finished query. All fields are plain values or
@@ -174,24 +155,32 @@ type QueryTelemetryConfig struct {
 	// SLOViolations is incremented for every query slower than the SLO
 	// target. Optional (required for SetSLOTarget to matter).
 	SLOViolations *Counter
-	// WindowSize is the rolling quantile window in samples
-	// (DefaultQuantileWindow when 0).
-	WindowSize int
-	// RecentCapacity bounds the sampled-query ring (default 64).
-	RecentCapacity int
-	// SlowCapacity bounds the slow-query ring (default 32).
-	SlowCapacity int
+	// Types and Outcomes count every query under its QueryInfo.Type and
+	// Outcome; a value with no counter is not counted. Optional.
+	Types, Outcomes map[string]*Counter
+	// BySnapshot registers the counter of one snapshot version, which
+	// counts every query under its QueryInfo.SnapshotVersion — a
+	// closure, so the metric's literal name stays at the server's
+	// registration site. Optional.
+	BySnapshot func(version string) *Counter
 	// Logger receives the structured slow-query line. Optional.
 	Logger *slog.Logger
 }
 
+// Sizes of the sampled- and slow-query rings.
+const recentCapacity, slowCapacity = 64, 32
+
 // QueryTelemetry accounts one server's queries. All methods are safe
 // for concurrent use.
 type QueryTelemetry struct {
-	window        *QuantileWindow
-	lat           *Histogram
-	sloViolations *Counter
-	logger        *slog.Logger
+	window          *QuantileWindow
+	lat             *Histogram
+	sloViolations   *Counter
+	types, outcomes map[string]*Counter
+	bySnapshot      func(version string) *Counter
+	lastVersion     atomic.Pointer[versionCount] // bySnapshot's counter of the version last counted
+	versionZero     func() *Counter              // bySnapshot's counter of version 0, resolved once
+	logger          *slog.Logger
 
 	seq         atomic.Uint64
 	sampleEvery atomic.Uint64 // 0 disables sampling
@@ -207,19 +196,17 @@ type QueryTelemetry struct {
 // 1-in-16; SLO and slow-query tracking start disabled until their
 // setters are called (daemon flags).
 func NewQueryTelemetry(cfg QueryTelemetryConfig) *QueryTelemetry {
-	if cfg.RecentCapacity <= 0 {
-		cfg.RecentCapacity = 64
-	}
-	if cfg.SlowCapacity <= 0 {
-		cfg.SlowCapacity = 32
-	}
 	t := &QueryTelemetry{
-		window:        NewQuantileWindow(cfg.WindowSize),
+		window:        NewQuantileWindow(DefaultQuantileWindow),
 		lat:           cfg.Latency,
 		sloViolations: cfg.SLOViolations,
+		types:         cfg.Types,
+		outcomes:      cfg.Outcomes,
+		bySnapshot:    cfg.BySnapshot,
+		versionZero:   sync.OnceValue(func() *Counter { return cfg.BySnapshot("0") }),
 		logger:        cfg.Logger,
-		recent:        newQueryRing(cfg.RecentCapacity),
-		slow:          newQueryRing(cfg.SlowCapacity),
+		recent:        newQueryRing(recentCapacity),
+		slow:          newQueryRing(slowCapacity),
 	}
 	t.pool.New = func() any { return new(QuerySpan) }
 	t.sampleEvery.Store(16)
@@ -246,45 +233,51 @@ func (t *QueryTelemetry) SetSlowThreshold(d time.Duration) { t.slowAfter.Store(i
 // this.
 func (t *QueryTelemetry) Quantile(q float64) float64 { return t.window.Quantile(q) }
 
-// StartSpan decides whether this query is sampled. Sampled queries get
-// a pooled span attached to the returned context; unsampled queries (and
-// a nil ctx) get the context back untouched and a nil span — that path
-// performs one atomic add and never allocates.
+// StartSpan decides whether this query is sampled: a sampled query
+// gets a pooled span, which the server passes to each phase it marks;
+// an unsampled one gets nil — that path performs one atomic add and
+// never allocates.
 //
 //p2o:hotpath
-func (t *QueryTelemetry) StartSpan(ctx context.Context) (context.Context, *QuerySpan) {
+func (t *QueryTelemetry) StartSpan() *QuerySpan {
 	n := t.sampleEvery.Load()
-	if n == 0 || ctx == nil {
-		return ctx, nil
-	}
-	if t.seq.Add(1)%n != 0 {
-		return ctx, nil
+	if n == 0 || t.seq.Add(1)%n != 0 {
+		return nil
 	}
 	s := t.pool.Get().(*QuerySpan)
 	s.reset()
-	return ContextWithSpan(ctx, s), s
+	return s
 }
 
-// Finish accounts one completed query: the rolling quantile window and
-// latency histogram always move, the SLO tracker fires when the query
-// overran the target, slow queries are captured (and logged) whether or
-// not they were sampled, and a sampled span lands in the recent-query
-// ring with its phase timings before returning to the pool.
+// Finish accounts one completed query, and is the one place a query is
+// counted: the counters of its type, outcome and snapshot version, the
+// rolling quantile window and latency histogram always move, the SLO
+// tracker fires when the query overran the target, slow queries are
+// captured (and logged) whether or not they were sampled, and a
+// sampled span lands in the recent-query ring with its phase timings
+// before returning to the pool.
 //
 // sp may be nil (the unsampled path); info fields are copied by value,
 // so the caller's buffers are not retained.
 //
 //p2o:hotpath
 func (t *QueryTelemetry) Finish(sp *QuerySpan, info QueryInfo) {
+	if c := t.types[info.Type]; c != nil {
+		c.Inc()
+	}
+	if c := t.outcomes[info.Outcome]; c != nil {
+		c.Inc()
+	}
+	if t.bySnapshot != nil {
+		t.countVersion(info.SnapshotVersion)
+	}
 	dur := time.Since(info.Start)
 	t.window.Observe(dur.Seconds())
 	if t.lat != nil {
 		t.lat.Observe(dur.Seconds())
 	}
-	if target := t.sloTarget.Load(); target > 0 && int64(dur) > target {
-		if t.sloViolations != nil {
-			t.sloViolations.Inc()
-		}
+	if target := t.sloTarget.Load(); target > 0 && int64(dur) > target && t.sloViolations != nil {
+		t.sloViolations.Inc()
 	}
 	slowAfter := t.slowAfter.Load()
 	isSlow := slowAfter > 0 && int64(dur) >= slowAfter
@@ -320,6 +313,33 @@ func (t *QueryTelemetry) Finish(sp *QuerySpan, info QueryInfo) {
 	if sp != nil {
 		t.pool.Put(sp)
 	}
+}
+
+// versionCount is the by-snapshot counter of one version.
+type versionCount struct {
+	version uint64
+	c       *Counter
+}
+
+// countVersion counts one query under the snapshot version that
+// answered it — <daemon>_queries_by_snapshot_total{version="N"}. The
+// counter of the version last seen is cached (version 0, answered
+// without a snapshot, has its own), so the steady-state path is one
+// pointer load and an atomic increment; the registry lookup and label
+// rendering run only when the version changes.
+//
+//p2o:hotpath
+func (t *QueryTelemetry) countVersion(version uint64) {
+	if version == 0 {
+		t.versionZero().Inc()
+		return
+	}
+	cur := t.lastVersion.Load()
+	if cur == nil || cur.version != version {
+		cur = &versionCount{version: version, c: t.bySnapshot(strconv.FormatUint(version, 10))}
+		t.lastVersion.Store(cur)
+	}
+	cur.c.Inc()
 }
 
 // Recent returns the sampled-query ring, newest first.

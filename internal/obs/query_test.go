@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"math"
 	"net/http/httptest"
@@ -65,30 +64,32 @@ func TestQuantileWindowObserveZeroAlloc(t *testing.T) {
 	}
 }
 
+// newTestTelemetry wires a telemetry to instruments on reg: counters
+// for types "addr" and "org", for outcome "no_match", and for every
+// snapshot version.
 func newTestTelemetry(reg *Registry) *QueryTelemetry {
 	return NewQueryTelemetry(QueryTelemetryConfig{
-		Latency:        reg.Histogram("tq_seconds", DefBuckets),
-		SLOViolations:  reg.Counter("tq_slo_violations_total"),
-		WindowSize:     128,
-		RecentCapacity: 4,
-		SlowCapacity:   2,
+		Latency:       reg.Histogram("tq_seconds", DefBuckets),
+		SLOViolations: reg.Counter("tq_slo_violations_total"),
+		Types: map[string]*Counter{
+			"addr": reg.Counter(Label("tq_queries_total", "type", "addr")),
+			"org":  reg.Counter(Label("tq_queries_total", "type", "org")),
+		},
+		Outcomes: map[string]*Counter{"no_match": reg.Counter("tq_no_match_total")},
+		BySnapshot: func(version string) *Counter {
+			return reg.Counter(Label("tq_queries_by_snapshot_total", "version", version))
+		},
 	})
 }
 
 func TestQueryTelemetrySampling(t *testing.T) {
 	tel := newTestTelemetry(NewRegistry())
 	tel.SetSampleEvery(4)
-	ctx := context.Background()
 	var sampled int
 	for i := 0; i < 16; i++ {
-		spctx, sp := tel.StartSpan(ctx)
+		sp := tel.StartSpan()
 		if sp != nil {
 			sampled++
-			if SpanFromContext(spctx) != sp {
-				t.Fatal("sampled span not carried by the returned context")
-			}
-		} else if spctx != ctx {
-			t.Fatal("unsampled query got a derived context")
 		}
 		tel.Finish(sp, QueryInfo{Start: time.Now(), Text: "q", Type: "addr", Outcome: "match"})
 	}
@@ -96,33 +97,78 @@ func TestQueryTelemetrySampling(t *testing.T) {
 		t.Errorf("sampled %d of 16 at 1-in-4, want 4", sampled)
 	}
 	tel.SetSampleEvery(0)
-	if _, sp := tel.StartSpan(ctx); sp != nil {
+	if sp := tel.StartSpan(); sp != nil {
 		t.Error("sampling disabled but got a span")
-	}
-	tel.SetSampleEvery(1)
-	// nil ctx is the span-less embedding path (Server.Answer).
-	if _, sp := tel.StartSpan(nil); sp != nil {
-		t.Error("nil context got a span")
 	}
 }
 
 // TestQueryTelemetryUnsampledZeroAlloc pins the tentpole contract: with
 // sampling off (or a query not selected), StartSpan + Finish — the full
-// per-query telemetry overhead including the quantile window, the
-// latency histogram, and the SLO comparison — allocates nothing.
+// per-query telemetry overhead including the type, outcome and
+// snapshot-version counters, the quantile window, the latency
+// histogram, and the SLO comparison — allocates nothing, also when
+// queries answered without a snapshot (version 0, such as overlong
+// whois lines) interleave with served ones.
 func TestQueryTelemetryUnsampledZeroAlloc(t *testing.T) {
 	tel := newTestTelemetry(NewRegistry())
 	tel.SetSampleEvery(0)
 	tel.SetSLOTarget(time.Millisecond)
-	ctx := context.Background()
-	info := QueryInfo{Start: time.Now(), Text: "198.51.100.7", Type: "addr", Outcome: "match", SnapshotVersion: 3}
+	info := QueryInfo{Start: time.Now(), Text: "198.51.100.7", Type: "addr", Outcome: "no_match", SnapshotVersion: 3}
+	unserved := QueryInfo{Start: time.Now(), Text: "x", Type: "bad", Outcome: "error"}
 	if n := testing.AllocsPerRun(200, func() {
-		spctx, sp := tel.StartSpan(ctx)
+		sp := tel.StartSpan()
 		sp.Mark(PhaseParse)
-		_ = SpanFromContext(spctx)
 		tel.Finish(sp, info)
+		tel.Finish(nil, unserved)
 	}); n != 0 {
 		t.Errorf("unsampled query path allocates %.1f times per query, want 0", n)
+	}
+}
+
+// TestQueryTelemetryFinishCounts: Finish counts a query's type, outcome
+// and snapshot version once each, skips a type or outcome that has no
+// counter, and follows the version across a switch and back.
+func TestQueryTelemetryFinishCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		queries []QueryInfo
+		want    map[string]int64 // every nonzero counter on the page
+	}{
+		{"type and outcome", []QueryInfo{{Type: "addr", Outcome: "no_match", SnapshotVersion: 2}}, map[string]int64{
+			`tq_queries_total{type="addr"}`: 1, "tq_no_match_total": 1, `tq_queries_by_snapshot_total{version="2"}`: 1}},
+		{"outcome without counter", []QueryInfo{{Type: "org", Outcome: "match", SnapshotVersion: 2}}, map[string]int64{
+			`tq_queries_total{type="org"}`: 1, `tq_queries_by_snapshot_total{version="2"}`: 1}},
+		{"type without counter", []QueryInfo{{Type: "bulk", Outcome: "no_match"}}, map[string]int64{
+			"tq_no_match_total": 1, `tq_queries_by_snapshot_total{version="0"}`: 1}},
+		{"neither", []QueryInfo{{Type: "bad", Outcome: "error", SnapshotVersion: 7}}, map[string]int64{
+			`tq_queries_by_snapshot_total{version="7"}`: 1}},
+		{"version switch and back", []QueryInfo{{SnapshotVersion: 1}, {SnapshotVersion: 1}, {SnapshotVersion: 2}, {SnapshotVersion: 1}}, map[string]int64{
+			`tq_queries_by_snapshot_total{version="1"}`: 3, `tq_queries_by_snapshot_total{version="2"}`: 1}},
+		{"version 0 between", []QueryInfo{{SnapshotVersion: 3}, {}, {SnapshotVersion: 3}}, map[string]int64{
+			`tq_queries_by_snapshot_total{version="3"}`: 2, `tq_queries_by_snapshot_total{version="0"}`: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry()
+			tel := newTestTelemetry(reg)
+			for _, info := range tc.queries {
+				info.Start = time.Now()
+				tel.Finish(nil, info)
+			}
+			got := map[string]int64{}
+			for name, v := range reg.Snapshot().Counters {
+				if v != 0 {
+					got[name] = v
+				}
+			}
+			if len(got) != len(tc.want) {
+				t.Errorf("counters = %v, want %v", got, tc.want)
+			}
+			for name, v := range tc.want {
+				if got[name] != v {
+					t.Errorf("%s = %d, want %d (all: %v)", name, got[name], v, got)
+				}
+			}
+		})
 	}
 }
 
@@ -159,16 +205,15 @@ func TestQueryTelemetrySlowCaptureAndDebugHandler(t *testing.T) {
 	tel := newTestTelemetry(NewRegistry())
 	tel.SetSampleEvery(1)
 	tel.SetSlowThreshold(20 * time.Millisecond)
-	ctx := context.Background()
 	now := time.Now()
 
 	// A fast sampled query: recent ring only.
-	_, sp := tel.StartSpan(ctx)
+	sp := tel.StartSpan()
 	sp.Mark(PhaseParse)
 	sp.Mark(PhaseLookup)
 	tel.Finish(sp, QueryInfo{Start: now, Text: "fast", Type: "addr", Outcome: "match", SnapshotVersion: 2})
 	// A slow one (forged start): both rings, with phases.
-	_, sp = tel.StartSpan(ctx)
+	sp = tel.StartSpan()
 	sp.Mark(PhaseLookup)
 	tel.Finish(sp, QueryInfo{Start: now.Add(-100 * time.Millisecond), Text: "slow", Type: "prefix", Outcome: "no_match", SnapshotVersion: 2})
 
@@ -186,12 +231,12 @@ func TestQueryTelemetrySlowCaptureAndDebugHandler(t *testing.T) {
 		t.Errorf("slow ring = %+v", slow)
 	}
 
-	// Ring stays bounded: capacity 4, newest first.
-	for i := 0; i < 10; i++ {
-		_, sp := tel.StartSpan(ctx)
+	// Ring stays bounded, newest first.
+	for i := 0; i < recentCapacity+6; i++ {
+		sp := tel.StartSpan()
 		tel.Finish(sp, QueryInfo{Start: now, Text: "fill", Type: "org", Outcome: "match"})
 	}
-	if got := tel.Recent(); len(got) != 4 || got[0].Query != "fill" {
+	if got := tel.Recent(); len(got) != recentCapacity || got[0].Query != "fill" {
 		t.Errorf("bounded ring = %d records, first %q", len(got), got[0].Query)
 	}
 
@@ -210,7 +255,7 @@ func TestQueryTelemetrySlowCaptureAndDebugHandler(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
 		t.Fatal(err)
 	}
-	if len(page.Recent) != 4 || len(page.Slow) != 1 {
+	if len(page.Recent) != recentCapacity || len(page.Slow) != 1 {
 		t.Errorf("debug page: %d recent, %d slow", len(page.Recent), len(page.Slow))
 	}
 	if _, ok := page.QuantilesMS["p99"]; !ok {
@@ -221,7 +266,7 @@ func TestQueryTelemetrySlowCaptureAndDebugHandler(t *testing.T) {
 func TestQuerySpanPhases(t *testing.T) {
 	tel := newTestTelemetry(NewRegistry())
 	tel.SetSampleEvery(1)
-	_, sp := tel.StartSpan(context.Background())
+	sp := tel.StartSpan()
 	if sp == nil {
 		t.Fatal("1-in-1 sampling returned no span")
 	}

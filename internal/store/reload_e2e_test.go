@@ -82,7 +82,7 @@ func TestHotReloadEndToEnd(t *testing.T) {
 	go rel.Run(ctx)
 
 	wsrv := whoisd.New(st)
-	whoisAddr, err := wsrv.Start(context.Background(), "127.0.0.1:0")
+	whoisAddr, err := wsrv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

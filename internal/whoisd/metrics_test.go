@@ -1,7 +1,6 @@
 package whoisd
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net"
@@ -35,7 +34,7 @@ func fetchSnapshot(t *testing.T, addr string) obs.Snapshot {
 func TestMetricsEndToEnd(t *testing.T) {
 	ds := dataset(t)
 	srv := NewStatic(ds)
-	addr, err := srv.Start(context.Background(), "127.0.0.1:0")
+	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 func TestServeErrorsCounted(t *testing.T) {
 	ds := dataset(t)
 	srv := NewStatic(ds)
-	addr, err := srv.Start(context.Background(), "127.0.0.1:0")
+	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,17 +9,19 @@
 // snapshot swap (hot reload) never blocks a query and never shows a
 // query a mix of two dataset versions.
 //
-// Every query is accounted by the package's obs.QueryTelemetry: rolling
-// p50/p90/p99/p999 latency gauges, an SLO-violation counter, per-
-// snapshot-version query counters, and — for sampled or slow queries —
-// a QuerySpan carried on the request context through parse, lookup, and
-// write phases, landing in the /debug/queries ring. The unsampled path
-// stays allocation-free.
+// Every query the listener reads — an overlong line and a not-ready
+// answer included — is counted once, when the package's
+// obs.QueryTelemetry finishes it: whoisd_queries_total by type,
+// whoisd_no_match_total, per-snapshot-version query counters, rolling
+// p50/p90/p99/p999 latency gauges, an SLO-violation counter, and — for
+// sampled or slow queries — a QuerySpan the server passes through the
+// parse, lookup, and write phases, landing in the /debug/queries ring.
+// The unsampled path stays allocation-free. Server.Answer, which
+// bypasses the listener, counts nothing.
 package whoisd
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"io"
 	"net"
@@ -35,17 +37,6 @@ import (
 // Server metrics, registered on the process-wide registry so the admin
 // listener's /metrics page exposes them.
 var (
-	// mQueries counts answered queries by their resolved form.
-	mQueries = [...]*obs.Counter{
-		daemon.KindPrefix: obs.Default().Counter(obs.Label("whoisd_queries_total", "type", "prefix")),
-		daemon.KindAddr:   obs.Default().Counter(obs.Label("whoisd_queries_total", "type", "addr")),
-		daemon.KindOrg:    obs.Default().Counter(obs.Label("whoisd_queries_total", "type", "org")),
-		daemon.KindBad:    obs.Default().Counter(obs.Label("whoisd_queries_total", "type", "bad")),
-	}
-	mBySnapshot = &daemon.VersionCounter{Counter: func(version string) *obs.Counter {
-		return obs.Default().Counter(obs.Label("whoisd_queries_by_snapshot_total", "version", version))
-	}}
-	mNoMatch       = obs.Default().Counter("whoisd_no_match_total")
 	mAcceptErrors  = obs.Default().Counter("whoisd_accept_errors_total")
 	mServeErrors   = obs.Default().Counter("whoisd_serve_errors_total")
 	mSLOViolations = obs.Default().Counter("whoisd_slo_violations_total")
@@ -53,14 +44,25 @@ var (
 
 	logger = obs.Logger("whoisd")
 
-	// telemetry accounts every query: the rolling quantile window behind
-	// the whoisd_query_seconds_p* gauges, SLO tracking, and the sampled
+	// telemetry accounts every query: the counters by type, outcome
+	// and snapshot version, the rolling quantile window behind the
+	// whoisd_query_seconds_p* gauges, SLO tracking, and the sampled
 	// QuerySpan rings served at /debug/queries. Daemon flags tune it via
 	// Telemetry().
 	telemetry = obs.NewQueryTelemetry(obs.QueryTelemetryConfig{
 		Latency:       mLatency,
 		SLOViolations: mSLOViolations,
-		Logger:        logger,
+		Types: map[string]*obs.Counter{
+			daemon.KindPrefix.String(): obs.Default().Counter(obs.Label("whoisd_queries_total", "type", "prefix")),
+			daemon.KindAddr.String():   obs.Default().Counter(obs.Label("whoisd_queries_total", "type", "addr")),
+			daemon.KindOrg.String():    obs.Default().Counter(obs.Label("whoisd_queries_total", "type", "org")),
+			daemon.KindBad.String():    obs.Default().Counter(obs.Label("whoisd_queries_total", "type", "bad")),
+		},
+		Outcomes: map[string]*obs.Counter{daemon.OutcomeNoMatch: obs.Default().Counter("whoisd_no_match_total")},
+		BySnapshot: func(version string) *obs.Counter {
+			return obs.Default().Counter(obs.Label("whoisd_queries_by_snapshot_total", "version", version))
+		},
+		Logger: logger,
 	})
 )
 
@@ -93,9 +95,7 @@ const banner = "% Prefix2Org whois (synthetic dataset)\r\n"
 // concurrent queries and concurrent snapshot swaps.
 type Server struct {
 	store *store.Store
-
-	baseCtx context.Context
-	lis     daemon.Listener
+	lis   daemon.Listener
 }
 
 // New builds a server reading each query from st's current snapshot.
@@ -111,10 +111,8 @@ func NewStatic(ds *prefix2org.Dataset) *Server {
 }
 
 // Start listens on addr ("127.0.0.1:0" for an ephemeral port) and serves
-// until Close. ctx is the base context sampled query spans ride on; it
-// does not stop the server (Close does). It returns the bound address.
-func (s *Server) Start(ctx context.Context, addr string) (string, error) {
-	s.baseCtx = ctx
+// until Close. It returns the bound address.
+func (s *Server) Start(addr string) (string, error) {
 	return s.lis.Listen(addr, mAcceptErrors, logger, s.handle)
 }
 
@@ -130,24 +128,25 @@ func (s *Server) handle(conn net.Conn) {
 	// bytes with no newline is answered and cut off there, not buffered
 	// for the whole deadline.
 	line, err := bufio.NewReaderSize(conn, maxQueryBytes).ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		mQueries[daemon.KindBad].Inc()
-		io.WriteString(conn, banner+"% error: query too long\r\n")
-		return
-	}
 	if err != nil && len(line) == 0 {
 		mServeErrors.Inc()
 		logger.Warn("query read failed", "remote", conn.RemoteAddr().String(), "err", err)
 		return
 	}
-	q := strings.TrimSpace(string(line))
-	// Sampled queries get a pooled span on the context; the rest ride
-	// the base context untouched — that path never allocates.
-	ctx, sp := telemetry.StartSpan(s.baseCtx)
+	// Sampled queries get a pooled span; the rest get nil — that path
+	// never allocates.
+	sp := telemetry.StartSpan()
 	// Answer straight onto the buffered socket writer: the response
 	// body never materializes as one large string on the wire path.
 	bw := bufio.NewWriter(conn)
-	info := s.answer(ctx, bw, q)
+	// An overlong line is answered without a snapshot: version 0, as a
+	// not-ready answer reports.
+	info := obs.QueryInfo{Type: "bad", Outcome: daemon.OutcomeError}
+	if err == bufio.ErrBufferFull {
+		io.WriteString(bw, banner+"% error: query too long\r\n")
+	} else {
+		info = s.answer(sp, bw, strings.TrimSpace(string(line)))
+	}
 	info.Start = start
 	if err := bw.Flush(); err != nil {
 		mServeErrors.Inc()
@@ -161,8 +160,8 @@ func (s *Server) handle(conn net.Conn) {
 
 // Answer resolves one query line to the response body, entirely against
 // the snapshot current at entry. Exposed for tests and for embedding in
-// other transports; the wire path uses answer directly with the
-// connection's buffered writer.
+// other transports; it moves no metric. The wire path uses answer
+// directly with the connection's buffered writer.
 func (s *Server) Answer(q string) string {
 	var b strings.Builder
 	s.answer(nil, &b, q)
@@ -170,23 +169,21 @@ func (s *Server) Answer(q string) string {
 }
 
 // answer writes the response for one query line to w, marking the
-// span phases (parse / lookup; write closes at flush time) on the
-// sampled span riding ctx, if any, and returns how the query is to be
+// span phases (parse / lookup; write closes at flush time) on sp (nil
+// for an unsampled query), and returns how the query is to be
 // accounted (all but the start time — plain values and constant
 // strings, so building it allocates nothing). Writes to a
 // strings.Builder or bufio.Writer cannot fail; transport errors surface
 // at Flush time in the caller.
 //
 //p2o:hotpath
-func (s *Server) answer(ctx context.Context, w io.Writer, q string) obs.QueryInfo {
-	sp := obs.SpanFromContext(ctx)
+func (s *Server) answer(sp *obs.QuerySpan, w io.Writer, q string) obs.QueryInfo {
 	// Acquire pins the snapshot's backing buffer (a view-backed
 	// dataset's mmap) for the duration of the answer; a swap happening
 	// mid-query cannot release data this response still reads.
 	snap, release := s.store.Acquire()
 	defer release()
 	ds := snap.Dataset
-	mBySnapshot.Inc(snap.Version)
 	info := obs.QueryInfo{Text: q, Type: "bad", Outcome: daemon.OutcomeError, SnapshotVersion: snap.Version}
 	io.WriteString(w, banner)
 	if ds == nil {
@@ -196,7 +193,6 @@ func (s *Server) answer(ctx context.Context, w io.Writer, q string) obs.QueryInf
 	}
 	ans := daemon.Resolve(ds, daemon.KindAny, q, sp)
 	info.Type, info.Outcome = ans.Kind.String(), ans.Outcome
-	mQueries[ans.Kind].Inc()
 	switch {
 	case q == "":
 		io.WriteString(w, "% error: empty query\r\n")
@@ -204,7 +200,6 @@ func (s *Server) answer(ctx context.Context, w io.Writer, q string) obs.QueryInf
 		//p2olint:ignore hotpath-alloc error path for malformed queries; not the per-query fast path
 		fmt.Fprintf(w, "%% error: bad prefix %q\r\n", q)
 	case ans.Outcome == daemon.OutcomeNoMatch:
-		mNoMatch.Inc()
 		io.WriteString(w, "% no match\r\n")
 	case ans.Cluster != nil:
 		writeCluster(w, ans.Cluster)

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	prefix2org "github.com/prefix2org/prefix2org"
-	"github.com/prefix2org/prefix2org/internal/daemon"
+	"github.com/prefix2org/prefix2org/internal/obs"
 	"github.com/prefix2org/prefix2org/internal/synth"
 	"github.com/prefix2org/prefix2org/internal/whois"
 )
@@ -118,17 +118,18 @@ func TestAnswerErrors(t *testing.T) {
 
 // TestOverlongQueryCutOff: a client that streams 1 MiB with no newline
 // is answered "query too long" once the line outgrows the read buffer,
-// counted as a bad query, and disconnected — not buffered until the
-// deadline.
+// finished like any other query — counted as a bad one and timed — and
+// disconnected, not buffered until the deadline.
 func TestOverlongQueryCutOff(t *testing.T) {
 	srv := NewStatic(dataset(t))
-	addr, err := srv.Start(context.Background(), "127.0.0.1:0")
+	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	badBefore := mQueries[daemon.KindBad].Value()
+	const badKey = `whoisd_queries_total{type="bad"}`
+	badBefore, latBefore := obs.Default().Snapshot().Counters[badKey], mLatency.Count()
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -146,15 +147,20 @@ func TestOverlongQueryCutOff(t *testing.T) {
 	if string(body) != want {
 		t.Errorf("answer = %q, want %q", body, want)
 	}
-	if d := mQueries[daemon.KindBad].Value() - badBefore; d != 1 {
+	// The server finishes the query before it closes the connection,
+	// so the counts have landed once the client reads EOF.
+	if d := obs.Default().Snapshot().Counters[badKey] - badBefore; d != 1 {
 		t.Errorf("bad queries counted %d, want 1", d)
+	}
+	if d := mLatency.Count() - latBefore; d != 1 {
+		t.Errorf("latency histogram moved by %d, want 1", d)
 	}
 }
 
 func TestServeOverTCP(t *testing.T) {
 	ds := dataset(t)
 	srv := NewStatic(ds)
-	addr, err := srv.Start(context.Background(), "127.0.0.1:0")
+	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

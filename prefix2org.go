@@ -234,8 +234,8 @@ type Dataset struct {
 	// LookupAddr, LookupCovering and CoveringChainInto: flat sorted
 	// arrays mapping each prefix to its record's position,
 	// immutable once built, shared by any number of concurrent readers.
-	// On a read Dataset it points into the snapshot's lpm.View, whose
-	// columns alias the file bytes.
+	// On a read Dataset its columns alias the snapshot's file bytes
+	// (lpm.ViewColumns).
 	idx *lpm.Index
 	// view is the sliced sections and materialization tables of a read
 	// Dataset, nil on a built one. See snapview.go.

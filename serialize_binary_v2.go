@@ -884,7 +884,6 @@ func openViewBytes(data []byte, closeFn func() error) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("prefix2org: binary snapshot: %w", err)
 	}
-	v.lv = lv
 	// Cross-check the index against the record prefix columns,
 	// numerically, so the check allocates nothing.
 	if lv.Len() > v.rec.n {
@@ -915,7 +914,7 @@ func openViewBytes(data []byte, closeFn func() error) (*Dataset, error) {
 	if err := json.Unmarshal(secs[v2SecStats], &d.Stats); err != nil {
 		return nil, fmt.Errorf("prefix2org: binary snapshot: stats: %w", err)
 	}
-	d.idx = &lv.Index
+	d.idx = lv
 	return d, nil
 }
 

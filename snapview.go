@@ -11,8 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
-
-	"github.com/prefix2org/prefix2org/internal/lpm"
 )
 
 // A read Dataset serves straight from the bytes of a v2 snapshot (see
@@ -46,8 +44,6 @@ type snapView struct {
 	owners  []byte // nOwners × {u32 owner ref, u32 cluster index}, sorted
 	nOwners int
 	ids     []byte // clu.m × u32 cluster index, sorted by cluster ID
-
-	lv *lpm.View
 
 	chunks []atomic.Pointer[recordChunk]
 	clus   []atomic.Pointer[Cluster]
