@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 
-	"github.com/prefix2org/prefix2org/internal/bgp"
 	"github.com/prefix2org/prefix2org/internal/lpm"
 	"github.com/prefix2org/prefix2org/internal/netx"
 	"github.com/prefix2org/prefix2org/internal/obs"
@@ -139,8 +138,9 @@ func rebuild(ctx context.Context, tr *obs.Trace, prev *Dataset, next *buildState
 
 	// Pass 1: ownership resolution per routed prefix. Every shared
 	// structure it touches — the frozen delegation index, the RPKI
-	// repository indexes, the BGP table, and the frozen ASN clusters — is
-	// read-only from here on (see ARCHITECTURE.md for the contracts).
+	// certificate index, the BGP table's columns, and the frozen ASN
+	// clusters — is read-only from here on (see ARCHITECTURE.md for the
+	// contracts).
 	span := tr.Start("resolve").SetWorkers(workers)
 	obs.Default().Gauge("pipeline_workers").Set(float64(workers))
 	env, routed := next.env, next.routed
@@ -174,9 +174,10 @@ func rebuild(ctx context.Context, tr *obs.Trace, prev *Dataset, next *buildState
 	if !retain {
 		// No later build will splice against this one, and finish reads
 		// only the Records: what the loaders produced — the WHOIS runs and
-		// delegation index, the BGP table, the AS clusters, the routed
-		// list and its origins — is released here, so that passes 2–4 run
-		// over a heap without it.
+		// delegation index, the BGP table (whose columns are the routed
+		// list and its origins), the RPKI certificates and the AS
+		// clusters — is released here, so that passes 2–4 run over a heap
+		// without it.
 		*env, *next = resolveEnv{}, buildState{}
 	}
 	ds, clean, err := finish(ctx, tr, recs, unmapped, opts, old.clean, prevIdx)
@@ -203,8 +204,8 @@ func dirtyRegions(old, env *resolveEnv) ([]netip.Prefix, *lpm.Index) {
 	if env.whois != old.whois {
 		dirty = entryGroupDiff(old.whois, env.whois)
 	}
-	if env.repo != old.repo {
-		dirty = append(dirty, certDiff(old.repo, env.repo)...)
+	if env.certs != old.certs {
+		dirty = append(dirty, certDiff(old.certs, env.certs)...)
 	}
 	if len(dirty) == 0 {
 		return nil, nil
@@ -229,13 +230,13 @@ func splice(old, next *buildState, oldRecs []Record, regionIdx *lpm.Index) (recs
 	bgpChanged, as2orgChanged := env.table != old.env.table, env.asClusters != old.env.asClusters
 	recs, mapped = make([]Record, len(routed)), make([]bool, len(routed))
 	common := 0
-	// Both routed lists are in canonical order (bgp.Table.Prefixes), so
-	// one cursor into the previous list finds each prefix, and its origin
-	// at the same position. So are the previous Records, which are the
-	// previous slots, compacted in routed order and given since only the
-	// base name and final cluster finish sets again. A second cursor copies
-	// a kept slot from there, and no build retains its slots beside its
-	// Records.
+	// Both routed lists are BGP table prefix columns, in canonical order,
+	// so one cursor into the previous list finds each prefix, and its
+	// origin at the same position of the previous origins column. So are
+	// the previous Records, which are the previous slots, compacted in
+	// routed order and given since only the base name and final cluster
+	// finish sets again. A second cursor copies a kept slot from there,
+	// and no build retains its slots beside its Records.
 	oldIdx, oldRec := 0, 0
 	for i, p := range routed {
 		for oldIdx < len(old.routed) && netx.Compare(old.routed[oldIdx], p) < 0 {
@@ -273,26 +274,6 @@ func splice(old, next *buildState, oldRecs []Record, regionIdx *lpm.Index) (recs
 		}
 	}
 	return recs, mapped, idxs, len(old.routed) - common
-}
-
-// routedOrigins returns the canonical origin of each prefix of routed —
-// the origins column of buildState — when table routes exactly those
-// prefixes, and nil when it does not. Origin churn leaves the routed set
-// alone, and then the list — canonical order included — carries over
-// without being rebuilt and re-sorted from the table's map.
-func routedOrigins(table *bgp.Table, routed []netip.Prefix) []uint32 {
-	if table.Len()-table.FilteredCount() != len(routed) {
-		return nil
-	}
-	origins := make([]uint32, len(routed))
-	for i, p := range routed {
-		o, ok := table.Origin(p)
-		if !ok {
-			return nil
-		}
-		origins[i] = o
-	}
-	return origins
 }
 
 // entryGroupDiff returns the prefixes whose WHOIS entry groups differ
@@ -334,19 +315,20 @@ func entrySlicesEqual(a, b []whois.Entry) bool {
 }
 
 // certDiff returns the resource prefixes of every certificate added,
-// removed, or changed between two repositories (both sides' resources
-// for changed certs) — the address regions where ChildMostRC answers,
-// and hence Record.RPKICert and the Legacy-Not-Sponsored inference, may
-// differ. ROA-only changes contribute nothing: ROAs never reach
-// Records.
-func certDiff(oldRepo, newRepo *rpki.Repository) []netip.Prefix {
-	oldBySKI := make(map[string]*rpki.Certificate, len(oldRepo.Certs))
-	for i := range oldRepo.Certs {
-		oldBySKI[oldRepo.Certs[i].SKI] = &oldRepo.Certs[i]
+// removed, or changed between two repositories' certificate sides (both
+// sides' resources for changed certs) — the address regions where
+// ChildMostRC answers, and hence Record.RPKICert and the
+// Legacy-Not-Sponsored inference, may differ. ROA-only changes
+// contribute nothing: ROAs never reach Records.
+func certDiff(oldIdx, newIdx *rpki.CertIndex) []netip.Prefix {
+	oldCerts, newCerts := oldIdx.Certs(), newIdx.Certs()
+	oldBySKI := make(map[string]*rpki.Certificate, len(oldCerts))
+	for i := range oldCerts {
+		oldBySKI[oldCerts[i].SKI] = &oldCerts[i]
 	}
 	var dirty []netip.Prefix
-	for i := range newRepo.Certs {
-		c := &newRepo.Certs[i]
+	for i := range newCerts {
+		c := &newCerts[i]
 		o, ok := oldBySKI[c.SKI]
 		if !ok {
 			dirty = append(dirty, c.Resources...)

@@ -145,7 +145,7 @@ func TestDeltaSourceScoping(t *testing.T) {
 	if len(res.ChangedFiles) != 1 || res.ChangedFiles[0] != "bgp/rib.mrt" {
 		t.Errorf("ChangedFiles = %v, want [bgp/rib.mrt]", res.ChangedFiles)
 	}
-	if res.Dataset.state.env.repo != prev.state.env.repo {
+	if res.Dataset.state.env.certs != prev.state.env.certs {
 		t.Errorf("the RPKI repository was reloaded despite rpki/ being untouched")
 	}
 	total := len(res.Dataset.state.routed)
@@ -566,8 +566,10 @@ func TestDeltaKeepsUnmappedSlots(t *testing.T) {
 
 // spliceReference is the splice's affected predicate as it was before
 // the origins column: every origin looked up in the BGP tables by
-// prefix. It returns the positions in next.routed to re-resolve and the
-// number of prefixes old routed and next does not.
+// prefix, a binary search of each table's prefix column, not a read of
+// the origins column by position. It returns the positions in
+// next.routed to re-resolve and the number of prefixes old routed and
+// next does not.
 func spliceReference(old, next *buildState, regionIdx *lpm.Index) (idxs []int, removed int) {
 	env := next.env
 	bgpChanged, as2orgChanged := env.table != old.env.table, env.asClusters != old.env.asClusters

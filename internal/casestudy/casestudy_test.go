@@ -37,12 +37,13 @@ func scenario(t *testing.T) (*prefix2org.Dataset, *rpki.Repository, *as2org.Data
 	add("11.1.0.0/16", "Customer Two LLC")
 	add("12.0.0.0/16", "NoASN Corp")
 
-	tbl := bgp.NewTable()
-	tbl.Add(mp("10.0.0.0/12"), 100)
-	tbl.Add(mp("10.1.0.0/16"), 100) // ISP more-specific
-	tbl.Add(mp("11.0.0.0/16"), 100) // customer PI via ISP
-	tbl.Add(mp("11.1.0.0/16"), 100) // customer PI via ISP
-	tbl.Add(mp("12.0.0.0/16"), 100) // NoASN holder via ISP
+	tbl := bgp.NewTable([]bgp.Route{
+		{Prefix: mp("10.0.0.0/12"), Origin: 100},
+		{Prefix: mp("10.1.0.0/16"), Origin: 100}, // ISP more-specific
+		{Prefix: mp("11.0.0.0/16"), Origin: 100}, // customer PI via ISP
+		{Prefix: mp("11.1.0.0/16"), Origin: 100}, // customer PI via ISP
+		{Prefix: mp("12.0.0.0/16"), Origin: 100}, // NoASN holder via ISP
+	})
 
 	repo := rpki.NewRepository()
 	repo.AddCert(rpki.Certificate{SKI: "TA", Subject: "arin-ta", Registry: alloc.ARIN,

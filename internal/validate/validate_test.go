@@ -33,11 +33,12 @@ func tinyDataset(t *testing.T) *prefix2org.Dataset {
 	add("10.0.0.0/16", "Acme Inc")
 	add("10.1.0.0/16", "Acme Inc")
 	add("11.0.0.0/16", "Zenith LLC")
-	tbl := bgp.NewTable()
-	tbl.Add(mp("10.0.0.0/16"), 64500)
-	tbl.Add(mp("10.1.0.0/16"), 64500)
-	tbl.Add(mp("10.1.2.0/24"), 64500) // more-specific announcement
-	tbl.Add(mp("11.0.0.0/16"), 64501)
+	tbl := bgp.NewTable([]bgp.Route{
+		{Prefix: mp("10.0.0.0/16"), Origin: 64500},
+		{Prefix: mp("10.1.0.0/16"), Origin: 64500},
+		{Prefix: mp("10.1.2.0/24"), Origin: 64500}, // more-specific announcement
+		{Prefix: mp("11.0.0.0/16"), Origin: 64501},
+	})
 	repo := rpki.NewRepository()
 	if err := repo.Build(); err != nil {
 		t.Fatal(err)

@@ -394,9 +394,8 @@ func Build(ctx context.Context, db *whois.Database, table *bgp.Table, repo *rpki
 	// The sources are parsed already, so the load step has one job left:
 	// flattening the WHOIS database into the delegation index.
 	next := newBuildState(nil, opts)
-	next.arinLegacy, next.routed = arinLegacyNonSigned, table.Prefixes()
-	next.origins = routedOrigins(table, next.routed)
-	*next.env = resolveEnv{table: table, repo: repo, asClusters: asData.BuildClusters()}
+	next.arinLegacy, next.routed, next.origins = arinLegacyNonSigned, table.Prefixes(), table.LowestOrigins()
+	*next.env = resolveEnv{table: table, certs: repo.CertIndex(), asClusters: asData.BuildClusters()}
 	res, err := rebuild(ctx, obs.NewTrace("build"), nil, next, []loadJob{{"flatten-whois", func(_ context.Context, span *obs.Span) error {
 		next.env.whois = flattenWhois(span, db.FlattenWithStats, arinLegacyNonSigned)
 		return nil
@@ -518,7 +517,7 @@ func (s *resolveScratch) reverseCustomers() {
 // p (s.chain: group ids of groups, least specific first, as produced by
 // CoveringInto), resolve the Delegated Customer chain and walk up to
 // the Direct Owner.
-func (s *resolveScratch) resolveOwnership(groups *lpm.Groups[whois.Entry], repo *rpki.Repository, p netip.Prefix) (Record, bool) {
+func (s *resolveScratch) resolveOwnership(groups *lpm.Groups[whois.Entry], certs *rpki.CertIndex, p netip.Prefix) (Record, bool) {
 	if len(s.chain) == 0 {
 		return Record{}, false
 	}
@@ -535,7 +534,7 @@ func (s *resolveScratch) resolveOwnership(groups *lpm.Groups[whois.Entry], repo 
 	setDO := func(t typedEntry) {
 		rec.DirectOwner = t.e.OrgName
 		rec.DOPrefix = t.e.Prefix
-		rec.DOType = doTypeName(t, repo)
+		rec.DOType = doTypeName(t, certs)
 	}
 	// done hands rec the customer chain: the only memory a mapped prefix
 	// costs.
@@ -597,9 +596,9 @@ func (s *resolveScratch) resolveOwnership(groups *lpm.Groups[whois.Entry], repo 
 // applying the RIPE Legacy-Not-Sponsored inference: legacy space whose
 // child-most certificate is absent or shared (not a member account
 // certificate) cannot issue RPKI certificates.
-func doTypeName(t typedEntry, repo *rpki.Repository) string {
+func doTypeName(t typedEntry, certs *rpki.CertIndex) string {
 	if t.t.Registry == alloc.RIPE && t.t.Name == "Legacy" {
-		c, ok := repo.ChildMostRC(t.e.Prefix)
+		c, ok := certs.ChildMostRC(t.e.Prefix)
 		if !ok || strings.Contains(c.Subject, "legacy") {
 			return "Legacy-Not-Sponsored"
 		}
@@ -791,13 +790,7 @@ func dirLoaders(dir string, tr *obs.Trace, next *buildState, changed func(relPat
 			if err != nil {
 				return fmt.Errorf("prefix2org: load bgp: %w", err)
 			}
-			next.env.table = table
-			// One pass over the previous routed list both checks that it
-			// carries over and reads the origins column.
-			if next.origins = routedOrigins(table, next.routed); next.origins == nil {
-				next.routed = table.Prefixes()
-				next.origins = routedOrigins(table, next.routed)
-			}
+			next.env.table, next.routed, next.origins = table, table.Prefixes(), table.LowestOrigins()
 			span.Add("mrt-entries", int64(table.EntryCount()))
 			span.Add("prefixes", int64(table.Len()))
 			span.Add("specificity-filtered", int64(table.FilteredCount()))
@@ -808,7 +801,9 @@ func dirLoaders(dir string, tr *obs.Trace, next *buildState, changed func(relPat
 			if err != nil {
 				return fmt.Errorf("prefix2org: load rpki: %w", err)
 			}
-			next.env.repo = repo
+			// The build reads only the certificate side: the ROAs, their
+			// index and the repository's maps go when this job returns.
+			next.env.certs = repo.CertIndex()
 			span.Add("certs", int64(len(repo.Certs)))
 			span.Add("roas", int64(len(repo.ROAs)))
 			return nil

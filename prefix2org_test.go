@@ -45,11 +45,12 @@ func figure1World(t *testing.T) (*whois.Database, *bgp.Table, *rpki.Repository, 
 	add("65.0.52.0/24", "Re-Allocation", "Bandwidth.com Inc.", t0)
 	add("65.0.52.0/24", "Reassignment", "Ceva Inc", t0)
 
-	tbl := bgp.NewTable()
-	tbl.Add(mp("206.238.0.0/16"), 399077) // Tcloudnet's AS
-	tbl.Add(mp("206.200.0.0/16"), 65001)
-	tbl.Add(mp("65.0.52.0/24"), 701) // Verizon originates for the customer
-	tbl.Add(mp("65.0.0.0/12"), 701)
+	tbl := bgp.NewTable([]bgp.Route{
+		{Prefix: mp("206.238.0.0/16"), Origin: 399077}, // Tcloudnet's AS
+		{Prefix: mp("206.200.0.0/16"), Origin: 65001},
+		{Prefix: mp("65.0.52.0/24"), Origin: 701}, // Verizon originates for the customer
+		{Prefix: mp("65.0.0.0/12"), Origin: 701},
+	})
 
 	repo := rpki.NewRepository()
 	repo.AddCert(rpki.Certificate{SKI: "TA:ARIN", Subject: "arin-ta", Registry: alloc.ARIN,
@@ -179,9 +180,10 @@ func TestRIPELegacyNotSponsored(t *testing.T) {
 	}
 	add("31.0.0.0/16", "LEGACY", "Sponsored Legacy Holder")
 	add("31.1.0.0/16", "LEGACY", "Unsponsored Legacy Holder")
-	tbl := bgp.NewTable()
-	tbl.Add(mp("31.0.0.0/16"), 1)
-	tbl.Add(mp("31.1.0.0/16"), 2)
+	tbl := bgp.NewTable([]bgp.Route{
+		{Prefix: mp("31.0.0.0/16"), Origin: 1},
+		{Prefix: mp("31.1.0.0/16"), Origin: 2},
+	})
 	repo := rpki.NewRepository()
 	repo.AddCert(rpki.Certificate{SKI: "TA:RIPE", Subject: "ripe-ta", Registry: alloc.RIPE,
 		Resources: []netip.Prefix{mp("31.0.0.0/8")}, TrustAnchor: true})
@@ -467,8 +469,9 @@ func TestOwnershipWithoutDirectOwnerRecord(t *testing.T) {
 		whois.Record{Prefixes: []netip.Prefix{mp("65.0.1.0/24")}, Registry: alloc.ARIN,
 			Status: "Reassignment", OrgName: "Leaf Corp", Updated: t0},
 	)
-	tbl := bgp.NewTable()
-	tbl.Add(mp("65.0.1.0/24"), 1)
+	tbl := bgp.NewTable([]bgp.Route{
+		{Prefix: mp("65.0.1.0/24"), Origin: 1},
+	})
 	repo := rpki.NewRepository()
 	if err := repo.Build(); err != nil {
 		t.Fatal(err)
@@ -500,9 +503,10 @@ func TestUnresolvableStatusSkipped(t *testing.T) {
 		whois.Record{Prefixes: []netip.Prefix{mp("66.0.0.0/16")}, Registry: alloc.ARIN,
 			Status: "Allocation", OrgName: "Real Corp", Updated: t0},
 	)
-	tbl := bgp.NewTable()
-	tbl.Add(mp("65.0.0.0/16"), 1)
-	tbl.Add(mp("66.0.0.0/16"), 2)
+	tbl := bgp.NewTable([]bgp.Route{
+		{Prefix: mp("65.0.0.0/16"), Origin: 1},
+		{Prefix: mp("66.0.0.0/16"), Origin: 2},
+	})
 	repo := rpki.NewRepository()
 	if err := repo.Build(); err != nil {
 		t.Fatal(err)
@@ -534,8 +538,9 @@ func TestMultipleDirectOwnerRecordsDeterministic(t *testing.T) {
 			whois.Record{Prefixes: []netip.Prefix{mp("31.0.0.0/16")}, Registry: alloc.RIPE,
 				Status: "ALLOCATED PA", OrgName: "New Member", Updated: t0.AddDate(1, 0, 0)},
 		)
-		tbl := bgp.NewTable()
-		tbl.Add(mp("31.0.0.0/16"), 1)
+		tbl := bgp.NewTable([]bgp.Route{
+			{Prefix: mp("31.0.0.0/16"), Origin: 1},
+		})
 		repo := rpki.NewRepository()
 		if err := repo.Build(); err != nil {
 			t.Fatal(err)

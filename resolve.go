@@ -24,9 +24,11 @@ type resolveEnv struct {
 	// whois is the delegation index (§5.2): per block, all flattened
 	// WHOIS entries registered there, post legacy marking and in
 	// Flatten order.
-	whois      *lpm.Groups[whois.Entry]
-	table      *bgp.Table
-	repo       *rpki.Repository
+	whois *lpm.Groups[whois.Entry]
+	table *bgp.Table
+	// certs is the RPKI repository's certificate side: all that
+	// ChildMostRC and certDiff read.
+	certs      *rpki.CertIndex
 	asClusters *as2org.Clusters
 }
 
@@ -46,13 +48,13 @@ func resolveIndices(ctx context.Context, st *buildState, idxs []int, recs []Reco
 	resolveOne := func(i int, s *resolveScratch) {
 		p := st.routed[i]
 		s.chain = env.whois.Index().CoveringInto(p, s.chain[:0])
-		rec, ok := s.resolveOwnership(env.whois, env.repo, p)
+		rec, ok := s.resolveOwnership(env.whois, env.certs, p)
 		if !ok {
 			return
 		}
 		rec.OriginASN = st.origins[i]
 		rec.ASNCluster = env.asClusters.ClusterID(rec.OriginASN)
-		if c, ok := env.repo.ChildMostRC(p); ok {
+		if c, ok := env.certs.ChildMostRC(p); ok {
 			rec.RPKICert = c.SKI
 		}
 		recs[i], mapped[i] = rec, true
@@ -333,14 +335,14 @@ type buildState struct {
 	src        *whois.Sources
 	arinLegacy []netip.Prefix
 	env        *resolveEnv
-	// routed is in canonical order (netx.Compare), as bgp.Table.Prefixes
-	// lists it. The pass-1 slots are routed's, compacted in place
+	// routed is the BGP table's prefix column, in canonical order
+	// (netx.Compare). The pass-1 slots are routed's, compacted in place
 	// without sorting: Records' order — the snapshot bytes, the frozen
 	// index's positions — is routed's.
 	routed []netip.Prefix
-	// origins parallels routed: each prefix's canonical (lowest) origin
-	// ASN, bgp.Table.Origin read once by the job that loaded the table,
-	// so that the splice and pass 1 read it by position.
+	// origins is the table's column parallel to routed: each prefix's
+	// canonical (lowest) origin ASN, which the splice and pass 1 read by
+	// position.
 	origins []uint32
 	clean   *cleanState
 }
