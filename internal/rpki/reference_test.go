@@ -194,11 +194,11 @@ func TestQueriesMatchRadixReference(t *testing.T) {
 		}
 		for _, q := range queries {
 			want, wantOK := ref.ChildMostRC(q)
-			got, ok := r.ChildMostRC(q)
+			got, ok := r.CertIndex().ChildMostRC(q)
 			if ok != wantOK || got != want {
 				t.Fatalf("seed %d: ChildMostRC(%s) = %v,%v; reference %v,%v", seed, q, got, ok, want, wantOK)
 			}
-			if r.Covered(q) != wantOK {
+			if r.CertIndex().Covered(q) != wantOK {
 				t.Fatalf("seed %d: Covered(%s) = %v; reference %v", seed, q, !wantOK, wantOK)
 			}
 			if got, want := r.HasROA(q), ref.HasROA(q); got != want {
@@ -228,8 +228,8 @@ func TestQueriesZeroAlloc(t *testing.T) {
 	}
 	roa := r.ROAs[0].Prefix
 	for name, fn := range map[string]func(){
-		"ChildMostRC":       func() { r.ChildMostRC(deep) },
-		"ChildMostRC(miss)": func() { r.ChildMostRC(mp("192.0.2.0/24")) },
+		"ChildMostRC":       func() { r.CertIndex().ChildMostRC(deep) },
+		"ChildMostRC(miss)": func() { r.CertIndex().ChildMostRC(mp("192.0.2.0/24")) },
 		"Validate":          func() { r.Validate(roa, 1) },
 		"HasROA":            func() { r.HasROA(roa) },
 	} {
@@ -252,7 +252,7 @@ func TestWriteKeepsIndexesValid(t *testing.T) {
 		var out []answer
 		for i := range r.Certs {
 			for _, res := range r.Certs[i].Resources {
-				c, ok := r.ChildMostRC(res)
+				c, ok := r.CertIndex().ChildMostRC(res)
 				a := answer{ok: ok}
 				if ok {
 					a.ski = c.SKI

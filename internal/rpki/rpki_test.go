@@ -127,7 +127,7 @@ func TestChildMostRC(t *testing.T) {
 		{"206.200.0.0/16", skis["ta"]},   // only the TA covers it
 	}
 	for _, c := range cases {
-		got, ok := r.ChildMostRC(mp(c.prefix))
+		got, ok := r.CertIndex().ChildMostRC(mp(c.prefix))
 		if !ok {
 			t.Errorf("ChildMostRC(%s): not found", c.prefix)
 			continue
@@ -136,10 +136,10 @@ func TestChildMostRC(t *testing.T) {
 			t.Errorf("ChildMostRC(%s) = %s, want %s", c.prefix, got.SKI, c.want)
 		}
 	}
-	if _, ok := r.ChildMostRC(mp("8.8.8.0/24")); ok {
+	if _, ok := r.CertIndex().ChildMostRC(mp("8.8.8.0/24")); ok {
 		t.Error("uncovered prefix matched a certificate")
 	}
-	if !r.Covered(mp("206.238.4.0/24")) || r.Covered(mp("8.8.8.0/24")) {
+	if !r.CertIndex().Covered(mp("206.238.4.0/24")) || r.CertIndex().Covered(mp("8.8.8.0/24")) {
 		t.Error("Covered wrong")
 	}
 }
@@ -207,8 +207,8 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 	// Child-most queries agree after roundtrip.
 	for _, q := range []string{"206.238.4.0/24", "206.1.5.0/24", "206.200.0.0/16"} {
-		a, aok := r.ChildMostRC(mp(q))
-		b, bok := back.ChildMostRC(mp(q))
+		a, aok := r.CertIndex().ChildMostRC(mp(q))
+		b, bok := back.CertIndex().ChildMostRC(mp(q))
 		if aok != bok || (aok && a.SKI != b.SKI) {
 			t.Errorf("ChildMostRC(%s) diverged after roundtrip", q)
 		}
@@ -246,7 +246,7 @@ func TestWriteDirLoadDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.Covered(mp("10.0.0.0/8")) {
+	if empty.CertIndex().Covered(mp("10.0.0.0/8")) {
 		t.Error("empty repo claims coverage")
 	}
 }
@@ -264,7 +264,7 @@ func TestChildMostRCTieBreak(t *testing.T) {
 	if err := r.Build(); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := r.ChildMostRC(mp("193.0.10.0/25"))
+	got, ok := r.CertIndex().ChildMostRC(mp("193.0.10.0/25"))
 	if !ok || got.SKI != "M2" {
 		t.Errorf("tie-break = %v, want M2 (more specific resource)", got)
 	}
@@ -273,7 +273,7 @@ func TestChildMostRCTieBreak(t *testing.T) {
 func TestQueriesOnUnbuiltRepo(t *testing.T) {
 	r := NewRepository()
 	// Queries before Build must degrade, not panic.
-	if _, ok := r.ChildMostRC(mp("10.0.0.0/8")); ok {
+	if _, ok := r.CertIndex().ChildMostRC(mp("10.0.0.0/8")); ok {
 		t.Error("unbuilt repo matched a certificate")
 	}
 	if r.Validate(mp("10.0.0.0/8"), 1) != StateNotFound {
@@ -320,7 +320,7 @@ func TestTrustAnchorExcludedFromQueries(t *testing.T) {
 	if err := r.Build(); err != nil {
 		t.Fatal(err)
 	}
-	if r.Covered(mp("10.1.0.0/16")) {
+	if r.CertIndex().Covered(mp("10.1.0.0/16")) {
 		t.Error("TA-only coverage counted")
 	}
 }
