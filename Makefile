@@ -68,6 +68,7 @@ fuzz-short:
 	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzReadAS2Org -fuzztime=$(FUZZTIME) ./internal/as2org
 	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzLoadBinary -fuzztime=$(FUZZTIME) .
 	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) .
+	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzDeltaChain -fuzztime=$(FUZZTIME) .
 	$(GO) test $(GOTESTFLAGS) -run='^$$' -fuzz=FuzzIgnoreDirective -fuzztime=$(FUZZTIME) ./internal/lint
 
 # bench-smoke runs every workload of the repository benchmark (bench/,
