@@ -2,6 +2,7 @@ package prefix2org
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -123,4 +124,39 @@ func TestV2RejectsCorruption(t *testing.T) {
 		// stats): every lazy accessor must still be safe to run.
 		exerciseAccessors(v)
 	})
+}
+
+// TestV2RejectsUnevenCustomerChain moves one DC type from a record to the
+// next in a v2 image: every column still checks on its own, but the
+// first record now has fewer types than customers, and a reader that
+// indexed its types by customer would run off the end. The opener must
+// refuse the image.
+func TestV2RejectsUnevenCustomerChain(t *testing.T) {
+	_, ds := buildWorldDataset(t)
+	data := saveV2(t, ds)
+	var sec []byte
+	for i := 0; i < int(binary.LittleEndian.Uint32(data[8:])); i++ {
+		e := data[16+24*i:]
+		if binary.LittleEndian.Uint32(e) == v2SecRecords {
+			off := binary.LittleEndian.Uint64(e[8:])
+			sec = data[off : off+binary.LittleEndian.Uint64(e[16:])]
+		}
+	}
+	rc, err := parseRecCols(sec, math.MaxInt32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := false
+	for i := 0; i+1 < rc.n && !moved; i++ {
+		if start, next := u32at(rc.dctStart, i), u32at(rc.dctStart, i+1); next > start {
+			binary.LittleEndian.PutUint32(rc.dctStart[4*(i+1):], next-1) // aliases data
+			moved = true
+		}
+	}
+	if !moved {
+		t.Fatal("no record with a DC type ahead of another record: the world tests nothing")
+	}
+	if _, err := openViewBytes(data, nil); err == nil {
+		t.Fatal("a record with fewer DC types than Delegated Customers opened without error")
+	}
 }

@@ -661,6 +661,17 @@ func parseRecCols(sec []byte, nStr int) (recCols, error) {
 	if err := checkStarts(rc.dctStart, n, T, "records.DCTypes"); err != nil {
 		return rc, err
 	}
+	// A record's customers, their prefixes and their types are one
+	// chain, read by position: equal counts record by record are equal
+	// start columns.
+	if !bytes.Equal(rc.custStart, rc.dcpStart) || !bytes.Equal(rc.custStart, rc.dctStart) {
+		for i := 0; i < n; i++ {
+			c, p, t := u32at(rc.custStart, i+1)-u32at(rc.custStart, i), u32at(rc.dcpStart, i+1)-u32at(rc.dcpStart, i), u32at(rc.dctStart, i+1)-u32at(rc.dctStart, i)
+			if c != p || c != t {
+				return rc, fmt.Errorf("prefix2org: binary snapshot: records: record %d has %d Delegated Customers, %d DC prefixes and %d DC types", i, c, p, t)
+			}
+		}
+	}
 	if err := checkPrefixCols(rc.prefHi, rc.prefLo, rc.prefBits, rc.prefFam, n, "records.Prefix"); err != nil {
 		return rc, err
 	}

@@ -2,6 +2,7 @@ package prefix2org
 
 import (
 	"context"
+	"encoding/json"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -122,5 +123,40 @@ func TestAblationOptions(t *testing.T) {
 	}
 	if noClean.Stats.BaseNames != noClean.Stats.DirectOwners {
 		t.Errorf("no-cleaning base names %d != owners %d", noClean.Stats.BaseNames, noClean.Stats.DirectOwners)
+	}
+}
+
+// TestLoadRejectsUnevenCustomerChain drops one record's DC types from a
+// JSON snapshot: the record then names customers without their types,
+// and Load must refuse it rather than hand the serve path a chain it
+// would index past the end.
+func TestLoadRejectsUnevenCustomerChain(t *testing.T) {
+	_, ds := buildWorldDataset(t)
+	var sb strings.Builder
+	if err := ds.Save(&sb); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(sb.String(), "\n")
+	dropped := false
+	for i, line := range lines {
+		var rec map[string]any
+		if !strings.Contains(line, `"kind":"record"`) || json.Unmarshal([]byte(line), &rec) != nil {
+			continue
+		}
+		if types, _ := rec["DC Allocation Type(s)"].([]any); len(types) > 0 {
+			delete(rec, "DC Allocation Type(s)")
+			b, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines[i], dropped = string(b), true
+			break
+		}
+	}
+	if !dropped {
+		t.Fatal("no record with DC types: the world tests nothing")
+	}
+	if _, err := Load(strings.NewReader(strings.Join(lines, "\n"))); err == nil {
+		t.Fatal("a JSON record without its DC types loaded without error")
 	}
 }
