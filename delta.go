@@ -12,7 +12,6 @@ import (
 	"github.com/prefix2org/prefix2org/internal/netx"
 	"github.com/prefix2org/prefix2org/internal/obs"
 	"github.com/prefix2org/prefix2org/internal/rpki"
-	"github.com/prefix2org/prefix2org/internal/whois"
 )
 
 // ErrNoChange reports that the data directory's manifest is identical to
@@ -202,7 +201,7 @@ func rebuild(ctx context.Context, tr *obs.Trace, prev *Dataset, next *buildState
 func dirtyRegions(old, env *resolveEnv) ([]netip.Prefix, *lpm.Index) {
 	var dirty []netip.Prefix
 	if env.whois != old.whois {
-		dirty = entryGroupDiff(old.whois, env.whois)
+		dirty = env.whois.ChangedBlocks(old.whois)
 	}
 	if env.certs != old.certs {
 		dirty = append(dirty, certDiff(old.certs, env.certs)...)
@@ -274,44 +273,6 @@ func splice(old, next *buildState, oldRecs []Record, regionIdx *lpm.Index) (recs
 		}
 	}
 	return recs, mapped, idxs, len(old.routed) - common
-}
-
-// entryGroupDiff returns the prefixes whose WHOIS entry groups differ
-// between two delegation indexes: groups added, removed, or with any
-// field change. A routed prefix's resolution reads exactly the groups
-// at prefixes covering it, so these prefixes delimit the WHOIS-affected
-// region of the address space. Flatten output order is deterministic,
-// so per-group slices compare element-wise.
-func entryGroupDiff(og, ng *lpm.Groups[whois.Entry]) []netip.Prefix {
-	var dirty []netip.Prefix
-	og.Index().Walk(func(p netip.Prefix, id int32) bool {
-		if !entrySlicesEqual(og.At(id), ng.Get(p)) { // Get is nil for a removed group
-			dirty = append(dirty, p)
-		}
-		return true
-	})
-	ng.Index().Walk(func(p netip.Prefix, _ int32) bool {
-		if og.Get(p) == nil {
-			dirty = append(dirty, p)
-		}
-		return true
-	})
-	netx.Sort(dirty)
-	return dirty
-}
-
-func entrySlicesEqual(a, b []whois.Entry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Prefix != b[i].Prefix || a[i].Registry != b[i].Registry ||
-			a[i].Status != b[i].Status || a[i].OrgName != b[i].OrgName ||
-			!a[i].Updated.Equal(b[i].Updated) {
-			return false
-		}
-	}
-	return true
 }
 
 // certDiff returns the resource prefixes of every certificate added,

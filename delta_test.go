@@ -751,3 +751,56 @@ func TestFinishCancelled(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaStringTableSteady alternates two directories a WHOIS edit
+// apart — transfers, new delegations, and a registration under a name
+// only the second directory holds — through twenty chained deltas. The WHOIS string table is built
+// afresh at every merge from what survives it, so it ends where it stood
+// after the first round trip — and where a full build of the same
+// directory puts it: a long-running -reload-delta daemon's table does
+// not grow.
+func TestDeltaStringTableSteady(t *testing.T) {
+	ctx := context.Background()
+	w, err := synth.Generate(synth.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := []string{t.TempDir(), t.TempDir()}
+	if err := w.WriteDir(dirs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if w, err = w.Evolve(synth.EvolveOptions{Seed: 7, Transfers: 3, NewDelegations: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteDir(dirs[1]); err != nil {
+		t.Fatal(err)
+	}
+	arin, err := os.OpenFile(filepath.Join(dirs[1], "whois", "arin.db"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = arin.WriteString("\nNetRange: 198.18.0.0 - 198.19.255.255\nNetType: Allocation\nOrgName: Only In The Second Directory\nUpdated: 2024-01-01\n\n")
+	if cerr := arin.Close(); err != nil || cerr != nil {
+		t.Fatal(err, cerr)
+	}
+	opts := Options{Incremental: true}
+	ds, err := BuildFromDir(ctx, dirs[0], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := ds.state.env.whois.Strings()
+	afterRoundTrip := 0
+	for i := 1; i <= 20; i++ {
+		res, err := BuildDelta(ctx, ds, dirs[i%2], opts)
+		if err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+		ds = res.Dataset
+		if i == 2 {
+			afterRoundTrip = ds.state.env.whois.Strings()
+		}
+	}
+	if got := ds.state.env.whois.Strings(); got != afterRoundTrip || got != full {
+		t.Errorf("string table: %d strings after 20 deltas, %d after the first round trip, %d in a full build", got, afterRoundTrip, full)
+	}
+}

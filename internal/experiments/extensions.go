@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	prefix2org "github.com/prefix2org/prefix2org"
-	"github.com/prefix2org/prefix2org/internal/alloc"
 	"github.com/prefix2org/prefix2org/internal/delegated"
 	"github.com/prefix2org/prefix2org/internal/diff"
 	"github.com/prefix2org/prefix2org/internal/leasing"
@@ -101,14 +100,15 @@ func (r *R2Row) PctWithSubs() float64 {
 // (Assign-flavoured) must re-delegate rarely; Allocation-flavoured types
 // should dominate the re-delegating population.
 func (e *Env) R2Verification(ctx context.Context) (*report.Table, []R2Row, error) {
-	entries, err := whois.LoadDir(ctx, e.Dir, whois.LoadOptions{})
+	flat, err := whois.LoadDir(ctx, e.Dir, whois.LoadOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
-	groups := lpm.Group(entries, func(en *whois.Entry) netip.Prefix { return en.Prefix })
+	groups := flat.Groups()
 	rows := map[string]*R2Row{}
-	for _, en := range entries {
-		ty, err := alloc.Lookup(en.Registry, en.Status, famOf(en.Prefix))
+	for i := range flat.Entries() {
+		en := &flat.Entries()[i]
+		ty, err := flat.Type(en)
 		if err != nil {
 			continue
 		}
@@ -120,8 +120,9 @@ func (e *Env) R2Verification(ctx context.Context) (*report.Table, []R2Row, error
 		}
 		row.Records++
 		subs := 0
-		groups.Index().WalkCovered(en.Prefix, func(sub netip.Prefix, id int32) bool {
-			if sub != en.Prefix {
+		p := en.Prefix()
+		groups.Index().WalkCovered(p, func(sub netip.Prefix, id int32) bool {
+			if sub != p {
 				subs += len(groups.At(id))
 			}
 			return true
@@ -148,13 +149,6 @@ func (e *Env) R2Verification(ctx context.Context) (*report.Table, []R2Row, error
 		t.Row(r.Registry, r.Type, r.GrantsR2, r.Records, r.PctWithSubs())
 	}
 	return t, out, nil
-}
-
-func famOf(p netip.Prefix) alloc.Family {
-	if p.Addr().Is4() {
-		return alloc.IPv4
-	}
-	return alloc.IPv6
 }
 
 // LegacyRow is one registry zone's legacy-space accounting.

@@ -21,10 +21,19 @@ type Groups[T any] struct {
 // ids follow canonical prefix order. Items with an invalid prefix are
 // dropped. items itself is neither modified nor retained.
 func Group[T any](items []T, prefix func(*T) netip.Prefix) *Groups[T] {
-	g := &Groups[T]{
-		ix:    &Index{v4: family{off: 96}},
-		items: make([]T, 0, len(items)),
-	}
+	return group(items, prefix, false)
+}
+
+// GroupInPlace is Group over items the caller hands over and never
+// writes again: when they are in group order already — every prefix
+// valid, in canonical order, as a sorted list's are — the Groups keeps
+// items itself rather than a copy.
+func GroupInPlace[T any](items []T, prefix func(*T) netip.Prefix) *Groups[T] {
+	return group(items, prefix, true)
+}
+
+func group[T any](items []T, prefix func(*T) netip.Prefix, inPlace bool) *Groups[T] {
+	g := &Groups[T]{ix: &Index{v4: family{off: 96}}}
 	var v4, v6 []key // val = position in items
 	for i := range items {
 		switch p := prefix(&items[i]); {
@@ -35,24 +44,41 @@ func Group[T any](items []T, prefix func(*T) netip.Prefix) *Groups[T] {
 			v6 = append(v6, keyOf(p, int32(i)))
 		}
 	}
+	// Position is the sort's last key, so equal prefixes stay in input
+	// order.
+	slices.SortFunc(v4, compareKeys)
+	slices.SortFunc(v6, compareKeys)
+	inPlace = inPlace && len(v4)+len(v6) == len(items)
+	for i, k := range v4 {
+		inPlace = inPlace && k.val == int32(i)
+	}
+	for i, k := range v6 {
+		inPlace = inPlace && k.val == int32(len(v4)+i)
+	}
+	if inPlace {
+		g.items = items
+	} else {
+		g.items = make([]T, 0, len(v4)+len(v6))
+	}
+	n := int32(0) // items grouped so far
 	freeze := func(f *family, keys []key) {
-		// Position is the sort's last key, so equal prefixes stay in
-		// input order.
-		slices.SortFunc(keys, compareKeys)
 		w := 0
 		for i, k := range keys {
 			if i == 0 || !k.samePrefix(keys[w-1]) {
 				keys[w] = key{k.hi, k.lo, k.bits, int32(len(g.start))}
 				w++
-				g.start = append(g.start, int32(len(g.items)))
+				g.start = append(g.start, n)
 			}
-			g.items = append(g.items, items[k.val])
+			if !inPlace {
+				g.items = append(g.items, items[k.val])
+			}
+			n++
 		}
 		f.fill(keys[:w])
 	}
 	freeze(&g.ix.v4, v4)
 	freeze(&g.ix.v6, v6)
-	g.start = append(g.start, int32(len(g.items)))
+	g.start = append(g.start, n)
 	return g
 }
 

@@ -223,3 +223,47 @@ func TestIPv4MappedQueries(t *testing.T) {
 		t.Errorf("WalkCovered(::ffff:192.0.0.0/112) visited %d entries, want the 2 IPv4 ones", n)
 	}
 }
+
+// TestGroupInPlace pins GroupInPlace to Group: the same groups either
+// way, over items itself when they are in group order already, over a
+// copy when they are not.
+func TestGroupInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	items := randomTagged(rng, 2000)
+	prefix := func(it *tagged) netip.Prefix { return it.p }
+	sorted := lpm.Group(items, prefix)
+	var inOrder []tagged
+	sorted.Index().Walk(func(_ netip.Prefix, id int32) bool {
+		inOrder = append(inOrder, sorted.At(id)...)
+		return true
+	})
+	for _, tc := range []struct {
+		name   string
+		items  []tagged
+		shared bool
+	}{
+		{"in group order", inOrder, true},
+		{"in input order", items, false},
+		{"with an invalid prefix", append(slices.Clone(inOrder), tagged{pos: -1}), false},
+	} {
+		before := slices.Clone(tc.items)
+		g := lpm.GroupInPlace(tc.items, prefix)
+		if !slices.Equal(tc.items, before) {
+			t.Fatalf("%s: GroupInPlace modified its input", tc.name)
+		}
+		want := lpm.Group(tc.items, prefix)
+		n := 0
+		want.Index().Walk(func(p netip.Prefix, id int32) bool {
+			got := g.Get(p)
+			if !slices.Equal(got, want.At(id)) {
+				t.Fatalf("%s: group %v = %v, Group's %v", tc.name, p, got, want.At(id))
+			}
+			n += len(got)
+			return true
+		})
+		shared := n > 0 && &g.At(0)[0] == &tc.items[0]
+		if shared != tc.shared {
+			t.Errorf("%s: groups over the input itself = %v, want %v", tc.name, shared, tc.shared)
+		}
+	}
+}

@@ -197,20 +197,17 @@ func TestWriteDirRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// WHOIS round trip.
-	entries, err := whois.LoadDir(context.Background(), dir, whois.LoadOptions{})
+	flat, err := whois.LoadDir(context.Background(), dir, whois.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) == 0 {
+	if len(flat.Entries()) == 0 {
 		t.Fatal("no entries after reload")
 	}
-	for _, e := range entries {
-		fam := alloc.IPv6
-		if e.Prefix.Addr().Is4() {
-			fam = alloc.IPv4
-		}
-		if _, err := alloc.Lookup(e.Registry, e.Status, fam); err != nil {
-			t.Errorf("reloaded entry %v: %v", e.Prefix, err)
+	for i := range flat.Entries() {
+		e := &flat.Entries()[i]
+		if _, err := flat.Type(e); err != nil {
+			t.Errorf("reloaded entry %v: %v", e.Prefix(), err)
 		}
 	}
 	// BGP round trip.

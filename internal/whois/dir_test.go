@@ -42,14 +42,15 @@ func TestWriteDirLoadDirRoundTrip(t *testing.T) {
 	if err := WriteDir(dir, dbs, jpnicTypes); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := LoadDir(context.Background(), dir, LoadOptions{})
+	flat, err := LoadDir(context.Background(), dir, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	entries := views(flat)
 	if len(entries) != 9 {
 		t.Fatalf("merged entries = %d, want 9", len(entries))
 	}
-	byReg := map[alloc.Registry]Entry{}
+	byReg := map[alloc.Registry]entryView{}
 	for _, e := range entries {
 		byReg[e.Registry] = e
 	}
@@ -71,9 +72,11 @@ func TestWriteDirLoadDirRoundTrip(t *testing.T) {
 		t.Errorf("jpnic status = %q, want enriched from cache", byReg[alloc.JPNIC].Status)
 	}
 	// Every entry's type must resolve.
-	for _, e := range entries {
-		if _, err := alloc.Lookup(e.Registry, e.Status, alloc.IPv4); err != nil {
-			t.Errorf("entry %v: type: %v", e.Prefix, err)
+	for i := range flat.Entries() {
+		if e := &flat.Entries()[i]; e.Family() != alloc.IPv4 {
+			t.Errorf("entry %v: family %v", e.Prefix(), e.Family())
+		} else if _, err := flat.Type(e); err != nil {
+			t.Errorf("entry %v: type: %v", e.Prefix(), err)
 		}
 	}
 }
@@ -83,12 +86,12 @@ func TestLoadDirMissingFilesSkipped(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(dir, "whois"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := LoadDir(context.Background(), dir, LoadOptions{})
+	flat, err := LoadDir(context.Background(), dir, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 0 {
-		t.Errorf("entries = %d, want 0", len(entries))
+	if n := len(flat.Entries()); n != 0 {
+		t.Errorf("entries = %d, want 0", n)
 	}
 }
 
@@ -126,11 +129,11 @@ func TestLoadDirWithLiveJPNICClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	entries, err := LoadDir(context.Background(), dir, LoadOptions{JPNICClient: &Client{Addr: addr, Timeout: 5 * time.Second}})
+	flat, err := LoadDir(context.Background(), dir, LoadOptions{JPNICClient: &Client{Addr: addr, Timeout: 5 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Status != "ASSIGNED PORTABLE" {
+	if entries := views(flat); len(entries) != 1 || entries[0].Status != "ASSIGNED PORTABLE" {
 		t.Errorf("live enrichment: entries = %+v", entries)
 	}
 }
@@ -168,7 +171,7 @@ func TestLoadDirParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Workers=%d: %v", workers, err)
 		}
-		if !reflect.DeepEqual(serial, par) {
+		if !reflect.DeepEqual(views(serial), views(par)) {
 			t.Errorf("Workers=%d: entries differ from serial load", workers)
 		}
 	}
@@ -240,7 +243,8 @@ func TestLoadDirCountersOnReload(t *testing.T) {
 	}
 	// TWNIC gains a record; KRNIC's file is untouched.
 	write("twnic.db", "inetnum: 210.60.0.0/16\nstatus: ALLOCATED PORTABLE\ndescr: C\n\ninetnum: 210.61.0.0/16\nstatus: NO SUCH TYPE\ndescr: D\n\ninetnum: 210.62.0.0/16\nstatus: ASSIGNED PORTABLE\ndescr: E\n\n")
-	next, err := LoadDirSources(ctx, dir, LoadOptions{}, src, func(rel string) bool { return rel == "whois/twnic.db" })
+	flat, _ := src.Flatten(nil)
+	next, err := LoadDirSources(ctx, dir, LoadOptions{}, flat, func(rel string) bool { return rel == "whois/twnic.db" })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +257,7 @@ func TestLoadDirCountersOnReload(t *testing.T) {
 			t.Errorf("reload of twnic.db: counter %d moved by %d, want %d", i, got, want)
 		}
 	}
-	if entries, _ := next.Flatten(); len(entries) != 5 {
-		t.Errorf("reload: %d entries, want 5", len(entries))
+	if flat, _ := next.Flatten(nil); len(flat.Entries()) != 5 {
+		t.Errorf("reload: %d entries, want 5", len(flat.Entries()))
 	}
 }

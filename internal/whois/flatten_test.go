@@ -19,28 +19,29 @@ import (
 )
 
 // flattenReference is FlattenWithStats as it stood before flattening
-// moved to sorted runs, kept verbatim: a map keyed by (prefix, normalized
-// status), the latest record replacing the one held, then one sort. The
-// run builder and the merge must agree with it on every input.
-func flattenReference(db *Database) ([]Entry, FlattenStats) {
+// moved to sorted runs: a map keyed by (prefix, normalized status), the
+// latest record — to the second, as an Entry keeps it — replacing the
+// one held, then one sort. The run builder and the merge must agree with
+// it on every input.
+func flattenReference(db *Database) ([]entryView, FlattenStats) {
 	db.ResolveOrgs()
 	type key struct {
 		p      netip.Prefix
 		status string
 	}
-	best := make(map[key]Entry, len(db.Records))
+	best := make(map[key]entryView, len(db.Records))
 	stats := FlattenStats{Records: len(db.Records)}
 	for _, r := range db.Records {
 		for _, p := range r.Prefixes {
 			stats.Expanded++
 			k := key{p, alloc.Normalize(r.Status)}
-			e := Entry{Prefix: p, Registry: r.Registry, Status: r.Status, OrgName: r.OrgName, Updated: r.Updated}
-			if prev, ok := best[k]; !ok || e.Updated.After(prev.Updated) {
+			e := entryView{Prefix: p, Registry: r.Registry, Status: r.Status, OrgName: r.OrgName, Updated: r.Updated.Unix()}
+			if prev, ok := best[k]; !ok || e.Updated > prev.Updated {
 				best[k] = e
 			}
 		}
 	}
-	out := make([]Entry, 0, len(best))
+	out := make([]entryView, 0, len(best))
 	for _, e := range best {
 		out = append(out, e)
 	}
@@ -58,7 +59,8 @@ func flattenReference(db *Database) ([]Entry, FlattenStats) {
 // resolves org: references in place, so it runs second.
 func checkFlatten(t testing.TB, db *Database) {
 	t.Helper()
-	got, gotStats := db.FlattenWithStats()
+	flat, gotStats := db.FlattenWithStats(nil)
+	got := views(flat)
 	want, wantStats := flattenReference(db)
 	if gotStats != wantStats {
 		t.Fatalf("flatten stats = %+v, reference %+v", gotStats, wantStats)
@@ -94,7 +96,7 @@ func parseRegistryFile(r io.Reader, reg alloc.Registry) (*Database, error) {
 // file flattened on its own: every file parsed into a Database, the
 // databases merged in registry order, JPNIC types applied to the merged
 // records, and the lot flattened by the reference.
-func referenceLoadDir(t *testing.T, dir string) ([]Entry, FlattenStats) {
+func referenceLoadDir(t *testing.T, dir string) ([]entryView, FlattenStats) {
 	t.Helper()
 	merged := NewDatabase()
 	for _, rf := range registryFiles {
@@ -124,13 +126,14 @@ func referenceLoadDir(t *testing.T, dir string) ([]Entry, FlattenStats) {
 }
 
 // checkLoadDir holds the run-per-registry directory load to the reference.
-func checkLoadDir(t *testing.T, dir string) []Entry {
+func checkLoadDir(t *testing.T, dir string) []entryView {
 	t.Helper()
 	src, err := LoadDirSources(context.Background(), dir, LoadOptions{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotStats := src.Flatten()
+	flat, gotStats := src.Flatten(nil)
+	got := views(flat)
 	want, wantStats := referenceLoadDir(t, dir)
 	if gotStats != wantStats {
 		t.Errorf("load stats = %+v, reference %+v", gotStats, wantStats)
@@ -417,5 +420,96 @@ func TestBytesReadersMatchStringReaders(t *testing.T) {
 		"010.0.0.0/8", "10.0.0.0 - 10.0.0.255 - 10.0.1.255", "banana", "10.0.0.0 -", " - ", "1.2.3.4/32/32",
 	} {
 		checkBytesReaders(t, s)
+	}
+}
+
+// TestReloadMatchesColdLoad chains incremental loads over a directory
+// whose registry files share blocks, timestamps and org: IDs, rewriting
+// a few files a round: the reloaded Flat — the previous merge's winners
+// and losers carried over for the files left alone, org: references
+// resolved afresh — must read back exactly as a cold load of the same
+// directory does, reference included, with a string table of the same
+// size.
+func TestReloadMatchesColdLoad(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var pool []netip.Prefix
+	for i := 0; i < 40; i++ {
+		pool = append(pool, netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i / 8), byte(i % 8 * 32), 0}), 19+i%3).Masked())
+	}
+	types := map[netip.Prefix]string{}
+	gen := func(reg alloc.Registry, round int) *Database {
+		db := NewDatabase()
+		for i := 0; i < 30; i++ {
+			r := randomRecord(rng, reg)
+			r.Prefixes = []netip.Prefix{pool[rng.Intn(len(pool))]}
+			r.Updated = time.Date(2024, 1, 1+rng.Intn(3), 0, 0, 0, 0, time.UTC)
+			if reg == alloc.RIPE {
+				r.OrgID = []string{"ORG-A", "ORG-B", "ORG-C"}[rng.Intn(3)]
+			}
+			if reg == alloc.JPNIC && rng.Intn(4) > 0 {
+				types[r.Prefixes[0]] = r.Status
+			}
+			db.Records = append(db.Records, r)
+		}
+		db.Orgs["ORG-A"] = Org{ID: "ORG-A", Name: fmt.Sprintf("Org A of %s, round %d", reg, round)}
+		if rng.Intn(2) == 0 {
+			db.Orgs["ORG-B"] = Org{ID: "ORG-B", Name: fmt.Sprintf("Org B of %s", reg)}
+		}
+		return db
+	}
+	dir := t.TempDir()
+	dbs := map[alloc.Registry]*Database{}
+	for _, rf := range registryFiles {
+		dbs[rf.Registry] = gen(rf.Registry, 0)
+	}
+	if err := WriteDir(dir, dbs, types); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	prev, err := LoadDir(ctx, dir, LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	losers := 0
+	for round := 1; round <= 12; round++ {
+		changed := map[string]bool{}
+		rewrite := map[alloc.Registry]*Database{}
+		for range 1 + rng.Intn(3) {
+			rf := registryFiles[rng.Intn(len(registryFiles))]
+			rewrite[rf.Registry] = gen(rf.Registry, round)
+			changed["whois/"+rf.File] = true
+		}
+		var rewriteTypes map[netip.Prefix]string
+		if rewrite[alloc.JPNIC] != nil {
+			rewriteTypes, changed["whois/"+JPNICTypesFile] = types, true
+		}
+		if err := WriteDir(dir, rewrite, rewriteTypes); err != nil {
+			t.Fatal(err)
+		}
+		src, err := LoadDirSources(ctx, dir, LoadOptions{}, prev, func(rel string) bool { return changed[rel] })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src.Reflattened() != len(rewrite) {
+			t.Errorf("round %d: reflattened %d files, rewrote %d", round, src.Reflattened(), len(rewrite))
+		}
+		got, gotStats := src.Flatten(nil)
+		want := checkLoadDir(t, dir)
+		cold, err := LoadDirSources(ctx, dir, LoadOptions{}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldFlat, coldStats := cold.Flatten(nil)
+		if gotStats != coldStats || got.Strings() != coldFlat.Strings() {
+			t.Errorf("round %d: stats %+v and %d strings, cold load %+v and %d", round, gotStats, got.Strings(), coldStats, coldFlat.Strings())
+		}
+		if !reflect.DeepEqual(views(got), want) {
+			t.Fatalf("round %d: the reload differs from a cold load", round)
+		}
+		losers += len(got.losers)
+		prev = got
+	}
+	if losers == 0 {
+		t.Fatal("no entry ever lost to another registry's: the directory tests nothing")
 	}
 }

@@ -139,8 +139,7 @@ func TestFlattenIdempotent(t *testing.T) {
 			db.Records = append(db.Records, rec) // exact duplicate
 		}
 	}
-	a := db.Flatten()
-	b := db.Flatten()
+	a, b := views(db.Flatten()), views(db.Flatten())
 	if len(a) != len(b) {
 		t.Fatalf("flatten unstable: %d vs %d", len(a), len(b))
 	}

@@ -409,11 +409,11 @@ func TestFlattenLatestWins(t *testing.T) {
 		Record{Prefixes: []netip.Prefix{p}, Registry: alloc.ARIN, Status: "Reassignment",
 			OrgName: "Customer Inc", Updated: time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)},
 	)
-	entries := db.Flatten()
+	entries := views(db.Flatten())
 	if len(entries) != 2 {
 		t.Fatalf("entries = %d, want 2 (one per allocation type)", len(entries))
 	}
-	byStatus := map[string]Entry{}
+	byStatus := map[string]entryView{}
 	for _, e := range entries {
 		byStatus[e.Status] = e
 	}
@@ -433,7 +433,7 @@ func TestFlattenDeterministicOrder(t *testing.T) {
 			Status: "Allocation", OrgName: "X",
 		})
 	}
-	entries := db.Flatten()
+	entries := views(db.Flatten())
 	for i := 1; i < len(entries); i++ {
 		if netx.Compare(entries[i-1].Prefix, entries[i].Prefix) > 0 {
 			t.Fatalf("entries out of order: %v before %v", entries[i-1].Prefix, entries[i].Prefix)

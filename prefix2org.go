@@ -397,7 +397,9 @@ func Build(ctx context.Context, db *whois.Database, table *bgp.Table, repo *rpki
 	next.arinLegacy, next.routed, next.origins = arinLegacyNonSigned, table.Prefixes(), table.LowestOrigins()
 	*next.env = resolveEnv{table: table, certs: repo.CertIndex(), asClusters: asData.BuildClusters()}
 	res, err := rebuild(ctx, obs.NewTrace("build"), nil, next, []loadJob{{"flatten-whois", func(_ context.Context, span *obs.Span) error {
-		next.env.whois = flattenWhois(span, db.FlattenWithStats, arinLegacyNonSigned)
+		next.env.whois = flattenWhois(span, func() (*whois.Flat, whois.FlattenStats) {
+			return db.FlattenWithStats(arinLegacyNonSigned)
+		})
 		return nil
 	}}})
 	if err != nil {
@@ -435,33 +437,6 @@ func adaptiveThreshold(n int) int {
 	return t
 }
 
-// markARINLegacy rewrites ARIN allocations on the legacy non-signer list
-// to the Prefix2Org modified type (no R3).
-func markARINLegacy(entries []whois.Entry, legacy []netip.Prefix) {
-	if len(legacy) == 0 {
-		return
-	}
-	set := make(map[netip.Prefix]bool, len(legacy))
-	for _, p := range legacy {
-		set[p.Masked()] = true
-	}
-	for i := range entries {
-		e := &entries[i]
-		if e.Registry == alloc.ARIN && set[e.Prefix] {
-			if t, err := alloc.Lookup(alloc.ARIN, e.Status, famOf(e.Prefix)); err == nil && t.DirectOwner() {
-				e.Status = "Allocation-Legacy"
-			}
-		}
-	}
-}
-
-func famOf(p netip.Prefix) alloc.Family {
-	if p.Addr().Is4() {
-		return alloc.IPv4
-	}
-	return alloc.IPv6
-}
-
 // resolveScratch is the working memory of one resolve worker, reused
 // from prefix to prefix so the pass allocates only what a Record keeps.
 type resolveScratch struct {
@@ -474,10 +449,11 @@ type resolveScratch struct {
 }
 
 // typedEntry pairs a WHOIS entry (in place, in the delegation index)
-// with its resolved allocation type.
+// with its resolved allocation type and its organization name.
 type typedEntry struct {
-	e *whois.Entry
-	t alloc.Type
+	e   *whois.Entry
+	t   alloc.Type
+	org string
 }
 
 // typeLevel resolves the allocation types of the entries registered at
@@ -486,19 +462,19 @@ type typedEntry struct {
 // Reassignment ordering), then by name for determinism. Entries with an
 // unresolvable status are skipped. The result is s.typed: valid until
 // the next call.
-func (s *resolveScratch) typeLevel(es []whois.Entry) []typedEntry {
+func (s *resolveScratch) typeLevel(flat *whois.Flat, es []whois.Entry) []typedEntry {
 	s.typed = s.typed[:0]
 	for i := range es {
 		e := &es[i]
-		if t, err := alloc.Lookup(e.Registry, e.Status, famOf(e.Prefix)); err == nil {
-			s.typed = append(s.typed, typedEntry{e, t})
+		if t, err := flat.Type(e); err == nil {
+			s.typed = append(s.typed, typedEntry{e, t, flat.OrgName(e)})
 		}
 	}
 	slices.SortStableFunc(s.typed, func(a, b typedEntry) int {
 		if c := cmp.Compare(a.t.Depth, b.t.Depth); c != 0 {
 			return c
 		}
-		return strings.Compare(a.e.OrgName, b.e.OrgName)
+		return strings.Compare(a.org, b.org)
 	})
 	return s.typed
 }
@@ -517,7 +493,7 @@ func (s *resolveScratch) reverseCustomers() {
 // p (s.chain: group ids of groups, least specific first, as produced by
 // CoveringInto), resolve the Delegated Customer chain and walk up to
 // the Direct Owner.
-func (s *resolveScratch) resolveOwnership(groups *lpm.Groups[whois.Entry], certs *rpki.CertIndex, p netip.Prefix) (Record, bool) {
+func (s *resolveScratch) resolveOwnership(flat *whois.Flat, certs *rpki.CertIndex, p netip.Prefix) (Record, bool) {
 	if len(s.chain) == 0 {
 		return Record{}, false
 	}
@@ -525,15 +501,16 @@ func (s *resolveScratch) resolveOwnership(groups *lpm.Groups[whois.Entry], certs
 
 	// Walk from most specific upwards.
 	level := len(s.chain) - 1
-	most := s.typeLevel(groups.At(s.chain[level]))
+	groups := flat.Groups()
+	most := s.typeLevel(flat, groups.At(s.chain[level]))
 	if len(most) == 0 {
 		return Record{}, false
 	}
-	rec.RIR = string(alloc.Parent(most[0].e.Registry))
+	rec.RIR = string(alloc.Parent(most[0].e.Registry()))
 
 	setDO := func(t typedEntry) {
-		rec.DirectOwner = t.e.OrgName
-		rec.DOPrefix = t.e.Prefix
+		rec.DirectOwner = t.org
+		rec.DOPrefix = t.e.Prefix()
 		rec.DOType = doTypeName(t, certs)
 	}
 	// done hands rec the customer chain: the only memory a mapped prefix
@@ -548,7 +525,7 @@ func (s *resolveScratch) resolveOwnership(groups *lpm.Groups[whois.Entry], certs
 	s.custs, s.prefs, s.types = s.custs[:0], s.prefs[:0], s.types[:0]
 	for _, t := range most {
 		if !t.t.DirectOwner() {
-			s.addCustomer(t.e.OrgName, t.e.Prefix, t.t.Name)
+			s.addCustomer(t.org, t.e.Prefix(), t.t.Name)
 		}
 	}
 	// If the most specific record set includes a Direct Owner type, that
@@ -558,7 +535,7 @@ func (s *resolveScratch) resolveOwnership(groups *lpm.Groups[whois.Entry], certs
 		if t.t.DirectOwner() {
 			setDO(t)
 			if len(s.custs) == 0 {
-				s.addCustomer(t.e.OrgName, t.e.Prefix, rec.DOType)
+				s.addCustomer(t.org, t.e.Prefix(), rec.DOType)
 			}
 			return done()
 		}
@@ -569,7 +546,7 @@ func (s *resolveScratch) resolveOwnership(groups *lpm.Groups[whois.Entry], certs
 	// out, it is collected backwards and turned round once at the end.
 	s.reverseCustomers()
 	for level--; level >= 0; level-- {
-		ts := s.typeLevel(groups.At(s.chain[level]))
+		ts := s.typeLevel(flat, groups.At(s.chain[level]))
 		for _, t := range ts {
 			if t.t.DirectOwner() {
 				setDO(t)
@@ -578,7 +555,7 @@ func (s *resolveScratch) resolveOwnership(groups *lpm.Groups[whois.Entry], certs
 			}
 		}
 		for i := len(ts) - 1; i >= 0; i-- {
-			s.addCustomer(ts[i].e.OrgName, ts[i].e.Prefix, ts[i].t.Name)
+			s.addCustomer(ts[i].org, ts[i].e.Prefix(), ts[i].t.Name)
 		}
 	}
 	// No Direct Owner delegation found anywhere in the chain: attribute
@@ -598,7 +575,7 @@ func (s *resolveScratch) resolveOwnership(groups *lpm.Groups[whois.Entry], certs
 // certificate) cannot issue RPKI certificates.
 func doTypeName(t typedEntry, certs *rpki.CertIndex) string {
 	if t.t.Registry == alloc.RIPE && t.t.Name == "Legacy" {
-		c, ok := certs.ChildMostRC(t.e.Prefix)
+		c, ok := certs.ChildMostRC(t.e.Prefix())
 		if !ok || strings.Contains(c.Subject, "legacy") {
 			return "Legacy-Not-Sponsored"
 		}
@@ -730,18 +707,18 @@ func runLoaders(ctx context.Context, tr *obs.Trace, workers int, jobs []loadJob)
 	return nil
 }
 
-// flattenWhois compiles what flatten returns — a Database's entries, or
-// the merge of a directory's per-registry runs — into the delegation
-// index (§5.2) under span: one group of entries per registered block,
-// ARIN allocations on the legacy non-signer list retyped first.
-func flattenWhois(span *obs.Span, flatten func() ([]whois.Entry, whois.FlattenStats), arinLegacy []netip.Prefix) *lpm.Groups[whois.Entry] {
+// flattenWhois runs flatten — a Database's flatten, or the merge of a
+// directory's registry files — under span, which counts what it
+// flattened: the delegation index (§5.2), one group of entries per
+// registered block, ARIN allocations on the legacy non-signer list
+// retyped.
+func flattenWhois(span *obs.Span, flatten func() (*whois.Flat, whois.FlattenStats)) *whois.Flat {
 	defer span.End()
-	entries, fstats := flatten()
-	markARINLegacy(entries, arinLegacy)
+	flat, fstats := flatten()
 	span.Add("records", int64(fstats.Records))
 	span.Add("entries", int64(fstats.Entries))
 	span.Add("deduped", int64(fstats.Deduped()))
-	return lpm.Group(entries, func(e *whois.Entry) netip.Prefix { return e.Prefix })
+	return flat
 }
 
 // dirLoaders is the load job of every source of a data directory, keyed
@@ -757,11 +734,10 @@ func dirLoaders(dir string, tr *obs.Trace, next *buildState, changed func(relPat
 			if next.opts.JPNICWhoisAddr != "" {
 				lopts.JPNICClient = &whois.Client{Addr: next.opts.JPNICWhoisAddr}
 			}
-			src, err := whois.LoadDirSources(ctx, dir, lopts, next.src, changed)
+			src, err := whois.LoadDirSources(ctx, dir, lopts, next.env.whois, changed)
 			if err != nil {
 				return fmt.Errorf("prefix2org: load whois: %w", err)
 			}
-			next.src = src
 			span.Add("records", int64(src.Records()))
 			span.Add("orgs", int64(src.Orgs()))
 			// load-whois times the parse and each changed registry file's own
@@ -782,7 +758,9 @@ func dirLoaders(dir string, tr *obs.Trace, next *buildState, changed func(relPat
 			// legacy retype and the grouping.
 			flatSpan := tr.Start("flatten-whois")
 			flatSpan.Add("reflattened", int64(src.Reflattened()))
-			next.env.whois = flattenWhois(flatSpan, src.Flatten, next.arinLegacy)
+			next.env.whois = flattenWhois(flatSpan, func() (*whois.Flat, whois.FlattenStats) {
+				return src.Flatten(next.arinLegacy)
+			})
 			return nil
 		}},
 		"bgp": {"load-bgp", func(ctx context.Context, span *obs.Span) error {

@@ -21,10 +21,11 @@ import (
 // pass; a delta rebuild swaps out only the members whose source files
 // changed.
 type resolveEnv struct {
-	// whois is the delegation index (§5.2): per block, all flattened
-	// WHOIS entries registered there, post legacy marking and in
-	// Flatten order.
-	whois *lpm.Groups[whois.Entry]
+	// whois is the flattened WHOIS database, grouped into the delegation
+	// index (§5.2): per block, all entries registered there, post legacy
+	// marking and in Flatten order. It is also what the next load of a
+	// data directory takes the registry files it does not re-read from.
+	whois *whois.Flat
 	table *bgp.Table
 	// certs is the RPKI repository's certificate side: all that
 	// ChildMostRC and certDiff read.
@@ -47,7 +48,7 @@ func resolveIndices(ctx context.Context, st *buildState, idxs []int, recs []Reco
 	// the worker saw before it.
 	resolveOne := func(i int, s *resolveScratch) {
 		p := st.routed[i]
-		s.chain = env.whois.Index().CoveringInto(p, s.chain[:0])
+		s.chain = env.whois.Groups().Index().CoveringInto(p, s.chain[:0])
 		rec, ok := s.resolveOwnership(env.whois, env.certs, p)
 		if !ok {
 			return
@@ -332,7 +333,6 @@ func finish(ctx context.Context, tr *obs.Trace, recs []Record, unmapped int, opt
 type buildState struct {
 	opts       Options
 	manifest   *Manifest
-	src        *whois.Sources
 	arinLegacy []netip.Prefix
 	env        *resolveEnv
 	// routed is the BGP table's prefix column, in canonical order
@@ -353,7 +353,7 @@ type buildState struct {
 func newBuildState(old *buildState, opts Options) *buildState {
 	next := &buildState{opts: opts, env: &resolveEnv{}}
 	if old != nil {
-		next.manifest, next.src, next.arinLegacy = old.manifest, old.src, old.arinLegacy
+		next.manifest, next.arinLegacy = old.manifest, old.arinLegacy
 		next.routed, next.origins = old.routed, old.origins
 		*next.env = *old.env
 	}
