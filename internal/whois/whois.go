@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"github.com/prefix2org/prefix2org/internal/alloc"
-	"github.com/prefix2org/prefix2org/internal/intern"
 	"github.com/prefix2org/prefix2org/internal/netx"
 )
 
@@ -128,22 +127,26 @@ func (db *Database) collect(rec *Record) error {
 }
 
 // fieldCopier copies record fields off a reader's reused buffer. With a
-// table — the directory loader's — the fields a flattened entry keeps
-// (status, organization name and ID), which a registry dump repeats from
-// block to block, are interned, and the two it does not keep (NetName,
-// Country) are never allocated. Without one every field is a string of
-// its own: the Records a Parse function returns carry them all.
-type fieldCopier struct{ tab *intern.Table }
+// run builder — the directory loader's — the fields a flattened entry
+// keeps (status, organization name and ID), which a registry dump
+// repeats from block to block, are interned into the run's string table,
+// and the two it does not keep (NetName, Country) are never allocated.
+// Without one every field is a string of its own: the Records a Parse
+// function returns carry them all.
+type fieldCopier struct{ run *runBuilder }
 
 func (c fieldCopier) kept(b []byte) string {
-	if c.tab != nil {
-		return c.tab.Bytes(b)
+	switch {
+	case c.run == nil:
+		return string(b)
+	case len(b) == 0:
+		return ""
 	}
-	return string(b)
+	return c.run.strs[c.run.idBytes(b)]
 }
 
 func (c fieldCopier) extra(b []byte) string {
-	if c.tab != nil {
+	if c.run != nil {
 		return ""
 	}
 	return string(b)
