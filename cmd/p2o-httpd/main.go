@@ -18,7 +18,8 @@
 // daemon shares; package internal/daemon documents them. What is this
 // daemon's own: a request — including a long-running bulk stream —
 // keeps the snapshot it pinned across swaps (and, under -snapshot-mmap,
-// keeps its mapping alive); a cached response is served only at the
+// keeps its mapping alive), though a bulk stream whose client makes no
+// progress for 30 s is ended; a cached response is served only at the
 // snapshot version it was rendered from, so a swap leaves every older
 // entry to miss (a no-op reload swaps nothing and keeps them); and the
 // listener is up before the first build finishes, answering 503
@@ -39,7 +40,7 @@ func protocolFlags() *httpd.Config {
 	cfg := httpd.DefaultConfig()
 	flag.IntVar(&cfg.BulkMaxLines, "bulk-max-lines", cfg.BulkMaxLines, "maximum input lines per /v1/bulk request; the stream ends with a too_many_lines error line when exceeded")
 	flag.IntVar(&cfg.BulkFlushEvery, "bulk-flush-every", cfg.BulkFlushEvery, "flush the bulk response stream every N result lines")
-	flag.IntVar(&cfg.CacheSize, "cache-size", cfg.CacheSize, "hot-response cache entries (invalidated on every snapshot swap); 0 disables caching")
+	flag.IntVar(&cfg.CacheSize, "cache-size", cfg.CacheSize, "hot-response cache entries, each served only at the snapshot version it was rendered from; 0 disables caching")
 	return &cfg
 }
 

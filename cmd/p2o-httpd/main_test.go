@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -39,7 +40,7 @@ func TestBootAndAnswer(t *testing.T) {
 	// The counter families every query moves, and their totals before
 	// any query: the registry is process-wide, so -count=N runs see the
 	// earlier runs' queries.
-	families := []string{"httpd_queries_total", "httpd_queries_by_snapshot_total", "httpd_query_seconds_count"}
+	families := []string{"httpd_queries_total", "httpd_query_seconds_count"}
 	base := map[string]float64{}
 	for _, name := range families {
 		base[name] = daemontest.MetricSum(t, a, name)
@@ -128,4 +129,35 @@ func TestFlagSet(t *testing.T) {
 	flag.CommandLine = flag.NewFlagSet("p2o-httpd", flag.ContinueOnError)
 	daemon.RegisterFlags(flag.CommandLine, spec(protocolFlags()))
 	daemontest.Golden(t, "testdata/flags.golden", daemontest.FlagSet(flag.CommandLine))
+}
+
+// TestSoak drives delta reloads over a directory flipped between two
+// states under query load, and checks the daemon holds no more after
+// the last reload than after the fifth (daemontest.Soak).
+func TestSoak(t *testing.T) {
+	dir, flip := daemontest.EvolvingWorld(t)
+	ds, err := prefix2org.BuildFromDir(context.Background(), dir, prefix2org.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := "/v1/addr/" + ds.Records[0].Prefix.Addr().String()
+	c := http.Client{Timeout: 10 * time.Second, Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
+	defer c.CloseIdleConnections()
+	ask := func(addr string) error {
+		resp, err := c.Get("http://" + addr + path)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		var body map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
+			return fmt.Errorf("GET %s = %d: %v", path, resp.StatusCode, body)
+		}
+		return nil
+	}
+	cfg := httpd.DefaultConfig()
+	daemontest.Soak(context.Background(), t, spec(&cfg), daemon.Flags{DataDir: dir, ReloadDelta: true}, flip, ask)
 }

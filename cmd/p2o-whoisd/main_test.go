@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"io"
 	"net"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	prefix2org "github.com/prefix2org/prefix2org"
 	"github.com/prefix2org/prefix2org/internal/daemon"
@@ -32,7 +35,7 @@ func TestBootAndAnswer(t *testing.T) {
 	// The counter families every query moves, and their totals before
 	// any query: the registry is process-wide, so -count=N runs see the
 	// earlier runs' queries.
-	families := []string{"whoisd_queries_total", "whoisd_queries_by_snapshot_total", "whoisd_query_seconds_count"}
+	families := []string{"whoisd_queries_total", "whoisd_query_seconds_count"}
 	base := map[string]float64{}
 	for _, name := range families {
 		base[name] = daemontest.MetricSum(t, a, name)
@@ -88,4 +91,51 @@ func TestFlagSet(t *testing.T) {
 	fs := flag.NewFlagSet("p2o-whoisd", flag.ContinueOnError)
 	daemon.RegisterFlags(fs, spec())
 	daemontest.Golden(t, "testdata/flags.golden", daemontest.FlagSet(fs))
+}
+
+// TestSoak drives each way the daemon reloads — a full build, a delta
+// over a directory flipped between two states, and a re-opened mmapped
+// snapshot — through many reloads under query load, and checks it holds
+// no more after the last reload than after the fifth (daemontest.Soak).
+func TestSoak(t *testing.T) {
+	dir, flip := daemontest.EvolvingWorld(t)
+	ds, err := prefix2org.BuildFromDir(context.Background(), dir, prefix2org.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := filepath.Join(t.TempDir(), "snap.p2o")
+	if err := ds.SaveFile(snapshot); err != nil {
+		t.Fatal(err)
+	}
+	q := ds.Records[0].Prefix.Addr().String() + "\r\n"
+	ask := func(addr string) error {
+		conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
+		if err != nil {
+			return err
+		}
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := io.WriteString(conn, q); err != nil {
+			return err
+		}
+		out, err := io.ReadAll(conn)
+		if err != nil {
+			return err
+		}
+		if !strings.HasPrefix(string(out), "% Prefix2Org whois") || strings.Contains(string(out), "% error") {
+			return fmt.Errorf("answer %q", out)
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name string
+		f    daemon.Flags
+		flip func()
+	}{
+		{"data", daemon.Flags{DataDir: dir}, nil},
+		{"data-reload-delta", daemon.Flags{DataDir: dir, ReloadDelta: true}, flip},
+		{"snapshot-mmap", daemon.Flags{Snapshot: snapshot, SnapshotMmap: true}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) { daemontest.Soak(context.Background(), t, spec(), tc.f, tc.flip, ask) })
+	}
 }

@@ -3,6 +3,7 @@ package daemon
 import (
 	"log/slog"
 	"net"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -23,15 +24,16 @@ type Listener struct {
 // bound address, and serves every accepted connection on its own
 // goroutine: handle runs the protocol, and the connection is closed
 // when it returns. Failed accepts count in acceptErrors and are logged
-// on logger.
-func (l *Listener) Listen(addr string, acceptErrors *obs.Counter, logger *slog.Logger, handle func(net.Conn)) (string, error) {
+// on logger. A handler that panics ends only its own connection: the
+// panic is recovered, counted in serveErrors and logged with its stack.
+func (l *Listener) Listen(addr string, acceptErrors, serveErrors *obs.Counter, logger *slog.Logger, handle func(net.Conn)) (string, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
 	l.lis, l.done = lis, make(chan struct{})
 	l.wg.Add(1)
-	go l.acceptLoop(acceptErrors, logger, handle)
+	go l.acceptLoop(acceptErrors, serveErrors, logger, handle)
 	return lis.Addr().String(), nil
 }
 
@@ -47,7 +49,7 @@ func (l *Listener) Close() error {
 	return err
 }
 
-func (l *Listener) acceptLoop(acceptErrors *obs.Counter, logger *slog.Logger, handle func(net.Conn)) {
+func (l *Listener) acceptLoop(acceptErrors, serveErrors *obs.Counter, logger *slog.Logger, handle func(net.Conn)) {
 	defer l.wg.Done()
 	// Persistent Accept failures (fd exhaustion, a dying interface)
 	// would otherwise spin this loop hot; back off exponentially and
@@ -75,6 +77,13 @@ func (l *Listener) acceptLoop(acceptErrors *obs.Counter, logger *slog.Logger, ha
 		go func() {
 			defer l.wg.Done()
 			defer conn.Close()
+			defer func() {
+				if v := recover(); v != nil {
+					serveErrors.Inc()
+					logger.Error("query handler panicked", "remote", conn.RemoteAddr().String(),
+						"panic", v, "stack", string(debug.Stack()))
+				}
+			}()
 			handle(conn)
 		}()
 	}

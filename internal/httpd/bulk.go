@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/netip"
 	"strconv"
@@ -37,6 +38,12 @@ const (
 	bulkWriteBuf = 32 << 10
 )
 
+// bulkStallTimeout ends a bulk stream whose client makes no progress —
+// sends no body bytes, or takes no response bytes — for this long, so a
+// stalled client cannot pin a retired snapshot forever. It is whoisd's
+// per-connection bound. A var only so tests can shorten it.
+var bulkStallTimeout = 30 * time.Second
+
 func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodPost {
@@ -61,8 +68,10 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	// lines while results stream back. Without this, net/http closes
 	// the request body at the first response flush and a large request
 	// dies mid-stream with "invalid Read on closed Body". (HTTP/2 and
-	// httptest recorders don't support the call and don't need it.)
-	_ = http.NewResponseController(w).EnableFullDuplex()
+	// httptest recorders don't support the call, nor the deadlines
+	// below, and don't need them.)
+	rc := http.NewResponseController(w)
+	_ = rc.EnableFullDuplex()
 
 	// Headers must be final before the first flush; the snapshot
 	// version rides a header because the stream is line-per-line from
@@ -70,10 +79,9 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-P2O-Snapshot", strconv.FormatUint(snap.Version, 10))
 
-	sc := bufio.NewScanner(r.Body)
+	sc := bufio.NewScanner(stallReader{r.Body, rc})
 	sc.Buffer(make([]byte, 0, bulkScanBuf), bulkMaxLineBytes)
-	bw := bufio.NewWriterSize(w, bulkWriteBuf)
-	flusher, _ := w.(http.Flusher)
+	bw := bufio.NewWriterSize(stallWriter{w, rc}, bulkWriteBuf)
 	out := make([]byte, 0, 512)
 
 	info.Outcome = outcomeOK
@@ -108,9 +116,7 @@ scan:
 				mServeErrors.Inc()
 				break scan
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+			_ = rc.Flush()
 		}
 	}
 	if err := sc.Err(); err != nil && info.Outcome == outcomeOK {
@@ -127,6 +133,30 @@ scan:
 	}
 	sp.Mark(obs.PhaseWrite)
 	telemetry.Finish(sp, info)
+}
+
+// stallReader and stallWriter move the connection's read or write
+// deadline bulkStallTimeout ahead before each Read or Write: a stalled
+// stream fails there and ends, dropping its pin. The scanner and the
+// buffered writer move whole chunks, so this is per chunk, not per line.
+type stallReader struct {
+	io.Reader
+	rc *http.ResponseController
+}
+
+func (s stallReader) Read(p []byte) (int, error) {
+	_ = s.rc.SetReadDeadline(time.Now().Add(bulkStallTimeout))
+	return s.Reader.Read(p)
+}
+
+type stallWriter struct {
+	io.Writer
+	rc *http.ResponseController
+}
+
+func (s stallWriter) Write(p []byte) (int, error) {
+	_ = s.rc.SetWriteDeadline(time.Now().Add(bulkStallTimeout))
+	return s.Writer.Write(p)
 }
 
 // appendBulkLine answers one NDJSON input line entirely against ds,

@@ -23,7 +23,10 @@
 // zero heap allocations — pinned by this package's alloc guard. Output
 // is flushed every Config.BulkFlushEvery lines, so a slow client
 // backpressures the stream through the TCP send buffer instead of
-// buffering the whole response.
+// buffering the whole response. A client that stalls — sends no body
+// bytes, or reads no response bytes, for 30 s — has its stream ended
+// and its snapshot pin dropped, so it cannot hold a retired snapshot
+// alive behind a reloading daemon.
 //
 // Hot single-query responses are cached: a sharded response cache keyed
 // by endpoint and query stores fully rendered bodies and is bounded by
@@ -35,11 +38,11 @@
 // Every query request — cache hit or miss, not-ready or bulk — is
 // counted once, when the package's obs.QueryTelemetry finishes it:
 // httpd_queries_total by type (a bulk request is type "bulk"),
-// httpd_no_match_total, per-snapshot-version counters, rolling
-// p50/p90/p99/p999 latency gauges, httpd_slo_violations_total, and —
-// for sampled or slow queries — a QuerySpan the server passes through
-// the parse, lookup, encode, and write phases, landing in the
-// /debug/queries ring. A request with the wrong method or an unknown
+// httpd_no_match_total, rolling p50/p90/p99/p999 latency gauges,
+// httpd_slo_violations_total, and — for sampled or slow queries — a
+// QuerySpan the server passes through the parse, lookup, encode, and
+// write phases, landing in the /debug/queries ring with the snapshot
+// version that answered. A request with the wrong method or an unknown
 // path is not a query and is not counted.
 //
 // # Goroutine safety

@@ -33,10 +33,10 @@ var (
 	logger = obs.Logger("httpd")
 
 	// telemetry accounts every request, cache hit or miss: the
-	// counters by type, outcome and snapshot version, the rolling
-	// quantile window behind the httpd_query_seconds_p* gauges, SLO
-	// tracking, and the sampled QuerySpan rings served at
-	// /debug/queries. Daemon flags tune it via Telemetry().
+	// counters by type and outcome, the rolling quantile window behind
+	// the httpd_query_seconds_p* gauges, SLO tracking, and the sampled
+	// QuerySpan rings served at /debug/queries. Daemon flags tune it
+	// via Telemetry().
 	telemetry = obs.NewQueryTelemetry(obs.QueryTelemetryConfig{
 		Latency:       mLatency,
 		SLOViolations: mSLOViolations,
@@ -48,10 +48,7 @@ var (
 			"bulk":                     obs.Default().Counter(obs.Label("httpd_queries_total", "type", "bulk")),
 		},
 		Outcomes: map[string]*obs.Counter{daemon.OutcomeNoMatch: obs.Default().Counter("httpd_no_match_total")},
-		BySnapshot: func(version string) *obs.Counter {
-			return obs.Default().Counter(obs.Label("httpd_queries_by_snapshot_total", "version", version))
-		},
-		Logger: logger,
+		Logger:   logger,
 	})
 )
 
@@ -145,6 +142,10 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// idleTimeout closes a keep-alive connection that carries no request
+// for this long.
+const idleTimeout = 2 * time.Minute
+
 // Start listens on addr ("127.0.0.1:0" for an ephemeral port) and
 // serves until Close. It returns the bound address.
 func (s *Server) Start(addr string) (string, error) {
@@ -156,6 +157,7 @@ func (s *Server) Start(addr string) (string, error) {
 	s.srv = &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       idleTimeout,
 	}
 	go func() { _ = s.srv.Serve(lis) }()
 	return lis.Addr().String(), nil

@@ -1,8 +1,12 @@
 package httpd
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
@@ -11,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	prefix2org "github.com/prefix2org/prefix2org"
 	"github.com/prefix2org/prefix2org/internal/obs"
@@ -518,6 +523,59 @@ func TestBulkPinsOneSnapshot(t *testing.T) {
 	rr, _ = bulkPost(t, s.Handler(), addr+"\n")
 	if v := rr.Header().Get("X-P2O-Snapshot"); v != "2" {
 		t.Fatalf("after swap: X-P2O-Snapshot = %q, want 2", v)
+	}
+}
+
+// TestBulkStalledClientReleasesPin: a bulk client that sends its
+// headers and one line, then stalls, keeps the snapshot it pinned live
+// across a swap only until the stall bound; then its stream ends with a
+// read_error line and the retired snapshot is released.
+func TestBulkStalledClientReleasesPin(t *testing.T) {
+	defer func(d time.Duration) { bulkStallTimeout = d }(bulkStallTimeout)
+	bulkStallTimeout = time.Second
+	ds := dataset(t)
+	st := store.New(&store.Snapshot{Dataset: ds})
+	s := New(st, Config{BulkFlushEvery: 1})
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	live := obs.Default().Gauge("store_snapshots_live")
+	base := live.Value() // st's current snapshot among them
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The headers promise a body far longer than the one line sent.
+	fmt.Fprintf(conn, "POST /v1/bulk HTTP/1.1\r\nHost: p2o\r\nContent-Length: 1000\r\n\r\n%s\n", ds.Records[0].Prefix.Addr())
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bufio.NewReader(resp.Body)
+	// The first result line is flushed by a handler holding its pin.
+	if line, err := body.ReadString('\n'); err != nil || !strings.Contains(line, `"outcome":"match"`) {
+		t.Fatalf("first result line %q, %v", line, err)
+	}
+	stalled := time.Now()
+	st.Swap(&store.Snapshot{Dataset: ds})
+	if got := live.Value(); got != base+1 {
+		t.Fatalf("after the swap: store_snapshots_live = %v, want %v (the current snapshot and the one the stalled stream pins)", got, base+1)
+	}
+	for deadline := time.Now().Add(10 * time.Second); live.Value() != base; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the stalled stream still pins its snapshot: store_snapshots_live = %v, want %v", live.Value(), base)
+		}
+	}
+	if held := time.Since(stalled); held < bulkStallTimeout/2 {
+		t.Errorf("the retired snapshot was released %v after the stall, before the %v bound", held, bulkStallTimeout)
+	}
+	rest, _ := io.ReadAll(body)
+	if !strings.Contains(string(rest), `"read_error"`) {
+		t.Errorf("the stalled stream ended with %q, want a read_error line", rest)
 	}
 }
 

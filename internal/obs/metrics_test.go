@@ -221,8 +221,8 @@ func TestGaugeFunc(t *testing.T) {
 }
 
 // TestRegistryGetOrCreateHammer races get-or-create across instrument
-// kinds and labeled names (the whoisd per-snapshot-version counters do
-// exactly this under live traffic). Run under -race by make verify;
+// kinds and labeled names, as instruments registered on first use do
+// under live traffic. Run under -race by make verify;
 // every goroutine must land on the same instrument per name.
 func TestRegistryGetOrCreateHammer(t *testing.T) {
 	reg := NewRegistry()

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,11 +11,11 @@ import (
 
 // Query telemetry: the serve-path counterpart of the build pipeline's
 // Trace. A QueryTelemetry instance accounts every query of one server
-// (counters by type, outcome and snapshot version, rolling latency
-// quantiles, SLO violations, slow-query capture) and additionally
-// samples 1-in-N queries into a pooled QuerySpan that the server hands
-// to each phase it marks (parse / lookup / write), landing in the
-// /debug/queries ring. The unsampled fast path —
+// (counters by type and outcome, rolling latency quantiles, SLO
+// violations, slow-query capture) and additionally samples 1-in-N
+// queries into a pooled QuerySpan that the server hands to each phase
+// it marks (parse / lookup / write), landing in the /debug/queries
+// ring. The unsampled fast path —
 // the overwhelming majority of queries — performs only atomic work and
 // never allocates; the alloc guards in internal/obs and the daemons pin
 // that property.
@@ -158,11 +157,6 @@ type QueryTelemetryConfig struct {
 	// Types and Outcomes count every query under its QueryInfo.Type and
 	// Outcome; a value with no counter is not counted. Optional.
 	Types, Outcomes map[string]*Counter
-	// BySnapshot registers the counter of one snapshot version, which
-	// counts every query under its QueryInfo.SnapshotVersion — a
-	// closure, so the metric's literal name stays at the server's
-	// registration site. Optional.
-	BySnapshot func(version string) *Counter
 	// Logger receives the structured slow-query line. Optional.
 	Logger *slog.Logger
 }
@@ -177,9 +171,6 @@ type QueryTelemetry struct {
 	lat             *Histogram
 	sloViolations   *Counter
 	types, outcomes map[string]*Counter
-	bySnapshot      func(version string) *Counter
-	lastVersion     atomic.Pointer[versionCount] // bySnapshot's counter of the version last counted
-	versionZero     func() *Counter              // bySnapshot's counter of version 0, resolved once
 	logger          *slog.Logger
 
 	seq         atomic.Uint64
@@ -202,8 +193,6 @@ func NewQueryTelemetry(cfg QueryTelemetryConfig) *QueryTelemetry {
 		sloViolations: cfg.SLOViolations,
 		types:         cfg.Types,
 		outcomes:      cfg.Outcomes,
-		bySnapshot:    cfg.BySnapshot,
-		versionZero:   sync.OnceValue(func() *Counter { return cfg.BySnapshot("0") }),
 		logger:        cfg.Logger,
 		recent:        newQueryRing(recentCapacity),
 		slow:          newQueryRing(slowCapacity),
@@ -250,12 +239,13 @@ func (t *QueryTelemetry) StartSpan() *QuerySpan {
 }
 
 // Finish accounts one completed query, and is the one place a query is
-// counted: the counters of its type, outcome and snapshot version, the
-// rolling quantile window and latency histogram always move, the SLO
-// tracker fires when the query overran the target, slow queries are
-// captured (and logged) whether or not they were sampled, and a
-// sampled span lands in the recent-query ring with its phase timings
-// before returning to the pool.
+// counted: the counters of its type and outcome, the rolling quantile
+// window and latency histogram always move, the SLO tracker fires when
+// the query overran the target, slow queries are captured (and logged)
+// whether or not they were sampled, and a sampled span lands in the
+// recent-query ring with its phase timings before returning to the
+// pool. The snapshot version is not counted: it rides only the captured
+// records and the slow-query log line.
 //
 // sp may be nil (the unsampled path); info fields are copied by value,
 // so the caller's buffers are not retained.
@@ -267,9 +257,6 @@ func (t *QueryTelemetry) Finish(sp *QuerySpan, info QueryInfo) {
 	}
 	if c := t.outcomes[info.Outcome]; c != nil {
 		c.Inc()
-	}
-	if t.bySnapshot != nil {
-		t.countVersion(info.SnapshotVersion)
 	}
 	dur := time.Since(info.Start)
 	t.window.Observe(dur.Seconds())
@@ -313,33 +300,6 @@ func (t *QueryTelemetry) Finish(sp *QuerySpan, info QueryInfo) {
 	if sp != nil {
 		t.pool.Put(sp)
 	}
-}
-
-// versionCount is the by-snapshot counter of one version.
-type versionCount struct {
-	version uint64
-	c       *Counter
-}
-
-// countVersion counts one query under the snapshot version that
-// answered it — <daemon>_queries_by_snapshot_total{version="N"}. The
-// counter of the version last seen is cached (version 0, answered
-// without a snapshot, has its own), so the steady-state path is one
-// pointer load and an atomic increment; the registry lookup and label
-// rendering run only when the version changes.
-//
-//p2o:hotpath
-func (t *QueryTelemetry) countVersion(version uint64) {
-	if version == 0 {
-		t.versionZero().Inc()
-		return
-	}
-	cur := t.lastVersion.Load()
-	if cur == nil || cur.version != version {
-		cur = &versionCount{version: version, c: t.bySnapshot(strconv.FormatUint(version, 10))}
-		t.lastVersion.Store(cur)
-	}
-	cur.c.Inc()
 }
 
 // Recent returns the sampled-query ring, newest first.

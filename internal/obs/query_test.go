@@ -65,8 +65,7 @@ func TestQuantileWindowObserveZeroAlloc(t *testing.T) {
 }
 
 // newTestTelemetry wires a telemetry to instruments on reg: counters
-// for types "addr" and "org", for outcome "no_match", and for every
-// snapshot version.
+// for types "addr" and "org" and for outcome "no_match".
 func newTestTelemetry(reg *Registry) *QueryTelemetry {
 	return NewQueryTelemetry(QueryTelemetryConfig{
 		Latency:       reg.Histogram("tq_seconds", DefBuckets),
@@ -76,9 +75,6 @@ func newTestTelemetry(reg *Registry) *QueryTelemetry {
 			"org":  reg.Counter(Label("tq_queries_total", "type", "org")),
 		},
 		Outcomes: map[string]*Counter{"no_match": reg.Counter("tq_no_match_total")},
-		BySnapshot: func(version string) *Counter {
-			return reg.Counter(Label("tq_queries_by_snapshot_total", "version", version))
-		},
 	})
 }
 
@@ -104,11 +100,11 @@ func TestQueryTelemetrySampling(t *testing.T) {
 
 // TestQueryTelemetryUnsampledZeroAlloc pins the tentpole contract: with
 // sampling off (or a query not selected), StartSpan + Finish — the full
-// per-query telemetry overhead including the type, outcome and
-// snapshot-version counters, the quantile window, the latency
-// histogram, and the SLO comparison — allocates nothing, also when
-// queries answered without a snapshot (version 0, such as overlong
-// whois lines) interleave with served ones.
+// per-query telemetry overhead including the type and outcome
+// counters, the quantile window, the latency histogram, and the SLO
+// comparison — allocates nothing, also when queries answered without a
+// snapshot (version 0, such as overlong whois lines) interleave with
+// served ones.
 func TestQueryTelemetryUnsampledZeroAlloc(t *testing.T) {
 	tel := newTestTelemetry(NewRegistry())
 	tel.SetSampleEvery(0)
@@ -125,9 +121,9 @@ func TestQueryTelemetryUnsampledZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestQueryTelemetryFinishCounts: Finish counts a query's type, outcome
-// and snapshot version once each, skips a type or outcome that has no
-// counter, and follows the version across a switch and back.
+// TestQueryTelemetryFinishCounts: Finish counts a query's type and
+// outcome once each, skips a type or outcome that has no counter, and
+// counts nothing by snapshot version.
 func TestQueryTelemetryFinishCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -135,17 +131,12 @@ func TestQueryTelemetryFinishCounts(t *testing.T) {
 		want    map[string]int64 // every nonzero counter on the page
 	}{
 		{"type and outcome", []QueryInfo{{Type: "addr", Outcome: "no_match", SnapshotVersion: 2}}, map[string]int64{
-			`tq_queries_total{type="addr"}`: 1, "tq_no_match_total": 1, `tq_queries_by_snapshot_total{version="2"}`: 1}},
+			`tq_queries_total{type="addr"}`: 1, "tq_no_match_total": 1}},
 		{"outcome without counter", []QueryInfo{{Type: "org", Outcome: "match", SnapshotVersion: 2}}, map[string]int64{
-			`tq_queries_total{type="org"}`: 1, `tq_queries_by_snapshot_total{version="2"}`: 1}},
+			`tq_queries_total{type="org"}`: 1}},
 		{"type without counter", []QueryInfo{{Type: "bulk", Outcome: "no_match"}}, map[string]int64{
-			"tq_no_match_total": 1, `tq_queries_by_snapshot_total{version="0"}`: 1}},
-		{"neither", []QueryInfo{{Type: "bad", Outcome: "error", SnapshotVersion: 7}}, map[string]int64{
-			`tq_queries_by_snapshot_total{version="7"}`: 1}},
-		{"version switch and back", []QueryInfo{{SnapshotVersion: 1}, {SnapshotVersion: 1}, {SnapshotVersion: 2}, {SnapshotVersion: 1}}, map[string]int64{
-			`tq_queries_by_snapshot_total{version="1"}`: 3, `tq_queries_by_snapshot_total{version="2"}`: 1}},
-		{"version 0 between", []QueryInfo{{SnapshotVersion: 3}, {}, {SnapshotVersion: 3}}, map[string]int64{
-			`tq_queries_by_snapshot_total{version="3"}`: 2, `tq_queries_by_snapshot_total{version="0"}`: 1}},
+			"tq_no_match_total": 1}},
+		{"neither", []QueryInfo{{Type: "bad", Outcome: "error", SnapshotVersion: 7}}, map[string]int64{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := NewRegistry()

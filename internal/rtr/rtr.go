@@ -186,7 +186,7 @@ func NewServer(repo *rpki.Repository) *Server {
 // Start listens on addr and returns the bound address; Close stops the
 // server. ctx is unused.
 func (s *Server) Start(_ context.Context, addr string) (string, error) {
-	return s.lis.Listen(addr, new(obs.Counter), logger, s.handle)
+	return s.lis.Listen(addr, new(obs.Counter), new(obs.Counter), logger, s.handle)
 }
 
 // Close stops the listener and waits for connections to finish.

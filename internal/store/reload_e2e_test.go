@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net"
@@ -246,6 +247,89 @@ func TestDirSourceDeltaLeavesOneWorker(t *testing.T) {
 		if got := resolveWorkers(delta.Dataset); got != tc.wantDelta {
 			t.Errorf("Workers %d: delta reload resolved with %d workers, want %d", tc.workers, got, tc.wantDelta)
 		}
+	}
+}
+
+// TestDeltaReloadAfterLoadError is one fallback-to-full condition on its
+// own: an input that fails to load. A real incremental DirSource under a
+// Reloader, given a registry file with one malformed line, serves the
+// stale snapshot with its version unchanged, counts one delta fallback
+// and one reload failure, and publishes no snapshot. Once the directory
+// holds a readable (evolved) world, the next reload is a delta again,
+// and its dataset is byte-identical to a full build's.
+func TestDeltaReloadAfterLoadError(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w, err := synth.Generate(synth.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := w.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	src := store.DirSource(dir, prefix2org.Options{Incremental: true})
+	first, err := src.Build(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.New(first)
+	// No automatic retry of the failed reload lands inside the test.
+	rel := store.NewReloader(st, src, store.ReloaderConfig{MinBackoff: time.Hour})
+	go rel.Run(ctx)
+
+	reg := obs.Default()
+	deltas, fallbacks := reg.Counter("store_delta_reloads_total"), reg.Counter("store_delta_fallbacks_total")
+	failures, live := reg.Counter("store_reload_failures_total"), reg.Gauge("store_snapshots_live")
+	d0, f0, r0, l0 := deltas.Value(), fallbacks.Value(), failures.Value(), live.Value()
+
+	arin := filepath.Join(dir, "whois", "arin.db")
+	raw, err := os.ReadFile(arin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(arin, append(raw, "\nthis line has no colon\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.Reload(ctx); err == nil {
+		t.Fatal("reload over a malformed arin.db succeeded")
+	}
+	if v := st.Current().Version; v != 1 {
+		t.Errorf("serving v%d after the failed reload, want the stale v1", v)
+	}
+	if d, f, r, l := deltas.Value()-d0, fallbacks.Value()-f0, failures.Value()-r0, live.Value()-l0; d != 0 || f != 1 || r != 1 || l != 0 {
+		t.Errorf("failed reload moved delta reloads %+d, fallbacks %+d, failures %+d, live snapshots %+v; want 0, 1, 1, 0", d, f, r, l)
+	}
+
+	if w, err = w.Evolve(synth.EvolveOptions{Seed: 11, Transfers: 4, NewDelegations: 2, OriginShifts: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	d0, f0 = deltas.Value(), fallbacks.Value()
+	if err := rel.Reload(ctx); err != nil {
+		t.Fatalf("reload over the evolved world: %v", err)
+	}
+	if v := st.Current().Version; v != 2 {
+		t.Errorf("serving v%d after the evolved world's reload, want v2", v)
+	}
+	if d, f, l := deltas.Value()-d0, fallbacks.Value()-f0, live.Value()-l0; d != 1 || f != 0 || l != 0 {
+		t.Errorf("evolved world's reload moved delta reloads %+d, fallbacks %+d, live snapshots %+v; want 1, 0, 0", d, f, l)
+	}
+	full, err := prefix2org.BuildFromDir(ctx, dir, prefix2org.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := st.Current().Dataset.SaveBinary(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := full.SaveBinary(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("the delta after the failed reload differs from a full build: %d bytes vs %d", got.Len(), want.Len())
 	}
 }
 

@@ -38,6 +38,10 @@ var (
 	// (initial build or reload). A dashboard alerting on "now - this"
 	// catches a daemon silently serving ever-staler data.
 	mLastSuccess = obs.Default().Gauge("store_reload_last_success_unix")
+	// mSnapshotsLive counts published snapshots not yet released, in
+	// every Store of the process. One that stays live after the next
+	// swap is a leaked pin.
+	mSnapshotsLive = obs.Default().Gauge("store_snapshots_live")
 
 	logger = obs.Logger("store")
 )
@@ -62,7 +66,7 @@ type Snapshot struct {
 	// reference is dropped: the Store holds one reference for as long
 	// as the snapshot is current (Swap drops it), and every
 	// Acquire/release pair brackets one in-flight reader. Snapshots
-	// with a nil Closer (every eager dataset) skip the machinery
+	// with a nil Closer (every built dataset) skip the machinery
 	// entirely on the read side except for two atomic ops.
 	Closer func() error
 
@@ -86,11 +90,13 @@ func (s *Snapshot) tryRef() bool {
 	}
 }
 
-// unref drops one reference and runs the Closer on the last one.
+// unref drops one reference; the last one retires the snapshot from
+// store_snapshots_live and runs its Closer.
 func (s *Snapshot) unref() {
 	if s.refs.Add(-1) != 0 {
 		return
 	}
+	mSnapshotsLive.Add(-1)
 	if s.Closer == nil {
 		return
 	}
@@ -142,13 +148,14 @@ func NewPending(source string) *Store {
 }
 
 // publish normalizes a snapshot's refcount to the single publication
-// reference the Store owns. Snapshots arrive with refs == 0 from
-// builders (and from tests constructing bare literals); publishing
-// twice — a restore flow re-seeding a store — keeps the existing
-// count.
+// reference the Store owns, counting the snapshot live. Snapshots
+// arrive with refs == 0 from builders (and from tests constructing bare
+// literals); publishing twice — a restore flow re-seeding a store —
+// keeps the existing count.
 func publish(s *Snapshot) {
 	if s.refs.Load() == 0 {
 		s.refs.Store(1)
+		mSnapshotsLive.Add(1)
 	}
 }
 

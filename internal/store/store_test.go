@@ -64,6 +64,34 @@ func TestAcquireReleaseIdempotent(t *testing.T) {
 	}
 }
 
+// TestSnapshotsLive: store_snapshots_live counts a snapshot from its
+// publication to its last release — a retired snapshot stays live
+// while a reader pins it, however many swaps pass, and a repeated
+// release or a republication does not count it twice.
+func TestSnapshotsLive(t *testing.T) {
+	base := mSnapshotsLive.Value()
+	expect := func(when string, want float64) {
+		t.Helper()
+		if got := mSnapshotsLive.Value() - base; got != want {
+			t.Errorf("%s: store_snapshots_live moved %+v, want %+v", when, got, want)
+		}
+	}
+	st := NewPending("test")
+	expect("pending", 1)
+	st.Swap(&Snapshot{})
+	expect("first swap", 1)
+	_, release := st.Acquire()
+	st.Swap(&Snapshot{})
+	expect("swap with a pinned reader", 2)
+	st.Swap(&Snapshot{})
+	expect("a second swap", 2)
+	publish(st.Current())
+	expect("republication", 2)
+	release()
+	release()
+	expect("the pin released", 1)
+}
+
 // TestPendingStoreReadiness covers the readiness/liveness split: a
 // pending store answers reads (liveness) but reports not-ready — and
 // its /healthz serves 503 — until the first real snapshot is installed.

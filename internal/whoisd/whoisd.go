@@ -12,10 +12,11 @@
 // Every query the listener reads — an overlong line and a not-ready
 // answer included — is counted once, when the package's
 // obs.QueryTelemetry finishes it: whoisd_queries_total by type,
-// whoisd_no_match_total, per-snapshot-version query counters, rolling
-// p50/p90/p99/p999 latency gauges, an SLO-violation counter, and — for
-// sampled or slow queries — a QuerySpan the server passes through the
-// parse, lookup, and write phases, landing in the /debug/queries ring.
+// whoisd_no_match_total, rolling p50/p90/p99/p999 latency gauges, an
+// SLO-violation counter, and — for sampled or slow queries — a
+// QuerySpan the server passes through the parse, lookup, and write
+// phases, landing in the /debug/queries ring with the snapshot version
+// that answered.
 // The unsampled path stays allocation-free. Server.Answer, which
 // bypasses the listener, counts nothing.
 package whoisd
@@ -44,11 +45,10 @@ var (
 
 	logger = obs.Logger("whoisd")
 
-	// telemetry accounts every query: the counters by type, outcome
-	// and snapshot version, the rolling quantile window behind the
-	// whoisd_query_seconds_p* gauges, SLO tracking, and the sampled
-	// QuerySpan rings served at /debug/queries. Daemon flags tune it via
-	// Telemetry().
+	// telemetry accounts every query: the counters by type and outcome,
+	// the rolling quantile window behind the whoisd_query_seconds_p*
+	// gauges, SLO tracking, and the sampled QuerySpan rings served at
+	// /debug/queries. Daemon flags tune it via Telemetry().
 	telemetry = obs.NewQueryTelemetry(obs.QueryTelemetryConfig{
 		Latency:       mLatency,
 		SLOViolations: mSLOViolations,
@@ -59,10 +59,7 @@ var (
 			daemon.KindBad.String():    obs.Default().Counter(obs.Label("whoisd_queries_total", "type", "bad")),
 		},
 		Outcomes: map[string]*obs.Counter{daemon.OutcomeNoMatch: obs.Default().Counter("whoisd_no_match_total")},
-		BySnapshot: func(version string) *obs.Counter {
-			return obs.Default().Counter(obs.Label("whoisd_queries_by_snapshot_total", "version", version))
-		},
-		Logger: logger,
+		Logger:   logger,
 	})
 )
 
@@ -113,7 +110,7 @@ func NewStatic(ds *prefix2org.Dataset) *Server {
 // Start listens on addr ("127.0.0.1:0" for an ephemeral port) and serves
 // until Close. It returns the bound address.
 func (s *Server) Start(addr string) (string, error) {
-	return s.lis.Listen(addr, mAcceptErrors, logger, s.handle)
+	return s.lis.Listen(addr, mAcceptErrors, mServeErrors, logger, s.handle)
 }
 
 // Close stops the listener and waits for in-flight queries.
