@@ -13,7 +13,7 @@ import (
 	"github.com/prefix2org/prefix2org/internal/synth"
 )
 
-// Golden digests, captured on the commit before internal/radix left the
+// Golden digests, captured on the commit before the radix tree left the
 // build path. They pin output across commits — the determinism and
 // delta ≡ full tests only ever compare a commit with itself. A change
 // that moves either one changes what every consumer of the synthetic

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
 	"net/netip"
@@ -17,6 +18,30 @@ import (
 )
 
 func mp(s string) netip.Prefix { return netx.MustParse(s) }
+
+// ReadMRT parses a snapshot written by WriteMRT into an entry slice:
+// StreamMRT materialized, for the round-trip tests and fuzz targets.
+func ReadMRT(r io.Reader) ([]Entry, error) {
+	var entries []Entry
+	// AS paths are carved out of a shared arena: one allocation per
+	// growth step instead of one per entry. A grown arena leaves earlier
+	// paths pointing at the old backing array, which stays valid.
+	var arena []uint32
+	err := StreamMRT(r, func(e Entry) error {
+		start := len(arena)
+		arena = append(arena, e.ASPath...)
+		e.ASPath = arena[start:len(arena):len(arena)]
+		entries = append(entries, e)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if entries == nil {
+		entries = []Entry{}
+	}
+	return entries, nil
+}
 
 func TestCollectorApplyAndWithdraw(t *testing.T) {
 	c := NewCollector("rv-test")

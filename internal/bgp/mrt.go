@@ -99,29 +99,6 @@ func WriteMRT(w io.Writer, entries []Entry) error {
 	return bw.Flush()
 }
 
-// ReadMRT parses a snapshot written by WriteMRT.
-func ReadMRT(r io.Reader) ([]Entry, error) {
-	var entries []Entry
-	// AS paths are carved out of a shared arena: one allocation per
-	// growth step instead of one per entry. A grown arena leaves earlier
-	// paths pointing at the old backing array, which stays valid.
-	var arena []uint32
-	err := StreamMRT(r, func(e Entry) error {
-		start := len(arena)
-		arena = append(arena, e.ASPath...)
-		e.ASPath = arena[start:len(arena):len(arena)]
-		entries = append(entries, e)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if entries == nil {
-		entries = []Entry{}
-	}
-	return entries, nil
-}
-
 // StreamMRT parses a snapshot written by WriteMRT, invoking yield once
 // per RIB entry without materializing the entry slice — the path
 // consumers like LoadDir use to aggregate straight into a Table. The

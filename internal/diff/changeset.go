@@ -3,7 +3,6 @@ package diff
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/netip"
 	"sort"
@@ -39,28 +38,6 @@ type OrgChange struct {
 type Changeset struct {
 	Prefixes []PrefixChange
 	Orgs     []OrgChange
-}
-
-// Empty reports a changeset with no record- or org-level differences.
-func (c *Changeset) Empty() bool {
-	return len(c.Prefixes) == 0 && len(c.Orgs) == 0
-}
-
-// Summary renders a one-line overview for reload logs.
-func (c *Changeset) Summary() string {
-	var added, removed, changed int
-	for _, p := range c.Prefixes {
-		switch p.Change {
-		case "added":
-			added++
-		case "removed":
-			removed++
-		default:
-			changed++
-		}
-	}
-	return fmt.Sprintf("+%d ~%d -%d prefixes, %d org changes",
-		added, changed, removed, len(c.Orgs))
 }
 
 // recordsEqual compares every field a snapshot serializes for one

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -10,43 +11,36 @@ import (
 )
 
 // One shared environment: Setup is the expensive part and every
-// experiment is read-only over it.
+// experiment is read-only over it. Its data directory outlives every
+// test that reads it; TestMain removes it.
 var (
 	envOnce sync.Once
+	envDir  string
 	envVal  *Env
 	envErr  error
 )
 
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if envDir != "" {
+		os.RemoveAll(envDir)
+	}
+	os.Exit(code)
+}
+
 func testEnv(t *testing.T) *Env {
 	t.Helper()
 	envOnce.Do(func() {
-		dir, err := tempDir()
-		if err != nil {
-			envErr = err
+		envDir, envErr = os.MkdirTemp("", "p2o-exp-test")
+		if envErr != nil {
 			return
 		}
-		envVal, envErr = Setup(context.Background(), synth.SmallConfig(), dir)
+		envVal, envErr = Setup(context.Background(), synth.SmallConfig(), envDir)
 	})
 	if envErr != nil {
 		t.Fatal(envErr)
 	}
 	return envVal
-}
-
-var tempDirOnce struct {
-	sync.Once
-	dir string
-	err error
-}
-
-func tempDir() (string, error) {
-	tempDirOnce.Do(func() {
-		// testing.T.TempDir is per-test; the shared env needs one that
-		// outlives individual tests. Use MkdirTemp via testing.Main's
-		// process lifetime (cleaned by the OS).
-		tempDirOnce.dir, tempDirOnce.err = mkTemp()
-	})
-	return tempDirOnce.dir, tempDirOnce.err
 }
 
 func TestTable1Static(t *testing.T) {
@@ -374,11 +368,7 @@ func TestCrossCheckConsistency(t *testing.T) {
 func TestLongitudinalSeries(t *testing.T) {
 	// A private env: Longitudinal evolves the world in place, which would
 	// poison the shared environment for other tests.
-	dir, err := mkTemp()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := Setup(context.Background(), synth.SmallConfig(), dir)
+	env, err := Setup(context.Background(), synth.SmallConfig(), t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"net/netip"
 	"net/url"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,11 +50,13 @@ func datasetErr() (*prefix2org.Dataset, error) {
 			dsErr = err
 			return
 		}
-		dir, err := mkTemp()
+		dir, err := os.MkdirTemp("", "p2o-httpd-test")
 		if err != nil {
 			dsErr = err
 			return
 		}
+		// The Dataset is not incremental: nothing reads dir after the build.
+		defer os.RemoveAll(dir)
 		if err := w.WriteDir(dir); err != nil {
 			dsErr = err
 			return

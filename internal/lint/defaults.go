@@ -56,8 +56,7 @@ func DefaultConfig(modPath string) *Config {
 		"internal/validate",
 		"internal/lint",
 	}
-	// Leaf utilities: no module-internal imports at all (radix, the
-	// test oracle, is one level up — it may use netx).
+	// Leaf utilities: no module-internal imports at all.
 	leafDeny := []string{""} // the root package...
 	for _, p := range []string{
 		"internal/alloc", "internal/as2org", "internal/bgp", "internal/casestudy",
@@ -65,7 +64,7 @@ func DefaultConfig(modPath string) *Config {
 		"internal/delegated", "internal/diff", "internal/dsu",
 		"internal/experiments", "internal/fsx", "internal/httpd", "internal/intern", "internal/jsonl", "internal/leasing",
 		"internal/lint", "internal/lpm", "internal/names", "internal/netx", "internal/obs",
-		"internal/radix", "internal/report", "internal/retry", "internal/rpki",
+		"internal/report", "internal/retry", "internal/rpki",
 		"internal/rtr", "internal/store", "internal/synth", "internal/validate",
 		"internal/whois", "internal/whoisd",
 	} {
@@ -86,7 +85,6 @@ func DefaultConfig(modPath string) *Config {
 		"internal/names":     servingAndAbove,
 		"internal/cluster":   servingAndAbove,
 		"internal/synth":     servingAndAbove,
-		"internal/radix":     servingAndAbove,
 		"internal/diff":      servingAndAbove,
 		// Leaf utilities import nothing module-internal.
 		"internal/netx":   leafDeny,
@@ -112,11 +110,6 @@ func DefaultConfig(modPath string) *Config {
 		"internal/whoisd": {"internal/diff"},
 		// The linter analyzes everything and depends on nothing.
 		"internal/lint": leafDeny,
-		// One LPM: internal/radix is the reference implementation the
-		// lpm, rpki and root tests compare against, and nothing else.
-		// No package — commands and bench included — may
-		// build on it.
-		"*": {"internal/radix"},
 	}
 
 	return &Config{

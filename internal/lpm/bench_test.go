@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/prefix2org/prefix2org/internal/lpm"
-	"github.com/prefix2org/prefix2org/internal/radix"
 )
 
 func benchWorld(n int) ([]netip.Prefix, []netip.Addr) {
@@ -33,22 +32,6 @@ func BenchmarkFrozenLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Lookup(addrs[i%len(addrs)])
-	}
-}
-
-// BenchmarkRadixLookup is the pointer-chasing baseline the frozen
-// index replaces, over the identical prefix set and query mix.
-func BenchmarkRadixLookup(b *testing.B) {
-	prefixes, addrs := benchWorld(100000)
-	tree := radix.New[int32]()
-	for i, p := range prefixes {
-		tree.Insert(p, int32(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := addrs[i%len(addrs)]
-		tree.LongestMatch(netip.PrefixFrom(a, a.BitLen()))
 	}
 }
 

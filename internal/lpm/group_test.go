@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"github.com/prefix2org/prefix2org/internal/lpm"
-	"github.com/prefix2org/prefix2org/internal/radix"
+	"github.com/prefix2org/prefix2org/internal/netx"
 )
 
 // tagged is one grouped item: a (possibly unmasked) prefix and the
@@ -39,48 +39,51 @@ func randomTagged(rng *rand.Rand, n int) []tagged {
 	return items
 }
 
-// TestGroupEquivalenceWithRadix pins Group to the loop it replaced:
-// cur, _ := t.Get(p); t.Insert(p, append(cur, v)) over the items in
-// order. Same groups, same members, same within-group order (input
-// order — resolveOwnership's stable sort depends on it), group ids in
+// TestGroupEquivalenceWithBruteForce pins Group to its definition:
+// the items bucketed by masked prefix, in input order. Same groups,
+// same members, same within-group order (input order —
+// resolveOwnership's stable sort depends on it), group ids in
 // canonical prefix order.
-func TestGroupEquivalenceWithRadix(t *testing.T) {
+func TestGroupEquivalenceWithBruteForce(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		items := randomTagged(rng, 3000)
-		tree := radix.New[[]tagged]()
+		want := ref[[]tagged]{}
+		var keys []netip.Prefix
 		for _, it := range items {
-			cur, _ := tree.Get(it.p)
-			tree.Insert(it.p, append(cur, it))
+			p := it.p.Masked()
+			if _, ok := want[p]; !ok {
+				keys = append(keys, p)
+			}
+			want[p] = append(want[p], it)
 		}
+		netx.Sort(keys)
 		before := slices.Clone(items)
 		g := lpm.Group(items, func(it *tagged) netip.Prefix { return it.p })
 		if !slices.Equal(items, before) {
 			t.Fatal("Group modified its input")
 		}
-		if g.Index().Len() != tree.Len() {
-			t.Fatalf("seed %d: %d groups, radix has %d", seed, g.Index().Len(), tree.Len())
+		if g.Index().Len() != len(keys) {
+			t.Fatalf("seed %d: %d groups, reference has %d", seed, g.Index().Len(), len(keys))
 		}
-		// Walk order is canonical order on both sides; ids count up.
-		want := tree.Entries()
+		// Walk order is canonical order; ids count up.
 		i := 0
 		g.Index().Walk(func(p netip.Prefix, id int32) bool {
-			if p != want[i].Prefix || int(id) != i {
-				t.Fatalf("seed %d: group %d = %s (id %d), radix has %s", seed, i, p, id, want[i].Prefix)
+			if p != keys[i] || int(id) != i {
+				t.Fatalf("seed %d: group %d = %s (id %d), reference has %s", seed, i, p, id, keys[i])
 			}
-			if !slices.Equal(g.At(id), want[i].Value) {
-				t.Fatalf("seed %d: group %s = %v, radix has %v", seed, p, g.At(id), want[i].Value)
+			if !slices.Equal(g.At(id), want[p]) {
+				t.Fatalf("seed %d: group %s = %v, reference has %v", seed, p, g.At(id), want[p])
 			}
 			i++
 			return true
 		})
-		// Get ≡ radix Get, on stored prefixes (masked or not) and on
-		// prefixes that are only covered.
+		// Get is the exact-prefix bucket, on stored prefixes (masked or
+		// not) and on prefixes that are only covered.
 		for _, it := range items[:500] {
 			for _, q := range []netip.Prefix{it.p, netip.PrefixFrom(it.p.Addr(), it.p.Addr().BitLen())} {
-				wantV, _ := tree.Get(q)
-				if got := g.Get(q); !slices.Equal(got, wantV) {
-					t.Fatalf("seed %d: Get(%s) = %v, radix has %v", seed, q, got, wantV)
+				if got := g.Get(q); !slices.Equal(got, want[q.Masked()]) {
+					t.Fatalf("seed %d: Get(%s) = %v, reference has %v", seed, q, got, want[q.Masked()])
 				}
 			}
 		}
@@ -105,16 +108,17 @@ func TestGroupEdges(t *testing.T) {
 	}
 }
 
-// TestWalkCoveredEquivalenceWithRadix: the covered-range walk visits
-// exactly what radix.WalkCovered visits, in the same order, for stored,
-// unstored, unmasked and invalid query prefixes, and stops when told.
-func TestWalkCoveredEquivalenceWithRadix(t *testing.T) {
+// TestWalkCoveredEquivalenceWithBruteForce: the covered-range walk
+// visits exactly the stored prefixes inside the query, in canonical
+// order, for stored, unstored, unmasked and invalid query prefixes,
+// and stops when told.
+func TestWalkCoveredEquivalenceWithBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	world := randomWorld(rng, 4000)
-	tree := radix.New[int32]()
+	vals := ref[int32]{}
 	items := make([]lpm.Item, len(world))
 	for i, p := range world {
-		tree.Insert(p, int32(i))
+		vals[p] = int32(i)
 		items[i] = lpm.Item{Prefix: p, Val: int32(i)}
 	}
 	ix := lpm.Freeze(items)
@@ -141,18 +145,15 @@ func TestWalkCoveredEquivalenceWithRadix(t *testing.T) {
 	}
 	for _, q := range queries {
 		var want, got []visit
-		if q.IsValid() { // the oracle has no answer for an invalid prefix
-			tree.WalkCovered(q, func(e radix.Entry[int32]) bool {
-				want = append(want, visit{e.Prefix, e.Value})
-				return true
-			})
+		for _, p := range covered(world, q) {
+			want = append(want, visit{p, vals[p]})
 		}
 		ix.WalkCovered(q, func(p netip.Prefix, v int32) bool {
 			got = append(got, visit{p, v})
 			return true
 		})
 		if !slices.Equal(got, want) {
-			t.Fatalf("WalkCovered(%s) = %v, radix visits %v", q, got, want)
+			t.Fatalf("WalkCovered(%s) = %v, reference has %v", q, got, want)
 		}
 		if len(want) > 1 {
 			n := 0

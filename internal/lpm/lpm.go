@@ -324,9 +324,9 @@ func (m Match) Parent() (Match, bool) {
 }
 
 // CoveringInto appends the values of every indexed prefix containing p
-// to buf, ordered least specific first (the radix CoveringChain
-// order), and returns the extended buffer. With cap(buf) large enough
-// it performs no heap allocations.
+// to buf, least specific first — from the top of the delegation tree
+// down to the longest match — and returns the extended buffer. With
+// cap(buf) large enough it performs no heap allocations.
 //
 //p2o:hotpath
 func (ix *Index) CoveringInto(p netip.Prefix, buf []int32) []int32 {

@@ -3,10 +3,11 @@ package lpm_test
 import (
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"github.com/prefix2org/prefix2org/internal/lpm"
-	"github.com/prefix2org/prefix2org/internal/radix"
+	"github.com/prefix2org/prefix2org/internal/netx"
 )
 
 func mustPrefix(t *testing.T, s string) netip.Prefix {
@@ -136,21 +137,62 @@ func randomWorld(rng *rand.Rand, n int) []netip.Prefix {
 	return out
 }
 
-// TestEquivalenceWithRadix is the property test: on a random synthetic
-// world, the frozen index must answer longest-prefix-match and
-// covering-chain queries exactly like the generic radix tree.
-func TestEquivalenceWithRadix(t *testing.T) {
+// ref is the brute-force oracle the index is checked against: the
+// masked items, keyed by prefix.
+type ref[V any] map[netip.Prefix]V
+
+// chain returns the stored prefixes containing q, least specific
+// first: the covering chain by its definition, probed at every prefix
+// length from q's own down to 0. An invalid q has no chain.
+func (r ref[V]) chain(q netip.Prefix) []netip.Prefix {
+	var out []netip.Prefix
+	for b := q.Bits(); b >= 0; b-- {
+		p := netip.PrefixFrom(q.Addr(), b).Masked()
+		if _, ok := r[p]; ok {
+			out = append(out, p)
+		}
+	}
+	slices.Reverse(out)
+	return out
+}
+
+// covered returns the prefixes of items that q contains, in canonical
+// order: a filter of the item list, with no index.
+func covered(items []netip.Prefix, q netip.Prefix) []netip.Prefix {
+	q = q.Masked()
+	var out []netip.Prefix
+	for _, p := range items {
+		if netx.Contains(q, p) {
+			out = append(out, p)
+		}
+	}
+	netx.Sort(out)
+	return out
+}
+
+// TestEquivalenceWithBruteForce is the property test: on a random
+// synthetic world, the frozen index and its zero-copy view answer
+// longest-prefix-match and covering-chain queries — Lookup,
+// LookupPrefix, CoveringInto and the Match/Parent walk — exactly as
+// the brute-force reference does.
+func TestEquivalenceWithBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	prefixes := randomWorld(rng, 4000)
-	tree := radix.New[int32]()
+	want := ref[int32]{}
 	items := make([]lpm.Item, 0, len(prefixes))
 	for i, p := range prefixes {
-		tree.Insert(p, int32(i))
+		want[p] = int32(i)
 		items = append(items, lpm.Item{Prefix: p, Val: int32(i)})
 	}
-	ix := lpm.Freeze(items)
-	if ix.Len() != tree.Len() {
-		t.Fatalf("Len = %d, radix has %d", ix.Len(), tree.Len())
+	frozen := lpm.Freeze(items)
+	indexes := []struct {
+		name string
+		ix   *lpm.Index
+	}{{"index", frozen}, {"view", viewOf(t, frozen)}}
+	for _, x := range indexes {
+		if x.ix.Len() != len(want) {
+			t.Fatalf("%s: Len = %d, reference has %d", x.name, x.ix.Len(), len(want))
+		}
 	}
 
 	randAddr := func() netip.Addr {
@@ -168,11 +210,12 @@ func TestEquivalenceWithRadix(t *testing.T) {
 
 	for trial := 0; trial < 20000; trial++ {
 		a := randAddr()
-		q := netip.PrefixFrom(a, a.BitLen())
-		wantE, wantOK := tree.LongestMatch(q)
-		got, ok := ix.Lookup(a)
-		if ok != wantOK || (ok && got != wantE.Value) {
-			t.Fatalf("Lookup(%s) = %d,%v; radix says %d,%v", a, got, ok, wantE.Value, wantOK)
+		chain := want.chain(netip.PrefixFrom(a, a.BitLen()))
+		for _, x := range indexes {
+			got, ok := x.ix.Lookup(a)
+			if ok != (len(chain) > 0) || ok && got != want[chain[len(chain)-1]] {
+				t.Fatalf("%s: Lookup(%s) = %d,%v; reference chain %v", x.name, a, got, ok, chain)
+			}
 		}
 	}
 	// Prefix queries at random lengths, including the stored prefixes
@@ -185,19 +228,31 @@ func TestEquivalenceWithRadix(t *testing.T) {
 			a := randAddr()
 			q = netip.PrefixFrom(a, rng.Intn(a.BitLen()+1)).Masked()
 		}
-		wantE, wantOK := tree.LongestMatch(q)
-		got, ok := ix.LookupPrefix(q)
-		if ok != wantOK || (ok && got != wantE.Value) {
-			t.Fatalf("LookupPrefix(%s) = %d,%v; radix says %d,%v", q, got, ok, wantE.Value, wantOK)
-		}
-		wantChain := tree.CoveringChain(q)
-		gotChain := ix.CoveringInto(q, nil)
-		if len(wantChain) != len(gotChain) {
-			t.Fatalf("CoveringInto(%s) = %v; radix chain has %d entries", q, gotChain, len(wantChain))
-		}
-		for i := range wantChain {
-			if wantChain[i].Value != gotChain[i] {
-				t.Fatalf("CoveringInto(%s)[%d] = %d, radix says %d", q, i, gotChain[i], wantChain[i].Value)
+		chain := want.chain(q)
+		for _, x := range indexes {
+			got, ok := x.ix.LookupPrefix(q)
+			if ok != (len(chain) > 0) || ok && got != want[chain[len(chain)-1]] {
+				t.Fatalf("%s: LookupPrefix(%s) = %d,%v; reference chain %v", x.name, q, got, ok, chain)
+			}
+			gotChain := x.ix.CoveringInto(q, nil)
+			if len(gotChain) != len(chain) {
+				t.Fatalf("%s: CoveringInto(%s) = %v; reference chain %v", x.name, q, gotChain, chain)
+			}
+			for i, p := range chain {
+				if gotChain[i] != want[p] {
+					t.Fatalf("%s: CoveringInto(%s)[%d] = %d, reference has %s = %d", x.name, q, i, gotChain[i], p, want[p])
+				}
+			}
+			// Match and Parent step down the chain, most specific first.
+			i := len(chain) - 1
+			for m, ok := x.ix.Match(q); ok; m, ok = m.Parent() {
+				if i < 0 || m.Prefix() != chain[i] || m.Val() != want[chain[i]] {
+					t.Fatalf("%s: Match(%s) walk step %d = %s (%d); reference chain %v", x.name, q, len(chain)-1-i, m.Prefix(), m.Val(), chain)
+				}
+				i--
+			}
+			if i != -1 {
+				t.Fatalf("%s: Match(%s) walk stopped %d short of the reference chain %v", x.name, q, i+1, chain)
 			}
 		}
 	}

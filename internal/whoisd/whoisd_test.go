@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -30,11 +31,13 @@ func buildSharedDataset() {
 		dsErr = err
 		return
 	}
-	dir, err := mkTemp()
+	dir, err := os.MkdirTemp("", "p2o-whoisd-test")
 	if err != nil {
 		dsErr = err
 		return
 	}
+	// The Dataset is not incremental: nothing reads dir after the build.
+	defer os.RemoveAll(dir)
 	if err := w.WriteDir(dir); err != nil {
 		dsErr = err
 		return

@@ -67,12 +67,6 @@ type BuildTrace = obs.Trace
 
 // Options configures the pipeline.
 type Options struct {
-	// NameFreqThreshold is the corpus-frequency cutoff for the
-	// frequent-word drop in base-name cleaning. The paper uses 100 over
-	// its 81k-name WHOIS corpus. Zero selects an adaptive threshold
-	// proportional to corpus size (with a floor of 10), which preserves
-	// the paper's behaviour on smaller corpora.
-	NameFreqThreshold int
 	// JPNICWhoisAddr, when set, is the host:port of a WHOIS server used
 	// to resolve allocation types for JPNIC blocks missing from the
 	// types cache file.
@@ -117,8 +111,7 @@ type Options struct {
 // manifest covers). Workers is exempt — any worker count produces
 // identical output.
 func (o Options) deltaCompatible(next Options) bool {
-	return o.NameFreqThreshold == next.NameFreqThreshold &&
-		o.DisableRPKIClusters == next.DisableRPKIClusters &&
+	return o.DisableRPKIClusters == next.DisableRPKIClusters &&
 		o.DisableASNClusters == next.DisableASNClusters &&
 		o.DisableNameCleaning == next.DisableNameCleaning &&
 		o.JPNICWhoisAddr == "" && next.JPNICWhoisAddr == ""
@@ -425,8 +418,9 @@ func (o Options) workerCount() int {
 	return o.Workers
 }
 
-// adaptiveThreshold is the frequent-word cutoff for a corpus of n names
-// (the full multiset, duplicates included).
+// adaptiveThreshold is the corpus-frequency cutoff of base-name
+// cleaning's frequent-word drop, for a corpus of n names (the full
+// multiset, duplicates included).
 func adaptiveThreshold(n int) int {
 	// The paper's 100-occurrence cutoff over 81k names scales roughly as
 	// corpus/800; keep a floor so tiny corpora are not over-pruned.

@@ -129,15 +129,11 @@ type cleanState struct {
 // front half of the pipeline for the names it already traced.
 func cleanNames(mult map[string]int, n int, opts Options, prev *cleanState) *cleanState {
 	workers := opts.workerCount()
-	threshold := opts.NameFreqThreshold
-	if threshold == 0 {
-		threshold = adaptiveThreshold(n)
-	}
 	var prevTraced map[string]names.Steps
 	if prev != nil {
 		prevTraced = prev.traced
 	}
-	traced := names.TraceCorpus(mult, threshold, prevTraced, workers)
+	traced := names.TraceCorpus(mult, adaptiveThreshold(n), prevTraced, workers)
 	c := &cleanState{
 		mult:   mult,
 		traced: traced,
