@@ -9,16 +9,16 @@ import (
 // ctxRule enforces context discipline:
 //
 //   - context.Background()/context.TODO() may appear only in package
-//     main (cmd wiring, bench) and packages explicitly allowed by
-//     the table — everywhere else a context must be threaded from the
-//     caller so cancellation propagates through the whole pipeline;
+//     main (cmd wiring, bench) — everywhere else a context must be
+//     threaded from the caller so cancellation propagates through the
+//     whole pipeline;
 //   - in the packages listed in Config.IOCtx, an exported function
 //     that directly performs read-side I/O (opening files, dialing)
 //     must accept a context.Context as its first parameter.
 func ctxRule(m *Module, cfg *Config) []Finding {
 	var out []Finding
 	for _, p := range m.Pkgs {
-		if !p.Main && !cfg.inList(cfg.CtxAllowed, p.RelPath) {
+		if !p.Main {
 			out = append(out, ctxBackgroundFindings(m, p)...)
 		}
 		if cfg.inList(cfg.IOCtx, p.RelPath) {

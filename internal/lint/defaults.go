@@ -113,10 +113,9 @@ func DefaultConfig(modPath string) *Config {
 	}
 
 	return &Config{
-		BuildPath:  buildPath,
-		CtxAllowed: nil, // only package main may use context.Background
-		IOCtx:      ioCtx,
-		Layering:   layering,
+		BuildPath: buildPath,
+		IOCtx:     ioCtx,
+		Layering:  layering,
 		Immutable: map[string][]string{
 			// Dataset is assembled by the root build() and its Load
 			// path, then frozen; store snapshots are frozen at Swap;

@@ -23,7 +23,6 @@ func fixtureConfig(fixture, modPath string) *Config {
 		return &Config{Layering: map[string][]string{
 			"parser": {"store"},
 			"util":   {"parser", "store"},
-			"*":      {"oracle"},
 		}}
 	case "immutability":
 		return &Config{Immutable: map[string][]string{

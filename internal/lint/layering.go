@@ -3,7 +3,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"slices"
 	"strings"
 )
 
@@ -11,16 +10,13 @@ import (
 // utilities import nothing module-internal, corpus parsers sit below
 // the serving layer, and the root build package never reaches up into
 // store or the daemons. The table is a denylist: an entry forbids the
-// exact package and everything under it, and the "*" row applies to
-// every package of the module (test files are never loaded, so a
-// test-only dependency stays importable from tests).
+// exact package and everything under it.
 func layeringRule(m *Module, cfg *Config) []Finding {
 	var out []Finding
 	for _, p := range m.Pkgs {
-		denied := slices.Concat(cfg.Layering[p.RelPath], cfg.Layering["*"])
 		for _, file := range p.Files {
 			for _, spec := range file.Imports {
-				out = append(out, checkImport(m, p, spec, denied)...)
+				out = append(out, checkImport(m, p, spec, cfg.Layering[p.RelPath])...)
 			}
 		}
 	}

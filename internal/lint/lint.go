@@ -15,10 +15,11 @@
 //     only their owning packages may assign to their fields;
 //   - obs-conventions: metric names are snake_case string literals,
 //     each registered at a single call site;
-//   - pin-release: every store.Acquire() pairs with a release on all
-//     exits — deferred on the acquiring path or threaded onward
-//     explicitly — and neither the pinned snapshot nor its release
-//     func escapes into struct fields, globals, or goroutines;
+//   - pin-release: every store.Acquire() is written
+//     `snap, release := st.Acquire()` with `defer release()` as the
+//     next statement and no other use of release, and the pinned
+//     snapshot does not escape into struct fields, globals, or
+//     goroutines;
 //   - unsafe-confinement: unsafe and syscall imports are restricted to
 //     the snapshot-view internals, and blob-aliasing accessor results
 //     (RecordAt and friends) are never stored into long-lived sinks;
@@ -123,10 +124,6 @@ type Config struct {
 	// BuildPath lists packages whose output must be byte-deterministic;
 	// the determinism rule applies only here.
 	BuildPath []string
-	// CtxAllowed lists non-main packages where context.Background and
-	// context.TODO are permitted. Package main and test files are
-	// always exempt.
-	CtxAllowed []string
 	// IOCtx lists packages where exported functions that directly
 	// perform read-side I/O (os.Open/ReadFile/ReadDir, net.Dial...)
 	// must take a context.Context first parameter. Server starters
@@ -134,8 +131,7 @@ type Config struct {
 	// a returned closer, not a context.
 	IOCtx []string
 	// Layering maps a package to import prefixes it must not depend
-	// on. An entry denies the exact package and everything under it;
-	// the key "*" denies its imports to every package.
+	// on. An entry denies the exact package and everything under it.
 	Layering map[string][]string
 	// Immutable maps fully qualified type names ("pkgpath.Type") to
 	// the packages (relative paths) allowed to assign to their fields,

@@ -51,6 +51,16 @@ type Module struct {
 	byPath map[string]*Package
 }
 
+// sharedFset and stdImporter are shared by every LoadModule call, so the
+// standard library is type-checked from source once per process and
+// each later load reuses the importer's cached packages. The source
+// importer is not safe for concurrent use, and so neither is
+// LoadModule.
+var (
+	sharedFset  = token.NewFileSet()
+	stdImporter = importer.ForCompiler(sharedFset, "source", nil)
+)
+
 // LoadModule discovers, parses, and type-checks every non-test package
 // under root (skipping testdata, vendor, and hidden directories) the
 // same way for the real module and for fixture modules. Standard
@@ -71,7 +81,7 @@ func LoadModule(root string) (*Module, error) {
 	// type-check without invoking the cgo tool.
 	build.Default.CgoEnabled = false
 
-	m := &Module{Path: modPath, Root: absRoot, Fset: token.NewFileSet(), byPath: map[string]*Package{}}
+	m := &Module{Path: modPath, Root: absRoot, Fset: sharedFset, byPath: map[string]*Package{}}
 	raw, err := m.parseTree()
 	if err != nil {
 		return nil, err
@@ -80,8 +90,7 @@ func LoadModule(root string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	std := importer.ForCompiler(m.Fset, "source", nil)
-	imp := &moduleImporter{std: std, mod: map[string]*types.Package{}}
+	imp := &moduleImporter{std: stdImporter, mod: map[string]*types.Package{}}
 	for _, rp := range order {
 		p := &Package{
 			ImportPath: rp.importPath,

@@ -5,22 +5,27 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // pinReleaseRule enforces the snapshot pin lifecycle around the store's
 // Acquire API: a handler that pins a snapshot must release it on every
-// exit, and neither the pinned snapshot nor its release func may leak
-// into state that outlives the request. A leaked pin keeps a
-// swapped-out snapshot's mmap alive forever; a leaked alias dangles
-// once the mapping closes. The runtime backstop is the mapping-lifetime
-// e2e test; this pass catches the bug at `make verify` time.
+// exit, and the pinned snapshot may not leak into state that outlives
+// the request. A leaked pin keeps a swapped-out snapshot's mmap alive
+// forever; a leaked alias dangles once the mapping closes. The runtime
+// backstop is the mapping-lifetime e2e test; this pass catches the bug
+// at `make verify` time.
 //
-// The analysis is a lexical statement-graph approximation, not a full
-// CFG: a release discharges the pin for every return that follows it in
-// source order. That is exact for the repository's handler shape
-// (acquire, defer release, straight-line body) and deliberately strict
-// about the shapes it cannot prove — an early return before the defer,
-// a release func stored into a struct — which need an explicit
+// The release half accepts exactly one shape, the one every handler
+// writes:
+//
+//	snap, release := st.Acquire()
+//	defer release()
+//
+// with release used nowhere else in the function. A defer installed by
+// the very next statement runs on every exit, so the shape needs no
+// path analysis; anything else (an explicit release per path, a
+// release handed to a closure or a closer) needs an explicit
 // //p2olint:ignore with a reason.
 func pinReleaseRule(m *Module, cfg *Config) []Finding {
 	if cfg.Pin.StoreType == "" || cfg.Pin.Method == "" {
@@ -73,18 +78,38 @@ func checkPinSites(m *Module, p *Package, fn *ast.FuncDecl, cfg *Config) []Findi
 				cfg.Pin.Method)))
 			return
 		}
-		out = append(out, checkOnePin(m, p, fn, as, cfg)...)
+		out = append(out, checkOnePin(m, p, fn, as, nextStmt(stack, as), cfg)...)
 	})
 	return out
 }
 
-// checkOnePin audits one `snap, release := store.Acquire()` site.
-func checkOnePin(m *Module, p *Package, fn *ast.FuncDecl, as *ast.AssignStmt, cfg *Config) []Finding {
+// nextStmt returns the statement that follows as in its enclosing
+// statement list, or nil when as is the last one or sits outside a list
+// (an if or switch init).
+func nextStmt(stack []ast.Node, as *ast.AssignStmt) ast.Stmt {
+	var list []ast.Stmt
+	switch b := stack[slices.Index(stack, ast.Node(as))-1].(type) {
+	case *ast.BlockStmt:
+		list = b.List
+	case *ast.CaseClause:
+		list = b.Body
+	case *ast.CommClause:
+		list = b.Body
+	}
+	if i := slices.Index(list, ast.Stmt(as)); i >= 0 && i+1 < len(list) {
+		return list[i+1]
+	}
+	return nil
+}
+
+// checkOnePin audits one `snap, release := store.Acquire()` site whose
+// following statement is next.
+func checkOnePin(m *Module, p *Package, fn *ast.FuncDecl, as *ast.AssignStmt, next ast.Stmt, cfg *Config) []Finding {
 	snapID, ok1 := as.Lhs[0].(*ast.Ident)
 	relID, ok2 := as.Lhs[1].(*ast.Ident)
-	if !ok1 || !ok2 {
+	if !ok1 || !ok2 || as.Tok != token.DEFINE {
 		return []Finding{m.finding(as.Pos(), RulePin, fmt.Sprintf(
-			"results of %s must be assigned to plain variables, not fields or elements",
+			"results of %s must be declared with := into plain variables, not assigned to existing ones, fields or elements",
 			cfg.Pin.Method))}
 	}
 	if relID.Name == "_" {
@@ -101,179 +126,58 @@ func checkOnePin(m *Module, p *Package, fn *ast.FuncDecl, as *ast.AssignStmt, cf
 		snapObj = p.Info.ObjectOf(snapID)
 	}
 
-	u := classifyPinUses(p, fn, relID, snapID, relObj, snapObj)
 	var out []Finding
-	for _, esc := range u.escapes {
-		out = append(out, m.finding(esc.pos, RulePin, esc.msg))
+	var deferID *ast.Ident
+	if d, ok := next.(*ast.DeferStmt); ok && len(d.Call.Args) == 0 {
+		deferID, _ = ast.Unparen(d.Call.Fun).(*ast.Ident)
 	}
-	if len(u.escapes) > 0 {
-		// An escaped pin manages its own lifetime; flagging its exits
-		// too would bury the real finding in cascades. The escape
-		// finding (or its ignore annotation) owns the contract now.
-		return out
+	deferred := deferID != nil && p.Info.ObjectOf(deferID) == relObj
+	if !deferred {
+		out = append(out, m.finding(as.Pos(), RulePin, fmt.Sprintf(
+			"the statement after %s must be `defer %s()`; no other shape is checked to release the snapshot pin (and its mmap) on every exit",
+			cfg.Pin.Method, relID.Name)))
 	}
-	returns := returnsIn(fn.Body)
-	switch {
-	case len(u.deferPos) > 0:
-		// Deferred release covers every exit after the defer runs; only
-		// returns squeezed between the acquire and the defer leak.
-		first := minPos(u.deferPos)
-		for _, ret := range returns {
-			if ret > as.End() && ret < first {
-				out = append(out, m.finding(ret, RulePin,
-					"return exits before the release of the snapshot pin is deferred"))
-			}
-		}
-	case len(u.dischargePos) > 0:
-		first := minPos(u.dischargePos)
-		for _, ret := range returns {
-			if ret > as.End() && ret < first {
-				out = append(out, m.finding(ret, RulePin,
-					"return exits without releasing the snapshot pin"))
-			}
-		}
-	default:
-		out = append(out, m.finding(as.Pos(), RulePin,
-			"release func is never invoked; the snapshot pin (and its mmap) leaks"))
-	}
-	return out
-}
-
-// pinEscape is one use of a pin that moves it out of the acquiring
-// function's control.
-type pinEscape struct {
-	pos token.Pos
-	msg string
-}
-
-// pinUses classifies every use of the release func and the pinned
-// snapshot inside the acquiring function.
-type pinUses struct {
-	// deferPos are `defer release()` sites (directly or via an
-	// immediately deferred closure).
-	deferPos []token.Pos
-	// dischargePos are sites that discharge the release obligation on
-	// the path: a plain release() call, the func threaded into another
-	// call (a Closer), or returned to the caller.
-	dischargePos []token.Pos
-	escapes      []pinEscape
-}
-
-func classifyPinUses(p *Package, fn *ast.FuncDecl, relID, snapID *ast.Ident, relObj, snapObj types.Object) pinUses {
-	var u pinUses
 	walkStack(fn.Body, func(n ast.Node, stack []ast.Node) {
 		id, ok := n.(*ast.Ident)
 		if !ok || id == relID || id == snapID {
 			return
 		}
-		switch p.Info.ObjectOf(id) {
-		case relObj:
-			u.classifyRelease(p, id, stack)
-		case snapObj:
-			if snapObj != nil {
-				u.classifySnapshot(p, id, stack)
-			}
+		switch obj := p.Info.ObjectOf(id); {
+		case obj == relObj && deferred && id != deferID:
+			// Past a missing defer every further use is a cascade of
+			// the one finding above.
+			out = append(out, m.finding(id.Pos(), RulePin, fmt.Sprintf(
+				"%s is used again after `defer %s()`; the defer must be the pin's only release",
+				relID.Name, relID.Name)))
+		case obj == snapObj && snapObj != nil:
+			out = append(out, snapshotEscapes(m, p, id, stack)...)
 		}
 	})
-	return u
+	return out
 }
 
-// classifyRelease sorts one use of the release func into defer /
-// discharge / escape.
-func (u *pinUses) classifyRelease(p *Package, id *ast.Ident, stack []ast.Node) {
-	parent := parentNode(stack)
-	if call, ok := parent.(*ast.CallExpr); ok && ast.Unparen(call.Fun) == id {
-		// release() invoked. Deferred, in a goroutine, inside a
-		// closure, or plain — the enclosing context decides.
-		switch encl := enclosingLitContext(stack); encl {
-		case litNone:
-			// The call's own parent: walk past the call (and any parens
-			// between it and the ident) on the ancestor stack.
-			idx := len(stack) - 1
-			for idx >= 0 && stack[idx] != ast.Node(call) {
-				idx--
-			}
-			above := parentNode(stack[:idx])
-			switch above.(type) {
-			case *ast.DeferStmt:
-				u.deferPos = append(u.deferPos, id.Pos())
-			case *ast.GoStmt:
-				u.escapes = append(u.escapes, pinEscape{id.Pos(),
-					"release func escapes into a goroutine; release on the acquiring path or annotate the handoff"})
-			default:
-				u.dischargePos = append(u.dischargePos, id.Pos())
-			}
-		case litDeferred:
-			u.deferPos = append(u.deferPos, id.Pos())
-		case litGoroutine:
-			u.escapes = append(u.escapes, pinEscape{id.Pos(),
-				"release func escapes into a goroutine; release on the acquiring path or annotate the handoff"})
-		default:
-			u.escapes = append(u.escapes, pinEscape{id.Pos(),
-				"release func escapes into a closure; release on the acquiring path or annotate the handoff"})
-		}
-		return
-	}
-	if stackHasGo(stack) {
-		u.escapes = append(u.escapes, pinEscape{id.Pos(),
-			"release func escapes into a goroutine; release on the acquiring path or annotate the handoff"})
-		return
-	}
-	switch parent := parent.(type) {
-	case *ast.CallExpr:
-		// Threaded into another call — the httpd/bulk Closer shape. The
-		// callee owns the obligation; lexically this discharges it.
-		u.dischargePos = append(u.dischargePos, id.Pos())
-	case *ast.ReturnStmt:
-		// Returned: the caller inherits the pin.
-		u.dischargePos = append(u.dischargePos, id.Pos())
-	case *ast.AssignStmt:
-		lhs := assignLHS(parent, id)
-		if bid, ok := ast.Unparen(lhs).(*ast.Ident); ok && bid.Name == "_" {
-			return // `_ = release` neither releases nor escapes
-		}
-		if sink := sinkName(p, lhs); sink != "" {
-			u.escapes = append(u.escapes, pinEscape{id.Pos(), fmt.Sprintf(
-				"release func escapes into %s; release on the acquiring path or annotate the handoff", sink)})
-		} else {
-			u.escapes = append(u.escapes, pinEscape{id.Pos(),
-				"release func is aliased to another variable; call the func Acquire returned directly"})
-		}
-	case *ast.KeyValueExpr, *ast.CompositeLit:
-		u.escapes = append(u.escapes, pinEscape{id.Pos(),
-			"release func escapes into a composite literal; release on the acquiring path or annotate the handoff"})
-	case *ast.SendStmt:
-		u.escapes = append(u.escapes, pinEscape{id.Pos(),
-			"release func escapes into a channel send; release on the acquiring path or annotate the handoff"})
-	default:
-		u.escapes = append(u.escapes, pinEscape{id.Pos(),
-			"release func escapes from the acquiring statement; release on the acquiring path or annotate the handoff"})
-	}
-}
-
-// classifySnapshot flags uses that move the pinned snapshot into state
+// snapshotEscapes flags uses that move the pinned snapshot into state
 // outliving the request: struct fields, globals, composite literals,
 // channels, goroutines. Reads (selectors, call arguments, returns) are
 // the normal serving shape and pass.
-func (u *pinUses) classifySnapshot(p *Package, id *ast.Ident, stack []ast.Node) {
-	if stackHasGo(stack) {
-		u.escapes = append(u.escapes, pinEscape{id.Pos(),
-			"pinned snapshot escapes into a goroutine; a pin is request-scoped (release governs the mapping lifetime)"})
-		return
-	}
+func snapshotEscapes(m *Module, p *Package, id *ast.Ident, stack []ast.Node) []Finding {
+	const why = "; a pin is request-scoped (release governs the mapping lifetime)"
+	sink := ""
 	switch parent := parentNode(stack).(type) {
 	case *ast.AssignStmt:
-		if sink := sinkName(p, assignLHS(parent, id)); sink != "" {
-			u.escapes = append(u.escapes, pinEscape{id.Pos(), fmt.Sprintf(
-				"pinned snapshot escapes into %s; a pin is request-scoped (release governs the mapping lifetime)", sink)})
-		}
+		sink = sinkName(p, assignLHS(parent, id))
 	case *ast.KeyValueExpr, *ast.CompositeLit:
-		u.escapes = append(u.escapes, pinEscape{id.Pos(),
-			"pinned snapshot escapes into a composite literal; a pin is request-scoped (release governs the mapping lifetime)"})
+		sink = "a composite literal"
 	case *ast.SendStmt:
-		u.escapes = append(u.escapes, pinEscape{id.Pos(),
-			"pinned snapshot escapes into a channel send; a pin is request-scoped (release governs the mapping lifetime)"})
+		sink = "a channel send"
 	}
+	if stackHasGo(stack) {
+		sink = "a goroutine"
+	}
+	if sink == "" {
+		return nil
+	}
+	return []Finding{m.finding(id.Pos(), RulePin, "pinned snapshot escapes into "+sink+why)}
 }
 
 // assignLHS matches id's RHS slot to its LHS counterpart; on a shape
@@ -307,72 +211,4 @@ func sinkName(p *Package, lhs ast.Expr) string {
 		}
 	}
 	return ""
-}
-
-// litContext classifies the function literal (if any) enclosing a node.
-type litContext int
-
-const (
-	litNone     litContext = iota
-	litDeferred            // defer func() { ... }()
-	litGoroutine
-	litPlain
-)
-
-// enclosingLitContext finds the innermost FuncLit on the stack and
-// reports how it is consumed.
-func enclosingLitContext(stack []ast.Node) litContext {
-	for i := len(stack) - 1; i >= 0; i-- {
-		lit, ok := stack[i].(*ast.FuncLit)
-		if !ok {
-			continue
-		}
-		// The literal's own context: invoked directly under a defer
-		// statement, launched on a goroutine, or anything else.
-		if i >= 2 {
-			if call, ok := stack[i-1].(*ast.CallExpr); ok && ast.Unparen(call.Fun) == lit {
-				switch stack[i-2].(type) {
-				case *ast.DeferStmt:
-					return litDeferred
-				case *ast.GoStmt:
-					return litGoroutine
-				}
-			}
-		}
-		if stackHasGo(stack[:i]) {
-			return litGoroutine
-		}
-		return litPlain
-	}
-	return litNone
-}
-
-// returnsIn collects the positions of the return statements that exit
-// the function itself (returns inside nested function literals exit the
-// literal, not fn).
-func returnsIn(body *ast.BlockStmt) []token.Pos {
-	var out []token.Pos
-	walkStack(body, func(n ast.Node, stack []ast.Node) {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return
-		}
-		for _, a := range stack {
-			if _, ok := a.(*ast.FuncLit); ok {
-				return
-			}
-		}
-		out = append(out, ret.Pos())
-	})
-	return out
-}
-
-func minPos(ps []token.Pos) token.Pos {
-	min := ps[0]
-	for _, p := range ps[1:] {
-		if p < min {
-			min = p
-		}
-	}
-	return min
 }

@@ -85,8 +85,9 @@ func derefNamed(t types.Type) string {
 // walkStack traverses root in source order, invoking visit with each
 // node and the stack of its ancestors within root (outermost first, the
 // immediate parent last). The pin-release and hotpath-alloc passes need
-// ancestor context — "is this call under a defer?", "is this literal a
-// direct call argument?" — that plain ast.Inspect cannot provide.
+// ancestor context — "is this use under a go statement?", "is this
+// literal a direct call argument?" — that plain ast.Inspect cannot
+// provide.
 func walkStack(root ast.Node, visit func(n ast.Node, stack []ast.Node)) {
 	var stack []ast.Node
 	ast.Inspect(root, func(n ast.Node) bool {

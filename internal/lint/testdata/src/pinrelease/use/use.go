@@ -1,10 +1,12 @@
-// Package use exercises the pin-release rule: clean handler shapes,
-// leaked pins, and escapes of the pin or its release func.
+// Package use exercises the pin-release rule: the one accepted handler
+// shape, shapes that leak or cannot be shown to release, and escapes of
+// the pinned snapshot.
 package use
 
 import "example.com/pinrelease/store"
 
-// Deferred is clean: an immediate defer covers every exit.
+// Deferred is clean: a defer installed by the next statement covers
+// every exit.
 func Deferred(st *store.Store) int {
 	snap, release := st.Acquire()
 	defer release()
@@ -14,8 +16,8 @@ func Deferred(st *store.Store) int {
 	return snap.V
 }
 
-// DeferredClosure is clean: the release runs inside an immediately
-// deferred cleanup closure.
+// DeferredClosure is rejected: the release runs inside a deferred
+// closure, not as `defer release()`.
 func DeferredClosure(st *store.Store) int {
 	snap, release := st.Acquire()
 	defer func() {
@@ -24,7 +26,8 @@ func DeferredClosure(st *store.Store) int {
 	return snap.V
 }
 
-// Explicit is clean: a single path with the release before the return.
+// Explicit is rejected: its one path releases before the return, but
+// only a deferred release is accepted.
 func Explicit(st *store.Store) int {
 	snap, release := st.Acquire()
 	v := snap.V
@@ -78,7 +81,8 @@ type holder struct {
 }
 
 // Escapes moves both the pinned snapshot and its release func into a
-// struct that outlives the call: two findings.
+// struct that outlives the call: the snapshot escape and the missing
+// defer are two findings.
 func Escapes(st *store.Store, h *holder) {
 	snap, release := st.Acquire()
 	h.snap = snap
@@ -94,23 +98,42 @@ func Goroutine(st *store.Store) {
 	}()
 }
 
-// closer collects shutdown work; threading a release into it is the
-// sanctioned handoff shape.
+// closer collects shutdown work.
 type closer struct{ fns []func() }
 
 func (c *closer) add(f func()) { c.fns = append(c.fns, f) }
 
-// Threaded is clean: the release is passed into a call that owns the
-// shutdown from here on.
+// Threaded is rejected: the release is passed into a call that would
+// own the shutdown from here on.
 func Threaded(st *store.Store, c *closer) {
 	_, release := st.Acquire()
 	c.add(release)
 }
 
-// Annotated stores the release into a struct field — normally an
-// escape — with the documented ignore escape hatch.
+// ReleasedTwice defers the release and then calls it again: the defer
+// must be the release's only use.
+func ReleasedTwice(st *store.Store) int {
+	snap, release := st.Acquire()
+	defer release()
+	v := snap.V
+	release()
+	return v
+}
+
+// Reassigned pins into variables declared earlier: only a := into new
+// names is accepted.
+func Reassigned(st *store.Store) int {
+	var snap *store.Snapshot
+	var release func()
+	snap, release = st.Acquire()
+	defer release()
+	return snap.V
+}
+
+// Annotated stores the release into a struct field — not the accepted
+// shape — with the documented ignore escape hatch.
 func Annotated(st *store.Store, h *holder) {
-	_, release := st.Acquire()
 	//p2olint:ignore pin-release release is threaded into the holder's Close, which the caller always runs
+	_, release := st.Acquire()
 	h.release = release
 }

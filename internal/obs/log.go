@@ -92,9 +92,6 @@ func Logger(component string) *slog.Logger {
 	}})
 }
 
-// Log returns the unscoped process logger.
-func Log() *slog.Logger { return slog.New(&dynamicHandler{}) }
-
 // handlerOp replays one WithAttrs or WithGroup call onto the current
 // base handler; ops preserve interleaving order.
 type handlerOp struct {

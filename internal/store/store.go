@@ -182,10 +182,12 @@ func (s *Store) Current() *Snapshot { return s.cur.Load() }
 // reader releases.
 //
 // release is idempotent: only its first call drops the pin, so a
-// handler that releases explicitly and again via defer cannot
+// caller that releases explicitly and again via defer cannot
 // double-free the snapshot. Dropping release without calling it leaks
-// the pin (and a view-backed snapshot's mapping); the pin-release lint
-// rule flags call sites where release can escape or go uninvoked.
+// the pin (and a view-backed snapshot's mapping). Outside tests the
+// pin-release lint rule accepts one call shape, `snap, release :=
+// s.Acquire()` followed at once by `defer release()`, with release used
+// nowhere else.
 func (s *Store) Acquire() (*Snapshot, func()) {
 	for {
 		snap := s.cur.Load()

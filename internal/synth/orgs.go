@@ -78,19 +78,6 @@ type Org struct {
 	SubV4, SubV6 []netip.Prefix
 }
 
-// AllDirect returns every direct delegation of the org for one family.
-func (o *Org) AllDirect(v6 bool) []netip.Prefix {
-	var out []netip.Prefix
-	src := o.DirectV4
-	if v6 {
-		src = o.DirectV6
-	}
-	for _, ps := range src {
-		out = append(out, ps...)
-	}
-	return out
-}
-
 // HasASN reports whether the org operates at least one ASN.
 func (o *Org) HasASN() bool { return len(o.ASNs) > 0 }
 
