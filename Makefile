@@ -89,11 +89,15 @@ snapshot-compat:
 # delta-equivalence replays a synthetic world through six evolution
 # steps, then through a chain of 65 single-object edits, and asserts the
 # incremental rebuild is byte-identical to a full rebuild along the way
-# — the invariant the whole delta path rests on — and that the chain
-# re-resolves only what each edit touched (at most 2% of its
-# record-visits): a delta does work proportional to the change.
+# — the invariant the whole delta path rests on — that every step's
+# clusters and Stats equal the §5.3 reference over its records, and that
+# the chain re-resolves only what each edit touched (at most 2% of its
+# record-visits): a delta does work proportional to the change. It also
+# runs the cluster merge through 250 single edits, each merged against
+# the last result, against the same reference and a merge from nothing.
 delta-equivalence:
 	$(GO) test $(GOTESTFLAGS) -run 'TestDeltaEquivalence|TestDeltaManySmallSteps' -count=1 .
+	$(GO) test $(GOTESTFLAGS) -run 'TestMergeEditSequence' -count=1 ./internal/cluster
 
 # loc prints the line counts ROADMAP quotes as a success metric:
 # non-test Go lines of this module reachable from ./cmd/..., and the

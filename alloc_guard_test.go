@@ -189,7 +189,9 @@ var stateMembers = []struct {
 	{"bgp", func(st *buildState) { st.env.table, st.routed, st.origins = nil, nil, nil }},
 	{"certs", func(st *buildState) { st.env.certs = nil }},
 	{"asClusters", func(st *buildState) { st.env.asClusters = nil }},
-	{"clean", func(st *buildState) { st.clean = nil }},
+	{"clean", func(st *buildState) { st.fin.clean = nil }},
+	{"merge", func(st *buildState) { st.fin.merge = nil }},
+	{"stats", func(st *buildState) { st.fin.stats = nil }},
 	{"manifest", func(st *buildState) { st.manifest = nil }},
 	{"arinLegacy", func(st *buildState) { st.arinLegacy = nil }},
 }
@@ -244,4 +246,70 @@ func TestDeltaStateCeiling(t *testing.T) {
 		t.Errorf("an Incremental Dataset's delta state pins %.0f bytes per routed prefix, ceiling %d", perPrefix, deltaStateCeiling)
 	}
 	logStatePins(t, dir)
+}
+
+// deltaBytesCeiling is what one BuildDelta step allocates, in bytes per
+// routed prefix of the directory it arrives at, by step kind: the
+// synth.SmallConfig() world measures plus 15 %. The steps are the
+// reload-delta benchmark's, at this scale: routing churn alone (bgp),
+// churn in every source (whois), and both undone at once (revert).
+// When last set they measured bgp 682, whois 2266 and revert 2311
+// (940, 2682 and 2670 while every delta re-ran the cluster merge, name
+// cleaning and stats over all records). Like buildBytesCeiling they are
+// ceilings, not targets: lower them when a change lowers the figures.
+var deltaBytesCeiling = map[string]float64{"bgp": 784, "whois": 2606, "revert": 2658}
+
+// TestDeltaAllocCeiling keeps what a delta allocates proportional to
+// what it changes. Each step runs from a Dataset built once, with one
+// worker so that the figures repeat; the least of a few runs is the
+// step's own.
+func TestDeltaAllocCeiling(t *testing.T) {
+	w, err := synth.Generate(synth.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dirs [3]string
+	for i, step := range []synth.EvolveOptions{{}, {Seed: 31, OriginShifts: 20}, {Seed: 32, Transfers: 2, NewDelegations: 2, NewAdopters: 1, Acquisitions: 1}} {
+		if i > 0 {
+			if w, err = w.Evolve(step); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dirs[i] = t.TempDir()
+		if err := w.WriteDir(dirs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := Options{Workers: 1, Incremental: true}
+	var built [3]*Dataset
+	for i, dir := range dirs {
+		if built[i], err = BuildFromDir(context.Background(), dir, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, kind := range []string{"bgp", "whois", "revert"} {
+		from, to := built[i], dirs[(i+1)%3]
+		step := func() *DeltaResult {
+			res, err := BuildDelta(context.Background(), from, to, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		res := step() // warm-up
+		routed := res.Dataset.NumRecords() + res.Dataset.Stats.Unmapped
+		bytes := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			step()
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		perPrefix := float64(bytes) / float64(routed)
+		t.Logf("%s step (%d changed files, %d affected): %d bytes for %d routed prefixes, %.0f per prefix", kind, len(res.ChangedFiles), res.Affected, bytes, routed, perPrefix)
+		if perPrefix > deltaBytesCeiling[kind] {
+			t.Errorf("a %s delta allocates %.0f bytes per routed prefix, ceiling %.0f", kind, perPrefix, deltaBytesCeiling[kind])
+		}
+	}
 }

@@ -152,12 +152,12 @@ func rebuild(ctx context.Context, tr *obs.Trace, prev *Dataset, next *buildState
 		old, prevIdx, oldRecs = prev.state, prev.idx, prev.Records
 	}
 	dirty, regionIdx := dirtyRegions(old.env, env)
-	recs, mapped, idxs, removed := splice(old, next, oldRecs, regionIdx)
+	recs, mapped, from, idxs, removed := splice(old, next, oldRecs, regionIdx)
 	reused := len(routed) - len(idxs)
 	if err := resolveIndices(ctx, next, idxs, recs, mapped, workers); err != nil {
 		return nil, err
 	}
-	recs, unmapped := compactMapped(recs, mapped)
+	recs, from, unmapped := compactMapped(recs, mapped, from)
 	span.Add("routed", int64(len(routed)))
 	span.Add("specificity-filtered", int64(env.table.FilteredCount()))
 	span.Add("dirty-regions", int64(len(dirty)))
@@ -179,12 +179,17 @@ func rebuild(ctx context.Context, tr *obs.Trace, prev *Dataset, next *buildState
 		// without it.
 		*env, *next = resolveEnv{}, buildState{}
 	}
-	ds, clean, err := finish(ctx, tr, recs, unmapped, opts, old.clean, prevIdx)
+	fin := old.fin
+	if fin.stale() {
+		fin = finishState{}
+	}
+	ch := changesOf(recs, from, oldRecs, fin.merge == nil)
+	ds, fin, err := finish(ctx, tr, recs, ch, unmapped, opts, fin, prevIdx)
 	if err != nil {
 		return nil, err
 	}
 	if retain {
-		next.clean = clean
+		next.fin = fin
 		ds.state = next
 	}
 	obs.Logger("pipeline").Info(tr.Name+" complete",
@@ -220,14 +225,15 @@ func dirtyRegions(old, env *resolveEnv) ([]netip.Prefix, *lpm.Index) {
 // splice lays out the pass-1 slots of next, one per routed prefix, from
 // the build old whose mapped slots are oldRecs. It keeps the previous
 // slot of every routed prefix that existed before and whose inputs are
-// untouched, and lists in idxs the positions of everything else — newly
-// routed, origin changed, origin-ASN cluster reassigned, or inside a
-// region of regionIdx — for pass 1 to resolve. removed counts the
-// prefixes old routed and next does not.
-func splice(old, next *buildState, oldRecs []Record, regionIdx *lpm.Index) (recs []Record, mapped []bool, idxs []int, removed int) {
+// untouched, noting in from the position in oldRecs it came from (-1
+// for any other slot), and lists in idxs the positions of everything
+// else — newly routed, origin changed, origin-ASN cluster reassigned, or
+// inside a region of regionIdx — for pass 1 to resolve. removed counts
+// the prefixes old routed and next does not.
+func splice(old, next *buildState, oldRecs []Record, regionIdx *lpm.Index) (recs []Record, mapped []bool, from []int32, idxs []int, removed int) {
 	env, routed, origins := next.env, next.routed, next.origins
 	bgpChanged, as2orgChanged := env.table != old.env.table, env.asClusters != old.env.asClusters
-	recs, mapped = make([]Record, len(routed)), make([]bool, len(routed))
+	recs, mapped, from = make([]Record, len(routed)), make([]bool, len(routed)), make([]int32, len(routed))
 	common := 0
 	// Both routed lists are BGP table prefix columns, in canonical order,
 	// so one cursor into the previous list finds each prefix, and its
@@ -258,6 +264,7 @@ func splice(old, next *buildState, oldRecs []Record, regionIdx *lpm.Index) (recs
 			// containing it); LookupPrefix finds any such q.
 			_, aff = regionIdx.LookupPrefix(p)
 		}
+		from[i] = -1
 		if aff {
 			idxs = append(idxs, i)
 			continue
@@ -268,11 +275,10 @@ func splice(old, next *buildState, oldRecs []Record, regionIdx *lpm.Index) (recs
 		// A prefix that was routed but has no Record was unmapped: the
 		// zero slot.
 		if oldRec < len(oldRecs) && oldRecs[oldRec].Prefix == p {
-			recs[i], mapped[i] = oldRecs[oldRec], true
-			recs[i].FinalCluster = ""
+			recs[i], mapped[i], from[i] = oldRecs[oldRec], true, int32(oldRec)
 		}
 	}
-	return recs, mapped, idxs, len(old.routed) - common
+	return recs, mapped, from, idxs, len(old.routed) - common
 }
 
 // certDiff returns the resource prefixes of every certificate added,

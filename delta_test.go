@@ -363,8 +363,9 @@ func TestLoaderRunner(t *testing.T) {
 // one transfer, one new delegation, one revocation, one new adopter, in
 // turn — through BuildDelta, each step splicing against the state the
 // previous delta assembled. State carried across that many rebuilds must
-// not drift: every tenth step, and the last, is byte-identical to a
-// fresh full build of the same directory.
+// not drift: after every step the clusters and Stats equal the §5.3
+// reference over that step's Records, and every tenth step, and the
+// last, is byte-identical to a fresh full build of the same directory.
 //
 // It is also the gate on a delta doing work proportional to the change,
 // stated on work avoided, which no machine's speed or core count moves:
@@ -389,6 +390,7 @@ func TestDeltaManySmallSteps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildFromDir: %v", err)
 	}
+	checkReference(t, "full build", prev)
 	edits := []synth.EvolveOptions{
 		{OriginShifts: 1}, {Transfers: 1}, {NewDelegations: 1}, {Revocations: 1}, {NewAdopters: 1},
 	}
@@ -419,6 +421,7 @@ func TestDeltaManySmallSteps(t *testing.T) {
 			if res.Affected*10 > n {
 				t.Errorf("step %d (%+v): re-resolved %d of %d records, more than a tenth", i, edit, res.Affected, n)
 			}
+			checkReference(t, fmt.Sprintf("step %d (%+v)", i, edit), prev)
 		}
 		if i%10 != 0 && i != steps {
 			continue
@@ -666,7 +669,7 @@ func TestSpliceMatchesReference(t *testing.T) {
 			}
 		}
 		_, regionIdx := dirtyRegions(old.env, next.env)
-		_, _, idxs, removed := splice(old, next, prev.Records, regionIdx)
+		_, _, _, idxs, removed := splice(old, next, prev.Records, regionIdx)
 		refIdxs, refRemoved := spliceReference(old, next, regionIdx)
 		if !slices.Equal(idxs, refIdxs) || removed != refRemoved {
 			t.Errorf("%s: splice re-resolves %d prefixes and counts %d removed; the reference %d and %d",
@@ -724,13 +727,19 @@ func TestFinishCancelled(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, workers := range []int{1, 2, 8} {
-		for _, prev := range []*cleanState{nil, want.state.clean} {
+		for _, prev := range []finishState{{}, want.state.fin} {
 			opts := Options{Workers: workers}
+			// Against the built state every record is kept as it is.
+			from := make([]int32, len(want.Records))
+			for i := range from {
+				from[i] = int32(i)
+			}
 			cancelled := 0
 			for n := int32(0); ; n++ {
 				before := runtime.NumGoroutine()
 				ctx := &cancelAfter{Context: context.Background(), n: n}
-				ds, _, err := finish(ctx, obs.NewTrace("t"), slices.Clone(want.Records), want.Stats.Unmapped, opts, prev, nil)
+				ch := changesOf(want.Records, from, want.Records, prev.merge == nil)
+				ds, _, err := finish(ctx, obs.NewTrace("t"), slices.Clone(want.Records), ch, want.Stats.Unmapped, opts, prev, nil)
 				if after := runtime.NumGoroutine(); after > before {
 					t.Errorf("Workers=%d, cancelled at check %d: %d goroutines after finish returned, %d before", workers, n, after, before)
 				}
@@ -802,5 +811,57 @@ func TestDeltaStringTableSteady(t *testing.T) {
 	}
 	if got := ds.state.env.whois.Strings(); got != afterRoundTrip || got != full {
 		t.Errorf("string table: %d strings after 20 deltas, %d after the first round trip, %d in a full build", got, afterRoundTrip, full)
+	}
+}
+
+// TestDeltaNameTableBounded cycles a delta chain through three worlds
+// that share almost no names. A name's ID outlives the records that
+// named it, so each step leaves the last world's names behind; once
+// the dead outnumber the live, the next build starts its finish state
+// from empty. The table never holds more than the names of the worlds
+// it has just seen, and every step is byte-identical to a full build.
+func TestDeltaNameTableBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a chain of whole-world deltas")
+	}
+	ctx := context.Background()
+	var dirs []string
+	for seed := int64(1); seed <= 3; seed++ {
+		cfg := synth.SmallConfig()
+		cfg.Seed = seed
+		dirs = append(dirs, buildWorld(t, cfg))
+	}
+	opts := Options{Incremental: true}
+	ds, err := BuildFromDir(ctx, dirs[0], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shrank := false
+	for i := 1; i <= 7; i++ {
+		res, err := BuildDelta(ctx, ds, dirs[i%3], opts)
+		if err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+		full, err := BuildFromDir(ctx, dirs[i%3], Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snapshotBytes(t, res.Dataset), snapshotBytes(t, full)) {
+			t.Fatalf("delta %d: differs from a full build", i)
+		}
+		before, after := ds.state.fin.clean, res.Dataset.state.fin.clean
+		if len(after.ownerNames) < len(before.ownerNames) {
+			shrank = true
+		}
+		if len(after.ownerNames) > 4*after.live {
+			t.Errorf("delta %d: %d owner names held for %d in use", i, len(after.ownerNames), after.live)
+		}
+		if m := res.Dataset.state.fin.merge; len(m.keys) > 4*m.res.Keys {
+			t.Errorf("delta %d: %d keys held for %d in use", i, len(m.keys), m.res.Keys)
+		}
+		ds = res.Dataset
+	}
+	if !shrank {
+		t.Error("the name table never shrank: dead names are never dropped")
 	}
 }

@@ -1,9 +1,10 @@
 // Package cluster implements Prefix2Org's prefix aggregation (§5.3.2 and
 // §5.3.3 of the paper).
 //
-// Input: one row per routed prefix carrying the prefix's exact Direct
-// Owner name, the cleaned base name, the child-most RPKI Resource
-// Certificate identity (if any), and the origin ASN cluster (if any).
+// Input: one row per routed prefix carrying, as integer IDs its caller
+// keeps, the prefix's exact Direct Owner name, the child-most RPKI
+// Resource Certificate (if any), and the origin ASN cluster (if any);
+// and per owner its cleaned base name.
 //
 // Three families of clusters are formed:
 //
@@ -22,13 +23,26 @@
 // routing and RPKI management (Fastly, Inc. vs Fastly Network Solution)
 // stay separate.
 //
+// # Incremental merges
+//
+// Merge reruns the union-find and the R/A group counts over every row —
+// integer work — but builds a Cluster (sorted owner names, SHA-256 ID,
+// gathered prefixes) only for a component that holds an owner the
+// caller marks touched, or whose owners are not exactly those of one
+// cluster of the previous Result. Every other component takes the
+// previous *Cluster as it is. A merge with no previous Result builds
+// every cluster: the full merge is the update from nothing.
+//
 // # Goroutine safety
 //
-// Build is a pure function: it reads its input slice, works on local
-// state (including a function-local DSU), and returns a freshly
-// allocated Result. Distinct Build calls may run concurrently; a single
-// Result is immutable afterwards and safe to share. In the pipeline this
-// stage runs single-threaded, after the parallel resolve pool has been
-// drained and merged deterministically, so its input order — and
-// therefore its cluster IDs — never depends on Options.Workers.
+// Merge is a pure function of its arguments: it reads them, works on
+// local state (including a function-local DSU), and returns a freshly
+// allocated Result, never writing the previous one or the Clusters it
+// reuses. Distinct Merge calls may run concurrently; a Result and its
+// Clusters are immutable afterwards and safe to share, across any
+// number of later Results. In the pipeline this stage runs
+// single-threaded, after the parallel resolve pool has been drained and
+// merged deterministically; its output does not depend on owner or key
+// numbering, nor on the rows' order, so it never depends on
+// Options.Workers.
 package cluster

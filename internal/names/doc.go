@@ -35,15 +35,15 @@
 // compiled at init. BaseName and Trace may therefore be called
 // concurrently.
 //
-// TraceCorpus is the pipeline's entry point: one pass over the distinct
-// names of a corpus yields every name's Steps, from which both the base
-// names and the Table 2 counts (CountSteps) are read. The front half of
-// the pipeline (Basic through Corporate) does not depend on the corpus,
-// so a caller that cleans a slightly different corpus later hands the
-// earlier result back and only the frequency/geographic back half is
-// redone. Both halves are pure per name, so TraceCorpus fans them out
-// over fixed chunks of the sorted distinct names — each chunk counting
-// token frequencies into its own map, summed before the back half runs
-// — and CountSteps counts its six steps side by side; the results do
-// not depend on the worker count.
+// Corpus is the pipeline's entry point for a corpus: a traced multiset
+// of names under caller-assigned IDs, from which both the base names and
+// the Table 2 counts are read. Corpus.Update applies a change of
+// multiplicities and returns a new Corpus, never writing the old one.
+// The front half of the pipeline (Basic through Corporate) does not
+// depend on the corpus, and the back half only through the frequent-word
+// set: a name traced before keeps its Steps while that set stands, so an
+// update traces only the names it has not seen, and redoes every back
+// half only when the set moved. Both halves are pure per name and fan
+// out over fixed chunks of the names to trace; the results do not depend
+// on the worker count.
 package names

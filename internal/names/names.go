@@ -1,6 +1,7 @@
 package names
 
 import (
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -83,69 +84,180 @@ func NewCleaner(corpus []string, threshold int) *Cleaner {
 	return c
 }
 
-// TraceCorpus runs the pipeline once per distinct name of a corpus given
-// as name -> multiplicity (how many corpus entries carry the name), and
-// returns each name's Steps: the one pass behind both the base names and
-// CountSteps. The frequent-word list is the same one NewCleaner computes
-// from the expanded multiset. prev may hold the result for an earlier
-// corpus: the front half of the pipeline (Basic through Corporate) is a
-// pure function of the name, so it is taken from there for every name
-// prev has, and only the corpus-dependent back half is redone.
+// Corpus is a traced multiset of organization names, indexed by name
+// IDs its caller assigns: per ID, how many corpus entries carry the name
+// and the pipeline traced over the corpus; for the whole corpus, the
+// word frequencies, the frequent-word set and the Table 2 counts. Update
+// returns the next Corpus and never writes the one it is called on, so
+// a Corpus may be shared by any number of readers and later updates.
+// The nil *Corpus is the empty corpus.
+//
+// A name that loses its last entry keeps its Steps: should it return
+// while the frequent-word set stands, it is not traced again.
+type Corpus struct {
+	refs  []int32  // entries per name ID
+	steps []*Steps // per name ID: its pipeline, nil for a name never traced or dropped
+	// freq counts each word of a name's Spelling once per entry. The
+	// words above the threshold are frequent, and stay sorted in
+	// frequent.
+	freq     map[string]int
+	frequent []string
+	names    int // name IDs with entries
+	counts   StepCounts
+}
+
+// Edit changes the entries of one name ID by N. Name is the name's
+// text: it is read only when the ID has no Steps yet.
+type Edit struct {
+	ID   int32
+	N    int32
+	Name string
+}
+
+// Update returns the corpus with edits applied, at most one per ID and
+// in ID order. It traces the names that gain entries with no Steps to
+// reuse, front and back; the back half of every other name stays unless
+// the frequent-word set — words above threshold — moved, in which case
+// it is redone for every name with entries. traced counts the names
+// whose back half ran, and moved lists the IDs whose base name changed
+// (IDs with entries before and after only).
 //
 // Both halves are pure per name, so they fan out over up to workers
-// goroutines: the distinct names, sorted, are cut into one fixed chunk
-// per worker, each chunk counts its token frequencies into a map of its
-// own, and the sums of those maps are the corpus frequencies. The
-// result is the same at every worker count; workers <= 1 runs on the
-// caller's goroutine.
-func TraceCorpus(mult map[string]int, threshold int, prev map[string]Steps, workers int) map[string]Steps {
-	type named struct {
-		name string
-		n    int
+// goroutines, each taking a fixed chunk of the IDs to trace; the word
+// counts are summed on the caller's goroutine in ID order. The result
+// is the same at every worker count.
+func (c *Corpus) Update(edits []Edit, threshold, workers int) (next *Corpus, traced int, moved []int32) {
+	if c == nil {
+		c = &Corpus{}
 	}
-	distinct := make([]named, 0, len(mult))
-	for name, n := range mult {
-		distinct = append(distinct, named{name, n})
+	size := len(c.refs)
+	for _, e := range edits {
+		size = max(size, int(e.ID)+1)
 	}
-	slices.SortFunc(distinct, func(a, b named) int { return strings.Compare(a.name, b.name) })
-	steps := make([]Steps, len(distinct))
-	chunks := max(1, min(workers, len(distinct)))
-	bounds := make([]int, chunks+1) // chunk k is distinct[bounds[k]:bounds[k+1]]
-	for k := range bounds {
-		bounds[k] = k * len(distinct) / chunks
+	next = &Corpus{
+		refs:     make([]int32, size),
+		steps:    make([]*Steps, size),
+		freq:     c.freq,
+		frequent: c.frequent,
+		names:    c.names,
+		counts:   c.counts,
 	}
-	freqs := make([]map[string]int, chunks)
-	parallel(chunks, workers, func(k int) {
-		freq := map[string]int{}
-		for i := bounds[k]; i < bounds[k+1]; i++ {
-			s, ok := prev[distinct[i].name]
-			if !ok {
-				s = front(distinct[i].name)
+	copy(next.refs, c.refs)
+	copy(next.steps, c.steps)
+	liveMoved := false
+	var born []Edit // names to trace from the front
+	for _, e := range edits {
+		was := next.refs[e.ID]
+		next.refs[e.ID] += e.N
+		if (was > 0) != (next.refs[e.ID] > 0) {
+			liveMoved = true
+			if was == 0 {
+				next.names++
+			} else {
+				next.names--
 			}
-			for _, tok := range tokens(s.Spelling) {
-				freq[tok] += distinct[i].n
+		}
+		if next.refs[e.ID] > 0 && next.steps[e.ID] == nil {
+			born = append(born, e)
+		}
+	}
+	fronts := make([]Steps, len(born))
+	chunks(len(born), workers, func(i int) { fronts[i] = front(born[i].Name) })
+	for i, e := range born {
+		next.steps[e.ID] = &fronts[i]
+	}
+
+	// The word counts follow the entries: every edit adds or takes its
+	// name's words N times, in a copy of the previous counts.
+	copied := false
+	for _, e := range edits {
+		if e.N == 0 {
+			continue
+		}
+		if !copied {
+			next.freq, copied = make(map[string]int, len(c.freq)), true
+			maps.Copy(next.freq, c.freq)
+		}
+		for _, tok := range tokens(next.steps[e.ID].Spelling) {
+			if next.freq[tok] += int(e.N); next.freq[tok] == 0 {
+				delete(next.freq, tok)
 			}
-			steps[i] = s
-		}
-		freqs[k] = freq
-	})
-	c := newCleaner(threshold)
-	c.freq = freqs[0]
-	for _, freq := range freqs[1:] {
-		for tok, n := range freq {
-			c.freq[tok] += n
 		}
 	}
-	parallel(chunks, workers, func(k int) {
-		for i := bounds[k]; i < bounds[k+1]; i++ {
-			steps[i] = c.finish(steps[i])
+	cl := &Cleaner{threshold: threshold, freq: next.freq}
+	if frequent := cl.frequentWords(); !slices.Equal(frequent, c.frequent) {
+		// The back half of every name read the old set: redo it for the
+		// names with entries, and drop the Steps of the rest.
+		next.frequent = frequent
+		var redo []int32
+		for id, s := range next.steps {
+			if s == nil {
+				continue
+			}
+			if next.refs[id] == 0 {
+				next.steps[id] = nil
+				continue
+			}
+			redo = append(redo, int32(id))
+		}
+		backs := make([]Steps, len(redo))
+		chunks(len(redo), workers, func(i int) { backs[i] = cl.finish(*next.steps[redo[i]]) })
+		for i, id := range redo {
+			if old := c.Steps(id); old != nil && old.Result() != backs[i].Result() {
+				moved = append(moved, id)
+			}
+			next.steps[id] = &backs[i]
+		}
+		traced, liveMoved = len(redo), true
+	} else {
+		chunks(len(born), workers, func(i int) { fronts[i] = cl.finish(fronts[i]) })
+		traced = len(born)
+	}
+	if liveMoved {
+		next.counts = countSteps(next.steps, next.refs)
+	}
+	next.counts.Original = next.names
+	return next, traced, moved
+}
+
+// Steps returns the pipeline of a name ID with entries, nil for any
+// other ID. Callers must not modify it.
+func (c *Corpus) Steps(id int32) *Steps {
+	if c == nil || int(id) >= len(c.refs) || c.refs[id] == 0 {
+		return nil
+	}
+	return c.steps[id]
+}
+
+// Counts returns the Table 2 counts of the corpus.
+func (c *Corpus) Counts() StepCounts {
+	if c == nil {
+		return StepCounts{}
+	}
+	return c.counts
+}
+
+// frequentWords returns the words counted above the threshold, sorted.
+func (c *Cleaner) frequentWords() []string {
+	var out []string
+	for w, n := range c.freq {
+		if n > c.threshold {
+			out = append(out, w)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// chunks runs fn(0) … fn(n-1), cut into one fixed chunk of consecutive
+// indices per worker, on up to workers goroutines.
+func chunks(n, workers int, fn func(i int)) {
+	k := max(1, min(workers, n))
+	parallel(k, workers, func(j int) {
+		for i := j * n / k; i < (j+1)*n/k; i++ {
+			fn(i)
 		}
 	})
-	traced := make(map[string]Steps, len(distinct))
-	for i := range distinct {
-		traced[distinct[i].name] = steps[i]
-	}
-	return traced
 }
 
 // parallel runs task(0) … task(n-1) on up to workers goroutines, the
@@ -201,18 +313,28 @@ func (c *Cleaner) Trace(name string) Steps {
 // vocabularies only.
 func front(name string) Steps {
 	s := Steps{Original: name}
-	s.Basic = basic(name)
-	s.Regex = regexDrop(s.Basic)
-	s.Spelling = standardize(s.Regex)
-	s.Corporate = dropTokens(s.Spelling, func(tok string) bool { return suffixSet[tok] })
+	s.Basic = same(name, basic(name))
+	s.Regex = same(s.Basic, regexDrop(s.Basic))
+	s.Spelling = same(s.Regex, standardize(s.Regex))
+	s.Corporate = same(s.Spelling, dropTokens(s.Spelling, func(tok string) bool { return suffixSet[tok] }))
 	return s
+}
+
+// same returns in when out spells the same: a step that changes nothing
+// shares its input's bytes, so a traced name holds only the forms that
+// differ.
+func same(in, out string) string {
+	if out == in {
+		return in
+	}
+	return out
 }
 
 // finish runs the corpus-dependent back half over a front half: the
 // frequent-word drop, the geographic drop and the short-name refill.
 func (c *Cleaner) finish(s Steps) Steps {
-	s.Frequent = dropTokens(s.Corporate, func(tok string) bool { return c.freq[tok] > c.threshold })
-	s.Geographic = dropGeo(s.Frequent)
+	s.Frequent = same(s.Corporate, dropTokens(s.Corporate, func(tok string) bool { return c.freq[tok] > c.threshold }))
+	s.Geographic = same(s.Frequent, dropGeo(s.Frequent))
 	// Short names provide insufficient information: fall back to the
 	// post-corporate-drop form (§5.3.1 final rule).
 	if len([]rune(s.Geographic)) < 3 {
@@ -371,29 +493,35 @@ type StepCounts struct {
 	Refilled   int
 }
 
-// CountSteps computes Table 2 from the traced pipeline of a corpus's
-// distinct names (TraceCorpus): a step count is the number of distinct
-// values after that step, so duplicate corpus entries cannot change it.
-// The six counts are independent, and run on up to workers goroutines.
-func CountSteps(traced map[string]Steps, workers int) StepCounts {
-	steps := []func(Steps) string{
-		func(s Steps) string { return s.Basic },
-		func(s Steps) string { return s.Regex },
-		func(s Steps) string { return s.Corporate },
-		func(s Steps) string { return s.Frequent },
-		func(s Steps) string { return s.Geographic },
-		func(s Steps) string { return s.Refilled },
-	}
-	counts := make([]int, len(steps))
-	parallel(len(steps), workers, func(k int) {
-		seen := make(map[string]bool, len(traced))
-		for _, s := range traced {
-			seen[steps[k](s)] = true
+// countSteps computes Table 2 over the names with entries: a step count
+// is the number of distinct values after that step, so duplicate corpus
+// entries cannot change it. One map notes, per distinct value, the steps
+// it appeared after; the steps that left a name as they found it share
+// one update. Original is the caller's to fill.
+func countSteps(steps []*Steps, refs []int32) StepCounts {
+	seen := make(map[string]uint8, len(steps))
+	for id, s := range steps {
+		if refs[id] == 0 {
+			continue
 		}
-		counts[k] = len(seen)
-	})
+		vals := [...]string{s.Basic, s.Regex, s.Corporate, s.Frequent, s.Geographic, s.Refilled}
+		for k := 0; k < len(vals); {
+			bits := uint8(1) << k
+			j := k + 1
+			for ; j < len(vals) && vals[j] == vals[k]; j++ {
+				bits |= 1 << j
+			}
+			seen[vals[k]] |= bits
+			k = j
+		}
+	}
+	var counts [6]int
+	for _, bits := range seen {
+		for k := range counts {
+			counts[k] += int(bits >> k & 1)
+		}
+	}
 	return StepCounts{
-		Original:   len(traced),
 		Basic:      counts[0],
 		Regex:      counts[1],
 		Corporate:  counts[2],

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -174,6 +175,54 @@ func multiset(corpus []string) map[string]int {
 	return mult
 }
 
+// corpusIDs numbers the names of a corpus in sorted order, the way a
+// caller of Corpus.Update assigns its IDs.
+type corpusIDs map[string]int32
+
+func (ids corpusIDs) id(name string) int32 {
+	id, ok := ids[name]
+	if !ok {
+		id = int32(len(ids))
+		ids[name] = id
+	}
+	return id
+}
+
+// edits turns a change of multiplicities (name -> entries added, less
+// entries removed) into Update's edits, in ID order.
+func (ids corpusIDs) edits(delta map[string]int) []Edit {
+	var names []string
+	for name := range delta {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	var out []Edit
+	for _, name := range names {
+		out = append(out, Edit{ID: ids.id(name), N: int32(delta[name]), Name: name})
+	}
+	slices.SortFunc(out, func(a, b Edit) int { return int(a.ID) - int(b.ID) })
+	return out
+}
+
+// traced reads every name with entries back out of c.
+func (ids corpusIDs) traced(c *Corpus) map[string]Steps {
+	out := map[string]Steps{}
+	for name, id := range ids {
+		if s := c.Steps(id); s != nil {
+			out[name] = *s
+		}
+	}
+	return out
+}
+
+// traceCorpus traces a corpus given as name -> multiplicity from the
+// empty corpus.
+func traceCorpus(mult map[string]int, threshold, workers int) (map[string]Steps, StepCounts) {
+	ids := corpusIDs{}
+	c, _, _ := (*Corpus)(nil).Update(ids.edits(mult), threshold, workers)
+	return ids.traced(c), c.Counts()
+}
+
 // TestWeightedCountMatchesPerEntry guards the once-per-distinct-name
 // pass: "network(s)" is in three distinct names but forty corpus entries, so
 // it crosses the threshold only through multiplicity. Base names and
@@ -204,40 +253,105 @@ func TestWeightedCountMatchesPerEntry(t *testing.T) {
 		refTraced[name] = ref.Trace(name)
 	}
 
-	traced := TraceCorpus(multiset(corpus), threshold, nil, 1)
+	ids := corpusIDs{}
+	corp, traced, _ := (*Corpus)(nil).Update(ids.edits(multiset(corpus)), threshold, 1)
+	got := ids.traced(corp)
 	c := NewCleaner(corpus, threshold)
-	if len(traced) != len(refTraced) {
-		t.Fatalf("traced %d distinct names, want %d", len(traced), len(refTraced))
+	if len(got) != len(refTraced) || traced != len(refTraced) {
+		t.Fatalf("traced %d (%d read back) distinct names, want %d", traced, len(got), len(refTraced))
 	}
 	for name, want := range refTraced {
-		if got := traced[name]; got != want {
-			t.Errorf("TraceCorpus[%q] = %+v, want %+v", name, got, want)
+		if got := got[name]; got != want {
+			t.Errorf("Corpus.Steps(%q) = %+v, want %+v", name, got, want)
 		}
 		if got := c.BaseName(name); got != want.Result() {
 			t.Errorf("NewCleaner(...).BaseName(%q) = %q, want %q", name, got, want.Result())
 		}
 	}
-	if got := traced["Acme Networks Germany GmbH"].Result(); got != "acme" {
+	if got := got["Acme Networks Germany GmbH"].Result(); got != "acme" {
 		t.Errorf("base name = %q, want %q (network frequent, germany geographic, gmbh corporate)", got, "acme")
 	}
-	if got, want := CountSteps(traced, 1), CountSteps(refTraced, 1); got != want {
-		t.Errorf("CountSteps = %+v, want %+v", got, want)
+	if got, want := corp.Counts(), countStepsReference(refTraced); got != want {
+		t.Errorf("Counts = %+v, want %+v", got, want)
 	}
 
-	// A later corpus reuses the front halves it is handed and still
-	// recomputes the corpus-dependent back half: with the duplicates
-	// gone, "network" is no longer frequent.
-	again := TraceCorpus(map[string]int{"Acme Networks Germany GmbH": 1, "Zenith Networks Ltd": 1}, threshold, traced, 1)
-	if got := again["Acme Networks Germany GmbH"].Result(); got != "acme network" {
+	// Dropping the duplicates moves the frequent-word set: "network" is
+	// no longer frequent, so every remaining name's back half is redone,
+	// and the two whose base name changes are the ones listed as moved.
+	drop := map[string]int{"Acme Networks Germany GmbH": -29, "Zenith Networks Ltd": -9, "Acme Holdings": -1, "Solo Systems Inc": -1, "Zenith  NETWORKS ltd.": -1}
+	again, traced, moved := corp.Update(ids.edits(drop), threshold, 1)
+	if got := again.Steps(ids["Acme Networks Germany GmbH"]).Result(); got != "acme network" {
 		t.Errorf("base name over the smaller corpus = %q, want %q", got, "acme network")
+	}
+	if again.Counts().Original != 2 || traced != 2 || len(moved) != 2 {
+		t.Errorf("smaller corpus: %d names, %d traced, moved %v; want 2, 2 and both names", again.Counts().Original, traced, moved)
+	}
+	if corp.Steps(ids["Acme Networks Germany GmbH"]).Result() != "acme" || corp.Counts().Original != 5 {
+		t.Error("Update wrote the corpus it was called on")
 	}
 }
 
-// TestTraceCorpusWorkers holds the fan-out of TraceCorpus and CountSteps
-// to their serial result: at 1, 2 and 8 workers the traced corpus is
-// DeepEqual and the Table 2 counts equal — over the synthetic world's
-// registered names, over random corpora, and with a prev map supplying
-// some front halves. make verify runs it under -race.
+// TestCorpusUpdateMatchesFromEmpty is the incremental contract: a chain
+// of random edits, applied one Update at a time, traces every name and
+// counts Table 2 as a single Update from the empty corpus over the same
+// multiset does — and retraces only the names it must.
+func TestCorpusUpdateMatchesFromEmpty(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	words := []string{"acme", "data", "networks", "Germany", "GmbH", "LLC", "zenith", "telecom", "de", "Perú", "solo", "Inc."}
+	var pool []string
+	for range 60 {
+		var b strings.Builder
+		for k := range 1 + rng.Intn(4) {
+			if k > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(words[rng.Intn(len(words))])
+		}
+		pool = append(pool, b.String())
+	}
+	ids := corpusIDs{}
+	mult := map[string]int{}
+	var c *Corpus
+	reused := 0
+	for step := range 200 {
+		delta := map[string]int{}
+		for range 1 + rng.Intn(4) {
+			name := pool[rng.Intn(len(pool))]
+			n := 1 + rng.Intn(6)
+			if mult[name]+delta[name] > 0 && rng.Intn(2) == 0 {
+				n = -min(n, mult[name]+delta[name])
+			}
+			delta[name] += n
+		}
+		var traced int
+		c, traced, _ = c.Update(ids.edits(delta), 12, 1+step%3)
+		for name, n := range delta {
+			if mult[name] += n; mult[name] == 0 {
+				delete(mult, name)
+			}
+		}
+		wantTraced, wantCounts := traceCorpus(mult, 12, 1)
+		if got := ids.traced(c); !reflect.DeepEqual(got, wantTraced) {
+			t.Fatalf("step %d: the updated corpus traces differently from one traced from empty", step)
+		}
+		if got := c.Counts(); got != wantCounts {
+			t.Fatalf("step %d: Counts = %+v, want %+v", step, got, wantCounts)
+		}
+		if traced < len(mult) {
+			reused++
+		}
+	}
+	if reused == 0 {
+		t.Error("every update retraced the whole corpus")
+	}
+}
+
+// TestTraceCorpusWorkers holds the fan-out of Corpus.Update and its
+// Table 2 count to their serial result: at 1, 2 and 8 workers the traced
+// corpus is DeepEqual and the counts equal — over the synthetic world's
+// registered names, over random corpora, and as an update of a corpus
+// that already traced some of the names. make verify runs it under
+// -race.
 func TestTraceCorpusWorkers(t *testing.T) {
 	w, err := synth.Generate(synth.SmallConfig())
 	if err != nil {
@@ -268,36 +382,46 @@ func TestTraceCorpusWorkers(t *testing.T) {
 	corpora := []map[string]int{world, random(), random(), random(), {}}
 	for ci, mult := range corpora {
 		// prev holds a third of the corpus's names, traced over another
-		// corpus: only their front halves may carry over.
-		prev := map[string]Steps{}
-		for name, s := range TraceCorpus(random(), 20, nil, 1) {
-			prev[name] = s
-		}
+		// corpus: the update keeps or redoes their back halves.
+		ids := corpusIDs{}
+		third := random()
 		n := 0
 		for name := range mult {
 			if n%3 == 0 {
-				prev[name] = front(name)
+				third[name]++
 			}
 			n++
 		}
-		for _, p := range []map[string]Steps{nil, prev} {
-			want := TraceCorpus(mult, 20, p, 1)
-			wantSteps := countStepsReference(want)
+		prev, _, _ := (*Corpus)(nil).Update(ids.edits(third), 20, 1)
+		delta := map[string]int{}
+		for name, n := range third {
+			delta[name] -= n
+		}
+		for name, n := range mult {
+			delta[name] += n
+		}
+		for _, p := range []*Corpus{nil, prev} {
+			edits := ids.edits(delta)
+			if p == nil {
+				edits = ids.edits(mult)
+			}
+			want, _, _ := p.Update(edits, 20, 1)
+			wantSteps := countStepsReference(ids.traced(want))
 			for _, workers := range []int{1, 2, 8} {
-				got := TraceCorpus(mult, 20, p, workers)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("corpus %d (prev %v): TraceCorpus at %d workers differs from 1", ci, p != nil, workers)
+				got, _, _ := p.Update(edits, 20, workers)
+				if !reflect.DeepEqual(ids.traced(got), ids.traced(want)) {
+					t.Errorf("corpus %d (prev %v): Update at %d workers differs from 1", ci, p != nil, workers)
 				}
-				if s := CountSteps(got, workers); s != wantSteps {
-					t.Errorf("corpus %d (prev %v): CountSteps at %d workers = %+v, want %+v", ci, p != nil, workers, s, wantSteps)
+				if s := got.Counts(); s != wantSteps {
+					t.Errorf("corpus %d (prev %v): Counts at %d workers = %+v, want %+v", ci, p != nil, workers, s, wantSteps)
 				}
 			}
 		}
 	}
 }
 
-// countStepsReference is CountSteps written out: one distinct-value
-// count per step, in one pass.
+// countStepsReference is the Table 2 count written out: one
+// distinct-value count per step, in one pass.
 func countStepsReference(traced map[string]Steps) StepCounts {
 	var seen [6]map[string]bool
 	for k := range seen {
@@ -318,7 +442,7 @@ func TestCountStepsMonotonic(t *testing.T) {
 		corpus = append(corpus, fmt.Sprintf("Org %03d Data Services Inc", i))
 		corpus = append(corpus, fmt.Sprintf("Org %03d Germany GmbH", i))
 	}
-	sc := CountSteps(TraceCorpus(multiset(corpus), 30, nil, 1), 1)
+	_, sc := traceCorpus(multiset(corpus), 30, 1)
 	if sc.Original != len(corpus) {
 		t.Errorf("Original = %d, want %d", sc.Original, len(corpus))
 	}

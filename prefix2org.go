@@ -50,6 +50,7 @@ import (
 	"github.com/prefix2org/prefix2org/internal/alloc"
 	"github.com/prefix2org/prefix2org/internal/as2org"
 	"github.com/prefix2org/prefix2org/internal/bgp"
+	"github.com/prefix2org/prefix2org/internal/cluster"
 	"github.com/prefix2org/prefix2org/internal/delegated"
 	"github.com/prefix2org/prefix2org/internal/lpm"
 	"github.com/prefix2org/prefix2org/internal/names"
@@ -162,16 +163,11 @@ func (r *Record) HasDistinctCustomer() bool {
 		r.DelegatedCustomers[len(r.DelegatedCustomers)-1] != r.DirectOwner
 }
 
-// Cluster is a final prefix cluster (one inferred organization).
-type Cluster struct {
-	ID         string
-	BaseName   string
-	OwnerNames []string
-	Prefixes   []netip.Prefix
-}
-
-// MultiName reports whether the cluster merged several exact WHOIS names.
-func (c *Cluster) MultiName() bool { return len(c.OwnerNames) > 1 }
+// Cluster is a final prefix cluster (one inferred organization): its
+// ID, base name, exact owner names and prefixes. A built Dataset shares
+// each cluster a delta did not rebuild with the Dataset before it; a
+// Cluster is never written once a build returns it.
+type Cluster = cluster.Cluster
 
 // Stats are the dataset-level metrics of the paper's Table 4 and §6.
 type Stats struct {
@@ -219,9 +215,12 @@ type Dataset struct {
 	// Build/BuildFromDir and not persisted by Save/Load.
 	Trace *BuildTrace
 
-	// byOwner maps a built Dataset's basic-cleaned owner names to their
-	// clusters; a read one searches the snapshot's owners table instead.
-	byOwner map[string]*Cluster
+	// owners and merge find a built Dataset's cluster by basic-cleaned
+	// owner name: the name's owner ID in the build's name table, then that
+	// owner's final cluster. A read Dataset searches the snapshot's owners
+	// table instead.
+	owners map[string]int32
+	merge  *cluster.Result
 	// idx is the frozen longest-prefix-match index over the routed
 	// prefixes — the only prefix-keyed structure, behind Lookup,
 	// LookupAddr, LookupCovering and CoveringChainInto: flat sorted
@@ -339,8 +338,12 @@ func (d *Dataset) ClusterOfOwner(name string) (*Cluster, bool) {
 	if d.view != nil {
 		return d.view.clusterOfOwner(basicClean(name))
 	}
-	c, ok := d.byOwner[basicClean(name)]
-	return c, ok
+	id, ok := d.owners[basicClean(name)]
+	if !ok {
+		return nil, false
+	}
+	c := d.merge.Of(id)
+	return c, c != nil
 }
 
 func basicClean(s string) string {

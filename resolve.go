@@ -1,9 +1,11 @@
 package prefix2org
 
 import (
+	"cmp"
 	"context"
 	"maps"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -85,77 +87,309 @@ func resolveIndices(ctx context.Context, st *buildState, idxs []int, recs []Reco
 }
 
 // compactMapped moves the mapped Records of the pass-1 slots to the
-// front, in routed order, and returns them with the number of unmapped
-// slots dropped. It copies nothing when every routed prefix is mapped:
-// the slots are then the Records as they stand.
-func compactMapped(recs []Record, mapped []bool) ([]Record, int) {
+// front, in routed order, with their from entries (see splice), and
+// returns them with the number of unmapped slots dropped. It copies
+// nothing when every routed prefix is mapped: the slots are then the
+// Records as they stand.
+func compactMapped(recs []Record, mapped []bool, from []int32) ([]Record, []int32, int) {
 	n := 0
 	for i := range recs {
 		if !mapped[i] {
 			continue
 		}
 		if n != i {
-			recs[n] = recs[i]
+			recs[n], from[n] = recs[i], from[i]
 		}
 		n++
 	}
 	// The tail holds stale copies of moved records; clear it so the
 	// backing array pins nothing they would not.
 	clear(recs[n:])
-	return recs[:n:n], len(recs) - n
+	return recs[:n:n], from[:n], len(recs) - n
 }
 
-// cleanState caches the outcome of the clean-names pass, which is a
-// function of the Direct Owner corpus as a multiset and nothing else. A
-// delta rebuild whose corpus is unchanged (the common case: BGP-only or
-// RPKI-only churn) reuses it wholesale; any corpus change reruns the
-// corpus-dependent back half of the names pipeline once per distinct
-// name, taking the front half of every name already traced from here.
-// The front halves are a pure-function memo keyed by name, so sharing
-// them across chained deltas cannot change an output. A cleanState is
-// never written after cleanNames returns: chained deltas and the
-// Dataset they were built from share it freely.
+// finishState is what passes 2–4 keep for the next build to update
+// rather than redo: the name table and its traced corpus, the cluster
+// pass's integer columns and its result, and the record-only half of
+// the Stats. No member is written after the finish that made it, so
+// chained deltas — and several deltas from one build — share them
+// freely. The zero finishState is the empty one a full build updates.
+type finishState struct {
+	clean *cleanState
+	merge *mergeState
+	stats *recordStats
+}
+
+// stale reports whether the state's tables hold more names or keys that
+// no record uses than ones some record does: the next build then
+// finishes from the empty state, and the tables shrink to what is in
+// use.
+func (f finishState) stale() bool {
+	return f.clean != nil && len(f.clean.ownerNames) > 2*f.clean.live ||
+		f.merge != nil && len(f.merge.keys) > 2*f.merge.res.Keys
+}
+
+// changes are the records a build did not take verbatim from the
+// previous one. from gives each record's position in the previous
+// Records when the splice kept it verbatim, -1 otherwise; added lists
+// the positions of the others (the re-resolved records), and removed
+// holds copies of the previous records not kept (the re-resolved and
+// the withdrawn ones) — copies, so that the previous Records need not
+// stay reachable while passes 2–4 run. Against the empty state every
+// record is added.
+type changes struct {
+	from    []int32
+	added   []int32
+	removed []Record
+}
+
+// changesOf reads the changes of recs off from (see changes) and the
+// previous Records; fresh means there is no previous state to update.
+func changesOf(recs []Record, from []int32, oldRecs []Record, fresh bool) *changes {
+	ch := &changes{from: from}
+	kept := make([]bool, len(oldRecs))
+	for i := range recs {
+		if fresh || from[i] < 0 {
+			ch.added = append(ch.added, int32(i))
+		} else {
+			kept[from[i]] = true
+		}
+	}
+	if !fresh {
+		for k, ok := range kept {
+			if !ok {
+				ch.removed = append(ch.removed, oldRecs[k])
+			}
+		}
+	}
+	return ch
+}
+
+// cleanState is the clean-names pass's table of WHOIS organization
+// names, which the next build updates from the records it changes
+// rather than recounting every record. ids numbers every Direct Owner and
+// Delegated Customer name the records carry; owner maps each name ID to
+// the owner ID of its basic-cleaned form — the W cluster key — which
+// owners numbers and ownerNames lists. An ID outlives the records that
+// named it, so a build copies a map only when it meets a name the map
+// lacks, and none when the names come back; finishState.stale bounds the
+// dead IDs. Every other member is a column over those IDs or a count.
 type cleanState struct {
-	mult      map[string]int         // distinct Direct Owner name -> routed prefixes it owns
-	traced    map[string]names.Steps // the names pipeline, run once per distinct name
-	base      map[string]string      // Direct Owner name -> final base name
-	owners    map[string]bool        // the distinct basic-cleaned Direct Owner names
-	baseNames int                    // distinct base names
-	steps     names.StepCounts
+	ids        map[string]int32
+	owner      []int32
+	owners     map[string]int32
+	ownerNames []string
+	// corpus is the Direct Owner names, by name ID, each weighted by the
+	// records it owns: the names pipeline traced over the corpus, and
+	// the Table 2 counts.
+	corpus *names.Corpus
+	// doRefs and dcRefs count, per owner ID, the records whose Direct
+	// Owner it is and the Delegated Customer listings that name it.
+	doRefs, dcRefs []int32
+	// directOwners, customers and onlyCustomers count the owner IDs with
+	// Direct Owner records, with Delegated Customer listings, and with
+	// listings only; live those with either.
+	directOwners, customers, onlyCustomers, live int
 }
 
-// cleanNames runs pass 2 over the Direct Owner corpus mult (name ->
-// multiplicity, n entries in all). prev, when non-nil, supplies the
-// front half of the pipeline for the names it already traced.
-func cleanNames(mult map[string]int, n int, opts Options, prev *cleanState) *cleanState {
-	workers := opts.workerCount()
-	var prevTraced map[string]names.Steps
-	if prev != nil {
-		prevTraced = prev.traced
+// update runs pass 2 as an update of c (nil: the empty table) by ch:
+// the removed records leave the table, the added ones enter it and get
+// their owner ID in rows. It returns the new table, the owners whose
+// records or base name changed, and the number of names traced.
+func (c *cleanState) update(recs []Record, ch *changes, rows []cluster.Row, opts Options) (*cleanState, []bool, int) {
+	if c == nil {
+		c = &cleanState{}
 	}
-	traced := names.TraceCorpus(mult, adaptiveThreshold(n), prevTraced, workers)
-	c := &cleanState{
-		mult:   mult,
-		traced: traced,
-		base:   make(map[string]string, len(traced)),
-		owners: make(map[string]bool, len(traced)),
-		steps:  names.CountSteps(traced, workers),
+	next := *c
+	n := &next
+	// The columns are c's, clipped: an append reallocates, and the
+	// counts are written in a copy.
+	n.owner, n.ownerNames = slices.Clip(c.owner), slices.Clip(c.ownerNames)
+	n.doRefs, n.dcRefs = slices.Clone(c.doRefs), slices.Clone(c.dcRefs)
+	idsCopied, ownersCopied := false, false
+	intern := func(name string) int32 {
+		if id, ok := n.ids[name]; ok {
+			return id
+		}
+		if !idsCopied {
+			n.ids, idsCopied = make(map[string]int32, len(c.ids)+1), true
+			maps.Copy(n.ids, c.ids)
+		}
+		id := int32(len(n.owner))
+		n.ids[name] = id
+		basic := basicClean(name)
+		w, ok := n.owners[basic]
+		if !ok {
+			if !ownersCopied {
+				n.owners, ownersCopied = make(map[string]int32, len(c.owners)+1), true
+				maps.Copy(n.owners, c.owners)
+			}
+			w = int32(len(n.ownerNames))
+			n.owners[basic] = w
+			n.ownerNames = append(n.ownerNames, basic)
+			n.doRefs, n.dcRefs = append(n.doRefs, 0), append(n.dcRefs, 0)
+		}
+		n.owner = append(n.owner, w)
+		return id
 	}
-	baseNames := make(map[string]bool, len(traced))
-	for name, s := range traced {
+	edits := map[int32]*names.Edit{}
+	var touched []int32
+	record := func(r *Record, d int32) int32 {
+		id := intern(r.DirectOwner)
+		e := edits[id]
+		if e == nil {
+			e = &names.Edit{ID: id, Name: r.DirectOwner}
+			edits[id] = e
+		}
+		e.N += d
+		w := n.owner[id]
+		n.count(w, d, 0)
+		touched = append(touched, w)
+		for _, dc := range r.DelegatedCustomers {
+			n.count(n.owner[intern(dc)], 0, d)
+		}
+		return w
+	}
+	for k := range ch.removed {
+		record(&ch.removed[k], -1)
+	}
+	for _, i := range ch.added {
+		rows[i].Owner = record(&recs[i], 1)
+		if n.ownerNames[rows[i].Owner] == "" {
+			rows[i].Owner = -1 // a name with no text owns no W cluster
+		}
+	}
+
+	list := make([]names.Edit, 0, len(edits))
+	for _, e := range edits {
+		list = append(list, *e)
+	}
+	slices.SortFunc(list, func(a, b names.Edit) int { return cmp.Compare(a.ID, b.ID) })
+	var traced int
+	var moved []int32
+	n.corpus, traced, moved = c.corpus.Update(list, adaptiveThreshold(len(recs)), opts.workerCount())
+	for _, id := range moved {
+		touched = append(touched, n.owner[id])
+	}
+	mark := make([]bool, len(n.ownerNames))
+	for _, w := range touched {
+		mark[w] = true
+	}
+	return n, mark, traced
+}
+
+// count adds do Direct Owner records and dc Delegated Customer listings
+// to owner w, and keeps the owner counts.
+func (c *cleanState) count(w, do, dc int32) {
+	wasDO, wasDC := c.doRefs[w] > 0, c.dcRefs[w] > 0
+	c.doRefs[w] += do
+	c.dcRefs[w] += dc
+	isDO, isDC := c.doRefs[w] > 0, c.dcRefs[w] > 0
+	c.directOwners += b2i(isDO) - b2i(wasDO)
+	c.customers += b2i(isDC) - b2i(wasDC)
+	c.onlyCustomers += b2i(isDC && !isDO) - b2i(wasDC && !wasDO)
+	c.live += b2i(isDO || isDC) - b2i(wasDO || wasDC)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// bases returns each owner ID's base name — the names pipeline's
+// result for its Direct Owner names — as an index into the distinct base
+// names it also returns; -1 for an owner with no Direct Owner name, or
+// whose base name is empty. Under Options.DisableNameCleaning the base
+// name degenerates to the exact (basic-cleaned) WHOIS name, so only
+// identical names can ever share an R or A group.
+func (c *cleanState) bases(opts Options) ([]int32, []string) {
+	ids := make([]int32, len(c.ownerNames))
+	for w := range ids {
+		ids[w] = -1
+	}
+	var list []string
+	index := make(map[string]int32, c.baseNames(opts))
+	for id, w := range c.owner {
+		s := c.corpus.Steps(int32(id))
+		if s == nil || ids[w] >= 0 {
+			continue
+		}
 		base := s.Result()
 		if opts.DisableNameCleaning {
-			// Ablation: the base name degenerates to the exact
-			// (basic-cleaned) WHOIS name, so only identical names can
-			// ever share an R or A group.
 			base = s.Basic
 		}
-		c.base[name] = base
-		c.owners[s.Basic] = true
-		baseNames[base] = true
+		if base == "" {
+			continue
+		}
+		b, ok := index[base]
+		if !ok {
+			b = int32(len(list))
+			index[base] = b
+			list = append(list, base)
+		}
+		ids[w] = b
 	}
-	c.baseNames = len(baseNames)
-	return c
+	return ids, list
+}
+
+// baseNames is the number of distinct base names.
+func (c *cleanState) baseNames(opts Options) int {
+	if opts.DisableNameCleaning {
+		return c.corpus.Counts().Basic
+	}
+	return c.corpus.Counts().Refilled
+}
+
+// mergeState is the cluster pass's input as integer columns, and its
+// result, which the next build merges against. rows parallels the
+// Dataset's Records: each one's owner ID in the cleanState and the key
+// IDs of its certificate SKI and ASN cluster ID in keys. Like the name
+// table, keys keeps an ID when the last record naming it goes.
+type mergeState struct {
+	rows []cluster.Row
+	keys map[string]int32
+	res  *cluster.Result
+}
+
+// update runs pass 3 as an update of m (nil: the empty state): the added
+// records' keys are interned into rows — the only strings it reads —
+// and the merge reruns over the integer columns, rebuilding only the
+// clusters an owner in touched is in, or whose owners changed.
+func (m *mergeState) update(recs []Record, ch *changes, rows []cluster.Row, own cluster.Owners, opts Options) *mergeState {
+	if m == nil {
+		m = &mergeState{}
+	}
+	next := &mergeState{rows: rows, keys: m.keys}
+	copied := false
+	key := func(s string) int32 {
+		if s == "" {
+			return -1
+		}
+		if id, ok := next.keys[s]; ok {
+			return id
+		}
+		if !copied {
+			next.keys, copied = make(map[string]int32, len(m.keys)+1), true
+			maps.Copy(next.keys, m.keys)
+		}
+		id := int32(len(next.keys))
+		next.keys[s] = id
+		return id
+	}
+	for _, i := range ch.added {
+		r := &recs[i]
+		rows[i].Cert, rows[i].ASN = -1, -1
+		if !opts.DisableRPKIClusters {
+			rows[i].Cert = key(r.RPKICert)
+		}
+		if !opts.DisableASNClusters {
+			rows[i].ASN = key(r.ASNCluster)
+		}
+	}
+	next.res = cluster.Merge(m.res, own, rows, len(next.keys), func(i int) netip.Prefix { return recs[i].Prefix })
+	return next
 }
 
 // isIndexOf reports whether idx, frozen over an earlier record list, is
@@ -191,8 +425,17 @@ func beside(workers int, fn func()) (wait func()) {
 
 // finish runs passes 2–4 (clean-names, cluster, freeze-index) and the
 // stats pass over recs — the mapped pass-1 slots, compacted — which
-// become the Dataset's Records: clean-names writes each one's BaseName
-// and cluster its FinalCluster, and no pass copies them.
+// become the Dataset's Records: the cluster pass writes each one's
+// BaseName and FinalCluster, and no pass copies them.
+//
+// Each pass updates what the build before kept (prev; the zero
+// finishState for a full build) from the records the splice did not
+// keep verbatim, ch: a removed record leaves the name table, the stats
+// and the merge, an added one enters them. So a delta traces only the
+// names it has not seen, re-clusters only the components its changes
+// reach, and recounts only the changed records; a full build is the same
+// update from the empty state. prev is never written: the next state is
+// returned.
 //
 // With Options.Workers > 1 the passes that do not read each other's
 // output run beside each other (ARCHITECTURE.md has the contract):
@@ -202,16 +445,12 @@ func beside(workers int, fn func()) (wait func()) {
 // order, so the trace lists them the same way at every worker count. A
 // cancelled ctx returns ctx.Err() once every pass it started is done.
 //
-// prev and prevIdx are the clean-names state and the frozen index of the
-// Dataset the build splices against (nil for a full build) — not
-// the Dataset itself, so that nothing here keeps its records and
-// retained inputs reachable once the splice is done. Both are immutable
-// and reused only when this build provably derives the same value: prev
-// when the Direct Owner corpus is the same multiset, prevIdx when the
-// records sit on the same prefixes.
-func finish(ctx context.Context, tr *obs.Trace, recs []Record, unmapped int, opts Options, prev *cleanState, prevIdx *lpm.Index) (*Dataset, *cleanState, error) {
+// prevIdx is the frozen index of the Dataset the build splices against
+// (nil for a full build), reused when the records sit on the same
+// prefixes. Neither it nor prev is kept.
+func finish(ctx context.Context, tr *obs.Trace, recs []Record, ch *changes, unmapped int, opts Options, prev finishState, prevIdx *lpm.Index) (*Dataset, finishState, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, finishState{}, err
 	}
 	workers := opts.workerCount()
 	cleanSpan, clusterSpan, freezeSpan, statsSpan := tr.Start("clean-names"), tr.Start("cluster"), tr.Start("freeze-index"), tr.Start("stats")
@@ -237,88 +476,64 @@ func finish(ctx context.Context, tr *obs.Trace, recs []Record, unmapped int, opt
 	})
 	defer waitFreeze()
 
-	// Pass 2: base names over the Direct Owner corpus.
+	// Pass 2: the name table, and base names over the Direct Owner corpus.
 	cleanSpan.Restart()
-	clean := prev
-	distinct := 0
-	if clean != nil {
-		distinct = len(clean.mult)
+	rows := make([]cluster.Row, len(recs))
+	if prev.merge != nil {
+		for i, k := range ch.from {
+			if k >= 0 {
+				rows[i] = prev.merge.rows[k]
+			}
+		}
 	}
-	mult := make(map[string]int, distinct)
-	for i := range recs {
-		mult[recs[i].DirectOwner]++
-	}
-	if clean == nil || !maps.Equal(clean.mult, mult) {
-		clean = cleanNames(mult, len(recs), opts, clean)
-	}
-	for i := range recs {
-		recs[i].BaseName = clean.base[recs[i].DirectOwner]
-	}
+	clean, touched, traced := prev.clean.update(recs, ch, rows, opts)
+	own := cluster.Owners{Names: clean.ownerNames, Touched: touched}
+	own.Base, own.BaseNames = clean.bases(opts)
 	cleanSpan.Add("names", int64(len(recs)))
-	cleanSpan.Add("base-names", int64(clean.baseNames))
+	cleanSpan.Add("base-names", int64(clean.baseNames(opts)))
+	cleanSpan.Add("names-retraced", int64(traced))
 	cleanSpan.End()
 
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, finishState{}, err
 	}
-	var rs recordStats
+	var rs *recordStats
 	waitStats := beside(workers, func() {
 		if ctx.Err() != nil {
 			return
 		}
 		statsSpan.Restart()
-		rs = countRecords(recs, clean)
+		rs = prev.stats.update(recs, ch)
 		statsSpan.Pause()
 	})
 	defer waitStats()
 
 	// Pass 3: clustering (§5.3).
 	clusterSpan.Restart()
-	infos := make([]cluster.PrefixInfo, len(recs))
+	merge := prev.merge.update(recs, ch, rows, own, opts)
+	res := merge.res
 	for i := range recs {
-		r := &recs[i]
-		infos[i] = cluster.PrefixInfo{
-			Prefix:     r.Prefix,
-			OwnerName:  clean.traced[r.DirectOwner].Basic,
-			BaseName:   r.BaseName,
-			CertSKI:    r.RPKICert,
-			ASNCluster: r.ASNCluster,
-		}
-		if opts.DisableRPKIClusters {
-			infos[i].CertSKI = ""
-		}
-		if opts.DisableASNClusters {
-			infos[i].ASNCluster = ""
+		recs[i].BaseName, recs[i].FinalCluster = "", ""
+		if c := res.Of(rows[i].Owner); c != nil {
+			recs[i].BaseName, recs[i].FinalCluster = c.BaseName, c.ID
 		}
 	}
-	cres := cluster.Build(infos)
-	ds.Clusters = make([]*Cluster, len(cres.Final))
-	ds.byOwner = make(map[string]*Cluster, cres.WCount)
-	for i, c := range cres.Final {
-		ds.Clusters[i] = &Cluster{ID: c.ID, BaseName: c.BaseName, OwnerNames: c.OwnerNames, Prefixes: c.Prefixes}
-		for _, o := range c.OwnerNames {
-			ds.byOwner[o] = ds.Clusters[i]
-		}
-	}
-	// infos parallels recs, so cres.Of[i] is record i's cluster.
-	for i, c := range cres.Of {
-		if c != nil {
-			recs[i].FinalCluster = c.ID
-		}
-	}
-	clusterSpan.Add("prefixes", int64(len(infos)))
-	clusterSpan.Add("clusters", int64(len(cres.Final)))
+	ds.Clusters, ds.owners, ds.merge = res.Final, clean.owners, res
+	clusterSpan.Add("prefixes", int64(len(recs)))
+	clusterSpan.Add("clusters", int64(len(res.Final)))
+	clusterSpan.Add("components-rebuilt", int64(res.Rebuilt))
+	clusterSpan.Add("clusters-reused", int64(res.Reused))
 	clusterSpan.End()
 
 	waitFreeze()
 	waitStats()
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, finishState{}, err
 	}
 	statsSpan.Restart()
-	ds.computeStats(cres, clean, unmapped, &rs)
+	ds.computeStats(res, clean, rs, unmapped, opts)
 	statsSpan.End()
-	return ds, clean, nil
+	return ds, finishState{clean: clean, merge: merge, stats: rs}, nil
 }
 
 // buildState is the input and intermediate state of one build, which the
@@ -340,7 +555,7 @@ type buildState struct {
 	// canonical (lowest) origin ASN, which the splice and pass 1 read by
 	// position.
 	origins []uint32
-	clean   *cleanState
+	fin     finishState
 }
 
 // newBuildState starts the state of the build that follows old, or of a

@@ -56,8 +56,8 @@ import (
 //	owners     — u32 count k, u32 zero, k × {u32 owner ref,
 //	             u32 cluster index}, sorted by (owner bytes, index):
 //	             the binary-search table behind lazy ClusterOfOwner.
-//	             The last entry of an equal-owner run wins, matching
-//	             the byOwner map's insertion-order overwrite.
+//	             The last entry of an equal-owner run wins; a build
+//	             writes none, each owner name being in one cluster.
 //	clusterids — u32 count (must equal m), u32 zero, m × u32 cluster
 //	             index sorted by (cluster ID bytes, index): the table
 //	             behind lazy ClusterByID.

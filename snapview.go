@@ -257,7 +257,7 @@ func (v *snapView) clusterByID(id string) (*Cluster, bool) {
 }
 
 // clusterOfOwner is a read Dataset's ClusterOfOwner: clean is the
-// basic-cleaned owner name, the same key the byOwner map uses.
+// basic-cleaned owner name, the key a built Dataset's owner table uses.
 func (v *snapView) clusterOfOwner(clean string) (*Cluster, bool) {
 	k := v.nOwners
 	i := sort.Search(k, func(i int) bool {

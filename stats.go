@@ -1,6 +1,7 @@
 package prefix2org
 
 import (
+	"maps"
 	"net/netip"
 	"sort"
 
@@ -9,119 +10,92 @@ import (
 )
 
 // recordStats is the half of the Stats that reads the records alone,
-// so finish can count it beside the cluster pass.
+// so finish can count it beside the cluster pass — and, kept with the
+// delta state, update it from the records a build changes.
 type recordStats struct {
-	dcNames                            map[string]bool // distinct basic-cleaned Delegated Customer names
-	origins                            int             // distinct origin ASNs
+	origins                            map[uint32]int32 // origin ASN -> the records it originates
 	v4, v6, v4DC, v6DC, v4RPKI, v6RPKI int
+	v4Space                            float64 // addresses of the IPv4 records, nested ones counted again
 }
 
-// countRecords computes the record-only half of the Stats. It reads the
-// records' Prefix, DirectOwner, DelegatedCustomers, RPKICert and
-// OriginASN, which no pass of finish writes.
-func countRecords(recs []Record, clean *cleanState) recordStats {
-	var rs recordStats
-	rawDC := make(map[string]bool, len(recs)/4)
-	origins := make(map[uint32]bool, len(recs)/4)
-	for i := range recs {
-		r := &recs[i]
-		for _, dc := range r.DelegatedCustomers {
-			rawDC[dc] = true
-		}
+// update returns rs (nil: nothing counted) with ch's removed records
+// taken out and its added ones, positions in recs, counted in. It reads the records'
+// Prefix, DirectOwner, DelegatedCustomers, RPKICert and OriginASN, which
+// no pass of finish writes. The sums are of whole numbers far below
+// 2^53, so their order cannot change them.
+func (rs *recordStats) update(recs []Record, ch *changes) *recordStats {
+	next := &recordStats{}
+	if rs != nil {
+		*next = *rs
+	}
+	copied := false
+	count := func(r *Record, d int) {
 		if r.OriginASN != 0 {
-			origins[r.OriginASN] = true
+			if !copied {
+				next.origins, copied = make(map[uint32]int32, len(next.origins)+1), true
+				if rs != nil {
+					maps.Copy(next.origins, rs.origins)
+				}
+			}
+			if next.origins[r.OriginASN] += int32(d); next.origins[r.OriginASN] == 0 {
+				delete(next.origins, r.OriginASN)
+			}
+		}
+		dc, rpki := 0, 0
+		if r.HasDistinctCustomer() {
+			dc = d
+		}
+		if r.RPKICert != "" {
+			rpki = d
 		}
 		if r.Prefix.Addr().Is4() {
-			rs.v4++
-			if r.HasDistinctCustomer() {
-				rs.v4DC++
-			}
-			if r.RPKICert != "" {
-				rs.v4RPKI++
-			}
+			next.v4 += d
+			next.v4DC += dc
+			next.v4RPKI += rpki
+			next.v4Space += float64(d) * netx.NumAddresses(r.Prefix)
 		} else {
-			rs.v6++
-			if r.HasDistinctCustomer() {
-				rs.v6DC++
-			}
-			if r.RPKICert != "" {
-				rs.v6RPKI++
-			}
+			next.v6 += d
+			next.v6DC += dc
+			next.v6RPKI += rpki
 		}
 	}
-	rs.origins = len(origins)
-	rs.dcNames = make(map[string]bool, len(rawDC))
-	for dc := range rawDC {
-		// Most customers are Direct Owners elsewhere (or of the same
-		// block): their basic-cleaned form is already traced.
-		if s, ok := clean.traced[dc]; ok {
-			rs.dcNames[s.Basic] = true
-		} else {
-			rs.dcNames[basicClean(dc)] = true
-		}
+	for k := range ch.removed {
+		count(&ch.removed[k], -1)
 	}
-	return rs
+	for _, i := range ch.added {
+		count(&recs[i], 1)
+	}
+	return next
 }
 
-// computeStats completes the Stats from the record-only half rs and the
-// outcome of the cluster pass.
-func (d *Dataset) computeStats(cres *cluster.Result, clean *cleanState, unmapped int, rs *recordStats) {
+// computeStats completes the Stats from the record-only half rs, the
+// name table and the outcome of the cluster pass.
+func (d *Dataset) computeStats(res *cluster.Result, clean *cleanState, rs *recordStats, unmapped int, opts Options) {
 	s := &d.Stats
 	s.Unmapped = unmapped
-
-	// The records' Direct Owner names are exactly the clean-names corpus,
-	// which already holds their distinct basic-cleaned and base forms.
-	doNames := clean.owners
-	v4, v6 := rs.v4, rs.v6
-	s.IPv4Prefixes, s.IPv6Prefixes = v4, v6
-	s.DirectOwners = len(doNames)
-	s.DelegatedCustomers = len(rs.dcNames)
-	for n := range rs.dcNames {
-		if !doNames[n] {
-			s.OnlyCustomers++
-		}
+	s.IPv4Prefixes, s.IPv6Prefixes = rs.v4, rs.v6
+	s.DirectOwners = clean.directOwners
+	s.DelegatedCustomers = clean.customers
+	s.OnlyCustomers = clean.onlyCustomers
+	s.BaseNames = clean.baseNames(opts)
+	s.OriginASNs = len(rs.origins)
+	s.PrefixRPKIGroups = res.RGroups
+	s.PrefixASNGroups = res.AGroups
+	s.RPKIMultiNameGroups = res.RMultiName
+	s.ASNMultiNameGroups = res.AMultiName
+	s.BaseClusters = res.WCount
+	s.FinalClusters = len(res.Final)
+	s.MultiNameClusters = res.MultiName
+	s.PctV4InMultiName = pct(res.MultiNameV4, rs.v4)
+	s.PctV6InMultiName = pct(res.MultiNameV6, rs.v6)
+	if rs.v4Space > 0 {
+		s.PctV4SpaceInMultiName = 100 * res.MultiNameV4Space / rs.v4Space
 	}
-	s.BaseNames = clean.baseNames
-	s.OriginASNs = rs.origins
-	s.PrefixRPKIGroups = cres.RGroups
-	s.PrefixASNGroups = cres.AGroups
-	s.RPKIMultiNameGroups = cres.RMultiName
-	s.ASNMultiNameGroups = cres.AMultiName
-	s.BaseClusters = cres.WCount
-	s.FinalClusters = len(d.Clusters)
-
-	var mnV4, mnV6 int
-	var mnV4Space, totalV4Space float64
-	// cres.Of parallels the records: cres.Of[i] is record i's cluster.
-	for i := range d.Records {
-		r := &d.Records[i]
-		multi := cres.Of[i] != nil && cres.Of[i].MultiName()
-		if r.Prefix.Addr().Is4() {
-			addrs := netx.NumAddresses(r.Prefix)
-			totalV4Space += addrs
-			if multi {
-				mnV4++
-				mnV4Space += addrs
-			}
-		} else if multi {
-			mnV6++
-		}
-	}
-	for _, c := range d.Clusters {
-		if c.MultiName() {
-			s.MultiNameClusters++
-		}
-	}
-	s.PctV4InMultiName = pct(mnV4, v4)
-	s.PctV6InMultiName = pct(mnV6, v6)
-	if totalV4Space > 0 {
-		s.PctV4SpaceInMultiName = 100 * mnV4Space / totalV4Space
-	}
-	s.PctV4DistinctDC = pct(rs.v4DC, v4)
-	s.PctV6DistinctDC = pct(rs.v6DC, v6)
-	s.PctV4InRPKI = pct(rs.v4RPKI, v4)
-	s.PctV6InRPKI = pct(rs.v6RPKI, v6)
-	s.NameCleaning = clean.steps
+	s.PctV4DistinctDC = pct(rs.v4DC, rs.v4)
+	s.PctV6DistinctDC = pct(rs.v6DC, rs.v6)
+	s.PctV4InRPKI = pct(rs.v4RPKI, rs.v4)
+	s.PctV6InRPKI = pct(rs.v6RPKI, rs.v6)
+	s.NameCleaning = clean.corpus.Counts()
 }
 
 func pct(n, total int) float64 {

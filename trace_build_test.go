@@ -2,6 +2,7 @@ package prefix2org
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"github.com/prefix2org/prefix2org/internal/synth"
@@ -153,5 +154,70 @@ func TestBuildCancelledMidResolve(t *testing.T) {
 	<-done
 	if err != nil && err != context.Canceled {
 		t.Errorf("err = %v, want nil or context.Canceled", err)
+	}
+}
+
+// TestFinishTraceCounts reads the finish tail's reuse off the trace: a
+// full build traces every Direct Owner name and builds every cluster,
+// reusing none; a BGP-only delta reuses more clusters than it rebuilds.
+// The counts are the same at every worker count.
+func TestFinishTraceCounts(t *testing.T) {
+	w, err := synth.Generate(synth.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := w.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	bgpDir := t.TempDir()
+	if w, err = w.Evolve(synth.EvolveOptions{Seed: 5, OriginShifts: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteDir(bgpDir); err != nil {
+		t.Fatal(err)
+	}
+	counts := func(ds *Dataset) map[string]int64 {
+		out := map[string]int64{}
+		for _, stage := range []string{"clean-names", "cluster"} {
+			s, ok := ds.Trace.Span(stage)
+			if !ok {
+				t.Fatalf("stage %q missing from trace", stage)
+			}
+			for _, k := range s.Counts() {
+				out[stage+"/"+k] = s.Count(k)
+			}
+		}
+		return out
+	}
+	var wantFull, wantDelta map[string]int64
+	for _, workers := range []int{1, 2, 8} {
+		opts := Options{Workers: workers, Incremental: true}
+		full, err := BuildFromDir(context.Background(), dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := BuildDelta(context.Background(), full, bgpDir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, d := counts(full), counts(res.Dataset)
+		if wantFull == nil {
+			wantFull, wantDelta = f, d
+			if f["cluster/components-rebuilt"] != int64(len(full.Clusters)) || f["cluster/clusters-reused"] != 0 {
+				t.Errorf("full build: %d components rebuilt, %d clusters reused; want all %d and none", f["cluster/components-rebuilt"], f["cluster/clusters-reused"], len(full.Clusters))
+			}
+			if got, want := f["clean-names/names-retraced"], int64(full.Stats.NameCleaning.Original); got != want {
+				t.Errorf("full build: %d names traced, want every one of %d", got, want)
+			}
+			if d["cluster/clusters-reused"] <= d["cluster/components-rebuilt"] {
+				t.Errorf("BGP-only delta: %d clusters reused, %d rebuilt; want more reused", d["cluster/clusters-reused"], d["cluster/components-rebuilt"])
+			}
+			t.Logf("full build %v; BGP-only delta %v", f, d)
+			continue
+		}
+		if !reflect.DeepEqual(f, wantFull) || !reflect.DeepEqual(d, wantDelta) {
+			t.Errorf("Workers=%d: counts full %v, delta %v; at one worker %v, %v", workers, f, d, wantFull, wantDelta)
+		}
 	}
 }
